@@ -14,6 +14,7 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/plan"
 	"mra/internal/rewrite"
 	"mra/internal/scalar"
 	"mra/internal/setalg"
@@ -422,7 +423,7 @@ func BenchmarkExec_ParallelWorkers(b *testing.B) {
 		algebra.NewUnion(algebra.NewRel("e1"), algebra.NewRel("e2")))
 
 	for _, w := range []int{1, 2, 4, 8} {
-		eng := &eval.Engine{Workers: w}
+		eng := &eval.Engine{Planner: plan.Planner{Workers: w}}
 		b.Run(fmt.Sprintf("join/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

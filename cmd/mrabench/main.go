@@ -21,6 +21,7 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/plan"
 	"mra/internal/rewrite"
 	"mra/internal/scalar"
 	"mra/internal/setalg"
@@ -34,7 +35,7 @@ import (
 func main() {
 	run := flag.String("run", "all", "comma-separated experiment ids to run (e.g. E1,E5,E7) or 'all'")
 	jsonLabel := flag.String("json", "", "instead of the experiment tables, run the E1/E2 benchmark set and write machine-readable BENCH_<label>.json")
-	benchSet := flag.String("set", "main", "with -json: which benchmark series to run — 'main' (E1/E2/E11/E12 defaults), 'vec' (columnar vs row-batch A/B over E11/E12 shapes), 'joins' (E13 join-order enumerator vs written order), or 'all'")
+	benchSet := flag.String("set", "main", "with -json: which benchmark series to run — 'main' (E1/E2/E11/E12), 'joins' (E13 multi-join shapes through the join-order enumerator), or 'all'")
 	compare := flag.String("compare", "", "with -json: compare the fresh series against a committed BENCH_<label>.json baseline and exit non-zero on regression")
 	maxRatio := flag.Float64("maxratio", 2.0, "with -compare: maximum allowed ns/op ratio (measured / baseline) before the run counts as a regression")
 	flag.IntVar(&workers, "workers", 1, "parallel worker count for the physical engine (1 = serial); applies to the experiments and the main -json series")
@@ -60,39 +61,56 @@ func main() {
 		os.Exit(1)
 	}
 
-	selected := map[string]bool{}
-	for _, id := range strings.Split(strings.ToUpper(*run), ",") {
-		selected[strings.TrimSpace(id)] = true
-	}
-	want := func(id string) bool { return selected["ALL"] || selected[id] }
-
-	experiments := []struct {
-		id   string
-		name string
-		fn   func()
-	}{
-		{"E1", "Theorem 3.1: native vs derived intersection and join", e1},
-		{"E2", "Theorem 3.2: selection/projection distribution over union", e2},
-		{"E3", "Theorem 3.3: join associativity and order cost", e3},
-		{"E4", "Example 3.1: the Dutch-beers query at scale", e4},
-		{"E5", "Example 3.2: aggregate projection push-in, bag vs set semantics", e5},
-		{"E6", "Example 4.1: update statement throughput", e6},
-		{"E7", "Duplicate-removal cost (bag vs set operators)", e7},
-		{"E8", "Transaction atomicity and throughput", e8},
-		{"E9", "Optimizer ablation: rewritten vs naive plans", e9},
-		{"E10", "Transitive-closure extension scaling", e10},
+	selected, err := selectExperiments(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	for _, e := range experiments {
-		if !want(e.id) {
+		if !selected[e.id] {
 			continue
 		}
 		fmt.Printf("== %s: %s ==\n", e.id, e.name)
 		e.fn()
 		fmt.Println()
 	}
-	if len(selected) == 0 {
-		fmt.Fprintln(os.Stderr, "nothing selected")
+}
+
+// experiments lists the E-series tables in print order.
+var experiments = []struct {
+	id   string
+	name string
+	fn   func()
+}{
+	{"E1", "Theorem 3.1: native vs derived intersection and join", e1},
+	{"E2", "Theorem 3.2: selection/projection distribution over union", e2},
+	{"E3", "Theorem 3.3: join associativity and order cost", e3},
+	{"E4", "Example 3.1: the Dutch-beers query at scale", e4},
+	{"E5", "Example 3.2: aggregate projection push-in, bag vs set semantics", e5},
+	{"E6", "Example 4.1: update statement throughput", e6},
+	{"E7", "Duplicate-removal cost (bag vs set operators)", e7},
+	{"E8", "Transaction atomicity and throughput", e8},
+	{"E9", "Optimizer ablation: rewritten vs naive plans", e9},
+	{"E10", "Transitive-closure extension scaling", e10},
+}
+
+// selectExperiments resolves a -run list (comma-separated ids, or 'all',
+// case-insensitive) to the set of experiment ids to run.  A list that names
+// no known experiment is an error, so a typo cannot pass as an empty success.
+func selectExperiments(run string) (map[string]bool, error) {
+	selected := map[string]bool{}
+	for _, tok := range strings.Split(strings.ToUpper(run), ",") {
+		tok = strings.TrimSpace(tok)
+		for _, e := range experiments {
+			if tok == "ALL" || tok == e.id {
+				selected[e.id] = true
+			}
+		}
 	}
+	if len(selected) == 0 {
+		return nil, fmt.Errorf("no experiment matches -run %q (want 'all' or ids E1..E%d)", run, len(experiments))
+	}
+	return selected, nil
 }
 
 // workers is the -workers flag: the parallelism degree of the physical
@@ -113,7 +131,7 @@ func timeIt(fn func()) time.Duration {
 // evalMust evaluates an expression with the physical engine at the configured
 // worker count and morsel size.
 func evalMust(e algebra.Expr, src eval.Source) *multiset.Relation {
-	r, err := (&eval.Engine{Workers: workers, MorselSize: morselSize}).Eval(e, src)
+	r, err := (&eval.Engine{Planner: plan.Planner{Workers: workers, MorselSize: morselSize}}).Eval(e, src)
 	if err != nil {
 		panic(err)
 	}
@@ -478,48 +496,35 @@ func compareBaseline(fresh benchFile, baselinePath string, maxRatio float64) err
 	return nil
 }
 
-// parallelWorkers is the gang width of the parallel E1/E2 benchmark
-// variants: the `.../parallel-wN` series entries, measured alongside the main
-// (serial unless -workers says otherwise) series.  Their names are absent
-// from the serial baselines, so -compare ignores them; compare them against
-// the same-named serial entries by hand or in the run's stderr summary.
+// parallelWorkers is the gang width of the parallel benchmark variants: the
+// `.../parallel-wN` series entries, measured alongside the main (serial
+// unless -workers says otherwise) series.
 const parallelWorkers = 4
 
 // writeBenchJSON runs a benchmark series set through testing.Benchmark and
 // writes it as BENCH_<label>.json, the machine-readable baseline future
 // performance PRs are compared against.  The 'main' set covers the E1/E2
-// operator shapes, the E11 skewed-scheduler set (including the
-// morsel-parallel hash-build A/B) and the E12 aggregate workloads; it runs at
-// the -workers count (default serial), and shapes the planner can parallelise
-// are additionally measured as `/parallel-w4` variants, with `-static`
-// (legacy scan scheduler), `-onephase` (legacy key-partitioned aggregate) and
-// `-serialbuild` (single-threaded join build) baselines beside the defaults.
-// The 'vec' set measures the E11/E12 shapes serially through the batch-native
-// engine twice — `/batch-cols` on the columnar selection-vector loops and
-// `/batch-rows` on the legacy row-at-a-time batch loops — a within-file A/B
-// free of gang-scheduling noise that doubles as the stable series the ci-vec
-// gate pins.  The 'joins' set measures the E13 multi-join shapes serially
-// through the cost-based join-order enumerator (`/reorder`) and the written
-// order (`/written`, Engine.NoJoinReorder) over ANALYZE-grade statistics — the
-// A/B the ci-join gate pins.  It returns the series it measured so callers can
-// compare it against a committed baseline.
+// operator shapes, the E11 skewed-scheduler and parallel-build joins and the
+// E12 aggregate workloads; it runs at the -workers count (default serial), and
+// shapes the planner can parallelise are additionally measured as
+// `/parallel-w4` variants.  The 'joins' set measures the E13 multi-join shapes
+// serially through the cost-based join-order enumerator (`/reorder`) over
+// ANALYZE-grade statistics — the series the ci-join gate pins.  It returns the
+// series it measured so callers can compare it against a committed baseline.
 func writeBenchJSON(label, set string) (benchFile, error) {
-	if set != "main" && set != "vec" && set != "joins" && set != "all" {
-		return benchFile{}, fmt.Errorf("unknown -set %q (want main, vec, joins or all)", set)
+	if set != "main" && set != "joins" && set != "all" {
+		return benchFile{}, fmt.Errorf("unknown -set %q (want main, joins or all)", set)
 	}
-	evalLoopEng := func(expr algebra.Expr, src eval.Source, eng eval.Engine) func(b *testing.B) {
+	evalLoopW := func(expr algebra.Expr, src eval.Source, w int) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e := eng
+				e := eval.Engine{Planner: plan.Planner{Workers: w, MorselSize: morselSize}}
 				if _, err := e.Eval(expr, src); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-	}
-	evalLoopW := func(expr algebra.Expr, src eval.Source, w int) func(b *testing.B) {
-		return evalLoopEng(expr, src, eval.Engine{Workers: w, MorselSize: morselSize})
 	}
 	evalLoop := func(expr algebra.Expr, src eval.Source) func(b *testing.B) {
 		return evalLoopW(expr, src, workers)
@@ -536,13 +541,10 @@ func writeBenchJSON(label, set string) (benchFile, error) {
 		}{name, fn})
 	}
 	if set == "main" || set == "all" {
-		mainSeries(add, evalLoop, evalLoopW, evalLoopEng)
-	}
-	if set == "vec" || set == "all" {
-		vecSeries(add, evalLoopEng)
+		mainSeries(add, evalLoop, evalLoopW)
 	}
 	if set == "joins" || set == "all" {
-		joinSeries(add, evalLoopEng)
+		joinSeries(add, evalLoopW)
 	}
 
 	out := benchFile{
@@ -570,7 +572,6 @@ func writeBenchJSON(label, set string) (benchFile, error) {
 		fmt.Fprintf(os.Stderr, "%s\t%d iters\t%.0f ns/op\t%d B/op\t%d allocs/op\n",
 			c.name, r.N, float64(r.T.Nanoseconds())/float64(r.N), r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
-	summariseRatios(out)
 
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -584,17 +585,17 @@ func writeBenchJSON(label, set string) (benchFile, error) {
 	return out, nil
 }
 
-// benchCase adders shared by the series builders.
+// addFunc and loopWFunc are the case adder and the per-worker-count loop
+// builder shared by the series builders.
 type addFunc = func(name string, fn func(b *testing.B))
-type loopEngFunc = func(expr algebra.Expr, src eval.Source, eng eval.Engine) func(b *testing.B)
+type loopWFunc = func(expr algebra.Expr, src eval.Source, workers int) func(b *testing.B)
 
 // mainSeries registers the 'main' benchmark set: E1/E2 operator shapes, the
 // E11 skewed-scheduler and parallel-build workloads, and the E12 aggregate
 // workloads.
 func mainSeries(add addFunc,
 	evalLoop func(algebra.Expr, eval.Source) func(b *testing.B),
-	evalLoopW func(algebra.Expr, eval.Source, int) func(b *testing.B),
-	evalLoopEng loopEngFunc) {
+	evalLoopW loopWFunc) {
 	// addParallel measures the same shape serially and as a parallel variant.
 	addParallel := func(name string, expr algebra.Expr, src eval.Source) {
 		add(name, evalLoop(expr, src))
@@ -651,146 +652,64 @@ func mainSeries(add addFunc,
 	addParallel("E2_ProjectionPushdownOverUnion/union-of-pis",
 		algebra.NewUnion(algebra.NewProject([]int{0}, e1r), algebra.NewProject([]int{0}, e2r)), psrc)
 
-	// addScheduler measures one shape three ways: serial, through the
-	// 4-worker morsel scheduler, and through the legacy static-slice
-	// scheduler (the pre-morsel gang, kept behind a planner knob exactly for
-	// this comparison).
-	addScheduler := func(name string, expr algebra.Expr, src eval.Source) {
-		add(name, evalLoop(expr, src))
-		add(fmt.Sprintf("%s/parallel-w%d", name, parallelWorkers),
-			evalLoopEng(expr, src, eval.Engine{Workers: parallelWorkers, MorselSize: morselSize}))
-		add(fmt.Sprintf("%s/parallel-w%d-static", name, parallelWorkers),
-			evalLoopEng(expr, src, eval.Engine{Workers: parallelWorkers, StaticSlices: true}))
-	}
-
 	// E11 — skewed-key workloads: Zipf-distributed fact keys concentrate the
-	// filter and probe work on a few hot keys.  The static scheduler pays one
-	// full filtering pass per worker and leaves hot hash ranges in a single
-	// worker's slice; the morsel scheduler visits every entry once across the
-	// gang and rebalances hot ranges dynamically.
+	// filter and probe work on a few hot keys; the morsel scheduler visits
+	// every entry once across the gang and rebalances hot ranges dynamically.
 	skFact, skDim := workload.JoinPair(workload.JoinConfig{
 		LeftTuples: 20000, RightTuples: 100, KeyRange: 100, Skew: 1.4, Seed: 11})
 	sksrc := eval.MapSource{"fact": skFact, "dim": skDim}
 	skPred := scalar.NewCompare(value.CmpGe, scalar.NewAttr(1), scalar.NewConst(value.NewInt(1<<14)))
-	addScheduler("E11_SkewedScanPipeline/sigma-pi-zipf",
+	addParallel("E11_SkewedScanPipeline/sigma-pi-zipf",
 		algebra.NewProject([]int{0}, algebra.NewSelect(skPred, algebra.NewRel("fact"))), sksrc)
-	addScheduler("E11_SkewedJoin/zipf-probe",
+	addParallel("E11_SkewedJoin/zipf-probe",
 		algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("fact"), algebra.NewRel("dim")), sksrc)
-
-	// addAggPhases measures one aggregate shape three ways: serial, through
-	// the two-phase partial/merge exchange (the parallel default), and
-	// through the legacy one-phase key-partitioned exchange (kept behind
-	// Planner.OnePhaseAgg exactly for this comparison; global aggregates plan
-	// serial under it, so their onephase entry measures the serial fallback).
-	addAggPhases := func(name string, expr algebra.Expr, src eval.Source) {
-		add(name, evalLoop(expr, src))
-		add(fmt.Sprintf("%s/parallel-w%d", name, parallelWorkers),
-			evalLoopEng(expr, src, eval.Engine{Workers: parallelWorkers, MorselSize: morselSize}))
-		add(fmt.Sprintf("%s/parallel-w%d-onephase", name, parallelWorkers),
-			evalLoopEng(expr, src, eval.Engine{Workers: parallelWorkers, OnePhaseAgg: true}))
-	}
 
 	// E12 — aggregate workloads for the decomposable two-phase subsystem:
 	// grouped aggregation at low and high group cardinality, Zipf-skewed
-	// group keys (hot groups whose streams serialise behind one worker under
-	// the one-phase key partition), multi-aggregate grouping, and global
-	// aggregates (parallel only via partial-state merging).
+	// group keys, multi-aggregate grouping, and global aggregates (parallel
+	// only via partial-state merging).
 	loAgg, _ := workload.JoinPair(workload.JoinConfig{LeftTuples: 20000, RightTuples: 16, KeyRange: 16, Seed: 20})
 	hiAgg, _ := workload.JoinPair(workload.JoinConfig{LeftTuples: 20000, RightTuples: 100, KeyRange: 10000, Seed: 21})
 	zipfAgg, _ := workload.JoinPair(workload.JoinConfig{LeftTuples: 20000, RightTuples: 100, KeyRange: 100, Skew: 1.4, Seed: 22})
 	// ANALYZE-grade statistics let the planner read the true grouping-key NDV:
-	// the high-card workload now plans one-phase even at workers=4 (per-worker
-	// partial tables would approach the input size), so its /parallel-w4 and
-	// /parallel-w4-onephase entries measure the same shape by design.
+	// the high-card workload plans one-phase at workers=4 (per-worker partial
+	// tables would approach the input size), the others two-phase.
 	asrc := eval.AnalyzeSource(eval.MapSource{"lo": loAgg, "hi": hiAgg, "zipf": zipfAgg})
-	addAggPhases("E12_GroupedAgg/low-card-sum",
+	addParallel("E12_GroupedAgg/low-card-sum",
 		algebra.NewGroupBy([]int{0}, algebra.AggSum, 1, algebra.NewRel("lo")), asrc)
-	addAggPhases("E12_GroupedAgg/high-card-sum",
+	addParallel("E12_GroupedAgg/high-card-sum",
 		algebra.NewGroupBy([]int{0}, algebra.AggSum, 1, algebra.NewRel("hi")), asrc)
-	addAggPhases("E12_GroupedAgg/zipf-sum",
+	addParallel("E12_GroupedAgg/zipf-sum",
 		algebra.NewGroupBy([]int{0}, algebra.AggSum, 1, algebra.NewRel("zipf")), asrc)
-	addAggPhases("E12_MultiAgg/zipf-cnt-sum-max",
+	addParallel("E12_MultiAgg/zipf-cnt-sum-max",
 		algebra.NewGroupByMulti([]int{0}, []algebra.AggSpec{
 			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1}, {Fn: algebra.AggMax, Col: 1},
 		}, algebra.NewRel("zipf")), asrc)
-	addAggPhases("E12_GlobalAgg/zipf-cnt-sum-min",
+	addParallel("E12_GlobalAgg/zipf-cnt-sum-min",
 		algebra.NewGroupByMulti(nil, []algebra.AggSpec{
 			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1}, {Fn: algebra.AggMin, Col: 1},
 		}, algebra.NewRel("zipf")), asrc)
 
 	// E11 — morsel-parallel hash build: a join whose build side is large
-	// enough (8000 rows ≥ the 4096-row default of BuildParallelThreshold)
-	// that the parallel planner builds the shared table with a worker gang.
-	// The `-serialbuild` variant disables the gang build (threshold pushed
-	// past any estimate) so the build phase runs single-threaded under the
-	// same parallel probe, isolating the build speedup.
+	// enough (8000 rows ≥ 4× the 1024-row exchange threshold) that the
+	// parallel planner builds the shared table with a worker gang.
 	bFact, bDim := workload.JoinPair(workload.JoinConfig{
 		LeftTuples: 20000, RightTuples: 8000, KeyRange: 8000, Seed: 12})
 	bsrc := eval.MapSource{"bfact": bFact, "bdim": bDim}
-	bigJoin := algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("bfact"), algebra.NewRel("bdim"))
-	add("E11_ParallelBuildJoin/big-build", evalLoop(bigJoin, bsrc))
-	add(fmt.Sprintf("E11_ParallelBuildJoin/big-build/parallel-w%d", parallelWorkers),
-		evalLoopW(bigJoin, bsrc, parallelWorkers))
-	add(fmt.Sprintf("E11_ParallelBuildJoin/big-build/parallel-w%d-serialbuild", parallelWorkers),
-		evalLoopEng(bigJoin, bsrc, eval.Engine{Workers: parallelWorkers, MorselSize: morselSize,
-			BuildParallelThreshold: 1e18}))
-}
-
-// vecSeries registers the 'vec' benchmark set: every E11/E12 shape measured
-// serially through the batch-native engine on the columnar selection-vector
-// loops (`/batch-cols`, Planner.SerialBatches) and on the legacy
-// row-at-a-time batch loops (`/batch-rows`, Planner.RowBatches) — the
-// within-file A/B for the vectorised operator kernels, and the stable serial
-// series the ci-vec benchmark gate compares against BENCH_vec.json.
-func vecSeries(add addFunc, evalLoopEng loopEngFunc) {
-	addVec := func(name string, expr algebra.Expr, src eval.Source) {
-		add(name+"/batch-cols", evalLoopEng(expr, src, eval.Engine{SerialBatches: true}))
-		add(name+"/batch-rows", evalLoopEng(expr, src, eval.Engine{SerialBatches: true, RowBatches: true}))
-	}
-
-	skFact, skDim := workload.JoinPair(workload.JoinConfig{
-		LeftTuples: 20000, RightTuples: 100, KeyRange: 100, Skew: 1.4, Seed: 11})
-	sksrc := eval.MapSource{"fact": skFact, "dim": skDim}
-	skPred := scalar.NewCompare(value.CmpGe, scalar.NewAttr(1), scalar.NewConst(value.NewInt(1<<14)))
-	addVec("E11_SkewedScanPipeline/sigma-pi-zipf",
-		algebra.NewProject([]int{0}, algebra.NewSelect(skPred, algebra.NewRel("fact"))), sksrc)
-	addVec("E11_SkewedJoin/zipf-probe",
-		algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("fact"), algebra.NewRel("dim")), sksrc)
-
-	loAgg, _ := workload.JoinPair(workload.JoinConfig{LeftTuples: 20000, RightTuples: 16, KeyRange: 16, Seed: 20})
-	zipfAgg, _ := workload.JoinPair(workload.JoinConfig{LeftTuples: 20000, RightTuples: 100, KeyRange: 100, Skew: 1.4, Seed: 22})
-	asrc := eval.MapSource{"lo": loAgg, "zipf": zipfAgg}
-	addVec("E12_GroupedAgg/low-card-sum",
-		algebra.NewGroupBy([]int{0}, algebra.AggSum, 1, algebra.NewRel("lo")), asrc)
-	// Aggregation over a projection: the projected batches arrive columnar
-	// (shared column slices), so the aggregate's update loop reads vectors
-	// directly — the row-batch baseline materialises one projected tuple per
-	// input row instead.
-	addVec("E12_GroupedAgg/low-card-sum-over-pi",
-		algebra.NewGroupBy([]int{1}, algebra.AggSum, 0,
-			algebra.NewProject([]int{1, 0}, algebra.NewRel("lo"))), asrc)
-	addVec("E12_MultiAgg/zipf-cnt-sum-max",
-		algebra.NewGroupByMulti([]int{0}, []algebra.AggSpec{
-			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1}, {Fn: algebra.AggMax, Col: 1},
-		}, algebra.NewRel("zipf")), asrc)
-	addVec("E12_GlobalAgg/zipf-cnt-sum-min",
-		algebra.NewGroupByMulti(nil, []algebra.AggSpec{
-			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1}, {Fn: algebra.AggMin, Col: 1},
-		}, algebra.NewRel("zipf")), asrc)
+	addParallel("E11_ParallelBuildJoin/big-build",
+		algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("bfact"), algebra.NewRel("bdim")), bsrc)
 }
 
 // joinSeries registers the 'joins' benchmark set: the E13 multi-join shapes —
 // a star written dimensions-first, a chain written big-relation-first, and a
 // triangle cycle — each measured serially through the cost-based join-order
-// enumerator (`/reorder`) and through the written order (`/written`,
-// Engine.NoJoinReorder).  Every source carries ANALYZE-grade statistics so the
-// enumerator's cardinality estimates come from the sketches and histograms,
-// and the engines run serial so the A/B is free of gang-scheduling noise and
-// stable enough for the ci-join gate.
-func joinSeries(add addFunc, evalLoopEng loopEngFunc) {
+// enumerator (`/reorder`).  Every source carries ANALYZE-grade statistics so
+// the enumerator's cardinality estimates come from the sketches and
+// histograms, and the engines run serial so the series is free of
+// gang-scheduling noise and stable enough for the ci-join gate.
+func joinSeries(add addFunc, evalLoopW loopWFunc) {
 	addJoinOrder := func(name string, expr algebra.Expr, src eval.Source) {
-		add(name+"/reorder", evalLoopEng(expr, src, eval.Engine{}))
-		add(name+"/written", evalLoopEng(expr, src, eval.Engine{NoJoinReorder: true}))
+		add(name+"/reorder", evalLoopW(expr, src, 1))
 	}
 
 	// Star, written worst-first: the three 60-row dimensions are
@@ -835,67 +754,4 @@ func joinSeries(add addFunc, evalLoopEng loopEngFunc) {
 			algebra.NewJoin(scalar.Eq(1, 2), algebra.NewRel("edge"), algebra.NewRel("edge")),
 			algebra.NewRel("edge")))
 	addJoinOrder("E13_MultiJoin/cycle-triangle", cycle, eval.AnalyzeSource(cycleSrc))
-}
-
-// summariseRatios prints the within-run comparisons to stderr: parallel
-// variants against their serial counterparts (ratio < 1 means the gang won),
-// the morsel scheduler against the static-slice baseline, the two-phase
-// aggregate against one-phase, the gang join build against the serial build,
-// and the columnar batch loops against the row-at-a-time baseline.
-func summariseRatios(out benchFile) {
-	byName := make(map[string]benchResult, len(out.Benchmarks))
-	for _, b := range out.Benchmarks {
-		byName[b.Name] = b
-	}
-	msuffix := fmt.Sprintf("/parallel-w%d", parallelWorkers)
-	ssuffix := msuffix + "-static"
-	osuffix := msuffix + "-onephase"
-	bsuffix := msuffix + "-serialbuild"
-	for _, b := range out.Benchmarks {
-		if serialName, ok := strings.CutSuffix(b.Name, osuffix); ok {
-			if twoPhase, ok := byName[serialName+msuffix]; ok && b.NsPerOp > 0 {
-				fmt.Fprintf(os.Stderr, "twophase-vs-onephase w=%d %s: %.2fx (%.0f vs %.0f ns/op)\n",
-					parallelWorkers, serialName, twoPhase.NsPerOp/b.NsPerOp, twoPhase.NsPerOp, b.NsPerOp)
-			}
-			continue
-		}
-		if serialName, ok := strings.CutSuffix(b.Name, bsuffix); ok {
-			if parBuild, ok := byName[serialName+msuffix]; ok && b.NsPerOp > 0 {
-				fmt.Fprintf(os.Stderr, "parbuild-vs-serialbuild w=%d %s: %.2fx (%.0f vs %.0f ns/op)\n",
-					parallelWorkers, serialName, parBuild.NsPerOp/b.NsPerOp, parBuild.NsPerOp, b.NsPerOp)
-			}
-			continue
-		}
-		if serialName, ok := strings.CutSuffix(b.Name, ssuffix); ok {
-			if base, ok := byName[serialName]; ok && base.NsPerOp > 0 {
-				fmt.Fprintf(os.Stderr, "static w=%d %s: %.2fx serial (%.0f vs %.0f ns/op)\n",
-					parallelWorkers, serialName, b.NsPerOp/base.NsPerOp, b.NsPerOp, base.NsPerOp)
-			}
-			if morsel, ok := byName[serialName+msuffix]; ok && b.NsPerOp > 0 {
-				fmt.Fprintf(os.Stderr, "morsel-vs-static w=%d %s: %.2fx (%.0f vs %.0f ns/op)\n",
-					parallelWorkers, serialName, morsel.NsPerOp/b.NsPerOp, morsel.NsPerOp, b.NsPerOp)
-			}
-			continue
-		}
-		if serialName, ok := strings.CutSuffix(b.Name, msuffix); ok {
-			if base, ok := byName[serialName]; ok && base.NsPerOp > 0 {
-				fmt.Fprintf(os.Stderr, "parallel w=%d %s: %.2fx serial (%.0f vs %.0f ns/op)\n",
-					parallelWorkers, serialName, b.NsPerOp/base.NsPerOp, b.NsPerOp, base.NsPerOp)
-			}
-			continue
-		}
-		if rowsName, ok := strings.CutSuffix(b.Name, "/batch-rows"); ok {
-			if cols, ok := byName[rowsName+"/batch-cols"]; ok && b.NsPerOp > 0 {
-				fmt.Fprintf(os.Stderr, "cols-vs-rows %s: %.2fx (%.0f vs %.0f ns/op)\n",
-					rowsName, cols.NsPerOp/b.NsPerOp, cols.NsPerOp, b.NsPerOp)
-			}
-			continue
-		}
-		if writtenName, ok := strings.CutSuffix(b.Name, "/written"); ok {
-			if reorder, ok := byName[writtenName+"/reorder"]; ok && b.NsPerOp > 0 {
-				fmt.Fprintf(os.Stderr, "reorder-vs-written %s: %.2fx (%.0f vs %.0f ns/op)\n",
-					writtenName, reorder.NsPerOp/b.NsPerOp, reorder.NsPerOp, b.NsPerOp)
-			}
-		}
-	}
 }

@@ -1,23 +1,18 @@
 // Command parallel demonstrates the morsel-driven parallel runtime on a
-// skewed-key workload, and why work-stealing beats the static
-// one-slice-per-worker scheduler it replaced.
+// skewed-key workload.
 //
 // The workload is a star-schema join whose fact keys follow a Zipf
-// distribution: a handful of hot keys carry most of the probe work.  Under
-// static scheduling every worker walks the WHOLE fact arena and keeps the
-// 1/W of it whose hash lands in its range — so the gang pays W passes over
-// the data, and whichever worker owns the hot range finishes last while the
-// others idle.  Under morsel scheduling the workers share one queue of
-// fixed-size entry ranges: the gang collectively visits every entry exactly
-// once, and a worker bogged down in a hot range simply stops claiming while
-// the others drain the rest.  Bag semantics make any disjoint split of a
-// scan exact — multiplicities sum across partitions — which is what lets
-// the queue rebalance freely.
+// distribution: a handful of hot keys carry most of the probe work.  The
+// gang's workers share one queue of fixed-size entry ranges (morsels) per
+// scan: the gang collectively visits every entry exactly once, and a worker
+// bogged down in a hot range simply stops claiming while the others drain the
+// rest.  Bag semantics make any disjoint split of a scan exact —
+// multiplicities sum across partitions — which is what lets the queue
+// rebalance freely.
 //
-// On a single hardware thread (like CI containers) the stealing itself
-// cannot shorten the critical path, but the pass-count reduction already
-// shows: morsel w4 runs measurably faster than static w4.  On multi-core
-// hardware the rebalancing compounds with it.
+// On a single hardware thread (like CI containers) the gang cannot shorten
+// the critical path and the parallel row shows scheduling overhead only; on
+// multi-core hardware the rebalancing pays off.
 package main
 
 import (
@@ -27,6 +22,7 @@ import (
 
 	"mra/internal/algebra"
 	"mra/internal/eval"
+	"mra/internal/plan"
 	"mra/internal/scalar"
 	"mra/internal/value"
 	"mra/internal/workload"
@@ -55,61 +51,47 @@ func main() {
 			algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("fact"), algebra.NewRel("dim"))},
 	}
 
-	// Three engines over identical plans: serial, 4 workers with morsel
-	// stealing (the default), and 4 workers with the legacy static slices
-	// (kept behind a planner knob exactly for comparisons like this one).
+	// Two engines over the same queries: serial, and 4 workers with morsel
+	// stealing.
 	engines := []struct {
 		name string
-		mk   func() *eval.Engine
+		eng  eval.Engine
 	}{
-		{"serial       ", func() *eval.Engine { return &eval.Engine{} }},
-		{"w4 morsel    ", func() *eval.Engine { return &eval.Engine{Workers: 4} }},
-		{"w4 static    ", func() *eval.Engine { return &eval.Engine{Workers: 4, StaticSlices: true} }},
+		{"serial   ", eval.Engine{}},
+		{"w4 morsel", eval.Engine{Planner: plan.Planner{Workers: 4}}},
 	}
 
 	const reps = 20
 	for _, q := range queries {
 		fmt.Printf("== %s ==\n", q.name)
 		var serialCard uint64
-		var morsel, static time.Duration
-		for _, eng := range engines {
+		var serial time.Duration
+		for i, e := range engines {
 			// Warm up once, then time reps evaluations.
-			if _, err := eng.mk().Eval(q.expr, src); err != nil {
+			if _, err := e.eng.Eval(q.expr, src); err != nil {
 				log.Fatal(err)
 			}
 			start := time.Now()
 			var card uint64
-			for i := 0; i < reps; i++ {
-				res, err := eng.mk().Eval(q.expr, src)
+			for r := 0; r < reps; r++ {
+				res, err := e.eng.Eval(q.expr, src)
 				if err != nil {
 					log.Fatal(err)
 				}
 				card = res.Cardinality()
 			}
 			elapsed := time.Since(start) / reps
-			switch eng.name {
-			case "serial       ":
-				serialCard = card
-			case "w4 morsel    ":
-				morsel = elapsed
-			case "w4 static    ":
-				static = elapsed
+			if i == 0 {
+				serialCard, serial = card, elapsed
 			}
-			// The three schedulers must agree exactly — multiplicities
+			// Serial and parallel must agree exactly — multiplicities
 			// included — or the exchange would be broken.
 			if card != serialCard {
-				log.Fatalf("%s: cardinality %d differs from serial %d", eng.name, card, serialCard)
+				log.Fatalf("%s: cardinality %d differs from serial %d", e.name, card, serialCard)
 			}
-			fmt.Printf("  %s %10v   (|result| = %d)\n", eng.name, elapsed, card)
+			fmt.Printf("  %s %10v   %.2fx serial   (|result| = %d)\n",
+				e.name, elapsed, float64(elapsed)/float64(serial), card)
 		}
-		fmt.Printf("  morsel / static = %.2fx  (< 1 means stealing won)\n\n",
-			float64(morsel)/float64(static))
+		fmt.Println()
 	}
-
-	fmt.Println("Why morsel wins even before multi-core rebalancing: static slicing")
-	fmt.Println("scans the full arena once per worker (W passes, cheap hash filter per")
-	fmt.Println("entry); morsel claims visit every entry exactly once across the gang.")
-	fmt.Println("The pipeline shows it cleanly; the join's probe-side gain is smaller")
-	fmt.Println("on one hardware thread (output hashing dominates there) and grows with")
-	fmt.Println("real cores — BENCH_morsel.json records both series for this box.")
 }

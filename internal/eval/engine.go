@@ -26,51 +26,12 @@ type Engine struct {
 	CollectStats bool
 	// Stats accumulates execution statistics since the last Reset.
 	Stats Stats
-	// Workers is the parallelism degree handed to the planner: above 1 the
-	// planner wraps eligible shapes in Partition/Merge exchanges and the plan
-	// executes on the partitioned parallel runtime of internal/exec.  At or
-	// below 1 (including the zero value) plans stay serial.
-	Workers int
-	// ParallelThreshold overrides the planner's default estimated-cardinality
-	// threshold for inserting exchanges; zero keeps the default.  Tests use it
-	// to force parallel plans on small inputs.
-	ParallelThreshold float64
-	// MorselSize overrides the cost model's morsel sizing for parallel scans;
-	// zero lets the planner size morsels per scan.  Tests use tiny sizes to
-	// force many steal rounds on small inputs.
-	MorselSize int
-	// BatchSize overrides the emit batch size of compiled plans; zero keeps
-	// the default.  Tests use tiny sizes to force batch boundaries.
-	BatchSize int
-	// MemoryLimit bounds, in bytes, the operator-internal state one evaluation
-	// may hold (hash-join builds, group tables, sorts); evaluations exceeding
-	// it fail with an error wrapping plan.ErrMemoryBudget.  Zero disables
-	// enforcement.
-	MemoryLimit int64
-	// StaticSlices reverts parallel scan scheduling to the legacy
-	// one-static-slice-per-worker split, for benchmarking the morsel
-	// scheduler against its baseline.
-	StaticSlices bool
-	// OnePhaseAgg reverts parallel grouped aggregation to the legacy
-	// one-phase key-partitioned shape, for benchmarking the two-phase
-	// partial/merge aggregate against its baseline.
-	OnePhaseAgg bool
-	// SerialBatches forces serial plans onto the batch-native columnar
-	// operator loops that parallel plans use, for benchmarking and testing the
-	// columnar path without gang scheduling noise.
-	SerialBatches bool
-	// RowBatches reverts batch-native operators to the legacy row-at-a-time
-	// tuple-batch loops, for benchmarking the columnar kernels against their
-	// baseline.
-	RowBatches bool
-	// BuildParallelThreshold overrides the estimated build-side cardinality
-	// above which parallel plans build hash-join tables with a worker gang;
-	// zero keeps the cost model's default.
-	BuildParallelThreshold float64
-	// NoJoinReorder pins multi-join queries to their written evaluation order
-	// by disabling the planner's cost-based join-order enumerator — the A/B
-	// baseline of the E13 multi-join bench series.
-	NoJoinReorder bool
+	// Planner is the planner configuration every evaluation compiles under —
+	// parallelism degree, exchange threshold, morsel and batch sizing, memory
+	// budget; see plan.Planner for each option.  The zero value plans serial
+	// with the cost model's defaults.  Its Cards field is ignored: the engine
+	// draws cardinalities from the source of each evaluation.
+	Planner plan.Planner
 }
 
 // Stats aggregates intermediate result sizes per physical operator, counting
@@ -80,23 +41,12 @@ type Stats = plan.Stats
 // Reset clears the collected statistics.
 func (e *Engine) Reset() { e.Stats = Stats{} }
 
-// planner builds the engine's configured planner for a source.
+// planner returns a copy of the engine's planner drawing cardinalities and
+// statistics from src.
 func (e *Engine) planner(src Source) *plan.Planner {
-	return &plan.Planner{
-		Cards:             Cardinalities(src),
-		Workers:           e.Workers,
-		ParallelThreshold: e.ParallelThreshold,
-		MorselSize:        e.MorselSize,
-		BatchSize:         e.BatchSize,
-		MemoryLimit:       e.MemoryLimit,
-		StaticSlices:      e.StaticSlices,
-		OnePhaseAgg:       e.OnePhaseAgg,
-		SerialBatches:     e.SerialBatches,
-		RowBatches:        e.RowBatches,
-		NoJoinReorder:     e.NoJoinReorder,
-
-		BuildParallelThreshold: e.BuildParallelThreshold,
-	}
+	pl := e.Planner
+	pl.Cards = Cardinalities(src)
+	return &pl
 }
 
 // Eval compiles the expression into a physical plan and executes it against

@@ -2,9 +2,11 @@ package eval
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mra/internal/algebra"
+	"mra/internal/plan"
 	"mra/internal/scalar"
 )
 
@@ -54,7 +56,7 @@ func cycleJoinExpr(names []string) algebra.Expr {
 // engine — whose planner replaces the written join order with the DP
 // enumerator's cost-based order, planning against ANALYZE-grade statistics —
 // must produce exactly the Reference evaluator's multi-set at every tested
-// worker count, and the written-order baseline (NoJoinReorder) must agree.
+// worker count.
 // MorselSize 1 and ParallelThreshold 1 force maximal parallel scheduling onto
 // the tiny inputs.  Run with -race to check the parallel runtime.
 func TestPropertyJoinOrderMatchesReference(t *testing.T) {
@@ -81,7 +83,7 @@ func TestPropertyJoinOrderMatchesReference(t *testing.T) {
 			e := shape.build(names)
 			ref := evalOrFatal(t, e, src)
 			for _, workers := range workerCounts {
-				eng := &Engine{Workers: workers, MorselSize: 1, ParallelThreshold: 1}
+				eng := &Engine{Planner: plan.Planner{Workers: workers, MorselSize: 1, ParallelThreshold: 1}}
 				got, err := eng.Eval(e, analyzed)
 				if err != nil {
 					t.Fatalf("round %d: %s/%d relations/workers=%d: %v", round, shape.name, n, workers, err)
@@ -89,15 +91,6 @@ func TestPropertyJoinOrderMatchesReference(t *testing.T) {
 				if !got.Equal(ref) {
 					t.Fatalf("round %d: %s over %d relations at workers=%d: enumerator changed the bag:\nreference: %s\ngot:       %s",
 						round, shape.name, n, workers, ref, got)
-				}
-				baseline := &Engine{Workers: workers, MorselSize: 1, ParallelThreshold: 1, NoJoinReorder: true}
-				base, err := baseline.Eval(e, analyzed)
-				if err != nil {
-					t.Fatalf("round %d: %s written order at workers=%d: %v", round, shape.name, workers, err)
-				}
-				if !base.Equal(ref) {
-					t.Fatalf("round %d: %s written-order baseline at workers=%d diverged:\nreference: %s\ngot:       %s",
-						round, shape.name, workers, ref, base)
 				}
 			}
 			// Without statistics the enumerator falls back to flat
@@ -117,8 +110,9 @@ func TestPropertyJoinOrderMatchesReference(t *testing.T) {
 // TestJoinOrderPicksSmallSideFirst pins the enumerator's effect on a star
 // query written worst-first: dimensions cross-multiplied before the fact
 // table.  The cost-based order must start from the selective fact joins, so
-// the peak intermediate result stays near the final result size instead of
-// the dimensions' cross product.
+// the plan holds no cascade of cross products and its peak intermediate
+// result stays below the dimensions' cross product the written order starts
+// with.
 func TestJoinOrderPicksSmallSideFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	src := MapSource{
@@ -145,12 +139,15 @@ func TestJoinOrderPicksSmallSideFirst(t *testing.T) {
 	if !got.Equal(ref) {
 		t.Fatalf("enumerator changed the bag:\nreference: %s\ngot: %s", ref, got)
 	}
-	baseline := &Engine{CollectStats: true, NoJoinReorder: true}
-	if _, err := baseline.Eval(e, analyzed); err != nil {
+	p, err := reorder.planner(analyzed).Plan(e, CatalogOf(analyzed))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reorder.Stats.PeakRelationTuples >= baseline.Stats.PeakRelationTuples {
-		t.Errorf("enumerator peak %d not below written-order peak %d",
-			reorder.Stats.PeakRelationTuples, baseline.Stats.PeakRelationTuples)
+	if strings.Count(p.String(), "NestedLoopJoin") > 1 {
+		t.Errorf("enumerated plan kept the written cross-product cascade:\n%s", p)
+	}
+	cross := src["d1"].Cardinality() * src["d2"].Cardinality() * src["d3"].Cardinality()
+	if peak := reorder.Stats.PeakRelationTuples; peak >= cross {
+		t.Errorf("enumerator peak %d not below the %d-row dimension cross product:\n%s", peak, cross, p)
 	}
 }

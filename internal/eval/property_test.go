@@ -3,10 +3,12 @@ package eval
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mra/internal/algebra"
 	"mra/internal/multiset"
+	"mra/internal/plan"
 	"mra/internal/rewrite"
 	"mra/internal/scalar"
 	"mra/internal/schema"
@@ -565,7 +567,7 @@ func TestPropertyParallelMatchesReference(t *testing.T) {
 			e := g.gen(3, arity)
 			ref, refErr := (Reference{}).Eval(e, src)
 			for _, w := range workerCounts {
-				eng := &Engine{Workers: w, ParallelThreshold: 1}
+				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1}}
 				phys, physErr := eng.Eval(e, src)
 				if (refErr == nil) != (physErr == nil) {
 					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nparallel:  %v",
@@ -661,7 +663,7 @@ func TestPropertyMorselStealingUnderSkew(t *testing.T) {
 		for _, e := range exprs {
 			ref, refErr := (Reference{}).Eval(e, src)
 			for _, w := range []int{1, 2, 4, 8} {
-				eng := &Engine{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}
+				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}}
 				phys, physErr := eng.Eval(e, src)
 				if (refErr == nil) != (physErr == nil) {
 					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nparallel:  %v",
@@ -679,26 +681,65 @@ func TestPropertyMorselStealingUnderSkew(t *testing.T) {
 	}
 }
 
-// TestPropertyMultiAggregateParallel is the two-phase aggregation oracle: for
-// random uniform and skewed databases, multi-aggregate grouped queries and
-// global (ungrouped) aggregates run through the parallel engine with forced
-// exchanges and tiny morsels must produce exactly the Reference evaluator's
-// multi-set at workers 1, 2, 4 and 8 — the workers pre-aggregate morsel-wise
-// into partial states and the gang parent merges them, so a group spanning
-// every worker must still finalise to the serial value.  The one-phase
-// (key-partitioned) shape is pinned against the same oracle through the
-// OnePhaseAgg knob.
+// aggShape renders the plan the engine compiles for e over src and classifies
+// the parallel aggregate shape the planner chose: "two-phase" (GroupMerge over
+// partial aggregates), "one-phase" (hash partition on the grouping columns
+// under a Merge) or "serial".
+func aggShape(t *testing.T, eng *Engine, e algebra.Expr, src Source) string {
+	t.Helper()
+	p, err := eng.planner(src).Plan(e, CatalogOf(src))
+	if err != nil {
+		t.Fatalf("plan %s: %v", e, err)
+	}
+	switch rendering := p.String(); {
+	case strings.Contains(rendering, "GroupMerge"):
+		return "two-phase"
+	case strings.Contains(rendering, "Partition [hash("):
+		return "one-phase"
+	default:
+		return "serial"
+	}
+}
+
+// distinctRelation builds a duplicate-free relation of n tuples (i, small):
+// grouping on all of its columns, or on its first, has no pre-aggregation
+// reduction at all.
+func distinctRelation(rng *rand.Rand, name string, n int) *multiset.Relation {
+	r := multiset.New(schema.NewRelation(name,
+		schema.Attribute{Name: "a", Type: value.KindInt},
+		schema.Attribute{Name: "b", Type: value.KindInt},
+	))
+	for i := 0; i < n; i++ {
+		r.Add(tuple.Ints(int64(i), int64(rng.Intn(3))), 1)
+	}
+	return r
+}
+
+// TestPropertyMultiAggregateParallel is the parallel aggregation oracle: for
+// random uniform, skewed and duplicate-free databases, multi-aggregate grouped
+// queries and global (ungrouped) aggregates run through the parallel engine
+// with forced exchanges and tiny morsels must produce exactly the Reference
+// evaluator's multi-set at workers 1, 2, 4 and 8.  Both parallel shapes are
+// reached through the data alone and asserted on the rendered plan, so the
+// suite fails if the cost-based chooser stops producing either: low-NDV
+// grouping over heavily duplicated input plans two-phase (workers
+// pre-aggregate morsel-wise into partial states the gang parent merges, so a
+// group spanning every worker must still finalise to the serial value), while
+// grouping a duplicate-free input on all its columns — or, with ANALYZE-grade
+// statistics, on its unique column — plans the one-phase key partition.
 func TestPropertyMultiAggregateParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3441))
 	e1 := algebra.NewRel("e1")
+	byFirst := algebra.NewGroupByMulti([]int{0}, []algebra.AggSpec{
+		{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1},
+		{Fn: algebra.AggAvg, Col: 1}, {Fn: algebra.AggMin, Col: 1}, {Fn: algebra.AggMax, Col: 1},
+	}, e1)
+	byAll := algebra.NewGroupByMulti([]int{1, 0}, []algebra.AggSpec{
+		{Fn: algebra.AggSum, Col: 0}, {Fn: algebra.AggCount, Col: 1},
+	}, e1)
 	exprs := []algebra.Expr{
-		algebra.NewGroupByMulti([]int{0}, []algebra.AggSpec{
-			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1},
-			{Fn: algebra.AggAvg, Col: 1}, {Fn: algebra.AggMin, Col: 1}, {Fn: algebra.AggMax, Col: 1},
-		}, e1),
-		algebra.NewGroupByMulti([]int{1, 0}, []algebra.AggSpec{
-			{Fn: algebra.AggSum, Col: 0}, {Fn: algebra.AggCount, Col: 1},
-		}, e1),
+		byFirst,
+		byAll,
 		algebra.NewGroupByMulti(nil, []algebra.AggSpec{
 			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1},
 			{Fn: algebra.AggAvg, Col: 0}, {Fn: algebra.AggMin, Col: 1}, {Fn: algebra.AggMax, Col: 0},
@@ -711,33 +752,45 @@ func TestPropertyMultiAggregateParallel(t *testing.T) {
 		}, algebra.NewSelect(
 			scalar.NewCompare(value.CmpGe, scalar.NewAttr(0), scalar.NewConst(value.NewInt(3))), e1)),
 	}
-	for round := 0; round < 25; round++ {
-		var src MapSource
-		if round%2 == 0 {
-			src = MapSource{"e1": skewedRelation(rng, "e1", 40)}
-		} else {
-			src = MapSource{"e1": randomRelationN(rng, "e1", 2, 20, 6)}
-		}
-		for _, e := range exprs {
-			ref, refErr := (Reference{}).Eval(e, src)
-			for _, w := range []int{1, 2, 4, 8} {
-				for _, onePhase := range []bool{false, true} {
-					eng := &Engine{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2, OnePhaseAgg: onePhase}
-					phys, physErr := eng.Eval(e, src)
-					if (refErr == nil) != (physErr == nil) {
-						t.Fatalf("round %d workers=%d onePhase=%v: evaluators disagree on errors for %s:\nreference: %v\nparallel:  %v",
-							round, w, onePhase, e, refErr, physErr)
-					}
-					if refErr != nil {
-						continue
-					}
-					if !ref.Equal(phys) {
-						t.Fatalf("round %d workers=%d onePhase=%v: parallel aggregation changed bag semantics of %s:\nreference: %s\nparallel:  %s",
-							round, w, onePhase, e, ref, phys)
-					}
+	// check pins one query over one source against Reference at every worker
+	// count and, where wantShape is set, the parallel shape planned for it.
+	check := func(round int, e algebra.Expr, src Source, wantShape string) {
+		ref, refErr := (Reference{}).Eval(e, src)
+		for _, w := range []int{1, 2, 4, 8} {
+			eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}}
+			if wantShape != "" && w > 1 {
+				if shape := aggShape(t, eng, e, src); shape != wantShape {
+					t.Fatalf("round %d workers=%d: %s planned %s, want %s", round, w, e, shape, wantShape)
 				}
 			}
+			phys, physErr := eng.Eval(e, src)
+			if (refErr == nil) != (physErr == nil) {
+				t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nparallel:  %v",
+					round, w, e, refErr, physErr)
+			}
+			if refErr != nil {
+				continue
+			}
+			if !ref.Equal(phys) {
+				t.Fatalf("round %d workers=%d: parallel aggregation changed bag semantics of %s:\nreference: %s\nparallel:  %s",
+					round, w, e, ref, phys)
+			}
 		}
+	}
+	for round := 0; round < 25; round++ {
+		skewed := MapSource{"e1": skewedRelation(rng, "e1", 40)}
+		uniform := MapSource{"e1": randomRelationN(rng, "e1", 2, 20, 6)}
+		distinct := MapSource{"e1": distinctRelation(rng, "e1", 30)}
+		for _, e := range exprs {
+			if round%2 == 0 {
+				check(round, e, skewed, "")
+			} else {
+				check(round, e, uniform, "")
+			}
+		}
+		check(round, byFirst, skewed, "two-phase")
+		check(round, byAll, distinct, "one-phase")
+		check(round, byFirst, AnalyzeSource(distinct), "one-phase")
 	}
 }
 
@@ -745,22 +798,19 @@ func TestPropertyMultiAggregateParallel(t *testing.T) {
 // batch sizes that stress every selection-vector edge: BatchSize 1 makes each
 // batch a single physical row (a filter leaves it fully live or fully dead),
 // BatchSize 2 forces partial selections, and MorselSize 1 makes every morsel a
-// boundary.  The suite pins three engine configurations against Reference on
-// skewed data — hot tuples recur across many chunks, so the same tuple appears
-// repeatedly within and across batches:
-//
-//   - SerialBatches: the serial batch-native columnar loops (no gang noise);
-//   - the parallel columnar default at workers 2, 4 and 8, with
-//     BuildParallelThreshold 1 so eligible hash joins also exercise the
-//     morsel-parallel gang build;
-//   - RowBatches: the legacy row-at-a-time batch loops, pinning the A/B
-//     baseline the benchmarks compare against.
+// boundary.  The suite pins the columnar loops — which run inside every
+// parallel gang — against Reference at workers 2, 4 and 8 on skewed data: hot
+// tuples recur across many chunks, so the same tuple appears repeatedly within
+// and across batches.  ParallelThreshold 1 also drops the gang-build threshold
+// to 4 rows, so the hash join builds its table morsel-parallel (asserted on
+// the rendered plan).
 //
 // Run with -race to check the shared build table and the gang build merge.
 func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7117))
 	pred := scalar.NewCompare(value.CmpGe, scalar.NewAttr(1), scalar.NewConst(value.NewInt(1)))
 	e1, e2 := algebra.NewRel("e1"), algebra.NewRel("e2")
+	join := algebra.NewJoin(scalar.Eq(0, 2), algebra.NewSelect(pred, e1), e2)
 	exprs := []algebra.Expr{
 		// Vectorised filter kernels above and below projections.
 		algebra.NewProject([]int{1}, algebra.NewSelect(pred, e1)),
@@ -777,7 +827,7 @@ func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 		algebra.NewExtProject(
 			[]scalar.Expr{scalar.NewArith(value.OpMul, scalar.NewAttr(0), scalar.NewAttr(1))}, nil, e1),
 		// Columnar join probe over a selection, with the gang build eligible.
-		algebra.NewJoin(scalar.Eq(0, 2), algebra.NewSelect(pred, e1), e2),
+		join,
 		// Columnar aggregate update above a filter.
 		algebra.NewGroupByMulti([]int{0}, []algebra.AggSpec{
 			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1},
@@ -789,29 +839,28 @@ func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 			"e1": skewedRelation(rng, "e1", 40),
 			"e2": skewedRelation(rng, "e2", 40),
 		}
+		gang := &Engine{Planner: plan.Planner{Workers: 2, ParallelThreshold: 1}}
+		if p, err := gang.planner(src).Plan(join, CatalogOf(src)); err != nil {
+			t.Fatal(err)
+		} else if !strings.Contains(p.String(), "parbuild=2") {
+			t.Fatalf("round %d: ParallelThreshold 1 must force a gang build:\n%s", round, p)
+		}
 		for _, e := range exprs {
 			ref, refErr := (Reference{}).Eval(e, src)
 			for _, bs := range []int{1, 2} {
-				engines := []*Engine{
-					{Workers: 1, SerialBatches: true, BatchSize: bs},
-					{Workers: 1, SerialBatches: true, RowBatches: true, BatchSize: bs},
-					{Workers: 2, ParallelThreshold: 1, MorselSize: 1, BatchSize: bs, BuildParallelThreshold: 1},
-					{Workers: 4, ParallelThreshold: 1, MorselSize: 1, BatchSize: bs, BuildParallelThreshold: 1},
-					{Workers: 8, ParallelThreshold: 1, MorselSize: 1, BatchSize: bs},
-					{Workers: 4, ParallelThreshold: 1, MorselSize: 1, BatchSize: bs, RowBatches: true},
-				}
-				for _, eng := range engines {
+				for _, w := range []int{2, 4, 8} {
+					eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: bs}}
 					phys, physErr := eng.Eval(e, src)
 					if (refErr == nil) != (physErr == nil) {
-						t.Fatalf("round %d workers=%d batch=%d rows=%v: evaluators disagree on errors for %s:\nreference: %v\ncolumnar:  %v",
-							round, eng.Workers, bs, eng.RowBatches, e, refErr, physErr)
+						t.Fatalf("round %d workers=%d batch=%d: evaluators disagree on errors for %s:\nreference: %v\ncolumnar:  %v",
+							round, w, bs, e, refErr, physErr)
 					}
 					if refErr != nil {
 						continue
 					}
 					if !ref.Equal(phys) {
-						t.Fatalf("round %d workers=%d batch=%d rows=%v: columnar execution changed bag semantics of %s:\nreference: %s\ncolumnar:  %s",
-							round, eng.Workers, bs, eng.RowBatches, e, ref, phys)
+						t.Fatalf("round %d workers=%d batch=%d: columnar execution changed bag semantics of %s:\nreference: %s\ncolumnar:  %s",
+							round, w, bs, e, ref, phys)
 					}
 				}
 			}
@@ -830,7 +879,7 @@ func TestEmptyInputAggregatesParallel(t *testing.T) {
 		schema.Attribute{Name: "b", Type: value.KindInt},
 	))}
 	for _, w := range []int{1, 2, 4, 8} {
-		eng := &Engine{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}
+		eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}}
 		for _, fn := range []algebra.Aggregate{algebra.AggAvg, algebra.AggMin, algebra.AggMax} {
 			if _, err := eng.Eval(algebra.NewGroupBy(nil, fn, 0, algebra.NewRel("e")), empty); !errors.Is(err, ErrEmptyAggregate) {
 				t.Errorf("workers=%d: global %s over empty input = %v, want ErrEmptyAggregate", w, fn, err)

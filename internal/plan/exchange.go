@@ -143,28 +143,10 @@ func (p *partitionNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 		return w.flush()
 	}
 	part := exec.NewPartitioner(p.cols, ctx.workers)
-	if ctx.rowBatches {
-		w := newBatchWriter(ctx.batchCap(), emit)
-		err := ctx.runBatch(p.input, func(b *Batch) error {
-			for i, t := range b.Tuples {
-				if part.Owner(t) != ctx.worker {
-					continue
-				}
-				if err := w.push(t, b.Counts[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		return w.flush()
-	}
-	// Columnar path: the worker's slice is a selection over the input batch —
-	// key hashes come off the row tuples when present (hashing a tuple walks
-	// its values once) or incrementally off the column vectors otherwise, and
-	// no chunk is copied either way.
+	// The worker's slice is a selection over the input batch — key hashes
+	// come off the row tuples when present (hashing a tuple walks its values
+	// once) or incrementally off the column vectors otherwise, and no chunk
+	// is copied either way.
 	var cc colCache
 	var keyVecs []value.Vec
 	var sel []int32
@@ -651,12 +633,8 @@ func (pl *Planner) parallelizeNode(n Node, workers int, threshold float64) Node 
 			// — or when the build side is not a splittable pipeline — the
 			// parent builds serially, possibly over its own nested exchange.
 			build, _ := x.buildSide()
-			buildThreshold := pl.BuildParallelThreshold
-			if buildThreshold <= 0 {
-				buildThreshold = DefaultBuildParallelThreshold
-			}
 			var wrappedBuild Node
-			if streamable(build) && build.Estimate() >= buildThreshold {
+			if streamable(build) && build.Estimate() >= buildParallelFactor*threshold {
 				x.parBuild = true
 				x.buildWorkers = workers
 				wrappedBuild = pl.partitionLeaves(build, workers)
@@ -678,8 +656,7 @@ func (pl *Planner) parallelizeNode(n Node, workers int, threshold float64) Node 
 		// its morsels into partial states, and merge the per-worker partial
 		// groups in the GroupMerge parent — exact for any disjoint split, so
 		// it covers global aggregates and is immune to group-key skew.
-		// One-phase (the legacy shape, kept for high-cardinality grouping and
-		// as the OnePhaseAgg benchmark baseline): a static hash partition on
+		// One-phase (for high-cardinality grouping): a static hash partition on
 		// the grouping columns under a plain Merge, so groups never span
 		// workers and the merged partial relations are final.  The choice is
 		// cost-based: two-phase pays one partial state per (worker, group) of
@@ -687,7 +664,7 @@ func (pl *Planner) parallelizeNode(n Node, workers int, threshold float64) Node 
 		// (capHint, bounded by RelationDistinctCount) trades against the
 		// one-phase replicated input passes.
 		if x.input.Estimate() >= threshold && streamable(x.input) {
-			if !pl.OnePhaseAgg && x.twoPhaseExact() && twoPhaseProfitable(x, workers) {
+			if twoPhaseProfitable(x, workers) {
 				x.partial = true
 				x.input = pl.partitionLeaves(x.input, workers)
 				return newGroupMerge(x, workers)
@@ -721,20 +698,6 @@ func (pl *Planner) parallelizeNode(n Node, workers int, threshold float64) Node 
 	return n
 }
 
-// twoPhaseExact reports whether every aggregate of the node's spec merges to
-// the serial result bit for bit under any disjoint split of the input.  CNT,
-// MIN and MAX always do; SUM/AVG over integer attributes are exact int64
-// arithmetic; and SUM/AVG over float attributes carry compensated (Neumaier)
-// summation in AggState, whose fsum + fcomp holds the sum at roughly double
-// working precision — well past the rounding slack that re-associating
-// partial sums can introduce — so the finalised value matches the serial
-// fold's regardless of how the input was split.  Every aggregate of
-// Definition 3.3 therefore splits exactly today; the predicate remains the
-// gate future order-sensitive aggregates must pass to plan two-phase.
-func (a *hashAggNode) twoPhaseExact() bool {
-	return true
-}
-
 // twoPhaseProfitable decides the parallel aggregate shape from the cost
 // model's pre-aggregation reduction estimate.  Global aggregates are always
 // two-phase — one-phase cannot parallelise a single global group at all.
@@ -743,6 +706,15 @@ func (a *hashAggNode) twoPhaseExact() bool {
 // which RelationDistinctCount bounds for base-table inputs) stays below one
 // pass over the input; when pre-aggregation barely reduces (groups ≈ input),
 // the one-phase shape's single partial relation per worker wins instead.
+//
+// Profitability is the only gate because every aggregate of Definition 3.3
+// merges to the serial result bit for bit under any disjoint split of the
+// input: CNT, MIN and MAX always do; SUM/AVG over integer attributes are exact
+// int64 arithmetic; and SUM/AVG over float attributes carry compensated
+// (Neumaier) summation in AggState, whose fsum + fcomp holds the sum at
+// roughly double working precision — well past the rounding slack that
+// re-associating partial sums can introduce.  An order-sensitive aggregate
+// added later must not plan two-phase.
 func twoPhaseProfitable(x *hashAggNode, workers int) bool {
 	if len(x.gb.groupCols) == 0 {
 		return true
@@ -848,13 +820,9 @@ func leafEstimate(n Node) float64 {
 	return total
 }
 
-// scanPartition wraps one leaf in the planner's scan partition: a
-// work-stealing morsel partition sized by the cost model, or the legacy
-// static hash slice when StaticSlices is set.
+// scanPartition wraps one leaf in a work-stealing morsel partition, sized by
+// the MorselSize override or else the cost model.
 func (pl *Planner) scanPartition(leaf Node, workers int) Node {
-	if pl.StaticSlices {
-		return newPartition(leaf, partitionHash, nil, workers, 0)
-	}
 	size := pl.MorselSize
 	if size <= 0 {
 		size = morselSizeFor(leaf.meta().capHint, workers)

@@ -98,8 +98,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestMorselSchedulingMatchesSerial sweeps tiny morsel and batch sizes —
 // forcing many steal rounds and many batch boundaries on small inputs — and
 // checks every parallel shape still produces exactly the serial multi-set.
-// It also pins the legacy static-slice scheduler to the same results, so the
-// benchmarking baseline stays correct.
 func TestMorselSchedulingMatchesSerial(t *testing.T) {
 	src := testSource(1000)
 	for name, e := range parallelShapes() {
@@ -125,20 +123,6 @@ func TestMorselSchedulingMatchesSerial(t *testing.T) {
 					t.Errorf("%s w=%d morsel=%d batch=%d: result differs\nserial:   %s\nparallel: %s",
 						name, w, cfg.morsel, cfg.batch, serial, par)
 				}
-			}
-			static := parallelPlanner(src, w)
-			static.StaticSlices = true
-			p, err := static.Plan(e, catalogOf(src))
-			if err != nil {
-				t.Fatalf("%s w=%d static: %v", name, w, err)
-			}
-			par, err := p.Execute(src)
-			if err != nil {
-				t.Fatalf("%s w=%d static: %v", name, w, err)
-			}
-			if !par.Equal(serial) {
-				t.Errorf("%s w=%d static slices: result differs\nserial:   %s\nparallel: %s",
-					name, w, serial, par)
 			}
 		}
 	}
@@ -261,15 +245,6 @@ func TestParallelPlanRendering(t *testing.T) {
 	}, "\n")
 	if got := p.String(); got != want {
 		t.Errorf("parallel plan rendering:\n%s\nwant:\n%s", got, want)
-	}
-	// The legacy scheduler knob swaps the morsel partition for a static
-	// full-tuple hash slice, leaving the shared build in place.
-	ps, err := (&Planner{Cards: cardsOf(src), Workers: 4, StaticSlices: true}).Plan(join, catalogOf(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ps.String(); !strings.Contains(got, "Partition [hash workers=4]") {
-		t.Errorf("static-slice plan rendering:\n%s", got)
 	}
 }
 
@@ -399,48 +374,36 @@ func TestAggregatePhaseChoice(t *testing.T) {
 	allCols := algebra.NewGroupBy([]int{0, 1}, algebra.AggCount, 0, algebra.NewRel("fact"))
 	global := algebra.NewGroupBy(nil, algebra.AggSum, 1, algebra.NewRel("fact"))
 
-	plan := func(e algebra.Expr, onePhase bool) *Plan {
-		pp := parallelPlanner(src, 4)
-		pp.OnePhaseAgg = onePhase
-		p, err := pp.Plan(e, catalogOf(src))
+	plan := func(e algebra.Expr) *Plan {
+		p, err := parallelPlanner(src, 4).Plan(e, catalogOf(src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 
-	if two, one := countAggExchanges(plan(lowCard, false)); two != 1 || one != 0 {
+	if two, one := countAggExchanges(plan(lowCard)); two != 1 || one != 0 {
 		t.Errorf("low-cardinality grouping: twoPhase=%d onePhase=%d, want two-phase", two, one)
 	}
-	if two, one := countAggExchanges(plan(allCols, false)); two != 0 || one == 0 {
+	if two, one := countAggExchanges(plan(allCols)); two != 0 || one == 0 {
 		t.Errorf("grouping on all columns: twoPhase=%d onePhase=%d, want one-phase", two, one)
 	}
-	if two, _ := countAggExchanges(plan(global, false)); two != 1 {
+	if two, _ := countAggExchanges(plan(global)); two != 1 {
 		t.Errorf("global aggregate must be two-phase, got %d", two)
 	}
 
-	// The OnePhaseAgg knob forces the legacy shape on grouped aggregates and
-	// leaves global aggregates serial.
-	if two, one := countAggExchanges(plan(lowCard, true)); two != 0 || one == 0 {
-		t.Errorf("OnePhaseAgg grouped: twoPhase=%d onePhase=%d", two, one)
-	}
-	forcedGlobal := plan(global, true)
-	if m, _ := countNodes(forcedGlobal); m != 0 {
-		t.Errorf("OnePhaseAgg global aggregate must stay serial:\n%s", forcedGlobal)
-	}
-
-	// Both forced shapes still compute the serial result.
-	serial, err := mustPlan(t, lowCard, src).Execute(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, onePhase := range []bool{false, true} {
-		got, err := plan(lowCard, onePhase).Execute(src)
+	// Both shapes compute the serial result.
+	for _, e := range []algebra.Expr{lowCard, allCols, global} {
+		serial, err := mustPlan(t, e, src).Execute(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := plan(e).Execute(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(serial) {
-			t.Errorf("onePhase=%v aggregate differs from serial", onePhase)
+			t.Errorf("parallel aggregate differs from serial:\n%s", plan(e))
 		}
 	}
 }

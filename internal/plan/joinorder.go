@@ -44,12 +44,9 @@ type joinConjunct struct {
 
 // enumerateJoinOrder attempts to plan σcond(le × re) as a cost-ordered join
 // tree.  It returns ok=false when the shape is not worth enumerating (fewer
-// than three leaves, too many leaves, or reordering disabled), in which case
-// the caller compiles the written order.
+// than three leaves or too many leaves), in which case the caller compiles
+// the written order.
 func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr, cat algebra.Catalog) (Node, bool, error) {
-	if pl.NoJoinReorder {
-		return nil, false, nil
-	}
 	n := countJoinLeaves(le) + countJoinLeaves(re)
 	if n < 3 || n > maxJoinOrderLeaves {
 		return nil, false, nil

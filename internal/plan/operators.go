@@ -146,9 +146,6 @@ func (f *filterNode) run(ctx *execCtx, emit Emit) error {
 // Predicates the kernels cannot express fall back to row-wise Holds over live
 // rows, still producing a selection instead of compacting.
 func (f *filterNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	if ctx.rowBatches {
-		return f.runBatchRows(ctx, emit)
-	}
 	kernels, compiled := compileVecPred(f.pred)
 	var cc colCache
 	var selA, selB []int32
@@ -194,31 +191,6 @@ func (f *filterNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 	})
 }
 
-// runBatchRows is the legacy array-of-tuples filter loop, kept behind the
-// planner's RowBatches knob as the A/B baseline for the columnar kernels.
-func (f *filterNode) runBatchRows(ctx *execCtx, emit EmitBatch) error {
-	w := newBatchWriter(ctx.batchCap(), emit)
-	err := ctx.runBatch(f.input, func(b *Batch) error {
-		for i, t := range b.Tuples {
-			ok, err := f.pred.Holds(t)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := w.push(t, b.Counts[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return w.flush()
-}
-
 // projectNode is the streaming positional projection πα.
 type projectNode struct {
 	base
@@ -245,9 +217,6 @@ func (p *projectNode) run(ctx *execCtx, emit Emit) error {
 // counts and selection passed through untouched.  Projection indices are
 // validated at plan time, so the columnar path needs no per-tuple range check.
 func (p *projectNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	if ctx.rowBatches {
-		return p.runBatchRows(ctx, emit)
-	}
 	var cc colCache
 	outCols := make([]value.Vec, len(p.cols))
 	var out Batch
@@ -257,24 +226,6 @@ func (p *projectNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 			outCols[j] = cc.col(c)
 		}
 		out = Batch{Counts: b.Counts, Cols: outCols, Sel: b.Sel}
-		return emit(&out)
-	})
-}
-
-// runBatchRows is the legacy per-tuple projection loop, kept behind the
-// planner's RowBatches knob as the A/B baseline for the columnar path.
-func (p *projectNode) runBatchRows(ctx *execCtx, emit EmitBatch) error {
-	var out Batch
-	return ctx.runBatch(p.input, func(b *Batch) error {
-		out.Tuples = out.Tuples[:0]
-		for _, t := range b.Tuples {
-			mt, err := t.Project(p.cols)
-			if err != nil {
-				return err
-			}
-			out.Tuples = append(out.Tuples, mt)
-		}
-		out.Counts = b.Counts
 		return emit(&out)
 	})
 }
@@ -317,9 +268,6 @@ func (p *extProjectNode) run(ctx *execCtx, emit Emit) error {
 // reusable scratch vectors over live rows only — dead rows are never
 // evaluated, so expression errors surface exactly as on the scalar path.
 func (p *extProjectNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	if ctx.rowBatches {
-		return p.runBatchRows(ctx, emit)
-	}
 	var cc colCache
 	outCols := make([]value.Vec, len(p.items))
 	scratch := make([]value.Vec, len(p.items))
@@ -350,28 +298,6 @@ func (p *extProjectNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 			scratch[j], outCols[j] = vec, vec
 		}
 		out = Batch{Counts: b.Counts, Cols: outCols, Sel: b.Sel}
-		return emit(&out)
-	})
-}
-
-// runBatchRows is the legacy per-tuple evaluation loop, kept behind the
-// planner's RowBatches knob as the A/B baseline for the columnar path.
-func (p *extProjectNode) runBatchRows(ctx *execCtx, emit EmitBatch) error {
-	var out Batch
-	return ctx.runBatch(p.input, func(b *Batch) error {
-		out.Tuples = out.Tuples[:0]
-		for _, t := range b.Tuples {
-			vals := make([]value.Value, len(p.items))
-			for j, item := range p.items {
-				v, err := item.Eval(t)
-				if err != nil {
-					return err
-				}
-				vals[j] = v
-			}
-			out.Tuples = append(out.Tuples, tuple.FromSlice(vals))
-		}
-		out.Counts = b.Counts
 		return emit(&out)
 	})
 }
@@ -522,7 +448,8 @@ type hashJoinNode struct {
 	// build gang of buildWorkers workers fills partition-local tables over
 	// the morsels it claims, and the exchange absorbs them into one table
 	// before the probe gang starts.  The planner enables it when the
-	// estimated build cardinality clears BuildParallelThreshold.
+	// estimated build cardinality clears buildParallelFactor times the
+	// exchange threshold.
 	parBuild     bool
 	buildWorkers int
 }
@@ -588,8 +515,7 @@ func (j *hashJoinNode) buildTable(ctx *execCtx) (*joinTable, error) {
 }
 
 // probeOne probes the table with one chunk (pt, pc), emitting every joined
-// match: the single copy of the match loop shared by the scalar and batched
-// probe paths.
+// match: the match loop of the scalar probe path.
 func (j *hashJoinNode) probeOne(tb *joinTable, pt tuple.Tuple, pc uint64, probeCols, buildCols []int, emit Emit) error {
 	head, ok := tb.index[pt.HashOn(probeCols)]
 	if !ok {
@@ -669,72 +595,60 @@ func (j *hashJoinNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 
 	_, buildCols := j.buildSide()
 	w := newBatchWriter(ctx.batchCap(), emit)
-	var err error
-	if ctx.rowBatches {
-		err = ctx.runBatch(probe, func(b *Batch) error {
-			for k, pt := range b.Tuples {
-				if err := j.probeOne(tb, pt, b.Counts[k], probeCols, buildCols, w.push); err != nil {
+	var cc colCache
+	keyVecs := make([]value.Vec, len(probeCols))
+	err := ctx.runBatch(probe, func(b *Batch) error {
+		cc.batch(b)
+		for k, c := range probeCols {
+			keyVecs[k] = cc.col(c)
+		}
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			r := b.Row(i)
+			head, ok := tb.index[hashRowOn(keyVecs, r)]
+			if !ok {
+				continue
+			}
+			pc := b.Counts[r]
+			var pt tuple.Tuple
+			ptSet := false
+			for ni := head; ni != -1; ni = tb.nodes[ni].next {
+				bt := tb.nodes[ni].tup
+				match := true
+				for k := range keyVecs {
+					if !keyVecs[k][r].Equal(bt.At(buildCols[k])) {
+						match = false
+						break
+					}
+				}
+				if !match {
+					continue
+				}
+				if !ptSet {
+					pt, ptSet = b.TupleAt(r), true
+				}
+				var joined tuple.Tuple
+				if j.buildLeft {
+					joined = bt.Concat(pt)
+				} else {
+					joined = pt.Concat(bt)
+				}
+				if j.residual != nil {
+					ok, err := j.residual.Holds(joined)
+					if err != nil {
+						return err
+					}
+					if !ok {
+						continue
+					}
+				}
+				if err := w.push(joined, pc*tb.nodes[ni].count); err != nil {
 					return err
 				}
 			}
-			return nil
-		})
-	} else {
-		var cc colCache
-		keyVecs := make([]value.Vec, len(probeCols))
-		err = ctx.runBatch(probe, func(b *Batch) error {
-			cc.batch(b)
-			for k, c := range probeCols {
-				keyVecs[k] = cc.col(c)
-			}
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				r := b.Row(i)
-				head, ok := tb.index[hashRowOn(keyVecs, r)]
-				if !ok {
-					continue
-				}
-				pc := b.Counts[r]
-				var pt tuple.Tuple
-				ptSet := false
-				for ni := head; ni != -1; ni = tb.nodes[ni].next {
-					bt := tb.nodes[ni].tup
-					match := true
-					for k := range keyVecs {
-						if !keyVecs[k][r].Equal(bt.At(buildCols[k])) {
-							match = false
-							break
-						}
-					}
-					if !match {
-						continue
-					}
-					if !ptSet {
-						pt, ptSet = b.TupleAt(r), true
-					}
-					var joined tuple.Tuple
-					if j.buildLeft {
-						joined = bt.Concat(pt)
-					} else {
-						joined = pt.Concat(bt)
-					}
-					if j.residual != nil {
-						ok, err := j.residual.Holds(joined)
-						if err != nil {
-							return err
-						}
-						if !ok {
-							continue
-						}
-					}
-					if err := w.push(joined, pc*tb.nodes[ni].count); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -854,31 +768,18 @@ func (a *hashAggNode) Describe() string {
 	return s
 }
 
-// buildGroups consumes the input into a fresh group table — batch-wise where
-// batch-native execution is on (parallel workers, or serially under the
-// SerialBatches knob), chunk-at-a-time otherwise — and charges the group
-// count to the operator's state.  The batch-wise path folds batches in
-// column-at-a-time (groupTable.addBatch) unless the RowBatches knob pins the
-// legacy tuple loop.
+// buildGroups consumes the input into a fresh group table — batch-wise
+// inside a parallel gang, folding batches in column-at-a-time
+// (groupTable.addBatch), chunk-at-a-time in serial plans — and charges the
+// group count to the operator's state.
 func (a *hashAggNode) buildGroups(ctx *execCtx) (*groupTable, error) {
 	groups := newGroupTable(a.gb, capacityFor(a.capHint), ctx.mem)
 	var err error
-	if _, native := a.input.(batchRunner); native && ctx.batchNative() {
-		if ctx.rowBatches {
-			err = ctx.runBatch(a.input, func(b *Batch) error {
-				for i, t := range b.Tuples {
-					if err := groups.add(t, b.Counts[i]); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		} else {
-			var cc colCache
-			err = ctx.runBatch(a.input, func(b *Batch) error {
-				return groups.addBatch(b, &cc)
-			})
-		}
+	if _, native := a.input.(batchRunner); native && ctx.workers > 1 {
+		var cc colCache
+		err = ctx.runBatch(a.input, func(b *Batch) error {
+			return groups.addBatch(b, &cc)
+		})
 	} else {
 		err = ctx.run(a.input, func(t tuple.Tuple, n uint64) error {
 			return groups.add(t, n)

@@ -213,10 +213,6 @@ type Plan struct {
 	// memLimit is the per-execution memory budget in bytes the planner chose;
 	// zero disables enforcement.
 	memLimit int64
-	// serialBatches/rowBatches carry the planner's batch-path knobs into
-	// execution (see Planner.SerialBatches / Planner.RowBatches).
-	serialBatches bool
-	rowBatches    bool
 }
 
 // Execute runs the plan against a source and materialises the root stream
@@ -272,7 +268,7 @@ func (p *Plan) exec(qctx context.Context, src Source, st *Stats) (*multiset.Rela
 // the zero-cost fast path), the memory gauge when the planner set a budget,
 // and the per-operator statistics slots.
 func (p *Plan) newExecCtx(qctx context.Context, src Source, st *Stats) *execCtx {
-	ctx := &execCtx{src: src, stats: st, batchSize: p.batchSize, serialBatches: p.serialBatches, rowBatches: p.rowBatches}
+	ctx := &execCtx{src: src, stats: st, batchSize: p.batchSize}
 	ctx.setContext(qctx)
 	if p.memLimit > 0 {
 		ctx.mem = NewMemoryGauge(p.memLimit)
@@ -359,20 +355,6 @@ type execCtx struct {
 	done <-chan struct{}
 	// mem is the query's shared memory gauge; nil disables accounting.
 	mem *MemoryGauge
-	// serialBatches forces batch-native execution even at workers <= 1 (the
-	// planner's SerialBatches knob): the columnar path runs without an
-	// exchange, which is what the vectorised bench gate pins.
-	serialBatches bool
-	// rowBatches pins the legacy array-of-tuples batch loops (the planner's
-	// RowBatches knob), the A/B baseline for the columnar kernels.
-	rowBatches bool
-}
-
-// batchNative reports whether batch-native subtrees should execute through
-// their vectorised path: always inside a parallel gang, and serially when the
-// SerialBatches knob is set.
-func (ctx *execCtx) batchNative() bool {
-	return ctx.workers > 1 || ctx.serialBatches
 }
 
 // batchCap returns the effective emit batch size.
@@ -387,7 +369,7 @@ func (ctx *execCtx) batchCap() int {
 // Statistics, when enabled on the parent, are recorded into fresh per-worker
 // counters and folded back by foldWorkers.
 func (ctx *execCtx) workerCtx(w, workers int, gang *gangState) *execCtx {
-	wctx := &execCtx{src: ctx.src, batchSize: ctx.batchSize, worker: w, workers: workers, gang: gang, mem: ctx.mem, serialBatches: ctx.serialBatches, rowBatches: ctx.rowBatches}
+	wctx := &execCtx{src: ctx.src, batchSize: ctx.batchSize, worker: w, workers: workers, gang: gang, mem: ctx.mem}
 	if ctx.stats != nil {
 		wctx.stats = &Stats{}
 		wctx.perOp = make([]OperatorStats, len(ctx.perOp))
@@ -515,7 +497,7 @@ func (ctx *execCtx) materialize(n Node) (*multiset.Relation, error) {
 // run the scalar fast path instead: with no exchange in play, batching
 // would only buy buffer copies between the same two loops.
 func (ctx *execCtx) collect(n Node, out *multiset.Relation) error {
-	if _, native := n.(batchRunner); native && ctx.batchNative() {
+	if _, native := n.(batchRunner); native && ctx.workers > 1 {
 		var scratch []tuple.Tuple
 		var counts []uint64
 		return ctx.runBatch(n, func(b *Batch) error {

@@ -47,11 +47,6 @@ type Planner struct {
 	// BatchSize overrides DefaultBatchSize when positive: the number of
 	// chunks per emitted batch in compiled plans.
 	BatchSize int
-	// StaticSlices reverts scan scheduling to the pre-morsel runtime — one
-	// static full-tuple hash slice per worker — for benchmarking the
-	// scheduler against its baseline.  Hash joins keep their shared build;
-	// only the scan split changes.
-	StaticSlices bool
 	// MemoryLimit bounds, in bytes, the operator-internal state one execution
 	// of a compiled plan may hold — hash-join build tables, group tables,
 	// Sort and nested-loop materialisations, the operand relations of the
@@ -59,31 +54,6 @@ type Planner struct {
 	// that would exceed it fail with an error wrapping ErrMemoryBudget.  Zero
 	// (the default) disables enforcement.
 	MemoryLimit int64
-	// OnePhaseAgg reverts parallel grouped aggregation to the legacy
-	// one-phase shape — a static hash partition on the grouping columns under
-	// a Merge, so groups never span workers — for benchmarking the two-phase
-	// partial/merge aggregate against its baseline.  Global aggregates stay
-	// serial under it (a single global group cannot be key-partitioned).
-	OnePhaseAgg bool
-	// SerialBatches forces batch-native (columnar) execution even in serial
-	// plans, which otherwise run the scalar chunk-at-a-time fast path.  It
-	// exists so the vectorised kernels can be benchmarked and gated on a
-	// stable serial series, without an exchange's scheduling noise.
-	SerialBatches bool
-	// RowBatches pins the legacy array-of-tuples batch loops (per-tuple
-	// filter compaction, per-tuple projection) instead of the columnar
-	// kernels — the A/B baseline the BENCH_vec series compares against.
-	RowBatches bool
-	// BuildParallelThreshold overrides DefaultBuildParallelThreshold when
-	// positive: the estimated build-side cardinality at which a shared hash
-	// join's table is built morsel-parallel by the gang instead of serially
-	// in the parent.
-	BuildParallelThreshold float64
-	// NoJoinReorder disables the cost-based join-order enumerator
-	// (joinorder.go), pinning multi-join queries to their written evaluation
-	// order.  It exists as the A/B baseline for the E13 multi-join bench
-	// series and as an escape hatch for plans the estimates mislead.
-	NoJoinReorder bool
 }
 
 // NewPlanner returns a serial planner drawing base cardinalities from cards
@@ -99,7 +69,7 @@ func (pl *Planner) Plan(e algebra.Expr, cat algebra.Catalog) (*Plan, error) {
 		return nil, err
 	}
 	root = pl.parallelize(root)
-	p := &Plan{Root: root, nodes: make([]Node, 0, 8), batchSize: pl.BatchSize, memLimit: pl.MemoryLimit, serialBatches: pl.SerialBatches, rowBatches: pl.RowBatches}
+	p := &Plan{Root: root, nodes: make([]Node, 0, 8), batchSize: pl.BatchSize, memLimit: pl.MemoryLimit}
 	number(root, &p.nodes)
 	return p, nil
 }

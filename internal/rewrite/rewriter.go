@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"mra/internal/algebra"
-	"mra/internal/plan"
 )
 
 // Rewriter applies a rule set bottom-up until no rule applies anywhere in the
@@ -112,27 +111,4 @@ func rebuildChildren(e algebra.Expr, cat algebra.Catalog, rules []Rule, trace *[
 		// Leaves (Rel, Literal) and unknown nodes are returned unchanged.
 		return e, false
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Cost model
-// ---------------------------------------------------------------------------
-
-// The cardinality-based cost model moved to internal/plan, where the planner
-// feeds it real base-table cardinalities; the aliases below keep the historic
-// rewrite-side API for the benchmarks and the optimizer ablation experiment.
-
-// CardinalitySource provides base-relation cardinalities for the cost model.
-type CardinalitySource = plan.CardinalitySource
-
-// MapCardinalities is a CardinalitySource backed by a map.
-type MapCardinalities = plan.MapCardinalities
-
-// Cost estimates the total processing cost of an expression: the sum over all
-// operators of the tuples they must inspect plus the tuples they emit.
-func Cost(e algebra.Expr, cards CardinalitySource) float64 { return plan.Cost(e, cards) }
-
-// EstimateCardinality estimates the output cardinality of an expression.
-func EstimateCardinality(e algebra.Expr, cards CardinalitySource) float64 {
-	return plan.EstimateCardinality(e, cards)
 }

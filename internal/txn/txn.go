@@ -39,6 +39,7 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/plan"
 	"mra/internal/schema"
 	"mra/internal/stats"
 	"mra/internal/stmt"
@@ -147,7 +148,7 @@ func (m *Manager) BeginTx(opts TxOptions) *Tx {
 		id:           m.nextID.Add(1),
 		snap:         m.db.Snapshot(),
 		serializable: opts.Serializable,
-		engine:       &eval.Engine{Workers: workers, MemoryLimit: memLimit},
+		engine:       &eval.Engine{Planner: plan.Planner{Workers: workers, MemoryLimit: memLimit}},
 		workspace:    make(map[string]*multiset.Relation),
 		temps:        make(map[string]*multiset.Relation),
 		reads:        make(map[string]struct{}),

@@ -129,7 +129,7 @@ func (db *DB) MemoryLimit() int64 { return db.memLimit }
 
 // engine builds a physical evaluator with the database's configuration.
 func (db *DB) engine() *eval.Engine {
-	return &eval.Engine{Workers: db.workers, MemoryLimit: db.memLimit}
+	return &eval.Engine{Planner: plan.Planner{Workers: db.workers, MemoryLimit: db.memLimit}}
 }
 
 // CreateRelation declares a new empty relation.
