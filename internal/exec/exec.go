@@ -240,33 +240,22 @@ func (q *MorselQueue) Next() (lo, hi int, ok bool) {
 }
 
 // Partitioner deterministically assigns tuples to workers by hash range:
-// tuple t belongs to worker Owner(t), computed from the hash of the selected
-// attribute positions (or of the whole tuple when none are selected).  Equal
-// projections always land on the same worker, which is what makes
-// partition-wise joins and grouped aggregation exact: tuples that could meet
-// are never split across workers.
+// a tuple belongs to worker OwnerHash(h), h being the hash of its partition
+// key (the selected attribute positions, or the whole tuple).  Equal keys
+// always land on the same worker, which is what makes partition-wise joins
+// and grouped aggregation exact: tuples that could meet are never split
+// across workers.
 type Partitioner struct {
-	cols    []int
 	workers uint64
 }
 
-// NewPartitioner returns a partitioner over the given attribute positions for
-// the given worker count.  A nil or empty cols list partitions by the full
-// tuple hash.
-func NewPartitioner(cols []int, workers int) Partitioner {
-	return Partitioner{cols: cols, workers: uint64(Resolve(workers))}
+// NewPartitioner returns a partitioner for the given worker count.
+func NewPartitioner(workers int) Partitioner {
+	return Partitioner{workers: uint64(Resolve(workers))}
 }
 
 // Workers returns the partitioner's worker count.
 func (p Partitioner) Workers() int { return int(p.workers) }
-
-// Owner returns the worker index the tuple belongs to.
-func (p Partitioner) Owner(t tuple.Tuple) int {
-	if len(p.cols) == 0 {
-		return int(t.Hash() % p.workers)
-	}
-	return int(t.HashOn(p.cols) % p.workers)
-}
 
 // OwnerHash returns the worker index for a pre-computed key hash.  Columnar
 // operators hash partition keys incrementally off column vectors

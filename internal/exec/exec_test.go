@@ -77,17 +77,17 @@ func TestPoolErrorDeterminism(t *testing.T) {
 // range, and equal join-key projections share an owner.
 func TestPartitionerDisjointCover(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	full := NewPartitioner(nil, 4)
-	keyed := NewPartitioner([]int{1}, 4)
+	part := NewPartitioner(4)
+	key := []int{1}
 	for i := 0; i < 500; i++ {
 		a, b := int64(rng.Intn(50)), int64(rng.Intn(10))
 		tp := tuple.Ints(a, b)
-		if o := full.Owner(tp); o < 0 || o >= 4 {
+		if o := part.OwnerHash(tp.Hash()); o < 0 || o >= 4 {
 			t.Fatalf("full owner %d out of range", o)
 		}
 		// Same key attribute => same keyed owner, whatever the other column is.
 		other := tuple.Ints(a+1000, b)
-		if keyed.Owner(tp) != keyed.Owner(other) {
+		if part.OwnerHash(tp.HashOn(key)) != part.OwnerHash(other.HashOn(key)) {
 			t.Fatalf("keyed partitioner split key %d across workers", b)
 		}
 	}

@@ -7,40 +7,31 @@ import "mra/internal/tuple"
 // remove every occurrence of base missing from next, so that
 // next = (base ∸ remove) ⊎ add.  The two multisets are disjoint by
 // construction (a tuple's multiplicity moves in one direction only), and both
-// are empty when the relations are equal — in particular when they share one
-// copy-on-write table, which Diff detects in O(1).  Cached entry hashes are
-// reused throughout; no tuple is ever re-hashed.
+// are empty when the relations are equal.
+//
+// Diff is sharing-aware: arena pages the two tables share are skipped and
+// only the entries on unshared pages are probed in the other table.  That is
+// exact for any two relations (a tuple whose multiplicity differs sits on an
+// unshared page of each table that holds it) and costs O(pages) pointer
+// comparisons plus O(entries on unshared pages) probes: O(touched pages) when
+// next descends from base by a few writes — the commit of a small
+// transaction — O(1) when they share one table, and the former O(|base| +
+// |next|) only for relations with no common ancestry or across a compaction.
+// Cached entry hashes are reused throughout; no tuple is ever re-hashed.
 func Diff(base, next *Relation) (add, remove *Relation) {
 	add = New(next.schema)
 	remove = New(base.schema)
-	if base.tab == next.tab {
+	bt, nt := base.tab, next.tab
+	if bt == nt {
 		return add, remove
 	}
-	nextEntries := next.tab.entries
-	for i := range nextEntries {
-		e := &nextEntries[i]
-		if e.count == 0 {
-			continue
-		}
-		var old uint64
-		if j := base.tab.find(e.hash, e.tup); j != chainEnd {
-			old = base.tab.entries[j].count
-		}
-		if e.count > old {
+	for e := range nt.entries(bt) {
+		if old := bt.count(e.hash, e.tup); e.count > old {
 			add.tab.add(e.hash, e.tup, e.count-old)
 		}
 	}
-	baseEntries := base.tab.entries
-	for i := range baseEntries {
-		e := &baseEntries[i]
-		if e.count == 0 {
-			continue
-		}
-		var cur uint64
-		if j := next.tab.find(e.hash, e.tup); j != chainEnd {
-			cur = next.tab.entries[j].count
-		}
-		if e.count > cur {
+	for e := range bt.entries(nt) {
+		if cur := nt.count(e.hash, e.tup); e.count > cur {
 			remove.tab.add(e.hash, e.tup, e.count-cur)
 		}
 	}
@@ -53,7 +44,8 @@ func Diff(base, next *Relation) (add, remove *Relation) {
 // from, it reproduces the diffed target exactly; applied to a relation other
 // writers advanced on disjoint keys, it merges — which is what makes delta
 // write sets over disjoint keys commute under the storage engine's
-// key-granular commit validation.  Either argument may be nil.
+// key-granular commit validation.  Either argument may be nil.  The cost is
+// the pages the delta's tuples land on, however large r is.
 func (r *Relation) ApplyDelta(add, remove *Relation) {
 	if (add == nil || add.tab.total == 0) && (remove == nil || remove.tab.total == 0) {
 		return
@@ -61,38 +53,16 @@ func (r *Relation) ApplyDelta(add, remove *Relation) {
 	r.materialize()
 	tab := r.tab
 	if remove != nil {
-		entries := remove.tab.entries
-		for i := range entries {
-			e := &entries[i]
-			if e.count == 0 {
-				continue
-			}
-			j := tab.find(e.hash, e.tup)
-			if j == chainEnd || tab.entries[j].count == 0 {
-				continue
-			}
-			cur := &tab.entries[j]
-			n := e.count
-			if n > cur.count {
-				n = cur.count
-			}
-			cur.count -= n
-			tab.total -= n
-			if cur.count == 0 {
-				tab.live--
-			}
+		for e := range remove.tab.entries(nil) {
+			tab.remove(e.hash, e.tup, e.count)
 		}
 	}
 	if add != nil {
-		entries := add.tab.entries
-		for i := range entries {
-			e := &entries[i]
-			if e.count == 0 {
-				continue
-			}
+		for e := range add.tab.entries(nil) {
 			tab.add(e.hash, e.tup, e.count)
 		}
 	}
+	tab.compact()
 }
 
 // EachHash calls fn once per distinct tuple with its cached hash and
@@ -100,12 +70,8 @@ func (r *Relation) ApplyDelta(add, remove *Relation) {
 // layer's write-set validation iterates.  If fn returns false, iteration
 // stops.  fn must not mutate r.
 func (r *Relation) EachHash(fn func(t tuple.Tuple, hash uint64, count uint64) bool) {
-	entries := r.tab.entries
-	for i := range entries {
-		if entries[i].count == 0 {
-			continue
-		}
-		if !fn(entries[i].tup, entries[i].hash, entries[i].count) {
+	for e := range r.tab.entries(nil) {
+		if !fn(e.tup, e.hash, e.count) {
 			return
 		}
 	}
@@ -116,14 +82,13 @@ func (r *Relation) EachHash(fn func(t tuple.Tuple, hash uint64, count uint64) bo
 // validation uses to intersect a recent-writer key log with the key set a
 // snapshot reader observed.
 func (r *Relation) ContainsHash(h uint64) bool {
-	head, ok := r.tab.index[h]
-	if !ok {
-		return false
-	}
-	for i := head; i != chainEnd; i = r.tab.entries[i].next {
-		if r.tab.entries[i].count > 0 {
+	tab := r.tab
+	for l := tab.head(h); l != 0; {
+		e := tab.at(l - 1)
+		if e.hash == h && e.count > 0 {
 			return true
 		}
+		l = e.next
 	}
 	return false
 }

@@ -6,15 +6,55 @@
 // the multiplicity of x in R, and x ∈ R ⇔ R(x) > 0.  The representation never
 // reports zero-multiplicity entries, so membership is structural.
 //
-// Physically a relation is a hash table indexed by tuple.Hash() with
-// Tuple.Equal collision chains — no canonical string key is ever built.  The
-// table is shared copy-on-write between Clone/WithSchema views: cloning is
-// O(1) and the first mutation of a shared view copies the table privately.
+// # Physical format: page-granular copy-on-write
+//
+// A relation is a chained hash table cut into fixed-size pages.  The entry
+// arena — one entry per distinct tuple ever stored, holding the tuple, its
+// cached tuple.Hash(), its multiplicity and the link to the next entry of its
+// bucket — is a directory of pages of 1<<pageBits entries; every page but the
+// last is full, so arena position i lives at pages[i>>pageBits][i&mask].  The
+// hash index is a directory of pages of bucket heads (a power-of-two number
+// of buckets, at least one per arena entry); collision chains run through the
+// arena and compare Tuple.Equal — no canonical string key is ever built.
+//
+// Every table has an owner identity, and every page records the identity of
+// the table that allocated it.  The protocol is one rule: a table writes a
+// page only if it owns it; any other page is first copied and the copy owned.
+// Clone and WithSchema share the whole table in O(1) and mark both views
+// copy-on-write; the first mutation of such a view copies the two page
+// directories — O(pages), a few hundred bytes per thousand tuples — and takes
+// a fresh owner identity, so every page that existed when the views parted is
+// from then on read-only to everyone, for ever.  A write then costs the pages
+// it lands on: the entry's page for a multiplicity change; the tail page and
+// one bucket page for a new tuple.  A transaction that changes four rows of
+// a large relation therefore copies a handful of pages, not the relation,
+// and the multi-set operators stay written as the paper defines them
+// (update is literally R ← (R − E) ⊎ π_a(R ∩ E)): the saving lives here.
+//
+// Because shared pages are pointer-identical, Diff, Equal and SubsetOf skip
+// them and probe only the entries on pages the two tables do not share —
+// exact for any two tables, O(touched pages) when one descends from the
+// other.
+//
+// Remove leaves a tombstone (multiplicity zero, revived in place if the tuple
+// returns).  When the tombstones of a privately owned table outnumber its
+// live entries the table is rebuilt dense, a cost amortised against the
+// removals that made them; the same rebuild doubles the bucket directory when
+// the arena outgrows it.  A rebuild allocates new pages and touches only the
+// directories of the table being mutated, which no other view can reach, so
+// it can never move entries under a concurrent scan: a scanner holds a view
+// whose directories and pages nobody writes.
+//
+// pageBits is the one tuning constant.  internal/multiset/bench_test.go
+// chose it: smaller pages make a small write cheaper (less copied per touched
+// page), larger ones make the directory copy and the page loop of a scan
+// cheaper; see the table in ARCHITECTURE.md.
 package multiset
 
 import (
 	"fmt"
-	"maps"
+	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -24,13 +64,33 @@ import (
 	"mra/internal/tuple"
 )
 
-// chainEnd terminates a collision chain.
-const chainEnd = int32(-1)
+const (
+	// pageBits is log2 of the entries per arena page: 64 entries, 3 KiB.
+	pageBits = 6
+	// headShift makes a bucket page hold 1<<headShift times as many heads
+	// as an arena page holds entries, so both kinds of page have about the
+	// same byte size (an entry is 48 bytes, a head 4).
+	headShift = 3
+	// minBuckets is the smallest bucket directory.
+	minBuckets = 8
+	// compactMinDead keeps tables with a handful of tombstones from being
+	// rebuilt over and over; it also bounds the arena span of a relation under
+	// update traffic at 2·live + compactMinDead.
+	compactMinDead = 32
+	// hashMix spreads tuple.Hash() over the high bits the bucket number is
+	// taken from (Fibonacci hashing).
+	hashMix = 0x9E3779B97F4A7C15
+)
 
-// entry is one slot of the hash table: a representative tuple, its cached
-// hash, its multiplicity, and the index of the next entry with the same hash.
-// An entry whose count is zero is a tombstone left behind by Remove; it is
-// skipped by iteration and revived in place if the tuple is re-added.
+// ownerSeq issues table owner identities; zero is never issued.
+var ownerSeq atomic.Uint64
+
+// entry is one slot of the arena: a representative tuple, its cached hash,
+// its multiplicity, and the link to the next entry of its bucket.  A link is
+// an arena position plus one, zero ending the chain, so a freshly allocated
+// bucket page is already empty.  An entry whose count is zero is a tombstone
+// left behind by Remove; it is skipped by iteration and revived in place if
+// the tuple is re-added.
 type entry struct {
 	tup   tuple.Tuple
 	hash  uint64
@@ -38,50 +98,187 @@ type entry struct {
 	next  int32
 }
 
+// entryPage is one page of the arena and headPage one page of bucket heads;
+// owner is the identity of the table that allocated the page, the only table
+// that may write it.
+type entryPage struct {
+	ents  []entry
+	owner uint64
+}
+
+type headPage struct {
+	heads []int32
+	owner uint64
+}
+
 // table is the physical representation shared copy-on-write between relation
-// views: a flat entry arena plus a hash index mapping tuple.Hash() to the
-// head of that hash's collision chain.
+// views; see the package comment for the page and owner protocol.
 type table struct {
-	index   map[uint64]int32
-	entries []entry
-	live    int
-	total   uint64
+	pages []entryPage
+	heads []headPage
+	owner uint64
+	// n is the arena span (live entries and tombstones), live the number of
+	// entries with a non-zero count, total the sum of the counts.
+	n     int
+	live  int
+	total uint64
+	// buckets is the size of the bucket directory (a power of two, or zero
+	// before the first insert) and shift takes a mixed hash to its bucket.
+	buckets int
+	shift   uint8
+	// pageBits is the constant of the same name; it is a field only so the
+	// tests can build tables whose page boundaries are crossed constantly.
+	pageBits uint8
 }
 
-func newTable(capacity int) *table {
-	return &table{index: make(map[uint64]int32, capacity), entries: make([]entry, 0, capacity)}
+func newTable(capacity int, pageBits uint8) *table {
+	t := &table{owner: ownerSeq.Add(1), pageBits: pageBits}
+	if capacity > 0 {
+		t.allocIndex(capacity)
+	}
+	return t
 }
 
-func (t *table) clone() *table {
-	return &table{index: maps.Clone(t.index), entries: slices.Clone(t.entries), live: t.live, total: t.total}
+// allocIndex gives the table an empty bucket directory of at least capacity
+// buckets.
+func (t *table) allocIndex(capacity int) {
+	t.buckets = minBuckets
+	for t.buckets < capacity {
+		t.buckets <<= 1
+	}
+	t.shift = uint8(64 - bits.TrailingZeros(uint(t.buckets)))
+	per := min(t.buckets, 1<<(t.pageBits+headShift))
+	t.heads = make([]headPage, t.buckets/per)
+	for i := range t.heads {
+		t.heads[i] = headPage{heads: make([]int32, per), owner: t.owner}
+	}
 }
 
-// find returns the index of the entry holding tup (live or tombstoned), or
-// chainEnd if the tuple has never been stored.
+// fork returns a copy of the table under a fresh owner identity: the page
+// directories are copied; the pages stay shared and, carrying another
+// identity, read-only to the copy.
+func (t *table) fork() *table {
+	cp := *t
+	cp.owner = ownerSeq.Add(1)
+	cp.pages = slices.Clone(t.pages)
+	cp.heads = slices.Clone(t.heads)
+	return &cp
+}
+
+// at returns the entry at arena position i for reading.
+func (t *table) at(i int32) *entry {
+	return &t.pages[i>>t.pageBits].ents[i&(1<<t.pageBits-1)]
+}
+
+// own returns the entry at arena position i for writing, first copying its
+// page if another table allocated it.
+func (t *table) own(i int32) *entry {
+	p := &t.pages[i>>t.pageBits]
+	if p.owner != t.owner {
+		p.ents, p.owner = slices.Clone(p.ents), t.owner
+	}
+	return &p.ents[i&(1<<t.pageBits-1)]
+}
+
+// head returns the first link of the bucket hash h falls in.
+func (t *table) head(h uint64) int32 {
+	if t.buckets == 0 {
+		return 0
+	}
+	b := (h * hashMix) >> t.shift
+	hb := t.pageBits + headShift
+	return t.heads[b>>hb].heads[b&(1<<hb-1)]
+}
+
+// ownHead returns the head of h's bucket for writing, first copying its page
+// if another table allocated it.
+func (t *table) ownHead(h uint64) *int32 {
+	b := (h * hashMix) >> t.shift
+	hb := t.pageBits + headShift
+	p := &t.heads[b>>hb]
+	if p.owner != t.owner {
+		p.heads, p.owner = slices.Clone(p.heads), t.owner
+	}
+	return &p.heads[b&(1<<hb-1)]
+}
+
+// find returns the arena position of the entry holding tup (live or
+// tombstoned), or -1 if the tuple has never been stored.
 func (t *table) find(h uint64, tup tuple.Tuple) int32 {
-	head, ok := t.index[h]
-	if !ok {
-		return chainEnd
-	}
-	for i := head; i != chainEnd; i = t.entries[i].next {
-		if t.entries[i].tup.Equal(tup) {
-			return i
+	for l := t.head(h); l != 0; {
+		e := t.at(l - 1)
+		if e.hash == h && e.tup.Equal(tup) {
+			return l - 1
 		}
+		l = e.next
 	}
-	return chainEnd
+	return -1
 }
 
-// insert appends a new entry for a tuple known to be absent, prepending it to
-// its hash's collision chain.
-func (t *table) insert(h uint64, tup tuple.Tuple, n uint64) {
-	head, ok := t.index[h]
-	if !ok {
-		head = chainEnd
+// count returns the multiplicity stored for tup, whose hash is h.
+func (t *table) count(h uint64, tup tuple.Tuple) uint64 {
+	if i := t.find(h, tup); i >= 0 {
+		return t.at(i).count
 	}
-	t.index[h] = int32(len(t.entries))
-	t.entries = append(t.entries, entry{tup: tup, hash: h, count: n, next: head})
+	return 0
+}
+
+// insert appends a new entry for a tuple known to be absent, growing the
+// bucket directory first when the arena has filled it.
+func (t *table) insert(h uint64, tup tuple.Tuple, n uint64) {
+	if t.n >= t.buckets {
+		t.rebuild()
+	}
+	t.push(h, tup, n)
+}
+
+// push puts a new entry at the end of the arena and at the front of its
+// bucket's chain.
+func (t *table) push(h uint64, tup tuple.Tuple, n uint64) {
+	size := 1 << t.pageBits
+	if t.n == len(t.pages)<<t.pageBits {
+		// Every page is full (or there is none yet).  The first page starts
+		// small: most relations of a query hold a few tuples.
+		c := size
+		if t.n == 0 {
+			c = min(size, t.buckets)
+		}
+		t.pages = append(t.pages, entryPage{ents: make([]entry, 0, c), owner: t.owner})
+	}
+	p := &t.pages[len(t.pages)-1]
+	if p.owner != t.owner || len(p.ents) == cap(p.ents) {
+		grown := make([]entry, len(p.ents), min(size, 2*len(p.ents)+1))
+		copy(grown, p.ents)
+		p.ents, p.owner = grown, t.owner
+	}
+	head := t.ownHead(h)
+	p.ents = append(p.ents, entry{tup: tup, hash: h, count: n, next: *head})
+	t.n++
+	*head = int32(t.n)
 	t.live++
 	t.total += n
+}
+
+// rebuild re-creates the table dense — tombstones dropped, every page freshly
+// allocated and owned — with a bucket directory sized for twice its live
+// entries.  It is both index growth and tombstone compaction.
+func (t *table) rebuild() {
+	old := *t
+	t.pages, t.n, t.live, t.total = make([]entryPage, 0, old.live>>t.pageBits+1), 0, 0, 0
+	t.allocIndex(2 * old.live)
+	for e := range old.entries(nil) {
+		t.push(e.hash, e.tup, e.count)
+	}
+}
+
+// compact rebuilds the table once its tombstones outnumber its live entries.
+// The rebuild costs O(live) and follows at least as many removals, so it is
+// amortised O(1) per removal, and it keeps the arena span — what every scan,
+// directory copy and Diff walks — proportional to the live size.
+func (t *table) compact() {
+	if dead := t.n - t.live; dead > t.live && dead >= compactMinDead {
+		t.rebuild()
+	}
 }
 
 // add increases the multiplicity of tup (whose hash is h) by n, reviving a
@@ -89,8 +286,8 @@ func (t *table) insert(h uint64, tup tuple.Tuple, n uint64) {
 // the probe/resurrect/insert sequence shared by the scalar, batched and merge
 // sinks; callers handle copy-on-write materialisation and n == 0 skipping.
 func (t *table) add(h uint64, tup tuple.Tuple, n uint64) {
-	if i := t.find(h, tup); i != chainEnd {
-		e := &t.entries[i]
+	if i := t.find(h, tup); i >= 0 {
+		e := t.own(i)
 		if e.count == 0 {
 			t.live++
 		}
@@ -101,13 +298,57 @@ func (t *table) add(h uint64, tup tuple.Tuple, n uint64) {
 	t.insert(h, tup, n)
 }
 
+// remove decreases the multiplicity of tup (whose hash is h) by n, clamping
+// at zero, and returns the number of occurrences removed.  Callers compact.
+func (t *table) remove(h uint64, tup tuple.Tuple, n uint64) uint64 {
+	i := t.find(h, tup)
+	if i < 0 || t.at(i).count == 0 {
+		return 0
+	}
+	e := t.own(i)
+	n = min(n, e.count)
+	e.count -= n
+	t.total -= n
+	if e.count == 0 {
+		t.live--
+	}
+	return n
+}
+
+// samePage reports whether two arena pages are one page shared by two tables.
+func samePage(a, b []entry) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// entries iterates the live entries of t in arena order, leaving out every
+// page t shares with skip (nil leaves out nothing).  It serves the write and
+// comparison paths; the scan iterators (Each, EachBatch, ...) spell the same
+// two loops out, which the compiler turns into tighter code.  A tuple has one arena
+// position per table, so a tuple whose multiplicity differs between two
+// tables is on an unshared page of each table that holds it: comparing t and
+// skip entry by entry needs these entries only.
+func (t *table) entries(skip *table) iter.Seq[*entry] {
+	return func(yield func(*entry) bool) {
+		for pi, pg := range t.pages {
+			if skip != nil && pi < len(skip.pages) && samePage(pg.ents, skip.pages[pi].ents) {
+				continue
+			}
+			for i := range pg.ents {
+				if e := &pg.ents[i]; e.count > 0 && !yield(e) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // Relation is a multi-set relation instance.  The zero value is not usable;
 // construct relations with New.  A Relation must not be copied by value.
 type Relation struct {
 	schema schema.Relation
 	tab    *table
 	// cow marks the table as shared with at least one other view (created by
-	// Clone or WithSchema); the first mutation copies it privately.
+	// Clone or WithSchema); the first mutation forks it.
 	cow atomic.Bool
 }
 
@@ -117,7 +358,7 @@ func New(s schema.Relation) *Relation { return NewWithCapacity(s, 0) }
 // NewWithCapacity returns an empty relation pre-sized for about n distinct
 // tuples, so bulk loads by the physical operators avoid rehash growth.
 func NewWithCapacity(s schema.Relation, n int) *Relation {
-	return &Relation{schema: s, tab: newTable(n)}
+	return &Relation{schema: s, tab: newTable(n, pageBits)}
 }
 
 // FromTuples builds a relation containing the given tuples, each with
@@ -133,23 +374,19 @@ func FromTuples(s schema.Relation, tuples ...tuple.Tuple) *Relation {
 // Schema returns the relation's schema.
 func (r *Relation) Schema() schema.Relation { return r.schema }
 
-// materialize gives the relation a private table before a mutation when the
-// current one is shared with other copy-on-write views.
+// materialize gives the relation a table of its own before a mutation when
+// the current one is shared with other copy-on-write views.  It copies the
+// page directories only; pages are copied one by one as writes land on them.
 func (r *Relation) materialize() {
 	if !r.cow.Load() {
 		return
 	}
-	r.tab = r.tab.clone()
+	r.tab = r.tab.fork()
 	r.cow.Store(false)
 }
 
 // Multiplicity returns R(t), the number of occurrences of t in R.
-func (r *Relation) Multiplicity(t tuple.Tuple) uint64 {
-	if i := r.tab.find(t.Hash(), t); i != chainEnd {
-		return r.tab.entries[i].count
-	}
-	return 0
-}
+func (r *Relation) Multiplicity(t tuple.Tuple) uint64 { return r.tab.count(t.Hash(), t) }
 
 // Contains reports t ∈ R, i.e. R(t) > 0.
 func (r *Relation) Contains(t tuple.Tuple) bool { return r.Multiplicity(t) > 0 }
@@ -171,21 +408,8 @@ func (r *Relation) Remove(t tuple.Tuple, n uint64) uint64 {
 		return 0
 	}
 	r.materialize()
-	tab := r.tab
-	i := tab.find(t.Hash(), t)
-	if i == chainEnd || tab.entries[i].count == 0 {
-		return 0
-	}
-	e := &tab.entries[i]
-	removed := n
-	if removed > e.count {
-		removed = e.count
-	}
-	e.count -= removed
-	tab.total -= removed
-	if e.count == 0 {
-		tab.live--
-	}
+	removed := r.tab.remove(t.Hash(), t, n)
+	r.tab.compact()
 	return removed
 }
 
@@ -194,22 +418,13 @@ func (r *Relation) SetMultiplicity(t tuple.Tuple, n uint64) {
 	r.materialize()
 	tab := r.tab
 	h := t.Hash()
-	i := tab.find(h, t)
-	if i == chainEnd {
-		if n > 0 {
-			tab.insert(h, t, n)
-		}
-		return
+	switch cur := tab.count(h, t); {
+	case n > cur:
+		tab.add(h, t, n-cur)
+	case n < cur:
+		tab.remove(h, t, cur-n)
+		tab.compact()
 	}
-	e := &tab.entries[i]
-	switch {
-	case e.count == 0 && n > 0:
-		tab.live++
-	case e.count > 0 && n == 0:
-		tab.live--
-	}
-	tab.total += n - e.count
-	e.count = n
 }
 
 // Cardinality returns |R| counting duplicates: Σ_x R(x).
@@ -225,13 +440,11 @@ func (r *Relation) IsEmpty() bool { return r.tab.total == 0 }
 // order is unspecified (relations are unordered collections).  If fn returns
 // false, iteration stops.  fn must not mutate r.
 func (r *Relation) Each(fn func(t tuple.Tuple, count uint64) bool) {
-	entries := r.tab.entries
-	for i := range entries {
-		if entries[i].count == 0 {
-			continue
-		}
-		if !fn(entries[i].tup, entries[i].count) {
-			return
+	for _, pg := range r.tab.pages {
+		for i := range pg.ents {
+			if e := &pg.ents[i]; e.count > 0 && !fn(e.tup, e.count) {
+				return
+			}
 		}
 	}
 }
@@ -249,40 +462,41 @@ func (r *Relation) EachInPartition(part, parts int, fn func(t tuple.Tuple, count
 		return
 	}
 	p, n := uint64(part), uint64(parts)
-	entries := r.tab.entries
-	for i := range entries {
-		if entries[i].count == 0 || entries[i].hash%n != p {
-			continue
-		}
-		if !fn(entries[i].tup, entries[i].count) {
-			return
+	for _, pg := range r.tab.pages {
+		for i := range pg.ents {
+			if e := &pg.ents[i]; e.count > 0 && e.hash%n == p && !fn(e.tup, e.count) {
+				return
+			}
 		}
 	}
 }
 
 // EachBatch calls fn with consecutive vectors of up to size live chunks
-// (tuples[i] occurs counts[i] times), filled from the entry arena in one
-// tight pass: the vectorised form of Each, with no per-tuple callback.  The
-// slices passed to fn are reused between calls and must not be retained;
-// the tuples inside them may be.  If fn returns false, iteration stops.
+// (tuples[i] occurs counts[i] times), filled from the entry arena page by
+// page in one tight pass: the vectorised form of Each, with no per-tuple
+// callback.  The slices passed to fn are reused between calls and must not
+// be retained; the tuples inside them may be.  If fn returns false, iteration
+// stops.
 func (r *Relation) EachBatch(size int, fn func(tuples []tuple.Tuple, counts []uint64) bool) {
 	if size <= 0 {
 		size = 256
 	}
 	tuples := make([]tuple.Tuple, 0, size)
 	counts := make([]uint64, 0, size)
-	entries := r.tab.entries
-	for i := range entries {
-		if entries[i].count == 0 {
-			continue
-		}
-		tuples = append(tuples, entries[i].tup)
-		counts = append(counts, entries[i].count)
-		if len(tuples) == size {
-			if !fn(tuples, counts) {
-				return
+	for _, pg := range r.tab.pages {
+		for i := range pg.ents {
+			e := &pg.ents[i]
+			if e.count == 0 {
+				continue
 			}
-			tuples, counts = tuples[:0], counts[:0]
+			tuples = append(tuples, e.tup)
+			counts = append(counts, e.count)
+			if len(tuples) == size {
+				if !fn(tuples, counts) {
+					return
+				}
+				tuples, counts = tuples[:0], counts[:0]
+			}
 		}
 	}
 	if len(tuples) > 0 {
@@ -292,9 +506,9 @@ func (r *Relation) EachBatch(size int, fn func(tuples []tuple.Tuple, counts []ui
 
 // EntrySpan returns the size of the relation's entry arena — the index domain
 // EachEntryRange iterates over.  The span counts tombstoned entries too, so it
-// is stable across reads and only grows under insertion; morsel-driven scans
+// is stable across reads and changes only under mutation; morsel-driven scans
 // cut [0, EntrySpan()) into work-stealing ranges.
-func (r *Relation) EntrySpan() int { return len(r.tab.entries) }
+func (r *Relation) EntrySpan() int { return r.tab.n }
 
 // EachEntryRange calls fn once per live tuple stored in arena positions
 // [lo, hi), clamped to the entry span.  The ranges of a partition of
@@ -303,19 +517,17 @@ func (r *Relation) EntrySpan() int { return len(r.tab.entries) }
 // is delivered by exactly one range.  If fn returns false, iteration stops.
 // fn must not mutate r.
 func (r *Relation) EachEntryRange(lo, hi int, fn func(t tuple.Tuple, count uint64) bool) {
-	entries := r.tab.entries
-	if lo < 0 {
-		lo = 0
+	tab := r.tab
+	lo, hi = max(lo, 0), min(hi, tab.n)
+	if lo >= hi {
+		return
 	}
-	if hi > len(entries) {
-		hi = len(entries)
-	}
-	for i := lo; i < hi; i++ {
-		if entries[i].count == 0 {
-			continue
-		}
-		if !fn(entries[i].tup, entries[i].count) {
-			return
+	for pi := lo >> tab.pageBits; pi <= (hi-1)>>tab.pageBits; pi++ {
+		ents, first := tab.pages[pi].ents, pi<<tab.pageBits
+		for i := max(lo-first, 0); i < min(hi-first, len(ents)); i++ {
+			if e := &ents[i]; e.count > 0 && !fn(e.tup, e.count) {
+				return
+			}
 		}
 	}
 }
@@ -363,32 +575,27 @@ func (r *Relation) AddBatchSel(tuples []tuple.Tuple, counts []uint64, sel []int3
 // reuses o's cached entry hashes, so merging partial results never re-hashes
 // attribute values.  o is not modified.
 func (r *Relation) MergeFrom(o *Relation) {
-	if o.tab.total == 0 {
+	src := o.tab
+	if src.total == 0 {
 		return
 	}
 	r.materialize()
-	tab := r.tab
-	entries := o.tab.entries
-	for i := range entries {
-		e := &entries[i]
-		if e.count == 0 {
-			continue
-		}
-		tab.add(e.hash, e.tup, e.count)
+	for e := range src.entries(nil) {
+		r.tab.add(e.hash, e.tup, e.count)
 	}
 }
 
 // EachOccurrence calls fn once per occurrence, i.e. a tuple with multiplicity
 // k is visited k times.  If fn returns false, iteration stops.
 func (r *Relation) EachOccurrence(fn func(t tuple.Tuple) bool) {
-	entries := r.tab.entries
-	for i := range entries {
-		for k := uint64(0); k < entries[i].count; k++ {
-			if !fn(entries[i].tup) {
-				return
+	r.Each(func(t tuple.Tuple, count uint64) bool {
+		for k := uint64(0); k < count; k++ {
+			if !fn(t) {
+				return false
 			}
 		}
-	}
+		return true
+	})
 }
 
 // Tuples returns all occurrences as a flat slice (duplicates expanded), in
@@ -418,32 +625,20 @@ func (r *Relation) Distinct() []tuple.Tuple {
 // intended for deterministic rendering and test assertions; the algebra never
 // relies on order.
 func (r *Relation) EachSorted(fn func(t tuple.Tuple, count uint64) bool) {
-	entries := r.tab.entries
-	idx := make([]int32, 0, r.tab.live)
-	for i := range entries {
-		if entries[i].count > 0 {
-			idx = append(idx, int32(i))
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return entries[idx[a]].tup.Compare(entries[idx[b]].tup) < 0
-	})
-	for _, i := range idx {
-		if !fn(entries[i].tup, entries[i].count) {
+	live := slices.AppendSeq(make([]*entry, 0, r.tab.live), r.tab.entries(nil))
+	sort.Slice(live, func(a, b int) bool { return live[a].tup.Compare(live[b].tup) < 0 })
+	for _, e := range live {
+		if !fn(e.tup, e.count) {
 			return
 		}
 	}
 }
 
 // Clone returns an independent copy of the relation in O(1): the table is
-// shared copy-on-write, and whichever side mutates first copies it privately.
-// Tuples are immutable and always shared.
-func (r *Relation) Clone() *Relation {
-	r.cow.Store(true)
-	cp := &Relation{schema: r.schema, tab: r.tab}
-	cp.cow.Store(true)
-	return cp
-}
+// shared copy-on-write, and whichever side mutates first copies the page
+// directories, then only the pages it writes.  Tuples are immutable and
+// always shared.
+func (r *Relation) Clone() *Relation { return r.WithSchema(r.schema) }
 
 // WithSchema returns a re-typed view of the relation carrying a different
 // (but compatible) schema.  Like Clone, the view shares the table
@@ -456,20 +651,14 @@ func (r *Relation) WithSchema(s schema.Relation) *Relation {
 }
 
 // Equal implements Definition 2.3's equality: R1 = R2 ⇔ ∀x R1(x) = R2(x).
+// Pages the two relations share are skipped, so comparing a relation with a
+// lightly mutated clone costs the mutated pages only.
 func (r *Relation) Equal(o *Relation) bool {
 	if r.tab.total != o.tab.total || r.tab.live != o.tab.live {
 		return false
 	}
-	if r.tab == o.tab {
-		return true
-	}
-	entries := r.tab.entries
-	for i := range entries {
-		if entries[i].count == 0 {
-			continue
-		}
-		j := o.tab.find(entries[i].hash, entries[i].tup)
-		if j == chainEnd || o.tab.entries[j].count != entries[i].count {
+	for e := range r.tab.entries(o.tab) {
+		if o.tab.count(e.hash, e.tup) != e.count {
 			return false
 		}
 	}
@@ -477,20 +666,13 @@ func (r *Relation) Equal(o *Relation) bool {
 }
 
 // SubsetOf implements Definition 2.3's multi-subset: R1 ⊑ R2 ⇔ ∀x R1(x) ≤ R2(x).
+// Shared pages are skipped as in Equal.
 func (r *Relation) SubsetOf(o *Relation) bool {
 	if r.tab.total > o.tab.total {
 		return false
 	}
-	if r.tab == o.tab {
-		return true
-	}
-	entries := r.tab.entries
-	for i := range entries {
-		if entries[i].count == 0 {
-			continue
-		}
-		j := o.tab.find(entries[i].hash, entries[i].tup)
-		if j == chainEnd || o.tab.entries[j].count < entries[i].count {
+	for e := range r.tab.entries(o.tab) {
+		if o.tab.count(e.hash, e.tup) < e.count {
 			return false
 		}
 	}

@@ -99,18 +99,21 @@ func Product(a, b *Relation) *Relation {
 
 // Unique returns δR: the duplicate-free relation with (δR)(x) = 1 whenever
 // R(x) > 0 (Definition 3.4).  Because δR has exactly R's distinct tuples, the
-// result reuses a copy of R's hash table with every live multiplicity forced
-// to one — no tuple is rehashed.
+// result is a copy-on-write view of R with every multiplicity above one
+// forced to one — no tuple is rehashed, and pages that hold no duplicate stay
+// shared with R.
 func Unique(r *Relation) *Relation {
-	out := &Relation{schema: r.schema, tab: r.tab.clone()}
+	out := r.Clone()
+	out.materialize()
 	tab := out.tab
-	tab.total = 0
-	for i := range tab.entries {
-		if tab.entries[i].count > 0 {
-			tab.entries[i].count = 1
-			tab.total++
+	for pi := range tab.pages {
+		for i := range tab.pages[pi].ents {
+			if tab.pages[pi].ents[i].count > 1 {
+				tab.own(int32(pi<<tab.pageBits + i)).count = 1
+			}
 		}
 	}
+	tab.total = uint64(tab.live)
 	return out
 }
 

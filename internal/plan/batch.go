@@ -147,12 +147,6 @@ func (b *Batch) reset() {
 	b.Sel = nil
 }
 
-// push appends one live row-view chunk.
-func (b *Batch) push(t tuple.Tuple, n uint64) {
-	b.Tuples = append(b.Tuples, t)
-	b.Counts = append(b.Counts, n)
-}
-
 // EmitBatch receives one batch of an operator's output stream.  Returning an
 // error aborts the stream.  The batch is owned by the producer and must not be
 // retained (see Batch).

@@ -142,7 +142,7 @@ func (p *partitionNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 		}
 		return w.flush()
 	}
-	part := exec.NewPartitioner(p.cols, ctx.workers)
+	part := exec.NewPartitioner(ctx.workers)
 	// The worker's slice is a selection over the input batch — key hashes
 	// come off the row tuples when present (hashing a tuple walks its values
 	// once) or incrementally off the column vectors otherwise, and no chunk

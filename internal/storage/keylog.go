@@ -28,9 +28,12 @@ func (d Delta) Empty() bool {
 }
 
 // Key-log sizing: a relation's log is floor-pruned once it crosses
-// keyLogPruneThreshold entries, and hard-capped at keyLogMaxEntries by
-// evicting its older half (raising the pruned floor, so validation against
-// evicted history falls back to the conservative relation-version check).
+// keyLogPruneThreshold entries — and after a prune that a pinned snapshot
+// floor made fruitless, only once it has doubled again, so a long-lived
+// reader costs a logarithmic number of passes, not one per commit — and
+// hard-capped at keyLogMaxEntries by evicting its older half (raising the
+// pruned floor, so validation against evicted history falls back to the
+// conservative relation-version check).
 const (
 	keyLogPruneThreshold = 4096
 	keyLogMaxEntries     = 1 << 16
@@ -55,6 +58,16 @@ type keyStamp struct {
 type keyLog struct {
 	keys   map[uint64]keyStamp
 	pruned uint64
+	// rearm is the size at which the commit path prunes next: twice what the
+	// last pass left behind (see due); passes counts the passes run.
+	rearm  int
+	passes int
+}
+
+// due reports whether the log has grown enough since its last prune pass to
+// be worth walking again under the storage lock.
+func (l *keyLog) due() bool {
+	return len(l.keys) >= max(l.rearm, keyLogPruneThreshold)
 }
 
 // prune discards entries at or below floor — versions no live snapshot can
@@ -62,6 +75,9 @@ type keyLog struct {
 // oversized log, raising pruned so affected validators degrade to the
 // conservative relation-version check instead of missing a conflict.
 func (l *keyLog) prune(floor uint64) {
+	l.passes++
+	// Re-arm from the size this pass leaves, never beyond the hard cap.
+	defer func() { l.rearm = min(2*len(l.keys), keyLogMaxEntries+1) }()
 	for h, st := range l.keys {
 		if st.version <= floor {
 			delete(l.keys, h)
@@ -257,7 +273,11 @@ func (d *Database) ApplyDeltas(since uint64, writes map[string]Delta, reads map[
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	keys := make([]string, 0, len(writes))
+	type keyedDelta struct {
+		key string
+		Delta
+	}
+	deltas := make([]keyedDelta, 0, len(writes))
 	for name, delta := range writes {
 		key := strings.ToLower(name)
 		cur, ok := d.relations[key]
@@ -276,28 +296,22 @@ func (d *Database) ApplyDeltas(since uint64, writes map[string]Delta, reads map[
 					ErrSchemaMismatch, name, cur.Schema(), side.Schema())
 			}
 		}
-		keys = append(keys, key)
+		deltas = append(deltas, keyedDelta{key, delta})
 	}
 	for name, observed := range reads {
 		if err := d.validateReadLocked(since, name, observed); err != nil {
 			return Transition{}, err
 		}
 	}
-	sort.Strings(keys)
+	sort.Slice(deltas, func(i, j int) bool { return deltas[i].key < deltas[j].key })
 
 	v := d.version + 1
-	changed := make([]string, 0, len(keys))
-	for _, key := range keys {
-		var delta Delta
-		for name, cand := range writes {
-			if strings.ToLower(name) == key {
-				delta = cand
-				break
-			}
-		}
+	changed := make([]string, 0, len(deltas))
+	for _, delta := range deltas {
 		if delta.Empty() {
 			continue
 		}
+		key := delta.key
 		d.relations[key].ApplyDelta(delta.Add, delta.Remove)
 		if st, ok := d.stats[key]; ok {
 			// Maintain statistics incrementally from the same delta stream,
@@ -326,7 +340,7 @@ func (d *Database) ApplyDeltas(since uint64, writes map[string]Delta, reads map[
 		}
 		d.versions[key] = v
 		changed = append(changed, d.relations[key].Schema().Name())
-		if len(log.keys) >= keyLogPruneThreshold {
+		if log.due() {
 			log.prune(d.snapshotFloor())
 		}
 	}
@@ -337,6 +351,6 @@ func (d *Database) ApplyDeltas(since uint64, writes map[string]Delta, reads map[
 	d.version = v
 	tr := Transition{From: d.logicalTime, To: d.logicalTime + 1, Changed: changed}
 	d.logicalTime++
-	d.history = append(d.history, tr)
+	d.record(tr)
 	return tr, nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -228,5 +229,45 @@ func TestWholesaleReplacementConflictsAllKeys(t *testing.T) {
 	}
 	if err := db.ValidateReads(snap.Version(), map[string]*multiset.Relation{"r": fresh}); !errors.Is(err, ErrVersionConflict) {
 		t.Fatalf("read validation across a wholesale replacement must conflict, got %v", err)
+	}
+}
+
+// TestKeyLogPruneRearmsUnderPinnedSnapshot is the regression test for the
+// prune thrash: while a long-lived snapshot pins the floor a prune pass
+// discards nothing, so the commit path must not run one per commit (each
+// walks the whole log under the exclusive storage lock) but only each time
+// the log has doubled — a logarithmic number of passes.
+func TestKeyLogPruneRearmsUnderPinnedSnapshot(t *testing.T) {
+	const commits = 3 * keyLogPruneThreshold
+	db := newKeyLogDB(t, commits)
+	pin := db.Snapshot()
+	for k := int64(0); k < commits; k++ {
+		since := db.Snapshot()
+		if _, err := db.ApplyDeltas(since.Version(), map[string]Delta{"r": deltaFor(db, k, 0)}, nil); err != nil {
+			t.Fatalf("commit %d: %v", k, err)
+		}
+		since.Release()
+	}
+	log := db.keylogs["r"]
+	entries, pruned := db.KeyLogStats("r")
+	if pruned > pin.Version() {
+		t.Fatalf("floor %d passed the pinned snapshot's version %d", pruned, pin.Version())
+	}
+	if entries != 2*commits {
+		t.Fatalf("entries = %d, want every key touched above the pin (%d)", entries, 2*commits)
+	}
+	// The log doubled log2(entries/threshold) times since its first pass.
+	if limit := bits.Len(uint(entries / keyLogPruneThreshold)); log.passes > limit {
+		t.Fatalf("%d prune passes for %d commits under a pinned floor, want at most %d", log.passes, commits, limit)
+	}
+	// Once the reader lets go a pass reclaims the log, and the trigger is back
+	// at the threshold: the pinned episode leaves no lasting slack.
+	pin.Release()
+	db.PruneKeyLogs()
+	if entries, _ := db.KeyLogStats("r"); entries != 0 {
+		t.Fatalf("entries after release and prune = %d, want 0", entries)
+	}
+	if log.rearm > keyLogPruneThreshold || log.due() {
+		t.Fatalf("trigger not re-armed at the threshold: rearm = %d, due = %v", log.rearm, log.due())
 	}
 }

@@ -12,6 +12,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,7 +56,9 @@ type Database struct {
 	schema      *schema.Database
 	relations   map[string]*multiset.Relation
 	logicalTime uint64
-	history     []Transition
+	// history holds the most recent transitions, at least historyLimit of
+	// them once that many were recorded and never 2·historyLimit (see record).
+	history []Transition
 	// version is the database change clock: it advances on every committed
 	// Apply/ApplyDeltas and on every DDL operation, and versions records, per
 	// relation, the clock value of its last change.  Snapshots capture the
@@ -184,13 +187,27 @@ func (d *Database) LogicalTime() uint64 {
 	return d.logicalTime
 }
 
-// History returns the recorded single-step transitions, oldest first.
+// historyLimit is how many of the most recent transitions History retains.
+const historyLimit = 4096
+
+// History returns the recorded single-step transitions, oldest first: all of
+// them up to historyLimit, beyond that the most recent historyLimit — a
+// contiguous suffix ending at the current logical time.  (A served database
+// commits thousands of transitions a second; LogicalTime counts them all.)
 func (d *Database) History() []Transition {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]Transition, len(d.history))
-	copy(out, d.history)
-	return out
+	return slices.Clone(d.history[max(0, len(d.history)-historyLimit):])
+}
+
+// record appends a transition to the bounded history under the held write
+// lock, dropping the older half of the buffer each time it fills: amortised
+// O(1) per commit.
+func (d *Database) record(tr Transition) {
+	if len(d.history) == 2*historyLimit {
+		d.history = append(d.history[:0], d.history[historyLimit:]...)
+	}
+	d.history = append(d.history, tr)
 }
 
 // RelationCardinality implements the planner's cardinality source
@@ -245,7 +262,11 @@ func (d *Database) Apply(changes map[string]*multiset.Relation) (Transition, err
 // lock; see Apply for the semantics.
 func (d *Database) applyLocked(changes map[string]*multiset.Relation) (Transition, error) {
 	// Validate first so the installation below cannot fail halfway.
-	keys := make([]string, 0, len(changes))
+	type keyedInstance struct {
+		key  string
+		inst *multiset.Relation
+	}
+	insts := make([]keyedInstance, 0, len(changes))
 	for name, inst := range changes {
 		key := strings.ToLower(name)
 		cur, ok := d.relations[key]
@@ -256,29 +277,23 @@ func (d *Database) applyLocked(changes map[string]*multiset.Relation) (Transitio
 			return Transition{}, fmt.Errorf("%w: relation %q expects %s, got %s",
 				ErrSchemaMismatch, name, cur.Schema(), inst.Schema())
 		}
-		keys = append(keys, key)
+		insts = append(insts, keyedInstance{key, inst})
 	}
-	sort.Strings(keys)
+	sort.Slice(insts, func(i, j int) bool { return insts[i].key < insts[j].key })
 
-	changed := make([]string, 0, len(keys))
-	for _, key := range keys {
-		declared := d.relations[key].Schema()
-		var inst *multiset.Relation
-		for name, candidate := range changes {
-			if strings.ToLower(name) == key {
-				inst = candidate
-				break
-			}
-		}
+	changed := make([]string, 0, len(insts))
+	for _, in := range insts {
+		declared := d.relations[in.key].Schema()
 		// Re-type the instance with the declared schema so attribute names and
 		// the relation name survive statement-level rebuilds.
-		d.relations[key] = inst.Clone().WithSchema(declared)
+		d.relations[in.key] = in.inst.Clone().WithSchema(declared)
 		changed = append(changed, declared.Name())
 	}
 	tr := Transition{From: d.logicalTime, To: d.logicalTime + 1, Changed: changed}
 	d.logicalTime++
 	d.version++
-	for _, key := range keys {
+	for _, in := range insts {
+		key := in.key
 		d.versions[key] = d.version
 		// A full replacement invalidates the per-key history: stamp it
 		// wholesale and drop the log so key-granular validators conflict.
@@ -287,6 +302,6 @@ func (d *Database) applyLocked(changes map[string]*multiset.Relation) (Transitio
 		delete(d.keylogs, key)
 		delete(d.stats, key)
 	}
-	d.history = append(d.history, tr)
+	d.record(tr)
 	return tr, nil
 }

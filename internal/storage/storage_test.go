@@ -204,3 +204,36 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		t.Errorf("history length = %d", len(db.History()))
 	}
 }
+
+// TestHistoryBounded checks that the transition history is a bounded,
+// contiguous suffix: logical time counts every commit of a long-lived
+// database while History keeps the most recent historyLimit.
+func TestHistoryBounded(t *testing.T) {
+	const commits = 2*historyLimit + 500
+	db := newKeyLogDB(t, 1) // one Apply: logical time 1
+	for v := int64(0); v < commits; v++ {
+		since := db.Snapshot()
+		if _, err := db.ApplyDeltas(since.Version(), map[string]Delta{"r": deltaFor(db, 0, v)}, nil); err != nil {
+			t.Fatalf("commit %d: %v", v, err)
+		}
+		since.Release()
+		if n := len(db.History()); n > historyLimit {
+			t.Fatalf("after %d commits History holds %d transitions, limit %d", v+1, n, historyLimit)
+		}
+	}
+	if got := db.LogicalTime(); got != commits+1 {
+		t.Fatalf("logical time = %d, want %d", got, commits+1)
+	}
+	hist := db.History()
+	if len(hist) != historyLimit {
+		t.Fatalf("History holds %d transitions, want the most recent %d", len(hist), historyLimit)
+	}
+	if last := hist[len(hist)-1]; last.To != db.LogicalTime() {
+		t.Errorf("newest transition ends at %d, logical time is %d", last.To, db.LogicalTime())
+	}
+	for i, tr := range hist {
+		if tr.To != tr.From+1 || (i > 0 && tr.From != hist[i-1].To) {
+			t.Fatalf("retained history is not contiguous at %d: %v after %v", i, tr, hist[max(i-1, 0)])
+		}
+	}
+}

@@ -589,7 +589,9 @@ func (t *Tx) WithContext(ctx context.Context) *Tx {
 	return t
 }
 
-// History returns the committed single-step transitions of the database.
+// History returns the committed single-step transitions of the database,
+// oldest first.  The store retains the most recent 4096 (a contiguous suffix
+// ending at the current logical time); LogicalTime counts every commit.
 func (db *DB) History() []storage.Transition { return db.store.History() }
 
 // Tx is an explicit transaction handle exposing the statement-level API.
