@@ -107,8 +107,49 @@ func Read(r io.Reader) (*storage.Database, error) {
 }
 
 // ReadInto parses a dump into an existing database, creating its relations.
-// Relations that already exist cause an error.
+// The restore is atomic: the whole dump is parsed and validated first — a
+// torn or malformed dump, a relation named twice, or a relation the database
+// already holds fails before anything is created — and the relations are
+// created and filled only afterwards, so a failing restore leaves the
+// database as it was.
 func ReadInto(db *storage.Database, r io.Reader) error {
+	rels, err := parse(db, r)
+	if err != nil || len(rels) == 0 {
+		return err
+	}
+	changes := make(map[string]*multiset.Relation, len(rels))
+	var created []string
+	for _, inst := range rels {
+		name := inst.Schema().Name()
+		if err := db.CreateRelation(inst.Schema()); err != nil {
+			// Validation already ruled out existing names, so only a
+			// concurrent creator gets here: undo this restore's creations.
+			drop(db, created)
+			return err
+		}
+		created = append(created, name)
+		changes[name] = inst
+	}
+	if _, err := db.Apply(changes); err != nil {
+		drop(db, created)
+		return err
+	}
+	return nil
+}
+
+// drop removes the relations a failed restore created.
+func drop(db *storage.Database, names []string) {
+	for _, name := range names {
+		_ = db.DropRelation(name)
+	}
+}
+
+// parse reads a whole dump into relation instances, in dump order, and
+// validates it against the target database: every relation's schema must be
+// well-formed and its name unique, both within the dump and against the
+// relations db already holds (names compare case-insensitively, as the
+// catalog does).
+func parse(db *storage.Database, r io.Reader) ([]*multiset.Relation, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -126,10 +167,11 @@ func ReadInto(db *storage.Database, r io.Reader) error {
 
 	first, ok := next()
 	if !ok || first != header {
-		return fmt.Errorf("%w: missing %q header", ErrFormat, header)
+		return nil, fmt.Errorf("%w: missing %q header", ErrFormat, header)
 	}
 
-	changes := make(map[string]*multiset.Relation)
+	var rels []*multiset.Relation
+	seen := make(map[string]bool)
 	for {
 		line, ok := next()
 		if !ok {
@@ -139,38 +181,42 @@ func ReadInto(db *storage.Database, r io.Reader) error {
 			continue
 		}
 		if !strings.HasPrefix(line, "relation ") {
-			return fmt.Errorf("%w: line %d: expected a relation declaration, got %q", ErrFormat, lineNo, line)
+			return nil, fmt.Errorf("%w: line %d: expected a relation declaration, got %q", ErrFormat, lineNo, line)
 		}
 		rel, err := parseRelationHeader(strings.TrimPrefix(line, "relation "))
-		if err != nil {
-			return fmt.Errorf("%w: line %d: %v", ErrFormat, lineNo, err)
+		if err == nil {
+			err = rel.Validate()
 		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, lineNo, err)
+		}
+		key := strings.ToLower(rel.Name())
+		if seen[key] {
+			return nil, fmt.Errorf("%w: line %d: relation %q declared twice", ErrFormat, lineNo, rel.Name())
+		}
+		if _, exists := db.RelationSchema(rel.Name()); exists {
+			return nil, fmt.Errorf("%w: %q", storage.ErrRelationExists, rel.Name())
+		}
+		seen[key] = true
 		inst := multiset.New(rel)
 		for {
 			row, ok := next()
 			if !ok {
-				return fmt.Errorf("%w: unexpected end of input inside relation %q", ErrFormat, rel.Name())
+				return nil, fmt.Errorf("%w: unexpected end of input inside relation %q", ErrFormat, rel.Name())
 			}
 			if row == "end" {
 				break
 			}
 			if err := parseTupleLine(row, rel, inst); err != nil {
-				return fmt.Errorf("%w: line %d: %v", ErrFormat, lineNo, err)
+				return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, lineNo, err)
 			}
 		}
-		if err := db.CreateRelation(rel); err != nil {
-			return err
-		}
-		changes[rel.Name()] = inst
+		rels = append(rels, inst)
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if len(changes) == 0 {
-		return nil
-	}
-	_, err := db.Apply(changes)
-	return err
+	return rels, nil
 }
 
 // parseRelationHeader parses "name(col type, col type, ...)".

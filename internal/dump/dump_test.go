@@ -123,13 +123,19 @@ func TestReadIntoExistingDatabase(t *testing.T) {
 	if err := Write(db, &buf); err != nil {
 		t.Fatal(err)
 	}
-	// Restoring into a database that already has one of the relations fails.
-	target := storage.NewDatabase()
-	if err := target.CreateRelation(workload.BeerSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadInto(target, bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("restoring over an existing relation must fail")
+	// Restoring into a database that already has one of the relations fails
+	// and creates nothing — whether the clash is the dump's first relation
+	// (beer) or its last (mixed, after beer and brewery have been parsed).
+	for _, held := range []schema.Relation{workload.BeerSchema(), mustSchema(t, db, "mixed")} {
+		target := storage.NewDatabase()
+		if err := target.CreateRelation(held); err != nil {
+			t.Fatal(err)
+		}
+		before := target.Names()
+		if err := ReadInto(target, bytes.NewReader(buf.Bytes())); !errors.Is(err, storage.ErrRelationExists) {
+			t.Errorf("restoring over an existing %q: err = %v, want ErrRelationExists", held.Name(), err)
+		}
+		assertNames(t, target, before)
 	}
 	// An empty dump restores nothing.
 	empty := storage.NewDatabase()
@@ -138,6 +144,24 @@ func TestReadIntoExistingDatabase(t *testing.T) {
 	}
 	if len(empty.Names()) != 0 {
 		t.Error("empty dump must restore nothing")
+	}
+}
+
+// mustSchema returns the schema of db's relation name.
+func mustSchema(t *testing.T, db *storage.Database, name string) schema.Relation {
+	t.Helper()
+	s, ok := db.RelationSchema(name)
+	if !ok {
+		t.Fatalf("no relation %q", name)
+	}
+	return s
+}
+
+// assertNames fails unless db holds exactly the named relations.
+func assertNames(t *testing.T, db *storage.Database, want []string) {
+	t.Helper()
+	if got := db.Names(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("relations after a failed restore = %v, want %v", got, want)
 	}
 }
 
@@ -164,10 +188,28 @@ func TestReadErrors(t *testing.T) {
 		"# mra dump v1\nrelation r(x string)\nt 1 | abc\nend",           // unquoted string
 		"# mra dump v1\nrelation r(x int)\nend\nrelation r(x int)\nend", // duplicate relation
 	}
+	// A dump torn mid-relation after a complete one, and one that repeats a
+	// relation after others: both fail after earlier relations parsed fine.
+	var dump bytes.Buffer
+	if err := Write(newTestDB(t), &dump); err != nil {
+		t.Fatal(err)
+	}
+	torn := dump.String()[:strings.LastIndex(dump.String(), "end")]
+	bad = append(bad, torn, dump.String()+"relation beer(x int)\nend\n")
 	for _, src := range bad {
 		if _, err := Read(strings.NewReader(src)); err == nil {
 			t.Errorf("input %q must fail to restore", src)
 		}
+		// A failing restore into a populated database leaves its catalog and
+		// contents exactly as they were.
+		target := storage.NewDatabase()
+		if err := target.CreateRelation(schema.NewRelation("kept", schema.Attribute{Name: "x", Type: value.KindInt})); err != nil {
+			t.Fatal(err)
+		}
+		if err := ReadInto(target, strings.NewReader(src)); err == nil {
+			t.Errorf("input %q must fail to restore into a populated database", src)
+		}
+		assertNames(t, target, []string{"kept"})
 	}
 	// Format errors wrap ErrFormat.
 	_, err := Read(strings.NewReader("# mra dump v1\nnonsense"))

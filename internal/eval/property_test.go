@@ -798,12 +798,12 @@ func TestPropertyMultiAggregateParallel(t *testing.T) {
 // batch sizes that stress every selection-vector edge: BatchSize 1 makes each
 // batch a single physical row (a filter leaves it fully live or fully dead),
 // BatchSize 2 forces partial selections, and MorselSize 1 makes every morsel a
-// boundary.  The suite pins the columnar loops — which run inside every
-// parallel gang — against Reference at workers 2, 4 and 8 on skewed data: hot
-// tuples recur across many chunks, so the same tuple appears repeatedly within
-// and across batches.  ParallelThreshold 1 also drops the gang-build threshold
-// to 4 rows, so the hash join builds its table morsel-parallel (asserted on
-// the rendered plan).
+// boundary.  The suite pins the columnar loops — the one execution protocol,
+// serial and parallel — against Reference at workers 1, 2, 4 and 8 on skewed
+// data: hot tuples recur across many chunks, so the same tuple appears
+// repeatedly within and across batches.  ParallelThreshold 1 also drops the
+// gang-build threshold to 4 rows, so the hash join builds its table
+// morsel-parallel (asserted on the rendered plan).
 //
 // Run with -race to check the shared build table and the gang build merge.
 func TestPropertyColumnarAdversarialSizes(t *testing.T) {
@@ -833,6 +833,12 @@ func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 1},
 			{Fn: algebra.AggMin, Col: 1}, {Fn: algebra.AggMax, Col: 1},
 		}, algebra.NewSelect(pred, e1)),
+		// Division above a filter that removes its zero divisors: skewed data
+		// puts %1 = 0 in about half the draws, so evaluating a dead row would
+		// fail with a division by zero that Reference never raises.
+		algebra.NewExtProject(
+			[]scalar.Expr{scalar.NewArith(value.OpDiv, scalar.NewAttr(1), scalar.NewAttr(0))}, nil,
+			algebra.NewSelect(scalar.NewCompare(value.CmpNe, scalar.NewAttr(0), scalar.NewConst(value.NewInt(0))), e1)),
 	}
 	for round := 0; round < 15; round++ {
 		src := MapSource{
@@ -848,7 +854,7 @@ func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 		for _, e := range exprs {
 			ref, refErr := (Reference{}).Eval(e, src)
 			for _, bs := range []int{1, 2} {
-				for _, w := range []int{2, 4, 8} {
+				for _, w := range []int{1, 2, 4, 8} {
 					eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: bs}}
 					phys, physErr := eng.Eval(e, src)
 					if (refErr == nil) != (physErr == nil) {

@@ -17,7 +17,7 @@
 //
 // Concurrency contract: a worker's partial relation is private to that worker
 // — the runtime never touches it from two goroutines — so operator code
-// running under Exchange keeps the single-threaded Emit contract of package
+// running under Exchange keeps the single-threaded stream contract of package
 // plan.  Workers must not share mutable state; anything a worker accumulates
 // is either its partial relation (merged by Partials) or per-worker counters
 // folded by the caller after Pool.Run returns.  The only cross-worker state is

@@ -382,10 +382,12 @@ func (g *groupTable) finalTuple(gi int) (tuple.Tuple, error) {
 	return head.Concat(tuple.FromSlice(vals)), nil
 }
 
-// each emits one result tuple per group.  With an empty grouping list the
-// aggregate is global: exactly one output tuple, even on empty input (where
-// AVG/MIN/MAX surface ErrEmptyAggregate from their fresh states).
-func (g *groupTable) each(emit Emit) error {
+// output emits one result tuple per group, batch-wise.  With an empty
+// grouping list the aggregate is global: exactly one output tuple, even on
+// empty input (where AVG/MIN/MAX surface ErrEmptyAggregate from their fresh
+// states).
+func (g *groupTable) output(ctx *execCtx, emit EmitBatch) error {
+	w := newBatchWriter(ctx, emit)
 	if len(g.spec.groupCols) == 0 && len(g.groups) == 0 {
 		vals := make([]value.Value, len(g.spec.aggs))
 		for i, sp := range g.spec.aggs {
@@ -396,18 +398,21 @@ func (g *groupTable) each(emit Emit) error {
 			}
 			vals[i] = v
 		}
-		return emit(tuple.FromSlice(vals), 1)
+		if err := w.push(tuple.FromSlice(vals), 1); err != nil {
+			return err
+		}
+		return w.flush()
 	}
 	for i := range g.groups {
 		t, err := g.finalTuple(i)
 		if err != nil {
 			return err
 		}
-		if err := emit(t, 1); err != nil {
+		if err := w.push(t, 1); err != nil {
 			return err
 		}
 	}
-	return nil
+	return w.flush()
 }
 
 // TransitiveClosure computes the smallest transitively closed relation

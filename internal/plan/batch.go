@@ -1,18 +1,22 @@
 package plan
 
 import (
+	"mra/internal/multiset"
 	"mra/internal/tuple"
 	"mra/internal/value"
 )
 
-// This file implements the vectorised half of the streaming contract: the
-// columnar Batch with its selection vector, the EmitBatch consumer side, and
-// the adapters that let batch-native and chunk-at-a-time operators compose
-// freely.  Batching exists to amortise call overhead — a pipeline of
-// batch-native operators crosses operator boundaries once per batch instead
-// of once per tuple — and, in columnar form, to let the hot operator loops
-// (filter, project, join probe, aggregate update) run column-at-a-time over
-// contiguous value vectors.  Neither changes the multi-set a stream denotes.
+// This file implements the one stream protocol between physical operators:
+// the columnar Batch with its selection vector, the EmitBatch consumer side,
+// and the three edges where a stream meets tuples — Batch.forEach hands a
+// batch's live chunks to operators that want tuples, batchWriter buffers
+// tuples an operator produces into batches, and emitRelation streams a
+// materialised relation batch-wise off its entry arena.  Batching amortises
+// call overhead (a pipeline crosses operator boundaries once per batch, not
+// once per tuple) and, in columnar form, lets the hot operator loops (filter,
+// project, join probe, aggregate update) run column-at-a-time over contiguous
+// value vectors.  How a stream is cut into batches never changes the
+// multi-set it denotes.
 
 // DefaultBatchSize is the number of chunks per emitted batch when the planner
 // does not size batches itself.  Large enough that per-batch call overhead
@@ -37,9 +41,9 @@ const DefaultBatchSize = 128
 // must never be read or evaluated — error semantics are defined over live
 // rows only.
 //
-// A batch denotes the multi-set summing its live chunks, and like the scalar
-// Emit contract the same tuple may appear in several chunks (even within one
-// batch); consumers add multiplicities.
+// A batch denotes the multi-set summing its live chunks, and the same tuple
+// may appear in several chunks (even within one batch); consumers add
+// multiplicities.
 //
 // Ownership: a Batch handed to an EmitBatch is only valid for the duration of
 // the call — producers reuse the backing slices (Tuples, Counts, Cols, Sel)
@@ -119,10 +123,10 @@ func (b *Batch) TupleAt(r int) tuple.Tuple {
 	return tuple.FromSlice(vals)
 }
 
-// forEach iterates the live rows as (tuple, count) chunks — the scalar edge
-// of the batch, used by the unbatched adapter and by chunk-at-a-time
-// consumers at the materialisation boundary.
-func (b *Batch) forEach(fn func(t tuple.Tuple, n uint64) error) error {
+// forEach iterates the live rows as (tuple, count) chunks, in row order: how
+// operators that want tuples — join builds, Unique, the nested loop, the
+// ordered sink — read a batch.
+func (b *Batch) forEach(fn Emit) error {
 	if b.Sel == nil {
 		for r := range b.Counts {
 			if err := fn(b.TupleAt(r), b.Counts[r]); err != nil {
@@ -152,30 +156,20 @@ func (b *Batch) reset() {
 // retained (see Batch).
 type EmitBatch func(b *Batch) error
 
-// batchRunner is implemented by operators with a native vectorised execution
-// path.  Operators without one still participate in batched pipelines through
-// the fallback shim in execCtx.runBatch, which buffers their chunk-at-a-time
-// output into batches.
-type batchRunner interface {
-	Node
-	// runBatch streams the operator's output into emit, batch-wise.
-	runBatch(ctx *execCtx, emit EmitBatch) error
-}
-
 // batchWriter accumulates chunks into a reusable row-view batch and flushes it
-// to emit whenever it reaches the configured size.  Producers must call flush
-// once at end of stream.
+// to emit whenever it reaches the execution's batch size: the output side of
+// operators that produce tuples one at a time (join matches, Unique's first
+// sightings, aggregate groups, sorted chunks).  Producers must call flush once
+// at end of stream.
 type batchWriter struct {
 	out  Batch
 	size int
 	emit EmitBatch
 }
 
-// newBatchWriter returns a writer emitting batches of the given size.
-func newBatchWriter(size int, emit EmitBatch) *batchWriter {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
+// newBatchWriter returns a writer emitting batches of ctx's batch size.
+func newBatchWriter(ctx *execCtx, emit EmitBatch) *batchWriter {
+	size := ctx.batchCap()
 	return &batchWriter{
 		out:  Batch{Tuples: make([]tuple.Tuple, 0, size), Counts: make([]uint64, 0, size)},
 		size: size,
@@ -203,14 +197,33 @@ func (w *batchWriter) flush() error {
 	return err
 }
 
+// emitRelation streams a materialised relation — a scanned base relation, a
+// blocking set operator's result, a gang's partial — into emit as row-view
+// batches filled straight off the entry arena (multiset.EachBatch, one tight
+// pass with no per-tuple callback).  It is a cancellation checkpoint: the
+// query context is polled once per batch.
+func emitRelation(ctx *execCtx, r *multiset.Relation, emit EmitBatch) error {
+	var b Batch
+	var err error
+	r.EachBatch(ctx.batchCap(), func(tuples []tuple.Tuple, counts []uint64) bool {
+		if err = ctx.poll(); err != nil {
+			return false
+		}
+		b.Tuples, b.Counts = tuples, counts
+		err = emit(&b)
+		return err == nil
+	})
+	return err
+}
+
 // colCache is a consumer-owned column gather cache: one reusable vector per
 // attribute of the batch it is currently bound to (batch binds it; col reads
 // it).  col returns the bound batch's column c, sharing the producer's vector
 // when the batch is columnar and gathering from the row view (tuple.Column,
 // one contiguous pass, at most once per batch and column) otherwise.
 // Gathered vectors are valid until the next batch, exactly like the batch
-// itself.  Operators allocate a colCache per runBatch call — never on the
-// node, which is shared across gang workers.
+// itself.  Operators allocate a colCache per run call — never on the node,
+// which is shared across gang workers.
 type colCache struct {
 	b    *Batch
 	bufs []value.Vec
@@ -235,29 +248,11 @@ func (cc *colCache) col(c int) value.Vec {
 		cc.have = append(cc.have, false)
 	}
 	if !cc.have[c] {
+		if cap(cc.bufs[c]) < len(cc.b.Tuples) {
+			cc.bufs[c] = make(value.Vec, 0, len(cc.b.Tuples))
+		}
 		cc.bufs[c] = tuple.Column(cc.b.Tuples, c, cc.bufs[c])
 		cc.have[c] = true
 	}
 	return cc.bufs[c]
-}
-
-// unbatched adapts a batch-native operator to the chunk-at-a-time Emit
-// contract: every live chunk of every batch is forwarded individually.  It
-// backs the run methods of batch-native operators, so the scalar contract
-// stays universally available.
-func unbatched(ctx *execCtx, n batchRunner, emit Emit) error {
-	return n.runBatch(ctx, func(b *Batch) error {
-		return b.forEach(emit)
-	})
-}
-
-// shimBatches adapts a chunk-at-a-time operator to the EmitBatch contract by
-// buffering its output: the per-operator fallback shim that keeps operators
-// without a native batch path composable inside vectorised pipelines.
-func shimBatches(ctx *execCtx, n Node, emit EmitBatch) error {
-	w := newBatchWriter(ctx.batchCap(), emit)
-	if err := n.run(ctx, w.push); err != nil {
-		return err
-	}
-	return w.flush()
 }

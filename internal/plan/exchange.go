@@ -49,8 +49,8 @@ import (
 // All state a gang shares — morsel queues, pre-built join tables, the scan
 // snapshot — is created by the parent before the workers start and is either
 // read-only (tables, snapshot) or internally synchronised by one atomic
-// (queues), so workers keep the single-threaded Emit contract of the package
-// comment.
+// (queues), so workers keep the single-threaded stream contract of the
+// package comment.
 
 // DefaultParallelThreshold is the estimated input cardinality (tuples,
 // counting duplicates) below which the planner leaves a shape serial: under
@@ -106,15 +106,11 @@ func (p *partitionNode) Describe() string {
 	return fmt.Sprintf("Partition [hash(%s) workers=%d]", colList(p.cols), p.workers)
 }
 
-func (p *partitionNode) run(ctx *execCtx, emit Emit) error {
-	return unbatched(ctx, p, emit)
-}
-
-// runBatch implements batchRunner: the worker's slice is emitted batch-wise,
-// straight off the leaf arena for morsel and scan-hash slices.
-func (p *partitionNode) runBatch(ctx *execCtx, emit EmitBatch) error {
+// run emits the worker's slice batch-wise, straight off the leaf arena for
+// morsel and scan-hash slices.
+func (p *partitionNode) run(ctx *execCtx, emit EmitBatch) error {
 	if ctx.workers <= 1 {
-		return ctx.runBatch(p.input, emit)
+		return ctx.run(p.input, emit)
 	}
 	if p.mode == partitionMorsel {
 		if q := ctx.morselQueue(p); q != nil {
@@ -131,7 +127,7 @@ func (p *partitionNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 		if err != nil {
 			return err
 		}
-		w := newBatchWriter(ctx.batchCap(), emit)
+		w := newBatchWriter(ctx, emit)
 		var iterErr error
 		r.EachInPartition(ctx.worker, ctx.workers, func(t tuple.Tuple, n uint64) bool {
 			iterErr = w.push(t, n)
@@ -151,7 +147,7 @@ func (p *partitionNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 	var keyVecs []value.Vec
 	var sel []int32
 	var out Batch
-	return ctx.runBatch(p.input, func(b *Batch) error {
+	return ctx.run(p.input, func(b *Batch) error {
 		if b.Tuples == nil {
 			cc.batch(b)
 			keyVecs = keyVecs[:0]
@@ -196,7 +192,7 @@ func (p *partitionNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 // leaf until none remain, emitting each range's live chunks batch-wise.  The
 // gang collectively delivers every chunk exactly once.
 func (p *partitionNode) runMorsels(ctx *execCtx, q *exec.MorselQueue, emit EmitBatch) error {
-	w := newBatchWriter(ctx.batchCap(), emit)
+	w := newBatchWriter(ctx, emit)
 	switch leaf := p.input.(type) {
 	case *scanNode:
 		r, err := leaf.lookup(ctx)
@@ -373,7 +369,7 @@ func prepare(ctx *execCtx, n Node, snap snapshotSource, gs *gangState) error {
 // collision chain does not affect which tuples match, only match order, and
 // relations are unordered.
 func (j *hashJoinNode) parallelBuildTable(ctx *execCtx, gs *gangState) (*joinTable, error) {
-	build, buildCols := j.buildSide()
+	build, _ := j.buildSide()
 	pool := exec.NewPool(j.buildWorkers)
 	wctxs := make([]*execCtx, pool.Workers())
 	capEach := capacityFor(build.meta().capHint)/pool.Workers() + 1
@@ -382,14 +378,7 @@ func (j *hashJoinNode) parallelBuildTable(ctx *execCtx, gs *gangState) (*joinTab
 		wctx.setContext(gctx)
 		wctxs[w] = wctx
 		tb := newJoinTable(capEach)
-		err := wctx.run(build, func(t tuple.Tuple, n uint64) error {
-			if err := wctx.chargeTuple(t); err != nil {
-				return err
-			}
-			tb.insert(t, n, buildCols)
-			return nil
-		})
-		if err != nil {
+		if err := j.fill(wctx, tb); err != nil {
 			return nil, err
 		}
 		return tb, nil
@@ -445,12 +434,12 @@ func gangSetup(ctx *execCtx, subtree Node, workers int) (*exec.Pool, snapshotSou
 	return pool, snap, gs, nil
 }
 
-// gang runs the per-worker subtree executions and returns the partials; the
-// caller decides whether to stream or materialise them.
-func (m *mergeNode) gang(ctx *execCtx) (*exec.Partials, error) {
+// gang runs the per-worker subtree executions and returns the partials with
+// the gang width; the caller decides whether to stream or materialise them.
+func (m *mergeNode) gang(ctx *execCtx) (*exec.Partials, int, error) {
 	pool, snap, gs, err := gangSetup(ctx, m.input, m.workers)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	wctxs := make([]*execCtx, pool.Workers())
 	capEach := capacityFor(m.input.meta().capHint)/pool.Workers() + 1
@@ -464,7 +453,7 @@ func (m *mergeNode) gang(ctx *execCtx) (*exec.Partials, error) {
 	ctx.foldWorkers(wctxs)
 	// The per-worker partials are the exchange's materialised state.
 	ctx.materialised(m, parts.Cardinality())
-	return parts, wrapGangErr(m, err)
+	return parts, pool.Workers(), wrapGangErr(m, err)
 }
 
 // wrapGangErr attaches the gang boundary's operator to a recovered worker
@@ -478,24 +467,24 @@ func wrapGangErr(n Node, err error) error {
 	return err
 }
 
-func (m *mergeNode) run(ctx *execCtx, emit Emit) error {
-	return unbatched(ctx, m, emit)
-}
-
-// runBatch implements batchRunner: the merged partials stream out batch-wise.
-func (m *mergeNode) runBatch(ctx *execCtx, emit EmitBatch) error {
+// run streams the per-worker partials out batch-wise, one after the other:
+// their sum is the merged result, and consumers add multiplicities.
+func (m *mergeNode) run(ctx *execCtx, emit EmitBatch) error {
 	if ctx.workers > 1 {
-		return ctx.runBatch(m.input, emit)
+		// Nested inside an already parallel region: degrade to a
+		// pass-through, so composed exchanges stay correct.
+		return ctx.run(m.input, emit)
 	}
-	parts, err := m.gang(ctx)
+	parts, workers, err := m.gang(ctx)
 	if err != nil {
 		return err
 	}
-	w := newBatchWriter(ctx.batchCap(), emit)
-	if err := parts.Each(func(t tuple.Tuple, n uint64) error { return w.push(t, n) }); err != nil {
-		return err
+	for w := range workers {
+		if err := emitRelation(ctx, parts.Rel(w), emit); err != nil {
+			return err
+		}
 	}
-	return w.flush()
+	return nil
 }
 
 // result implements materializer: when a consumer wants the whole relation
@@ -505,7 +494,7 @@ func (m *mergeNode) result(ctx *execCtx) (*multiset.Relation, error) {
 	if ctx.workers > 1 {
 		return ctx.materialize(m.input)
 	}
-	parts, err := m.gang(ctx)
+	parts, _, err := m.gang(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -565,7 +554,8 @@ func (m *groupMergeNode) gangTables(ctx *execCtx) (*groupTable, error) {
 	return global, nil
 }
 
-func (m *groupMergeNode) run(ctx *execCtx, emit Emit) error {
+// run streams the finalised global groups out batch-wise.
+func (m *groupMergeNode) run(ctx *execCtx, emit EmitBatch) error {
 	if ctx.workers > 1 {
 		// Nested inside an already parallel region: degrade to a pass-through,
 		// like mergeNode, so composed exchanges stay correct.
@@ -575,23 +565,7 @@ func (m *groupMergeNode) run(ctx *execCtx, emit Emit) error {
 	if err != nil {
 		return err
 	}
-	return groups.each(emit)
-}
-
-// runBatch implements batchRunner: the finalised groups stream out batch-wise.
-func (m *groupMergeNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	if ctx.workers > 1 {
-		return ctx.runBatch(m.agg, emit)
-	}
-	groups, err := m.gangTables(ctx)
-	if err != nil {
-		return err
-	}
-	w := newBatchWriter(ctx.batchCap(), emit)
-	if err := groups.each(w.push); err != nil {
-		return err
-	}
-	return w.flush()
+	return groups.output(ctx, emit)
 }
 
 // ---------------------------------------------------------------------------
@@ -797,7 +771,6 @@ func streamable(n Node) bool {
 func pipelineWork(n Node) bool {
 	switch x := n.(type) {
 	case *filterNode, *projectNode, *extProjectNode:
-		_ = x
 		return true
 	case *unionNode:
 		return pipelineWork(x.left) || pipelineWork(x.right)

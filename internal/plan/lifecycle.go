@@ -7,13 +7,14 @@ package plan
 // # Cancellation checkpoints
 //
 // Plans poll their query context at amortised points — one check per morsel
-// claim, per emitted batch, and per batchCap chunks on the scalar leaf loops —
-// never per tuple.  Polling goes through execCtx.poll, which is disabled
-// entirely (ctx.done == nil) when the query context can never be cancelled, so
-// the serial Execute path is bit-identical to the pre-lifecycle engine.  A
-// tripped poll returns the context's own error (context.Canceled or
-// context.DeadlineExceeded), which aborts the stream through the ordinary
-// error path of the Emit contract.
+// claim, per batch a materialised relation streams out (emitRelation: scan
+// leaves, blocking set-operator results, gang partials), and per batch a sink
+// consumes (execCtx.collect, the ordered root) — never per tuple.  Polling
+// goes through execCtx.poll, which is disabled entirely (ctx.done == nil) when
+// the query context can never be cancelled, so an uncancellable execution
+// pays one nil check per batch.  A tripped poll returns the context's own
+// error (context.Canceled or context.DeadlineExceeded), which aborts the
+// stream through the ordinary error path of the stream contract.
 //
 // # Memory accounting
 //
@@ -35,6 +36,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"mra/internal/multiset"
 	"mra/internal/tuple"
 	"mra/internal/value"
 )
@@ -133,6 +135,20 @@ func (ctx *execCtx) chargeTuple(t tuple.Tuple) error {
 	return ctx.mem.Grow(approxTupleBytes(t))
 }
 
+// chargeRelation charges every distinct tuple of a materialised operand to
+// the query's gauge, when one is set.
+func (ctx *execCtx) chargeRelation(r *multiset.Relation) error {
+	if ctx.mem == nil {
+		return nil
+	}
+	var err error
+	r.Each(func(t tuple.Tuple, _ uint64) bool {
+		err = ctx.chargeTuple(t)
+		return err == nil
+	})
+	return err
+}
+
 // queryCtx returns the query's lifecycle context, Background when none was
 // provided.
 func (ctx *execCtx) queryCtx() context.Context {
@@ -154,7 +170,7 @@ func (ctx *execCtx) setContext(c context.Context) {
 
 // poll returns the query context's error once it is cancelled or past its
 // deadline, nil otherwise.  Callers invoke it at amortised checkpoints only:
-// per morsel claim, per batch, or per batchCap chunks — never per tuple.
+// per morsel claim or per batch — never per tuple.
 func (ctx *execCtx) poll() error {
 	if ctx.done == nil {
 		return nil
@@ -164,27 +180,5 @@ func (ctx *execCtx) poll() error {
 		return ctx.qctx.Err()
 	default:
 		return nil
-	}
-}
-
-// pollingEmit wraps emit with an amortised cancellation check every batchCap
-// chunks.  On a non-cancellable context it returns emit unchanged, so serial
-// uncancellable plans pay nothing.  Leaf scans and materialised-state emission
-// loops — the places where long streams flow without crossing a polled
-// boundary — wrap their emit functions with it.
-func (ctx *execCtx) pollingEmit(emit Emit) Emit {
-	if ctx.done == nil {
-		return emit
-	}
-	interval := ctx.batchCap()
-	n := 0
-	return func(t tuple.Tuple, c uint64) error {
-		if n++; n >= interval {
-			n = 0
-			if err := ctx.poll(); err != nil {
-				return err
-			}
-		}
-		return emit(t, c)
 	}
 }

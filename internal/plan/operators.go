@@ -13,7 +13,7 @@ import (
 
 // This file implements the physical operators.  Streaming operators (Filter,
 // Project, ExtProject, Union, Unique, the probe phases of the joins) process
-// one chunk at a time; blocking operators materialise exactly the state their
+// one batch at a time; blocking operators materialise exactly the state their
 // algorithm needs and account for it via execCtx.materialised.
 
 // ---------------------------------------------------------------------------
@@ -37,38 +37,15 @@ func (s *scanNode) lookup(ctx *execCtx) (*multiset.Relation, error) {
 	return r, nil
 }
 
-func (s *scanNode) run(ctx *execCtx, emit Emit) error {
+// run streams the relation's distinct entries batch-wise straight off the
+// hash-table arena.  Leaf streams are where long pipelines spend their time,
+// so emitRelation's per-batch poll is the pipeline's cancellation checkpoint.
+func (s *scanNode) run(ctx *execCtx, emit EmitBatch) error {
 	r, err := s.lookup(ctx)
 	if err != nil {
 		return err
 	}
-	// Leaf streams are where long pipelines spend their time, so the scan is
-	// the scalar path's cancellation checkpoint (amortised to one poll per
-	// batchCap chunks; free on uncancellable contexts).
-	return each(r, ctx.pollingEmit(emit))
-}
-
-// runBatch implements batchRunner: the relation's distinct entries are
-// vectorised into batches straight off the hash-table arena, with no
-// per-tuple callback (multiset.EachBatch fills whole vectors in one pass).
-func (s *scanNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	r, err := s.lookup(ctx)
-	if err != nil {
-		return err
-	}
-	var b Batch
-	var iterErr error
-	r.EachBatch(ctx.batchCap(), func(tuples []tuple.Tuple, counts []uint64) bool {
-		// One cancellation checkpoint per batch — the vectorised counterpart
-		// of the scalar path's pollingEmit.
-		if iterErr = ctx.poll(); iterErr != nil {
-			return false
-		}
-		b.Tuples, b.Counts = tuples, counts
-		iterErr = emit(&b)
-		return iterErr == nil
-	})
-	return iterErr
+	return emitRelation(ctx, r, emit)
 }
 
 // result implements materializer: the clone is an O(1) copy-on-write view.
@@ -89,19 +66,8 @@ type valuesNode struct {
 func (v *valuesNode) Children() []Node { return nil }
 func (v *valuesNode) Describe() string { return fmt.Sprintf("Values (%d rows)", len(v.rows)) }
 
-func (v *valuesNode) run(ctx *execCtx, emit Emit) error {
-	emit = ctx.pollingEmit(emit)
-	for _, row := range v.rows {
-		if err := emit(tuple.New(row...), 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runBatch implements batchRunner over the literal rows.
-func (v *valuesNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	w := newBatchWriter(ctx.batchCap(), emit)
+func (v *valuesNode) run(ctx *execCtx, emit EmitBatch) error {
+	w := newBatchWriter(ctx, emit)
 	for _, row := range v.rows {
 		if err := w.push(tuple.New(row...), 1); err != nil {
 			return err
@@ -124,33 +90,17 @@ type filterNode struct {
 func (f *filterNode) Children() []Node { return []Node{f.input} }
 func (f *filterNode) Describe() string { return fmt.Sprintf("Filter [%s]", f.pred) }
 
-// run is the scalar fast path: serial plans chain per-chunk closures with no
-// batch copies.  It must stay semantically identical to runBatch; the
-// random-expression property tests exercise both.
-func (f *filterNode) run(ctx *execCtx, emit Emit) error {
-	return ctx.run(f.input, func(t tuple.Tuple, n uint64) error {
-		ok, err := f.pred.Holds(t)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		return emit(t, n)
-	})
-}
-
-// runBatch implements batchRunner: the predicate is compiled into comparison
-// kernels that refine each input batch's selection vector — a selective filter
-// flips live-row indices in tight per-column loops and never moves a value.
-// Predicates the kernels cannot express fall back to row-wise Holds over live
-// rows, still producing a selection instead of compacting.
-func (f *filterNode) runBatch(ctx *execCtx, emit EmitBatch) error {
+// run compiles the predicate into comparison kernels that refine each input
+// batch's selection vector — a selective filter flips live-row indices in
+// tight per-column loops and never moves a value.  Predicates the kernels
+// cannot express fall back to row-wise Holds over live rows, still producing
+// a selection instead of compacting.
+func (f *filterNode) run(ctx *execCtx, emit EmitBatch) error {
 	kernels, compiled := compileVecPred(f.pred)
 	var cc colCache
 	var selA, selB []int32
 	var out Batch
-	return ctx.runBatch(f.input, func(b *Batch) error {
+	return ctx.run(f.input, func(b *Batch) error {
 		cc.batch(b)
 		rows := b.rows()
 		cur, curNil := b.Sel, b.Sel == nil
@@ -201,26 +151,15 @@ type projectNode struct {
 func (p *projectNode) Children() []Node { return []Node{p.input} }
 func (p *projectNode) Describe() string { return "Project [" + colList(p.cols) + "]" }
 
-// run is the scalar fast path of the projection (see filterNode.run).
-func (p *projectNode) run(ctx *execCtx, emit Emit) error {
-	return ctx.run(p.input, func(t tuple.Tuple, n uint64) error {
-		out, err := t.Project(p.cols)
-		if err != nil {
-			return err
-		}
-		return emit(out, n)
-	})
-}
-
-// runBatch implements batchRunner: the output batch is the input's column
-// vectors re-ordered per the projection list — shared, never copied — with the
-// counts and selection passed through untouched.  Projection indices are
-// validated at plan time, so the columnar path needs no per-tuple range check.
-func (p *projectNode) runBatch(ctx *execCtx, emit EmitBatch) error {
+// run emits the input's column vectors re-ordered per the projection list —
+// shared, never copied — with the counts and selection passed through
+// untouched.  Projection indices are validated at plan time, so no per-tuple
+// range check is needed.
+func (p *projectNode) run(ctx *execCtx, emit EmitBatch) error {
 	var cc colCache
 	outCols := make([]value.Vec, len(p.cols))
 	var out Batch
-	return ctx.runBatch(p.input, func(b *Batch) error {
+	return ctx.run(p.input, func(b *Batch) error {
 		cc.batch(b)
 		for j, c := range p.cols {
 			outCols[j] = cc.col(c)
@@ -247,32 +186,16 @@ func (p *extProjectNode) Describe() string {
 	return "ExtProject [" + strings.Join(items, ", ") + "]"
 }
 
-// run is the scalar fast path of the extended projection (see
-// filterNode.run).
-func (p *extProjectNode) run(ctx *execCtx, emit Emit) error {
-	return ctx.run(p.input, func(t tuple.Tuple, n uint64) error {
-		vals := make([]value.Value, len(p.items))
-		for i, item := range p.items {
-			v, err := item.Eval(t)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		return emit(tuple.FromSlice(vals), n)
-	})
-}
-
-// runBatch implements batchRunner: bare attribute items share the input's
-// column vectors, computed items evaluate column-at-a-time (evalAt) into
-// reusable scratch vectors over live rows only — dead rows are never
-// evaluated, so expression errors surface exactly as on the scalar path.
-func (p *extProjectNode) runBatch(ctx *execCtx, emit EmitBatch) error {
+// run shares the input's column vectors for bare attribute items and
+// evaluates computed items column-at-a-time (evalAt) into reusable scratch
+// vectors over live rows only — dead rows are never evaluated, so a row a
+// filter killed cannot surface an expression error.
+func (p *extProjectNode) run(ctx *execCtx, emit EmitBatch) error {
 	var cc colCache
 	outCols := make([]value.Vec, len(p.items))
 	scratch := make([]value.Vec, len(p.items))
 	var out Batch
-	return ctx.runBatch(p.input, func(b *Batch) error {
+	return ctx.run(p.input, func(b *Batch) error {
 		cc.batch(b)
 		rows := b.rows()
 		n := b.Len()
@@ -314,17 +237,22 @@ type uniqueNode struct {
 func (u *uniqueNode) Children() []Node { return []Node{u.input} }
 func (u *uniqueNode) Describe() string { return "Unique" }
 
-func (u *uniqueNode) run(ctx *execCtx, emit Emit) error {
+func (u *uniqueNode) run(ctx *execCtx, emit EmitBatch) error {
 	seen := newTupleSet(capacityFor(u.capHint))
-	err := ctx.run(u.input, func(t tuple.Tuple, _ uint64) error {
+	w := newBatchWriter(ctx, emit)
+	first := func(t tuple.Tuple, _ uint64) error {
 		if !seen.insert(t) {
 			return nil
 		}
 		if err := ctx.chargeTuple(t); err != nil {
 			return err
 		}
-		return emit(t, 1)
-	})
+		return w.push(t, 1)
+	}
+	err := ctx.run(u.input, func(b *Batch) error { return b.forEach(first) })
+	if err == nil {
+		err = w.flush()
+	}
 	ctx.materialised(u, uint64(seen.len()))
 	return err
 }
@@ -339,19 +267,11 @@ type unionNode struct {
 func (u *unionNode) Children() []Node { return []Node{u.left, u.right} }
 func (u *unionNode) Describe() string { return "Union" }
 
-func (u *unionNode) run(ctx *execCtx, emit Emit) error {
+func (u *unionNode) run(ctx *execCtx, emit EmitBatch) error {
 	if err := ctx.run(u.left, emit); err != nil {
 		return err
 	}
 	return ctx.run(u.right, emit)
-}
-
-// runBatch implements batchRunner by streaming both operands' batches.
-func (u *unionNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	if err := ctx.runBatch(u.left, emit); err != nil {
-		return err
-	}
-	return ctx.runBatch(u.right, emit)
 }
 
 // ---------------------------------------------------------------------------
@@ -498,59 +418,35 @@ func (j *hashJoinNode) probeSide() (Node, []int) {
 // buildTable materialises the build side into a fresh joinTable, charging the
 // held tuples to the operator's state.
 func (j *hashJoinNode) buildTable(ctx *execCtx) (*joinTable, error) {
-	build, buildCols := j.buildSide()
+	build, _ := j.buildSide()
 	tb := newJoinTable(capacityFor(build.meta().capHint))
-	err := ctx.run(build, func(t tuple.Tuple, n uint64) error {
-		if err := ctx.chargeTuple(t); err != nil {
-			return err
-		}
-		tb.insert(t, n, buildCols)
-		return nil
-	})
-	if err != nil {
+	if err := j.fill(ctx, tb); err != nil {
 		return nil, err
 	}
 	ctx.materialised(j, tb.built)
 	return tb, nil
 }
 
-// probeOne probes the table with one chunk (pt, pc), emitting every joined
-// match: the match loop of the scalar probe path.
-func (j *hashJoinNode) probeOne(tb *joinTable, pt tuple.Tuple, pc uint64, probeCols, buildCols []int, emit Emit) error {
-	head, ok := tb.index[pt.HashOn(probeCols)]
-	if !ok {
-		return nil
-	}
-	for i := head; i != -1; i = tb.nodes[i].next {
-		bt := tb.nodes[i].tup
-		if !equalOn(pt, probeCols, bt, buildCols) {
-			continue
-		}
-		var joined tuple.Tuple
-		if j.buildLeft {
-			joined = bt.Concat(pt)
-		} else {
-			joined = pt.Concat(bt)
-		}
-		if j.residual != nil {
-			ok, err := j.residual.Holds(joined)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if err := emit(joined, pc*tb.nodes[i].count); err != nil {
+// fill streams the build side into tb chunk by chunk, charging every held
+// tuple to the query's memory gauge.
+func (j *hashJoinNode) fill(ctx *execCtx, tb *joinTable) error {
+	build, buildCols := j.buildSide()
+	insert := func(t tuple.Tuple, n uint64) error {
+		if err := ctx.chargeTuple(t); err != nil {
 			return err
 		}
+		tb.insert(t, n, buildCols)
+		return nil
 	}
-	return nil
+	return ctx.run(build, func(b *Batch) error { return b.forEach(insert) })
 }
 
-// run is the scalar fast path of the join: the probe side streams per chunk
-// with no batch copies (see filterNode.run).
-func (j *hashJoinNode) run(ctx *execCtx, emit Emit) error {
+// run probes the (own or gang-shared) table: probe keys hash incrementally
+// off the probe batch's column vectors (hashRowOn — bit-identical to
+// tuple.HashOn) and chain candidates compare key values straight off the
+// vectors, so a probe row only materialises a tuple once it actually matches.
+// The joined output is re-batched row-wise.
+func (j *hashJoinNode) run(ctx *execCtx, emit EmitBatch) error {
 	tb := ctx.sharedBuild(j)
 	if tb == nil {
 		var err error
@@ -567,37 +463,12 @@ func (j *hashJoinNode) run(ctx *execCtx, emit Emit) error {
 		// when no tuple could join.
 		return ctx.run(probe, discard)
 	}
-	_, buildCols := j.buildSide()
-	return ctx.run(probe, func(pt tuple.Tuple, pc uint64) error {
-		return j.probeOne(tb, pt, pc, probeCols, buildCols, emit)
-	})
-}
-
-// runBatch implements batchRunner: probe keys hash incrementally off the
-// probe batch's column vectors (hashRowOn — bit-identical to tuple.HashOn)
-// and chain candidates compare key values straight off the vectors, so a
-// probe row only materialises a tuple once it actually matches.  The joined
-// output is re-batched row-wise.
-func (j *hashJoinNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	tb := ctx.sharedBuild(j)
-	if tb == nil {
-		var err error
-		tb, err = j.buildTable(ctx)
-		if err != nil {
-			return err
-		}
-	}
-	probe, probeCols := j.probeSide()
-	if len(tb.nodes) == 0 {
-		// Strictness, as in run: the probe side still executes.
-		return ctx.runBatch(probe, discardBatch)
-	}
 
 	_, buildCols := j.buildSide()
-	w := newBatchWriter(ctx.batchCap(), emit)
+	w := newBatchWriter(ctx, emit)
 	var cc colCache
 	keyVecs := make([]value.Vec, len(probeCols))
-	err := ctx.runBatch(probe, func(b *Batch) error {
+	err := ctx.run(probe, func(b *Batch) error {
 		cc.batch(b)
 		for k, c := range probeCols {
 			keyVecs[k] = cc.col(c)
@@ -681,7 +552,7 @@ func (j *nestedLoopNode) Describe() string {
 	return fmt.Sprintf("NestedLoopJoin [%s] inner=%s", j.cond, inner)
 }
 
-func (j *nestedLoopNode) run(ctx *execCtx, emit Emit) error {
+func (j *nestedLoopNode) run(ctx *execCtx, emit EmitBatch) error {
 	inner, outer := j.left, j.right
 	if j.innerRight {
 		inner, outer = j.right, j.left
@@ -692,15 +563,15 @@ func (j *nestedLoopNode) run(ctx *execCtx, emit Emit) error {
 	}
 	chunks := make([]chunk, 0, capacityFor(inner.meta().capHint))
 	var held uint64
-	err := ctx.run(inner, func(t tuple.Tuple, n uint64) error {
+	hold := func(t tuple.Tuple, n uint64) error {
 		if err := ctx.chargeTuple(t); err != nil {
 			return err
 		}
 		chunks = append(chunks, chunk{tup: t, count: n})
 		held += n
 		return nil
-	})
-	if err != nil {
+	}
+	if err := ctx.run(inner, func(b *Batch) error { return b.forEach(hold) }); err != nil {
 		return err
 	}
 	ctx.materialised(j, held)
@@ -709,7 +580,8 @@ func (j *nestedLoopNode) run(ctx *execCtx, emit Emit) error {
 		return ctx.run(outer, discard)
 	}
 
-	return ctx.run(outer, func(ot tuple.Tuple, oc uint64) error {
+	w := newBatchWriter(ctx, emit)
+	join := func(ot tuple.Tuple, oc uint64) error {
 		for i := range chunks {
 			var joined tuple.Tuple
 			if j.innerRight {
@@ -726,12 +598,16 @@ func (j *nestedLoopNode) run(ctx *execCtx, emit Emit) error {
 					continue
 				}
 			}
-			if err := emit(joined, oc*chunks[i].count); err != nil {
+			if err := w.push(joined, oc*chunks[i].count); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
+	}
+	if err := ctx.run(outer, func(b *Batch) error { return b.forEach(join) }); err != nil {
+		return err
+	}
+	return w.flush()
 }
 
 // ---------------------------------------------------------------------------
@@ -768,23 +644,15 @@ func (a *hashAggNode) Describe() string {
 	return s
 }
 
-// buildGroups consumes the input into a fresh group table — batch-wise
-// inside a parallel gang, folding batches in column-at-a-time
-// (groupTable.addBatch), chunk-at-a-time in serial plans — and charges the
-// group count to the operator's state.
+// buildGroups consumes the input into a fresh group table, folding batches
+// in column-at-a-time (groupTable.addBatch), and charges the group count to
+// the operator's state.
 func (a *hashAggNode) buildGroups(ctx *execCtx) (*groupTable, error) {
 	groups := newGroupTable(a.gb, capacityFor(a.capHint), ctx.mem)
-	var err error
-	if _, native := a.input.(batchRunner); native && ctx.workers > 1 {
-		var cc colCache
-		err = ctx.runBatch(a.input, func(b *Batch) error {
-			return groups.addBatch(b, &cc)
-		})
-	} else {
-		err = ctx.run(a.input, func(t tuple.Tuple, n uint64) error {
-			return groups.add(t, n)
-		})
-	}
+	var cc colCache
+	err := ctx.run(a.input, func(b *Batch) error {
+		return groups.addBatch(b, &cc)
+	})
 	// The operator's state is one entry per group (aggregates fold in place),
 	// not the consumed input.
 	ctx.materialised(a, uint64(len(groups.groups)))
@@ -794,26 +662,12 @@ func (a *hashAggNode) buildGroups(ctx *execCtx) (*groupTable, error) {
 	return groups, nil
 }
 
-func (a *hashAggNode) run(ctx *execCtx, emit Emit) error {
+func (a *hashAggNode) run(ctx *execCtx, emit EmitBatch) error {
 	groups, err := a.buildGroups(ctx)
 	if err != nil {
 		return err
 	}
-	return groups.each(emit)
-}
-
-// runBatch implements batchRunner: the input is aggregated batch-wise and the
-// per-group results are emitted as batches.
-func (a *hashAggNode) runBatch(ctx *execCtx, emit EmitBatch) error {
-	groups, err := a.buildGroups(ctx)
-	if err != nil {
-		return err
-	}
-	w := newBatchWriter(ctx.batchCap(), emit)
-	if err := groups.each(w.push); err != nil {
-		return err
-	}
-	return w.flush()
+	return groups.output(ctx, emit)
 }
 
 // ---------------------------------------------------------------------------
@@ -830,12 +684,12 @@ type differenceNode struct {
 func (d *differenceNode) Children() []Node { return []Node{d.left, d.right} }
 func (d *differenceNode) Describe() string { return "Difference" }
 
-func (d *differenceNode) run(ctx *execCtx, emit Emit) error {
+func (d *differenceNode) run(ctx *execCtx, emit EmitBatch) error {
 	out, err := d.result(ctx)
 	if err != nil {
 		return err
 	}
-	return each(out, ctx.pollingEmit(emit))
+	return emitRelation(ctx, out, emit)
 }
 
 func (d *differenceNode) result(ctx *execCtx) (*multiset.Relation, error) {
@@ -855,12 +709,12 @@ type intersectNode struct {
 func (i *intersectNode) Children() []Node { return []Node{i.left, i.right} }
 func (i *intersectNode) Describe() string { return "Intersect" }
 
-func (i *intersectNode) run(ctx *execCtx, emit Emit) error {
+func (i *intersectNode) run(ctx *execCtx, emit EmitBatch) error {
 	out, err := i.result(ctx)
 	if err != nil {
 		return err
 	}
-	return each(out, ctx.pollingEmit(emit))
+	return emitRelation(ctx, out, emit)
 }
 
 func (i *intersectNode) result(ctx *execCtx) (*multiset.Relation, error) {
@@ -881,12 +735,12 @@ type tcloseNode struct {
 func (t *tcloseNode) Children() []Node { return []Node{t.input} }
 func (t *tcloseNode) Describe() string { return "TClose" }
 
-func (t *tcloseNode) run(ctx *execCtx, emit Emit) error {
+func (t *tcloseNode) run(ctx *execCtx, emit EmitBatch) error {
 	out, err := t.result(ctx)
 	if err != nil {
 		return err
 	}
-	return each(out, ctx.pollingEmit(emit))
+	return emitRelation(ctx, out, emit)
 }
 
 func (t *tcloseNode) result(ctx *execCtx) (*multiset.Relation, error) {
@@ -894,10 +748,8 @@ func (t *tcloseNode) result(ctx *execCtx) (*multiset.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ctx.mem != nil {
-		if err := each(in, func(tp tuple.Tuple, _ uint64) error { return ctx.chargeTuple(tp) }); err != nil {
-			return nil, err
-		}
+	if err := ctx.chargeRelation(in); err != nil {
+		return nil, err
 	}
 	ctx.materialised(t, in.Cardinality())
 	return TransitiveClosure(in), nil
@@ -909,20 +761,7 @@ func (t *tcloseNode) result(ctx *execCtx) (*multiset.Relation, error) {
 
 // discard consumes a stream without keeping anything; joins use it to run a
 // side whose output cannot contribute but whose errors must still surface.
-func discard(tuple.Tuple, uint64) error { return nil }
-
-// discardBatch is discard for batched streams.
-func discardBatch(*Batch) error { return nil }
-
-// each streams a materialised relation into emit.
-func each(r *multiset.Relation, emit Emit) error {
-	var iterErr error
-	r.Each(func(t tuple.Tuple, n uint64) bool {
-		iterErr = emit(t, n)
-		return iterErr == nil
-	})
-	return iterErr
-}
+func discard(*Batch) error { return nil }
 
 // materializePair materialises both operands of a blocking binary operator,
 // charging their cardinalities to the operator's state — both for statistics
@@ -937,13 +776,11 @@ func materializePair(ctx *execCtx, op Node, left, right Node) (*multiset.Relatio
 	if err != nil {
 		return nil, nil, err
 	}
-	if ctx.mem != nil {
-		if err := each(l, func(t tuple.Tuple, _ uint64) error { return ctx.chargeTuple(t) }); err != nil {
-			return nil, nil, err
-		}
-		if err := each(r, func(t tuple.Tuple, _ uint64) error { return ctx.chargeTuple(t) }); err != nil {
-			return nil, nil, err
-		}
+	if err := ctx.chargeRelation(l); err != nil {
+		return nil, nil, err
+	}
+	if err := ctx.chargeRelation(r); err != nil {
+		return nil, nil, err
 	}
 	ctx.materialised(op, l.Cardinality()+r.Cardinality())
 	return l, r, nil

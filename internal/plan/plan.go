@@ -10,35 +10,35 @@
 // decision and lives here, fed by the same cardinality-based cost model the
 // rewriter uses (cost.go).
 //
-// # Iterator contract
+// # Stream contract
 //
-// Physical operators are push-based streams.  An operator's run method calls
-// its emit function once per output chunk (t, n): tuple t occurs n (> 0) more
-// times.  The stream as a whole denotes the multi-set that sums all chunks;
-// the SAME tuple MAY be emitted in several chunks (for example by a union
-// whose operands share a tuple, or by a projection that collapses distinct
-// inputs), and consumers must add multiplicities rather than assume
-// distinctness.  Chunk order is unspecified — relations are unordered.
+// Physical operators are push-based streams with one protocol: an operator's
+// run method calls its EmitBatch once per output Batch (batch.go), serial or
+// parallel, whatever the operator.  A batch holds chunks (t, n) — tuple t
+// occurs n (> 0) more times — and the stream as a whole denotes the
+// multi-set that sums the live chunks of all its batches.  The SAME tuple MAY
+// appear in several chunks (for example from a union whose operands share a
+// tuple, or a projection that collapses distinct inputs), and consumers must
+// add multiplicities rather than assume distinctness.  Chunk order is
+// unspecified — relations are unordered — except at the root of an ordered
+// plan, whose Sort emits in key order.  Every operator is pointwise on
+// multiplicities, so how a stream is cut into batches never changes what it
+// denotes.
 //
-// The contract has a vectorised form (batch.go): operators with a native
-// batch path additionally implement runBatch, which emits Batch vectors of
-// chunks instead of single chunks, amortising the per-chunk call overhead
-// across operator boundaries.  A Batch is columnar with a selection vector:
-// physical rows carry multiplicities (Counts) and attribute values readable
-// row-major (Tuples) or column-major (Cols, one value.Vec per attribute),
-// under a Sel vector listing the live physical rows — filters refine Sel
-// instead of compacting, projections share column slices, and the hot loops
-// (filter kernels, join probe, aggregate update — vec.go) run
-// column-at-a-time over live rows only.  Dead rows are never read or
-// evaluated; Batch.TupleAt is the materialisation boundary where a columnar
-// row becomes a tuple, crossed only for live rows a consumer retains or
-// emits.  Consumers drive whichever form they prefer
-// through execCtx.run / execCtx.runBatch; adapters bridge the two directions
-// (unbatched splits batches into chunks, the fallback shim buffers chunks
-// into batches), so batch-native and chunk-at-a-time operators compose
-// freely and both forms denote the same multi-set.  A batch is only valid
-// for the duration of the EmitBatch call — producers reuse its backing
-// slices — while the tuples and values inside it may be retained as usual.
+// A Batch is columnar with a selection vector: physical rows carry
+// multiplicities (Counts) and attribute values readable row-major (Tuples) or
+// column-major (Cols, one value.Vec per attribute), under a Sel vector
+// listing the live physical rows — filters refine Sel instead of compacting,
+// projections share column slices, and the hot loops (filter kernels, join
+// probe, aggregate update — vec.go) run column-at-a-time over live rows only.
+// Dead rows are never read or evaluated; Batch.TupleAt is the
+// materialisation boundary where a columnar row becomes a tuple, crossed only
+// for live rows a consumer retains or emits.  Operators that want tuples
+// read their input chunk by chunk through Batch.forEach and emit through a
+// batchWriter; materialised relations (scans, blocking set-operator results,
+// gang partials) stream out through emitRelation.  A batch is only valid for
+// the duration of the EmitBatch call — producers reuse its backing slices —
+// while the tuples and values inside it may be retained.
 //
 // Ownership: emitted tuples are immutable and may be retained by the
 // consumer; they are often shared with the source relations.  Schema
@@ -50,7 +50,7 @@
 //
 // Pipelining falls out of the model: a chain of streaming operators
 // (Filter, Project, ExtProject, Union, the probe side of a HashJoin, the
-// outer side of a NestedLoopJoin, Unique's output) processes one chunk at a
+// outer side of a NestedLoopJoin, Unique's output) processes one batch at a
 // time and never materialises an intermediate relation.  Blocking operators
 // (hash-join build side, HashAggregate, Difference, Intersect, TClose,
 // NestedLoopJoin's inner side) hold exactly the state their algorithm
@@ -73,9 +73,9 @@
 // Bag semantics make every split exact: multiplicities sum across disjoint
 // partitions, so the merged partials equal the serial result.
 //
-// The Emit contract is per worker under parallel execution: within one worker
-// the stream rules above hold unchanged, and an emit function is never called
-// concurrently — each worker's chunks flow into a private partial relation
+// The stream contract is per worker under parallel execution: within one
+// worker the rules above hold unchanged, and an emit function is never called
+// concurrently — each worker's batches flow into a private partial relation
 // that the Merge sums afterwards.  Operators therefore need no locks, and
 // must not share mutable state across workers; anything per-execution lives
 // in the worker's own execCtx.  Scan leaves resolve their relations through
@@ -107,8 +107,10 @@ type Source interface {
 	Relation(name string) (*multiset.Relation, bool)
 }
 
-// Emit receives one chunk (t, n) of an operator's output stream: tuple t
-// occurs n more times.  Returning an error aborts the stream.
+// Emit receives one chunk (t, n): tuple t occurs n more times.  It is the
+// row-level callback at the edges of the batch stream — Batch.forEach hands
+// a batch's live chunks to one, and batchWriter.push is one — never the
+// stream between two operators.  Returning an error aborts the stream.
 type Emit func(t tuple.Tuple, n uint64) error
 
 // Node is one physical operator of a compiled plan.  Nodes are built by the
@@ -129,8 +131,8 @@ type Node interface {
 	// closed to this package.
 	meta() *base
 
-	// run streams the operator's output into emit.
-	run(ctx *execCtx, emit Emit) error
+	// run streams the operator's output into emit, batch-wise.
+	run(ctx *execCtx, emit EmitBatch) error
 }
 
 // base carries the bookkeeping every physical operator shares.
@@ -404,42 +406,17 @@ func (ctx *execCtx) foldWorkers(workers []*execCtx) {
 }
 
 // run streams a node's output into emit, recording emission statistics for
-// non-leaf operators when enabled.
-func (ctx *execCtx) run(n Node, emit Emit) error {
+// non-leaf operators when enabled: the one driver every operator executes
+// through.
+func (ctx *execCtx) run(n Node, emit EmitBatch) error {
 	if ctx.stats == nil || len(n.Children()) == 0 {
 		return n.run(ctx, emit)
 	}
 	var emitted uint64
-	err := n.run(ctx, func(t tuple.Tuple, c uint64) error {
-		emitted += c
-		return emit(t, c)
-	})
-	ctx.record(n, emitted)
-	return err
-}
-
-// runBatch streams a node's output into emit batch-wise, recording emission
-// statistics for non-leaf operators when enabled.  Operators without a native
-// batch path are adapted through the fallback shim.
-func (ctx *execCtx) runBatch(n Node, emit EmitBatch) error {
-	bn, native := n.(batchRunner)
-	if ctx.stats == nil || len(n.Children()) == 0 {
-		if native {
-			return bn.runBatch(ctx, emit)
-		}
-		return shimBatches(ctx, n, emit)
-	}
-	var emitted uint64
-	wrapped := func(b *Batch) error {
+	err := n.run(ctx, func(b *Batch) error {
 		emitted += b.Total()
 		return emit(b)
-	}
-	var err error
-	if native {
-		err = bn.runBatch(ctx, wrapped)
-	} else {
-		err = shimBatches(ctx, n, wrapped)
-	}
+	})
 	ctx.record(n, emitted)
 	return err
 }
@@ -464,14 +441,7 @@ func (ctx *execCtx) result(m materializer) (*multiset.Relation, error) {
 		return nil, err
 	}
 	if ctx.stats != nil && len(m.Children()) > 0 {
-		card := rel.Cardinality()
-		st := ctx.stats
-		st.Operators++
-		st.IntermediateTuples += card
-		if card > st.PeakRelationTuples {
-			st.PeakRelationTuples = card
-		}
-		ctx.perOp[m.meta().id].Emitted += card
+		ctx.record(m, rel.Cardinality())
 	}
 	return rel, nil
 }
@@ -489,46 +459,35 @@ func (ctx *execCtx) materialize(n Node) (*multiset.Relation, error) {
 	return out, nil
 }
 
-// collect streams a node's output into a relation, picking the cheaper side
-// of the dual contract.  Inside a parallel worker, batch-native subtrees are
-// consumed batch-wise — their batches are read in place by AddBatch, and
-// vectorised emission is what amortises the per-chunk call across the
-// gang's per-worker streams.  Serial plans (and chunk-at-a-time subtrees)
-// run the scalar fast path instead: with no exchange in play, batching
-// would only buy buffer copies between the same two loops.
+// collect streams a node's output into a relation, polling the query context
+// once per batch.  Row-view batches are read in place by AddBatch /
+// AddBatchSel; columnar-only batches materialise their live rows here — the
+// sink is the last consumer, so this is the one place the column vectors must
+// become tuples.
 func (ctx *execCtx) collect(n Node, out *multiset.Relation) error {
-	if _, native := n.(batchRunner); native && ctx.workers > 1 {
-		var scratch []tuple.Tuple
-		var counts []uint64
-		return ctx.runBatch(n, func(b *Batch) error {
-			if err := ctx.poll(); err != nil {
-				return err
+	var scratch []tuple.Tuple
+	var counts []uint64
+	return ctx.run(n, func(b *Batch) error {
+		if err := ctx.poll(); err != nil {
+			return err
+		}
+		switch {
+		case b.Tuples != nil && b.Sel == nil:
+			out.AddBatch(b.Tuples, b.Counts)
+		case b.Tuples != nil:
+			out.AddBatchSel(b.Tuples, b.Counts, b.Sel)
+		default:
+			scratch, counts = scratch[:0], counts[:0]
+			n := b.Len()
+			for i := 0; i < n; i++ {
+				r := b.Row(i)
+				scratch = append(scratch, b.TupleAt(r))
+				counts = append(counts, b.Counts[r])
 			}
-			switch {
-			case b.Tuples != nil && b.Sel == nil:
-				out.AddBatch(b.Tuples, b.Counts)
-			case b.Tuples != nil:
-				out.AddBatchSel(b.Tuples, b.Counts, b.Sel)
-			default:
-				// Columnar-only batches materialise their live rows here — the
-				// sink is the last consumer, so this is the one place the
-				// column vectors must become tuples.
-				scratch, counts = scratch[:0], counts[:0]
-				n := b.Len()
-				for i := 0; i < n; i++ {
-					r := b.Row(i)
-					scratch = append(scratch, b.TupleAt(r))
-					counts = append(counts, b.Counts[r])
-				}
-				out.AddBatch(scratch, counts)
-			}
-			return nil
-		})
-	}
-	return ctx.run(n, ctx.pollingEmit(func(t tuple.Tuple, c uint64) error {
-		out.Add(t, c)
+			out.AddBatch(scratch, counts)
+		}
 		return nil
-	}))
+	})
 }
 
 // materialised records tuples held in an operator's internal state.

@@ -70,7 +70,7 @@ func (s *sortNode) Describe() string {
 	return "Sort [" + strings.Join(parts, ", ") + "]"
 }
 
-func (s *sortNode) run(ctx *execCtx, emit Emit) error {
+func (s *sortNode) run(ctx *execCtx, emit EmitBatch) error {
 	in, err := ctx.materialize(s.input)
 	if err != nil {
 		return err
@@ -96,13 +96,13 @@ func (s *sortNode) run(ctx *execCtx, emit Emit) error {
 		return err
 	}
 	sort.Slice(chunks, func(i, j int) bool { return compareKeys(s.keys, chunks[i].tup, chunks[j].tup) < 0 })
-	emit = ctx.pollingEmit(emit)
+	w := newBatchWriter(ctx, emit)
 	for _, c := range chunks {
-		if err := emit(c.tup, c.count); err != nil {
+		if err := w.push(c.tup, c.count); err != nil {
 			return err
 		}
 	}
-	return nil
+	return w.flush()
 }
 
 // PlanOrdered compiles the expression like Plan and roots the result with a
@@ -131,8 +131,8 @@ func (pl *Planner) PlanOrdered(e algebra.Expr, cat algebra.Catalog, keys []SortK
 }
 
 // ExecuteOrdered runs the plan and returns its occurrences in root emission
-// order (a tuple with multiplicity k appears k times consecutively) together
-// with the result relation.  The order is only meaningful when the root is an
+// order — batch by batch, live rows in row order; a tuple with multiplicity k
+// appears k times consecutively — together with the result relation.  The order is only meaningful when the root is an
 // order-producing operator — a Sort, as built by PlanOrdered.  st, when
 // non-nil, accumulates per-operator statistics as in ExecuteStats.
 func (p *Plan) ExecuteOrdered(src Source, st *Stats) ([]tuple.Tuple, *multiset.Relation, error) {
@@ -148,12 +148,18 @@ func (p *Plan) ExecuteOrderedContext(qctx context.Context, src Source, st *Stats
 	}
 	out := multiset.NewWithCapacity(p.Root.Schema(), capacityFor(p.Root.meta().capHint))
 	var ordered []tuple.Tuple
-	err := ctx.run(p.Root, func(t tuple.Tuple, n uint64) error {
+	occur := func(t tuple.Tuple, n uint64) error {
 		out.Add(t, n)
 		for i := uint64(0); i < n; i++ {
 			ordered = append(ordered, t)
 		}
 		return nil
+	}
+	err := ctx.run(p.Root, func(b *Batch) error {
+		if err := ctx.poll(); err != nil {
+			return err
+		}
+		return b.forEach(occur)
 	})
 	if st != nil {
 		st.PerOperator = append(st.PerOperator, ctx.perOp...)

@@ -10,9 +10,9 @@ import (
 // predicates for the vectorised Filter, per-row columnar expression
 // evaluation for ExtProject, and the incremental key hashing the join probe
 // and aggregate update run straight off column vectors.  Kernels evaluate
-// live rows only — dead rows may hold values the scalar path would never
-// evaluate, so touching them could surface errors a correct execution must
-// not produce.
+// live rows only — dead rows may hold values a filter below already rejected,
+// so touching them could surface errors a correct execution must not
+// produce.
 
 // vecCmp is one compiled atomic comparison of a filter predicate:
 // column `op` column, or column `op` constant when rcol is negative.
