@@ -1,11 +1,13 @@
 package mra
 
-// This file contains one testing.B benchmark group per experiment of
-// EXPERIMENTS.md (E1–E10).  The paper has no measured tables of its own (it
-// is a formal paper); each benchmark quantifies one of its theorems, worked
-// examples, or explicit practical claims.  `go test -bench=. -benchmem` at the
-// repository root regenerates every series; cmd/mrabench prints the same
-// series as tab-separated tables with correctness checks attached.
+// This file holds the paper's experiments E1–E10 as testing.B benchmarks, one
+// group per experiment.  The paper has no measured tables of its own (it is a
+// formal paper); each benchmark quantifies one of its theorems, worked
+// examples or explicit practical claims.  A benchmark that times two forms of
+// one query first evaluates both and fails unless they return the same bag,
+// so the law it times is also checked on the data it times.  `go test -run
+// '^$' -bench . -benchmem` at the repository root regenerates every series;
+// README.md reports their within-run ratios.
 
 import (
 	"fmt"
@@ -36,11 +38,26 @@ func mustEval(b *testing.B, e algebra.Expr, src eval.Source) *multiset.Relation 
 	return r
 }
 
+// mustAgree evaluates every form of one query once, before anything is
+// timed, fails the benchmark unless each returns the bag the first does, and
+// returns that bag.
+func mustAgree(b *testing.B, src eval.Source, forms ...algebra.Expr) *multiset.Relation {
+	b.Helper()
+	want := mustEval(b, forms[0], src)
+	for _, e := range forms[1:] {
+		if !mustEval(b, e, src).Equal(want) {
+			b.Fatalf("%s and %s return different bags", forms[0], e)
+		}
+	}
+	return want
+}
+
 // ---------------------------------------------------------------------------
 // E1 — Theorem 3.1: native operators vs their derived forms.
 // ---------------------------------------------------------------------------
 
 func benchmarkE1Pair(b *testing.B, n int, native, derived algebra.Expr, src eval.Source) {
+	mustAgree(b, src, native, derived)
 	b.Run(fmt.Sprintf("native/n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustEval(b, native, src)
@@ -88,6 +105,7 @@ func BenchmarkE2_SelectionPushdownOverUnion(b *testing.B) {
 	e1, e2 := algebra.NewRel("e1"), algebra.NewRel("e2")
 	whole := algebra.NewSelect(pred, algebra.NewUnion(e1, e2))
 	pushed := algebra.NewUnion(algebra.NewSelect(pred, e1), algebra.NewSelect(pred, e2))
+	mustAgree(b, src, whole, pushed)
 	b.Run("sigma-over-union", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustEval(b, whole, src)
@@ -107,6 +125,7 @@ func BenchmarkE2_ProjectionPushdownOverUnion(b *testing.B) {
 	e1, e2 := algebra.NewRel("e1"), algebra.NewRel("e2")
 	whole := algebra.NewProject([]int{0}, algebra.NewUnion(e1, e2))
 	pushed := algebra.NewUnion(algebra.NewProject([]int{0}, e1), algebra.NewProject([]int{0}, e2))
+	mustAgree(b, src, whole, pushed)
 	b.Run("pi-over-union", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustEval(b, whole, src)
@@ -130,6 +149,7 @@ func BenchmarkE3_JoinAssociativity(b *testing.B) {
 	f, d1, d2 := algebra.NewRel("fact"), algebra.NewRel("dim"), algebra.NewRel("dim2")
 	leftDeep := algebra.NewJoin(scalar.Eq(2, 4), algebra.NewJoin(scalar.Eq(0, 2), f, d1), d2)
 	rightDeep := algebra.NewJoin(scalar.Eq(0, 2), f, algebra.NewJoin(scalar.Eq(0, 2), d1, d2))
+	mustAgree(b, src, leftDeep, rightDeep)
 	b.Run("left-deep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustEval(b, leftDeep, src)
@@ -215,6 +235,12 @@ func BenchmarkE5_AggregateProjectionPushIn(b *testing.B) {
 	join := algebra.NewJoin(scalar.Eq(1, 3), algebra.NewRel("beer"), algebra.NewRel("brewery"))
 	direct := algebra.NewGroupBy([]int{5}, algebra.AggAvg, 2, join)
 	pushed := algebra.NewGroupBy([]int{1}, algebra.AggAvg, 0, algebra.NewProject([]int{2, 5}, join))
+	bag := mustAgree(b, src, direct, pushed)
+	// Example 3.2's point: under set semantics the projection collapses beers
+	// of equal strength before averaging, so the pushed form changes meaning.
+	if set, err := (setalg.Engine{}).Eval(pushed, src); err != nil || set.Equal(bag) {
+		b.Fatalf("set-semantics push-in must differ from the bag result (err %v)", err)
+	}
 	b.Run("bag-direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mustEval(b, direct, src)
@@ -277,6 +303,10 @@ func BenchmarkE7_DuplicateRemovalCost(b *testing.B) {
 		r := workload.Duplicated(workload.DuplicationConfig{DistinctTuples: 2000, DuplicationFactor: dup, Seed: 13})
 		src := eval.MapSource{"r": r}
 		proj := algebra.NewProject([]int{1}, algebra.NewRel("r"))
+		// The set-semantics baseline must compute δ of the bag projection.
+		if set, err := (setalg.Engine{}).Eval(proj, src); err != nil || !set.Equal(mustEval(b, algebra.NewUnique(proj), src)) {
+			b.Fatalf("set projection differs from δ of the bag projection (err %v)", err)
+		}
 		b.Run(fmt.Sprintf("bag-projection/dup=%d", dup), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustEval(b, proj, src)
@@ -359,6 +389,13 @@ func BenchmarkE9_OptimizerAblation(b *testing.B) {
 			scalar.NewCompare(value.CmpGe, scalar.NewAttr(3), scalar.NewConst(value.NewInt(50)))),
 		algebra.NewProduct(algebra.NewRel("fact"), algebra.NewRel("dim")))
 	optimised, _ := rewrite.NewRewriter().Rewrite(query, cat)
+	reference, err := (eval.Reference{}).Eval(query, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !mustAgree(b, src, query, optimised).Equal(reference) {
+		b.Fatal("the physical plans disagree with the reference evaluator")
+	}
 	b.Run("reference-evaluator", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := (eval.Reference{}).Eval(query, src); err != nil {

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"mra"
+	"mra/internal/xraparse"
 )
 
 func main() {
@@ -133,7 +134,7 @@ func repl(db *mra.DB, sqlMode bool, in io.Reader, out io.Writer) {
 		}
 		buf.WriteString(line)
 		buf.WriteByte('\n')
-		if !strings.Contains(line, ";") || unbalancedTransaction(buf.String()) {
+		if !strings.Contains(line, ";") || !sqlMode && xraparse.OpenBlock(buf.String()) {
 			fmt.Fprint(out, "... ")
 			continue
 		}
@@ -150,13 +151,6 @@ func repl(db *mra.DB, sqlMode bool, in io.Reader, out io.Writer) {
 		buf.Reset()
 		prompt()
 	}
-}
-
-// unbalancedTransaction reports whether the buffered input opens a begin/end
-// block that has not been closed yet.
-func unbalancedTransaction(src string) bool {
-	lower := strings.ToLower(src)
-	return strings.Count(lower, "begin") > strings.Count(lower, "end")
 }
 
 // handleMeta processes a backslash meta-command; it returns true when the

@@ -10,8 +10,8 @@ import (
 
 // Client is a minimal synchronous client for the TCP line/JSON protocol: one
 // Do call sends one command line and reads back its one-line JSON response.
-// A Client is a single session and is not safe for concurrent use — the load
-// generator opens one per simulated connection.
+// A Client is a single session and is not safe for concurrent use; open one
+// per concurrent connection.
 type Client struct {
 	conn    net.Conn
 	r       *bufio.Reader

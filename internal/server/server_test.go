@@ -3,37 +3,29 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"net"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"fmt"
-	"math/rand"
-
 	"mra"
+	"mra/internal/workload"
 )
-
-// testAccountRows generates deterministic banking rows (the workload package
-// cannot be imported here — it depends on this package's client).
-func testAccountRows(n int) [][]any {
-	rng := rand.New(rand.NewSource(7))
-	rows := make([][]any, n)
-	for i := range rows {
-		rows[i] = []any{int64(i), fmt.Sprintf("owner%04d", i), float64(rng.Intn(100000)) / 100}
-	}
-	return rows
-}
 
 // startTestServer serves a seeded banking database on an ephemeral loopback
 // port and returns the server plus its address.
-func startTestServer(t *testing.T, accounts int, cfg Config) (*Server, string) {
+func startTestServer(t testing.TB, accounts int, cfg Config) (*Server, string) {
 	t.Helper()
 	db := mra.Open()
 	db.MustCreateRelation("account",
 		mra.Col("id", mra.Int), mra.Col("owner", mra.String), mra.Col("balance", mra.Float))
-	if err := db.InsertValues("account", testAccountRows(accounts)...); err != nil {
+	if err := db.InsertValues("account", workload.AccountRows(accounts, 7)...); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(db, cfg)
@@ -383,4 +375,115 @@ func TestStatementTimeout(t *testing.T) {
 	if !strings.Contains(resp.Error, "deadline") && !strings.Contains(resp.Error, "cancel") {
 		t.Fatalf("expected a deadline error, got %q", resp.Error)
 	}
+}
+
+// TestConcurrentBankSoak is the serving-layer soak: eight sessions share one
+// server, half their traffic two-update transfers among four hot accounts
+// (begin/commit, retried on conflict), half auto-committed aggregate reads.
+// Run under -race it exercises concurrent snapshots, commits, conflict
+// retries and the session machinery at once.
+func TestConcurrentBankSoak(t *testing.T) {
+	duration := 2 * time.Second
+	if testing.Short() {
+		duration = 500 * time.Millisecond
+	}
+	srv, addr := startTestServer(t, 256, Config{})
+	seeded := bankTotal(t, srv.DB())
+
+	var commits, conflicts, reads atomic.Int64
+	deadline := time.Now().Add(duration)
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			cl, err := Dial(addr, 30*time.Second)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer cl.Close()
+			for time.Now().Before(deadline) {
+				if rng.Intn(2) == 0 {
+					resp, err := cl.Do(fmt.Sprintf(
+						"select count(*), sum(balance) from account where balance > %d;", rng.Intn(900)))
+					if err == nil && (!resp.OK || resp.Conflict) {
+						err = fmt.Errorf("read-only statement failed: %+v", resp)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+					reads.Add(1)
+					continue
+				}
+				from := rng.Intn(4)
+				to := (from + 1 + rng.Intn(3)) % 4
+				amt := float64(1+rng.Intn(500)) / 100
+				for {
+					resp, err := transfer(cl, from, to, amt)
+					if err == nil && !resp.OK && !resp.Conflict {
+						err = fmt.Errorf("non-conflict transfer failure: %+v", resp)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+					if resp.OK {
+						commits.Add(1)
+						break
+					}
+					conflicts.Add(1)
+				}
+			}
+		}(rand.New(rand.NewSource(int64(42 + i))))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	t.Logf("soak: commits=%d conflicts=%d reads=%d", commits.Load(), conflicts.Load(), reads.Load())
+	if commits.Load() == 0 || reads.Load() == 0 {
+		t.Fatal("transfers and read-only statements must both commit")
+	}
+	if conflicts.Load() == 0 {
+		t.Fatal("8 saturating sessions over 4 hot accounts must produce first-committer-wins conflicts")
+	}
+	if got := bankTotal(t, srv.DB()); got != seeded {
+		t.Fatalf("transfers must conserve money: sum(balance) %d cents after, %d seeded", got, seeded)
+	}
+}
+
+// transfer moves amt between two accounts in one explicit transaction and
+// returns the response that ended it, rolling back a transaction a failed
+// statement left aborted.
+func transfer(cl *Client, from, to int, amt float64) (Response, error) {
+	var resp Response
+	var err error
+	for _, line := range []string{
+		"begin",
+		fmt.Sprintf("update account set balance = balance - %.2f where id = %d;", amt, from),
+		fmt.Sprintf("update account set balance = balance + %.2f where id = %d;", amt, to),
+		"commit",
+	} {
+		if resp, err = cl.Do(line); err != nil || !resp.OK {
+			break
+		}
+	}
+	if err == nil && resp.State == StateAborted {
+		_, err = cl.Rollback()
+	}
+	return resp, err
+}
+
+// bankTotal returns sum(balance) over all accounts in whole cents.
+func bankTotal(t *testing.T, db *mra.DB) int64 {
+	t.Helper()
+	res, err := db.QuerySQL("select sum(balance) from account")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(math.Round(res.Rows()[0][0].(float64) * 100))
 }

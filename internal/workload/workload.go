@@ -1,8 +1,8 @@
-// Package workload provides the data and workload generators used by the
-// examples and the benchmark harness: the paper's beer/brewery running
-// example at configurable scale, synthetic relations with a controlled
-// duplication factor, Zipf-skewed join workloads, and graph relations for the
-// transitive-closure extension.
+// Package workload provides the data generators used by the examples, the
+// paper's experiments (bench_test.go) and xraserve's demo data: the paper's
+// beer/brewery running example at configurable scale, synthetic relations
+// with a controlled duplication factor, Zipf-skewed join workloads, graph
+// relations for the transitive-closure extension, and bank accounts.
 //
 // All generators are deterministic for a given seed so experiment runs are
 // reproducible.
@@ -279,149 +279,4 @@ func Accounts(n int, seed int64) *multiset.Relation {
 		), 1)
 	}
 	return r
-}
-
-// StarConfig controls the star-schema generator for the multi-join
-// enumerator experiment (E13).
-type StarConfig struct {
-	// FactTuples is the fact relation size (default 20000).
-	FactTuples int
-	// Dims is the number of dimension relations (default 3).
-	Dims int
-	// DimTuples is the size of each dimension, which is also its key range
-	// (default 60).
-	DimTuples int
-	// Seed drives the random draws.
-	Seed int64
-}
-
-func (c StarConfig) withDefaults() StarConfig {
-	if c.FactTuples == 0 {
-		c.FactTuples = 20000
-	}
-	if c.Dims == 0 {
-		c.Dims = 3
-	}
-	if c.DimTuples == 0 {
-		c.DimTuples = 60
-	}
-	return c
-}
-
-// Star generates a star schema for multi-join workloads: a fact relation
-// fact(k1, …, kD, payload) whose key columns are drawn uniformly from each
-// dimension's key range, and D dimension relations dim(key, attr) with keys
-// 0..DimTuples-1.  Written dimensions-first, the star query cross-multiplies
-// the dimensions; a cost-based join order starts from the fact table and
-// keeps every intermediate at fact size.
-func Star(cfg StarConfig) (fact *multiset.Relation, dims []*multiset.Relation) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	attrs := make([]schema.Attribute, 0, cfg.Dims+1)
-	for i := 0; i < cfg.Dims; i++ {
-		attrs = append(attrs, schema.Attribute{Name: fmt.Sprintf("k%d", i+1), Type: value.KindInt})
-	}
-	attrs = append(attrs, schema.Attribute{Name: "payload", Type: value.KindInt})
-	fact = multiset.New(schema.NewRelation("fact", attrs...))
-	row := make([]int64, cfg.Dims+1)
-	for i := 0; i < cfg.FactTuples; i++ {
-		for d := 0; d < cfg.Dims; d++ {
-			row[d] = int64(rng.Intn(cfg.DimTuples))
-		}
-		row[cfg.Dims] = int64(i)
-		fact.Add(tuple.Ints(row...), 1)
-	}
-	dims = make([]*multiset.Relation, cfg.Dims)
-	for d := range dims {
-		r := multiset.New(schema.NewRelation(fmt.Sprintf("d%d", d+1),
-			schema.Attribute{Name: "key", Type: value.KindInt},
-			schema.Attribute{Name: "attr", Type: value.KindInt}))
-		for k := 0; k < cfg.DimTuples; k++ {
-			r.Add(tuple.Ints(int64(k), int64(rng.Intn(1<<16))), 1)
-		}
-		dims[d] = r
-	}
-	return fact, dims
-}
-
-// ChainConfig controls the chain-join generator for the multi-join
-// enumerator experiment (E13).
-type ChainConfig struct {
-	// HeadTuples is the head relation size (default 20000).
-	HeadTuples int
-	// Links is the number of link relations after the head (default 3).
-	Links int
-	// Domain is the head relation's key range (default 1000).
-	Domain int
-	// Fan is link1's per-key fan-out: each head key expands to Fan link1
-	// rows (default 5).
-	Fan int
-	// Shrink is the selectivity divisor of every link after the first: each
-	// keeps one in-value in Shrink and shrinks its output domain accordingly
-	// (default 25).
-	Shrink int
-	// Seed drives the random draws.
-	Seed int64
-}
-
-func (c ChainConfig) withDefaults() ChainConfig {
-	if c.HeadTuples == 0 {
-		c.HeadTuples = 20000
-	}
-	if c.Links == 0 {
-		c.Links = 3
-	}
-	if c.Domain == 0 {
-		c.Domain = 1000
-	}
-	if c.Fan == 0 {
-		c.Fan = 5
-	}
-	if c.Shrink == 0 {
-		c.Shrink = 25
-	}
-	return c
-}
-
-// Chain generates a chain-join workload: head(key, payload) with keys drawn
-// from 0..Domain-1; link1(in, out) a one-to-Fan expansion of the key domain
-// (Domain·Fan rows, all outs distinct); and each later link_i(in, out) a
-// selection keeping one in-value in Shrink (so its size shrinks geometrically:
-// Domain·Fan/Shrink, then /Shrink² …).  Joined head-first the expansion runs
-// first and the intermediates peak at HeadTuples·Fan rows before the
-// selective tail prunes them; joined from the small tail every intermediate
-// stays link-sized until the single final probe of head.
-func Chain(cfg ChainConfig) []*multiset.Relation {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	head := multiset.New(schema.NewRelation("head",
-		schema.Attribute{Name: "key", Type: value.KindInt},
-		schema.Attribute{Name: "payload", Type: value.KindInt}))
-	for i := 0; i < cfg.HeadTuples; i++ {
-		head.Add(tuple.Ints(int64(rng.Intn(cfg.Domain)), int64(i)), 1)
-	}
-	link1 := multiset.New(schema.NewRelation("link1",
-		schema.Attribute{Name: "in", Type: value.KindInt},
-		schema.Attribute{Name: "out", Type: value.KindInt}))
-	for in := 0; in < cfg.Domain; in++ {
-		for f := 0; f < cfg.Fan; f++ {
-			link1.Add(tuple.Ints(int64(in), int64(in*cfg.Fan+f)), 1)
-		}
-	}
-	rels := []*multiset.Relation{head, link1}
-	domain := cfg.Domain * cfg.Fan
-	for l := 2; l <= cfg.Links; l++ {
-		r := multiset.New(schema.NewRelation(fmt.Sprintf("link%d", l),
-			schema.Attribute{Name: "in", Type: value.KindInt},
-			schema.Attribute{Name: "out", Type: value.KindInt}))
-		for j := 0; j*cfg.Shrink < domain; j++ {
-			r.Add(tuple.Ints(int64(j*cfg.Shrink), int64(j)), 1)
-		}
-		rels = append(rels, r)
-		domain /= cfg.Shrink
-		if domain < 1 {
-			domain = 1
-		}
-	}
-	return rels
 }

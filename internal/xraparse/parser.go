@@ -121,6 +121,30 @@ func ParseScript(src string) ([]Transaction, error) {
 	}
 }
 
+// OpenBlock reports whether src opens more `begin` blocks than it closes
+// with `end`, so a shell reading a script line by line must wait for more
+// input before submitting it.  Only whole begin/end identifier tokens count,
+// never those words inside longer identifiers, string literals or `--`
+// comments.  Input that does not lex reports false: submitting it lets
+// ParseScript report the error.
+func OpenBlock(src string) bool {
+	toks, err := newLexer(src).lex()
+	if err != nil {
+		return false
+	}
+	depth := 0
+	for _, t := range toks {
+		switch {
+		case t.kind != tokIdent:
+		case strings.EqualFold(t.text, "begin"):
+			depth++
+		case strings.EqualFold(t.text, "end"):
+			depth--
+		}
+	}
+	return depth > 0
+}
+
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
 	toks []token

@@ -55,6 +55,15 @@ func TestQueryMemoryLimit(t *testing.T) {
 	if !strings.Contains(err.Error(), "limit") {
 		t.Errorf("budget error %q carries no usage detail", err)
 	}
+	// Explain runs the plan once for its actuals; the budget bounds that run
+	// too, so the plan comes back rendered with estimates only.
+	ex, err := db.Explain("join[%2 = %4](beer, brewery)")
+	if err != nil {
+		t.Fatalf("Explain under a tiny budget: %v", err)
+	}
+	if strings.Contains(ex.Physical, "act=") {
+		t.Errorf("Explain under a tiny budget ran the plan to completion:\n%s", ex.Physical)
+	}
 	db.SetMemoryLimit(0)
 	r, err := db.QueryXRA("join[%2 = %4](beer, brewery)")
 	if err != nil {
@@ -62,5 +71,8 @@ func TestQueryMemoryLimit(t *testing.T) {
 	}
 	if r.Len() != 4 {
 		t.Errorf("join cardinality = %d, want 4", r.Len())
+	}
+	if ex, err := db.Explain("join[%2 = %4](beer, brewery)"); err != nil || !strings.Contains(ex.Physical, "act=") {
+		t.Errorf("unlimited Explain carries no actuals (err %v):\n%v", err, ex)
 	}
 }

@@ -361,7 +361,7 @@ func (db *DB) Explain(expr string) (*Explain, error) {
 	if !db.Optimize {
 		planned = e
 	}
-	phys, err := (&plan.Planner{Cards: db.store, Workers: db.workers}).Plan(planned, db.store)
+	phys, err := (&plan.Planner{Cards: db.store, Workers: db.workers, MemoryLimit: db.memLimit}).Plan(planned, db.store)
 	if err != nil {
 		return nil, err
 	}
