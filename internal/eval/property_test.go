@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -677,6 +678,96 @@ func TestPropertyMorselStealingUnderSkew(t *testing.T) {
 						round, w, e, ref, phys)
 				}
 			}
+		}
+	}
+}
+
+// nanRelation builds a relation (a float, b int) whose first column mixes NaNs
+// of several payloads with ±0, 1.5, and 3 held as both an int and a float:
+// values that are Equal with different bit patterns, and a value that is not
+// equal to any non-NaN value.
+func nanRelation(rng *rand.Rand, name string, draws int) *multiset.Relation {
+	r := multiset.New(schema.NewRelation(name,
+		schema.Attribute{Name: "a", Type: value.KindFloat},
+		schema.Attribute{Name: "b", Type: value.KindInt},
+	))
+	as := []value.Value{
+		value.NewFloat(math.NaN()),
+		value.NewFloat(math.Copysign(math.NaN(), -1)),
+		value.NewFloat(math.Float64frombits(0x7ff8_0000_0000_beef)),
+		value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
+		value.NewFloat(1.5), value.NewInt(3), value.NewFloat(3),
+	}
+	for i := 0; i < draws; i++ {
+		r.Add(tuple.New(as[rng.Intn(len(as))], value.NewInt(int64(rng.Intn(3)))), uint64(1+rng.Intn(3)))
+	}
+	return r
+}
+
+// TestPropertyNaNMatchesReference runs every operator that identifies tuples —
+// δ, ∸, ∩, ⊎, grouping, the equi-join, and equality and order filters — over
+// NaN-bearing relations at workers 1, 2, 4 and 8 against Reference.  All NaNs
+// are one value (Equal, one hash, above every number), so a plan that hashed
+// or compared a NaN by its bits would split a group or drop a match.
+func TestPropertyNaNMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2600))
+	e1, e2 := algebra.NewRel("e1"), algebra.NewRel("e2")
+	onA := func(op value.CompareOp, c value.Value) scalar.Predicate {
+		return scalar.NewCompare(op, scalar.NewAttr(0), scalar.NewConst(c))
+	}
+	exprs := []algebra.Expr{
+		algebra.NewUnique(e1),
+		algebra.NewUnique(algebra.NewProject([]int{0}, e1)),
+		algebra.NewDifference(e1, e2),
+		algebra.NewDifference(e1, e1),
+		algebra.NewIntersect(e1, e2),
+		algebra.NewIntersect(e1, e1),
+		algebra.NewUnion(e1, e2),
+		algebra.NewGroupByMulti([]int{0}, []algebra.AggSpec{
+			{Fn: algebra.AggCount, Col: 1}, {Fn: algebra.AggMin, Col: 1}, {Fn: algebra.AggMax, Col: 1},
+		}, e1),
+		algebra.NewGroupByMulti([]int{1}, []algebra.AggSpec{
+			{Fn: algebra.AggMin, Col: 0}, {Fn: algebra.AggMax, Col: 0}, {Fn: algebra.AggSum, Col: 0},
+		}, e1),
+		algebra.NewJoin(scalar.Eq(0, 2), e1, e2),
+		algebra.NewSelect(onA(value.CmpEq, value.NewFloat(1.5)), e1),
+		algebra.NewSelect(onA(value.CmpEq, value.NewFloat(math.NaN())), e1),
+		algebra.NewSelect(onA(value.CmpGt, value.NewFloat(1.5)), e1),
+		algebra.NewSelect(onA(value.CmpLe, value.NewInt(3)), e1),
+	}
+	for round := 0; round < 15; round++ {
+		src := MapSource{"e1": nanRelation(rng, "e1", 30), "e2": nanRelation(rng, "e2", 30)}
+		for _, e := range exprs {
+			ref, err := (Reference{}).Eval(e, src)
+			if err != nil {
+				t.Fatalf("round %d: reference %s: %v", round, e, err)
+			}
+			for _, w := range []int{1, 2, 4, 8} {
+				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}}
+				phys, err := eng.Eval(e, src)
+				if err != nil {
+					t.Fatalf("round %d workers=%d: %s: %v", round, w, e, err)
+				}
+				if !ref.Equal(phys) {
+					t.Fatalf("round %d workers=%d: plan disagrees with Reference on %s:\nreference: %s\nphysical:  %s",
+						round, w, e, ref, phys)
+				}
+			}
+		}
+		// The definitions themselves: δ keeps one NaN class, and R ∸ R is empty.
+		u, _ := (Reference{}).Eval(algebra.NewUnique(algebra.NewProject([]int{0}, e1)), src)
+		nans := 0
+		u.Each(func(tp tuple.Tuple, _ uint64) bool {
+			if tp.At(0).Kind() == value.KindFloat && math.IsNaN(tp.At(0).Float()) {
+				nans++
+			}
+			return true
+		})
+		if nans > 1 {
+			t.Fatalf("round %d: δπ_a(e1) keeps %d NaN tuples: %s", round, nans, u)
+		}
+		if d, _ := (Reference{}).Eval(algebra.NewDifference(e1, e1), src); !d.IsEmpty() {
+			t.Fatalf("round %d: e1 ∸ e1 = %s, want empty", round, d)
 		}
 	}
 }

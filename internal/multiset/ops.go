@@ -27,16 +27,17 @@ func (e *ErrIncompatible) Error() string {
 	return fmt.Sprintf("multiset: %s applied to incompatible schemas %s and %s", e.Op, e.Left, e.Right)
 }
 
+// The three pointwise set operators below walk the arena of their right (or
+// smaller) operand and reuse each entry's cached hash for every probe and
+// write, so no attribute value is hashed.
+
 // Union returns R1 ⊎ R2 with (R1 ⊎ R2)(x) = R1(x) + R2(x) (Definition 3.1).
 func Union(a, b *Relation) (*Relation, error) {
 	if !a.Schema().Compatible(b.Schema()) {
 		return nil, &ErrIncompatible{Op: "union", Left: a.Schema(), Right: b.Schema()}
 	}
 	out := a.Clone()
-	b.Each(func(t tuple.Tuple, count uint64) bool {
-		out.Add(t, count)
-		return true
-	})
+	out.MergeFrom(b)
 	return out, nil
 }
 
@@ -47,10 +48,14 @@ func Difference(a, b *Relation) (*Relation, error) {
 		return nil, &ErrIncompatible{Op: "difference", Left: a.Schema(), Right: b.Schema()}
 	}
 	out := a.Clone()
-	b.Each(func(t tuple.Tuple, count uint64) bool {
-		out.Remove(t, count)
-		return true
-	})
+	if b.IsEmpty() {
+		return out, nil
+	}
+	out.materialize()
+	for e := range b.tab.entries(nil) {
+		out.tab.remove(e.hash, e.tup, e.count)
+	}
+	out.tab.compact()
 	return out, nil
 }
 
@@ -65,17 +70,12 @@ func Intersection(a, b *Relation) (*Relation, error) {
 		small, large = large, small
 	}
 	out := NewWithCapacity(a.Schema(), small.DistinctCount())
-	small.Each(func(t tuple.Tuple, count uint64) bool {
-		other := large.Multiplicity(t)
-		m := count
-		if other < m {
-			m = other
+	for e := range small.tab.entries(nil) {
+		// small's entries are distinct tuples, so each is new to out.
+		if m := min(e.count, large.tab.count(e.hash, e.tup)); m > 0 {
+			out.tab.insert(e.hash, e.tup, m)
 		}
-		if m > 0 {
-			out.Add(t, m)
-		}
-		return true
-	})
+	}
 	return out, nil
 }
 

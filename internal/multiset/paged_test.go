@@ -180,7 +180,7 @@ func TestModelRandomOps(t *testing.T) {
 			}
 			for step := 0; step < 1500; step++ {
 				v := views[rng.Intn(len(views))]
-				switch op := rng.Intn(20); {
+				switch op := rng.Intn(23); {
 				case op < 4:
 					k, n := randKey(), uint64(rng.Intn(4))
 					v.rel.Add(tupleOf(k), n)
@@ -241,7 +241,7 @@ func TestModelRandomOps(t *testing.T) {
 					views = append(views, view{v.rel.WithSchema(intSchema(2)), maps.Clone(v.m)})
 				case op < 19:
 					forceCompact(v.rel)
-				default:
+				case op < 20:
 					// Mass removal: crosses the compaction threshold by itself.
 					for k := range v.m {
 						if rng.Intn(4) > 0 {
@@ -249,6 +249,13 @@ func TestModelRandomOps(t *testing.T) {
 							delete(v.m, k)
 						}
 					}
+				default:
+					// A set operator over two views (possibly the same one, or
+					// a clone sharing its pages) is a new view; both operands
+					// must be left as they were, which the loop below checks.
+					w := views[rng.Intn(len(views))]
+					res, m := setOpModel(t, op%3, v.rel, w.rel, v.m, w.m)
+					views = append(views, view{res, m})
 				}
 				if len(views) > 6 {
 					i := rng.Intn(len(views))

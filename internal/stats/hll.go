@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/bits"
+
+	"mra/internal/value"
 )
 
 // hllPrecision is the HyperLogLog precision p: sketches use m = 2^p one-byte
@@ -36,23 +38,14 @@ func (s *Sketch) Clone() *Sketch {
 	return &Sketch{reg: cp}
 }
 
-// fmix64 is the 64-bit murmur3 finaliser: the value hashes feeding the
-// sketch (FNV-1a over few bytes) do not avalanche well enough for the top
-// bits to act as uniform register selectors, so every hash is scrambled once
-// more on the way in.
-func fmix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
 // Add observes one 64-bit hash.  The top p bits select a register; the rank
-// (position of the first 1-bit) of the remaining bits updates it.
+// (position of the first 1-bit) of the remaining bits updates it.  Index and
+// rank must behave as independent uniform bits, but the table sketch is fed
+// tuple hashes, which fold their value hashes with one xor-multiply step per
+// attribute: a product's low bits depend only on its operands' low bits.
+// Every hash is therefore scrambled once more on the way in.
 func (s *Sketch) Add(h uint64) {
-	h = fmix64(h)
+	h = value.Fmix64(h)
 	idx := h >> (64 - hllPrecision)
 	rank := uint8(bits.LeadingZeros64(h<<hllPrecision|1<<(hllPrecision-1))) + 1
 	if rank > s.reg[idx] {

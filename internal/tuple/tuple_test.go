@@ -188,3 +188,26 @@ func TestConvenienceConstructors(t *testing.T) {
 		t.Errorf("Strings = %v", st)
 	}
 }
+
+func BenchmarkHash(b *testing.B) {
+	cases := []struct {
+		name string
+		t    Tuple
+	}{
+		{"arity2", Ints(4711, 42)},
+		{"arity5", New(value.NewInt(4711), value.NewString("customer"), value.NewFloat(12.5),
+			value.NewInt(-3), value.NewString("a somewhat longer label"))},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink += c.t.Hash()
+			}
+			benchSink = sink
+		})
+	}
+}
+
+// benchSink keeps benchmark results live.
+var benchSink uint64

@@ -11,6 +11,7 @@ package value
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -198,6 +199,9 @@ func (v Value) Display() string {
 // Equal reports whether two values are equal.  Values of different domains are
 // never equal, with the exception that integer and real values compare
 // numerically (3 == 3.0), mirroring SQL's cross-numeric comparison rules.
+// Every NaN equals every other NaN, whatever its payload, as in PostgreSQL:
+// bag identity (δ, ∸, ∩, grouping) needs Equal to be reflexive, exactly as
+// null = null is.
 func (v Value) Equal(o Value) bool {
 	if v.kind == o.kind {
 		switch v.kind {
@@ -206,7 +210,7 @@ func (v Value) Equal(o Value) bool {
 		case KindInt:
 			return v.i == o.i
 		case KindFloat:
-			return v.f == o.f
+			return v.f == o.f || (v.f != v.f && o.f != o.f)
 		case KindString:
 			return v.s == o.s
 		case KindBool:
@@ -224,7 +228,9 @@ func (v Value) Equal(o Value) bool {
 // Compare orders two values.  It returns a negative number, zero or a positive
 // number when v sorts before, equal to, or after o.  Values of incomparable
 // domains are ordered by domain kind so that Compare induces a total order
-// usable for canonicalisation; Null sorts before every other value.
+// usable for canonicalisation; Null sorts before every other value.  NaN
+// sorts above every other number and equal to any NaN, consistently with
+// Equal.
 func (v Value) Compare(o Value) int {
 	if v.kind.Numeric() && o.kind.Numeric() {
 		a, _ := v.AsFloat()
@@ -234,8 +240,12 @@ func (v Value) Compare(o Value) int {
 			return -1
 		case a > b:
 			return 1
-		default:
+		case a == b, a != a && b != b:
 			return 0
+		case a != a:
+			return 1
+		default:
+			return -1
 		}
 	}
 	if v.kind != o.kind {
@@ -263,43 +273,97 @@ func (v Value) Compare(o Value) int {
 // Less reports whether v sorts strictly before o.
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 
-// Hash returns a 64-bit hash of the value, consistent with Equal: values that
-// compare equal (including cross-numeric equality such as 3 and 3.0) hash to
-// the same code.
-func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h ^= uint64(b); h *= prime64 }
-	switch v.kind {
-	case KindNull:
-		mix(0x00)
-	case KindInt, KindFloat:
-		// Hash all numerics through their float64 image so Equal ⇒ same hash.
-		f, _ := v.AsFloat()
-		bits := math.Float64bits(f)
-		if f == 0 {
-			bits = 0 // normalise -0.0 and +0.0
-		}
-		mix(0x01)
-		for i := 0; i < 8; i++ {
-			mix(byte(bits >> (8 * i)))
-		}
-	case KindString:
-		mix(0x02)
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
-		}
-	case KindBool:
-		mix(0x03)
-		if v.b {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	}
+// Per-domain seeds of Hash, so that values of different domains whose
+// payload words coincide (0, false, the empty string) still hash apart; the
+// two odd multipliers of the string word step; and the one bit pattern every
+// NaN hashes as (math.NaN's).
+const (
+	seedNull     uint64 = 0x243f6a8885a308d3
+	seedNum      uint64 = 0x13198a2e03707344
+	seedString   uint64 = 0xa4093822299f31d0
+	seedBool     uint64 = 0x082efa98ec4e6c89
+	wordMul1     uint64 = 0x87c37b91114253d5
+	wordMul2     uint64 = 0x4cf5ad432745937f
+	canonicalNaN uint64 = 0x7ff8000000000001
+)
+
+// Fmix64 is the 64-bit finaliser of MurmurHash3: a bijection on uint64 under
+// which flipping any input bit flips each output bit with probability close
+// to one half.  Hash ends every value's hash in it; consumers that read a few
+// bits of a hash combined from several values apply it once more.
+func Fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 
+// Hash returns a 64-bit hash of the value, consistent with Equal: values that
+// compare equal hash to the same code.  Every numeric hashes its float64
+// image, so 3 and 3.0 share a code; ±0 hash alike, and so does every NaN
+// payload.  A value costs one finaliser, plus one multiply-rotate per eight
+// bytes of a string.
+func (v Value) Hash() uint64 {
+	switch v.kind {
+	case KindInt:
+		return numHash(float64(v.i))
+	case KindFloat:
+		return numHash(v.f)
+	case KindString:
+		return stringHash(v.s)
+	case KindBool:
+		if v.b {
+			return Fmix64(seedBool ^ 1)
+		}
+		return Fmix64(seedBool)
+	default:
+		return Fmix64(seedNull)
+	}
+}
+
+// numHash hashes a numeric's float64 image with ±0 and NaN normalised.
+func numHash(f float64) uint64 {
+	w := math.Float64bits(f)
+	switch {
+	case f == 0:
+		w = 0
+	case f != f:
+		w = canonicalNaN
+	}
+	return Fmix64(seedNum ^ w)
+}
+
+// stringHash hashes s eight bytes per step, the last zero to seven bytes
+// forming one short word.  The length in the seed separates a string from its
+// zero-padded extension.
+func stringHash(s string) uint64 {
+	h := seedString ^ uint64(len(s))*wordMul2
+	for ; len(s) >= 8; s = s[8:] {
+		h = wordStep(h, le64(s))
+	}
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
+		}
+		h = wordStep(h, w)
+	}
+	return Fmix64(h)
+}
+
+// wordStep folds word w into the running string hash h.  It is a bijection
+// of h for a fixed w and of w for a fixed h, so two strings of one length
+// that differ in a single word never collide.
+func wordStep(h, w uint64) uint64 {
+	return bits.RotateLeft64(h^w*wordMul1, 31) * wordMul2
+}
+
+// le64 reads the first eight bytes of s as a little-endian word; the compiler
+// turns the shifts into one load.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}

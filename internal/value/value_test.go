@@ -239,9 +239,6 @@ func TestHashImpliedByEqualProperty(t *testing.T) {
 		t.Error(err)
 	}
 	g := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
 		va, vb := NewFloat(a), NewFloat(b)
 		return !va.Equal(vb) || va.Hash() == vb.Hash()
 	}
@@ -265,3 +262,149 @@ func TestHashEqualityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// nanPayloads returns NaNs with different bit patterns: the canonical one,
+// negative, quiet with a payload, and signalling.
+func nanPayloads() []float64 {
+	return []float64{
+		math.NaN(),
+		math.Copysign(math.NaN(), -1),
+		math.Float64frombits(0x7ff8_0000_0000_beef),
+		math.Float64frombits(0x7ff0_0000_0000_0001),
+		math.Float64frombits(0xfff0_dead_beef_0000),
+	}
+}
+
+// TestNaNContract pins PostgreSQL's NaN contract: every NaN equals every
+// other NaN, hashes alike, and sorts above every other number.
+func TestNaNContract(t *testing.T) {
+	nans := nanPayloads()
+	numbers := []Value{NewInt(math.MinInt64), NewInt(0), NewInt(math.MaxInt64),
+		NewFloat(math.Inf(-1)), NewFloat(-1.5), NewFloat(0), NewFloat(math.MaxFloat64), NewFloat(math.Inf(1))}
+	for _, a := range nans {
+		if !math.IsNaN(a) {
+			t.Fatalf("%x is not a NaN", math.Float64bits(a))
+		}
+		va := NewFloat(a)
+		for _, b := range nans {
+			vb := NewFloat(b)
+			if !va.Equal(vb) || va.Compare(vb) != 0 || va.Hash() != vb.Hash() {
+				t.Errorf("NaN %x vs NaN %x: Equal %v, Compare %d, hashes %x/%x",
+					math.Float64bits(a), math.Float64bits(b), va.Equal(vb), va.Compare(vb), va.Hash(), vb.Hash())
+			}
+			if ok, err := CmpEq.Apply(va, vb); err != nil || !ok {
+				t.Errorf("NaN = NaN: %v, %v", ok, err)
+			}
+		}
+		for _, n := range numbers {
+			if va.Equal(n) || n.Equal(va) {
+				t.Errorf("NaN must not equal %v", n)
+			}
+			if va.Compare(n) <= 0 || n.Compare(va) >= 0 {
+				t.Errorf("NaN must sort above %v: Compare %d / %d", n, va.Compare(n), n.Compare(va))
+			}
+			for op, want := range map[CompareOp]bool{CmpEq: false, CmpNe: true, CmpLt: false, CmpLe: false, CmpGt: true, CmpGe: true} {
+				if got, err := op.Apply(va, n); err != nil || got != want {
+					t.Errorf("NaN %s %v = %v, %v; want %v", op, n, got, err, want)
+				}
+			}
+		}
+	}
+	if !Null.Less(NewFloat(math.NaN())) {
+		t.Error("null must still sort before NaN")
+	}
+}
+
+// TestHashEqualImpliesSameHash checks Equal ⇒ same hash over the cases a
+// word hash could get wrong: int/float images, ±0 and NaN payloads.
+func TestHashEqualImpliesSameHash(t *testing.T) {
+	var pairs [][2]Value
+	for _, i := range []int64{0, 1, -1, 2, 3, 1 << 31, -(1 << 31), 1 << 53, -(1 << 53), math.MaxInt64, math.MinInt64} {
+		pairs = append(pairs, [2]Value{NewInt(i), NewFloat(float64(i))})
+	}
+	pairs = append(pairs,
+		[2]Value{NewFloat(0), NewFloat(math.Copysign(0, -1))},
+		[2]Value{NewInt(0), NewFloat(math.Copysign(0, -1))},
+		[2]Value{NewFloat(math.Inf(1)), NewFloat(math.Inf(1))},
+	)
+	nans := nanPayloads()
+	for _, a := range nans {
+		for _, b := range nans {
+			pairs = append(pairs, [2]Value{NewFloat(a), NewFloat(b)})
+		}
+	}
+	for _, p := range pairs {
+		if !p[0].Equal(p[1]) {
+			t.Fatalf("test pair %v, %v not equal", p[0], p[1])
+		}
+		if p[0].Hash() != p[1].Hash() {
+			t.Errorf("equal values %v (%s) and %v (%s) hash %x and %x",
+				p[0], p[0].Kind(), p[1], p[1].Kind(), p[0].Hash(), p[1].Hash())
+		}
+	}
+}
+
+// TestStringHashWords covers every position of the eight-byte word loop: the
+// empty string, tails of every short length, exact words and a word plus a
+// tail.  Equal strings held in different memory hash alike; all lengths hash
+// apart; a zero byte appended changes the hash; and flipping the last byte of
+// any word (the one a word-at-a-time hash reads last) changes it too.
+func TestStringHashWords(t *testing.T) {
+	seen := map[uint64]string{}
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17} {
+		s := strings.Repeat("x", n)
+		h := NewString(s).Hash()
+		if prev, dup := seen[h]; dup {
+			t.Errorf("len %d and %q share hash %x", n, prev, h)
+		}
+		seen[h] = s
+		if c := string([]byte(s)); NewString(c).Hash() != h {
+			t.Errorf("len %d: a copy hashes differently", n)
+		}
+		if NewString(s+"\x00").Hash() == h {
+			t.Errorf("len %d: appending a zero byte leaves the hash unchanged", n)
+		}
+		for w := 7; w < n; w += 8 {
+			b := []byte(s)
+			b[w] ^= 1
+			if NewString(string(b)).Hash() == h {
+				t.Errorf("len %d: flipping byte %d (last of word %d) leaves the hash unchanged", n, w, w/8)
+			}
+		}
+		if n > 0 {
+			b := []byte(s)
+			b[n-1] ^= 0x80
+			if NewString(string(b)).Hash() == h {
+				t.Errorf("len %d: flipping the top bit of the last byte leaves the hash unchanged", n)
+			}
+		}
+	}
+	if NewString("").Hash() == Null.Hash() || NewString("").Hash() == NewInt(0).Hash() ||
+		NewBool(false).Hash() == NewInt(0).Hash() {
+		t.Error("empty string, null, false and 0 must hash apart")
+	}
+}
+
+func BenchmarkHash(b *testing.B) {
+	cases := []struct {
+		name string
+		v    Value
+	}{
+		{"int", NewInt(123456789)},
+		{"float", NewFloat(3.25)},
+		{"string8", NewString("abcdefgh")},
+		{"string32", NewString(strings.Repeat("abcdefgh", 4))},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink += c.v.Hash()
+			}
+			benchSink = sink
+		})
+	}
+}
+
+// benchSink keeps benchmark results live.
+var benchSink uint64

@@ -6,35 +6,3 @@ package value
 // per-tuple indirections.  A Vec is a plain slice — index it, reslice it,
 // share it; the values inside are immutable as always.
 type Vec []Value
-
-// Int64s appends the vector's values to dst as int64s and reports whether
-// every value was an integer.  On a false report the returned slice holds the
-// prefix up to the first non-integer value; kernels use the report to fall
-// back to the generic mixed-kind path.
-func (v Vec) Int64s(dst []int64) ([]int64, bool) {
-	for _, x := range v {
-		if x.kind != KindInt {
-			return dst, false
-		}
-		dst = append(dst, x.i)
-	}
-	return dst, true
-}
-
-// Float64s appends the vector's values to dst as float64s — integers through
-// their exact float image — and reports whether every value was numeric.  On
-// a false report the returned slice holds the prefix up to the first
-// non-numeric value.
-func (v Vec) Float64s(dst []float64) ([]float64, bool) {
-	for _, x := range v {
-		switch x.kind {
-		case KindFloat:
-			dst = append(dst, x.f)
-		case KindInt:
-			dst = append(dst, float64(x.i))
-		default:
-			return dst, false
-		}
-	}
-	return dst, true
-}
