@@ -28,10 +28,31 @@ import (
 	"mra/internal/xraparse"
 )
 
+// physical plans e over src at the given gang width and executes the plan:
+// the evaluate stage of a transaction, minus the transaction.
+func physical(e algebra.Expr, src eval.Source, workers int) (*multiset.Relation, error) {
+	p, err := (&plan.Planner{Cards: eval.Cardinalities(src), Workers: workers}).Plan(e, eval.CatalogOf(src))
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute(src)
+}
+
+// runTx runs p in a fresh transaction of mgr and commits it; on an error
+// the transaction aborts.
+func runTx(mgr *txn.Manager, p stmt.Program) error {
+	tx := mgr.Begin()
+	if err := tx.Run(p); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
+}
+
 // mustEval evaluates with the physical engine, failing the benchmark on error.
 func mustEval(b *testing.B, e algebra.Expr, src eval.Source) *multiset.Relation {
 	b.Helper()
-	r, err := (&eval.Engine{}).Eval(e, src)
+	r, err := physical(e, src, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +307,7 @@ func BenchmarkE6_UpdateStatement(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("accounts=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mgr.Run(stmt.Program{update}); err != nil {
+				if err := runTx(mgr, stmt.Program{update}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -349,7 +370,7 @@ func BenchmarkE8_TransactionThroughput(b *testing.B) {
 			sel := algebra.NewSelect(
 				scalar.NewCompare(value.CmpEq, scalar.NewAttr(0), scalar.NewConst(value.NewInt(int64(i%500)))),
 				algebra.NewRel("account"))
-			if _, err := mgr.Run(stmt.Program{stmt.Update{Target: "account", Selection: sel, Items: items}}); err != nil {
+			if err := runTx(mgr, stmt.Program{stmt.Update{Target: "account", Selection: sel, Items: items}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -368,7 +389,7 @@ func BenchmarkE8_TransactionThroughput(b *testing.B) {
 	})
 	b.Run("read-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mgr.Run(stmt.Program{stmt.Query{Source: algebra.NewGroupBy(nil, algebra.AggCount, 0, algebra.NewRel("account"))}}); err != nil {
+			if err := runTx(mgr, stmt.Program{stmt.Query{Source: algebra.NewGroupBy(nil, algebra.AggCount, 0, algebra.NewRel("account"))}}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -460,11 +481,10 @@ func BenchmarkExec_ParallelWorkers(b *testing.B) {
 		algebra.NewUnion(algebra.NewRel("e1"), algebra.NewRel("e2")))
 
 	for _, w := range []int{1, 2, 4, 8} {
-		eng := &eval.Engine{Planner: plan.Planner{Workers: w}}
 		b.Run(fmt.Sprintf("join/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Eval(join, jsrc); err != nil {
+				if _, err := physical(join, jsrc, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -472,7 +492,7 @@ func BenchmarkExec_ParallelWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("sigma-union/workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Eval(sigma, ssrc); err != nil {
+				if _, err := physical(sigma, ssrc, w); err != nil {
 					b.Fatal(err)
 				}
 			}

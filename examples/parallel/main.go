@@ -18,25 +18,38 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/rand"
 	"time"
 
+	"mra"
 	"mra/internal/algebra"
-	"mra/internal/eval"
-	"mra/internal/plan"
 	"mra/internal/scalar"
 	"mra/internal/value"
-	"mra/internal/workload"
 )
 
 func main() {
 	// A Zipf-skewed join workload: 20000 fact rows over 100 dimension keys,
 	// exponent 1.4 — key 0 alone draws a large share of the rows.
-	fact, dim := workload.JoinPair(workload.JoinConfig{
-		LeftTuples: 20000, RightTuples: 100, KeyRange: 100, Skew: 1.4, Seed: 7,
-	})
-	src := eval.MapSource{"fact": fact, "dim": dim}
-	fmt.Printf("fact: %d rows (%d distinct), dim: %d rows — Zipf(1.4) keys\n\n",
-		fact.Cardinality(), fact.DistinctCount(), dim.Cardinality())
+	db := mra.Open()
+	db.MustCreateRelation("fact", mra.Col("key", mra.Int), mra.Col("payload", mra.Int))
+	db.MustCreateRelation("dim", mra.Col("key", mra.Int), mra.Col("attr", mra.Int))
+	rng := rand.New(rand.NewSource(7))
+	zipf := rand.NewZipf(rng, 1.4, 1, 99)
+	fact := make([][]any, 20000)
+	for i := range fact {
+		fact[i] = []any{int64(zipf.Uint64()), rng.Int63n(1 << 15)}
+	}
+	dim := make([][]any, 100)
+	for i := range dim {
+		dim[i] = []any{i, i * 10}
+	}
+	if err := db.InsertValues("fact", fact...); err != nil {
+		log.Fatal(err)
+	}
+	if err := db.InsertValues("dim", dim...); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("fact: %d rows, dim: %d rows — Zipf(1.4) keys\n\n", db.Cardinality("fact"), db.Cardinality("dim"))
 
 	// Two shapes the planner parallelises: a scan pipeline (σ then π) and a
 	// hash join probing the skewed side against a shared build table.
@@ -51,46 +64,38 @@ func main() {
 			algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("fact"), algebra.NewRel("dim"))},
 	}
 
-	// Two engines over the same queries: serial, and 4 workers with morsel
-	// stealing.
-	engines := []struct {
-		name string
-		eng  eval.Engine
-	}{
-		{"serial   ", eval.Engine{}},
-		{"w4 morsel", eval.Engine{Planner: plan.Planner{Workers: 4}}},
-	}
-
+	// The same queries serially and on 4 workers with morsel stealing.
 	const reps = 20
 	for _, q := range queries {
 		fmt.Printf("== %s ==\n", q.name)
-		var serialCard uint64
+		var serialLen int
 		var serial time.Duration
-		for i, e := range engines {
+		for _, workers := range []int{1, 4} {
+			db.SetWorkers(workers)
 			// Warm up once, then time reps evaluations.
-			if _, err := e.eng.Eval(q.expr, src); err != nil {
+			if _, err := db.QueryExpr(q.expr); err != nil {
 				log.Fatal(err)
 			}
 			start := time.Now()
-			var card uint64
+			var n int
 			for r := 0; r < reps; r++ {
-				res, err := e.eng.Eval(q.expr, src)
+				res, err := db.QueryExpr(q.expr)
 				if err != nil {
 					log.Fatal(err)
 				}
-				card = res.Cardinality()
+				n = res.Len()
 			}
 			elapsed := time.Since(start) / reps
-			if i == 0 {
-				serialCard, serial = card, elapsed
+			if workers == 1 {
+				serialLen, serial = n, elapsed
 			}
 			// Serial and parallel must agree exactly — multiplicities
 			// included — or the exchange would be broken.
-			if card != serialCard {
-				log.Fatalf("%s: cardinality %d differs from serial %d", e.name, card, serialCard)
+			if n != serialLen {
+				log.Fatalf("workers=%d: cardinality %d differs from serial %d", workers, n, serialLen)
 			}
-			fmt.Printf("  %s %10v   %.2fx serial   (|result| = %d)\n",
-				e.name, elapsed, float64(elapsed)/float64(serial), card)
+			fmt.Printf("  workers=%d %10v   %.2fx serial   (|result| = %d)\n",
+				workers, elapsed, float64(elapsed)/float64(serial), n)
 		}
 		fmt.Println()
 	}

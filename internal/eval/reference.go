@@ -14,7 +14,7 @@ import (
 // exactly as written in the paper's definitions, with no physical-operator
 // shortcuts (joins go through the full Cartesian product, duplicate
 // elimination scans the whole input, and so on).  It is deliberately naive —
-// its job is to be an obviously-correct oracle for the physical Engine.
+// its job is to be an obviously-correct oracle for the physical plans.
 type Reference struct{}
 
 // Eval evaluates the expression against the source and returns the resulting

@@ -1,16 +1,14 @@
 // Package eval implements the executable semantics of the multi-set extended
-// relational algebra.  It offers two evaluators over the same logical
-// expressions (package algebra):
+// relational algebra as Reference: a literal transcription of the paper's
+// definitions, used as the semantic oracle by property-based tests.  It also
+// adapts evaluation sources for the physical layer: Cardinalities and
+// CatalogOf let plan.Planner plan against any Source, which is how a
+// transaction's evaluate stage (txn.Tx.EvaluatePlan) compiles expressions into
+// streaming physical operators.
 //
-//   - Reference: a literal transcription of the paper's definitions, used as
-//     the semantic oracle by property-based tests.
-//   - Engine (physical): compiles expressions through the cost-aware planner
-//     of package plan into streaming physical operators (hash join, hash
-//     aggregate, pipelined σ/π) and executes them; used by the public facade
-//     and the benchmarks.
-//
-// Agreement of the two evaluators on random databases — including randomly
-// generated expression trees — is itself one of the library's property tests.
+// Agreement of the physical plans with Reference on random databases —
+// including randomly generated expression trees — is itself one of the
+// library's property tests.
 package eval
 
 import (

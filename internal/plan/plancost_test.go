@@ -8,7 +8,7 @@ import (
 
 // BenchmarkPlanOverhead measures the fixed cost of compiling a small
 // expression into a physical plan — the per-query overhead the planner split
-// added to Engine.Eval.  It should stay in the order of a microsecond and a
+// added to every evaluation.  It should stay in the order of a microsecond and a
 // couple of dozen allocations, far below any actual evaluation.
 func BenchmarkPlanOverhead(b *testing.B) {
 	src := testSource(1000)

@@ -64,14 +64,7 @@ func NewPlanner(cards CardinalitySource) *Planner { return &Planner{Cards: cards
 // inference, condition and arithmetic validation) happens here; execution
 // assumes a well-typed plan.
 func (pl *Planner) Plan(e algebra.Expr, cat algebra.Catalog) (*Plan, error) {
-	root, err := pl.compile(e, cat)
-	if err != nil {
-		return nil, err
-	}
-	root = pl.parallelize(root)
-	p := &Plan{Root: root, nodes: make([]Node, 0, 8), batchSize: pl.BatchSize, memLimit: pl.MemoryLimit}
-	number(root, &p.nodes)
-	return p, nil
+	return pl.PlanOrdered(e, cat, nil)
 }
 
 // number assigns pre-order ids used by the per-operator statistics.

@@ -38,14 +38,6 @@ func compareKeys(keys []SortKey, a, b tuple.Tuple) int {
 	return a.Compare(b)
 }
 
-// SortTuples sorts rows in place by the key list (ties in canonical tuple
-// order).  It is the same ordering the Sort physical operator produces; the
-// facade uses it to sort already materialised results on the presentation
-// path.
-func SortTuples(rows []tuple.Tuple, keys []SortKey) {
-	sort.Slice(rows, func(i, j int) bool { return compareKeys(keys, rows[i], rows[j]) < 0 })
-}
-
 // sortNode is the Sort physical operator: a blocking operator that
 // materialises its input and emits the chunks in key order.  Relations are
 // unordered, so Sort exists purely for presentation — the ORDER BY path of
@@ -105,10 +97,10 @@ func (s *sortNode) run(ctx *execCtx, emit EmitBatch) error {
 	return w.flush()
 }
 
-// PlanOrdered compiles the expression like Plan and roots the result with a
-// Sort operator over the given keys, which must address the expression's
-// output schema.  The plan's root stream then emits in key order;
-// ExecuteOrdered captures that order.
+// PlanOrdered is Plan with sort keys: when there are any, it roots the plan
+// with a Sort operator over them, which must address the expression's output
+// schema.  The plan's root stream then emits in key order; ExecuteOrdered
+// captures that order.
 func (pl *Planner) PlanOrdered(e algebra.Expr, cat algebra.Catalog, keys []SortKey) (*Plan, error) {
 	root, err := pl.compile(e, cat)
 	if err != nil {
@@ -120,21 +112,24 @@ func (pl *Planner) PlanOrdered(e algebra.Expr, cat algebra.Catalog, keys []SortK
 			return nil, fmt.Errorf("plan: sort key %%%d out of range for arity %d", k.Col+1, root.Schema().Arity())
 		}
 	}
-	s := &sortNode{keys: keys, input: root}
-	s.schema = root.Schema()
-	s.est = root.Estimate()
-	s.exactEst = root.meta().exactEst
-	s.capHint = root.meta().capHint
-	p := &Plan{Root: s, nodes: make([]Node, 0, 8), batchSize: pl.BatchSize, memLimit: pl.MemoryLimit}
-	number(s, &p.nodes)
+	if len(keys) > 0 {
+		s := &sortNode{keys: keys, input: root}
+		s.schema = root.Schema()
+		s.est = root.Estimate()
+		s.exactEst = root.meta().exactEst
+		s.capHint = root.meta().capHint
+		root = s
+	}
+	p := &Plan{Root: root, nodes: make([]Node, 0, 8), batchSize: pl.BatchSize, memLimit: pl.MemoryLimit}
+	number(root, &p.nodes)
 	return p, nil
 }
 
-// ExecuteOrdered runs the plan and returns its occurrences in root emission
-// order — batch by batch, live rows in row order; a tuple with multiplicity k
-// appears k times consecutively — together with the result relation.  The order is only meaningful when the root is an
-// order-producing operator — a Sort, as built by PlanOrdered.  st, when
-// non-nil, accumulates per-operator statistics as in ExecuteStats.
+// ExecuteOrdered runs the plan and returns its occurrences in key order — a
+// tuple with multiplicity k appears k times consecutively — together with the
+// result relation.  A plan without a Sort root (PlanOrdered without keys, or
+// Plan) has no order: it runs exactly like ExecuteStats and the order is nil.
+// st, when non-nil, accumulates per-operator statistics as in ExecuteStats.
 func (p *Plan) ExecuteOrdered(src Source, st *Stats) ([]tuple.Tuple, *multiset.Relation, error) {
 	return p.ExecuteOrderedContext(context.Background(), src, st)
 }
@@ -142,6 +137,10 @@ func (p *Plan) ExecuteOrdered(src Source, st *Stats) ([]tuple.Tuple, *multiset.R
 // ExecuteOrderedContext is ExecuteOrdered under a lifecycle context, polled at
 // the same amortised checkpoints as ExecuteContext.
 func (p *Plan) ExecuteOrderedContext(qctx context.Context, src Source, st *Stats) ([]tuple.Tuple, *multiset.Relation, error) {
+	if _, sorted := p.Root.(*sortNode); !sorted {
+		rel, err := p.exec(qctx, src, st)
+		return nil, rel, err
+	}
 	ctx := p.newExecCtx(qctx, src, st)
 	if err := ctx.poll(); err != nil {
 		return nil, nil, err

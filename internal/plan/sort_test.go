@@ -47,6 +47,18 @@ func TestSortOperator(t *testing.T) {
 		}
 	}
 
+	// Without keys there is no Sort root and no order: PlanOrdered is Plan.
+	p, err = NewPlanner(cardsOf(src)).PlanOrdered(algebra.NewRel("r"), catalogOf(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.HasPrefix(p.Root.Describe(), "Sort") {
+		t.Errorf("keyless root = %s", p.Root.Describe())
+	}
+	if ordered, rel, err = p.ExecuteOrdered(src, nil); err != nil || ordered != nil || !rel.Equal(r) {
+		t.Errorf("keyless execution = %v, %v, %v", ordered, rel, err)
+	}
+
 	// Out-of-range keys are rejected at plan time.
 	if _, err := NewPlanner(cardsOf(src)).PlanOrdered(algebra.NewRel("r"), catalogOf(src), []SortKey{{Col: 5}}); err == nil {
 		t.Error("out-of-range sort key must fail")
@@ -90,19 +102,6 @@ func TestSortAboveParallelRegion(t *testing.T) {
 			if !ordered[i].Equal(serial[i]) {
 				t.Fatalf("round %d: row %d = %s, want %s", round, i, ordered[i], serial[i])
 			}
-		}
-	}
-}
-
-// TestSortTuplesHelper checks the exported sorting helper matches the
-// operator's ordering on an expanded occurrence slice.
-func TestSortTuplesHelper(t *testing.T) {
-	rows := []tuple.Tuple{tuple.Ints(2, 1), tuple.Ints(1, 2), tuple.Ints(2, 0), tuple.Ints(1, 2)}
-	SortTuples(rows, []SortKey{{Col: 0}, {Col: 1, Desc: true}})
-	want := []tuple.Tuple{tuple.Ints(1, 2), tuple.Ints(1, 2), tuple.Ints(2, 1), tuple.Ints(2, 0)}
-	for i := range want {
-		if !rows[i].Equal(want[i]) {
-			t.Fatalf("rows[%d] = %s, want %s", i, rows[i], want[i])
 		}
 	}
 }

@@ -52,7 +52,7 @@ func rewriteNode(e algebra.Expr, cat algebra.Catalog, rules []Rule, trace *[]App
 			if !ok {
 				continue
 			}
-			*trace = append(*trace, Applied{Rule: r.Name(), Before: node.String(), After: next.String()})
+			*trace = append(*trace, Applied{Rule: r.Name()})
 			node = next
 			fired = true
 			changed = true

@@ -10,8 +10,6 @@
 package rewrite
 
 import (
-	"fmt"
-
 	"mra/internal/algebra"
 	"mra/internal/scalar"
 )
@@ -358,11 +356,4 @@ func DefaultRules() []Rule {
 type Applied struct {
 	// Rule is the applied rule's name.
 	Rule string
-	// Before and After are the node renderings around the application.
-	Before, After string
-}
-
-// String renders the application as "rule: before => after".
-func (a Applied) String() string {
-	return fmt.Sprintf("%s: %s => %s", a.Rule, a.Before, a.After)
 }

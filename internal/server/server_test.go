@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"mra"
+	"mra/internal/plan"
 	"mra/internal/workload"
 )
 
@@ -28,6 +30,13 @@ func startTestServer(t testing.TB, accounts int, cfg Config) (*Server, string) {
 	if err := db.InsertValues("account", workload.AccountRows(accounts, 7)...); err != nil {
 		t.Fatal(err)
 	}
+	return serveDB(t, db, cfg)
+}
+
+// serveDB serves db on an ephemeral loopback port until the test ends and
+// returns the server plus its address.
+func serveDB(t testing.TB, db *mra.DB, cfg Config) (*Server, string) {
+	t.Helper()
 	srv := New(db, cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -486,4 +495,104 @@ func bankTotal(t *testing.T, db *mra.DB) int64 {
 		t.Fatal(err)
 	}
 	return int64(math.Round(res.Rows()[0][0].(float64) * 100))
+}
+
+// TestOrderByMemoryBudgetOverWire pins the served ORDER BY on the physical
+// Sort operator: the session's memory budget applies to the sort, so sorting
+// a 5000-row table under 64 KiB fails with the budget error while the same
+// session scans the table unsorted.
+func TestOrderByMemoryBudgetOverWire(t *testing.T) {
+	db := mra.Open()
+	db.MustCreateRelation("t", mra.Col("a", mra.Int), mra.Col("b", mra.Int))
+	rows := make([][]any, 5000)
+	for i := range rows {
+		rows[i] = []any{i, i % 97}
+	}
+	if err := db.InsertValues("t", rows...); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serveDB(t, db, Config{})
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if resp := mustDo(t, cl, `\set memlimit 65536`); !resp.OK {
+		t.Fatalf("\\set memlimit: %+v", resp)
+	}
+	if resp := mustDo(t, cl, "select a, b from t;"); !resp.OK || resp.Results[0].RowCount != 5000 {
+		t.Fatalf("an unordered scan must fit the budget: %+v", resp.Error)
+	}
+	resp := mustDo(t, cl, "select a, b from t order by b desc, a;")
+	if resp.OK || !strings.Contains(resp.Error, plan.ErrMemoryBudget.Error()) {
+		t.Fatalf("ordered scan: ok=%v error=%q, want the memory budget", resp.OK, resp.Error)
+	}
+}
+
+// TestXRAOverWire drives the XRA front end through a session: an
+// auto-committed query, an insert inside begin/commit, and a begin … end
+// block sent inside an open transaction, which is rejected and aborts it.
+func TestXRAOverWire(t *testing.T) {
+	_, addr := startTestServer(t, 16, Config{})
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if resp := mustDo(t, cl, `\lang xra`); !resp.OK {
+		t.Fatalf("\\lang xra: %+v", resp)
+	}
+	resp := mustDo(t, cl, "? project[%2](select[%1 = 3](account));")
+	if !resp.OK || resp.State != StateIdle || len(resp.Results) != 1 || resp.Results[0].RowCount != 1 {
+		t.Fatalf("auto-committed XRA query: %+v", resp)
+	}
+
+	mustDo(t, cl, "begin")
+	if resp := mustDo(t, cl, "insert(account, [(100, 'zed', 5.0)]);"); !resp.OK || resp.State != StateTxn {
+		t.Fatalf("XRA insert in a transaction: %+v", resp)
+	}
+	if resp := mustDo(t, cl, "commit"); !resp.OK {
+		t.Fatalf("commit: %+v", resp)
+	}
+	resp = mustDo(t, cl, "select[%1 = 100](account);")
+	if !resp.OK || resp.Results[0].RowCount != 1 || resp.Results[0].Rows[0][1] != "zed" {
+		t.Fatalf("committed XRA insert not visible: %+v", resp)
+	}
+
+	mustDo(t, cl, "begin")
+	if resp := mustDo(t, cl, "begin ? account; end;"); resp.OK || resp.State != StateAborted ||
+		!strings.Contains(resp.Error, "begin/end") {
+		t.Fatalf("a begin … end block inside a transaction must be rejected: %+v", resp)
+	}
+	if resp := mustDo(t, cl, "rollback"); !resp.OK || resp.State != StateIdle {
+		t.Fatalf("rollback: %+v", resp)
+	}
+}
+
+// TestHTTPLang checks the per-request language of POST /query: "xra" runs
+// XRA, and an unknown language is a 400.
+func TestHTTPLang(t *testing.T) {
+	srv, _ := startTestServer(t, 16, Config{})
+	hs := httptest.NewServer(srv.HTTPHandler())
+	defer hs.Close()
+	post := func(body string) (int, Response) {
+		t.Helper()
+		resp, err := hs.Client().Post(hs.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r Response
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, r
+	}
+	if code, r := post(`{"query": "? select[%1 = 3](account)", "lang": "xra"}`); code != http.StatusOK ||
+		!r.OK || len(r.Results) != 1 || r.Results[0].RowCount != 1 {
+		t.Fatalf("lang xra: status %d, %+v", code, r)
+	}
+	if code, r := post(`{"query": "select count(*) from account", "lang": "cobol"}`); code != http.StatusBadRequest || r.OK {
+		t.Fatalf("unknown lang: status %d, %+v", code, r)
+	}
 }

@@ -76,7 +76,7 @@ func TestExample32SetSemanticsCorruptsAggregate(t *testing.T) {
 	pushed := algebra.NewGroupBy([]int{1}, algebra.AggAvg, 0,
 		algebra.NewProject([]int{2, 5}, joinBeerBrewery()))
 
-	bagEngine := &eval.Engine{}
+	bagEngine := eval.Reference{}
 	bagDirect, err := bagEngine.Eval(direct, src)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestSetAndBagAgreeOnDuplicateFreeData(t *testing.T) {
 		algebra.NewProject([]int{0, 1}, algebra.NewRel("r")),
 	}
 	for _, e := range exprs {
-		bag, err := (&eval.Engine{}).Eval(e, src)
+		bag, err := (eval.Reference{}).Eval(e, src)
 		if err != nil {
 			t.Fatal(err)
 		}

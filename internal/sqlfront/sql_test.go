@@ -7,6 +7,7 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/plan"
 	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/stmt"
@@ -49,7 +50,7 @@ func runSQL(t *testing.T, sql string) *multiset.Relation {
 	if err := algebra.Validate(q.Expr, src.Catalog()); err != nil {
 		t.Fatalf("validate %q (%s): %v", sql, q.Expr, err)
 	}
-	r, err := (&eval.Engine{}).Eval(q.Expr, src)
+	r, err := (eval.Reference{}).Eval(q.Expr, src)
 	if err != nil {
 		t.Fatalf("eval %q: %v", sql, err)
 	}
@@ -121,11 +122,11 @@ func TestExample32SQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := (&eval.Engine{}).Eval(q.Expr, src)
+	got, err := (eval.Reference{}).Eval(q.Expr, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (&eval.Engine{}).Eval(
+	want, err := (eval.Reference{}).Eval(
 		algebra.NewGroupBy([]int{5}, algebra.AggAvg, 2,
 			algebra.NewJoin(scalar.Eq(1, 3), algebra.NewRel("beer"), algebra.NewRel("brewery"))), src)
 	if err != nil {
@@ -417,7 +418,7 @@ func newFakeContext(src eval.MapSource) *fakeContext { return &fakeContext{src: 
 func (f *fakeContext) Catalog() algebra.Catalog { return f.src.Catalog() }
 
 func (f *fakeContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
-	return (&eval.Engine{}).Eval(e, f.src)
+	return (eval.Reference{}).Eval(e, f.src)
 }
 
 func (f *fakeContext) Current(name string) (*multiset.Relation, bool) { return f.src.Relation(name) }
@@ -443,7 +444,7 @@ func TestOrderByLimitCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Modifiers{Order: []OrderKey{{Col: 1, Desc: true}, {Col: 0}}, Limit: 3, HasLimit: true, Offset: 1}
+	want := Modifiers{Order: []plan.SortKey{{Col: 1, Desc: true}, {Col: 0}}, Limit: 3, HasLimit: true, Offset: 1}
 	if len(q.Mods.Order) != 2 || q.Mods.Order[0] != want.Order[0] || q.Mods.Order[1] != want.Order[1] ||
 		q.Mods.Limit != want.Limit || !q.Mods.HasLimit || q.Mods.Offset != want.Offset {
 		t.Errorf("modifiers = %+v, want %+v", q.Mods, want)
@@ -454,7 +455,7 @@ func TestOrderByLimitCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.Mods.Order) != 1 || q.Mods.Order[0] != (OrderKey{Col: 1, Desc: true}) {
+	if len(q.Mods.Order) != 1 || q.Mods.Order[0] != (plan.SortKey{Col: 1, Desc: true}) {
 		t.Errorf("positional order = %+v", q.Mods.Order)
 	}
 
@@ -472,7 +473,7 @@ func TestOrderByLimitCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.Mods.Order) != 1 || q.Mods.Order[0] != (OrderKey{Col: 1, Desc: true}) || q.Mods.Limit != 2 {
+	if len(q.Mods.Order) != 1 || q.Mods.Order[0] != (plan.SortKey{Col: 1, Desc: true}) || q.Mods.Limit != 2 {
 		t.Errorf("grouped order = %+v", q.Mods)
 	}
 
@@ -533,7 +534,7 @@ func TestOrderByExpressionKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Mods.Hidden != 1 || len(q.Mods.Order) != 1 || q.Mods.Order[0] != (OrderKey{Col: 1, Desc: true}) {
+	if q.Mods.Hidden != 1 || len(q.Mods.Order) != 1 || q.Mods.Order[0] != (plan.SortKey{Col: 1, Desc: true}) {
 		t.Fatalf("modifiers = %+v", q.Mods)
 	}
 	s, err := q.Expr.Schema(cat)
@@ -543,7 +544,7 @@ func TestOrderByExpressionKeys(t *testing.T) {
 	if s.Arity() != 2 || s.Attribute(0).Name != "name" || s.Attribute(1).Name != "" {
 		t.Errorf("extended schema = %s", s)
 	}
-	out, err := (&eval.Engine{}).Eval(q.Expr, src)
+	out, err := (eval.Reference{}).Eval(q.Expr, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +559,7 @@ func TestOrderByExpressionKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	if q.Mods.Hidden != 1 || len(q.Mods.Order) != 2 ||
-		q.Mods.Order[0] != (OrderKey{Col: 0}) || q.Mods.Order[1] != (OrderKey{Col: 1}) {
+		q.Mods.Order[0] != (plan.SortKey{Col: 0}) || q.Mods.Order[1] != (plan.SortKey{Col: 1}) {
 		t.Errorf("mixed modifiers = %+v", q.Mods)
 	}
 
@@ -568,7 +569,7 @@ func TestOrderByExpressionKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Mods.Hidden != 1 || len(q.Mods.Order) != 1 || q.Mods.Order[0] != (OrderKey{Col: 1}) {
+	if q.Mods.Hidden != 1 || len(q.Mods.Order) != 1 || q.Mods.Order[0] != (plan.SortKey{Col: 1}) {
 		t.Errorf("qualified modifiers = %+v", q.Mods)
 	}
 
@@ -577,7 +578,7 @@ func TestOrderByExpressionKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Mods.Hidden != 1 || q.Mods.Order[0] != (OrderKey{Col: 3, Desc: true}) {
+	if q.Mods.Hidden != 1 || q.Mods.Order[0] != (plan.SortKey{Col: 3, Desc: true}) {
 		t.Fatalf("star modifiers = %+v", q.Mods)
 	}
 	s, err = q.Expr.Schema(cat)

@@ -5,27 +5,21 @@ import (
 	"strings"
 
 	"mra/internal/algebra"
+	"mra/internal/plan"
 	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/stmt"
 	"mra/internal/value"
 )
 
-// OrderKey is one resolved ORDER BY key: a 0-based position in the query's
-// output schema and a direction.
-type OrderKey struct {
-	// Col is the 0-based output column.
-	Col int
-	// Desc orders descending when set.
-	Desc bool
-}
-
 // Modifiers are the presentation-level ORDER BY / LIMIT / OFFSET clauses of a
 // SELECT.  The multi-set algebra is unordered, so they have no expression
-// counterpart; they are applied to the materialised result by the facade.
+// counterpart: the ORDER BY keys ride on the query statement to the physical
+// Sort operator, and the facade cuts the window from the sorted result.
 type Modifiers struct {
-	// Order lists the sort keys, outermost first.
-	Order []OrderKey
+	// Order lists the sort keys, outermost first: 0-based positions in the
+	// query's output schema with a direction each.
+	Order []plan.SortKey
 	// Offset skips the first Offset rows of the (ordered) result.
 	Offset uint64
 	// Limit caps the number of returned rows when HasLimit is set.
@@ -33,8 +27,8 @@ type Modifiers struct {
 	HasLimit bool
 	// Hidden is the number of trailing hidden sort columns the translator
 	// appended to the query's projection so ORDER BY could reference
-	// expressions that are not output columns.  The facade sorts on them and
-	// strips them before the result is presented.
+	// expressions that are not output columns.  The Sort operator orders on
+	// them and the facade strips them before the result is presented.
 	Hidden int
 }
 
@@ -71,7 +65,7 @@ func CompileQuery(sql string, cat algebra.Catalog) (Query, error) {
 // extended relational algebra statements of Definition 4.1.  A SELECT with
 // ORDER BY or LIMIT is rejected here: statement outputs are bare multi-sets,
 // so the presentation modifiers would be lost — use CompileQuery or
-// CompileScript, whose callers apply them to the materialised results.
+// CompileScript, whose callers present the results.
 func CompileStatement(sql string, cat algebra.Catalog) (stmt.Statement, error) {
 	s, mods, err := compileStatement(sql, cat)
 	if err != nil {
@@ -100,7 +94,7 @@ func compileStatement(sql string, cat algebra.Catalog) (stmt.Statement, Modifier
 		if err != nil {
 			return nil, Modifiers{}, err
 		}
-		return stmt.Query{Source: q.Expr}, q.Mods, nil
+		return stmt.Query{Source: q.Expr, Order: q.Mods.Order}, q.Mods, nil
 	case *insertStmt:
 		s, err := translateInsert(n, cat)
 		return s, Modifiers{}, err
@@ -410,7 +404,7 @@ func translateQuery(q *selectQuery, cat algebra.Catalog) (Query, error) {
 			col = outSchema.Arity() + len(hidden)
 			hidden = append(hidden, item.expr)
 		}
-		out.Mods.Order = append(out.Mods.Order, OrderKey{Col: col, Desc: item.desc})
+		out.Mods.Order = append(out.Mods.Order, plan.SortKey{Col: col, Desc: item.desc})
 	}
 	if len(hidden) > 0 {
 		// Re-translate with the hidden key columns appended to the projection.

@@ -15,6 +15,7 @@ import (
 
 	"mra/internal/algebra"
 	"mra/internal/multiset"
+	"mra/internal/plan"
 	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/tuple"
@@ -264,11 +265,27 @@ func (s Assign) String() string { return fmt.Sprintf("%s = %s", s.Name, s.Source
 // Query is the query statement ?E: it sends the result of E to the user of
 // the database system and has no effect on the database (Definition 4.1).
 type Query struct {
+	// Source is the expression E.
 	Source algebra.Expr
+	// Order lists the resolved sort keys of a SQL ORDER BY, outermost first.
+	// Relations are unordered, so the keys only fix the order in which the
+	// output is presented; an empty list presents it unordered.
+	Order []plan.SortKey
 }
 
-// Execute implements Statement.
+// Execute implements Statement.  An ordered query needs a context that also
+// implements Query (transactions do): it evaluates the expression under a
+// Sort operator and delivers the result together with its order.
 func (s Query) Execute(ctx Context) error {
+	if len(s.Order) > 0 {
+		q, ok := ctx.(interface {
+			Query(e algebra.Expr, keys []plan.SortKey) error
+		})
+		if !ok {
+			return fmt.Errorf("%w: context does not support ordered queries", ErrStatement)
+		}
+		return q.Query(s.Source, s.Order)
+	}
 	r, err := ctx.Evaluate(s.Source)
 	if err != nil {
 		return err

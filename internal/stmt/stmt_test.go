@@ -41,7 +41,7 @@ func newMock() *mockContext {
 func (m *mockContext) Catalog() algebra.Catalog { return m.src.Catalog() }
 
 func (m *mockContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
-	return (&eval.Engine{}).Eval(e, m.src)
+	return (eval.Reference{}).Eval(e, m.src)
 }
 
 func (m *mockContext) Current(name string) (*multiset.Relation, bool) { return m.src.Relation(name) }

@@ -44,6 +44,7 @@ import (
 	"mra/internal/stats"
 	"mra/internal/stmt"
 	"mra/internal/storage"
+	"mra/internal/tuple"
 )
 
 // Transaction lifecycle errors.
@@ -148,34 +149,11 @@ func (m *Manager) BeginTx(opts TxOptions) *Tx {
 		id:           m.nextID.Add(1),
 		snap:         m.db.Snapshot(),
 		serializable: opts.Serializable,
-		engine:       &eval.Engine{Planner: plan.Planner{Workers: workers, MemoryLimit: memLimit}},
+		planner:      plan.Planner{Workers: workers, MemoryLimit: memLimit},
 		workspace:    make(map[string]*multiset.Relation),
 		temps:        make(map[string]*multiset.Relation),
 		reads:        make(map[string]struct{}),
 	}
-}
-
-// Run executes the program inside a fresh transaction and commits it,
-// returning the query outputs.  On any error the transaction aborts and the
-// database is left unchanged.
-func (m *Manager) Run(p stmt.Program) ([]*multiset.Relation, error) {
-	return m.RunContext(context.Background(), p)
-}
-
-// RunContext is Run under a lifecycle context: every query the program
-// evaluates polls ctx at amortised checkpoints, and the transaction aborts —
-// leaving the database unchanged — as soon as a statement fails with
-// ctx.Err().  A Background context adds no cost over Run.
-func (m *Manager) RunContext(ctx context.Context, p stmt.Program) ([]*multiset.Relation, error) {
-	tx := m.Begin().WithContext(ctx)
-	if err := p.Execute(tx); err != nil {
-		tx.Abort()
-		return nil, err
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return tx.Outputs(), nil
 }
 
 // State is a transaction's lifecycle state.
@@ -218,8 +196,10 @@ type Tx struct {
 	// reads resolve against it, never against the live database.
 	snap         *storage.Snapshot
 	serializable bool
-	engine       *eval.Engine
-	state        State
+	// planner is the configuration every evaluation plans under; Evaluate
+	// points its Cards at the transaction.
+	planner plan.Planner
+	state   State
 	// ctx is the transaction's lifecycle context: every evaluation runs under
 	// it, so cancelling it (or passing its deadline) aborts running queries
 	// with ctx.Err().  nil means Background.
@@ -236,6 +216,9 @@ type Tx struct {
 	localStats map[string]*stats.Table
 	// outputs collects query statement results in execution order.
 	outputs []*multiset.Relation
+	// orders holds, by output index, the key order of the outputs of ordered
+	// queries; nil until the first one.
+	orders map[int][]tuple.Tuple
 }
 
 // WithContext sets the transaction's lifecycle context and returns the same
@@ -269,6 +252,11 @@ func (t *Tx) Outputs() []*multiset.Relation {
 	copy(out, t.outputs)
 	return out
 }
+
+// OutputOrder returns the presentation order of the i-th output: its
+// occurrences in sort-key order when it came from an ordered query, nil
+// otherwise.
+func (t *Tx) OutputOrder(i int) []tuple.Tuple { return t.orders[i] }
 
 // Relation implements eval.Source over the transaction's intermediate state:
 // temporaries shadow workspace copies, which shadow the snapshot captured at
@@ -367,15 +355,65 @@ func (c txCatalog) RelationSchema(name string) (schema.Relation, bool) {
 	return r.Schema(), true
 }
 
-// Evaluate implements stmt.Context.
+// Evaluate implements stmt.Context: it is EvaluatePlan without sort keys or
+// statistics.
 func (t *Tx) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
+	ev, err := t.EvaluatePlan(e, nil, nil)
+	return ev.Result, err
+}
+
+// Evaluation is what one pass of the evaluate stage produced.
+type Evaluation struct {
+	// Plan is the physical plan; it is set once planning succeeded, even when
+	// execution then failed.
+	Plan *plan.Plan
+	// Ordered lists the result's occurrences in sort-key order; nil when the
+	// expression was evaluated without keys.
+	Ordered []tuple.Tuple
+	// Result is the result relation.
+	Result *multiset.Relation
+}
+
+// EvaluatePlan is the evaluate stage of every statement and query, and the
+// only place an expression is planned and executed: it validates e against
+// the transaction's intermediate state, plans it — rooted at a Sort operator
+// over keys when there are any — with the transaction's cardinalities and
+// statistics, and executes the plan under the transaction's context.  st,
+// when non-nil, accumulates per-operator statistics.
+func (t *Tx) EvaluatePlan(e algebra.Expr, keys []plan.SortKey, st *plan.Stats) (Evaluation, error) {
 	if t.state != StateActive {
-		return nil, ErrDone
+		return Evaluation{}, ErrDone
 	}
 	if err := algebra.Validate(e, t.Catalog()); err != nil {
-		return nil, err
+		return Evaluation{}, err
 	}
-	return t.engine.EvalContext(t.Context(), e, t)
+	pl := t.planner
+	pl.Cards = eval.Cardinalities(t)
+	p, err := pl.PlanOrdered(e, eval.CatalogOf(t), keys)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	ordered, rel, err := p.ExecuteOrderedContext(t.Context(), t, st)
+	return Evaluation{Plan: p, Ordered: ordered, Result: rel}, err
+}
+
+// Query executes the query statement ?E: e is evaluated — under a Sort
+// operator over keys when there are any — and its result becomes the next
+// output, together with its key order (see OutputOrder).  stmt.Query calls it
+// for SQL ORDER BY; the facade's query entries call it for every query.
+func (t *Tx) Query(e algebra.Expr, keys []plan.SortKey) error {
+	ev, err := t.EvaluatePlan(e, keys, nil)
+	if err != nil {
+		return err
+	}
+	if ev.Ordered != nil {
+		if t.orders == nil {
+			t.orders = make(map[int][]tuple.Tuple)
+		}
+		t.orders[len(t.outputs)] = ev.Ordered
+	}
+	t.Output(ev.Result)
+	return nil
 }
 
 // Current implements stmt.Context.

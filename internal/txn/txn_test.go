@@ -58,7 +58,7 @@ func guinekenSelection() algebra.Expr {
 func TestQueryStatementHasNoEffect(t *testing.T) {
 	m := newBeerManager(t)
 	before := m.Database().LogicalTime()
-	outs, err := m.Run(stmt.Program{stmt.Query{Source: algebra.NewRel("beer")}})
+	outs, err := run(m, stmt.Program{stmt.Query{Source: algebra.NewRel("beer")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestInsertDeleteStatements(t *testing.T) {
 			{value.NewString("weizen"), value.NewString("guineken"), value.NewFloat(5.4)},
 		},
 	}
-	if _, err := m.Run(stmt.Program{stmt.Insert{Target: "beer", Source: newBeer}}); err != nil {
+	if _, err := run(m, stmt.Program{stmt.Insert{Target: "beer", Source: newBeer}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Database().Cardinality("beer"); got != 5 {
@@ -94,7 +94,7 @@ func TestInsertDeleteStatements(t *testing.T) {
 	del := stmt.Delete{Target: "beer", Source: algebra.NewSelect(
 		scalar.NewCompare(value.CmpEq, scalar.NewAttr(1), scalar.NewConst(value.NewString("guinness"))),
 		algebra.NewRel("beer"))}
-	if _, err := m.Run(stmt.Program{del}); err != nil {
+	if _, err := run(m, stmt.Program{del}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Database().Cardinality("beer"); got != 4 {
@@ -117,7 +117,7 @@ func TestExample41Update(t *testing.T) {
 			scalar.NewArith(value.OpMul, scalar.NewAttr(2), scalar.NewConst(value.NewFloat(1.1))),
 		},
 	}
-	if _, err := m.Run(stmt.Program{up}); err != nil {
+	if _, err := run(m, stmt.Program{up}); err != nil {
 		t.Fatal(err)
 	}
 	beer, _ := m.Database().Relation("beer")
@@ -187,7 +187,7 @@ func TestAssignmentAndTemporaries(t *testing.T) {
 		stmt.Assign{Name: "dutch", Source: guinekenSelection()},
 		stmt.Query{Source: algebra.NewProject([]int{0}, algebra.NewRel("dutch"))},
 	}
-	outs, err := m.Run(p)
+	outs, err := run(m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestAssignmentAndTemporaries(t *testing.T) {
 		stmt.Delete{Target: "tmp", Source: guinekenSelection()},
 		stmt.Query{Source: algebra.NewRel("tmp")},
 	}
-	outs2, err := m.Run(p2)
+	outs2, err := run(m, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestAtomicityOnAbort(t *testing.T) {
 		stmt.Delete{Target: "beer", Source: guinekenSelection()},
 		stmt.Insert{Target: "beer", Source: algebra.NewRel("nosuch")},
 	}
-	if _, err := m.Run(bad); err == nil {
+	if _, err := run(m, bad); err == nil {
 		t.Fatal("program with a failing statement must error")
 	}
 	afterBeer, _ := m.Database().Relation("beer")
@@ -373,7 +373,7 @@ func TestManagerRunOutputsAndState(t *testing.T) {
 		t.Error("unknown state string")
 	}
 	// Run with a failing program returns the error and leaves no outputs.
-	if _, err := m.Run(stmt.Program{stmt.Query{Source: algebra.NewRel("nosuch")}}); err == nil {
+	if _, err := run(m, stmt.Program{stmt.Query{Source: algebra.NewRel("nosuch")}}); err == nil {
 		t.Error("failing program must error")
 	}
 }
@@ -423,4 +423,18 @@ func TestStatementStrings(t *testing.T) {
 	if !strings.Contains(prog.String(), "insert(beer, beer);\n?beer;\n") {
 		t.Errorf("program string = %q", prog.String())
 	}
+}
+
+// run executes p in a fresh transaction of m and commits it, returning the
+// query outputs; on an error the transaction aborts.
+func run(m *Manager, p stmt.Program) ([]*multiset.Relation, error) {
+	tx := m.Begin()
+	if err := tx.Run(p); err != nil {
+		tx.Abort()
+		return nil, err
+	}
+	if err := tx.Commit(); err != nil {
+		return nil, err
+	}
+	return tx.Outputs(), nil
 }

@@ -45,7 +45,7 @@ func mustEval(t *testing.T, src string) *multiset.Relation {
 	if err := algebra.Validate(e, s.Catalog()); err != nil {
 		t.Fatalf("validate %q: %v", src, err)
 	}
-	r, err := (&eval.Engine{}).Eval(e, s)
+	r, err := (eval.Reference{}).Eval(e, s)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -339,7 +339,7 @@ func newFakeContext(src eval.MapSource) *fakeContext { return &fakeContext{src: 
 func (f *fakeContext) Catalog() algebra.Catalog { return f.src.Catalog() }
 
 func (f *fakeContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
-	return (&eval.Engine{}).Eval(e, f.src)
+	return (eval.Reference{}).Eval(e, f.src)
 }
 
 func (f *fakeContext) Current(name string) (*multiset.Relation, bool) { return f.src.Relation(name) }

@@ -31,18 +31,14 @@ import (
 	"fmt"
 
 	"mra/internal/algebra"
-	"mra/internal/eval"
 	"mra/internal/exec"
-	"mra/internal/multiset"
 	"mra/internal/plan"
 	"mra/internal/rewrite"
 	"mra/internal/schema"
-	"mra/internal/sqlfront"
 	"mra/internal/stmt"
 	"mra/internal/storage"
 	"mra/internal/txn"
 	"mra/internal/value"
-	"mra/internal/xraparse"
 )
 
 // Type is the domain of a column.
@@ -127,11 +123,6 @@ func (db *DB) SetMemoryLimit(n int64) {
 // when unenforced).
 func (db *DB) MemoryLimit() int64 { return db.memLimit }
 
-// engine builds a physical evaluator with the database's configuration.
-func (db *DB) engine() *eval.Engine {
-	return &eval.Engine{Planner: plan.Planner{Workers: db.workers, MemoryLimit: db.memLimit}}
-}
-
 // CreateRelation declares a new empty relation.
 func (db *DB) CreateRelation(name string, cols ...Column) error {
 	if len(cols) == 0 {
@@ -193,7 +184,8 @@ func (db *DB) InsertValues(relation string, rows ...[]any) error {
 		converted[i] = vals
 	}
 	lit := algebra.Literal{Rel: rel.Rename(""), Rows: converted}
-	_, err := db.manager.Run(stmt.Program{stmt.Insert{Target: relation, Source: lit}})
+	prog := stmt.Program{stmt.Insert{Target: relation, Source: lit}}
+	_, err := db.exec(context.Background(), compiled{programs: []stmt.Program{prog}})
 	return err
 }
 
@@ -219,15 +211,6 @@ func convertValue(v any) (value.Value, error) {
 	}
 }
 
-// prepare optionally rewrites an expression for execution.
-func (db *DB) prepare(e algebra.Expr) algebra.Expr {
-	if !db.Optimize {
-		return e
-	}
-	out, _ := db.rewriter.Rewrite(e, db.store)
-	return out
-}
-
 // QueryExpr validates, optionally optimises, and evaluates an algebra
 // expression, returning its result.
 func (db *DB) QueryExpr(e algebra.Expr) (*Result, error) {
@@ -238,17 +221,7 @@ func (db *DB) QueryExpr(e algebra.Expr) (*Result, error) {
 // at amortised checkpoints and fails with ctx.Err() once it is cancelled or
 // past its deadline.  A Background context adds no cost over QueryExpr.
 func (db *DB) QueryExprContext(ctx context.Context, e algebra.Expr) (*Result, error) {
-	if err := algebra.Validate(e, db.store); err != nil {
-		return nil, err
-	}
-	plan := db.prepare(e)
-	tx := db.manager.Begin().WithContext(ctx)
-	defer tx.Abort()
-	rel, err := db.engine().EvalContext(ctx, plan, tx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{rel: rel}, nil
+	return db.query(ctx, compiled{expr: e})
 }
 
 // QueryXRA parses an XRA expression and evaluates it.
@@ -259,11 +232,7 @@ func (db *DB) QueryXRA(expr string) (*Result, error) {
 // QueryXRAContext is QueryXRA under a lifecycle context (see
 // QueryExprContext).
 func (db *DB) QueryXRAContext(ctx context.Context, expr string) (*Result, error) {
-	e, err := xraparse.ParseExpression(expr)
-	if err != nil {
-		return nil, err
-	}
-	return db.QueryExprContext(ctx, e)
+	return db.queryText(ctx, xraLang, expr)
 }
 
 // QuerySQL compiles a SQL SELECT statement onto the algebra and evaluates it.
@@ -279,41 +248,7 @@ func (db *DB) QuerySQL(sql string) (*Result, error) {
 // QuerySQLContext is QuerySQL under a lifecycle context (see
 // QueryExprContext).
 func (db *DB) QuerySQLContext(ctx context.Context, sql string) (*Result, error) {
-	q, err := sqlfront.CompileQuery(sql, db.store)
-	if err != nil {
-		return nil, err
-	}
-	if len(q.Mods.Order) > 0 {
-		return db.queryOrdered(ctx, q)
-	}
-	res, err := db.QueryExprContext(ctx, q.Expr)
-	if err != nil {
-		return nil, err
-	}
-	return res.withModifiers(q.Mods), nil
-}
-
-// queryOrdered evaluates an ORDER BY query through the physical Sort
-// operator: the plan is rooted with a Sort over the resolved keys, the root
-// stream's emission order is captured as the presentation order, and the
-// window and hidden-column modifiers are applied to it.
-func (db *DB) queryOrdered(ctx context.Context, q sqlfront.Query) (*Result, error) {
-	if err := algebra.Validate(q.Expr, db.store); err != nil {
-		return nil, err
-	}
-	planned := db.prepare(q.Expr)
-	keys := make([]plan.SortKey, len(q.Mods.Order))
-	for i, k := range q.Mods.Order {
-		keys[i] = plan.SortKey{Col: k.Col, Desc: k.Desc}
-	}
-	tx := db.manager.Begin().WithContext(ctx)
-	defer tx.Abort()
-	ordered, rel, err := db.engine().EvalOrderedContext(ctx, planned, tx, keys)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{rel: rel, ordered: ordered}
-	return res.withModifiers(q.Mods), nil
+	return db.queryText(ctx, sqlLang, sql)
 }
 
 // Explain describes how the database would execute an XRA expression: the
@@ -345,37 +280,33 @@ type Explain struct {
 // tuple count it actually emitted.  The query's result is discarded; the
 // database is left unchanged.
 func (db *DB) Explain(expr string) (*Explain, error) {
-	e, err := xraparse.ParseExpression(expr)
+	c, err := compile(xraLang, queryForm, expr, db.store)
 	if err != nil {
 		return nil, err
 	}
-	if err := algebra.Validate(e, db.store); err != nil {
-		return nil, err
-	}
-	opt, trace := db.rewriter.Rewrite(e, db.store)
+	tx := db.manager.Begin()
+	defer tx.Abort()
+	opt, trace := db.rewrite(c.expr, tx.Catalog())
 	names := make([]string, len(trace))
 	for i, a := range trace {
 		names[i] = a.Rule
 	}
 	planned := opt
 	if !db.Optimize {
-		planned = e
+		planned = c.expr
 	}
-	phys, err := (&plan.Planner{Cards: db.store, Workers: db.workers, MemoryLimit: db.memLimit}).Plan(planned, db.store)
-	if err != nil {
+	var st plan.Stats
+	ev, err := tx.EvaluatePlan(planned, nil, &st)
+	if ev.Plan == nil {
 		return nil, err
 	}
-	// Execute the plan once against a snapshot to collect per-operator
-	// actuals; rendering falls back to estimates only if execution fails.
-	rendered := phys.String()
-	tx := db.manager.Begin()
-	var st plan.Stats
-	if _, err := phys.ExecuteStats(tx, &st); err == nil {
-		rendered = phys.Render(&st)
+	// A failed execution still renders the plan, with estimates only.
+	rendered := ev.Plan.String()
+	if err == nil {
+		rendered = ev.Plan.Render(&st)
 	}
-	tx.Abort()
 	return &Explain{
-		Logical:   e.String(),
+		Logical:   c.expr.String(),
 		Optimised: opt.String(),
 		Rules:     names,
 		Physical:  rendered,
@@ -479,11 +410,7 @@ func (db *DB) ExecProgram(p stmt.Program) ([]*Result, error) {
 // transaction aborts, leaving the database unchanged, as soon as a statement
 // fails with ctx.Err().
 func (db *DB) ExecProgramContext(ctx context.Context, p stmt.Program) ([]*Result, error) {
-	outs, err := db.manager.RunContext(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return wrapResults(outs), nil
+	return db.exec(ctx, compiled{programs: []stmt.Program{p}})
 }
 
 // ExecXRA parses an XRA script and executes it.  Each `begin ... end` block
@@ -497,19 +424,7 @@ func (db *DB) ExecXRA(script string) ([]*Result, error) {
 // context aborts the running transaction (already committed transactions of
 // the script stay committed) and returns ctx.Err().
 func (db *DB) ExecXRAContext(ctx context.Context, script string) ([]*Result, error) {
-	txs, err := xraparse.ParseScript(script)
-	if err != nil {
-		return nil, err
-	}
-	var results []*Result
-	for _, t := range txs {
-		outs, err := db.manager.RunContext(ctx, t.Program)
-		if err != nil {
-			return results, err
-		}
-		results = append(results, wrapResults(outs)...)
-	}
-	return results, nil
+	return db.execText(ctx, xraLang, script)
 }
 
 // MustExecXRA is ExecXRA panicking on error; it is intended for examples and
@@ -532,20 +447,7 @@ func (db *DB) ExecSQL(script string) ([]*Result, error) {
 // ExecSQLContext is ExecSQL under a lifecycle context (see
 // ExecProgramContext).
 func (db *DB) ExecSQLContext(ctx context.Context, script string) ([]*Result, error) {
-	prog, mods, err := sqlfront.CompileScript(script, db.store)
-	if err != nil {
-		return nil, err
-	}
-	results, err := db.ExecProgramContext(ctx, prog)
-	if err != nil {
-		return results, err
-	}
-	for i := range results {
-		if i < len(mods) {
-			results[i] = results[i].withModifiers(mods[i])
-		}
-	}
-	return results, nil
+	return db.execText(ctx, sqlLang, script)
 }
 
 // Begin opens an explicit transaction with the database's default options.
@@ -602,22 +504,20 @@ type Tx struct {
 
 // ExecXRA parses a single XRA statement and executes it inside the
 // transaction.
-func (t *Tx) ExecXRA(statement string) error {
-	s, err := xraparse.ParseStatement(statement)
-	if err != nil {
-		return err
-	}
-	return t.inner.Exec(s)
-}
+func (t *Tx) ExecXRA(statement string) error { return t.exec(xraLang, statement) }
 
 // ExecSQL compiles a single SQL statement and executes it inside the
 // transaction.
-func (t *Tx) ExecSQL(sql string) error {
-	s, err := sqlfront.CompileStatement(sql, t.inner.Catalog())
+func (t *Tx) ExecSQL(sql string) error { return t.exec(sqlLang, sql) }
+
+// exec compiles one statement against the transaction's intermediate state
+// and executes it.
+func (t *Tx) exec(lang language, src string) error {
+	c, err := compile(lang, statementForm, src, t.inner.Catalog())
 	if err != nil {
 		return err
 	}
-	return t.inner.Exec(s)
+	return t.inner.Exec(c.statement)
 }
 
 // Exec executes an already-built statement inside the transaction.
@@ -629,53 +529,36 @@ func (t *Tx) Exec(s stmt.Statement) error { return t.inner.Exec(s) }
 // their ORDER BY / LIMIT modifiers applied.  On a statement error the results
 // produced so far are returned alongside the error; the transaction is left
 // active so the caller decides between rollback and recovery.
-func (t *Tx) ExecSQLScript(script string) ([]*Result, error) {
-	prog, mods, err := sqlfront.CompileScript(script, t.inner.Catalog())
-	if err != nil {
-		return nil, err
-	}
-	before := len(t.inner.Outputs())
-	execErr := t.inner.Run(prog)
-	results := wrapResults(t.inner.Outputs()[before:])
-	for i := range results {
-		if i < len(mods) {
-			results[i] = results[i].withModifiers(mods[i])
-		}
-	}
-	return results, execErr
-}
+func (t *Tx) ExecSQLScript(script string) ([]*Result, error) { return t.script(sqlLang, script) }
 
 // ExecXRAScript parses an XRA script and executes its statements inside the
-// transaction.  Explicit `begin ... end` blocks are rejected — the bracket is
-// this transaction itself — and like ExecSQLScript, partial results accompany
-// a statement error with the transaction left active.
-func (t *Tx) ExecXRAScript(script string) ([]*Result, error) {
-	txs, err := xraparse.ParseScript(script)
+// transaction.  A script holding an explicit `begin ... end` block is
+// rejected before anything runs — the bracket is this transaction itself —
+// and like ExecSQLScript, partial results accompany a statement error with
+// the transaction left active.
+func (t *Tx) ExecXRAScript(script string) ([]*Result, error) { return t.script(xraLang, script) }
+
+// script compiles a script against the transaction's intermediate state and
+// runs it inside the transaction.
+func (t *Tx) script(lang language, src string) ([]*Result, error) {
+	c, err := compile(lang, scriptForm, src, t.inner.Catalog())
 	if err != nil {
 		return nil, err
 	}
-	before := len(t.inner.Outputs())
-	var execErr error
-	for _, parsed := range txs {
-		if parsed.Explicit {
-			execErr = errors.New("mra: begin/end blocks are not allowed inside an open transaction")
-			break
-		}
-		if execErr = t.inner.Run(parsed.Program); execErr != nil {
-			break
-		}
+	if c.bracketed {
+		return nil, errors.New("mra: begin/end blocks are not allowed inside an open transaction")
 	}
-	return wrapResults(t.inner.Outputs()[before:]), execErr
+	return run(t.inner, c.programs, c.mods)
 }
 
 // Query evaluates an XRA expression against the transaction's intermediate
 // state (including its own uncommitted changes and temporaries).
 func (t *Tx) Query(expr string) (*Result, error) {
-	e, err := xraparse.ParseExpression(expr)
+	c, err := compile(xraLang, queryForm, expr, t.inner.Catalog())
 	if err != nil {
 		return nil, err
 	}
-	rel, err := t.inner.Evaluate(e)
+	rel, err := t.inner.Evaluate(c.expr)
 	if err != nil {
 		return nil, err
 	}
@@ -683,7 +566,7 @@ func (t *Tx) Query(expr string) (*Result, error) {
 }
 
 // Outputs returns the results of the query statements executed so far.
-func (t *Tx) Outputs() []*Result { return wrapResults(t.inner.Outputs()) }
+func (t *Tx) Outputs() []*Result { return wrap(t.inner, 0, nil) }
 
 // Active reports whether the transaction still accepts statements (it has
 // neither committed nor aborted).
@@ -694,12 +577,3 @@ func (t *Tx) Commit() error { return t.inner.Commit() }
 
 // Abort discards the transaction's effects.
 func (t *Tx) Abort() { t.inner.Abort() }
-
-// wrapResults converts raw relations into public results.
-func wrapResults(rels []*multiset.Relation) []*Result {
-	out := make([]*Result, len(rels))
-	for i, r := range rels {
-		out[i] = &Result{rel: r}
-	}
-	return out
-}

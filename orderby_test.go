@@ -1,11 +1,14 @@
 package mra
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"mra/internal/multiset"
+	"mra/internal/plan"
 	"mra/internal/schema"
 	"mra/internal/tuple"
 	"mra/internal/value"
@@ -119,6 +122,65 @@ func TestQuerySQLOrderByLimit(t *testing.T) {
 	defer tx.Abort()
 	if err := tx.ExecSQL("SELECT name FROM beer ORDER BY name"); err == nil {
 		t.Error("Tx.ExecSQL must reject ORDER BY")
+	}
+}
+
+// TestOrderByChargesTheBudgetOnEveryPath pins the one ORDER BY
+// implementation: on the query path, the script path and inside an explicit
+// transaction alike, the query sorts through the physical Sort operator,
+// which charges the memory budget.  A 5000-row table fits a 64 KiB budget
+// when scanned, and sorting it trips the budget.
+func TestOrderByChargesTheBudgetOnEveryPath(t *testing.T) {
+	const q = "select a, b from t order by b desc, a"
+	db := Open()
+	db.MustCreateRelation("t", Col("a", Int), Col("b", Int))
+	rows := make([][]any, 5000)
+	for i := range rows {
+		rows[i] = []any{i, i % 97}
+	}
+	if err := db.InsertValues("t", rows...); err != nil {
+		t.Fatal(err)
+	}
+	db.SetMemoryLimit(64 << 10)
+	if _, err := db.QuerySQL("select a, b from t"); err != nil {
+		t.Fatalf("an unordered scan must fit the budget: %v", err)
+	}
+	if _, err := db.QuerySQL(q); !errors.Is(err, plan.ErrMemoryBudget) {
+		t.Errorf("QuerySQL: err = %v, want the memory budget", err)
+	}
+	if _, err := db.ExecSQL(q); !errors.Is(err, plan.ErrMemoryBudget) {
+		t.Errorf("ExecSQL: err = %v, want the memory budget", err)
+	}
+	tx := db.Begin()
+	if _, err := tx.ExecSQLScript(q); !errors.Is(err, plan.ErrMemoryBudget) {
+		t.Errorf("Tx.ExecSQLScript: err = %v, want the memory budget", err)
+	}
+	tx.Abort()
+
+	// Unbudgeted, every path presents the same order.
+	db.SetMemoryLimit(0)
+	res, err := db.QuerySQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Rows()
+	if want[0][0] != int64(96) || want[0][1] != int64(96) || want[1][0] != int64(193) {
+		t.Fatalf("first rows = %v, want b descending then a ascending", want[:2])
+	}
+	script, err := db.ExecSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx = db.Begin()
+	defer tx.Abort()
+	inTx, err := tx.ExecSQLScript(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][][]any{"ExecSQL": script[0].Rows(), "Tx.ExecSQLScript": inTx[0].Rows()} {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s presents a different order than QuerySQL", name)
+		}
 	}
 }
 

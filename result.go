@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"mra/internal/multiset"
-	"mra/internal/plan"
 	"mra/internal/sqlfront"
 	"mra/internal/tuple"
 	"mra/internal/value"
@@ -67,43 +66,30 @@ func (r *Result) Rows() [][]any {
 	return out
 }
 
-// withModifiers applies a SQL query's ORDER BY / OFFSET / LIMIT clauses: the
-// occurrences are sorted by the keys (ties fall back to canonical order, so
-// the result is deterministic), the window is cut, any hidden sort columns
-// the translator appended are stripped, and the relation is rebuilt from the
-// surviving rows so Len, Multiplicity and DistinctRows stay consistent with
-// what the caller sees.  A result that already carries a presentation order —
-// produced by the physical Sort operator on the QuerySQL path — is not
-// re-sorted; the script path sorts here with the same plan.SortTuples
-// ordering the operator uses.
+// withModifiers applies a SQL query's OFFSET / LIMIT clauses and strips the
+// hidden sort columns the translator appended.  The window is cut from the
+// presentation order — the Sort operator's key order under ORDER BY,
+// canonical order otherwise — and the relation is rebuilt from the surviving
+// rows so Len, Multiplicity and DistinctRows stay consistent with what the
+// caller sees.  Sorting is not done here: an ORDER BY result already carries
+// the order its plan's Sort produced.
 func (r *Result) withModifiers(m sqlfront.Modifiers) *Result {
-	if !m.Active() {
+	if m.Offset == 0 && !m.HasLimit && m.Hidden == 0 {
 		return r
 	}
 	rows := r.ordered
-	presorted := rows != nil
 	if rows == nil {
-		rows = r.rel.Tuples() // canonical order: the deterministic sort base
+		rows = r.rel.Tuples() // canonical order
 	}
-	if len(m.Order) > 0 && !presorted {
-		keys := make([]plan.SortKey, len(m.Order))
-		for i, k := range m.Order {
-			keys[i] = plan.SortKey{Col: k.Col, Desc: k.Desc}
-		}
-		plan.SortTuples(rows, keys)
-	}
-	rebuild := false
 	if m.Offset > 0 {
 		if m.Offset >= uint64(len(rows)) {
 			rows = rows[:0]
 		} else {
 			rows = rows[m.Offset:]
 		}
-		rebuild = true
 	}
 	if m.HasLimit && uint64(len(rows)) > m.Limit {
 		rows = rows[:m.Limit]
-		rebuild = true
 	}
 	s := r.rel.Schema()
 	if m.Hidden > 0 {
@@ -118,12 +104,6 @@ func (r *Result) withModifiers(m sqlfront.Modifiers) *Result {
 			stripped[i], _ = t.Project(visible)
 		}
 		rows = stripped
-		rebuild = true
-	}
-	if !rebuild {
-		// Pure ORDER BY: every occurrence survives, so the existing relation
-		// is reused and only the presentation order is attached.
-		return &Result{rel: r.rel, ordered: rows}
 	}
 	rel := multiset.NewWithCapacity(s, len(rows))
 	for _, t := range rows {
