@@ -553,9 +553,11 @@ func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
 // must produce exactly the Reference evaluator's multi-set — multiplicities
 // included — at every tested worker count, and must agree with it on whether
 // evaluation errors.  ParallelThreshold 1 forces exchange operators onto the
-// tiny random inputs, so the parallel operators (partitioned scans,
-// partition-wise joins, partitioned aggregation, merge) are exercised rather
-// than planned away.  Run with -race to check the runtime's concurrency.
+// tiny random inputs, so the parallel operators (morsel-partitioned scans,
+// shared-build joins, two-phase aggregation, merge) are exercised rather than
+// planned away.  Every compiled parallel plan must also keep the morsel
+// invariant: each Partition sits directly above a scan or values leaf.  Run
+// with -race to check the runtime's concurrency.
 func TestPropertyParallelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1994))
 	g := &exprGen{rng: rng}
@@ -569,6 +571,12 @@ func TestPropertyParallelMatchesReference(t *testing.T) {
 			ref, refErr := (Reference{}).Eval(e, src)
 			for _, w := range workerCounts {
 				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1}}
+				if p, err := eng.planner(src).Plan(e, CatalogOf(src)); err == nil && w > 1 {
+					if bad := partitionAboveNonLeaf(p.Root); bad != "" {
+						t.Fatalf("round %d workers=%d: Partition above %q in the plan of %s:\n%s",
+							round, w, bad, e, p)
+					}
+				}
 				phys, physErr := eng.Eval(e, src)
 				if (refErr == nil) != (physErr == nil) {
 					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nparallel:  %v",
@@ -592,6 +600,24 @@ func TestPropertyParallelMatchesReference(t *testing.T) {
 	if checked < 60 {
 		t.Errorf("only %d random expressions evaluated cleanly (%d errored); generator too error-prone", checked, errored)
 	}
+}
+
+// partitionAboveNonLeaf returns the operator below the first Partition of a
+// plan that is not a scan or values leaf, or "" when there is none.  The
+// morsel is the only split, and only leaves have entry ranges to claim.
+func partitionAboveNonLeaf(n plan.Node) string {
+	if strings.HasPrefix(n.Describe(), "Partition [") {
+		in := n.Children()[0].Describe()
+		if !strings.HasPrefix(in, "Scan ") && !strings.HasPrefix(in, "Values (") {
+			return in
+		}
+	}
+	for _, c := range n.Children() {
+		if bad := partitionAboveNonLeaf(c); bad != "" {
+			return bad
+		}
+	}
+	return ""
 }
 
 // skewedRelation builds a relation whose keys and multiplicities are heavily
@@ -624,8 +650,9 @@ func skewedRelation(rng *rand.Rand, name string, tuples int) *multiset.Relation 
 // skewed random databases, the parallel engine with forced exchanges, tiny
 // morsels, and tiny emit batches must produce exactly the Reference
 // evaluator's multi-set at workers 1, 2, 4 and 8 — for the batched-emit
-// pipeline shapes, for the shared-build hash join, and for the parallel
-// blocking set operators Difference and Intersect.  Tiny morsels force many
+// pipeline shapes, for the shared-build hash join, and for the serial
+// blocking set operators Difference and Intersect over parallel operands.
+// Tiny morsels force many
 // steal rounds even on small inputs; tiny batches force flushes at every
 // boundary.  Run with -race to check the queue and the shared build table.
 func TestPropertyMorselStealingUnderSkew(t *testing.T) {
@@ -640,7 +667,7 @@ func TestPropertyMorselStealingUnderSkew(t *testing.T) {
 			[]scalar.Expr{scalar.NewArith(value.OpAdd, scalar.NewAttr(0), scalar.NewAttr(1))}, nil, e1),
 		// Shared-build join probing the skewed side.
 		algebra.NewJoin(scalar.Eq(0, 2), e1, e2),
-		// Parallel blocking set operators.
+		// Serial blocking set operators over their operands' exchanges.
 		algebra.NewDifference(e1, e2),
 		algebra.NewIntersect(e1, e2),
 		algebra.NewDifference(algebra.NewSelect(pred, e1), algebra.NewProject([]int{0, 1}, e2)),
@@ -773,9 +800,8 @@ func TestPropertyNaNMatchesReference(t *testing.T) {
 }
 
 // aggShape renders the plan the engine compiles for e over src and classifies
-// the parallel aggregate shape the planner chose: "two-phase" (GroupMerge over
-// partial aggregates), "one-phase" (hash partition on the grouping columns
-// under a Merge) or "serial".
+// the aggregate shape the planner chose: "two-phase" (GroupMerge over partial
+// aggregates) or "serial" (no exchange anywhere in the plan).
 func aggShape(t *testing.T, eng *Engine, e algebra.Expr, src Source) string {
 	t.Helper()
 	p, err := eng.planner(src).Plan(e, CatalogOf(src))
@@ -785,8 +811,8 @@ func aggShape(t *testing.T, eng *Engine, e algebra.Expr, src Source) string {
 	switch rendering := p.String(); {
 	case strings.Contains(rendering, "GroupMerge"):
 		return "two-phase"
-	case strings.Contains(rendering, "Partition [hash("):
-		return "one-phase"
+	case strings.Contains(rendering, "Merge") || strings.Contains(rendering, "Partition"):
+		return "other exchange"
 	default:
 		return "serial"
 	}
@@ -810,14 +836,14 @@ func distinctRelation(rng *rand.Rand, name string, n int) *multiset.Relation {
 // random uniform, skewed and duplicate-free databases, multi-aggregate grouped
 // queries and global (ungrouped) aggregates run through the parallel engine
 // with forced exchanges and tiny morsels must produce exactly the Reference
-// evaluator's multi-set at workers 1, 2, 4 and 8.  Both parallel shapes are
-// reached through the data alone and asserted on the rendered plan, so the
-// suite fails if the cost-based chooser stops producing either: low-NDV
-// grouping over heavily duplicated input plans two-phase (workers
-// pre-aggregate morsel-wise into partial states the gang parent merges, so a
-// group spanning every worker must still finalise to the serial value), while
-// grouping a duplicate-free input on all its columns — or, with ANALYZE-grade
-// statistics, on its unique column — plans the one-phase key partition.
+// evaluator's multi-set at workers 1, 2, 4 and 8.  Both outcomes of the
+// cost-based chooser are reached through the data alone and asserted on the
+// rendered plan: low-NDV grouping over heavily duplicated input plans
+// two-phase (workers pre-aggregate morsel-wise into partial states the gang
+// parent merges, so a group spanning every worker must still finalise to the
+// serial value), while grouping a duplicate-free input on all its columns —
+// or, with ANALYZE-grade statistics, on its unique column — stays serial,
+// with no exchange beneath the aggregate.
 func TestPropertyMultiAggregateParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3441))
 	e1 := algebra.NewRel("e1")
@@ -880,8 +906,8 @@ func TestPropertyMultiAggregateParallel(t *testing.T) {
 			}
 		}
 		check(round, byFirst, skewed, "two-phase")
-		check(round, byAll, distinct, "one-phase")
-		check(round, byFirst, AnalyzeSource(distinct), "one-phase")
+		check(round, byAll, distinct, "serial")
+		check(round, byFirst, AnalyzeSource(distinct), "serial")
 	}
 }
 

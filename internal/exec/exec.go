@@ -1,27 +1,25 @@
 // Package exec implements the morsel-driven parallel execution runtime behind
 // the physical layer's exchange operators: a gang-scheduling worker pool, a
 // work-stealing morsel queue that hands idle workers fixed-size slices of a
-// scan, hash-range partitioners for the operators that need key-consistent
-// splits, and per-worker partial multi-sets that a merge sums back into one
-// relation.
+// scan, and Gather, which runs one producer per worker and returns their
+// private partial results for the caller to combine.
 //
 // The runtime exploits a property the multi-set algebra guarantees by
 // construction: relations are functions from tuples to multiplicities
 // (Definition 2.2), so splitting a relation into disjoint partitions and
 // summing the per-partition results of a distributive operator reproduces the
 // serial result exactly — multiplicities add across partitions.  The policy of
-// *where* to partition (grouping columns, full tuples) and where morsels are
-// safe (any disjoint split of a scan) lives in package plan, which inserts
-// Partition/Merge exchange nodes around eligible operator shapes; this package
-// supplies the mechanism only and knows nothing about operators.
+// which operator shapes run parallel lives in package plan, which inserts
+// Partition/Merge exchange nodes around them; this package supplies the
+// mechanism only and knows nothing about operators.
 //
-// Concurrency contract: a worker's partial relation is private to that worker
+// Concurrency contract: a worker's partial result is private to that worker
 // — the runtime never touches it from two goroutines — so operator code
-// running under Exchange keeps the single-threaded stream contract of package
+// running under Gather keeps the single-threaded stream contract of package
 // plan.  Workers must not share mutable state; anything a worker accumulates
-// is either its partial relation (merged by Partials) or per-worker counters
-// folded by the caller after Pool.Run returns.  The only cross-worker state is
-// MorselQueue, whose claims are a single atomic fetch-add.
+// is either its partial result (combined by the caller after Gather returns)
+// or per-worker counters folded by the caller.  The only cross-worker state
+// is MorselQueue, whose claims are a single atomic fetch-add.
 //
 // Lifecycle contract: every gang run is scoped by a context.  Pool.Run derives
 // a per-gang context that is cancelled the moment any worker fails — by
@@ -44,10 +42,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"mra/internal/multiset"
-	"mra/internal/schema"
-	"mra/internal/tuple"
 )
 
 // maxWorkers bounds the parallelism degree: beyond it the per-worker slices
@@ -239,96 +233,14 @@ func (q *MorselQueue) Next() (lo, hi int, ok bool) {
 	return int(start), int(end), true
 }
 
-// Partitioner deterministically assigns tuples to workers by hash range:
-// a tuple belongs to worker OwnerHash(h), h being the hash of its partition
-// key (the selected attribute positions, or the whole tuple).  Equal keys
-// always land on the same worker, which is what makes partition-wise joins
-// and grouped aggregation exact: tuples that could meet are never split
-// across workers.
-type Partitioner struct {
-	workers uint64
-}
-
-// NewPartitioner returns a partitioner for the given worker count.
-func NewPartitioner(workers int) Partitioner {
-	return Partitioner{workers: uint64(Resolve(workers))}
-}
-
-// Workers returns the partitioner's worker count.
-func (p Partitioner) Workers() int { return int(p.workers) }
-
-// OwnerHash returns the worker index for a pre-computed key hash.  Columnar
-// operators hash partition keys incrementally off column vectors
-// (tuple.HashMix) and map the result here, skipping tuple materialisation.
-func (p Partitioner) OwnerHash(h uint64) int { return int(h % p.workers) }
-
-// Partials holds the per-worker partial results of an exchange: one private
-// relation per worker, merged by summing multiplicities (the Merge side of the
-// exchange).  Disjoint input partitions may still produce overlapping output
-// tuples — a projection can collapse tuples from different partitions onto the
-// same result — so the merge must add, never assume distinctness.
-type Partials struct {
-	rels []*multiset.Relation
-}
-
-// NewPartials allocates one empty partial relation per worker, each pre-sized
-// for about capacityEach distinct tuples.
-func NewPartials(s schema.Relation, workers, capacityEach int) *Partials {
-	rels := make([]*multiset.Relation, Resolve(workers))
-	for i := range rels {
-		rels[i] = multiset.NewWithCapacity(s, capacityEach)
-	}
-	return &Partials{rels: rels}
-}
-
-// Rel returns worker w's private partial relation.
-func (p *Partials) Rel(w int) *multiset.Relation { return p.rels[w] }
-
-// Cardinality returns the total number of tuples (counting multiplicities)
-// across all partials.
-func (p *Partials) Cardinality() uint64 {
-	var total uint64
-	for _, r := range p.rels {
-		total += r.Cardinality()
-	}
-	return total
-}
-
-// Each streams every partial's chunks into fn, partial by partial.  The same
-// tuple may be delivered once per partial; consumers sum multiplicities.
-func (p *Partials) Each(fn func(t tuple.Tuple, n uint64) error) error {
-	for _, r := range p.rels {
-		var iterErr error
-		r.Each(func(t tuple.Tuple, n uint64) bool {
-			iterErr = fn(t, n)
-			return iterErr == nil
-		})
-		if iterErr != nil {
-			return iterErr
-		}
-	}
-	return nil
-}
-
-// Merge sums all partials into the given relation (created by the caller, so
-// it can be pre-sized) and returns it.  It reuses the partials' cached tuple
-// hashes, so merging never re-hashes attribute values.
-func (p *Partials) Merge(into *multiset.Relation) *multiset.Relation {
-	for _, r := range p.rels {
-		into.MergeFrom(r)
-	}
-	return into
-}
-
 // Gather runs producer once per worker of the pool and collects the
-// per-worker results in worker order.  It is the side-channel counterpart of
-// Exchange for exchanges whose partial results are not relations — the
-// two-phase aggregate's per-worker partial group states, for example.  Each
-// result is produced and owned by its worker until Gather returns; on error
-// the results collected so far are still returned (failed workers leave their
-// zero value) so the caller can account for them.  The gang context and
-// failure semantics are Pool.Run's: producers receive a per-gang context that
-// is cancelled when any worker fails.
+// per-worker results in worker order: every exchange's partials — private
+// relations, partial group states, partial join tables — come back through
+// it.  Each result is produced and owned by its worker until Gather returns;
+// on error the results collected so far are still returned (failed workers
+// leave their zero value) so the caller can account for them.  The gang
+// context and failure semantics are Pool.Run's: producers receive a per-gang
+// context that is cancelled when any worker fails.
 func Gather[T any](ctx context.Context, pool *Pool, producer func(ctx context.Context, worker int) (T, error)) ([]T, error) {
 	out := make([]T, pool.Workers())
 	err := pool.Run(ctx, func(wctx context.Context, w int) error {
@@ -337,20 +249,4 @@ func Gather[T any](ctx context.Context, pool *Pool, producer func(ctx context.Co
 		return err
 	})
 	return out, err
-}
-
-// Exchange is the runtime of one Merge exchange: it runs producer once per
-// worker of the pool, handing each worker its private partial relation to
-// accumulate into (by Add or the batched AddBatch), and returns the partials.
-// The relation passed to a producer is that worker's own; the runtime never
-// touches it concurrently.  On error the partials collected so far are still
-// returned so the caller can account for them.  The gang context and failure
-// semantics are Pool.Run's: producers receive a per-gang context that is
-// cancelled when any worker fails.
-func Exchange(ctx context.Context, pool *Pool, s schema.Relation, capacityEach int, producer func(ctx context.Context, worker int, into *multiset.Relation) error) (*Partials, error) {
-	parts := NewPartials(s, pool.Workers(), capacityEach)
-	err := pool.Run(ctx, func(wctx context.Context, w int) error {
-		return producer(wctx, w, parts.Rel(w))
-	})
-	return parts, err
 }

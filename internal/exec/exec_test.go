@@ -72,29 +72,8 @@ func TestPoolErrorDeterminism(t *testing.T) {
 	}
 }
 
-// TestPartitionerDisjointCover checks the partition function is a total
-// function onto [0, workers): every tuple has exactly one owner, owners are in
-// range, and equal join-key projections share an owner.
-func TestPartitionerDisjointCover(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	part := NewPartitioner(4)
-	key := []int{1}
-	for i := 0; i < 500; i++ {
-		a, b := int64(rng.Intn(50)), int64(rng.Intn(10))
-		tp := tuple.Ints(a, b)
-		if o := part.OwnerHash(tp.Hash()); o < 0 || o >= 4 {
-			t.Fatalf("full owner %d out of range", o)
-		}
-		// Same key attribute => same keyed owner, whatever the other column is.
-		other := tuple.Ints(a+1000, b)
-		if part.OwnerHash(tp.HashOn(key)) != part.OwnerHash(other.HashOn(key)) {
-			t.Fatalf("keyed partitioner split key %d across workers", b)
-		}
-	}
-}
-
-// TestExchangeSumsPartials checks the fundamental exchange identity: the merge
-// of per-worker partials over a disjoint partition of the input equals the
+// TestExchangeSumsPartials checks the fundamental exchange identity: the
+// merge of per-worker partials over a morsel split of the input equals the
 // serial result, multiplicities included — even when workers produce
 // overlapping output tuples.
 func TestExchangeSumsPartials(t *testing.T) {
@@ -112,31 +91,37 @@ func TestExchangeSumsPartials(t *testing.T) {
 	})
 
 	for _, w := range []int{1, 2, 4, 8} {
-		pool := NewPool(w)
-		parts, err := Exchange(context.Background(), pool, s, 16, func(_ context.Context, worker int, into *multiset.Relation) error {
-			in.EachInPartition(worker, pool.Workers(), func(tp tuple.Tuple, n uint64) bool {
-				into.Add(tp, n)
-				return true
-			})
-			return nil
+		q := NewMorselQueue(in.EntrySpan(), 7)
+		parts, err := Gather(context.Background(), NewPool(w), func(_ context.Context, _ int) (*multiset.Relation, error) {
+			into := multiset.NewWithCapacity(s, 16)
+			for {
+				lo, hi, ok := q.Next()
+				if !ok {
+					return into, nil
+				}
+				in.EachEntryRange(lo, hi, func(tp tuple.Tuple, n uint64) bool {
+					into.Add(tp, n)
+					return true
+				})
+			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parts.Cardinality() != serial.Cardinality() {
-			t.Fatalf("workers=%d: partial cardinality %d, want %d", w, parts.Cardinality(), serial.Cardinality())
+		merged := multiset.NewWithCapacity(s, 64)
+		for _, p := range parts {
+			merged.MergeFrom(p)
 		}
-		merged := parts.Merge(multiset.NewWithCapacity(s, 64))
 		if !merged.Equal(serial) {
 			t.Fatalf("workers=%d: merged %s != serial %s", w, merged, serial)
 		}
 		// Streaming consumption must sum to the same multi-set.
 		streamed := multiset.New(s)
-		if err := parts.Each(func(tp tuple.Tuple, n uint64) error {
-			streamed.Add(tp, n)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		for _, p := range parts {
+			p.Each(func(tp tuple.Tuple, n uint64) bool {
+				streamed.Add(tp, n)
+				return true
+			})
 		}
 		if !streamed.Equal(serial) {
 			t.Fatalf("workers=%d: streamed %s != serial %s", w, streamed, serial)
@@ -144,22 +129,23 @@ func TestExchangeSumsPartials(t *testing.T) {
 	}
 }
 
-// TestExchangepropagatesErrors checks a failing worker aborts the exchange
+// TestExchangePropagatesErrors checks a failing worker aborts the exchange
 // while the other partials remain intact for accounting.
 func TestExchangePropagatesErrors(t *testing.T) {
 	s := testSchema()
 	boom := errors.New("boom")
-	parts, err := Exchange(context.Background(), NewPool(4), s, 4, func(_ context.Context, worker int, into *multiset.Relation) error {
+	parts, err := Gather(context.Background(), NewPool(4), func(_ context.Context, worker int) (*multiset.Relation, error) {
 		if worker == 2 {
-			return boom
+			return nil, boom
 		}
+		into := multiset.New(s)
 		into.Add(tuple.Ints(int64(worker), 0), 1)
-		return nil
+		return into, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if parts == nil || parts.Rel(0).Cardinality() != 1 {
+	if len(parts) != 4 || parts[0] == nil || parts[0].Cardinality() != 1 {
 		t.Errorf("surviving partials should be returned for accounting")
 	}
 }

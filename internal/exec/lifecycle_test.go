@@ -158,13 +158,14 @@ func TestExchangeReturnsContextError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := testSchema()
-	_, err := Exchange(ctx, NewPool(4), s, 4, func(ctx context.Context, worker int, into *multiset.Relation) error {
+	_, err := Gather(ctx, NewPool(4), func(ctx context.Context, worker int) (*multiset.Relation, error) {
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		default:
+			into := multiset.New(s)
 			into.Add(tuple.Ints(int64(worker), 0), 1)
-			return nil
+			return into, nil
 		}
 	})
 	if !errors.Is(err, context.Canceled) {

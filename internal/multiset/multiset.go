@@ -449,28 +449,6 @@ func (r *Relation) Each(fn func(t tuple.Tuple, count uint64) bool) {
 	}
 }
 
-// EachInPartition calls fn once per distinct tuple belonging to hash partition
-// part of parts: the tuples whose cached hash satisfies hash mod parts == part.
-// The partitions for a fixed parts are disjoint and cover the relation, which
-// is what the parallel runtime's partitioned scans rely on; because the hash
-// is cached per entry, selecting a partition costs one integer modulo per
-// entry and never re-hashes attribute values.  If fn returns false, iteration
-// stops.  fn must not mutate r.
-func (r *Relation) EachInPartition(part, parts int, fn func(t tuple.Tuple, count uint64) bool) {
-	if parts <= 1 {
-		r.Each(fn)
-		return
-	}
-	p, n := uint64(part), uint64(parts)
-	for _, pg := range r.tab.pages {
-		for i := range pg.ents {
-			if e := &pg.ents[i]; e.count > 0 && e.hash%n == p && !fn(e.tup, e.count) {
-				return
-			}
-		}
-	}
-}
-
 // EachBatch calls fn with consecutive vectors of up to size live chunks
 // (tuples[i] occurs counts[i] times), filled from the entry arena page by
 // page in one tight pass: the vectorised form of Each, with no per-tuple

@@ -380,37 +380,6 @@ func TestIncompatibleError(t *testing.T) {
 	}
 }
 
-// TestEachInPartitionDisjointCover checks the hash partitions are disjoint and
-// cover the relation for several partition counts, multiplicities included.
-func TestEachInPartitionDisjointCover(t *testing.T) {
-	s := schema.NewRelation("r",
-		schema.Attribute{Name: "a", Type: value.KindInt},
-		schema.Attribute{Name: "b", Type: value.KindInt})
-	r := New(s)
-	for i := 0; i < 100; i++ {
-		r.Add(tuple.Ints(int64(i%17), int64(i%5)), uint64(1+i%3))
-	}
-	// A tombstone must stay invisible to partitioned iteration.
-	r.Add(tuple.Ints(999, 999), 2)
-	r.Remove(tuple.Ints(999, 999), 2)
-
-	for _, parts := range []int{1, 2, 3, 8} {
-		union := New(s)
-		for p := 0; p < parts; p++ {
-			r.EachInPartition(p, parts, func(tp tuple.Tuple, n uint64) bool {
-				if union.Multiplicity(tp) != 0 {
-					t.Fatalf("parts=%d: tuple %s in two partitions", parts, tp)
-				}
-				union.Add(tp, n)
-				return true
-			})
-		}
-		if !union.Equal(r) {
-			t.Fatalf("parts=%d: union of partitions %s != relation %s", parts, union, r)
-		}
-	}
-}
-
 // TestMergeFrom checks the cached-hash merge sums multiplicities, revives
 // tombstones, and leaves the source untouched.
 func TestMergeFrom(t *testing.T) {

@@ -190,27 +190,10 @@ func normaliseCompare(c scalar.Compare) (scalar.Attr, value.Value, value.Compare
 	}
 	if a, ok := c.Right.(scalar.Attr); ok {
 		if k, ok := c.Left.(scalar.Const); ok {
-			return a, k.Value, flipCompare(c.Op), true
+			return a, k.Value, c.Op.Flip(), true
 		}
 	}
 	return scalar.Attr{}, value.Value{}, c.Op, false
-}
-
-// flipCompare mirrors a comparison operator around its operands
-// (const op attr → attr op' const).
-func flipCompare(op value.CompareOp) value.CompareOp {
-	switch op {
-	case value.CmpLt:
-		return value.CmpGt
-	case value.CmpLe:
-		return value.CmpGe
-	case value.CmpGt:
-		return value.CmpLt
-	case value.CmpGe:
-		return value.CmpLe
-	default:
-		return op
-	}
 }
 
 // ndvAt returns the distinct-value estimate of a column, 0 when unknown.

@@ -8,7 +8,6 @@ import (
 	"mra/internal/exec"
 	"mra/internal/multiset"
 	"mra/internal/tuple"
-	"mra/internal/value"
 )
 
 // This file implements the exchange operators of the morsel-driven parallel
@@ -16,29 +15,26 @@ import (
 //
 // A Merge node runs its subtree once per worker on an exec.Pool; every worker
 // executes the same operator tree but sees only a disjoint slice of the
-// inputs, cut by the Partition nodes below.  Each worker's output stream is
-// collected into a private partial relation and the Merge sums the partials —
-// exact under bag semantics, because multiplicities add across disjoint
-// partitions (the paper's relations are functions dom(𝓡) → ℕ, and the
-// operators parallelised here distribute over partition union).
+// inputs, cut by the Partition nodes above the scan leaves.  Each worker's
+// output stream is collected into a private partial relation and the Merge
+// sums the partials — exact under bag semantics, because multiplicities add
+// across disjoint partitions (the paper's relations are functions dom(𝓡) → ℕ,
+// and the operators parallelised here distribute over partition union).
 //
-// How a Partition cuts its slice depends on what the operator above it needs:
+// The morsel is the only split.  A Partition takes no fixed slice at all: the
+// gang shares one exec.MorselQueue per leaf, and every worker claims the next
+// fixed-size entry range when it runs out of work.  Any disjoint split of a
+// leaf is exact for the three parallel shapes — streaming pipelines under
+// Merge, the probe (and large build) side of a shared-build hash join, and
+// the local phase of a two-phase aggregate under GroupMerge — so the queue is
+// free to rebalance: a worker stuck on an expensive range simply stops
+// claiming while the others drain the rest, which is what keeps skewed data
+// from serialising the gang behind one overloaded worker.  Operators that
+// would need a key-consistent split (a one-phase grouped aggregate, ∸ and ∩)
+// stay serial; their streamable operands may still run as parallel pipelines.
 //
-//   - morsel partitions (scans under streaming pipelines and under the probe
-//     side of a parallel hash join) take no fixed slice at all: the gang
-//     shares one exec.MorselQueue per scan, and every worker claims the next
-//     fixed-size entry range when it runs out of work.  Any disjoint split of
-//     a scan is exact, so the queue is free to rebalance — a worker stuck on
-//     an expensive range simply stops claiming while the others drain the
-//     rest, which is what keeps skewed data from serialising the gang behind
-//     one overloaded worker;
-//   - hash partitions assign chunks statically by hash — of the grouping
-//     columns under a parallel aggregate (groups never span workers, so the
-//     merged partials need no second aggregation pass) or of the full tuple
-//     under parallel Difference/Intersect (both operands agree on every
-//     tuple's owner, so per-worker monus/min results sum to the serial
-//     result).  These operators need key-consistent slices, which dynamic
-//     stealing cannot provide.
+// Every gang runs through one helper, runGang, over the shared state that
+// gangSetup prepares.
 //
 // Parallel hash joins do not partition by join key at all: the exchange
 // builds the join table once, in the parent, before the gang starts, and the
@@ -61,137 +57,34 @@ const DefaultParallelThreshold = 1024.0
 // Exchange operators
 // ---------------------------------------------------------------------------
 
-// partitionMode selects how a partitionNode cuts the executing worker's
-// slice.
-type partitionMode int
-
-const (
-	// partitionMorsel streams work-stealing entry ranges of a leaf claimed
-	// from the gang's shared morsel queue.  Exact for any operator above it
-	// that distributes over arbitrary disjoint splits.
-	partitionMorsel partitionMode = iota
-	// partitionHash passes through only the chunks whose hash (of cols, or of
-	// the full tuple when cols is nil) falls in the executing worker's range.
-	// Exact for operators that need key-consistent slices.
-	partitionHash
-)
-
-// partitionNode cuts the stream of its input to the executing worker's
-// slice; outside a parallel region it is the identity.
+// partitionNode streams the executing worker's share of a leaf: the entry
+// ranges it claims from the gang's shared morsel queue.  Outside a parallel
+// region it is the identity.
 type partitionNode struct {
 	base
 	input Node
-	// mode selects morsel stealing or static hash assignment.
-	mode partitionMode
-	// cols are the attribute positions hashed for partitionHash; nil means
-	// the full tuple hash.
-	cols []int
-	// workers is the gang width the planner inserted this node for (display
-	// and static splits; morsel execution uses the shared queue instead).
-	workers int
-	// morselSize is the entry range size of partitionMorsel claims, chosen by
-	// the cost model (or the planner's MorselSize override) at plan time.
+	// morselSize is the entry range size of a claim, chosen by the cost model
+	// (or the planner's MorselSize override) at plan time.
 	morselSize int
 }
 
 func (p *partitionNode) Children() []Node { return []Node{p.input} }
 
 func (p *partitionNode) Describe() string {
-	if p.mode == partitionMorsel {
-		return fmt.Sprintf("Partition [morsel size=%d]", p.morselSize)
-	}
-	if p.cols == nil {
-		return fmt.Sprintf("Partition [hash workers=%d]", p.workers)
-	}
-	return fmt.Sprintf("Partition [hash(%s) workers=%d]", colList(p.cols), p.workers)
+	return fmt.Sprintf("Partition [morsel size=%d]", p.morselSize)
 }
 
-// run emits the worker's slice batch-wise, straight off the leaf arena for
-// morsel and scan-hash slices.
+// run drains the shared queue: the worker claims entry ranges of the leaf
+// until none remain, emitting each range's live chunks batch-wise.  The gang
+// collectively delivers every chunk exactly once.
 func (p *partitionNode) run(ctx *execCtx, emit EmitBatch) error {
 	if ctx.workers <= 1 {
 		return ctx.run(p.input, emit)
 	}
-	if p.mode == partitionMorsel {
-		if q := ctx.morselQueue(p); q != nil {
-			return p.runMorsels(ctx, q, emit)
-		}
-		// No queue (defensive): degrade to a static full-tuple hash slice,
-		// which is exact wherever a morsel split is.
+	q := ctx.morselQueue(p)
+	if q == nil {
+		return fmt.Errorf("plan: morsel partition above %s has no queue", p.input.Describe())
 	}
-	// Fast path: a full-tuple hash partition directly above a scan selects
-	// its slice by the relation's cached entry hashes — one modulo per tuple,
-	// no re-hashing.
-	if s, ok := p.input.(*scanNode); ok && p.cols == nil {
-		r, err := s.lookup(ctx)
-		if err != nil {
-			return err
-		}
-		w := newBatchWriter(ctx, emit)
-		var iterErr error
-		r.EachInPartition(ctx.worker, ctx.workers, func(t tuple.Tuple, n uint64) bool {
-			iterErr = w.push(t, n)
-			return iterErr == nil
-		})
-		if iterErr != nil {
-			return iterErr
-		}
-		return w.flush()
-	}
-	part := exec.NewPartitioner(ctx.workers)
-	// The worker's slice is a selection over the input batch — key hashes
-	// come off the row tuples when present (hashing a tuple walks its values
-	// once) or incrementally off the column vectors otherwise, and no chunk
-	// is copied either way.
-	var cc colCache
-	var keyVecs []value.Vec
-	var sel []int32
-	var out Batch
-	return ctx.run(p.input, func(b *Batch) error {
-		if b.Tuples == nil {
-			cc.batch(b)
-			keyVecs = keyVecs[:0]
-			if p.cols == nil {
-				for c := 0; c < b.arity(); c++ {
-					keyVecs = append(keyVecs, cc.col(c))
-				}
-			} else {
-				for _, c := range p.cols {
-					keyVecs = append(keyVecs, cc.col(c))
-				}
-			}
-		}
-		sel = sel[:0]
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			r := b.Row(i)
-			var h uint64
-			switch {
-			case b.Tuples == nil:
-				h = hashRowOn(keyVecs, r)
-			case p.cols == nil:
-				h = b.Tuples[r].Hash()
-			default:
-				h = b.Tuples[r].HashOn(p.cols)
-			}
-			if part.OwnerHash(h) != ctx.worker {
-				continue
-			}
-			sel = append(sel, int32(r))
-		}
-		if len(sel) == 0 {
-			return nil
-		}
-		out = *b
-		out.Sel = sel
-		return emit(&out)
-	})
-}
-
-// runMorsels drains the shared queue: the worker claims entry ranges of the
-// leaf until none remain, emitting each range's live chunks batch-wise.  The
-// gang collectively delivers every chunk exactly once.
-func (p *partitionNode) runMorsels(ctx *execCtx, q *exec.MorselQueue, emit EmitBatch) error {
 	w := newBatchWriter(ctx, emit)
 	switch leaf := p.input.(type) {
 	case *scanNode:
@@ -323,13 +216,11 @@ func snapshotScans(ctx *execCtx, n Node, into snapshotSource) error {
 func prepare(ctx *execCtx, n Node, snap snapshotSource, gs *gangState) error {
 	switch x := n.(type) {
 	case *partitionNode:
-		if x.mode == partitionMorsel {
-			span, err := leafSpan(x.input, snap)
-			if err != nil {
-				return err
-			}
-			gs.morsels[x.meta().id] = exec.NewMorselQueue(span, x.morselSize)
+		span, err := leafSpan(x.input, snap)
+		if err != nil {
+			return err
 		}
+		gs.morsels[x.meta().id] = exec.NewMorselQueue(span, x.morselSize)
 	case *hashJoinNode:
 		if x.shared {
 			var tb *joinTable
@@ -370,22 +261,13 @@ func prepare(ctx *execCtx, n Node, snap snapshotSource, gs *gangState) error {
 // relations are unordered.
 func (j *hashJoinNode) parallelBuildTable(ctx *execCtx, gs *gangState) (*joinTable, error) {
 	build, _ := j.buildSide()
-	pool := exec.NewPool(j.buildWorkers)
-	wctxs := make([]*execCtx, pool.Workers())
-	capEach := capacityFor(build.meta().capHint)/pool.Workers() + 1
-	tables, err := exec.Gather(ctx.queryCtx(), pool, func(gctx context.Context, w int) (*joinTable, error) {
-		wctx := ctx.workerCtx(w, pool.Workers(), gs)
-		wctx.setContext(gctx)
-		wctxs[w] = wctx
+	capEach := capacityFor(build.meta().capHint)/j.buildWorkers + 1
+	tables, err := runGang(ctx, j, j.buildWorkers, gs, func(wctx *execCtx) (*joinTable, error) {
 		tb := newJoinTable(capEach)
-		if err := j.fill(wctx, tb); err != nil {
-			return nil, err
-		}
-		return tb, nil
+		return tb, j.fill(wctx, tb)
 	})
-	ctx.foldWorkers(wctxs)
 	if err != nil {
-		return nil, wrapGangErr(j, err)
+		return nil, err
 	}
 	global := tables[0]
 	for _, tb := range tables[1:] {
@@ -413,47 +295,46 @@ func leafSpan(n Node, snap snapshotSource) (int, error) {
 }
 
 // gangSetup builds the shared state of one gang execution over a subtree,
-// common to both exchange flavours (Merge and GroupMerge): the scan snapshot,
-// the worker pool, and the gang state — morsel queues and shared join tables,
-// built here in the parent.  Prepare resolves through the snapshot
-// (statistics still flow into the parent's counters via the shared pointers),
-// so shared-join builds see exactly the relations the workers will and the
-// source is not walked a second time.
-func gangSetup(ctx *execCtx, subtree Node, workers int) (*exec.Pool, snapshotSource, *gangState, error) {
+// common to both exchange flavours (Merge and GroupMerge): the scan snapshot
+// and the gang state — morsel queues and shared join tables, built here in
+// the parent.  It returns the context the gang runs under, which resolves
+// scans through the snapshot (statistics still flow into the parent's
+// counters via the shared pointers), so shared-join builds see exactly the
+// relations the workers will and the source is not walked a second time.
+func gangSetup(ctx *execCtx, subtree Node) (*execCtx, *gangState, error) {
 	snap := make(snapshotSource)
 	if err := snapshotScans(ctx, subtree, snap); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	pool := exec.NewPool(workers)
 	gs := &gangState{morsels: make(map[int]*exec.MorselQueue), builds: make(map[int]*joinTable)}
 	pctx := *ctx
 	pctx.src = snap
 	if err := prepare(&pctx, subtree, snap, gs); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return pool, snap, gs, nil
+	return &pctx, gs, nil
 }
 
-// gang runs the per-worker subtree executions and returns the partials with
-// the gang width; the caller decides whether to stream or materialise them.
-func (m *mergeNode) gang(ctx *execCtx) (*exec.Partials, int, error) {
-	pool, snap, gs, err := gangSetup(ctx, m.input, m.workers)
-	if err != nil {
-		return nil, 0, err
-	}
+// runGang runs produce once per worker of a gang of the given width and
+// returns the per-worker results in worker order: the one place a gang is
+// started.  Every worker gets a private execCtx over ctx's source and the
+// shared gang state gs; the workers' statistics fold back into ctx when the
+// gang finishes, and a worker panic surfaces named after the boundary
+// operator n.
+func runGang[T any](ctx *execCtx, n Node, workers int, gs *gangState, produce func(wctx *execCtx) (T, error)) ([]T, error) {
+	pool := exec.NewPool(workers)
 	wctxs := make([]*execCtx, pool.Workers())
-	capEach := capacityFor(m.input.meta().capHint)/pool.Workers() + 1
-	parts, err := exec.Exchange(ctx.queryCtx(), pool, m.input.Schema(), capEach, func(gctx context.Context, w int, into *multiset.Relation) error {
-		wctx := ctx.workerCtx(w, pool.Workers(), gs)
+	out, err := exec.Gather(ctx.queryCtx(), pool, func(gctx context.Context, w int) (T, error) {
+		wctx := ctx.workerCtx(pool.Workers(), gs)
 		wctx.setContext(gctx)
-		wctx.src = snap
 		wctxs[w] = wctx
-		return wctx.collect(m.input, into)
+		return produce(wctx)
 	})
 	ctx.foldWorkers(wctxs)
-	// The per-worker partials are the exchange's materialised state.
-	ctx.materialised(m, parts.Cardinality())
-	return parts, pool.Workers(), wrapGangErr(m, err)
+	if err != nil {
+		return nil, wrapGangErr(n, err)
+	}
+	return out, nil
 }
 
 // wrapGangErr attaches the gang boundary's operator to a recovered worker
@@ -467,20 +348,46 @@ func wrapGangErr(n Node, err error) error {
 	return err
 }
 
-// run streams the per-worker partials out batch-wise, one after the other:
-// their sum is the merged result, and consumers add multiplicities.
+// partials runs the subtree once per worker, each collecting its output
+// stream into a private relation, and returns the per-worker partials.
+// Their sum is the merged result: disjoint inputs may still produce
+// overlapping output tuples (a projection can collapse tuples of different
+// morsels onto one), so consumers add multiplicities.
+func (m *mergeNode) partials(ctx *execCtx) ([]*multiset.Relation, error) {
+	gctx, gs, err := gangSetup(ctx, m.input)
+	if err != nil {
+		return nil, err
+	}
+	capEach := capacityFor(m.input.meta().capHint)/m.workers + 1
+	parts, err := runGang(gctx, m, m.workers, gs, func(wctx *execCtx) (*multiset.Relation, error) {
+		into := multiset.NewWithCapacity(m.input.Schema(), capEach)
+		return into, wctx.collect(m.input, into)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The per-worker partials are the exchange's materialised state.
+	var held uint64
+	for _, r := range parts {
+		held += r.Cardinality()
+	}
+	ctx.materialised(m, held)
+	return parts, nil
+}
+
+// run streams the per-worker partials out batch-wise, one after the other.
 func (m *mergeNode) run(ctx *execCtx, emit EmitBatch) error {
 	if ctx.workers > 1 {
 		// Nested inside an already parallel region: degrade to a
 		// pass-through, so composed exchanges stay correct.
 		return ctx.run(m.input, emit)
 	}
-	parts, workers, err := m.gang(ctx)
+	parts, err := m.partials(ctx)
 	if err != nil {
 		return err
 	}
-	for w := range workers {
-		if err := emitRelation(ctx, parts.Rel(w), emit); err != nil {
+	for _, r := range parts {
+		if err := emitRelation(ctx, r, emit); err != nil {
 			return err
 		}
 	}
@@ -494,11 +401,15 @@ func (m *mergeNode) result(ctx *execCtx) (*multiset.Relation, error) {
 	if ctx.workers > 1 {
 		return ctx.materialize(m.input)
 	}
-	parts, _, err := m.gang(ctx)
+	parts, err := m.partials(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return parts.Merge(multiset.NewWithCapacity(m.Schema(), capacityFor(m.capHint))), nil
+	out := multiset.NewWithCapacity(m.Schema(), capacityFor(m.capHint))
+	for _, r := range parts {
+		out.MergeFrom(r)
+	}
+	return out, nil
 }
 
 // groupMergeNode is the gang boundary of a two-phase parallel aggregate.  Its
@@ -506,12 +417,11 @@ func (m *mergeNode) result(ctx *execCtx) (*multiset.Relation, error) {
 // pipeline is morsel-partitioned, so every worker pre-aggregates the morsels
 // it claims into a private group table of partial AggStates.  The parent then
 // combines the per-worker tables with MergePartial and finalises — the global
-// phase.  Unlike the one-phase shape (hash partition on the grouping columns
-// under a plain Merge) no key-consistent split is required: a group may span
-// every worker, the partial states just merge.  That is what makes global
-// (ungrouped) aggregates parallel at all, removes the key-skew serialisation
-// of hot groups, and shrinks merge traffic from one tuple per input
-// occurrence to one partial state per (worker, group).
+// phase.  No key-consistent split is required: a group may span every
+// worker, the partial states just merge.  That is what makes global
+// (ungrouped) aggregates parallel, keeps hot groups from serialising the
+// gang, and shrinks merge traffic from one tuple per input occurrence to one
+// partial state per (worker, group).
 type groupMergeNode struct {
 	base
 	agg     *hashAggNode
@@ -526,21 +436,13 @@ func (m *groupMergeNode) Describe() string {
 // gangTables runs the local phase once per worker and merges the partial
 // tables into one global table, ready to finalise.
 func (m *groupMergeNode) gangTables(ctx *execCtx) (*groupTable, error) {
-	pool, snap, gs, err := gangSetup(ctx, m.agg.input, m.workers)
+	gctx, gs, err := gangSetup(ctx, m.agg.input)
 	if err != nil {
 		return nil, err
 	}
-	wctxs := make([]*execCtx, pool.Workers())
-	tables, err := exec.Gather(ctx.queryCtx(), pool, func(gctx context.Context, w int) (*groupTable, error) {
-		wctx := ctx.workerCtx(w, pool.Workers(), gs)
-		wctx.setContext(gctx)
-		wctx.src = snap
-		wctxs[w] = wctx
-		return m.agg.buildGroups(wctx)
-	})
-	ctx.foldWorkers(wctxs)
+	tables, err := runGang(gctx, m, m.workers, gs, m.agg.buildGroups)
 	if err != nil {
-		return nil, wrapGangErr(m, err)
+		return nil, err
 	}
 	global := tables[0]
 	for _, tb := range tables[1:] {
@@ -625,40 +527,21 @@ func (pl *Planner) parallelizeNode(n Node, workers int, threshold float64) Node 
 			return newMerge(x, workers)
 		}
 	case *hashAggNode:
-		// Two shapes parallelise an aggregate.  Two-phase (the default):
-		// morsel-partition the input pipeline, let every worker pre-aggregate
-		// its morsels into partial states, and merge the per-worker partial
-		// groups in the GroupMerge parent — exact for any disjoint split, so
-		// it covers global aggregates and is immune to group-key skew.
-		// One-phase (for high-cardinality grouping): a static hash partition on
-		// the grouping columns under a plain Merge, so groups never span
-		// workers and the merged partial relations are final.  The choice is
-		// cost-based: two-phase pays one partial state per (worker, group) of
-		// merge traffic, which the pre-aggregation reduction estimate
-		// (capHint, bounded by RelationDistinctCount) trades against the
-		// one-phase replicated input passes.
+		// Two-phase aggregation: morsel-partition the input pipeline, let
+		// every worker pre-aggregate its morsels into partial states, and
+		// merge the per-worker partial groups in the GroupMerge parent —
+		// exact for any disjoint split, so it covers global aggregates and is
+		// immune to group-key skew.  When pre-aggregation would not pay, the
+		// aggregate and its streamable input stay serial: a parallel input
+		// would only materialise its rows into per-worker partials for the
+		// serial group table to re-read.
 		if x.input.Estimate() >= threshold && streamable(x.input) {
-			if twoPhaseProfitable(x, workers) {
-				x.partial = true
-				x.input = pl.partitionLeaves(x.input, workers)
-				return newGroupMerge(x, workers)
+			if !twoPhaseProfitable(x, workers) {
+				return n
 			}
-			if len(x.gb.groupCols) > 0 {
-				x.input = newPartition(x.input, partitionHash, x.gb.groupCols, workers, 0)
-				return newMerge(x, workers)
-			}
-		}
-	case *differenceNode:
-		// Full-tuple hash partitions on both operands: every tuple's owner is
-		// the same on both sides, so the per-worker monus results sum to the
-		// serial difference.
-		if pl.parallelizeSetOp(&x.left, &x.right, workers, threshold) {
-			return newMerge(x, workers)
-		}
-	case *intersectNode:
-		// Same full-tuple split as Difference; min distributes the same way.
-		if pl.parallelizeSetOp(&x.left, &x.right, workers, threshold) {
-			return newMerge(x, workers)
+			x.partial = true
+			x.input = pl.partitionLeaves(x.input, workers)
+			return newGroupMerge(x, workers)
 		}
 	case *filterNode, *projectNode, *extProjectNode, *unionNode:
 		// A streaming pipeline: morsel-partition every scan so the per-tuple
@@ -672,14 +555,14 @@ func (pl *Planner) parallelizeNode(n Node, workers int, threshold float64) Node 
 	return n
 }
 
-// twoPhaseProfitable decides the parallel aggregate shape from the cost
-// model's pre-aggregation reduction estimate.  Global aggregates are always
-// two-phase — one-phase cannot parallelise a single global group at all.
-// Grouped aggregates choose two-phase when the global merge traffic (one
-// partial state per worker and group, estimated from the node's capHint,
-// which RelationDistinctCount bounds for base-table inputs) stays below one
-// pass over the input; when pre-aggregation barely reduces (groups ≈ input),
-// the one-phase shape's single partial relation per worker wins instead.
+// twoPhaseProfitable decides from the cost model's pre-aggregation reduction
+// estimate whether an aggregate runs two-phase parallel or serial.  Global
+// aggregates always pay: the merge combines one partial state per worker.
+// Grouped aggregates pay when the global merge traffic (one partial state per
+// worker and group, estimated from the node's capHint, which
+// RelationDistinctCount bounds for base-table inputs) stays below one pass
+// over the input; when pre-aggregation barely reduces (groups ≈ input), the
+// merge re-inserts nearly every input group and the serial aggregate wins.
 //
 // Profitability is the only gate because every aggregate of Definition 3.3
 // merges to the serial result bit for bit under any disjoint split of the
@@ -694,52 +577,6 @@ func twoPhaseProfitable(x *hashAggNode, workers int) bool {
 		return true
 	}
 	return x.meta().capHint*float64(workers) <= x.input.Estimate()
-}
-
-// parallelizeSetOp decides and applies the full-tuple-hash split of a
-// blocking set operator's operands, reporting whether the operator should be
-// wrapped in a Merge.  Both operands must be streamable (they are replicated
-// per worker) and their combined estimate must clear the threshold.
-func (pl *Planner) parallelizeSetOp(left, right *Node, workers int, threshold float64) bool {
-	if (*left).Estimate()+(*right).Estimate() < threshold ||
-		!streamable(*left) || !streamable(*right) {
-		return false
-	}
-	*left = pl.partitionSetOperand(*left, workers)
-	*right = pl.partitionSetOperand(*right, workers)
-	return true
-}
-
-// partitionSetOperand wraps a set-operator operand for its full-tuple hash
-// split.  Filters and unions preserve tuples — every output tuple IS a leaf
-// tuple, unchanged — so the partition sinks to the scan leaves, where the
-// cached-entry-hash fast path selects a worker's slice for one modulo per
-// entry instead of re-running the pipeline per worker and discarding
-// (W-1)/W of it.  Projections change tuples (the owner of an output tuple
-// is not the owner of its source), so a non-preserving operand is
-// partitioned at its root.
-func (pl *Planner) partitionSetOperand(n Node, workers int) Node {
-	if len(n.Children()) == 0 || !tuplePreserving(n) {
-		return newPartition(n, partitionHash, nil, workers, 0)
-	}
-	replaceChildren(n, func(c Node) Node { return pl.partitionSetOperand(c, workers) })
-	return n
-}
-
-// tuplePreserving reports whether every output tuple of the subtree is one of
-// its leaf tuples, unchanged — the condition under which a full-tuple hash
-// split of the leaves induces exactly the same split of the output.
-func tuplePreserving(n Node) bool {
-	switch x := n.(type) {
-	case *scanNode, *valuesNode:
-		return true
-	case *filterNode:
-		return tuplePreserving(x.input)
-	case *unionNode:
-		return tuplePreserving(x.left) && tuplePreserving(x.right)
-	default:
-		return false
-	}
 }
 
 // streamable reports whether the subtree is a pure streaming pipeline over
@@ -794,13 +631,21 @@ func leafEstimate(n Node) float64 {
 }
 
 // scanPartition wraps one leaf in a work-stealing morsel partition, sized by
-// the MorselSize override or else the cost model.
+// the MorselSize override or else the cost model.  The estimate is the full
+// stream (estimates describe the collective stream, not one worker's share);
+// the capacity hint is the per-worker share, which sizes the hash tables
+// built from a single share.
 func (pl *Planner) scanPartition(leaf Node, workers int) Node {
 	size := pl.MorselSize
 	if size <= 0 {
 		size = morselSizeFor(leaf.meta().capHint, workers)
 	}
-	return newPartition(leaf, partitionMorsel, nil, workers, size)
+	p := &partitionNode{input: leaf, morselSize: size}
+	p.schema = leaf.Schema()
+	p.est = leaf.Estimate()
+	p.exactEst = leaf.meta().exactEst
+	p.capHint = leaf.meta().capHint / float64(workers)
+	return p
 }
 
 // partitionLeaves wraps every leaf of a streamable subtree in a scan
@@ -855,19 +700,6 @@ func replaceChildren(n Node, f func(Node) Node) {
 			x.agg = agg
 		}
 	}
-}
-
-// newPartition wraps a node in a Partition.  The estimate is the full stream
-// (estimates describe the collective stream, not one worker's slice); the
-// capacity hint is the per-worker share, which sizes the hash tables built
-// from a single slice — a partitioned aggregate's groups, for example.
-func newPartition(input Node, mode partitionMode, cols []int, workers, morselSize int) Node {
-	p := &partitionNode{input: input, mode: mode, cols: cols, workers: workers, morselSize: morselSize}
-	p.schema = input.Schema()
-	p.est = input.Estimate()
-	p.exactEst = input.meta().exactEst
-	p.capHint = input.meta().capHint / float64(workers)
-	return p
 }
 
 // newGroupMerge wraps a partial hash aggregate in the two-phase exchange's

@@ -14,9 +14,11 @@ import (
 )
 
 // parallelPlanner builds a planner of the given width that parallelises
-// everything eligible, regardless of input size.
+// everything eligible, regardless of input size.  It plans over analysed
+// statistics, so grouped aggregates see their grouping-column NDV and the
+// two-phase shape pays at every tested width.
 func parallelPlanner(src mapSource, workers int) *Planner {
-	return &Planner{Cards: cardsOf(src), Workers: workers, ParallelThreshold: 1}
+	return &Planner{Cards: analyze(src), Workers: workers, ParallelThreshold: 1}
 }
 
 // countNodes counts plan nodes of the exchange kinds; GroupMerge is the gang
@@ -128,67 +130,63 @@ func TestMorselSchedulingMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelSetOperatorExchanges pins the plan shape of a parallel
-// Difference: a Merge above the operator with full-tuple hash Partitions on
-// both operands (monus distributes over a tuple-consistent split, Theorem
-// 3.1-style), and checks the executed result against serial.
+// TestParallelSetOperatorExchanges pins the plan shape around a Difference
+// at several widths: the set operator itself stays serial (a parallel ∸
+// would need a key-consistent split of both operands), while an operand
+// with per-tuple work runs as a morsel-parallel pipeline under its own
+// Merge, and a bare scan operand stays a bare scan.  The executed results
+// match serial.
 func TestParallelSetOperatorExchanges(t *testing.T) {
 	src := testSource(1000)
 	pred := scalar.NewCompare(value.CmpGe, scalar.NewAttr(1), scalar.NewConst(value.NewInt(100)))
 	diff := algebra.NewDifference(algebra.NewRel("fact"),
 		algebra.NewSelect(pred, algebra.NewRel("fact")))
-	p, err := (&Planner{Cards: cardsOf(src), Workers: 4}).Plan(diff, catalogOf(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	merges, partitions := countNodes(p)
-	if merges != 1 || partitions != 2 {
-		t.Fatalf("parallel difference: %d merges, %d partitions:\n%s", merges, partitions, p)
-	}
-	rendering := p.String()
-	if !strings.Contains(rendering, "Difference") || !strings.Contains(rendering, "Partition [hash workers=4]") {
-		t.Errorf("parallel difference rendering:\n%s", rendering)
-	}
-	// Filters preserve tuples, so the full-tuple partition sinks below the
-	// filter to the scan, where the cached-entry-hash fast path applies.
-	if !strings.Contains(rendering, "Filter [%2 >= 100]  (est~250 rows)\n      └─ Partition [hash workers=4]") {
-		t.Errorf("partition not sunk below the tuple-preserving filter:\n%s", rendering)
-	}
-
-	// Projections change tuples: their operands must partition at the root,
-	// never below the projection (the owner of a projected tuple is not the
-	// owner of its source).
 	projDiff := algebra.NewDifference(
 		algebra.NewProject([]int{0}, algebra.NewRel("fact")),
 		algebra.NewProject([]int{0}, algebra.NewRel("fact")))
-	pp, err := (&Planner{Cards: cardsOf(src), Workers: 4}).Plan(projDiff, catalogOf(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(pp.String(), "Partition [hash workers=4]  (est~1000 rows)\n   │  └─ Project [%1]") {
-		t.Errorf("projection operand must partition at its root:\n%s", pp)
-	}
-	serialProj, err := mustPlan(t, projDiff, src).Execute(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parProj, err := pp.Execute(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parProj.Equal(serialProj) {
-		t.Errorf("parallel difference over projections differs\nserial:   %s\nparallel: %s", serialProj, parProj)
-	}
-	serial, err := mustPlan(t, diff, src).Execute(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := p.Execute(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Equal(serial) {
-		t.Errorf("parallel difference differs\nserial:   %s\nparallel: %s", serial, par)
+	for _, tc := range []struct {
+		name            string
+		e               algebra.Expr
+		merges, morsels int
+		wantLines       []string
+	}{
+		{"filtered operand", diff, 1, 1, []string{
+			"Difference  (est~1000 rows)",
+			"├─ Scan fact  (est=1000 rows)",
+			"└─ Merge [workers=4]  (est~899 rows)",
+			"   └─ Filter [%2 >= 100]  (est~899 rows)",
+			"      └─ Partition [morsel size=64]  (est=1000 rows)",
+			"         └─ Scan fact  (est=1000 rows)",
+		}},
+		{"projected operands", projDiff, 2, 2, nil},
+	} {
+		p, err := parallelPlanner(src, 4).Plan(tc.e, catalogOf(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.Root.(*differenceNode); !ok {
+			t.Errorf("%s: the difference must stay serial at the root:\n%s", tc.name, p)
+		}
+		if merges, parts := countNodes(p); merges != tc.merges || parts != tc.morsels {
+			t.Errorf("%s: %d merges, %d partitions, want %d and %d:\n%s",
+				tc.name, merges, parts, tc.merges, tc.morsels, p)
+		}
+		if tc.wantLines != nil {
+			if got, want := p.String(), strings.Join(tc.wantLines, "\n"); got != want {
+				t.Errorf("%s rendering:\n%s\nwant:\n%s", tc.name, got, want)
+			}
+		}
+		serial, err := mustPlan(t, tc.e, src).Execute(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := p.Execute(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !par.Equal(serial) {
+			t.Errorf("%s: parallel plan differs\nserial:   %s\nparallel: %s", tc.name, serial, par)
+		}
 	}
 }
 
@@ -345,54 +343,49 @@ func TestParallelBlockingConsumers(t *testing.T) {
 	}
 }
 
-// countAggExchanges tallies the aggregate-specific exchange shapes of a plan:
-// two-phase GroupMerge boundaries and one-phase grouping-column hash
-// partitions.
-func countAggExchanges(p *Plan) (twoPhase, onePhaseParts int) {
-	for _, n := range p.nodes {
-		switch x := n.(type) {
-		case *groupMergeNode:
-			twoPhase++
-		case *partitionNode:
-			if x.mode == partitionHash && x.cols != nil {
-				onePhaseParts++
-			}
+// groupMerges counts the two-phase aggregate exchanges (GroupMerge gang
+// boundaries) of a plan.
+func groupMerges(p *Plan) int {
+	n := 0
+	for _, node := range p.nodes {
+		if _, ok := node.(*groupMergeNode); ok {
+			n++
 		}
 	}
-	return
+	return n
 }
 
-// TestAggregatePhaseChoice pins the cost-based choice between the two
-// parallel aggregate shapes: low-cardinality grouping (strong pre-aggregation
-// reduction) goes two-phase, grouping on every input column (groups =
-// distinct tuples, no reduction) falls back to the one-phase key partition,
-// and global aggregates — which the one-phase shape cannot parallelise at all
-// — are always two-phase.
+// TestAggregatePhaseChoice pins the cost-based choice for a parallel
+// aggregate: low-cardinality grouping (strong pre-aggregation reduction) goes
+// two-phase, grouping on every input column (groups = distinct tuples, no
+// reduction) stays serial with no exchange beneath it — its plan is the
+// workers-1 plan — and global aggregates are always two-phase.
 func TestAggregatePhaseChoice(t *testing.T) {
 	src := testSource(1000)
 	lowCard := algebra.NewGroupBy([]int{0}, algebra.AggSum, 1, algebra.NewRel("fact"))
 	allCols := algebra.NewGroupBy([]int{0, 1}, algebra.AggCount, 0, algebra.NewRel("fact"))
 	global := algebra.NewGroupBy(nil, algebra.AggSum, 1, algebra.NewRel("fact"))
 
-	plan := func(e algebra.Expr) *Plan {
-		p, err := parallelPlanner(src, 4).Plan(e, catalogOf(src))
+	planAt := func(e algebra.Expr, workers int) *Plan {
+		p, err := parallelPlanner(src, workers).Plan(e, catalogOf(src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
+	plan := func(e algebra.Expr) *Plan { return planAt(e, 4) }
 
-	if two, one := countAggExchanges(plan(lowCard)); two != 1 || one != 0 {
-		t.Errorf("low-cardinality grouping: twoPhase=%d onePhase=%d, want two-phase", two, one)
+	if two := groupMerges(plan(lowCard)); two != 1 {
+		t.Errorf("low-cardinality grouping: %d GroupMerges, want two-phase", two)
 	}
-	if two, one := countAggExchanges(plan(allCols)); two != 0 || one == 0 {
-		t.Errorf("grouping on all columns: twoPhase=%d onePhase=%d, want one-phase", two, one)
+	if p := plan(allCols); p.String() != planAt(allCols, 1).String() {
+		t.Errorf("grouping on all columns must keep the serial plan:\n%s", p)
 	}
-	if two, _ := countAggExchanges(plan(global)); two != 1 {
+	if two := groupMerges(plan(global)); two != 1 {
 		t.Errorf("global aggregate must be two-phase, got %d", two)
 	}
 
-	// Both shapes compute the serial result.
+	// Every choice computes the serial result.
 	for _, e := range []algebra.Expr{lowCard, allCols, global} {
 		serial, err := mustPlan(t, e, src).Execute(src)
 		if err != nil {
@@ -419,7 +412,7 @@ func TestGroupMergeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two, _ := countAggExchanges(p); two != 1 {
+	if groupMerges(p) != 1 {
 		t.Fatalf("expected a two-phase plan:\n%s", p)
 	}
 	var st Stats
@@ -455,7 +448,7 @@ func TestGroupMergeStats(t *testing.T) {
 // aggregate: float addition is not associative, but the compensated (Neumaier)
 // partial sums keep every re-association exact for these inputs, so SUM/AVG
 // over a float attribute now plans two-phase like every other aggregate and
-// must still equal the serial one-phase result bit for bit.  The
+// must still equal the serial result bit for bit.  The
 // catastrophic-cancellation values below make any uncompensated re-associated
 // summation visibly wrong, not just off by ULPs — the 1e16/-1e16 pair lands in
 // different workers' partials, and only the carried compensation term brings
@@ -481,9 +474,9 @@ func TestFloatAggregateStaysExact(t *testing.T) {
 	}, algebra.NewRel("f"))
 
 	for i, e := range []algebra.Expr{grouped, global, exactShapes} {
-		// The global float aggregate can only parallelise two-phase; grouped
-		// shapes stay a cost-model choice (one-phase wins when groups×workers
-		// rivals the input), so only the global plan's shape is pinned.
+		// The global float aggregate always plans two-phase; grouped shapes
+		// stay a cost-model choice (serial wins when groups×workers rivals
+		// the input), so only the global plan's shape is pinned.
 		globalFloatSum := i == 1
 		serial, err := mustPlan(t, e, src).Execute(src)
 		if err != nil {
@@ -496,7 +489,7 @@ func TestFloatAggregateStaysExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if two, _ := countAggExchanges(p); two == 0 && globalFloatSum {
+			if groupMerges(p) == 0 && globalFloatSum {
 				t.Fatalf("compensated float SUM/AVG should plan two-phase:\n%s", p)
 			}
 			for round := 0; round < 5; round++ {
@@ -516,7 +509,7 @@ func TestFloatAggregateStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if two, _ := countAggExchanges(p); two != 1 {
+	if groupMerges(p) != 1 {
 		t.Fatalf("CNT/MIN/MAX over floats should stay two-phase:\n%s", p)
 	}
 }

@@ -25,21 +25,7 @@ var lifecycleWidths = []int{1, 2, 4, 8}
 // the given width with single-entry morsels, so every scan crosses the morsel
 // queue as many times as possible — the densest set of cancellation points.
 func lifecyclePlanner(src mapSource, workers int) *Planner {
-	return &Planner{Cards: cardsOf(src), Workers: workers, ParallelThreshold: 1, MorselSize: 1}
-}
-
-// morselPartitions counts morsel-mode partition nodes in a plan.  Shapes the
-// planner hash-partitions instead (key-consistent splits: one-phase
-// aggregates, set operators) never touch the morsel queue, so their
-// cancellation is driven from a different point.
-func morselPartitions(p *Plan) int {
-	n := 0
-	for _, node := range p.nodes {
-		if x, ok := node.(*partitionNode); ok && x.mode == partitionMorsel {
-			n++
-		}
-	}
-	return n
+	return &Planner{Cards: analyze(src), Workers: workers, ParallelThreshold: 1, MorselSize: 1}
 }
 
 // gangBoundary names the plan's exchange boundary operator, as wrapGangErr
@@ -105,11 +91,9 @@ func TestCancelMidStreamSerial(t *testing.T) {
 // TestCancelAtRandomClaims is the core cancellation property: for every
 // parallel shape and gang width, cancelling the query context mid-exchange
 // yields context.Canceled promptly, with no deadlock and no leaked goroutine.
-// Morsel-partitioned shapes cancel at a randomised morsel-claim count
-// (MorselSize=1 maximises claim density so the random points land throughout
-// the exchange); hash-partitioned shapes — which never touch the morsel
-// queue — cancel at scan-snapshot resolution, so the gang starts on a dead
-// context and must unwind through its per-batch polls.
+// Every gang splits its work by morsels, so every shape cancels at a
+// randomised morsel-claim count (MorselSize=1 maximises claim density so the
+// random points land throughout the exchange).
 func TestCancelAtRandomClaims(t *testing.T) {
 	src := testSource(1000)
 	rng := rand.New(rand.NewSource(2026))
@@ -119,37 +103,30 @@ func TestCancelAtRandomClaims(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
-			if m, _ := countNodes(p); m == 0 {
-				t.Fatalf("%s workers=%d: no exchange inserted:\n%s", name, w, p)
+			if m, parts := countNodes(p); m == 0 || parts == 0 {
+				t.Fatalf("%s workers=%d: no morsel exchange inserted:\n%s", name, w, p)
 			}
 			check := testleak.Check(t)
 			ctx, cancel := context.WithCancel(context.Background())
-			var target int64
 			var claims atomic.Int64
-			execSrc := Source(src)
-			restore := func() {}
-			if morselPartitions(p) > 0 {
-				// Every morsel shape scans fact (1000 entries) with
-				// single-entry morsels, so any target below ~1000 claims is
-				// reached before the exchange drains.
-				target = int64(1 + rng.Intn(64))
-				restore = exec.InjectFaults(&exec.Faults{MorselClaim: func() {
-					if claims.Add(1) == target {
-						cancel()
-					}
-				}})
-			} else {
-				execSrc = cancellingSource{src, cancel}
-			}
+			// Every shape scans fact (1000 entries) with single-entry morsels,
+			// so any target below ~1000 claims is reached before the exchange
+			// drains.
+			target := int64(1 + rng.Intn(64))
+			restore := exec.InjectFaults(&exec.Faults{MorselClaim: func() {
+				if claims.Add(1) == target {
+					cancel()
+				}
+			}})
 			start := time.Now()
-			_, err = p.ExecuteContext(ctx, execSrc)
+			_, err = p.ExecuteContext(ctx, src)
 			elapsed := time.Since(start)
 			restore()
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s workers=%d claim=%d: err = %v, want context.Canceled", name, w, target, err)
 			}
-			if target > 0 && claims.Load() < target {
+			if claims.Load() < target {
 				t.Errorf("%s workers=%d: exchange drained after %d claims, cancellation target %d never fired", name, w, claims.Load(), target)
 			}
 			if elapsed > 5*time.Second {
@@ -206,9 +183,9 @@ func TestInjectedWorkerPanicNamesOperator(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
-			// The gang boundary varies with the cost model's one-phase /
-			// two-phase choice; the surfaced error must name whichever the
-			// plan actually has.
+			// The gang boundary is a GroupMerge for the two-phase aggregate
+			// and a Merge otherwise; the surfaced error must name whichever
+			// the plan actually has.
 			op := gangBoundary(p)
 			victim := w - 1
 			restore := exec.InjectFaults(&exec.Faults{WorkerStart: func(worker int) {

@@ -61,15 +61,16 @@
 // When the planner runs with Workers > 1 it inserts exchange operators
 // (exchange.go) around eligible shapes: a Merge node runs its subtree once
 // per worker on the runtime of package exec, and Partition nodes inside that
-// subtree split the inputs so each worker sees a disjoint slice.  Scans are
-// split morsel-wise — workers steal fixed-size entry ranges from a shared
-// queue, so a skewed slice never serialises the gang — while operators that
-// need key-consistent splits (grouped aggregation, the set operators)
-// partition statically by hash.  Parallel hash joins build their table once,
-// before the probe gang starts, and share it read-only across the gang's
-// probe workers; large streamable build sides are themselves built
-// morsel-parallel, each worker filling a private partial table the parent
-// splices together.
+// subtree split the inputs so each worker sees a disjoint slice.  The only
+// split is the morsel: workers steal fixed-size entry ranges of a scan from a
+// shared queue, so a skewed slice never serialises the gang.  Operators that
+// would need a key-consistent split (a one-phase grouped aggregate, ∸, ∩)
+// stay serial.  Grouped and global aggregates run two-phase under a
+// GroupMerge when pre-aggregation pays.  Parallel hash joins build their
+// table once, before the probe gang starts, and share it read-only across
+// the gang's probe workers; large streamable build sides are themselves
+// built morsel-parallel, each worker filling a private partial table the
+// parent splices together.
 // Bag semantics make every split exact: multiplicities sum across disjoint
 // partitions, so the merged partials equal the serial result.
 //
@@ -342,10 +343,8 @@ type execCtx struct {
 	perOp []OperatorStats
 	// batchSize is the emit batch size; zero selects DefaultBatchSize.
 	batchSize int
-	// worker and workers identify the partition slice this context executes:
-	// Partition nodes pass through only the chunks owned by worker (of
-	// workers).  workers <= 1 means serial execution.
-	worker  int
+	// workers is the width of the gang this context executes in; workers <= 1
+	// means serial execution, where Partition nodes are the identity.
 	workers int
 	// gang is the shared read-only state of the enclosing exchange (morsel
 	// queues, pre-built join tables); nil outside parallel regions.
@@ -367,11 +366,11 @@ func (ctx *execCtx) batchCap() int {
 	return DefaultBatchSize
 }
 
-// workerCtx derives worker w's private context for a gang of the given width.
+// workerCtx derives a worker's private context for a gang of the given width.
 // Statistics, when enabled on the parent, are recorded into fresh per-worker
 // counters and folded back by foldWorkers.
-func (ctx *execCtx) workerCtx(w, workers int, gang *gangState) *execCtx {
-	wctx := &execCtx{src: ctx.src, batchSize: ctx.batchSize, worker: w, workers: workers, gang: gang, mem: ctx.mem}
+func (ctx *execCtx) workerCtx(workers int, gang *gangState) *execCtx {
+	wctx := &execCtx{src: ctx.src, batchSize: ctx.batchSize, workers: workers, gang: gang, mem: ctx.mem}
 	if ctx.stats != nil {
 		wctx.stats = &Stats{}
 		wctx.perOp = make([]OperatorStats, len(ctx.perOp))

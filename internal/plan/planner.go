@@ -278,7 +278,7 @@ func (pl *Planner) compile(e algebra.Expr, cat algebra.Catalog) (Node, error) {
 		// of the input, so the input's distinct-tuple hint (fed by
 		// RelationDistinctCount for base scans) bounds the group count.  The
 		// hint sizes the group table and drives the exchange pass's choice
-		// between the one-phase and two-phase parallel aggregate shapes.
+		// between a two-phase parallel and a serial aggregate.
 		if hint := input.meta().capHint; hint > 0 {
 			if len(n.GroupCols) >= input.Schema().Arity() {
 				// Grouping on every attribute: groups are exactly the distinct

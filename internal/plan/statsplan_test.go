@@ -1,11 +1,13 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mra/internal/algebra"
 	"mra/internal/multiset"
+	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/stats"
 	"mra/internal/tuple"
@@ -64,10 +66,10 @@ func groupedRelation(name string, rows, keyRange int) *multiset.Relation {
 // per-grouping-column NDV of analyzed statistics: low-cardinality and
 // moderate (zipf-range) groupings keep the two-phase partial/merge shape,
 // while a high-cardinality grouping — where per-worker partial tables would
-// approach the input size — falls back to the one-phase key-partitioned
-// shape.  Without statistics the flat groupReduction estimate kept high-card
-// groupings two-phase, serialising the merge on ~10000 partial groups per
-// worker.
+// approach the input size — stays serial, with no exchange beneath the
+// aggregate.  Without statistics the flat groupReduction estimate kept
+// high-card groupings two-phase, serialising the merge on ~10000 partial
+// groups per worker.
 func TestTwoPhaseChoiceFromGroupingNDV(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -90,6 +92,10 @@ func TestTwoPhaseChoiceFromGroupingNDV(t *testing.T) {
 			if got := strings.Contains(rendering, "partial"); got != tc.twoPhase {
 				t.Errorf("keyRange=%d: two-phase = %v, want %v:\n%s",
 					tc.keyRange, got, tc.twoPhase, rendering)
+			}
+			if merges, parts := countNodes(p); !tc.twoPhase && merges+parts != 0 {
+				t.Errorf("keyRange=%d: serial aggregate planned over an exchange:\n%s",
+					tc.keyRange, rendering)
 			}
 			// Either shape computes the exact grouped sums.
 			out, err := p.Execute(src)
@@ -116,5 +122,40 @@ func TestGroupEstimateFromStats(t *testing.T) {
 	est := p.Root.Estimate()
 	if est < 40 || est > 60 {
 		t.Errorf("group estimate = %v, want ~50 (flat guess would be 4000)", est)
+	}
+}
+
+// TestConstLeftCompareUsesHistogram checks that a comparison with the
+// constant on the left is estimated like its attribute-left twin: the operator
+// is mirrored (200 <= %5 is %5 >= 200) before the histogram is consulted.
+func TestConstLeftCompareUsesHistogram(t *testing.T) {
+	cols := make([]schema.Attribute, 5)
+	for i := range cols {
+		cols[i] = schema.Attribute{Name: fmt.Sprintf("c%d", i+1), Type: value.KindInt}
+	}
+	fact := multiset.New(schema.NewRelation("fact", cols...))
+	for i := 0; i < 4000; i++ {
+		fact.Add(tuple.Ints(int64(i%7), int64(i%11), int64(i%13), int64(i), int64(i%1000)), 1)
+	}
+	src := mapSource{"fact": fact}
+	pl := &Planner{Cards: analyze(src)}
+	estimate := func(e algebra.Expr) float64 {
+		p, err := pl.Plan(e, catalogOf(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Root.Estimate()
+	}
+	c200, attr := scalar.NewConst(value.NewInt(200)), scalar.NewAttr(4)
+	for _, op := range []value.CompareOp{value.CmpLe, value.CmpLt, value.CmpGt, value.CmpGe} {
+		constLeft := algebra.NewSelect(scalar.NewCompare(op, c200, attr), algebra.NewRel("fact"))
+		attrLeft := algebra.NewSelect(scalar.NewCompare(op.Flip(), attr, c200), algebra.NewRel("fact"))
+		got, want := estimate(constLeft), estimate(attrLeft)
+		if got != want {
+			t.Errorf("%s: estimate %v, want the %s estimate %v", constLeft, got, attrLeft, want)
+		}
+		if flat := float64(fact.Cardinality()) * selectionSelectivity; want == flat {
+			t.Errorf("%s: estimate is the flat guess %v, not the histogram's", attrLeft, flat)
+		}
 	}
 }

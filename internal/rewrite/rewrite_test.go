@@ -416,82 +416,3 @@ func TestRewriteSoundnessOnRandomDatabases(t *testing.T) {
 		}
 	}
 }
-
-func TestCostModel(t *testing.T) {
-	cards := plan.MapCardinalities{"beer": 10000, "brewery": 100}
-	if c, ok := cards.RelationCardinality("beer"); !ok || c != 10000 {
-		t.Error("MapCardinalities lookup")
-	}
-	if _, ok := cards.RelationCardinality("missing"); ok {
-		t.Error("missing relation must not resolve")
-	}
-
-	prodPlan := algebra.NewSelect(scalar.Eq(1, 3),
-		algebra.NewProduct(algebra.NewRel("beer"), algebra.NewRel("brewery")))
-	joinPlan := algebra.NewJoin(scalar.Eq(1, 3), algebra.NewRel("beer"), algebra.NewRel("brewery"))
-	if plan.Cost(joinPlan, cards) >= plan.Cost(prodPlan, cards) {
-		t.Errorf("hash join must be cheaper than filtered product: %v vs %v",
-			plan.Cost(joinPlan, cards), plan.Cost(prodPlan, cards))
-	}
-
-	// Pruned group-by input is cheaper than the unpruned one.
-	g := algebra.NewGroupBy([]int{5}, algebra.AggAvg, 2, joinPlan)
-	cat := beerCatalog()
-	opt, _ := NewRewriter().Rewrite(g, cat)
-	if plan.Cost(opt, cards) > plan.Cost(g, cards) {
-		t.Errorf("rewritten plan must not cost more: %v vs %v", plan.Cost(opt, cards), plan.Cost(g, cards))
-	}
-
-	// Estimated cardinalities behave monotonically for the main operators.
-	if plan.EstimateCardinality(algebra.NewRel("beer"), cards) != 10000 {
-		t.Error("relation cardinality estimate")
-	}
-	if plan.EstimateCardinality(algebra.NewRel("unknown"), cards) != 1000 {
-		t.Error("default relation cardinality estimate")
-	}
-	if plan.EstimateCardinality(algebra.NewUnion(algebra.NewRel("beer"), algebra.NewRel("brewery")), cards) != 10100 {
-		t.Error("union cardinality estimate")
-	}
-	if plan.EstimateCardinality(algebra.NewProduct(algebra.NewRel("beer"), algebra.NewRel("brewery")), cards) != 1000000 {
-		t.Error("product cardinality estimate")
-	}
-	sel := algebra.NewSelect(scalar.True{}, algebra.NewRel("beer"))
-	if plan.EstimateCardinality(sel, cards) >= 10000 {
-		t.Error("selection must reduce the estimate")
-	}
-	if plan.EstimateCardinality(algebra.NewUnique(algebra.NewRel("beer")), cards) >= 10000 {
-		t.Error("unique must reduce the estimate")
-	}
-	if plan.EstimateCardinality(algebra.NewGroupBy(nil, algebra.AggCount, 0, algebra.NewRel("beer")), cards) != 1 {
-		t.Error("global aggregate produces one tuple")
-	}
-	if plan.EstimateCardinality(algebra.NewGroupBy([]int{0}, algebra.AggCount, 0, algebra.NewRel("beer")), cards) >= 10000 {
-		t.Error("grouped aggregate must reduce the estimate")
-	}
-	lit := algebra.Literal{Rel: schema.Anonymous(schema.Attribute{Name: "x", Type: value.KindInt}),
-		Rows: [][]value.Value{{value.NewInt(1)}, {value.NewInt(2)}}}
-	if plan.EstimateCardinality(lit, cards) != 2 {
-		t.Error("literal cardinality estimate")
-	}
-	diff := algebra.NewDifference(algebra.NewRel("beer"), algebra.NewRel("brewery"))
-	if plan.EstimateCardinality(diff, cards) != 10000 {
-		t.Error("difference keeps the left estimate")
-	}
-	inter := algebra.NewIntersect(algebra.NewRel("beer"), algebra.NewRel("brewery"))
-	if plan.EstimateCardinality(inter, cards) != 100 {
-		t.Error("intersection keeps the smaller estimate")
-	}
-	xp := algebra.NewExtProject([]scalar.Expr{scalar.NewAttr(0)}, nil, algebra.NewRel("beer"))
-	if plan.EstimateCardinality(xp, cards) != 10000 {
-		t.Error("extended projection keeps the estimate")
-	}
-	tc := algebra.NewTClose(algebra.NewRel("brewery"))
-	if plan.EstimateCardinality(tc, cards) <= 100 {
-		t.Error("transitive closure grows the estimate")
-	}
-	nonEqui := algebra.NewJoin(scalar.NewCompare(value.CmpGt, scalar.NewAttr(0), scalar.NewAttr(3)),
-		algebra.NewRel("beer"), algebra.NewRel("brewery"))
-	if plan.Cost(nonEqui, cards) <= plan.Cost(joinPlan, cards) {
-		t.Error("non-equi join must cost more than a hash join")
-	}
-}

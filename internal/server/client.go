@@ -51,15 +51,6 @@ func (c *Client) Do(line string) (Response, error) {
 	return resp, nil
 }
 
-// Begin opens an explicit transaction on the session.
-func (c *Client) Begin() (Response, error) { return c.Do("begin") }
-
-// Commit commits the session's open transaction.
-func (c *Client) Commit() (Response, error) { return c.Do("commit") }
-
-// Rollback abandons the session's open transaction.
-func (c *Client) Rollback() (Response, error) { return c.Do("rollback") }
-
 // Close ends the session (best-effort \q) and closes the connection.
 func (c *Client) Close() error {
 	if c.timeout > 0 {

@@ -482,7 +482,7 @@ func transfer(cl *Client, from, to int, amt float64) (Response, error) {
 		}
 	}
 	if err == nil && resp.State == StateAborted {
-		_, err = cl.Rollback()
+		_, err = cl.Do("rollback")
 	}
 	return resp, err
 }
