@@ -556,15 +556,20 @@ func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
 // tiny random inputs, so the parallel operators (morsel-partitioned scans,
 // shared-build joins, two-phase aggregation, merge) are exercised rather than
 // planned away.  Every compiled parallel plan must also keep the morsel
-// invariant: each Partition sits directly above a scan or values leaf.  Run
-// with -race to check the runtime's concurrency.
+// invariant: each Partition sits directly above a scan or values leaf, and
+// no IndexScan sits anywhere below one.  Every other round runs over
+// analysed, hence keyed, relations.  Run with -race to check the runtime's
+// concurrency.
 func TestPropertyParallelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1994))
 	g := &exprGen{rng: rng}
 	workerCounts := []int{1, 2, 4, 8}
 	checked, errored := 0, 0
 	for round := 0; round < 30; round++ {
-		src := randomSource(rng)
+		var src Source = randomSource(rng)
+		if round%2 == 1 {
+			src = AnalyzeSource(src.(MapSource))
+		}
 		for i := 0; i < 6; i++ {
 			arity := 1 + g.intn(3)
 			e := g.gen(3, arity)
@@ -575,6 +580,10 @@ func TestPropertyParallelMatchesReference(t *testing.T) {
 					if bad := partitionAboveNonLeaf(p.Root); bad != "" {
 						t.Fatalf("round %d workers=%d: Partition above %q in the plan of %s:\n%s",
 							round, w, bad, e, p)
+					}
+					if indexScanBelowPartition(p.Root, false) {
+						t.Fatalf("round %d workers=%d: IndexScan below a Partition in the plan of %s:\n%s",
+							round, w, e, p)
 					}
 				}
 				phys, physErr := eng.Eval(e, src)
@@ -618,6 +627,113 @@ func partitionAboveNonLeaf(n plan.Node) string {
 		}
 	}
 	return ""
+}
+
+// indexScanBelowPartition reports whether an IndexScan sits anywhere below a
+// Partition of the tree rooted at n: a key lookup has no entry ranges for a
+// morsel queue to split.
+func indexScanBelowPartition(n plan.Node, below bool) bool {
+	if below && strings.HasPrefix(n.Describe(), "IndexScan ") {
+		return true
+	}
+	below = below || strings.HasPrefix(n.Describe(), "Partition [")
+	for _, c := range n.Children() {
+		if indexScanBelowPartition(c, below) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyedRelation builds a random two-attribute relation whose first column
+// ranges wider than its second, so ANALYZE usually keys it on %1 and
+// sometimes on %2 or not at all.
+func keyedRelation(rng *rand.Rand, name string, maxTuples int) *multiset.Relation {
+	s := schema.NewRelation(name,
+		schema.Attribute{Name: "a", Type: value.KindInt},
+		schema.Attribute{Name: "b", Type: value.KindInt},
+	)
+	r := multiset.New(s)
+	for i := rng.Intn(maxTuples + 1); i > 0; i-- {
+		r.Add(tuple.Ints(int64(rng.Intn(10)), int64(rng.Intn(4))), uint64(1+rng.Intn(3)))
+	}
+	return r
+}
+
+// TestPropertyIndexScanMatchesReference is the key-lookup oracle: over
+// analysed (keyed) random relations, selections σ[%c = k] directly over a
+// relation — attribute left or constant left, alone or beside random
+// residual conjuncts, on either column — inside random surrounding
+// expressions must return the Reference evaluator's bag at workers 1, 2, 4
+// and 8, and no plan may put an IndexScan below a Partition.  A minimum
+// share of the compiled plans must actually contain an IndexScan, so the
+// suite cannot pass by planning scans only.
+func TestPropertyIndexScanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := &exprGen{rng: rng}
+	plans, indexed := 0, 0
+	for round := 0; round < 40; round++ {
+		src := AnalyzeSource(MapSource{
+			"e1": keyedRelation(rng, "e1", 14),
+			"e2": keyedRelation(rng, "e2", 14),
+			"e3": randomRelation(rng, "e3", 12),
+		})
+		for i := 0; i < 6; i++ {
+			rel := algebra.NewRel([]string{"e1", "e2", "e3"}[g.intn(3)])
+			k := scalar.NewConst(value.NewInt(int64(g.intn(10))))
+			var key scalar.Predicate = scalar.NewCompare(value.CmpEq, scalar.NewAttr(g.intn(2)), k)
+			if g.intn(2) == 0 {
+				key = scalar.NewCompare(value.CmpEq, k, scalar.NewAttr(g.intn(2)))
+			}
+			switch g.intn(3) {
+			case 1:
+				key = scalar.And{Left: key, Right: g.pred(2, 1)}
+			case 2:
+				key = scalar.And{Left: g.pred(2, 1), Right: key}
+			}
+			var e algebra.Expr = algebra.NewSelect(key, rel)
+			switch g.intn(5) {
+			case 1:
+				e = algebra.NewUnion(e, g.gen(2, 2))
+			case 2:
+				e = algebra.NewDifference(g.gen(2, 2), e)
+			case 3:
+				e = algebra.NewJoin(scalar.Eq(1, 2), e, g.gen(1, 2))
+			case 4:
+				e = algebra.NewProject(g.cols(1, 2), e)
+			}
+			ref, refErr := (Reference{}).Eval(e, src)
+			for _, w := range []int{1, 2, 4, 8} {
+				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1}}
+				p, err := eng.planner(src).Plan(e, CatalogOf(src))
+				if err != nil {
+					if refErr == nil {
+						t.Fatalf("round %d workers=%d: planning %s: %v", round, w, e, err)
+					}
+					continue
+				}
+				plans++
+				if strings.Contains(p.String(), "IndexScan ") {
+					indexed++
+				}
+				if indexScanBelowPartition(p.Root, false) {
+					t.Fatalf("round %d workers=%d: IndexScan below a Partition in the plan of %s:\n%s", round, w, e, p)
+				}
+				phys, physErr := eng.Eval(e, src)
+				if (refErr == nil) != (physErr == nil) {
+					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nphysical:  %v",
+						round, w, e, refErr, physErr)
+				}
+				if refErr == nil && !ref.Equal(phys) {
+					t.Fatalf("round %d workers=%d: key lookup changed bag semantics of %s:\nreference: %s\nphysical:  %s\nplan:\n%s",
+						round, w, e, ref, phys, p)
+				}
+			}
+		}
+	}
+	if indexed < plans/3 {
+		t.Errorf("only %d of %d plans used an IndexScan", indexed, plans)
+	}
 }
 
 // skewedRelation builds a relation whose keys and multiplicities are heavily

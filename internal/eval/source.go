@@ -112,6 +112,18 @@ func (c sourceCards) TableStats(name string) (*stats.Table, bool) {
 	return nil, false
 }
 
+// KeyColumn implements plan.KeyColumnSource: it reports the key column of the
+// very instance the source will hand the executor — inside a transaction the
+// working set, which carries the key chain of the snapshot it descends from —
+// so the planner chooses an IndexScan only over a relation that has one.
+func (c sourceCards) KeyColumn(name string) (int, bool) {
+	r, ok := c.src.Relation(name)
+	if !ok {
+		return 0, false
+	}
+	return r.KeyColumn()
+}
+
 // Cardinalities wraps a Source as a plan.CardinalitySource.
 func Cardinalities(src Source) plan.CardinalitySource { return sourceCards{src: src} }
 
@@ -138,15 +150,18 @@ func (s StatsSource) TableStats(name string) (*stats.Table, bool) {
 	return nil, false
 }
 
-// AnalyzeSource builds statistics for every relation of a map source,
-// wrapping it as a StatsSource — the in-memory equivalent of running ANALYZE
-// on each relation.
+// AnalyzeSource builds statistics for every relation of a map source and
+// keys a copy of each relation on the column they choose, wrapping the
+// copies as a StatsSource — the in-memory equivalent of running ANALYZE on
+// each relation.  m is left as it was.
 func AnalyzeSource(m MapSource) StatsSource {
 	tables := make(map[string]*stats.Table, len(m))
+	keyed := make(MapSource, len(m))
 	for name, r := range m {
 		tables[name] = stats.Analyze(r, 0)
+		keyed[name] = r.WithKey(tables[name].KeyColumn())
 	}
-	return StatsSource{Source: m, Tables: tables}
+	return StatsSource{Source: keyed, Tables: tables}
 }
 
 // lookup fetches a relation from a source, converting a miss into an error.

@@ -14,7 +14,8 @@ import (
 // that changes a few rows of a large relation — the workloads the
 // page-granular copy-on-write table exists for; Scan and BulkAdd are the
 // guards that the paged arena and the paged bucket directory cost the read
-// and sink paths nothing.  The page-size constant (pageBits) is justified by
+// and sink paths nothing; KeyLookup is the point-read leaf over the key
+// chain.  The page-size constant (pageBits) is justified by
 // these numbers; see the package comment.
 
 var benchSizes = []int{4096, 60000}
@@ -125,6 +126,24 @@ func BenchmarkScan(b *testing.B) {
 		r.EachBatch(1024, func(tuples []tuple.Tuple, counts []uint64) bool {
 			benchSink += len(tuples)
 			return true
+		})
+	}
+}
+
+// BenchmarkKeyLookup is the leaf of a point read: one EachKey walk of the
+// key chain on id, against BenchmarkScan's whole-arena pass.
+func BenchmarkKeyLookup(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			r := benchRelation(n).WithKey(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.EachKey(0, value.NewInt(int64(i%n)), func(tuple.Tuple, uint64) bool {
+					benchSink++
+					return true
+				})
+			}
 		})
 	}
 }

@@ -83,7 +83,7 @@ func (r *Relation) EachHash(fn func(t tuple.Tuple, hash uint64, count uint64) bo
 // snapshot reader observed.
 func (r *Relation) ContainsHash(h uint64) bool {
 	tab := r.tab
-	for l := tab.head(h); l != 0; {
+	for l := tab.head(tab.heads, h); l != 0; {
 		e := tab.at(l - 1)
 		if e.hash == h && e.count > 0 {
 			return true

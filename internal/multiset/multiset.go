@@ -45,6 +45,18 @@
 // it can never move entries under a concurrent scan: a scanner holds a view
 // whose directories and pages nobody writes.
 //
+// A relation may also have a key column: ANALYZE chooses one (package
+// stats), and WithKey installs it.  A keyed table keeps a second bucket
+// directory, hashed on the key column's value alone, whose chains run
+// through the same arena entries (entry.knext).  Both chains are maintained
+// by the one insertion path (push, which rebuild also uses), and a tombstone
+// stays on both chains until a rebuild drops it, so Remove and revival never
+// touch a chain; fork copies both directories, and the key directory's
+// pages follow the same owner rule.  Every operator that clones, differs,
+// merges or applies a delta therefore carries the key chain with no code of
+// its own.  EachKey walks one key chain: a point lookup costs the entries
+// whose key hashes alike, not the relation.
+//
 // pageBits is the one tuning constant.  internal/multiset/bench_test.go
 // chose it: smaller pages make a small write cheaper (less copied per touched
 // page), larger ones make the directory copy and the page loop of a scan
@@ -62,6 +74,7 @@ import (
 
 	"mra/internal/schema"
 	"mra/internal/tuple"
+	"mra/internal/value"
 )
 
 const (
@@ -86,16 +99,19 @@ const (
 var ownerSeq atomic.Uint64
 
 // entry is one slot of the arena: a representative tuple, its cached hash,
-// its multiplicity, and the link to the next entry of its bucket.  A link is
-// an arena position plus one, zero ending the chain, so a freshly allocated
-// bucket page is already empty.  An entry whose count is zero is a tombstone
-// left behind by Remove; it is skipped by iteration and revived in place if
-// the tuple is re-added.
+// its multiplicity, the link to the next entry of its bucket and, in a keyed
+// table, the link to the next entry of its key bucket.  A link is an arena
+// position plus one, zero ending the chain, so a freshly allocated bucket
+// page is already empty.  An entry whose count is zero is a tombstone left
+// behind by Remove; it is skipped by iteration and revived in place if the
+// tuple is re-added.  The key link fills what was padding: an entry is 48
+// bytes with or without it.
 type entry struct {
 	tup   tuple.Tuple
 	hash  uint64
 	count uint64
 	next  int32
+	knext int32
 }
 
 // entryPage is one page of the arena and headPage one page of bucket heads;
@@ -116,7 +132,12 @@ type headPage struct {
 type table struct {
 	pages []entryPage
 	heads []headPage
-	owner uint64
+	// kheads is the key bucket directory, as many buckets as heads; nil when
+	// keyCol is negative.
+	kheads []headPage
+	owner  uint64
+	// keyCol is the column the key chains hash, or -1 for an unkeyed table.
+	keyCol int
 	// n is the arena span (live entries and tombstones), live the number of
 	// entries with a non-zero count, total the sum of the counts.
 	n     int
@@ -132,7 +153,7 @@ type table struct {
 }
 
 func newTable(capacity int, pageBits uint8) *table {
-	t := &table{owner: ownerSeq.Add(1), pageBits: pageBits}
+	t := &table{owner: ownerSeq.Add(1), keyCol: -1, pageBits: pageBits}
 	if capacity > 0 {
 		t.allocIndex(capacity)
 	}
@@ -140,18 +161,29 @@ func newTable(capacity int, pageBits uint8) *table {
 }
 
 // allocIndex gives the table an empty bucket directory of at least capacity
-// buckets.
+// buckets, and an empty key directory of as many when the table is keyed.
 func (t *table) allocIndex(capacity int) {
 	t.buckets = minBuckets
 	for t.buckets < capacity {
 		t.buckets <<= 1
 	}
 	t.shift = uint8(64 - bits.TrailingZeros(uint(t.buckets)))
-	per := min(t.buckets, 1<<(t.pageBits+headShift))
-	t.heads = make([]headPage, t.buckets/per)
-	for i := range t.heads {
-		t.heads[i] = headPage{heads: make([]int32, per), owner: t.owner}
+	t.heads = t.newDirectory()
+	t.kheads = nil
+	if t.keyCol >= 0 {
+		t.kheads = t.newDirectory()
 	}
+}
+
+// newDirectory returns an empty bucket directory of t.buckets heads, in
+// pages owned by t.
+func (t *table) newDirectory() []headPage {
+	per := min(t.buckets, 1<<(t.pageBits+headShift))
+	dir := make([]headPage, t.buckets/per)
+	for i := range dir {
+		dir[i] = headPage{heads: make([]int32, per), owner: t.owner}
+	}
+	return dir
 }
 
 // fork returns a copy of the table under a fresh owner identity: the page
@@ -162,6 +194,7 @@ func (t *table) fork() *table {
 	cp.owner = ownerSeq.Add(1)
 	cp.pages = slices.Clone(t.pages)
 	cp.heads = slices.Clone(t.heads)
+	cp.kheads = slices.Clone(t.kheads)
 	return &cp
 }
 
@@ -180,22 +213,23 @@ func (t *table) own(i int32) *entry {
 	return &p.ents[i&(1<<t.pageBits-1)]
 }
 
-// head returns the first link of the bucket hash h falls in.
-func (t *table) head(h uint64) int32 {
+// head returns the first link of the bucket hash h falls in, in the bucket
+// directory dir (t.heads or t.kheads).
+func (t *table) head(dir []headPage, h uint64) int32 {
 	if t.buckets == 0 {
 		return 0
 	}
 	b := (h * hashMix) >> t.shift
 	hb := t.pageBits + headShift
-	return t.heads[b>>hb].heads[b&(1<<hb-1)]
+	return dir[b>>hb].heads[b&(1<<hb-1)]
 }
 
-// ownHead returns the head of h's bucket for writing, first copying its page
-// if another table allocated it.
-func (t *table) ownHead(h uint64) *int32 {
+// ownHead returns the head of h's bucket in dir for writing, first copying
+// its page if another table allocated it.
+func (t *table) ownHead(dir []headPage, h uint64) *int32 {
 	b := (h * hashMix) >> t.shift
 	hb := t.pageBits + headShift
-	p := &t.heads[b>>hb]
+	p := &dir[b>>hb]
 	if p.owner != t.owner {
 		p.heads, p.owner = slices.Clone(p.heads), t.owner
 	}
@@ -205,7 +239,7 @@ func (t *table) ownHead(h uint64) *int32 {
 // find returns the arena position of the entry holding tup (live or
 // tombstoned), or -1 if the tuple has never been stored.
 func (t *table) find(h uint64, tup tuple.Tuple) int32 {
-	for l := t.head(h); l != 0; {
+	for l := t.head(t.heads, h); l != 0; {
 		e := t.at(l - 1)
 		if e.hash == h && e.tup.Equal(tup) {
 			return l - 1
@@ -233,7 +267,7 @@ func (t *table) insert(h uint64, tup tuple.Tuple, n uint64) {
 }
 
 // push puts a new entry at the end of the arena and at the front of its
-// bucket's chain.
+// bucket's chain and, in a keyed table, of its key bucket's chain.
 func (t *table) push(h uint64, tup tuple.Tuple, n uint64) {
 	size := 1 << t.pageBits
 	if t.n == len(t.pages)<<t.pageBits {
@@ -251,10 +285,19 @@ func (t *table) push(h uint64, tup tuple.Tuple, n uint64) {
 		copy(grown, p.ents)
 		p.ents, p.owner = grown, t.owner
 	}
-	head := t.ownHead(h)
-	p.ents = append(p.ents, entry{tup: tup, hash: h, count: n, next: *head})
+	head := t.ownHead(t.heads, h)
+	e := entry{tup: tup, hash: h, count: n, next: *head}
+	var khead *int32
+	if t.keyCol >= 0 {
+		khead = t.ownHead(t.kheads, tup.At(t.keyCol).Hash())
+		e.knext = *khead
+	}
+	p.ents = append(p.ents, e)
 	t.n++
 	*head = int32(t.n)
+	if khead != nil {
+		*khead = int32(t.n)
+	}
 	t.live++
 	t.total += n
 }
@@ -626,6 +669,51 @@ func (r *Relation) WithSchema(s schema.Relation) *Relation {
 	cp := &Relation{schema: s, tab: r.tab}
 	cp.cow.Store(true)
 	return cp
+}
+
+// KeyColumn returns the column the relation's key chain hashes, and false
+// when the relation has none.
+func (r *Relation) KeyColumn() (int, bool) { return r.tab.keyCol, r.tab.keyCol >= 0 }
+
+// WithKey returns a copy of the relation whose table keeps a key chain on
+// column col (0-based), or none when col is negative: the index EachKey
+// walks.  The bag is unchanged.  When the relation is already keyed on col
+// the copy is an O(1) Clone; otherwise the table is rebuilt once into pages
+// of the copy's own, tombstones dropped, and r is left as it was.
+func (r *Relation) WithKey(col int) *Relation {
+	if col >= r.schema.Arity() {
+		panic(fmt.Sprintf("multiset: key column %d out of range for arity %d", col, r.schema.Arity()))
+	}
+	col = max(col, -1)
+	if r.tab.keyCol == col {
+		return r.Clone()
+	}
+	tab := r.tab.fork()
+	tab.keyCol = col
+	tab.rebuild()
+	return &Relation{schema: r.schema, tab: tab}
+}
+
+// EachKey calls fn once per live tuple on the key chain of v: every tuple
+// whose key column value hashes like v, which includes every tuple whose key
+// column satisfies "= v" (value.CompareOp's equality implies equal hashes).
+// Callers filter the candidates with the full predicate.  EachKey reports
+// false, without calling fn, when the relation has no key chain on col.  If
+// fn returns false, iteration stops.  fn must not mutate r.
+func (r *Relation) EachKey(col int, v value.Value, fn func(t tuple.Tuple, count uint64) bool) bool {
+	tab := r.tab
+	if col < 0 || tab.keyCol != col {
+		return false
+	}
+	kh := v.Hash()
+	for l := tab.head(tab.kheads, kh); l != 0; {
+		e := tab.at(l - 1)
+		if e.count > 0 && e.tup.At(col).Hash() == kh && !fn(e.tup, e.count) {
+			break
+		}
+		l = e.knext
+	}
+	return true
 }
 
 // Equal implements Definition 2.3's equality: R1 = R2 ⇔ ∀x R1(x) = R2(x).

@@ -25,6 +25,16 @@ type DistinctCardinalitySource interface {
 	RelationDistinctCount(name string) (int, bool)
 }
 
+// KeyColumnSource optionally tells the planner which column of a base
+// relation carries a key chain (multiset.Relation.KeyColumn), read from the
+// instance the executor will be handed: a selection with an equality between
+// that column and a constant plans as an IndexScan.
+type KeyColumnSource interface {
+	// KeyColumn returns the named relation's key column, and whether it has
+	// one.
+	KeyColumn(name string) (int, bool)
+}
+
 // MapCardinalities is a CardinalitySource backed by a map.
 type MapCardinalities map[string]uint64
 

@@ -189,14 +189,21 @@ func (s snapshotSource) Relation(name string) (*multiset.Relation, bool) {
 // snapshotScans pre-resolves every scan leaf under n through the parent
 // context's source.
 func snapshotScans(ctx *execCtx, n Node, into snapshotSource) error {
-	if s, ok := n.(*scanNode); ok {
-		if _, done := into[s.name]; !done {
-			r, err := s.lookup(ctx)
-			if err != nil {
-				return err
-			}
-			into[s.name] = r
+	var name string
+	switch s := n.(type) {
+	case *scanNode:
+		name = s.name
+	case *indexScanNode:
+		// Never under a Partition, but possibly in a build subtree the
+		// parent runs over the snapshot.
+		name = s.name
+	}
+	if _, done := into[name]; name != "" && !done {
+		r, err := lookupRelation(ctx, name)
+		if err != nil {
+			return err
 		}
+		into[name] = r
 	}
 	for _, c := range n.Children() {
 		if err := snapshotScans(ctx, c, into); err != nil {
@@ -584,7 +591,8 @@ func twoPhaseProfitable(x *hashAggNode, workers int) bool {
 // stateful operators (joins, aggregates, δ, set difference/intersection,
 // closure) are excluded: re-running them once per worker would repeat their
 // full cost, and δ above a projection is not partition-exact under any
-// disjoint split of the inputs.
+// disjoint split of the inputs.  An IndexScan is excluded too: it has no
+// entry ranges to split, and a key lookup is too small to divide.
 func streamable(n Node) bool {
 	switch x := n.(type) {
 	case *scanNode, *valuesNode:

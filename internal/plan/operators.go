@@ -30,9 +30,14 @@ func (s *scanNode) Children() []Node { return nil }
 func (s *scanNode) Describe() string { return "Scan " + s.name }
 
 func (s *scanNode) lookup(ctx *execCtx) (*multiset.Relation, error) {
-	r, ok := ctx.src.Relation(s.name)
+	return lookupRelation(ctx, s.name)
+}
+
+// lookupRelation resolves a leaf's relation through the execution's source.
+func lookupRelation(ctx *execCtx, name string) (*multiset.Relation, error) {
+	r, ok := ctx.src.Relation(name)
 	if !ok {
-		return nil, fmt.Errorf("plan: unknown relation %q", s.name)
+		return nil, fmt.Errorf("plan: unknown relation %q", name)
 	}
 	return r, nil
 }
@@ -55,6 +60,60 @@ func (s *scanNode) result(ctx *execCtx) (*multiset.Relation, error) {
 		return nil, err
 	}
 	return r.Clone(), nil
+}
+
+// indexScanNode reads the entries of a named database relation whose key
+// column hashes like a constant: one key chain of the instance
+// (multiset.Relation.EachKey), a superset of the entries the equality
+// "%col = val" selects.  The planner places it only under a Filter holding
+// the whole selection, which drops the rest.  An instance with no key chain
+// on col — a temporary, or a relation replaced wholesale since the plan was
+// made — is scanned whole instead, so the leaf is right whatever instance
+// the source hands it.  It is never morsel-partitioned.
+type indexScanNode struct {
+	base
+	name string
+	col  int
+	val  value.Value
+}
+
+func (s *indexScanNode) Children() []Node { return nil }
+func (s *indexScanNode) Describe() string {
+	return fmt.Sprintf("IndexScan %s [%%%d = %s]", s.name, s.col+1, s.val)
+}
+
+// run emits the key chain's live entries in batches sized by the chain, not
+// by the batch size: a point lookup allocates for the rows it finds.
+func (s *indexScanNode) run(ctx *execCtx, emit EmitBatch) error {
+	r, err := lookupRelation(ctx, s.name)
+	if err != nil {
+		return err
+	}
+	var b Batch
+	flush := func() error {
+		if err := ctx.poll(); err != nil {
+			return err
+		}
+		err := emit(&b)
+		b.reset()
+		return err
+	}
+	size := ctx.batchCap()
+	keyed := r.EachKey(s.col, s.val, func(t tuple.Tuple, n uint64) bool {
+		b.Tuples = append(b.Tuples, t)
+		b.Counts = append(b.Counts, n)
+		if len(b.Tuples) == size {
+			err = flush()
+		}
+		return err == nil
+	})
+	if !keyed {
+		return emitRelation(ctx, r, emit)
+	}
+	if err != nil || len(b.Tuples) == 0 {
+		return err
+	}
+	return flush()
 }
 
 // valuesNode emits the rows of a literal relation, one occurrence each.

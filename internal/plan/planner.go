@@ -149,7 +149,13 @@ func (pl *Planner) compile(e algebra.Expr, cat algebra.Catalog) (Node, error) {
 		if err := n.Cond.Validate(input.Schema()); err != nil {
 			return nil, fmt.Errorf("%w: %v", algebra.ErrPlan, err)
 		}
-		return pl.makeFilter(n.Cond, input), nil
+		node := pl.makeFilter(n.Cond, input)
+		if scan, ok := input.(*scanNode); ok {
+			if ix := pl.indexScan(scan, n.Cond); ix != nil {
+				node.input = ix
+			}
+		}
+		return node, nil
 
 	case algebra.Project:
 		input, err := pl.compile(n.Input, cat)
@@ -375,7 +381,7 @@ func (pl *Planner) compileJoin(cond scalar.Predicate, le, re algebra.Expr, cat a
 
 // makeFilter builds a selection node over a compiled input, estimating its
 // selectivity from the input's column statistics when available.
-func (pl *Planner) makeFilter(cond scalar.Predicate, input Node) Node {
+func (pl *Planner) makeFilter(cond scalar.Predicate, input Node) *filterNode {
 	node := &filterNode{pred: cond, input: input}
 	node.schema = input.Schema()
 	sel, known := predSelectivity(cond, input.meta().colStats)
@@ -386,6 +392,78 @@ func (pl *Planner) makeFilter(cond scalar.Predicate, input Node) Node {
 	node.capHint = node.est
 	node.colStats = clampCols(append([]colStat(nil), input.meta().colStats...), node.est)
 	return node
+}
+
+// indexScan returns the key lookup that can stand in for a scan under the
+// selection cond, or nil.  It needs a conjunct "%c = constant" (either way
+// round) on the key column of the instance the source will return, and only
+// error-free conjuncts before it.  The Filter above keeps the whole
+// predicate and evaluates it conjunct by conjunct on the rows the lookup
+// yields — every row whose key satisfies the equality, because σ is
+// pointwise on multiplicities — so the bag is the scan's.  A conjunct that
+// could fail to evaluate must not come first: the scan would evaluate it on
+// rows the lookup never yields.
+func (pl *Planner) indexScan(scan *scanNode, cond scalar.Predicate) Node {
+	ks, ok := pl.Cards.(KeyColumnSource)
+	if !ok {
+		return nil
+	}
+	key, ok := ks.KeyColumn(scan.name)
+	if !ok {
+		return nil
+	}
+	for _, c := range scalar.Conjuncts(cond) {
+		if cmp, ok := c.(scalar.Compare); ok {
+			if attr, k, op, ok := normaliseCompare(cmp); ok && op == value.CmpEq && attr.Index == key {
+				node := &indexScanNode{name: scan.name, col: key, val: k}
+				node.schema = scan.schema
+				sel, known := compareSelectivity(cmp, scan.colStats)
+				if !known {
+					sel = selectionSelectivity
+				}
+				node.est = scan.est * sel
+				node.capHint = node.est
+				node.colStats = clampCols(append([]colStat(nil), scan.colStats...), node.est)
+				return node
+			}
+		}
+		if !errorFree(c) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// errorFree reports whether a predicate evaluates without error on every
+// tuple of the schema it was validated against: comparisons between
+// attributes and constants, and connectives over them.  Arithmetic can fail
+// (division by zero, overflow), so any other shape counts as fallible.
+func errorFree(p scalar.Predicate) bool {
+	switch x := p.(type) {
+	case scalar.True, scalar.False:
+		return true
+	case scalar.Compare:
+		return plainOperand(x.Left) && plainOperand(x.Right)
+	case scalar.And:
+		return errorFree(x.Left) && errorFree(x.Right)
+	case scalar.Or:
+		return errorFree(x.Left) && errorFree(x.Right)
+	case scalar.Not:
+		return errorFree(x.Operand)
+	default:
+		return false
+	}
+}
+
+// plainOperand reports whether a scalar expression is an attribute or a
+// constant.
+func plainOperand(e scalar.Expr) bool {
+	switch e.(type) {
+	case scalar.Attr, scalar.Const:
+		return true
+	default:
+		return false
+	}
 }
 
 // makeJoin builds the physical join of two compiled operands under the given

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"mra/internal/value"
 )
@@ -22,8 +23,17 @@ const hllRegisters = 1 << hllPrecision
 // cannot forget — deleting a value from the underlying relation leaves the
 // estimate unchanged (see Table.ApplyDelta for how the maintenance layer
 // bounds the resulting staleness).
+//
+// Estimate is memoised: the planner reads the NDV of every column of every
+// scanned relation on every plan, while a sketch changes only while its
+// Table is being built, and a committed delta that raises no register keeps
+// the memo of the sketch it was cloned from.  Concurrent readers of a
+// finished sketch may all fill the memo; they store the same value.
 type Sketch struct {
 	reg []uint8
+	// est holds math.Float64bits of the last estimate plus one; zero means
+	// not computed since the last Add or Merge.
+	est atomic.Uint64
 }
 
 // NewSketch returns an empty sketch (estimate 0).
@@ -31,11 +41,13 @@ func NewSketch() *Sketch {
 	return &Sketch{reg: make([]uint8, hllRegisters)}
 }
 
-// Clone returns an independent copy of the sketch.
+// Clone returns an independent copy of the sketch, memoised estimate
+// included.
 func (s *Sketch) Clone() *Sketch {
-	cp := make([]uint8, hllRegisters)
-	copy(cp, s.reg)
-	return &Sketch{reg: cp}
+	cp := &Sketch{reg: make([]uint8, hllRegisters)}
+	copy(cp.reg, s.reg)
+	cp.est.Store(s.est.Load())
+	return cp
 }
 
 // Add observes one 64-bit hash.  The top p bits select a register; the rank
@@ -50,6 +62,7 @@ func (s *Sketch) Add(h uint64) {
 	rank := uint8(bits.LeadingZeros64(h<<hllPrecision|1<<(hllPrecision-1))) + 1
 	if rank > s.reg[idx] {
 		s.reg[idx] = rank
+		s.est.Store(0)
 	}
 }
 
@@ -61,12 +74,23 @@ func (s *Sketch) Merge(o *Sketch) {
 			s.reg[i] = r
 		}
 	}
+	s.est.Store(0)
 }
 
 // Estimate returns the estimated number of distinct hashes observed, using
 // the standard HyperLogLog estimator with the linear-counting correction for
 // small cardinalities.
 func (s *Sketch) Estimate() float64 {
+	if bits := s.est.Load(); bits != 0 {
+		return math.Float64frombits(bits - 1)
+	}
+	e := s.estimate()
+	s.est.Store(math.Float64bits(e) + 1)
+	return e
+}
+
+// estimate computes Estimate from the registers.
+func (s *Sketch) estimate() float64 {
 	const m = float64(hllRegisters)
 	alpha := 0.7213 / (1 + 1.079/m)
 	sum := 0.0

@@ -230,6 +230,24 @@ func (t *Table) NDV(col int) (float64, bool) {
 	return e, true
 }
 
+// KeyColumn chooses the relation's key column, the one column a key chain
+// is kept for (multiset.Relation.WithKey): the lowest-ordinal column whose
+// distinct-value estimate is at least half the distinct-tuple estimate, so
+// an equality on it selects about two tuples or fewer.  It returns -1, no
+// key, for an empty relation or when no column qualifies.
+func (t *Table) KeyColumn() int {
+	distinct := t.DistinctTuples()
+	if distinct <= 0 {
+		return -1
+	}
+	for i := range t.cols {
+		if ndv, _ := t.NDV(i); ndv >= distinct/2 {
+			return i
+		}
+	}
+	return -1
+}
+
 // NullFraction returns the fraction of rows whose column value is null.
 func (t *Table) NullFraction(col int) float64 {
 	if col < 0 || col >= len(t.cols) || t.rows <= 0 {

@@ -188,3 +188,64 @@ func TestHistogramBucketsAndMerge(t *testing.T) {
 		t.Fatalf("merged estimate = %.1f", est)
 	}
 }
+
+// TestKeyColumnRule pins ANALYZE's one key rule: the lowest-ordinal column
+// whose NDV is at least half the distinct-tuple count, and no key for an
+// empty relation or when every column repeats its values.
+func TestKeyColumnRule(t *testing.T) {
+	build := func(n int, row func(i int) (int64, int64)) *multiset.Relation {
+		r := multiset.New(testSchema())
+		for i := 0; i < n; i++ {
+			r.Add(tuple.Ints(row(i)), 1)
+		}
+		return r
+	}
+	for _, c := range []struct {
+		name string
+		r    *multiset.Relation
+		want int
+	}{
+		{"unique first column", build(4096, func(i int) (int64, int64) { return int64(i), int64(i % 3) }), 0},
+		{"unique second column", build(1000, func(i int) (int64, int64) { return int64(i % 50), int64(i) }), 1},
+		{"half-distinct first column", build(1000, func(i int) (int64, int64) { return int64(i / 2), int64(i) }), 0},
+		{"no selective column", build(1000, func(i int) (int64, int64) { return int64(i % 40), int64(i / 40) }), -1},
+		{"empty", build(0, nil), -1},
+	} {
+		if got := Analyze(c.r, 0).KeyColumn(); got != c.want {
+			t.Errorf("%s: KeyColumn = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSketchEstimateMemo checks the memoised estimate against a fresh
+// computation after every kind of change: Add that raises a register, Add
+// that does not, Merge, and Clone followed by Add.
+func TestSketchEstimateMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := NewSketch()
+	for i := 0; i < 3000; i++ {
+		h := rng.Uint64()
+		s.Add(h)
+		if i%7 == 0 {
+			s.Add(h)
+		}
+		if got, want := s.Estimate(), s.estimate(); got != want {
+			t.Fatalf("after %d adds: memoised estimate %v, registers say %v", i+1, got, want)
+		}
+	}
+	o := NewSketch()
+	for i := 0; i < 500; i++ {
+		o.Add(rng.Uint64())
+	}
+	c := s.Clone()
+	if c.Estimate() != s.Estimate() {
+		t.Fatalf("clone estimates %v, original %v", c.Estimate(), s.Estimate())
+	}
+	s.Merge(o)
+	c.Add(rng.Uint64())
+	for _, sk := range []*Sketch{s, c, o} {
+		if got, want := sk.Estimate(), sk.estimate(); got != want {
+			t.Fatalf("memoised estimate %v, registers say %v", got, want)
+		}
+	}
+}

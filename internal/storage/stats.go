@@ -9,30 +9,40 @@ import (
 
 // Analyze rebuilds optimizer statistics for the named relation from its
 // current instance, stamps them with the current database version, installs
-// them, and returns them.  From then on ApplyDeltas maintains the summary
-// incrementally; wholesale replacements (Apply, DDL) drop it again.
+// them, and returns them.  It also installs the key column the statistics
+// choose (stats.Table.KeyColumn) on the live instance, which costs one copy
+// of its pages and changes neither its bag nor the version: snapshots taken
+// before keep the instance they hold.  From then on ApplyDeltas maintains
+// the summary incrementally and the key chain with the instance; wholesale
+// replacements (Apply, DDL) drop both again.
 func (d *Database) Analyze(name string) (*stats.Table, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	key := strings.ToLower(name)
-	r, ok := d.relations[key]
-	if !ok {
+	if _, ok := d.relations[key]; !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchRelation, name)
 	}
-	t := stats.Analyze(r, d.version)
-	d.stats[key] = t
-	return t, nil
+	return d.analyzeLocked(key), nil
 }
 
-// AnalyzeAll rebuilds statistics for every relation (ANALYZE with no
-// argument).
+// AnalyzeAll rebuilds statistics and key columns for every relation (ANALYZE
+// with no argument).
 func (d *Database) AnalyzeAll() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for key, r := range d.relations {
-		d.stats[key] = stats.Analyze(r, d.version)
+	for key := range d.relations {
+		d.analyzeLocked(key)
 	}
 	return nil
+}
+
+// analyzeLocked analyzes one existing relation under the held write lock.
+func (d *Database) analyzeLocked(key string) *stats.Table {
+	r := d.relations[key]
+	t := stats.Analyze(r, d.version)
+	d.stats[key] = t
+	d.relations[key] = r.WithKey(t.KeyColumn())
+	return t
 }
 
 // TableStats implements plan.TableStatsSource: it returns the named

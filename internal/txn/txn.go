@@ -297,7 +297,9 @@ func (t *Tx) TableStats(name string) (*stats.Table, bool) {
 // them both transaction-locally and — because statistics are advisory
 // metadata, not versioned data — into the live database when the relation is
 // an unmodified database relation, so later transactions benefit without an
-// explicit commit.
+// explicit commit.  The key column storage.Analyze installs with them is
+// likewise seen from the next transaction on: this one keeps the instance
+// its snapshot holds.
 func (t *Tx) AnalyzeRelation(name string) error {
 	if name == "" {
 		// Bare ANALYZE: every relation visible to this transaction.

@@ -228,10 +228,21 @@ func (v Value) Equal(o Value) bool {
 // Compare orders two values.  It returns a negative number, zero or a positive
 // number when v sorts before, equal to, or after o.  Values of incomparable
 // domains are ordered by domain kind so that Compare induces a total order
-// usable for canonicalisation; Null sorts before every other value.  NaN
-// sorts above every other number and equal to any NaN, consistently with
-// Equal.
+// usable for canonicalisation; Null sorts before every other value.  Two
+// integers compare exactly; an integer and a real compare on their float64
+// images, as Equal and Hash do.  NaN sorts above every other number and
+// equal to any NaN, consistently with Equal.
 func (v Value) Compare(o Value) int {
+	if v.kind == KindInt && o.kind == KindInt {
+		switch {
+		case v.i < o.i:
+			return -1
+		case v.i > o.i:
+			return 1
+		default:
+			return 0
+		}
+	}
 	if v.kind.Numeric() && o.kind.Numeric() {
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()

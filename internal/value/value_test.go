@@ -408,3 +408,73 @@ func BenchmarkHash(b *testing.B) {
 
 // benchSink keeps benchmark results live.
 var benchSink uint64
+
+// TestCompareIntsExactly pins the int/int order above 2^53, where distinct
+// int64s share a float64 image: Compare must separate them, and
+// Compare(a, b) == 0 must coincide with Equal(a, b) for every int pair.
+func TestCompareIntsExactly(t *testing.T) {
+	lo, hi := NewInt(1<<53), NewInt(1<<53+1)
+	if lo.Compare(hi) >= 0 || hi.Compare(lo) <= 0 {
+		t.Errorf("Compare(2^53, 2^53+1) = %d, Compare(2^53+1, 2^53) = %d", lo.Compare(hi), hi.Compare(lo))
+	}
+	if ok, err := CmpLt.Apply(lo, hi); err != nil || !ok {
+		t.Errorf("2^53 < 2^53+1 = %v, %v", ok, err)
+	}
+	if ok, err := CmpEq.Apply(lo, hi); err != nil || ok {
+		t.Errorf("2^53 = 2^53+1 = %v, %v", ok, err)
+	}
+	same := func(a, b int64) bool {
+		va, vb := NewInt(a), NewInt(b)
+		return (va.Compare(vb) == 0) == va.Equal(vb) && va.Compare(vb) == -vb.Compare(va)
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Error(err)
+	}
+	near := func(a int64, d uint8) bool {
+		b := a + int64(d%4)
+		return same(a, b) && same(math.MaxInt64-int64(d), math.MaxInt64)
+	}
+	if err := quick.Check(near, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCmpEqImpliesSameHash checks the invariant a key lookup relies on:
+// whenever CompareOp(=).Apply(a, b) holds, a and b hash alike, so the chain
+// of b's hash holds every entry whose key satisfies "= b".  The cases cover
+// null, NaN payloads, ±0, ints against their float images and ints beyond
+// 2^53.
+func TestCmpEqImpliesSameHash(t *testing.T) {
+	vals := []Value{Null, NewFloat(0), NewFloat(math.Copysign(0, -1)), NewInt(0),
+		NewInt(1), NewFloat(1), NewInt(-1), NewFloat(-1),
+		NewInt(1 << 53), NewInt(1<<53 + 1), NewFloat(1 << 53), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewString(""), NewString("1"), NewBool(true), NewBool(false)}
+	for _, n := range nanPayloads() {
+		vals = append(vals, NewFloat(n))
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			ok, err := CmpEq.Apply(a, b)
+			if err == nil && ok && a.Hash() != b.Hash() {
+				t.Errorf("%v (%s) = %v (%s) holds but hashes %x and %x", a, a.Kind(), b, b.Kind(), a.Hash(), b.Hash())
+			}
+		}
+	}
+	ints := func(a, b int64) bool {
+		ok, _ := CmpEq.Apply(NewInt(a), NewInt(b))
+		return !ok || NewInt(a).Hash() == NewInt(b).Hash()
+	}
+	mixed := func(a int64, f float64) bool {
+		ok, _ := CmpEq.Apply(NewInt(a), NewFloat(f))
+		return !ok || NewInt(a).Hash() == NewFloat(f).Hash()
+	}
+	floats := func(a, b float64) bool {
+		ok, _ := CmpEq.Apply(NewFloat(a), NewFloat(b))
+		return !ok || NewFloat(a).Hash() == NewFloat(b).Hash()
+	}
+	for _, f := range []any{ints, mixed, floats} {
+		if err := quick.Check(f, nil); err != nil {
+			t.Error(err)
+		}
+	}
+}

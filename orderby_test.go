@@ -257,3 +257,33 @@ func TestOrderByAggregate(t *testing.T) {
 		t.Errorf("parallel hidden-key rows = %v", rows)
 	}
 }
+
+// TestOrderByIntsBeyond2To53 sorts integers that share a float64 image:
+// 2^53 and 2^53+1 are distinct int64s and must sort apart, in both
+// directions.
+func TestOrderByIntsBeyond2To53(t *testing.T) {
+	db := Open()
+	db.MustCreateRelation("t", Col("a", Int))
+	if err := db.InsertValues("t", []any{int64(1 << 53)}, []any{int64(1<<53 + 1)}, []any{int64(1<<53 - 1)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql  string
+		want []int64
+	}{
+		{"select a from t order by a desc", []int64{1<<53 + 1, 1 << 53, 1<<53 - 1}},
+		{"select a from t order by a", []int64{1<<53 - 1, 1 << 53, 1<<53 + 1}},
+	} {
+		res, err := db.QuerySQL(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		for _, row := range res.Rows() {
+			got = append(got, row[0].(int64))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s = %v, want %v", c.sql, got, c.want)
+		}
+	}
+}
