@@ -31,7 +31,7 @@ import (
 // physical plans e over src at the given gang width and executes the plan:
 // the evaluate stage of a transaction, minus the transaction.
 func physical(e algebra.Expr, src eval.Source, workers int) (*multiset.Relation, error) {
-	p, err := (&plan.Planner{Cards: eval.Cardinalities(src), Workers: workers}).Plan(e, eval.CatalogOf(src))
+	p, err := (&plan.Planner{Cards: src, Workers: workers}).Plan(e, eval.CatalogOf(src))
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +404,7 @@ func BenchmarkE8_TransactionThroughput(b *testing.B) {
 func BenchmarkE9_OptimizerAblation(b *testing.B) {
 	fact, dim := workload.JoinPair(workload.JoinConfig{LeftTuples: 2000, RightTuples: 100, Seed: 15})
 	src := eval.MapSource{"fact": fact, "dim": dim}
-	cat := src.Catalog()
+	cat := eval.CatalogOf(src)
 	query := algebra.NewSelect(
 		scalar.NewAnd(scalar.Eq(0, 2),
 			scalar.NewCompare(value.CmpGe, scalar.NewAttr(3), scalar.NewConst(value.NewInt(50)))),

@@ -15,7 +15,7 @@ import (
 	"mra/internal/workload"
 )
 
-func newTestDB(t *testing.T) *storage.Database {
+func newTestDB(t testing.TB) *storage.Database {
 	t.Helper()
 	db := storage.NewDatabase()
 	beer, brewery := workload.Beers(workload.BeerConfig{Breweries: 5, BeersPerBrewery: 4, DuplicateNames: true, Seed: 1})
@@ -148,7 +148,7 @@ func TestReadIntoExistingDatabase(t *testing.T) {
 }
 
 // mustSchema returns the schema of db's relation name.
-func mustSchema(t *testing.T, db *storage.Database, name string) schema.Relation {
+func mustSchema(t testing.TB, db *storage.Database, name string) schema.Relation {
 	t.Helper()
 	s, ok := db.RelationSchema(name)
 	if !ok {

@@ -27,7 +27,7 @@ func (e *Engine) Reset() { e.Stats = plan.Stats{} }
 // statistics from src.
 func (e *Engine) planner(src Source) *plan.Planner {
 	pl := e.Planner
-	pl.Cards = Cardinalities(src)
+	pl.Cards = src
 	return &pl
 }
 

@@ -73,15 +73,11 @@ func TestMapSource(t *testing.T) {
 	if _, ok := src.Relation("wine"); ok {
 		t.Error("unknown relation must miss")
 	}
-	cat := src.Catalog()
+	cat := CatalogOf(src)
 	if _, ok := cat.RelationSchema("brewery"); !ok {
-		t.Error("catalog view of the source")
-	}
-	cat2 := CatalogOf(src)
-	if _, ok := cat2.RelationSchema("beer"); !ok {
 		t.Error("CatalogOf lookup")
 	}
-	if _, ok := cat2.RelationSchema("wine"); ok {
+	if _, ok := cat.RelationSchema("wine"); ok {
 		t.Error("CatalogOf miss")
 	}
 }

@@ -511,7 +511,7 @@ func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
 	checked, errored := 0, 0
 	for round := 0; round < 40; round++ {
 		src := randomSource(rng)
-		cat := src.Catalog()
+		cat := CatalogOf(src)
 		for i := 0; i < 8; i++ {
 			arity := 1 + g.intn(3)
 			e := g.gen(3, arity)

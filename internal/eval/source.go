@@ -1,10 +1,11 @@
 // Package eval implements the executable semantics of the multi-set extended
 // relational algebra as Reference: a literal transcription of the paper's
-// definitions, used as the semantic oracle by property-based tests.  It also
-// adapts evaluation sources for the physical layer: Cardinalities and
-// CatalogOf let plan.Planner plan against any Source, which is how a
-// transaction's evaluate stage (txn.Tx.EvaluatePlan) compiles expressions into
-// streaming physical operators.
+// definitions, used as the semantic oracle by property-based tests.  Its
+// Source is the planner's: plan.Planner reads every base-relation fact off the
+// instances the source returns, and CatalogOf gives the same source the
+// algebra.Catalog view validation needs, which is how a transaction's
+// evaluate stage (txn.Tx.EvaluatePlan) compiles expressions into streaming
+// physical operators.
 //
 // Agreement of the physical plans with Reference on random databases —
 // including randomly generated expression trees — is itself one of the
@@ -22,12 +23,10 @@ import (
 	"mra/internal/stats"
 )
 
-// Source resolves database relation names to relation instances.  The storage
-// engine and transaction contexts implement it; tests use MapSource.
-type Source interface {
-	// Relation returns the named relation instance.
-	Relation(name string) (*multiset.Relation, bool)
-}
+// Source resolves database relation names to relation instances.  It is
+// plan.Source: the storage engine and transaction contexts implement it, tests
+// use MapSource, and the planner plans from the same instances the plan scans.
+type Source = plan.Source
 
 // MapSource is a Source backed by a map with case-insensitive lookup.
 type MapSource map[string]*multiset.Relation
@@ -43,16 +42,6 @@ func (m MapSource) Relation(name string) (*multiset.Relation, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Catalog returns an algebra.Catalog view of the source, so expressions can be
-// validated against the same relations they will be evaluated on.
-func (m MapSource) Catalog() algebra.Catalog {
-	cat := make(algebra.MapCatalog, len(m))
-	for k, r := range m {
-		cat[k] = r.Schema()
-	}
-	return cat
 }
 
 // sourceCatalog adapts any Source whose relations are known by name into a
@@ -73,59 +62,10 @@ func (c sourceCatalog) RelationSchema(name string) (schema.Relation, bool) {
 // CatalogOf wraps a Source as an algebra.Catalog.
 func CatalogOf(src Source) algebra.Catalog { return sourceCatalog{src: src} }
 
-// sourceCards adapts a Source into the planner's cardinality provider, so the
-// cost model ranks plans on the actual table sizes of the database being
-// queried.  Relation lookups are O(1) copy-on-write clones.
-type sourceCards struct {
-	src Source
-}
-
-// RelationCardinality implements plan.CardinalitySource.
-func (c sourceCards) RelationCardinality(name string) (uint64, bool) {
-	r, ok := c.src.Relation(name)
-	if !ok {
-		return 0, false
-	}
-	return r.Cardinality(), true
-}
-
-// RelationDistinctCount implements plan.DistinctCardinalitySource, letting
-// the planner size hash tables by distinct tuples rather than occurrences.
-func (c sourceCards) RelationDistinctCount(name string) (int, bool) {
-	r, ok := c.src.Relation(name)
-	if !ok {
-		return 0, false
-	}
-	return r.DistinctCount(), true
-}
-
-// TableStats implements plan.TableStatsSource by forwarding to the wrapped
-// Source when it carries per-column statistics (transaction snapshots, the
-// storage engine after ANALYZE, StatsSource wrappers); sources without
-// statistics report none and the planner falls back to flat selectivities.
-func (c sourceCards) TableStats(name string) (*stats.Table, bool) {
-	if s, ok := c.src.(interface {
-		TableStats(name string) (*stats.Table, bool)
-	}); ok {
-		return s.TableStats(name)
-	}
-	return nil, false
-}
-
-// KeyColumn implements plan.KeyColumnSource: it reports the key column of the
-// very instance the source will hand the executor — inside a transaction the
-// working set, which carries the key chain of the snapshot it descends from —
-// so the planner chooses an IndexScan only over a relation that has one.
-func (c sourceCards) KeyColumn(name string) (int, bool) {
-	r, ok := c.src.Relation(name)
-	if !ok {
-		return 0, false
-	}
-	return r.KeyColumn()
-}
-
-// Cardinalities wraps a Source as a plan.CardinalitySource.
-func Cardinalities(src Source) plan.CardinalitySource { return sourceCards{src: src} }
+// Cardinalities returns src unchanged: a Source is already everything
+// plan.Planner reads base-relation facts from.  Its one caller, the
+// benchmark's staged replay, can pass the source directly.
+func Cardinalities(src Source) Source { return src }
 
 // StatsSource decorates a Source with precomputed per-relation statistics, so
 // callers without a storage database underneath (benchmarks over MapSource,
@@ -137,7 +77,8 @@ type StatsSource struct {
 	Tables map[string]*stats.Table
 }
 
-// TableStats implements plan.TableStatsSource.
+// TableStats reports the named relation's summary; the planner reads it as
+// its source's optional statistics.
 func (s StatsSource) TableStats(name string) (*stats.Table, bool) {
 	if t, ok := s.Tables[name]; ok {
 		return t, true

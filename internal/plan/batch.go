@@ -97,17 +97,6 @@ func (b *Batch) Total() uint64 {
 	return s
 }
 
-// arity returns the batch's attribute count, from whichever view is present.
-func (b *Batch) arity() int {
-	if b.Cols != nil {
-		return len(b.Cols)
-	}
-	if len(b.Tuples) > 0 {
-		return b.Tuples[0].Arity()
-	}
-	return 0
-}
-
 // TupleAt returns the tuple of physical row r, constructing it from the
 // column view when the batch is columnar-only.  Constructing allocates — it
 // is the materialise-to-tuples boundary consumers cross only for live rows

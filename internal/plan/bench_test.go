@@ -56,10 +56,7 @@ func benchFacts(n int) (fact, dim *multiset.Relation) {
 // the result's cardinality once.
 func benchPlan(b *testing.B, e algebra.Expr, src mapSource, want uint64) {
 	b.Helper()
-	p, err := NewPlanner(cardsOf(src)).Plan(e, catalogOf(src))
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := mustPlan(b, e, src)
 	out, err := p.Execute(src)
 	if err != nil {
 		b.Fatal(err)

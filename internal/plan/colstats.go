@@ -6,14 +6,12 @@ import (
 	"mra/internal/value"
 )
 
-// TableStatsSource optionally widens a DistinctCardinalitySource with full
+// tableStatser is the optional side of a planner source that carries full
 // per-column statistics (ANALYZE output): distinct-value sketches, null
-// fractions, and equi-depth histograms.  storage.Database and
-// storage.Snapshot implement it, so transactions plan against the statistics
-// of the version they read; benchmark sources attach precomputed summaries
-// via eval.StatsSource.
-type TableStatsSource interface {
-	DistinctCardinalitySource
+// fractions, and equi-depth histograms.  Transactions implement it over the
+// snapshot they read; eval.StatsSource attaches precomputed summaries to any
+// source.
+type tableStatser interface {
 	// TableStats returns the named relation's statistics summary, and whether
 	// one is available (relations are only summarised after ANALYZE).
 	TableStats(name string) (*stats.Table, bool)
@@ -55,7 +53,7 @@ func concatCols(left, right []colStat) []colStat {
 // scanColStats builds the column statistics of a base-relation scan from the
 // planner's statistics source, or nil when the relation was never analysed.
 func (pl *Planner) scanColStats(name string, arity int) []colStat {
-	src, ok := pl.Cards.(TableStatsSource)
+	src, ok := pl.Cards.(tableStatser)
 	if !ok {
 		return nil
 	}

@@ -1,48 +1,9 @@
 package plan
 
-// This file holds the cost model's inputs: the cardinality sources the
-// planner estimates from (internal/storage and every eval source implement
-// CardinalitySource), the default selectivities it falls back on, and the
+// This file holds the cost model's inputs: the default selectivities it
+// falls back on when the planner has no source (Planner.Cards), and the
 // parallel sizing constants.  The estimates themselves are computed on the
 // plan nodes as the planner builds them (planner.go, colstats.go).
-
-// CardinalitySource provides base-relation cardinalities for the cost model.
-// The storage engine implements it directly; evaluation sources are adapted
-// via eval.Cardinalities.
-type CardinalitySource interface {
-	// RelationCardinality returns the number of tuples (counting duplicates)
-	// in the named relation, and whether the relation is known.
-	RelationCardinality(name string) (uint64, bool)
-}
-
-// DistinctCardinalitySource optionally refines a CardinalitySource with
-// distinct-tuple counts.  The planner uses them to size hash tables (the
-// multiplicity-counting cardinality can overshoot the table size by the
-// duplication factor); the cost model itself ranks on full cardinalities.
-type DistinctCardinalitySource interface {
-	// RelationDistinctCount returns the number of distinct tuples in the
-	// named relation, and whether the relation is known.
-	RelationDistinctCount(name string) (int, bool)
-}
-
-// KeyColumnSource optionally tells the planner which column of a base
-// relation carries a key chain (multiset.Relation.KeyColumn), read from the
-// instance the executor will be handed: a selection with an equality between
-// that column and a constant plans as an IndexScan.
-type KeyColumnSource interface {
-	// KeyColumn returns the named relation's key column, and whether it has
-	// one.
-	KeyColumn(name string) (int, bool)
-}
-
-// MapCardinalities is a CardinalitySource backed by a map.
-type MapCardinalities map[string]uint64
-
-// RelationCardinality implements CardinalitySource.
-func (m MapCardinalities) RelationCardinality(name string) (uint64, bool) {
-	c, ok := m[name]
-	return c, ok
-}
 
 // Default selectivities of the cost model.  They are deliberately coarse: the
 // model only needs to rank plans whose cost differs by orders of magnitude

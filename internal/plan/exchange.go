@@ -566,10 +566,11 @@ func (pl *Planner) parallelizeNode(n Node, workers int, threshold float64) Node 
 // estimate whether an aggregate runs two-phase parallel or serial.  Global
 // aggregates always pay: the merge combines one partial state per worker.
 // Grouped aggregates pay when the global merge traffic (one partial state per
-// worker and group, estimated from the node's capHint, which
-// RelationDistinctCount bounds for base-table inputs) stays below one pass
-// over the input; when pre-aggregation barely reduces (groups ≈ input), the
-// merge re-inserts nearly every input group and the serial aggregate wins.
+// worker and group, estimated from the node's capHint, which the scanned
+// instance's DistinctCount bounds for base-table inputs) stays below one
+// pass over the input; when pre-aggregation barely reduces (groups ≈ input),
+// the merge re-inserts nearly every input group and the serial aggregate
+// wins.
 //
 // Profitability is the only gate because every aggregate of Definition 3.3
 // merges to the serial result bit for bit under any disjoint split of the

@@ -203,7 +203,7 @@ func TestParallelThreshold(t *testing.T) {
 	}
 
 	// Parallel planner with the default threshold: 1100 tuples exceed it.
-	pp := &Planner{Cards: cardsOf(src), Workers: 4}
+	pp := &Planner{Cards: src, Workers: 4}
 	p2, err := pp.Plan(join, catalogOf(src))
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestParallelThreshold(t *testing.T) {
 
 	// Small inputs stay serial even with workers configured.
 	small := testSource(100)
-	p3, err := (&Planner{Cards: cardsOf(small), Workers: 4}).Plan(join, catalogOf(small))
+	p3, err := (&Planner{Cards: small, Workers: 4}).Plan(join, catalogOf(small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestParallelThreshold(t *testing.T) {
 func TestParallelPlanRendering(t *testing.T) {
 	src := testSource(1000)
 	join := algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("fact"), algebra.NewRel("dim"))
-	p, err := (&Planner{Cards: cardsOf(src), Workers: 4}).Plan(join, catalogOf(src))
+	p, err := (&Planner{Cards: src, Workers: 4}).Plan(join, catalogOf(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,18 +12,6 @@ import (
 	"mra/internal/tuple"
 	"mra/internal/value"
 )
-
-// keyedCards adds the key column of the source's instances to analyzedCards,
-// as eval's source adapter does.
-type keyedCards struct{ analyzedCards }
-
-func (k keyedCards) KeyColumn(name string) (int, bool) {
-	r, ok := k.src[name]
-	if !ok {
-		return 0, false
-	}
-	return r.KeyColumn()
-}
 
 // keyedSource returns r(id, grp) with rows ids, grp = id mod 7, keyed on id
 // when keyed is set, and s(grp, label) with one row per group.
@@ -47,6 +36,42 @@ func keyedSource(rows int, keyed bool) mapSource {
 
 func eqConst(col int, v int64) scalar.Predicate {
 	return scalar.NewCompare(value.CmpEq, scalar.NewAttr(col), scalar.NewConst(value.NewInt(v)))
+}
+
+// TestPlannerReadsTheInstanceItScans pins the planner's one source of
+// base-relation facts: with a bare source and no adapter, a scan's est= and
+// ndv= are the Cardinality and DistinctCount of the instance the source
+// returns, and that instance's key column decides the leaf — replacing it
+// with r.WithKey(0) turns the next plan's Scan into an IndexScan, and
+// WithKey(-1) turns it back, with the same answer every time.
+func TestPlannerReadsTheInstanceItScans(t *testing.T) {
+	src := keyedSource(300, false) // multiplicities 1 and 2: est= and ndv= differ
+	r := src["r"]
+	scan := mustPlan(t, algebra.NewRel("r"), src)
+	if got, want := scan.String(), fmt.Sprintf("Scan r  (est=%d rows, ndv=%d)", r.Cardinality(), r.DistinctCount()); got != want {
+		t.Errorf("scan of a bare source renders %q, want %q", got, want)
+	}
+	e := algebra.NewSelect(eqConst(0, 42), algebra.NewRel("r"))
+	var want *multiset.Relation
+	for _, step := range []struct {
+		key  int
+		leaf string
+	}{{-1, "Scan r"}, {0, "IndexScan r [%1 = 42]"}, {-1, "Scan r"}} {
+		src["r"] = r.WithKey(step.key)
+		p := mustPlan(t, e, src)
+		if got := p.Root.Children()[0].Describe(); got != step.leaf {
+			t.Errorf("WithKey(%d): leaf %q, want %q\n%s", step.key, got, step.leaf, p)
+		}
+		got, err := p.Execute(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !got.Equal(want) {
+			t.Errorf("WithKey(%d): %s, want %s", step.key, got, want)
+		}
+	}
 }
 
 // TestIndexScanPlansAndMatchesScan pins where the planner puts a key lookup
@@ -77,7 +102,7 @@ func TestIndexScanPlansAndMatchesScan(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, w := range []int{1, 2, 4} {
-			pl := &Planner{Cards: keyedCards{analyze(keyed)}, Workers: w, ParallelThreshold: 1}
+			pl := &Planner{Cards: analyze(keyed), Workers: w, ParallelThreshold: 1}
 			p, err := pl.Plan(c.expr, catalogOf(keyed))
 			if err != nil {
 				t.Fatal(err)
@@ -131,10 +156,7 @@ func underPartition(n Node, below bool) bool {
 func TestIndexScanFallsBackToScan(t *testing.T) {
 	keyed, plain := keyedSource(500, true), keyedSource(500, false)
 	e := algebra.NewSelect(eqConst(0, 42), algebra.NewRel("r"))
-	p, err := (&Planner{Cards: keyedCards{analyze(keyed)}}).Plan(e, catalogOf(keyed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustPlan(t, e, keyed)
 	if !strings.Contains(p.String(), "IndexScan") {
 		t.Fatalf("plan over a keyed relation:\n%s", p)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,7 +114,13 @@ func TestCancelAtRandomClaims(t *testing.T) {
 			// so any target below ~1000 claims is reached before the exchange
 			// drains.
 			target := int64(1 + rng.Intn(64))
+			// The mutex holds later claims until the cancelling one has
+			// cancelled; else its goroutine, descheduled in between, can let
+			// the siblings drain the queue and the query rightly succeed.
+			var mu sync.Mutex
 			restore := exec.InjectFaults(&exec.Faults{MorselClaim: func() {
+				mu.Lock()
+				defer mu.Unlock()
 				if claims.Add(1) == target {
 					cancel()
 				}
@@ -267,7 +274,7 @@ func TestMemoryBudgetTripsSort(t *testing.T) {
 	src := testSource(1000)
 	e := algebra.NewRel("fact")
 	keys := []SortKey{{Col: 1, Desc: true}}
-	pl := &Planner{Cards: cardsOf(src), MemoryLimit: 1024}
+	pl := &Planner{Cards: src, MemoryLimit: 1024}
 	p, err := pl.PlanOrdered(e, catalogOf(src), keys)
 	if err != nil {
 		t.Fatal(err)

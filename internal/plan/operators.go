@@ -24,6 +24,7 @@ import (
 type scanNode struct {
 	base
 	name string
+	key  int // key column of the instance planned from, or -1; see indexScan
 }
 
 func (s *scanNode) Children() []Node { return nil }

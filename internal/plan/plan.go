@@ -100,9 +100,11 @@ import (
 	"mra/internal/tuple"
 )
 
-// Source resolves database relation names to relation instances at execution
-// time.  It is structurally identical to eval.Source, so every evaluation
-// source (storage engine, transactions, map sources) satisfies it.
+// Source resolves database relation names to relation instances.  The
+// planner reads every base-relation fact from the instance it returns
+// (Planner.Cards) and the executor scans the same source; eval.Source is
+// this interface, and the storage engine, transactions and map sources
+// implement it.
 type Source interface {
 	// Relation returns the named relation instance.
 	Relation(name string) (*multiset.Relation, bool)

@@ -29,15 +29,6 @@ func catalogOf(src mapSource) algebra.Catalog {
 	return cat
 }
 
-// cardsOf derives real cardinalities from the source.
-func cardsOf(src mapSource) CardinalitySource {
-	cards := make(MapCardinalities, len(src))
-	for k, r := range src {
-		cards[k] = r.Cardinality()
-	}
-	return cards
-}
-
 // testSource builds fact(key, payload) with n tuples and dim(key, attr) with
 // n/10 tuples.
 func testSource(n int) mapSource {
@@ -56,9 +47,9 @@ func testSource(n int) mapSource {
 	return mapSource{"fact": fact, "dim": dim}
 }
 
-func mustPlan(t *testing.T, e algebra.Expr, src mapSource) *Plan {
+func mustPlan(t testing.TB, e algebra.Expr, src mapSource) *Plan {
 	t.Helper()
-	p, err := NewPlanner(cardsOf(src)).Plan(e, catalogOf(src))
+	p, err := NewPlanner(src).Plan(e, catalogOf(src))
 	if err != nil {
 		t.Fatalf("plan %s: %v", e, err)
 	}

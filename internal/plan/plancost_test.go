@@ -13,13 +13,12 @@ import (
 func BenchmarkPlanOverhead(b *testing.B) {
 	src := testSource(1000)
 	cat := catalogOf(src)
-	cards := cardsOf(src)
 	expr := algebra.NewUnion(
 		algebra.NewProject([]int{0}, algebra.NewRel("fact")),
 		algebra.NewProject([]int{0}, algebra.NewRel("dim")))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewPlanner(cards).Plan(expr, cat); err != nil {
+		if _, err := NewPlanner(src).Plan(expr, cat); err != nil {
 			b.Fatal(err)
 		}
 	}

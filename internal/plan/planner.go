@@ -26,9 +26,11 @@ import (
 //     operators, so cascades execute in one pass with no intermediate
 //     relations.
 type Planner struct {
-	// Cards supplies base-relation cardinalities; nil falls back to the cost
-	// model's default.
-	Cards CardinalitySource
+	// Cards is the source the plan will scan: every base-relation fact the
+	// cost model uses — cardinality, distinct count, key column — is read off
+	// the instance it returns, and ANALYZE summaries come from its optional
+	// TableStats method.  Nil falls back to the cost model's defaults.
+	Cards Source
 	// Workers is the parallelism degree of compiled plans.  At or below 1
 	// (including the zero value) plans are serial and no exchange operators
 	// are inserted; above 1 the planner wraps eligible shapes — streaming
@@ -56,9 +58,9 @@ type Planner struct {
 	MemoryLimit int64
 }
 
-// NewPlanner returns a serial planner drawing base cardinalities from cards
+// NewPlanner returns a serial planner drawing base-relation facts from src
 // (which may be nil).
-func NewPlanner(cards CardinalitySource) *Planner { return &Planner{Cards: cards} }
+func NewPlanner(src Source) *Planner { return &Planner{Cards: src} }
 
 // Plan compiles the expression against the catalog.  Operator typing (schema
 // inference, condition and arithmetic validation) happens here; execution
@@ -79,7 +81,8 @@ func number(n Node, nodes *[]Node) {
 // schemaExpr is a pre-resolved algebra leaf standing in for an already
 // compiled subtree, so operator typing can reuse the algebra package's
 // Schema validation against the child's known schema without re-walking the
-// logical tree.
+// logical tree.  Only Schema is ever called; Children and String exist
+// because algebra.Expr requires them.
 type schemaExpr struct{ s schema.Relation }
 
 func (f schemaExpr) Schema(algebra.Catalog) (schema.Relation, error) { return f.s, nil }
@@ -96,20 +99,19 @@ func (pl *Planner) compile(e algebra.Expr, cat algebra.Catalog) (Node, error) {
 		if !ok {
 			return nil, fmt.Errorf("plan: unknown relation %q", n.Name)
 		}
-		node := &scanNode{name: n.Name}
+		node := &scanNode{name: n.Name, key: -1}
 		node.schema = s
 		node.est = defaultRelationCard
-		if pl.Cards != nil {
-			if c, ok := pl.Cards.RelationCardinality(n.Name); ok {
-				node.est = float64(c)
-				node.exactEst = true
-			}
-		}
 		node.capHint = node.est
-		if d, ok := pl.Cards.(DistinctCardinalitySource); ok {
-			if c, ok := d.RelationDistinctCount(n.Name); ok {
-				node.capHint = float64(c)
-				node.ndvHint = float64(c)
+		if pl.Cards != nil {
+			if r, ok := pl.Cards.Relation(n.Name); ok {
+				node.est = float64(r.Cardinality())
+				node.exactEst = true
+				node.capHint = float64(r.DistinctCount())
+				node.ndvHint = node.capHint
+				if key, ok := r.KeyColumn(); ok {
+					node.key = key
+				}
 			}
 		}
 		node.colStats = pl.scanColStats(n.Name, s.Arity())
@@ -151,7 +153,7 @@ func (pl *Planner) compile(e algebra.Expr, cat algebra.Catalog) (Node, error) {
 		}
 		node := pl.makeFilter(n.Cond, input)
 		if scan, ok := input.(*scanNode); ok {
-			if ix := pl.indexScan(scan, n.Cond); ix != nil {
+			if ix := indexScan(scan, n.Cond); ix != nil {
 				node.input = ix
 			}
 		}
@@ -281,10 +283,10 @@ func (pl *Planner) compile(e algebra.Expr, cat algebra.Catalog) (Node, error) {
 		}
 		node.capHint = node.est
 		// Pre-aggregation reduction estimate: a group is a distinct projection
-		// of the input, so the input's distinct-tuple hint (fed by
-		// RelationDistinctCount for base scans) bounds the group count.  The
-		// hint sizes the group table and drives the exchange pass's choice
-		// between a two-phase parallel and a serial aggregate.
+		// of the input, so the input's distinct-tuple hint (the scanned
+		// instance's DistinctCount for base scans) bounds the group count.
+		// The hint sizes the group table and drives the exchange pass's
+		// choice between a two-phase parallel and a serial aggregate.
 		if hint := input.meta().capHint; hint > 0 {
 			if len(n.GroupCols) >= input.Schema().Arity() {
 				// Grouping on every attribute: groups are exactly the distinct
@@ -396,26 +398,21 @@ func (pl *Planner) makeFilter(cond scalar.Predicate, input Node) *filterNode {
 
 // indexScan returns the key lookup that can stand in for a scan under the
 // selection cond, or nil.  It needs a conjunct "%c = constant" (either way
-// round) on the key column of the instance the source will return, and only
+// round) on the key column of the instance the scan was planned from, and only
 // error-free conjuncts before it.  The Filter above keeps the whole
 // predicate and evaluates it conjunct by conjunct on the rows the lookup
 // yields — every row whose key satisfies the equality, because σ is
 // pointwise on multiplicities — so the bag is the scan's.  A conjunct that
 // could fail to evaluate must not come first: the scan would evaluate it on
 // rows the lookup never yields.
-func (pl *Planner) indexScan(scan *scanNode, cond scalar.Predicate) Node {
-	ks, ok := pl.Cards.(KeyColumnSource)
-	if !ok {
-		return nil
-	}
-	key, ok := ks.KeyColumn(scan.name)
-	if !ok {
+func indexScan(scan *scanNode, cond scalar.Predicate) Node {
+	if scan.key < 0 {
 		return nil
 	}
 	for _, c := range scalar.Conjuncts(cond) {
 		if cmp, ok := c.(scalar.Compare); ok {
-			if attr, k, op, ok := normaliseCompare(cmp); ok && op == value.CmpEq && attr.Index == key {
-				node := &indexScanNode{name: scan.name, col: key, val: k}
+			if attr, k, op, ok := normaliseCompare(cmp); ok && op == value.CmpEq && attr.Index == scan.key {
+				node := &indexScanNode{name: scan.name, col: scan.key, val: k}
 				node.schema = scan.schema
 				sel, known := compareSelectivity(cmp, scan.colStats)
 				if !known {

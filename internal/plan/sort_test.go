@@ -24,7 +24,7 @@ func TestSortOperator(t *testing.T) {
 	r.Add(tuple.Ints(2, 5), 1)
 	src := mapSource{"r": r}
 
-	p, err := NewPlanner(cardsOf(src)).PlanOrdered(algebra.NewRel("r"), catalogOf(src), []SortKey{{Col: 0, Desc: true}})
+	p, err := NewPlanner(src).PlanOrdered(algebra.NewRel("r"), catalogOf(src), []SortKey{{Col: 0, Desc: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSortOperator(t *testing.T) {
 	}
 
 	// Without keys there is no Sort root and no order: PlanOrdered is Plan.
-	p, err = NewPlanner(cardsOf(src)).PlanOrdered(algebra.NewRel("r"), catalogOf(src), nil)
+	p, err = NewPlanner(src).PlanOrdered(algebra.NewRel("r"), catalogOf(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSortOperator(t *testing.T) {
 	}
 
 	// Out-of-range keys are rejected at plan time.
-	if _, err := NewPlanner(cardsOf(src)).PlanOrdered(algebra.NewRel("r"), catalogOf(src), []SortKey{{Col: 5}}); err == nil {
+	if _, err := NewPlanner(src).PlanOrdered(algebra.NewRel("r"), catalogOf(src), []SortKey{{Col: 5}}); err == nil {
 		t.Error("out-of-range sort key must fail")
 	}
 }
@@ -73,7 +73,7 @@ func TestSortAboveParallelRegion(t *testing.T) {
 	e := algebra.NewGroupBy([]int{0}, algebra.AggSum, 1, algebra.NewRel("fact"))
 	keys := []SortKey{{Col: 1, Desc: true}}
 
-	serialPlan, err := NewPlanner(cardsOf(src)).PlanOrdered(e, catalogOf(src), keys)
+	serialPlan, err := NewPlanner(src).PlanOrdered(e, catalogOf(src), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSortAboveParallelRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pp := &Planner{Cards: cardsOf(src), Workers: 4, ParallelThreshold: 1}
+	pp := &Planner{Cards: src, Workers: 4, ParallelThreshold: 1}
 	p, err := pp.PlanOrdered(e, catalogOf(src), keys)
 	if err != nil {
 		t.Fatal(err)

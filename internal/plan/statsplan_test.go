@@ -14,39 +14,22 @@ import (
 	"mra/internal/value"
 )
 
-// analyzedCards is a test double wiring ANALYZE-grade statistics into the
-// planner: cardinalities, distinct counts and per-column summaries all come
-// from the actual relations.
-type analyzedCards struct {
-	src    mapSource
+// analyzedSource is a test double wiring ANALYZE-grade statistics into the
+// planner: the relations are the source's, the summaries are built from them.
+type analyzedSource struct {
+	mapSource
 	tables map[string]*stats.Table
 }
 
-func analyze(src mapSource) analyzedCards {
+func analyze(src mapSource) analyzedSource {
 	tables := make(map[string]*stats.Table, len(src))
 	for name, r := range src {
 		tables[name] = stats.Analyze(r, 0)
 	}
-	return analyzedCards{src: src, tables: tables}
+	return analyzedSource{mapSource: src, tables: tables}
 }
 
-func (a analyzedCards) RelationCardinality(name string) (uint64, bool) {
-	r, ok := a.src[name]
-	if !ok {
-		return 0, false
-	}
-	return r.Cardinality(), true
-}
-
-func (a analyzedCards) RelationDistinctCount(name string) (int, bool) {
-	r, ok := a.src[name]
-	if !ok {
-		return 0, false
-	}
-	return r.DistinctCount(), true
-}
-
-func (a analyzedCards) TableStats(name string) (*stats.Table, bool) {
+func (a analyzedSource) TableStats(name string) (*stats.Table, bool) {
 	t, ok := a.tables[name]
 	return t, ok
 }

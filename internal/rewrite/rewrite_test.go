@@ -388,7 +388,7 @@ func TestRewriteSoundnessOnRandomDatabases(t *testing.T) {
 	ref := eval.Reference{}
 	for round := 0; round < 25; round++ {
 		src := newDB()
-		cat := src.Catalog()
+		cat := eval.CatalogOf(src)
 		for _, e := range exprs {
 			if err := algebra.Validate(e, cat); err != nil {
 				t.Fatalf("precondition: %v", err)
@@ -401,7 +401,7 @@ func TestRewriteSoundnessOnRandomDatabases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("eval original %s: %v", e, err)
 			}
-			p, err := plan.NewPlanner(eval.Cardinalities(src)).Plan(opt, cat)
+			p, err := plan.NewPlanner(src).Plan(opt, cat)
 			if err != nil {
 				t.Fatalf("plan rewritten %s: %v", opt, err)
 			}

@@ -62,14 +62,21 @@ func mustDo(t *testing.T, cl *Client, line string) Response {
 }
 
 func TestProtocolBasics(t *testing.T) {
-	_, addr := startTestServer(t, 16, Config{})
+	srv, addr := startTestServer(t, 16, Config{})
 	cl, err := Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// do sends one command line and counts it for the server's counter.
+	var sent uint64
+	do := func(line string) Response {
+		t.Helper()
+		sent++
+		return mustDo(t, cl, line)
+	}
 
-	resp := mustDo(t, cl, "select count(*) from account;")
+	resp := do("select count(*) from account;")
 	if !resp.OK || len(resp.Results) != 1 || resp.Results[0].RowCount != 1 {
 		t.Fatalf("autocommit select failed: %+v", resp)
 	}
@@ -78,45 +85,52 @@ func TestProtocolBasics(t *testing.T) {
 	}
 
 	// Explicit transaction: update inside, visible after commit.
-	if resp := mustDo(t, cl, "begin"); !resp.OK || resp.State != StateTxn {
+	if resp := do("begin"); !resp.OK || resp.State != StateTxn {
 		t.Fatalf("begin: %+v", resp)
 	}
-	if resp := mustDo(t, cl, "update account set balance = 0 where id = 3;"); !resp.OK {
+	if resp := do("update account set balance = 0 where id = 3;"); !resp.OK {
 		t.Fatalf("update in txn: %+v", resp)
 	}
-	if resp := mustDo(t, cl, "commit"); !resp.OK || resp.State != StateIdle {
+	if resp := do("commit"); !resp.OK || resp.State != StateIdle {
 		t.Fatalf("commit: %+v", resp)
 	}
-	resp = mustDo(t, cl, "select balance from account where id = 3;")
+	resp = do("select balance from account where id = 3;")
 	if !resp.OK || resp.Results[0].Rows[0][0] != float64(0) {
 		t.Fatalf("committed update not visible: %+v", resp)
 	}
 
 	// A statement error inside a transaction forces the aborted state until
 	// rollback; commit in that state rolls back with ok=false.
-	mustDo(t, cl, "begin")
-	if resp := mustDo(t, cl, "select nope from nothing;"); resp.OK || resp.State != StateAborted {
+	do("begin")
+	if resp := do("select nope from nothing;"); resp.OK || resp.State != StateAborted {
 		t.Fatalf("bad statement should abort the transaction: %+v", resp)
 	}
-	if resp := mustDo(t, cl, "select count(*) from account;"); resp.OK {
+	if resp := do("select count(*) from account;"); resp.OK {
 		t.Fatalf("aborted session must reject statements: %+v", resp)
 	}
-	if resp := mustDo(t, cl, "rollback"); !resp.OK || resp.State != StateIdle {
+	if resp := do("rollback"); !resp.OK || resp.State != StateIdle {
 		t.Fatalf("rollback should clear the aborted state: %+v", resp)
 	}
 
 	// Session knobs.
-	if resp := mustDo(t, cl, `\set workers 2`); !resp.OK {
+	if resp := do(`\set workers 2`); !resp.OK {
 		t.Fatalf("\\set workers: %+v", resp)
 	}
-	if resp := mustDo(t, cl, `\set serializable on`); !resp.OK {
+	if resp := do(`\set serializable on`); !resp.OK {
 		t.Fatalf("\\set serializable: %+v", resp)
 	}
-	if resp := mustDo(t, cl, `\set bogus 1`); resp.OK {
+	if resp := do(`\set bogus 1`); resp.OK {
 		t.Fatalf("unknown setting must fail: %+v", resp)
 	}
-	if resp := mustDo(t, cl, `\set timeout 50ms`); !resp.OK {
+	if resp := do(`\set timeout 50ms`); !resp.OK {
 		t.Fatalf("\\set timeout: %+v", resp)
+	}
+
+	if got := srv.Statements(); got != sent {
+		t.Errorf("Statements() = %d, the client sent %d command lines", got, sent)
+	}
+	if got := srv.Refused(); got != 0 {
+		t.Errorf("Refused() = %d, the client saw no refusal", got)
 	}
 }
 
@@ -320,8 +334,8 @@ func TestMaxSessionsRefusal(t *testing.T) {
 	if resp.OK || !strings.Contains(resp.Error, "session limit") {
 		t.Fatalf("expected a session-limit refusal, got %+v", resp)
 	}
-	if srv.Refused() == 0 {
-		t.Fatal("refusal counter did not advance")
+	if got := srv.Refused(); got != 1 {
+		t.Fatalf("Refused() = %d, the client saw one refusal", got)
 	}
 }
 

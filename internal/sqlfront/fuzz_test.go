@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mra/internal/algebra"
+	"mra/internal/eval"
 )
 
 // FuzzParse drives the SQL front-end — lexer, parser, and translator — with
@@ -51,8 +52,8 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// testCatalog is the beer/brewery schema of the running example, detached
-// from any data — fuzzing only needs name resolution.
+// testCatalog is the beer/brewery schema of the running example; fuzzing
+// only needs its name resolution.
 func testCatalog() algebra.Catalog {
-	return beerSource().Catalog()
+	return eval.CatalogOf(beerSource())
 }

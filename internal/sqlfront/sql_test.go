@@ -43,11 +43,11 @@ func beerSource() eval.MapSource {
 func runSQL(t *testing.T, sql string) *multiset.Relation {
 	t.Helper()
 	src := beerSource()
-	q, err := CompileQuery(sql, src.Catalog())
+	q, err := CompileQuery(sql, eval.CatalogOf(src))
 	if err != nil {
 		t.Fatalf("compile %q: %v", sql, err)
 	}
-	if err := algebra.Validate(q.Expr, src.Catalog()); err != nil {
+	if err := algebra.Validate(q.Expr, eval.CatalogOf(src)); err != nil {
 		t.Fatalf("validate %q (%s): %v", sql, q.Expr, err)
 	}
 	r, err := (eval.Reference{}).Eval(q.Expr, src)
@@ -118,7 +118,7 @@ func TestExample32SQL(t *testing.T) {
 	        FROM beer, brewery
 	        WHERE beer.brewery = brewery.name
 	        GROUP BY country`
-	q, err := CompileQuery(sql, src.Catalog())
+	q, err := CompileQuery(sql, eval.CatalogOf(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestGroupByWithoutAggregateSQL(t *testing.T) {
 
 func TestInsertDeleteUpdateSQL(t *testing.T) {
 	src := beerSource()
-	cat := src.Catalog()
+	cat := eval.CatalogOf(src)
 
 	ins, err := CompileStatement("INSERT INTO beer VALUES ('radler', 'brolsch', 2.0), ('radler', 'brolsch', 2.0)", cat)
 	if err != nil {
@@ -327,7 +327,7 @@ func TestInsertDeleteUpdateSQL(t *testing.T) {
 
 func TestQueryAsStatement(t *testing.T) {
 	src := beerSource()
-	s, err := CompileStatement("SELECT name FROM beer", src.Catalog())
+	s, err := CompileStatement("SELECT name FROM beer", eval.CatalogOf(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestQueryAsStatement(t *testing.T) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	cat := beerSource().Catalog()
+	cat := eval.CatalogOf(beerSource())
 	bad := []string{
 		"",
 		"SELEC name FROM beer",
@@ -415,7 +415,7 @@ type fakeContext struct {
 
 func newFakeContext(src eval.MapSource) *fakeContext { return &fakeContext{src: src} }
 
-func (f *fakeContext) Catalog() algebra.Catalog { return f.src.Catalog() }
+func (f *fakeContext) Catalog() algebra.Catalog { return eval.CatalogOf(f.src) }
 
 func (f *fakeContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
 	return (eval.Reference{}).Eval(e, f.src)
@@ -438,7 +438,7 @@ func (f *fakeContext) Output(r *multiset.Relation) { f.outputs = append(f.output
 // TestOrderByLimitCompile checks the resolution of ORDER BY / LIMIT / OFFSET
 // into presentation modifiers against the output schema.
 func TestOrderByLimitCompile(t *testing.T) {
-	cat := beerSource().Catalog()
+	cat := eval.CatalogOf(beerSource())
 
 	q, err := CompileQuery("SELECT name, alcperc FROM beer ORDER BY alcperc DESC, name LIMIT 3 OFFSET 1", cat)
 	if err != nil {
@@ -527,7 +527,7 @@ func TestOrderByLimitCompile(t *testing.T) {
 // compile onto hidden trailing sort columns over the FROM schema.
 func TestOrderByExpressionKeys(t *testing.T) {
 	src := beerSource()
-	cat := src.Catalog()
+	cat := eval.CatalogOf(src)
 
 	// A non-selected column becomes one hidden trailing key column.
 	q, err := CompileQuery("SELECT name FROM beer ORDER BY alcperc DESC", cat)

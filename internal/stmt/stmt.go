@@ -303,7 +303,8 @@ func (s Query) String() string { return fmt.Sprintf("?%s", s.Source) }
 // It has no effect on relation contents.  Contexts without a statistics
 // subsystem reject it.
 type Analyze struct {
-	// Target is the relation to summarise.
+	// Target is the relation to summarise; empty means every relation the
+	// context can see, printed and parsed as analyze().
 	Target string
 }
 

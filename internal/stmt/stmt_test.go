@@ -38,7 +38,7 @@ func newMock() *mockContext {
 	return &mockContext{src: eval.MapSource{"beer": beer}}
 }
 
-func (m *mockContext) Catalog() algebra.Catalog { return m.src.Catalog() }
+func (m *mockContext) Catalog() algebra.Catalog { return eval.CatalogOf(m.src) }
 
 func (m *mockContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
 	return (eval.Reference{}).Eval(e, m.src)

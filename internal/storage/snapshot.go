@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"mra/internal/multiset"
-	"mra/internal/schema"
 	"mra/internal/stats"
 )
 
@@ -64,15 +63,6 @@ func (s *Snapshot) Relation(name string) (*multiset.Relation, bool) {
 	return r, ok
 }
 
-// RelationSchema implements algebra.Catalog over the snapshot.
-func (s *Snapshot) RelationSchema(name string) (schema.Relation, bool) {
-	r, ok := s.rels[strings.ToLower(name)]
-	if !ok {
-		return schema.Relation{}, false
-	}
-	return r.Schema(), true
-}
-
 // Names returns the names of all snapshotted relations, sorted.
 func (s *Snapshot) Names() []string {
 	names := make([]string, 0, len(s.rels))
@@ -90,28 +80,9 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // LogicalTime returns the logical time t of the snapshotted state D_t.
 func (s *Snapshot) LogicalTime() uint64 { return s.logicalTime }
 
-// RelationCardinality implements plan.CardinalitySource over the snapshot.
-func (s *Snapshot) RelationCardinality(name string) (uint64, bool) {
-	r, ok := s.rels[strings.ToLower(name)]
-	if !ok {
-		return 0, false
-	}
-	return r.Cardinality(), true
-}
-
-// RelationDistinctCount implements plan.DistinctCardinalitySource over the
-// snapshot.
-func (s *Snapshot) RelationDistinctCount(name string) (int, bool) {
-	r, ok := s.rels[strings.ToLower(name)]
-	if !ok {
-		return 0, false
-	}
-	return r.DistinctCount(), true
-}
-
-// TableStats implements plan.TableStatsSource over the snapshot: transactions
-// plan against the statistics of the version they read, not whatever the live
-// database has moved on to.
+// TableStats returns the named relation's summary as of the snapshot:
+// transactions plan against the statistics of the version they read, not
+// whatever the live database has moved on to.
 func (s *Snapshot) TableStats(name string) (*stats.Table, bool) {
 	t, ok := s.stats[strings.ToLower(name)]
 	return t, ok
@@ -147,4 +118,3 @@ func (d *Database) Snapshot() *Snapshot {
 	d.snapMu.Unlock()
 	return &Snapshot{db: d, rels: rels, stats: st, version: d.version, logicalTime: d.logicalTime}
 }
-

@@ -45,9 +45,9 @@ func (d *Database) analyzeLocked(key string) *stats.Table {
 	return t
 }
 
-// TableStats implements plan.TableStatsSource: it returns the named
-// relation's statistics summary, or false when the relation was never
-// analyzed (or its statistics were invalidated by a wholesale replacement).
+// TableStats returns the named relation's statistics summary, or false when
+// the relation was never analyzed (or its statistics were invalidated by a
+// wholesale replacement).
 func (d *Database) TableStats(name string) (*stats.Table, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

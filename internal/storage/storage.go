@@ -210,31 +210,6 @@ func (d *Database) record(tr Transition) {
 	d.history = append(d.history, tr)
 }
 
-// RelationCardinality implements the planner's cardinality source
-// (plan.CardinalitySource): the cost model ranks physical plans on the real
-// table sizes of this database.
-func (d *Database) RelationCardinality(name string) (uint64, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	r, ok := d.relations[strings.ToLower(name)]
-	if !ok {
-		return 0, false
-	}
-	return r.Cardinality(), true
-}
-
-// RelationDistinctCount implements plan.DistinctCardinalitySource: the
-// planner sizes hash tables by distinct tuples rather than occurrences.
-func (d *Database) RelationDistinctCount(name string) (int, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	r, ok := d.relations[strings.ToLower(name)]
-	if !ok {
-		return 0, false
-	}
-	return r.DistinctCount(), true
-}
-
 // Cardinality returns the total tuple count of the named relation (0 if the
 // relation does not exist).
 func (d *Database) Cardinality(name string) uint64 {

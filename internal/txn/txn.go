@@ -40,7 +40,6 @@ import (
 	"mra/internal/eval"
 	"mra/internal/multiset"
 	"mra/internal/plan"
-	"mra/internal/schema"
 	"mra/internal/stats"
 	"mra/internal/stmt"
 	"mra/internal/storage"
@@ -277,11 +276,11 @@ func (t *Tx) Relation(name string) (*multiset.Relation, bool) {
 	return r, ok
 }
 
-// TableStats implements plan.TableStatsSource (via eval's source adapter)
-// over the snapshot captured at Begin, so queries inside the transaction plan
-// against the statistics of the version they read.  Local analyzes shadow the
-// snapshot; statistics are advisory planner input, so workspace modifications
-// merely make them slightly stale until commit.
+// TableStats gives the planner, which plans from the transaction as its
+// source, the statistics of the snapshot captured at Begin, so queries inside
+// the transaction plan against the statistics of the version they read.
+// Local analyzes shadow the snapshot; statistics are advisory planner input,
+// so workspace modifications merely make them slightly stale until commit.
 func (t *Tx) TableStats(name string) (*stats.Table, bool) {
 	if t.localStats != nil {
 		if st, ok := t.localStats[strings.ToLower(name)]; ok {
@@ -342,20 +341,9 @@ func (t *Tx) AnalyzeRelation(name string) error {
 	return nil
 }
 
-// Catalog implements stmt.Context.
-func (t *Tx) Catalog() algebra.Catalog { return txCatalog{t} }
-
-// txCatalog resolves schemas against the transaction's intermediate state.
-type txCatalog struct{ t *Tx }
-
-// RelationSchema implements algebra.Catalog.
-func (c txCatalog) RelationSchema(name string) (schema.Relation, bool) {
-	r, ok := c.t.Relation(name)
-	if !ok {
-		return schema.Relation{}, false
-	}
-	return r.Schema(), true
-}
+// Catalog implements stmt.Context: schemas resolve against the
+// transaction's intermediate state, as Relation does.
+func (t *Tx) Catalog() algebra.Catalog { return eval.CatalogOf(t) }
 
 // Evaluate implements stmt.Context: it is EvaluatePlan without sort keys or
 // statistics.
@@ -386,12 +374,13 @@ func (t *Tx) EvaluatePlan(e algebra.Expr, keys []plan.SortKey, st *plan.Stats) (
 	if t.state != StateActive {
 		return Evaluation{}, ErrDone
 	}
-	if err := algebra.Validate(e, t.Catalog()); err != nil {
+	cat := t.Catalog()
+	if err := algebra.Validate(e, cat); err != nil {
 		return Evaluation{}, err
 	}
 	pl := t.planner
-	pl.Cards = eval.Cardinalities(t)
-	p, err := pl.PlanOrdered(e, eval.CatalogOf(t), keys)
+	pl.Cards = t
+	p, err := pl.PlanOrdered(e, cat, keys)
 	if err != nil {
 		return Evaluation{}, err
 	}

@@ -301,11 +301,16 @@ func (p *parser) parseInsertDelete(insert bool) (stmt.Statement, error) {
 	return stmt.Delete{Target: target.text, Source: e}, nil
 }
 
-// parseAnalyze parses analyze(R), the statistics-rebuild statement.
+// parseAnalyze parses analyze(R), the statistics-rebuild statement, and
+// analyze(), which summarises every visible relation (SQL's bare ANALYZE).
 func (p *parser) parseAnalyze() (stmt.Statement, error) {
 	p.next() // analyze
 	if _, err := p.expectPunct("("); err != nil {
 		return nil, err
+	}
+	if p.peekIsPunct(")") {
+		p.next()
+		return stmt.Analyze{}, nil
 	}
 	target := p.next()
 	if target.kind != tokIdent {

@@ -1,12 +1,14 @@
 package xraparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/stmt"
 	"mra/internal/tuple"
@@ -42,7 +44,7 @@ func mustEval(t *testing.T, src string) *multiset.Relation {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	s := beerSource()
-	if err := algebra.Validate(e, s.Catalog()); err != nil {
+	if err := algebra.Validate(e, eval.CatalogOf(s)); err != nil {
 		t.Fatalf("validate %q: %v", src, err)
 	}
 	r, err := (eval.Reference{}).Eval(e, s)
@@ -302,6 +304,43 @@ func TestParseRoundTripThroughString(t *testing.T) {
 	}
 }
 
+// TestStatementsRoundTripThroughString prints one statement of every form
+// and parses the text back: each String is valid XRA for its own statement,
+// so print → parse → print is a fixpoint.  Analyze{} is what SQL's bare
+// ANALYZE compiles to; it prints as analyze().  Query.Order has no XRA
+// spelling (it comes from SQL ORDER BY) and is left empty.
+func TestStatementsRoundTripThroughString(t *testing.T) {
+	beer := algebra.NewRel("beer")
+	strong := algebra.NewSelect(scalar.NewCompare(value.CmpGe, scalar.NewAttr(2), scalar.NewConst(value.NewFloat(6))), beer)
+	prog := stmt.Program{
+		stmt.Insert{Target: "beer", Source: strong},
+		stmt.Delete{Target: "beer", Source: strong},
+		stmt.Update{Target: "beer", Selection: strong, Items: []scalar.Expr{
+			scalar.NewAttr(0), scalar.NewAttr(1),
+			scalar.NewArith(value.OpMul, scalar.NewAttr(2), scalar.NewConst(value.NewFloat(1.1)))}},
+		stmt.Assign{Name: "strong", Source: strong},
+		stmt.Query{Source: algebra.NewProject([]int{0}, beer)},
+		stmt.Analyze{Target: "beer"},
+		stmt.Analyze{},
+	}
+	printed := prog.String()
+	parsed, err := ParseProgram(printed)
+	if err != nil {
+		t.Fatalf("parse %q: %v", printed, err)
+	}
+	if len(parsed) != len(prog) {
+		t.Fatalf("%d statements parsed back, want %d", len(parsed), len(prog))
+	}
+	for i, s := range prog {
+		if got, want := fmt.Sprintf("%T %s", parsed[i], parsed[i]), fmt.Sprintf("%T %s", s, s); got != want {
+			t.Errorf("statement %d: parsed back as %s, printed from %s", i, got, want)
+		}
+	}
+	if a, ok := parsed[len(parsed)-1].(stmt.Analyze); !ok || a.Target != "" {
+		t.Errorf("analyze() parsed as %#v, want an empty target", parsed[len(parsed)-1])
+	}
+}
+
 func TestParsedStatementsExecute(t *testing.T) {
 	// Integration: a parsed program built from the paper's Example 4.1 runs
 	// against a fake context and produces the expected relation.
@@ -336,7 +375,7 @@ type fakeContext struct {
 
 func newFakeContext(src eval.MapSource) *fakeContext { return &fakeContext{src: src} }
 
-func (f *fakeContext) Catalog() algebra.Catalog { return f.src.Catalog() }
+func (f *fakeContext) Catalog() algebra.Catalog { return eval.CatalogOf(f.src) }
 
 func (f *fakeContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
 	return (eval.Reference{}).Eval(e, f.src)
