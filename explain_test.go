@@ -245,3 +245,23 @@ func TestExplainTwoPhaseAggregate(t *testing.T) {
 		t.Errorf("parallel global aggregate rows = %v", global.Rows())
 	}
 }
+
+// TestExplainLiteralRelation pins the rendering of a literal relation's leaf:
+// Values with its row count, duplicates included, under the operator that
+// reads it.
+func TestExplainLiteralRelation(t *testing.T) {
+	ex, err := Open().Explain("select[%2 > 1]([(1, 2), (3, 4), (3, 4)])")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ex.Logical, "select[%2 > 1](literal[3 rows])"; got != want {
+		t.Errorf("logical plan:\n got %s\nwant %s", got, want)
+	}
+	want := strings.Join([]string{
+		"Filter [%2 > 1]  (est~1 rows, act=3)",
+		"└─ Values (3 rows)  (est=3 rows)",
+	}, "\n")
+	if ex.Physical != want {
+		t.Errorf("physical plan:\n%s\nwant:\n%s", ex.Physical, want)
+	}
+}

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"math/big"
 
 	"mra/internal/algebra"
 	"mra/internal/multiset"
@@ -31,9 +32,11 @@ type refChunk struct {
 // chunks.  It deliberately shares no code with the physical layer's
 // decomposable AggState (Add/MergePartial/Final), so the property tests pin
 // the two-phase machinery against an independent oracle.  The accumulation
-// scheme (exact int64 sums beside a float64 sum, nulls counted by CNT but
-// skipped by sums and extrema) mirrors the definitions the physical layer
-// implements, so results agree bit for bit on the shared domains.
+// scheme (exact integer sums, here in math/big, beside a float64 sum, nulls
+// counted by CNT but skipped by sums and extrema) mirrors the definitions the
+// physical layer implements, so results agree bit for bit on the shared
+// domains, and an integer SUM outside int64 fails with the same
+// plan.ErrOverflow.
 func refGroupBy(n algebra.GroupBy, in *multiset.Relation, outSchema schema.Relation) (*multiset.Relation, error) {
 	type refGroup struct {
 		key    tuple.Tuple
@@ -122,8 +125,9 @@ func refAggregate(fn algebra.Aggregate, col int, chunks []refChunk) (value.Value
 		// SUM: Σ_x E(x)·x.p; AVG = SUM/CNT, undefined on empty inputs.  Float
 		// addends accumulate with Neumaier compensation, matching the physical
 		// layer's AggState term for term, so the oracle and the (possibly
-		// re-associated) two-phase plans agree bit for bit.
-		var isum int64
+		// re-associated) two-phase plans agree bit for bit.  Integer addends
+		// sum exactly; only an integer SUM's int64 result can overflow.
+		isum := new(big.Int)
 		var fsum, fcomp float64
 		var count uint64
 		fltIn := false
@@ -132,7 +136,8 @@ func refAggregate(fn algebra.Aggregate, col int, chunks []refChunk) (value.Value
 			v := c.tup.At(col)
 			switch v.Kind() {
 			case value.KindInt:
-				isum += v.Int() * int64(c.count)
+				term := new(big.Int).SetUint64(c.count)
+				isum.Add(isum, term.Mul(term, big.NewInt(v.Int())))
 			case value.KindFloat:
 				x := v.Float() * float64(c.count)
 				t := fsum + x
@@ -149,16 +154,20 @@ func refAggregate(fn algebra.Aggregate, col int, chunks []refChunk) (value.Value
 				return value.Null, fmt.Errorf("eval: %s over non-numeric value %s", fn, v)
 			}
 		}
+		ifloat, _ := new(big.Float).SetInt(isum).Float64()
 		if fn == algebra.AggSum {
 			if fltIn {
-				return value.NewFloat(fsum + fcomp + float64(isum)), nil
+				return value.NewFloat(fsum + fcomp + ifloat), nil
 			}
-			return value.NewInt(isum), nil
+			if !isum.IsInt64() {
+				return value.Null, plan.ErrOverflow
+			}
+			return value.NewInt(isum.Int64()), nil
 		}
 		if count == 0 {
 			return value.Null, ErrEmptyAggregate
 		}
-		return value.NewFloat((fsum + fcomp + float64(isum)) / float64(count)), nil
+		return value.NewFloat((fsum + fcomp + ifloat) / float64(count)), nil
 
 	case algebra.AggMin, algebra.AggMax:
 		// MIN/MAX over the tuples with E(x) > 0; undefined when none (all

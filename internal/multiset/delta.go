@@ -27,12 +27,12 @@ func Diff(base, next *Relation) (add, remove *Relation) {
 	}
 	for e := range nt.entries(bt) {
 		if old := bt.count(e.hash, e.tup); e.count > old {
-			add.tab.add(e.hash, e.tup, e.count-old)
+			add.tab.add(e.hash, probe{tup: e.tup}, e.count-old)
 		}
 	}
 	for e := range bt.entries(nt) {
 		if cur := nt.count(e.hash, e.tup); e.count > cur {
-			remove.tab.add(e.hash, e.tup, e.count-cur)
+			remove.tab.add(e.hash, probe{tup: e.tup}, e.count-cur)
 		}
 	}
 	return add, remove
@@ -59,7 +59,7 @@ func (r *Relation) ApplyDelta(add, remove *Relation) {
 	}
 	if add != nil {
 		for e := range add.tab.entries(nil) {
-			tab.add(e.hash, e.tup, e.count)
+			tab.add(e.hash, probe{tup: e.tup}, e.count)
 		}
 	}
 	tab.compact()

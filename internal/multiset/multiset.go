@@ -236,12 +236,52 @@ func (t *table) ownHead(dir []headPage, h uint64) *int32 {
 	return &p.heads[b&(1<<hb-1)]
 }
 
-// find returns the arena position of the entry holding tup (live or
+// probe is what a table lookup compares stored tuples against: a tuple or,
+// when cols is non-nil, one row of the column vectors cols.  A row probe is
+// compared value by value against the stored tuples and becomes a tuple
+// only when it is stored (tuple), so a row equal to a stored tuple is
+// counted without ever being built.
+type probe struct {
+	tup  tuple.Tuple
+	cols []value.Vec
+	row  int
+}
+
+// equal reports whether the probe denotes the stored tuple s.
+func (p *probe) equal(s tuple.Tuple) bool {
+	if p.cols == nil {
+		return p.tup.Equal(s)
+	}
+	if s.Arity() != len(p.cols) {
+		return false
+	}
+	for c, col := range p.cols {
+		if !col[p.row].Equal(s.At(c)) {
+			return false
+		}
+	}
+	return true
+}
+
+// tuple returns the probe's tuple, building it from the column vectors when
+// the probe is a row.
+func (p *probe) tuple() tuple.Tuple {
+	if p.cols == nil {
+		return p.tup
+	}
+	vals := make([]value.Value, len(p.cols))
+	for c, col := range p.cols {
+		vals[c] = col[p.row]
+	}
+	return tuple.FromSlice(vals)
+}
+
+// find returns the arena position of the entry holding p's tuple (live or
 // tombstoned), or -1 if the tuple has never been stored.
-func (t *table) find(h uint64, tup tuple.Tuple) int32 {
+func (t *table) find(h uint64, p *probe) int32 {
 	for l := t.head(t.heads, h); l != 0; {
 		e := t.at(l - 1)
-		if e.hash == h && e.tup.Equal(tup) {
+		if e.hash == h && p.equal(e.tup) {
 			return l - 1
 		}
 		l = e.next
@@ -251,7 +291,7 @@ func (t *table) find(h uint64, tup tuple.Tuple) int32 {
 
 // count returns the multiplicity stored for tup, whose hash is h.
 func (t *table) count(h uint64, tup tuple.Tuple) uint64 {
-	if i := t.find(h, tup); i >= 0 {
+	if i := t.find(h, &probe{tup: tup}); i >= 0 {
 		return t.at(i).count
 	}
 	return 0
@@ -324,12 +364,14 @@ func (t *table) compact() {
 	}
 }
 
-// add increases the multiplicity of tup (whose hash is h) by n, reviving a
-// tombstoned entry in place or inserting a fresh one.  It is the one copy of
-// the probe/resurrect/insert sequence shared by the scalar, batched and merge
-// sinks; callers handle copy-on-write materialisation and n == 0 skipping.
-func (t *table) add(h uint64, tup tuple.Tuple, n uint64) {
-	if i := t.find(h, tup); i >= 0 {
+// add increases the multiplicity of p's tuple (whose hash is h) by n,
+// reviving a tombstoned entry in place or inserting a fresh one, the only
+// point where a row probe becomes a tuple.  It is the one copy of the
+// probe/resurrect/insert sequence shared by the scalar, batched, columnar and
+// merge sinks; callers handle copy-on-write materialisation and n == 0
+// skipping.
+func (t *table) add(h uint64, p probe, n uint64) {
+	if i := t.find(h, &p); i >= 0 {
 		e := t.own(i)
 		if e.count == 0 {
 			t.live++
@@ -338,13 +380,13 @@ func (t *table) add(h uint64, tup tuple.Tuple, n uint64) {
 		t.total += n
 		return
 	}
-	t.insert(h, tup, n)
+	t.insert(h, p.tuple(), n)
 }
 
 // remove decreases the multiplicity of tup (whose hash is h) by n, clamping
 // at zero, and returns the number of occurrences removed.  Callers compact.
 func (t *table) remove(h uint64, tup tuple.Tuple, n uint64) uint64 {
-	i := t.find(h, tup)
+	i := t.find(h, &probe{tup: tup})
 	if i < 0 || t.at(i).count == 0 {
 		return 0
 	}
@@ -440,7 +482,7 @@ func (r *Relation) Add(t tuple.Tuple, n uint64) {
 		return
 	}
 	r.materialize()
-	r.tab.add(t.Hash(), t, n)
+	r.tab.add(t.Hash(), probe{tup: t}, n)
 }
 
 // Remove decreases the multiplicity of t by n, clamping at zero ("monus", the
@@ -463,7 +505,7 @@ func (r *Relation) SetMultiplicity(t tuple.Tuple, n uint64) {
 	h := t.Hash()
 	switch cur := tab.count(h, t); {
 	case n > cur:
-		tab.add(h, t, n-cur)
+		tab.add(h, probe{tup: t}, n-cur)
 	case n < cur:
 		tab.remove(h, t, cur-n)
 		tab.compact()
@@ -568,7 +610,7 @@ func (r *Relation) AddBatch(tuples []tuple.Tuple, counts []uint64) {
 		if counts[i] == 0 {
 			continue
 		}
-		tab.add(t.Hash(), t, counts[i])
+		tab.add(t.Hash(), probe{tup: t}, counts[i])
 	}
 }
 
@@ -587,7 +629,35 @@ func (r *Relation) AddBatchSel(tuples []tuple.Tuple, counts []uint64, sel []int3
 			continue
 		}
 		t := tuples[i]
-		tab.add(t.Hash(), t, counts[i])
+		tab.add(t.Hash(), probe{tup: t}, counts[i])
+	}
+}
+
+// AddColumns is AddBatch over a columnar batch: row i, whose attribute c is
+// cols[c][i], is added with multiplicity counts[i] for every i in sel
+// (ascending indices), or for every row when sel is nil.  A row is hashed
+// and compared against the stored tuples straight off the column vectors
+// (tuple.HashRow), and a tuple is built only for a row the relation does not
+// hold yet, so rows that collapse onto few distinct tuples cost one tuple
+// each.  Zero counts are skipped.  The relation keeps none of the slices.
+func (r *Relation) AddColumns(cols []value.Vec, counts []uint64, sel []int32) {
+	if len(counts) == 0 || sel != nil && len(sel) == 0 {
+		return
+	}
+	r.materialize()
+	tab := r.tab
+	if sel == nil {
+		for i, n := range counts {
+			if n != 0 {
+				tab.add(tuple.HashRow(cols, i), probe{cols: cols, row: i}, n)
+			}
+		}
+		return
+	}
+	for _, i := range sel {
+		if n := counts[i]; n != 0 {
+			tab.add(tuple.HashRow(cols, int(i)), probe{cols: cols, row: int(i)}, n)
+		}
 	}
 }
 
@@ -602,7 +672,7 @@ func (r *Relation) MergeFrom(o *Relation) {
 	}
 	r.materialize()
 	for e := range src.entries(nil) {
-		r.tab.add(e.hash, e.tup, e.count)
+		r.tab.add(e.hash, probe{tup: e.tup}, e.count)
 	}
 }
 

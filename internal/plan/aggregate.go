@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 
 	"mra/internal/algebra"
 	"mra/internal/multiset"
@@ -16,6 +18,11 @@ import (
 // multi-set.  The paper defines these aggregate functions as partial
 // functions, undefined on empty inputs (Definition 3.3).
 var ErrEmptyAggregate = errors.New("plan: aggregate undefined on an empty multi-set")
+
+// ErrOverflow is returned when an integer SUM does not fit the int64 result
+// it must be returned as.  An integer sum is never wrapped or saturated: a
+// wrong value is impossible.
+var ErrOverflow = errors.New("plan: integer SUM overflows int64")
 
 // groupSpec is the compiled form of a groupby operator Γ_{α,(f,p)…}: the
 // grouping columns, the aggregate applications in output order, and the
@@ -47,12 +54,14 @@ type groupSpec struct {
 // each addition discards, and Final returns fsum + fcomp — an error-free
 // transformation that makes the result of well-conditioned sums independent
 // of how the input was partitioned, which is what lets the planner run float
-// SUM/AVG two-phase.  Integer sums (isum) are exact int64 arithmetic and
-// merge bit for bit.
+// SUM/AVG two-phase.  Integer sums (isum) are exact 128-bit arithmetic and
+// merge bit for bit, so whether an integer SUM overflows its int64 result
+// (ErrOverflow, at Final) depends on the bag alone, never on the order or
+// split in which the plan added it up.
 type AggState struct {
 	fn    algebra.Aggregate
 	count uint64
-	isum  int64
+	isum  wideInt
 	fsum  float64
 	fcomp float64
 	fltIn bool
@@ -78,6 +87,55 @@ func (s *AggState) fadd(x float64) {
 	s.fsum = t
 }
 
+// wideInt is a 128-bit two's-complement integer: the exact accumulator of an
+// integer sum.  An int64 times a multiplicity is below 2^127 in magnitude,
+// so a sum can only leave the range when the multiplicities themselves
+// overflow.
+type wideInt struct {
+	hi int64
+	lo uint64
+}
+
+// mulWide returns v·n exactly.
+func mulWide(v int64, n uint64) wideInt {
+	a := uint64(v)
+	if v < 0 {
+		a = -a
+	}
+	hi, lo := bits.Mul64(a, n)
+	if v < 0 {
+		var borrow uint64
+		lo, borrow = bits.Sub64(0, lo, 0)
+		hi, _ = bits.Sub64(0, hi, borrow)
+	}
+	return wideInt{hi: int64(hi), lo: lo}
+}
+
+// add returns w + o, or ErrOverflow when the sum leaves the 128-bit range.
+func (w wideInt) add(o wideInt) (wideInt, error) {
+	lo, carry := bits.Add64(w.lo, o.lo, 0)
+	hi := w.hi + o.hi + int64(carry)
+	if (w.hi < 0) == (o.hi < 0) && (hi < 0) != (w.hi < 0) {
+		return w, ErrOverflow
+	}
+	return wideInt{hi: hi, lo: lo}, nil
+}
+
+// asInt64 returns w as an int64, and false when it does not fit.
+func (w wideInt) asInt64() (int64, bool) {
+	return int64(w.lo), w.hi == int64(w.lo)>>63
+}
+
+// asFloat64 returns w rounded to the nearest float64.
+func (w wideInt) asFloat64() float64 {
+	if v, ok := w.asInt64(); ok {
+		return float64(v)
+	}
+	b := new(big.Int).Lsh(big.NewInt(w.hi), 64)
+	f, _ := new(big.Float).SetInt(b.Add(b, new(big.Int).SetUint64(w.lo))).Float64()
+	return f
+}
+
 // Add folds in one stream chunk: the aggregated attribute's value with the
 // chunk's multiplicity.  Nulls count towards CNT (and AVG's divisor) but
 // contribute nothing to sums and extrema; SUM and AVG over a non-numeric,
@@ -90,7 +148,9 @@ func (s *AggState) Add(v value.Value, count uint64) error {
 	case algebra.AggSum, algebra.AggAvg:
 		switch v.Kind() {
 		case value.KindInt:
-			s.isum += v.Int() * int64(count)
+			var err error
+			s.isum, err = s.isum.add(mulWide(v.Int(), count))
+			return err
 		case value.KindFloat:
 			s.fadd(v.Float() * float64(count))
 			s.fltIn = true
@@ -123,9 +183,15 @@ func (s *AggState) Add(v value.Value, count uint64) error {
 // MergePartial folds another partial state of the same aggregate function
 // into s: counts and sums add, extrema take the minimum/maximum, and AVG's
 // (sum, count) pair combines point-wise.  The other state is left untouched.
-func (s *AggState) MergePartial(o *AggState) {
+// It fails with ErrOverflow, leaving s unchanged, only when the integer sums
+// leave the 128-bit accumulator.
+func (s *AggState) MergePartial(o *AggState) error {
+	isum, err := s.isum.add(o.isum)
+	if err != nil {
+		return err
+	}
+	s.isum = isum
 	s.count += o.count
-	s.isum += o.isum
 	// The partial's compensated sum folds in as one compensated addition of
 	// its sum plus a direct accumulation of its error term, so the merged
 	// state keeps the double-precision invariant fsum + fcomp ≈ true sum.
@@ -144,25 +210,32 @@ func (s *AggState) MergePartial(o *AggState) {
 			}
 		}
 	}
+	return nil
 }
 
 // Final returns the aggregate's value.  AVG, MIN and MAX fail with
 // ErrEmptyAggregate on states that saw no input, per Definition 3.3's
-// partiality.
+// partiality; an integer SUM whose exact sum does not fit an int64 fails
+// with ErrOverflow.  A float SUM and AVG take the exact integer sum rounded
+// once, so they never overflow.
 func (s *AggState) Final() (value.Value, error) {
 	switch s.fn {
 	case algebra.AggCount:
 		return value.NewInt(int64(s.count)), nil
 	case algebra.AggSum:
 		if s.fltIn {
-			return value.NewFloat(s.fsum + s.fcomp + float64(s.isum)), nil
+			return value.NewFloat(s.fsum + s.fcomp + s.isum.asFloat64()), nil
 		}
-		return value.NewInt(s.isum), nil
+		sum, ok := s.isum.asInt64()
+		if !ok {
+			return value.Null, ErrOverflow
+		}
+		return value.NewInt(sum), nil
 	case algebra.AggAvg:
 		if s.count == 0 {
 			return value.Null, ErrEmptyAggregate
 		}
-		return value.NewFloat((s.fsum + s.fcomp + float64(s.isum)) / float64(s.count)), nil
+		return value.NewFloat((s.fsum + s.fcomp + s.isum.asFloat64()) / float64(s.count)), nil
 	case algebra.AggMin:
 		if !s.seen {
 			return value.Null, ErrEmptyAggregate
@@ -259,7 +332,7 @@ func (g *groupTable) add(t tuple.Tuple, count uint64) error {
 }
 
 // addBatch folds a batch's live rows into the table column-at-a-time: group
-// keys hash incrementally off the grouping columns' vectors (hashRowOn) and
+// keys hash incrementally off the grouping columns' vectors (tuple.HashRow) and
 // aggregate inputs stream from the aggregated columns' vectors, so the
 // per-row inner loop is a few vector indexings plus the state update — no
 // tuple is materialised except the representative of a newly created group.
@@ -309,7 +382,7 @@ func (g *groupTable) addBatch(b *Batch, cc *colCache) error {
 // group-key values straight off the column vectors bound by addBatch and
 // materialising the row's tuple only when it founds a new group.
 func (g *groupTable) findOrCreateRow(b *Batch, r int) (int, error) {
-	h := hashRowOn(g.keyVecs, r)
+	h := tuple.HashRow(g.keyVecs, r)
 	head, ok := g.index[h]
 	if !ok {
 		head = -1
@@ -353,7 +426,9 @@ func (g *groupTable) mergeFrom(o *groupTable) error {
 		dst := g.states[gi*k : (gi+1)*k]
 		src := o.states[i*k : (i+1)*k]
 		for j := range dst {
-			dst[j].MergePartial(&src[j])
+			if err := dst[j].MergePartial(&src[j]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -17,6 +17,15 @@ import (
 // project, join probe, aggregate update) run column-at-a-time over contiguous
 // value vectors.  How a stream is cut into batches never changes the
 // multi-set it denotes.
+//
+// The materialisation rule: a tuple is built from a columnar row only where
+// a sink keeps a new distinct row — a relation (Relation.AddColumns), Unique's
+// seen-set, a new group — or where a row-wise consumer needs one: a join
+// build, the nested loop, Sort, and a predicate the filter kernels cannot
+// express.  Every hashing sink hashes and compares a row off its column
+// vectors (tuple.HashRow) before deciding, and the hash join writes its
+// matches into column vectors, so a row that is filtered, joined, projected,
+// deduplicated or aggregated away never becomes a tuple.
 
 // DefaultBatchSize is the number of chunks per emitted batch when the planner
 // does not size batches itself.  Large enough that per-batch call overhead
@@ -98,9 +107,10 @@ func (b *Batch) Total() uint64 {
 }
 
 // TupleAt returns the tuple of physical row r, constructing it from the
-// column view when the batch is columnar-only.  Constructing allocates — it
-// is the materialise-to-tuples boundary consumers cross only for live rows
-// they actually retain or emit.
+// column view when the batch is columnar-only.  Constructing allocates: it
+// is the materialisation boundary, crossed only under the rule in this
+// file's header — for a live row a sink keeps as a new distinct row, or that
+// a row-wise consumer needs.
 func (b *Batch) TupleAt(r int) tuple.Tuple {
 	if b.Tuples != nil {
 		return b.Tuples[r]
@@ -110,6 +120,15 @@ func (b *Batch) TupleAt(r int) tuple.Tuple {
 		vals[c] = b.Cols[c][r]
 	}
 	return tuple.FromSlice(vals)
+}
+
+// at returns attribute c of physical row r from whichever view the batch
+// carries, without building the row's tuple.
+func (b *Batch) at(r, c int) value.Value {
+	if b.Tuples != nil {
+		return b.Tuples[r].At(c)
+	}
+	return b.Cols[c][r]
 }
 
 // forEach iterates the live rows as (tuple, count) chunks, in row order: how

@@ -17,8 +17,11 @@ import (
 // spend their execute time in.  PointSelect is the plan behind a bank
 // transfer's and a point read's `where id = K`; FilterProject, GroupedAggregate,
 // HashJoinProbe and Unique are the streaming, aggregating, probing and
-// de-duplicating loops of the analytic queries.  Each benchmark plans once and
-// executes b.N times, so it measures execution only.
+// de-duplicating loops of the analytic queries.  ProjectCollect,
+// ProjectUnique and StarProbe are the hashing sinks and the join output of
+// q_setops and q_star: columnar rows that collapse into few distinct tuples,
+// and a probe whose matches feed a second probe.  Each benchmark plans once
+// and executes b.N times, so it measures execution only.
 
 // benchAccounts returns account(id, owner, balance) with n rows.
 func benchAccounts(n int) *multiset.Relation {
@@ -50,6 +53,19 @@ func benchFacts(n int) (fact, dim *multiset.Relation) {
 		dim.Add(tuple.Ints(int64(k), int64(k*100)), 1)
 	}
 	return fact, dim
+}
+
+// benchPairs returns pair(a, b, payload) with n rows: a = i mod 60 and
+// b = (i div 60) mod 60, so (a, b) takes 3 600 distinct values.
+func benchPairs(n int) *multiset.Relation {
+	r := multiset.NewWithCapacity(schema.NewRelation("pair",
+		schema.Attribute{Name: "a", Type: value.KindInt},
+		schema.Attribute{Name: "b", Type: value.KindInt},
+		schema.Attribute{Name: "payload", Type: value.KindInt}), n)
+	for i := 0; i < n; i++ {
+		r.Add(tuple.Ints(int64(i%60), int64((i/60)%60), int64(i)), 1)
+	}
+	return r
 }
 
 // benchPlan compiles e serially over src and executes it b.N times, checking
@@ -117,4 +133,33 @@ func BenchmarkUnique(b *testing.B) {
 	src := mapSource{"fact": fact}
 	e := algebra.NewUnique(algebra.NewProject([]int{0}, algebra.NewRel("fact")))
 	benchPlan(b, e, src, 60)
+}
+
+// BenchmarkProjectCollect is π[a, b](pair): 60 000 columnar rows collected
+// into a relation of 3 600 distinct tuples.
+func BenchmarkProjectCollect(b *testing.B) {
+	src := mapSource{"pair": benchPairs(60000)}
+	e := algebra.NewProject([]int{0, 1}, algebra.NewRel("pair"))
+	benchPlan(b, e, src, 60000)
+}
+
+// BenchmarkProjectUnique is δ(π[a, b](pair)): 60 000 columnar rows collapsing
+// to 3 600 tuples.
+func BenchmarkProjectUnique(b *testing.B) {
+	src := mapSource{"pair": benchPairs(60000)}
+	e := algebra.NewUnique(algebra.NewProject([]int{0, 1}, algebra.NewRel("pair")))
+	benchPlan(b, e, src, 3600)
+}
+
+// BenchmarkStarProbe is Γ[(%7) SUM(%3)]((fact ⋈[key = key] dim) ⋈[grp = key]
+// dim), the shape of q_star: 60 000 probe rows through two 60-row builds, the
+// second probing the first's output, into 12 groups.
+func BenchmarkStarProbe(b *testing.B) {
+	fact, dim := benchFacts(60000)
+	src := mapSource{"fact": fact, "dim": dim}
+	e := algebra.NewGroupBy([]int{6}, algebra.AggSum, 2,
+		algebra.NewJoin(scalar.Eq(1, 5),
+			algebra.NewJoin(scalar.Eq(0, 3), algebra.NewRel("fact"), algebra.NewRel("dim")),
+			algebra.NewRel("dim")))
+	benchPlan(b, e, src, 12)
 }

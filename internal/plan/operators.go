@@ -150,53 +150,20 @@ type filterNode struct {
 func (f *filterNode) Children() []Node { return []Node{f.input} }
 func (f *filterNode) Describe() string { return fmt.Sprintf("Filter [%s]", f.pred) }
 
-// run compiles the predicate into comparison kernels that refine each input
-// batch's selection vector — a selective filter flips live-row indices in
-// tight per-column loops and never moves a value.  Predicates the kernels
-// cannot express fall back to row-wise Holds over live rows, still producing
-// a selection instead of compacting.
+// run refines each input batch's selection vector through a selector —
+// a selective filter flips live-row indices in tight per-column kernel loops
+// (or, for predicates the kernels cannot express, row-wise Holds) and never
+// moves a value.
 func (f *filterNode) run(ctx *execCtx, emit EmitBatch) error {
-	kernels, compiled := compileVecPred(f.pred)
-	var cc colCache
-	var selA, selB []int32
+	sel := newSelector(f.pred)
 	var out Batch
 	return ctx.run(f.input, func(b *Batch) error {
-		cc.batch(b)
-		rows := b.rows()
-		cur, curNil := b.Sel, b.Sel == nil
-		if compiled {
-			for i := range kernels {
-				var err error
-				if selA, err = kernels[i].apply(&cc, cur, rows, selA[:0]); err != nil {
-					return err
-				}
-				cur, curNil = selA, false
-				selA, selB = selB, selA
-				if len(cur) == 0 {
-					break
-				}
-			}
-		} else {
-			selA = selA[:0]
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				r := b.Row(i)
-				ok, err := f.pred.Holds(b.TupleAt(r))
-				if err != nil {
-					return err
-				}
-				if ok {
-					selA = append(selA, int32(r))
-				}
-			}
-			cur, curNil = selA, false
-			selA, selB = selB, selA
-		}
-		if !curNil && len(cur) == 0 {
-			return nil
+		live, err := sel.refine(b)
+		if err != nil || live != nil && len(live) == 0 {
+			return err
 		}
 		out = *b
-		out.Sel = cur
+		out.Sel = live
 		return emit(&out)
 	})
 }
@@ -297,19 +264,28 @@ type uniqueNode struct {
 func (u *uniqueNode) Children() []Node { return []Node{u.input} }
 func (u *uniqueNode) Describe() string { return "Unique" }
 
+// run probes the seen-set with every live row — a columnar row straight off
+// its column vectors (tupleSet.insert), so only a first sighting builds a
+// tuple — and emits first sightings row-wise.
 func (u *uniqueNode) run(ctx *execCtx, emit EmitBatch) error {
 	seen := newTupleSet(capacityFor(u.capHint))
 	w := newBatchWriter(ctx, emit)
-	first := func(t tuple.Tuple, _ uint64) error {
-		if !seen.insert(t) {
-			return nil
+	err := ctx.run(u.input, func(b *Batch) error {
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			t, first := seen.insert(b, b.Row(i))
+			if !first {
+				continue
+			}
+			if err := ctx.chargeTuple(t); err != nil {
+				return err
+			}
+			if err := w.push(t, 1); err != nil {
+				return err
+			}
 		}
-		if err := ctx.chargeTuple(t); err != nil {
-			return err
-		}
-		return w.push(t, 1)
-	}
-	err := ctx.run(u.input, func(b *Batch) error { return b.forEach(first) })
+		return nil
+	})
 	if err == nil {
 		err = w.flush()
 	}
@@ -501,11 +477,15 @@ func (j *hashJoinNode) fill(ctx *execCtx, tb *joinTable) error {
 	return ctx.run(build, func(b *Batch) error { return b.forEach(insert) })
 }
 
-// run probes the (own or gang-shared) table: probe keys hash incrementally
-// off the probe batch's column vectors (hashRowOn — bit-identical to
-// tuple.HashOn) and chain candidates compare key values straight off the
-// vectors, so a probe row only materialises a tuple once it actually matches.
-// The joined output is re-batched row-wise.
+// run probes the (own or gang-shared) table with every live probe row.  The
+// key hashes straight off the probe batch — a row-view row's tuple or a
+// columnar row's vectors, never a gathered column — and chain candidates
+// compare key values.  Each match is written into the join's own output
+// column vectors, reused from batch to batch: the probe row's values and the
+// build tuple's side by side, with the product of their multiplicities.  No
+// tuple is built for a match.  A full output batch is emitted once the
+// residual, if any, has narrowed its selection (selector), so a residual
+// join and an equi-join share this one loop.
 func (j *hashJoinNode) run(ctx *execCtx, emit EmitBatch) error {
 	tb := ctx.sharedBuild(j)
 	if tb == nil {
@@ -524,57 +504,72 @@ func (j *hashJoinNode) run(ctx *execCtx, emit EmitBatch) error {
 		return ctx.run(probe, discard)
 	}
 
-	_, buildCols := j.buildSide()
-	w := newBatchWriter(ctx, emit)
-	var cc colCache
-	keyVecs := make([]value.Vec, len(probeCols))
-	err := ctx.run(probe, func(b *Batch) error {
-		cc.batch(b)
-		for k, c := range probeCols {
-			keyVecs[k] = cc.col(c)
+	build, buildCols := j.buildSide()
+	probeArity, buildArity := probe.Schema().Arity(), build.Schema().Arity()
+	// po and bo are the output column offsets of the probe and build values.
+	po, bo := 0, probeArity
+	if j.buildLeft {
+		po, bo = buildArity, 0
+	}
+	var res *selector
+	if j.residual != nil {
+		res = newSelector(j.residual)
+	}
+	size := ctx.batchCap()
+	cols := make([]value.Vec, probeArity+buildArity)
+	out := Batch{Cols: make([]value.Vec, len(cols))}
+	flush := func() error {
+		if len(out.Counts) == 0 {
+			return nil
 		}
+		copy(out.Cols, cols)
+		out.Sel = nil
+		var err error
+		if res != nil {
+			out.Sel, err = res.refine(&out)
+		}
+		if err == nil && (out.Sel == nil || len(out.Sel) > 0) {
+			err = emit(&out)
+		}
+		for c := range cols {
+			cols[c] = cols[c][:0]
+		}
+		out.Counts = out.Counts[:0]
+		return err
+	}
+	keys := make([]value.Value, len(probeCols))
+	err := ctx.run(probe, func(b *Batch) error {
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
-			head, ok := tb.index[hashRowOn(keyVecs, r)]
+			h := tuple.HashSeed
+			for k, c := range probeCols {
+				keys[k] = b.at(r, c)
+				h = tuple.HashMix(h, keys[k])
+			}
+			head, ok := tb.index[h]
 			if !ok {
 				continue
 			}
-			pc := b.Counts[r]
-			var pt tuple.Tuple
-			ptSet := false
+		chain:
 			for ni := head; ni != -1; ni = tb.nodes[ni].next {
-				bt := tb.nodes[ni].tup
-				match := true
-				for k := range keyVecs {
-					if !keyVecs[k][r].Equal(bt.At(buildCols[k])) {
-						match = false
-						break
+				nd := &tb.nodes[ni]
+				for k, c := range buildCols {
+					if !keys[k].Equal(nd.tup.At(c)) {
+						continue chain
 					}
 				}
-				if !match {
-					continue
+				for c := 0; c < probeArity; c++ {
+					cols[po+c] = append(cols[po+c], b.at(r, c))
 				}
-				if !ptSet {
-					pt, ptSet = b.TupleAt(r), true
+				for c := 0; c < buildArity; c++ {
+					cols[bo+c] = append(cols[bo+c], nd.tup.At(c))
 				}
-				var joined tuple.Tuple
-				if j.buildLeft {
-					joined = bt.Concat(pt)
-				} else {
-					joined = pt.Concat(bt)
-				}
-				if j.residual != nil {
-					ok, err := j.residual.Holds(joined)
-					if err != nil {
+				out.Counts = append(out.Counts, b.Counts[r]*nd.count)
+				if len(out.Counts) == size {
+					if err := flush(); err != nil {
 						return err
 					}
-					if !ok {
-						continue
-					}
-				}
-				if err := w.push(joined, pc*tb.nodes[ni].count); err != nil {
-					return err
 				}
 			}
 		}
@@ -583,7 +578,7 @@ func (j *hashJoinNode) run(ctx *execCtx, emit EmitBatch) error {
 	if err != nil {
 		return err
 	}
-	return w.flush()
+	return flush()
 }
 
 // nestedLoopNode executes a θ-join with no hashable conjunct (or a bare
@@ -872,21 +867,44 @@ func newTupleSet(capacity int) *tupleSet {
 
 func (s *tupleSet) len() int { return len(s.tups) }
 
-// insert adds t and reports whether it was absent.
-func (s *tupleSet) insert(t tuple.Tuple) bool {
-	h := t.Hash()
+// insert adds the tuple of physical row r of b and reports whether it was
+// absent, returning the stored tuple when it was.  A columnar row is hashed
+// (tuple.HashRow) and compared against the set's tuples straight off the
+// column vectors, and becomes a tuple only when it is new.
+func (s *tupleSet) insert(b *Batch, r int) (tuple.Tuple, bool) {
+	var h uint64
+	if b.Tuples != nil {
+		h = b.Tuples[r].Hash()
+	} else {
+		h = tuple.HashRow(b.Cols, r)
+	}
 	head, ok := s.index[h]
 	if !ok {
 		head = -1
 	}
 	for i := head; i != -1; i = s.next[i] {
-		if s.tups[i].Equal(t) {
-			return false
+		if rowEqual(b, r, s.tups[i]) {
+			return tuple.Tuple{}, false
 		}
 	}
+	t := b.TupleAt(r)
 	s.index[h] = int32(len(s.tups))
 	s.tups = append(s.tups, t)
 	s.next = append(s.next, head)
+	return t, true
+}
+
+// rowEqual reports whether physical row r of b equals tuple t, reading a
+// columnar row value by value.
+func rowEqual(b *Batch, r int, t tuple.Tuple) bool {
+	if b.Tuples != nil {
+		return b.Tuples[r].Equal(t)
+	}
+	for c, col := range b.Cols {
+		if !col[r].Equal(t.At(c)) {
+			return false
+		}
+	}
 	return true
 }
 

@@ -29,16 +29,25 @@
 // multiplicities (Counts) and attribute values readable row-major (Tuples) or
 // column-major (Cols, one value.Vec per attribute), under a Sel vector
 // listing the live physical rows — filters refine Sel instead of compacting,
-// projections share column slices, and the hot loops (filter kernels, join
-// probe, aggregate update — vec.go) run column-at-a-time over live rows only.
-// Dead rows are never read or evaluated; Batch.TupleAt is the
-// materialisation boundary where a columnar row becomes a tuple, crossed only
-// for live rows a consumer retains or emits.  Operators that want tuples
-// read their input chunk by chunk through Batch.forEach and emit through a
-// batchWriter; materialised relations (scans, blocking set-operator results,
-// gang partials) stream out through emitRelation.  A batch is only valid for
-// the duration of the EmitBatch call — producers reuse its backing slices —
-// while the tuples and values inside it may be retained.
+// projections share column slices, the hash join writes its matches into its
+// own reused column vectors, and the hot loops (filter kernels, join probe,
+// aggregate update — vec.go) run column-at-a-time over live rows only.  Dead
+// rows are never read or evaluated.
+//
+// Batch.TupleAt is the materialisation boundary where a columnar row becomes
+// a tuple, and it is crossed only where a sink keeps a new distinct row —
+// the collecting relation (multiset.Relation.AddColumns), Unique's seen-set,
+// a new aggregate group — or where a row-wise consumer needs one: a join
+// build, the nested loop, Sort, and a predicate the filter kernels cannot
+// express.  The hashing sinks hash and compare a row straight off its column
+// vectors and build its tuple only when the row is new, so a bag of many
+// rows and few distinct tuples costs one tuple per distinct tuple.
+// Operators that want tuples read their input chunk by chunk through
+// Batch.forEach and emit through a batchWriter; materialised relations
+// (scans, blocking set-operator results, gang partials) stream out through
+// emitRelation.  A batch is only valid for the duration of the EmitBatch
+// call — producers reuse its backing slices and vectors — while the tuples
+// and values inside it may be retained.
 //
 // Ownership: emitted tuples are immutable and may be retained by the
 // consumer; they are often shared with the source relations.  Schema
@@ -462,30 +471,22 @@ func (ctx *execCtx) materialize(n Node) (*multiset.Relation, error) {
 
 // collect streams a node's output into a relation, polling the query context
 // once per batch.  Row-view batches are read in place by AddBatch /
-// AddBatchSel; columnar-only batches materialise their live rows here — the
-// sink is the last consumer, so this is the one place the column vectors must
-// become tuples.
+// AddBatchSel; columnar batches go to AddColumns, which probes the relation
+// off the column vectors and builds a tuple only for a live row it does not
+// hold yet — the sink keeps one tuple per distinct row, never one per input
+// row.
 func (ctx *execCtx) collect(n Node, out *multiset.Relation) error {
-	var scratch []tuple.Tuple
-	var counts []uint64
 	return ctx.run(n, func(b *Batch) error {
 		if err := ctx.poll(); err != nil {
 			return err
 		}
 		switch {
-		case b.Tuples != nil && b.Sel == nil:
+		case b.Tuples == nil:
+			out.AddColumns(b.Cols, b.Counts, b.Sel)
+		case b.Sel == nil:
 			out.AddBatch(b.Tuples, b.Counts)
-		case b.Tuples != nil:
-			out.AddBatchSel(b.Tuples, b.Counts, b.Sel)
 		default:
-			scratch, counts = scratch[:0], counts[:0]
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				r := b.Row(i)
-				scratch = append(scratch, b.TupleAt(r))
-				counts = append(counts, b.Counts[r])
-			}
-			out.AddBatch(scratch, counts)
+			out.AddBatchSel(b.Tuples, b.Counts, b.Sel)
 		}
 		return nil
 	})

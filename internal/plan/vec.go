@@ -2,7 +2,6 @@ package plan
 
 import (
 	"mra/internal/scalar"
-	"mra/internal/tuple"
 	"mra/internal/value"
 )
 
@@ -60,6 +59,66 @@ func compileVecPred(p scalar.Predicate) ([]vecCmp, bool) {
 		kernels = append(kernels, k)
 	}
 	return kernels, true
+}
+
+// selector is a compiled selection predicate: a conjunction of comparison
+// kernels where compileVecPred can express it, else row-wise Holds over the
+// live rows' tuples.  It is how a Filter, and a hash join's residual, narrow
+// a batch's selection vector instead of compacting it.  A selector holds
+// per-run scratch, so operators build one per run call, never on the node.
+type selector struct {
+	pred     scalar.Predicate
+	kernels  []vecCmp
+	compiled bool
+	cc       colCache
+	// selA and selB alternate as kernel input and output; both start
+	// non-nil, so a refined selection is never mistaken for "all rows".
+	selA, selB []int32
+}
+
+// newSelector compiles pred for refine.
+func newSelector(pred scalar.Predicate) *selector {
+	kernels, compiled := compileVecPred(pred)
+	return &selector{pred: pred, kernels: kernels, compiled: compiled,
+		selA: make([]int32, 0, DefaultBatchSize), selB: make([]int32, 0, DefaultBatchSize)}
+}
+
+// refine returns the selection vector of b's live rows that satisfy the
+// predicate.  An always-true predicate returns b.Sel itself (nil when every
+// row is live); any other returns a non-nil vector, owned by the selector
+// and valid until the next call.  Only live rows are evaluated.
+func (s *selector) refine(b *Batch) ([]int32, error) {
+	s.cc.batch(b)
+	rows := b.rows()
+	cur := b.Sel
+	if !s.compiled {
+		out := s.selA[:0]
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			r := b.Row(i)
+			ok, err := s.pred.Holds(b.TupleAt(r))
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				out = append(out, int32(r))
+			}
+		}
+		s.selA, s.selB = s.selB, out
+		return out, nil
+	}
+	for i := range s.kernels {
+		out, err := s.kernels[i].apply(&s.cc, cur, rows, s.selA[:0])
+		if err != nil {
+			return nil, err
+		}
+		s.selA, s.selB = s.selB, out
+		cur = out
+		if len(cur) == 0 {
+			break
+		}
+	}
+	return cur, nil
 }
 
 // apply runs the kernel over the rows listed in `in` (nil meaning all `rows`
@@ -151,15 +210,4 @@ func evalAt(e scalar.Expr, b *Batch, cc *colCache, r int) (value.Value, error) {
 	default:
 		return e.Eval(b.TupleAt(r))
 	}
-}
-
-// hashRowOn computes the group/join key hash of physical row r over the given
-// key column vectors — bit-identical to tuple.HashOn of the row's tuple over
-// the key columns, without materialising the tuple.
-func hashRowOn(keyVecs []value.Vec, r int) uint64 {
-	h := tuple.HashSeed
-	for _, kv := range keyVecs {
-		h = tuple.HashMix(h, kv[r])
-	}
-	return h
 }

@@ -237,14 +237,14 @@ func TestHashRowOnMatchesTupleHashOn(t *testing.T) {
 			keyVecs[i] = cols[keys[i]]
 		}
 		for r, tp := range tuples {
-			if got, want := hashRowOn(keyVecs, r), tp.HashOn(keys); got != want {
-				t.Fatalf("keys %v row %d %v: hashRowOn %x, tuple.HashOn %x", keys, r, tp, got, want)
+			if got, want := tuple.HashRow(keyVecs, r), tp.HashOn(keys); got != want {
+				t.Fatalf("keys %v row %d %v: tuple.HashRow %x, tuple.HashOn %x", keys, r, tp, got, want)
 			}
 		}
 	}
 	all := []int{0, 1, 2, 3, 4}
 	for r, tp := range tuples {
-		if hashRowOn(cols, r) != tp.Hash() || tp.HashOn(all) != tp.Hash() {
+		if tuple.HashRow(cols, r) != tp.Hash() || tp.HashOn(all) != tp.Hash() {
 			t.Fatalf("row %d %v: whole-row hashes disagree", r, tp)
 		}
 	}

@@ -29,12 +29,11 @@ var ErrVersionConflict = errors.New("storage: relation changed since snapshot")
 // refcount pinned; validation then degrades gracefully once the hard cap
 // forces eviction.
 type Snapshot struct {
-	db          *Database
-	rels        map[string]*multiset.Relation
-	stats       map[string]*stats.Table
-	version     uint64
-	logicalTime uint64
-	released    atomic.Bool
+	db       *Database
+	rels     map[string]*multiset.Relation
+	stats    map[string]*stats.Table
+	version  uint64
+	released atomic.Bool
 }
 
 // Release marks the snapshot no longer live, allowing key-log entries at or
@@ -77,9 +76,6 @@ func (s *Snapshot) Names() []string {
 // ApplyDeltas validates key stamps against it.
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// LogicalTime returns the logical time t of the snapshotted state D_t.
-func (s *Snapshot) LogicalTime() uint64 { return s.logicalTime }
-
 // TableStats returns the named relation's summary as of the snapshot:
 // transactions plan against the statistics of the version they read, not
 // whatever the live database has moved on to.
@@ -116,5 +112,5 @@ func (d *Database) Snapshot() *Snapshot {
 	d.snapMu.Lock()
 	d.liveSnaps[d.version]++
 	d.snapMu.Unlock()
-	return &Snapshot{db: d, rels: rels, stats: st, version: d.version, logicalTime: d.logicalTime}
+	return &Snapshot{db: d, rels: rels, stats: st, version: d.version}
 }

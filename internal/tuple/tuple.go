@@ -125,6 +125,19 @@ func (t Tuple) Hash() uint64 {
 	return h
 }
 
+// HashRow returns the hash of physical row r of the column vectors cols:
+// bit-identical to Hash of the tuple (cols[0][r], cols[1][r], ...), and so to
+// HashOn of a wider tuple when cols are the vectors of its key columns.  It
+// is how the columnar sinks and kernels hash a row without building its
+// tuple.
+func HashRow(cols []value.Vec, r int) uint64 {
+	h := HashSeed
+	for _, col := range cols {
+		h = HashMix(h, col[r])
+	}
+	return h
+}
+
 // HashOn returns a 64-bit hash of the attributes selected by indices,
 // consistent with equality of the corresponding projections.  It is the
 // hash the physical join and group-by operators partition on.
