@@ -16,7 +16,7 @@
 //
 //	\d                  list relations
 //	\d name             show a relation's schema and cardinality
-//	\explain <expr>     show the original and optimised plan of an XRA expression
+//	\explain <expr>     show the parsed expression and physical plan of an XRA expression
 //	\stats name         show a relation's optimizer statistics (run analyze(name) first)
 //	\set workers N      set the parallel worker count (1 = serial, 0 = auto)
 //	\set timeout <dur>  set a per-statement deadline (e.g. 500ms, 2s; 0 = off)
@@ -232,8 +232,6 @@ func handleMeta(db *mra.DB, cmd string, timing *bool, timeout *time.Duration, ou
 			return false
 		}
 		fmt.Fprintln(out, "original :", ex.Logical)
-		fmt.Fprintln(out, "optimised:", ex.Optimised)
-		fmt.Fprintln(out, "rules    :", strings.Join(ex.Rules, ", "))
 		if ex.Workers > 1 {
 			fmt.Fprintln(out, "workers  :", ex.Workers)
 		}

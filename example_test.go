@@ -67,3 +67,42 @@ func ExampleTx_Active() {
 	// true
 	// false 4
 }
+
+// Explain shows the physical plan the planner compiles from an expression
+// as written.  The paper's Example 3.1 selection on brewery runs as a filter
+// below the hash join, and the Example 3.2 group-by reads its two columns
+// straight off the join: both equivalences are planner decisions, with no
+// rewriting first.
+func ExampleDB_Explain() {
+	db := mra.Open()
+	db.MustCreateRelation("beer",
+		mra.Col("name", mra.String), mra.Col("brewery", mra.String), mra.Col("alcperc", mra.Float))
+	db.MustCreateRelation("brewery",
+		mra.Col("name", mra.String), mra.Col("city", mra.String), mra.Col("country", mra.String))
+	db.MustExecXRA(`insert(beer, [
+		('pils', 'guineken', 5.0), ('pils', 'brolsch', 5.2), ('bock', 'guineken', 6.5),
+		('stout', 'guinness', 4.2), ('tripel', 'westmalle', 9.5)])`)
+	db.MustExecXRA(`insert(brewery, [
+		('guineken', 'amsterdam', 'netherlands'), ('brolsch', 'enschede', 'netherlands'),
+		('guinness', 'dublin', 'ireland'), ('westmalle', 'malle', 'belgium')])`)
+	for _, q := range []string{
+		"project[%1](select[%6 = 'netherlands'](join[%2 = %4](beer, brewery)))",
+		"groupby[(%6),AVG,%3](join[%2 = %4](beer, brewery))",
+	} {
+		ex, err := db.Explain(q)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Println(ex.Physical)
+	}
+	// Output:
+	// Project [%1]  (est~1 rows, act=3)
+	// └─ HashJoin [%2 = %4] build=right  (est~1 rows, act=3)
+	//    ├─ Scan beer  (est=5 rows)
+	//    └─ Filter [%3 = 'netherlands']  (est~1 rows, act=2)
+	//       └─ Scan brewery  (est=4 rows)
+	// HashAggregate [(%6) AVG(%3)]  (est~1 rows, act=3)
+	// └─ HashJoin [%2 = %4] build=right  (est~2 rows, act=5)
+	//    ├─ Scan beer  (est=5 rows)
+	//    └─ Scan brewery  (est=4 rows)
+}

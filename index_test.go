@@ -115,6 +115,42 @@ func TestExplainIndexScanLifecycle(t *testing.T) {
 	check("after the second ANALYZE", true)
 }
 
+// TestExplainIndexScanUnderJoin pins the key lookup below a join: a
+// selection written over a two- or three-leaf join pins account's key, the
+// planner pushes it into the account leaf, and after ANALYZE that leaf reads
+// by key.  Several conjuncts on one leaf make one Filter.
+func TestExplainIndexScanUnderJoin(t *testing.T) {
+	db := accountDB(t, 300)
+	db.MustCreateRelation("x", Col("id", Int), Col("tag", String))
+	if err := db.InsertValues("x", []any{7, "a"}, []any{7, "b"}, []any{8, "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Analyze(""); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]int{
+		"select[%1 = 7 and %1 = %4](product(account, x))":               2,
+		"select[%1 = 7 and %3 >= 0.0](join[%1 = %4](account, x))":       2,
+		"select[%1 = 7](join[%1 = %6](join[%1 = %4](account, x), x))":   4,
+		"select[%3 >= 0.0 and 7 = %1 and %1 = %4](product(account, x))": 2,
+	} {
+		got := explainPhysical(t, db, q)
+		if !strings.Contains(got, "IndexScan account [%1 = 7]") {
+			t.Errorf("plan of %s:\n%s\nwant IndexScan account [%%1 = 7]", q, got)
+		}
+		if n := strings.Count(got, "Filter ["); n != 1 {
+			t.Errorf("plan of %s has %d Filters, want one:\n%s", q, n, got)
+		}
+		res, err := db.QueryXRA(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != want {
+			t.Errorf("%s returned %d rows, want %d", q, res.Len(), want)
+		}
+	}
+}
+
 // TestKeyLookupInsideTransaction checks the key chain follows a
 // transaction's own writes: the update's selection E is found by key, its
 // result (R − E) ⊎ π_a(R ∩ E) still carries the chain, and a point read

@@ -43,12 +43,16 @@ type joinConjunct struct {
 }
 
 // enumerateJoinOrder attempts to plan σcond(le × re) as a cost-ordered join
-// tree.  It returns ok=false when the shape is not worth enumerating (fewer
-// than three leaves or too many leaves), in which case the caller compiles
-// the written order.
+// tree.  Every join goes through it, two-leaf ones included, so single-leaf
+// conjuncts are pushed into their leaf on every join — Example 3.1 of the
+// paper, σ below ⋈, is reached from the written text.  For two leaves the
+// canonical split keeps leaf 0 on the left, so the written column order
+// needs no permuting projection.  It returns ok=false when the join has too
+// many leaves to enumerate, in which case the caller compiles the written
+// order.
 func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr, cat algebra.Catalog) (Node, bool, error) {
 	n := countJoinLeaves(le) + countJoinLeaves(re)
-	if n < 3 || n > maxJoinOrderLeaves {
+	if n > maxJoinOrderLeaves {
 		return nil, false, nil
 	}
 
@@ -64,12 +68,6 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 	if cond != nil {
 		conjs = append(conjs, scalar.Conjuncts(cond)...)
 	}
-	if len(leaves) != n {
-		n = len(leaves)
-		if n < 3 || n > maxJoinOrderLeaves {
-			return nil, false, nil
-		}
-	}
 
 	// Compile every leaf in isolation.
 	for i := range leaves {
@@ -80,9 +78,12 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 		leaves[i].node = node
 	}
 
-	// Classify conjuncts: single-leaf conjuncts fold into their leaf as
-	// filters (with attribute references rebased to the leaf frame);
-	// multi-leaf conjuncts become join predicates scored for the DP.
+	// Classify conjuncts: error-free single-leaf conjuncts fold into their
+	// leaf as one filter (with attribute references rebased to the leaf
+	// frame); multi-leaf conjuncts become join predicates scored for the DP.
+	// A single-leaf conjunct that can fail to evaluate (arithmetic) stays a
+	// join predicate: below the join it would run on leaf rows the join
+	// drops, and fail where the written σ-over-join returns rows.
 	leafOf := make([]int, arityOf(leaves))
 	for i, lf := range leaves {
 		for c := 0; c < lf.arity; c++ {
@@ -91,6 +92,7 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 	}
 	var joinConjs []joinConjunct
 	var constPreds []scalar.Predicate
+	leafConjs := make([][]scalar.Predicate, len(leaves))
 	for _, c := range conjs {
 		refs := c.Refs(nil)
 		mask := uint(0)
@@ -104,6 +106,10 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 		case 0:
 			constPreds = append(constPreds, c)
 		case 1:
+			if !errorFree(c) {
+				joinConjs = append(joinConjs, joinConjunct{pred: c, mask: mask, sel: selectionSelectivity})
+				break
+			}
 			i := bits.TrailingZeros(mask)
 			mapping := make(map[int]int, leaves[i].arity)
 			for k := 0; k < leaves[i].arity; k++ {
@@ -116,9 +122,14 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 			if err := rebased.Validate(leaves[i].node.Schema()); err != nil {
 				return nil, false, nil
 			}
-			leaves[i].node = pl.makeFilter(rebased, leaves[i].node)
+			leafConjs[i] = append(leafConjs[i], rebased)
 		default:
 			joinConjs = append(joinConjs, joinConjunct{pred: c, mask: mask, sel: pl.conjunctSelectivity(c, leaves, leafOf)})
+		}
+	}
+	for i, preds := range leafConjs {
+		if len(preds) > 0 {
+			leaves[i].node = pl.makeFilter(scalar.NewAnd(preds...), leaves[i].node)
 		}
 	}
 
@@ -173,7 +184,7 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 }
 
 // countJoinLeaves counts the relation-valued operands of a join spine without
-// resolving schemas, so trivial two-way joins can skip enumeration cheaply.
+// resolving schemas, so a join too large to enumerate is refused cheaply.
 func countJoinLeaves(e algebra.Expr) int {
 	switch n := e.(type) {
 	case algebra.Join:
@@ -353,7 +364,8 @@ func (pl *Planner) searchJoinOrder(leaves []joinLeaf, conjs []joinConjunct) (joi
 }
 
 // buildJoinOrder reconstructs the physical plan of a DP subset, attaching
-// every conjunct at the lowest join that covers it.
+// every conjunct at the lowest join that covers it — for a conjunct on one
+// leaf, the join that reads that leaf.
 func (pl *Planner) buildJoinOrder(s uint, leaves []joinLeaf, conjs []joinConjunct, split []uint) (joinOrderPlan, error) {
 	if bits.OnesCount(s) == 1 {
 		i := bits.TrailingZeros(s)
@@ -379,9 +391,12 @@ func (pl *Planner) buildJoinOrder(s uint, leaves []joinLeaf, conjs []joinConjunc
 			pos++
 		}
 	}
+	// covers reports whether the join planned for side already evaluates
+	// conjunct mask m; a single leaf evaluates none.
+	covers := func(side, m uint) bool { return bits.OnesCount(side) > 1 && m&side == m }
 	var spanning []scalar.Predicate
 	for _, jc := range conjs {
-		if jc.mask&s == jc.mask && jc.mask&s1 != jc.mask && jc.mask&s2 != jc.mask {
+		if jc.mask&s == jc.mask && !covers(s1, jc.mask) && !covers(s2, jc.mask) {
 			rebased, err := jc.pred.Rebase(mapping)
 			if err != nil {
 				return joinOrderPlan{}, err

@@ -114,16 +114,24 @@ func TestPlannerJoinStrategy(t *testing.T) {
 		t.Error("σ(E1 × E2) with an equality conjunct must compile to a hash join")
 	}
 
-	// σ over a join folds the outer condition into the join's residual.
+	// σ over a join folds the outer condition into the join: a conjunct on
+	// one operand becomes a filter below the join on that side (Example 3.1
+	// of the paper), and a non-hashable conjunct over both operands survives
+	// as the join residual.
 	layered := algebra.NewSelect(
-		scalar.NewCompare(value.CmpGt, scalar.NewAttr(1), scalar.NewConst(value.NewInt(10))),
+		scalar.NewAnd(
+			scalar.NewCompare(value.CmpGt, scalar.NewAttr(1), scalar.NewConst(value.NewInt(10))),
+			scalar.NewCompare(value.CmpGt, scalar.NewAttr(1), scalar.NewAttr(3))),
 		join)
 	hj3, ok := mustPlan(t, layered, src).Root.(*hashJoinNode)
 	if !ok {
 		t.Fatal("σ above a join must fold into the join")
 	}
+	if _, ok := hj3.left.(*filterNode); !ok {
+		t.Errorf("a conjunct on the left operand must filter below the join, got %T", hj3.left)
+	}
 	if hj3.residual == nil {
-		t.Error("non-hashable conjunct must survive as the join residual")
+		t.Error("non-hashable conjunct over both operands must survive as the join residual")
 	}
 
 	// A non-equi join nests loops, materialising the smaller side.
@@ -250,14 +258,17 @@ func TestPlanString(t *testing.T) {
 	src := testSource(1000)
 	expr := algebra.NewProject([]int{1},
 		algebra.NewSelect(
-			scalar.NewCompare(value.CmpGt, scalar.NewAttr(3), scalar.NewConst(value.NewInt(10))),
+			scalar.NewAnd(
+				scalar.NewCompare(value.CmpGt, scalar.NewAttr(3), scalar.NewConst(value.NewInt(10))),
+				scalar.NewCompare(value.CmpGt, scalar.NewAttr(1), scalar.NewAttr(3))),
 			algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("fact"), algebra.NewRel("dim"))))
 	got := mustPlan(t, expr, src).String()
 	want := strings.Join([]string{
-		"Project [%2]  (est~10000 rows)",
-		"└─ HashJoin [%1 = %3] build=right residual=[%4 > 10]  (est~10000 rows)",
+		"Project [%2]  (est~2500 rows)",
+		"└─ HashJoin [%1 = %3] build=right residual=[%2 > %4]  (est~2500 rows)",
 		"   ├─ Scan fact  (est=1000 rows)",
-		"   └─ Scan dim  (est=100 rows)",
+		"   └─ Filter [%2 > 10]  (est~25 rows)",
+		"      └─ Scan dim  (est=100 rows)",
 	}, "\n")
 	if got != want {
 		t.Errorf("plan rendering:\n%s\nwant:\n%s", got, want)

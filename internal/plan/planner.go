@@ -151,13 +151,7 @@ func (pl *Planner) compile(e algebra.Expr, cat algebra.Catalog) (Node, error) {
 		if err := n.Cond.Validate(input.Schema()); err != nil {
 			return nil, fmt.Errorf("%w: %v", algebra.ErrPlan, err)
 		}
-		node := pl.makeFilter(n.Cond, input)
-		if scan, ok := input.(*scanNode); ok {
-			if ix := indexScan(scan, n.Cond); ix != nil {
-				node.input = ix
-			}
-		}
-		return node, nil
+		return pl.makeFilter(n.Cond, input), nil
 
 	case algebra.Project:
 		input, err := pl.compile(n.Input, cat)
@@ -360,10 +354,11 @@ func (pl *Planner) compilePair(op string, le, re algebra.Expr, cat algebra.Catal
 }
 
 // compileJoin plans E1 ⋈φ E2 (and σφ(E1 × E2), which is the same thing by
-// Theorem 3.1).  A nil condition is a bare Cartesian product.  When the join
-// is the top of a larger join tree, the cost-based enumerator (joinorder.go)
-// searches for a cheaper evaluation order first; the written order is the
-// fallback.
+// Theorem 3.1).  A nil condition is a bare Cartesian product.  The
+// cost-based enumerator (joinorder.go) plans every join tree it can: it
+// pushes single-leaf conjuncts into their leaf and searches for the cheapest
+// order.  The written order is the fallback for trees too large to
+// enumerate.
 func (pl *Planner) compileJoin(cond scalar.Predicate, le, re algebra.Expr, cat algebra.Catalog) (Node, error) {
 	if node, ok, err := pl.enumerateJoinOrder(cond, le, re, cat); err != nil {
 		return nil, err
@@ -382,7 +377,9 @@ func (pl *Planner) compileJoin(cond scalar.Predicate, le, re algebra.Expr, cat a
 }
 
 // makeFilter builds a selection node over a compiled input, estimating its
-// selectivity from the input's column statistics when available.
+// selectivity from the input's column statistics when available.  Over a
+// scan whose key column the condition pins, the filter reads through a key
+// lookup instead.
 func (pl *Planner) makeFilter(cond scalar.Predicate, input Node) *filterNode {
 	node := &filterNode{pred: cond, input: input}
 	node.schema = input.Schema()
@@ -393,6 +390,11 @@ func (pl *Planner) makeFilter(cond scalar.Predicate, input Node) *filterNode {
 	node.est = input.Estimate() * sel
 	node.capHint = node.est
 	node.colStats = clampCols(append([]colStat(nil), input.meta().colStats...), node.est)
+	if scan, ok := input.(*scanNode); ok {
+		if ix := indexScan(scan, cond); ix != nil {
+			node.input = ix
+		}
+	}
 	return node
 }
 

@@ -1,12 +1,17 @@
-// Package rewrite implements expression rewriting for query optimisation on
-// the multi-set extended relational algebra (Section 3.3 of Grefen & de By,
-// ICDE 1994).  Every rule encodes an expression equivalence that holds under
-// bag semantics — Theorems 3.1–3.3 and the classical pushdown equivalences the
-// paper notes carry over from the set-based algebra — so rewritten plans
-// always produce the same multi-set as the original.
+// Package rewrite is the executable law table of the multi-set extended
+// relational algebra (Section 3.3 of Grefen & de By, ICDE 1994).  Every rule
+// encodes an expression equivalence that holds under bag semantics —
+// Theorems 3.1–3.3 and the classical pushdown equivalences the paper notes
+// carry over from the set-based algebra — so a rewritten expression always
+// produces the same multi-set as the original.
 //
-// The package also provides a simple cardinality-based cost model used by the
-// benchmarks to rank plans and by the optimizer ablation experiment (E9).
+// No production path rewrites queries: the cost-based planner (internal/plan)
+// is the one optimiser, and TestOneCallSitePerStage fails if a non-test file
+// outside benchmark/ imports this package.  The rules stay as laws, checked
+// by eval.TestPropertyPlannerPreservesBagSemantics and the written vs
+// law-applied forms of experiment E9.  The benchmark harness's staged replay
+// still times a rewrite span; once a benchmark change drops that span, the
+// package's non-test code can go.
 package rewrite
 
 import (

@@ -121,9 +121,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, Response{OK: true, State: StateIdle})
 }
 
-// writeJSON writes one JSON response with the given status.
+// writeJSON writes one JSON response with the given status.  The body is
+// encoded before the status is sent, so a response the encoder cannot carry
+// goes out as a 500 with an error body instead of an empty 200.
 func writeJSON(w http.ResponseWriter, status int, resp Response) {
+	body, err := json.Marshal(resp)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(unencodable(resp, err))
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	w.Write(append(body, '\n'))
 }

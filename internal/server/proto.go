@@ -7,7 +7,9 @@ package server
 // shell's knobs (\set workers N, \set timeout 500ms, \set memlimit 1048576,
 // \set serializable on, \lang sql|xra, \q), or statements in the session's
 // language.  A line may carry several ';'-separated statements; they execute
-// in order inside one transaction bracket.
+// in order inside one transaction bracket.  A result JSON cannot carry (a
+// NaN or ±Inf float) is answered with an error response; the statement has
+// run, and the session state it reports stands.
 //
 // The same Response shape is served over HTTP by POST /query, which runs its
 // payload as one auto-committed transaction — curl-able without any client.

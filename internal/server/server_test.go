@@ -610,3 +610,85 @@ func TestHTTPLang(t *testing.T) {
 		t.Fatalf("unknown lang: status %d, %+v", code, r)
 	}
 }
+
+// nonFiniteDB holds w(i int, f float) with a NaN, a +Inf and a finite row.
+func nonFiniteDB(t *testing.T) *mra.DB {
+	t.Helper()
+	db := mra.Open()
+	db.MustCreateRelation("w", mra.Col("i", mra.Int), mra.Col("f", mra.Float))
+	if err := db.InsertValues("w", []any{1, 1.5}, []any{3, math.NaN()}, []any{4, math.Inf(1)}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestUnencodableResultKeepsSession pins what a result JSON cannot carry does
+// to a line-protocol session: the statement gets an error response naming
+// the value, and the session goes on — the open transaction stays open and
+// the next statement runs, in and out of a transaction.
+func TestUnencodableResultKeepsSession(t *testing.T) {
+	_, addr := serveDB(t, nonFiniteDB(t), Config{})
+	cl, err := Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if r := mustDo(t, cl, "begin"); !r.OK || r.State != StateTxn {
+		t.Fatalf("begin: %+v", r)
+	}
+	for line, value := range map[string]string{
+		"select * from w where i = 3": "NaN",
+		"select * from w where i = 4": "+Inf",
+	} {
+		r := mustDo(t, cl, line)
+		if r.OK || !strings.Contains(r.Error, value) || r.State != StateTxn {
+			t.Errorf("%s: want an error naming %s in state txn, got %+v", line, value, r)
+		}
+	}
+	r := mustDo(t, cl, "select f from w where i = 1")
+	if !r.OK || r.State != StateTxn || len(r.Results) != 1 || r.Results[0].RowCount != 1 {
+		t.Fatalf("statement after the failed response: %+v", r)
+	}
+	if r := mustDo(t, cl, "commit"); !r.OK || r.State != StateIdle {
+		t.Fatalf("commit: %+v", r)
+	}
+	if r := mustDo(t, cl, "select * from w where i = 3"); r.OK || !strings.Contains(r.Error, "NaN") || r.State != StateIdle {
+		t.Errorf("auto-committed NaN result: %+v", r)
+	}
+	if r := mustDo(t, cl, "select count(*) from w"); !r.OK || r.State != StateIdle {
+		t.Errorf("statement after the failed auto-committed response: %+v", r)
+	}
+}
+
+// TestHTTPUnencodableResult pins the HTTP half: a result JSON cannot carry
+// is a 500 with an error body naming the value, never an empty 200, and the
+// server answers the next request.
+func TestHTTPUnencodableResult(t *testing.T) {
+	srv, _ := serveDB(t, nonFiniteDB(t), Config{})
+	hs := httptest.NewServer(srv.HTTPHandler())
+	defer hs.Close()
+	post := func(query string) (int, Response) {
+		t.Helper()
+		resp, err := hs.Client().Post(hs.URL+"/query", "text/plain", strings.NewReader(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r Response
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+			t.Fatalf("%s: status %d, body does not decode: %v", query, resp.StatusCode, err)
+		}
+		return resp.StatusCode, r
+	}
+	for query, value := range map[string]string{
+		"select * from w where i = 3": "NaN",
+		"select * from w where i = 4": "+Inf",
+	} {
+		if code, r := post(query); code != http.StatusInternalServerError || r.OK || !strings.Contains(r.Error, value) {
+			t.Errorf("%s: want 500 naming %s, got %d %+v", query, value, code, r)
+		}
+	}
+	if code, r := post("select f from w where i = 1"); code != http.StatusOK || !r.OK {
+		t.Errorf("request after the failed response: %d %+v", code, r)
+	}
+}

@@ -109,12 +109,27 @@ func (s *session) serve() {
 		s.setBusy(true)
 		resp, quit := s.dispatch(line)
 		s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
+		// The encoder writes nothing when marshalling fails, so a result
+		// JSON cannot carry is answered in its place; only a write error
+		// ends the session.
 		err := enc.Encode(resp)
+		if errors.As(err, new(*json.UnsupportedValueError)) {
+			err = enc.Encode(unencodable(resp, err))
+		}
 		s.setBusy(false)
 		if err != nil || quit {
 			return
 		}
 	}
+}
+
+// unencodable is the error response that stands in for resp when its result
+// rows hold a value JSON cannot carry (a NaN or ±Inf float).  It keeps resp's
+// session state: the statement ran, so the session and its transaction carry
+// on.
+func unencodable(resp Response, err error) Response {
+	return Response{OK: false, State: resp.State, ElapsedUS: resp.ElapsedUS,
+		Error: "result cannot be encoded: " + err.Error()}
 }
 
 // dispatch executes one command line and builds its response; the second

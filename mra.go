@@ -13,8 +13,9 @@
 //     assignment, query; atomic commit/abort with logical time);
 //   - an XRA textual front-end (the PRISMA/DB-style algebra language) and a
 //     SQL front-end that translates a SQL subset onto the algebra;
-//   - a rewrite engine implementing the paper's expression equivalences for
-//     query optimisation.
+//   - a cost-based planner that applies the paper's expression equivalences
+//     as physical decisions: selections fold into joins and push below them,
+//     and join trees are reordered by estimated cost.
 //
 // # Quick start
 //
@@ -33,7 +34,6 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/exec"
 	"mra/internal/plan"
-	"mra/internal/rewrite"
 	"mra/internal/schema"
 	"mra/internal/stmt"
 	"mra/internal/storage"
@@ -64,30 +64,26 @@ type Column struct {
 func Col(name string, t Type) Column { return Column{Name: name, Type: t} }
 
 // DB is a multi-set relational database: an in-memory storage engine, a
-// transaction manager, the physical evaluator, and the rewrite engine.
+// transaction manager, and the physical evaluator.  Every query and statement
+// is planned as written by the one cost-based planner; nothing rewrites it
+// first.
 type DB struct {
-	store    *storage.Database
-	manager  *txn.Manager
-	rewriter *rewrite.Rewriter
+	store   *storage.Database
+	manager *txn.Manager
 	// workers is the parallelism degree of the physical engine; see
 	// SetWorkers.
 	workers int
 	// memLimit is the per-query memory budget in bytes; see SetMemoryLimit.
 	memLimit int64
-	// Optimize controls whether queries are rewritten before evaluation.  It
-	// defaults to true.
-	Optimize bool
 }
 
 // Open returns an empty database.
 func Open() *DB {
 	store := storage.NewDatabase()
 	return &DB{
-		store:    store,
-		manager:  txn.NewManager(store),
-		rewriter: rewrite.NewRewriter(),
-		workers:  1,
-		Optimize: true,
+		store:   store,
+		manager: txn.NewManager(store),
+		workers: 1,
 	}
 }
 
@@ -211,8 +207,8 @@ func convertValue(v any) (value.Value, error) {
 	}
 }
 
-// QueryExpr validates, optionally optimises, and evaluates an algebra
-// expression, returning its result.
+// QueryExpr validates, plans and evaluates an algebra expression, returning
+// its result.
 func (db *DB) QueryExpr(e algebra.Expr) (*Result, error) {
 	return db.QueryExprContext(context.Background(), e)
 }
@@ -252,16 +248,11 @@ func (db *DB) QuerySQLContext(ctx context.Context, sql string) (*Result, error) 
 }
 
 // Explain describes how the database would execute an XRA expression: the
-// parsed logical expression, the rewritten (optimised) one with the applied
-// rule names, and the compiled physical plan with its operator choices and
-// cardinality estimates.
+// parsed logical expression, and the physical plan the planner compiles from
+// it as written, with its operator choices and cardinality estimates.
 type Explain struct {
 	// Logical is the parsed expression in algebra syntax.
 	Logical string
-	// Optimised is the expression after rewriting.
-	Optimised string
-	// Rules names the applied rewrite rules, in order.
-	Rules []string
 	// Physical is the multi-line rendering of the physical operator tree the
 	// planner executed: every operator carries its estimated output
 	// cardinality (est=, exact; est~, approximate), its distinct-tuple
@@ -275,9 +266,9 @@ type Explain struct {
 	Workers int
 }
 
-// Explain compiles an XRA expression through the rewriter and the physical
-// planner, then executes the plan once to annotate every operator with the
-// tuple count it actually emitted.  The query's result is discarded; the
+// Explain compiles an XRA expression through the physical planner, then
+// executes the plan once to annotate every operator with the tuple count it
+// actually emitted.  The query's result is discarded; the
 // database is left unchanged.
 func (db *DB) Explain(expr string) (*Explain, error) {
 	c, err := compile(xraLang, queryForm, expr, db.store)
@@ -286,17 +277,8 @@ func (db *DB) Explain(expr string) (*Explain, error) {
 	}
 	tx := db.manager.Begin()
 	defer tx.Abort()
-	opt, trace := db.rewrite(c.expr, tx.Catalog())
-	names := make([]string, len(trace))
-	for i, a := range trace {
-		names[i] = a.Rule
-	}
-	planned := opt
-	if !db.Optimize {
-		planned = c.expr
-	}
 	var st plan.Stats
-	ev, err := tx.EvaluatePlan(planned, nil, &st)
+	ev, err := tx.EvaluatePlan(c.expr, nil, &st)
 	if ev.Plan == nil {
 		return nil, err
 	}
@@ -306,11 +288,9 @@ func (db *DB) Explain(expr string) (*Explain, error) {
 		rendered = ev.Plan.Render(&st)
 	}
 	return &Explain{
-		Logical:   c.expr.String(),
-		Optimised: opt.String(),
-		Rules:     names,
-		Physical:  rendered,
-		Workers:   db.workers,
+		Logical:  c.expr.String(),
+		Physical: rendered,
+		Workers:  db.workers,
 	}, nil
 }
 

@@ -1,9 +1,12 @@
 package mra
 
 // The statement pipeline.  Every facade entry that turns text or algebra
-// into results runs the same named stages — compile, rewrite (query entries
-// only), evaluate (txn.Tx.EvaluatePlan), run, wrap — each called from one
-// place (TestOneCallSitePerStage holds this; ARCHITECTURE.md draws the path).
+// into results runs the same named stages — compile, evaluate
+// (txn.Tx.EvaluatePlan), run, wrap — each called from one place
+// (TestOneCallSitePerStage holds this; ARCHITECTURE.md draws the path).
+// Nothing rewrites an expression between compile and evaluate: the planner
+// is the one optimiser, so a query and the same expression inside a
+// statement plan identically.
 // ORDER BY keys ride on the query into the evaluate stage, whose physical
 // Sort operator charges the query's memory budget, and wrap keeps the order.
 
@@ -12,7 +15,6 @@ import (
 
 	"mra/internal/algebra"
 	"mra/internal/plan"
-	"mra/internal/rewrite"
 	"mra/internal/sqlfront"
 	"mra/internal/stmt"
 	"mra/internal/txn"
@@ -85,15 +87,6 @@ func compile(lang language, f form, src string, cat algebra.Catalog) (compiled, 
 	return c, err
 }
 
-// rewrite is the rewrite stage.  Only query entries call it: statements
-// inside programs evaluate as written, because on the served aggregate
-// statement (count and sum under a range filter) the
-// push-projection-into-groupby rule raised allocations per execution from 137
-// to 205 and execution time by 10–19 %.
-func (db *DB) rewrite(e algebra.Expr, cat algebra.Catalog) (algebra.Expr, []rewrite.Applied) {
-	return db.rewriter.Rewrite(e, cat)
-}
-
 // queryText compiles a query and runs it through query.
 func (db *DB) queryText(ctx context.Context, lang language, src string) (*Result, error) {
 	c, err := compile(lang, queryForm, src, db.store)
@@ -103,21 +96,16 @@ func (db *DB) queryText(ctx context.Context, lang language, src string) (*Result
 	return db.query(ctx, c)
 }
 
-// query runs a compiled query inside a read-only transaction: rewrite when
-// Optimize is set, evaluate — under a Sort when the query has ORDER BY keys
-// — and wrap the one result.
+// query runs a compiled query inside a read-only transaction: evaluate —
+// under a Sort when the query has ORDER BY keys — and wrap the one result.
 func (db *DB) query(ctx context.Context, c compiled) (*Result, error) {
 	tx := db.manager.Begin().WithContext(ctx)
 	defer tx.Abort()
-	e := c.expr
-	if db.Optimize {
-		e, _ = db.rewrite(e, tx.Catalog())
-	}
 	var keys []plan.SortKey
 	if len(c.mods) > 0 {
 		keys = c.mods[0].Order
 	}
-	if err := tx.Query(e, keys); err != nil {
+	if err := tx.Query(c.expr, keys); err != nil {
 		return nil, err
 	}
 	return wrap(tx, 0, c.mods)[0], nil

@@ -18,10 +18,23 @@ import (
 // form — from exactly one function.  Calls inside a stage's own package
 // (ExecuteOrdered delegating to ExecuteOrderedContext) implement the stage
 // and do not count.  Calls are resolved with go/types, so a plan's Execute is
-// told apart from a statement's.
+// told apart from a statement's.  The planner is the one optimiser: no
+// non-test file outside benchmark/ imports the rewriter, which stays only as
+// the law table the tests check.
 func TestOneCallSitePerStage(t *testing.T) {
-	sites := stageCallSites(t)
-	for _, stage := range []string{"compile", "validate", "rewrite", "plan", "execute"} {
+	m := loadModule(t)
+	for _, files := range m.files {
+		for _, f := range files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"mra/internal/rewrite"` {
+					pos, _ := filepath.Rel(m.root, m.fset.Position(imp.Pos()).String())
+					t.Errorf("%s imports mra/internal/rewrite: the planner is the one optimiser", pos)
+				}
+			}
+		}
+	}
+	sites := stageCallSites(m)
+	for _, stage := range []string{"compile", "validate", "plan", "execute"} {
 		got := sites[stage]
 		funcs := map[string]bool{}
 		var lines []string
@@ -65,10 +78,6 @@ func stageOf(fn *types.Func) string {
 	case "mra/internal/algebra.":
 		if name == "Validate" {
 			return "validate"
-		}
-	case "mra/internal/rewrite.Rewriter":
-		if name == "Rewrite" {
-			return "rewrite"
 		}
 	case "mra/internal/plan.Planner":
 		if name == "Plan" || name == "PlanOrdered" {
@@ -128,10 +137,9 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// stageCallSites type-checks every non-test package of the module outside
-// benchmark/ and returns the references to each stage from other packages,
-// by stage.
-func stageCallSites(t *testing.T) map[string][]stageSite {
+// loadModule type-checks every non-test package of the module outside
+// benchmark/.
+func loadModule(t *testing.T) *moduleImporter {
 	t.Helper()
 	root, err := filepath.Abs(".")
 	if err != nil {
@@ -162,6 +170,12 @@ func stageCallSites(t *testing.T) map[string][]stageSite {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// stageCallSites returns the references to each stage from other packages
+// of the loaded module, by stage.
+func stageCallSites(m *moduleImporter) map[string][]stageSite {
 	sites := map[string][]stageSite{}
 	for path, files := range m.files {
 		for _, f := range files {
@@ -184,7 +198,7 @@ func stageCallSites(t *testing.T) map[string][]stageSite {
 						return true
 					}
 					if stage := stageOf(fn); stage != "" {
-						pos, _ := filepath.Rel(root, m.fset.Position(sel.Pos()).String())
+						pos, _ := filepath.Rel(m.root, m.fset.Position(sel.Pos()).String())
 						sites[stage] = append(sites[stage], stageSite{fn: name, pos: pos})
 					}
 					return true
