@@ -338,8 +338,12 @@ func (g *groupTable) add(t tuple.Tuple, count uint64) error {
 // tuple is materialised except the representative of a newly created group.
 // Row-view batches take the tuple-wise path instead: gathering their columns
 // would cost one extra pass per column with nothing downstream saved, since
-// the per-row hash and state updates read the same values either way.
+// the per-row hash and state updates read the same values either way.  A
+// keyless Γ has nothing to hash and folds through foldBatch.
 func (g *groupTable) addBatch(b *Batch, cc *colCache) error {
+	if len(g.spec.groupCols) == 0 {
+		return g.foldBatch(b)
+	}
 	if b.Cols == nil {
 		n := b.Len()
 		for i := 0; i < n; i++ {
@@ -371,6 +375,34 @@ func (g *groupTable) addBatch(b *Batch, cc *colCache) error {
 		count := b.Counts[r]
 		for j := range states {
 			if err := states[j].Add(g.aggVecs[j][r], count); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// foldBatch is addBatch for a keyless Γ, whose table holds at most one
+// group.  The first live row founds it through findOrCreate, charged to the
+// gauge exactly like any new group; from then on every live row folds
+// straight into the one state vector, reading its aggregated values in place
+// — no hash, no index probe, no column gather.
+func (g *groupTable) foldBatch(b *Batch) error {
+	n := b.Len()
+	if n == 0 {
+		return nil
+	}
+	if len(g.groups) == 0 {
+		if _, err := g.findOrCreate(b.TupleAt(b.Row(0))); err != nil {
+			return err
+		}
+	}
+	states := g.states
+	for i := 0; i < n; i++ {
+		r := b.Row(i)
+		count := b.Counts[r]
+		for j := range states {
+			if err := states[j].Add(b.at(r, g.spec.aggs[j].Col), count); err != nil {
 				return err
 			}
 		}

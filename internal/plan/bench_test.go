@@ -163,3 +163,29 @@ func BenchmarkStarProbe(b *testing.B) {
 			algebra.NewRel("dim")))
 	benchPlan(b, e, src, 12)
 }
+
+// BenchmarkFilterFloatConst is σ[balance > 990](account) over 60 000 rows,
+// keeping 1 % of them: an integer literal against a float column, the
+// comparison of the served analytics statement, with the sink kept small so
+// the filter kernel dominates.
+func BenchmarkFilterFloatConst(b *testing.B) {
+	src := mapSource{"account": benchAccounts(60000)}
+	e := algebra.NewSelect(
+		scalar.NewCompare(value.CmpGt, scalar.NewAttr(2), scalar.NewConst(value.NewInt(990))),
+		algebra.NewRel("account"))
+	benchPlan(b, e, src, 540)
+}
+
+// BenchmarkKeylessAggregate is Γ[() CNT(%1), SUM(%3)](σ[balance > 500](account))
+// over 4096 rows: the served analytics statement `select count(*),
+// sum(balance) from account where balance > 500`, a keyless aggregate over a
+// filtered scan.
+func BenchmarkKeylessAggregate(b *testing.B) {
+	src := mapSource{"account": benchAccounts(4096)}
+	e := algebra.NewGroupByMulti(nil,
+		[]algebra.AggSpec{{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggSum, Col: 2}},
+		algebra.NewSelect(
+			scalar.NewCompare(value.CmpGt, scalar.NewAttr(2), scalar.NewConst(value.NewInt(500))),
+			algebra.NewRel("account")))
+	benchPlan(b, e, src, 1)
+}

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"mra/internal/scalar"
 	"mra/internal/value"
 )
@@ -15,11 +17,64 @@ import (
 
 // vecCmp is one compiled atomic comparison of a filter predicate:
 // column `op` column, or column `op` constant when rcol is negative.
+//
+// newVecCmp specialises it once, when the predicate is compiled.  keep is op
+// as the set of three-way outcomes it accepts (bit c+1 for c ∈ {-1, 0, 1}),
+// so the row loop compares two numbers and tests a bit, with no operator
+// switch.  A constant that is a number other than NaN is also held as its
+// float image cf and, when it is an integer (intConst), its payload ci.  A
+// row the typed loop cannot decide — a null, a string, a boolean, a NaN
+// constant — goes to CompareOp.Apply, the generic comparison, so every
+// result and every error is Apply's, row for row.
 type vecCmp struct {
 	op   value.CompareOp
 	lcol int
 	rcol int
 	rval value.Value
+	keep uint8
+	// numConst marks a numeric, non-NaN constant; ci and cf are its payload
+	// and float image.  flipped marks a constant written on the left, which
+	// the generic comparison takes back there so its errors name the
+	// operands in written order, as Predicate.Holds does.
+	numConst, intConst, flipped bool
+	ci                          int64
+	cf                          float64
+}
+
+// newVecCmp compiles `%lcol op %rcol`, or `%lcol op rval` when rcol is
+// negative.
+func newVecCmp(op value.CompareOp, lcol, rcol int, rval value.Value) vecCmp {
+	k := vecCmp{op: op, lcol: lcol, rcol: rcol, rval: rval, keep: keepMask(op)}
+	if rcol < 0 {
+		switch rval.Kind() {
+		case value.KindInt:
+			k.numConst, k.intConst, k.ci, k.cf = true, true, rval.Int(), float64(rval.Int())
+		case value.KindFloat:
+			k.numConst, k.cf = rval.Float() == rval.Float(), rval.Float()
+		}
+	}
+	return k
+}
+
+// keepMask returns the three-way outcomes op accepts, bit c+1 for outcome c,
+// and none for an operator it does not know, which compileVecPred leaves to
+// Holds and its error.
+func keepMask(op value.CompareOp) uint8 {
+	switch op {
+	case value.CmpEq:
+		return 0b010
+	case value.CmpNe:
+		return 0b101
+	case value.CmpLt:
+		return 0b001
+	case value.CmpLe:
+		return 0b011
+	case value.CmpGt:
+		return 0b100
+	case value.CmpGe:
+		return 0b110
+	}
+	return 0
 }
 
 // compileVecPred compiles a predicate into a conjunction of vecCmp kernels.
@@ -32,27 +87,28 @@ func compileVecPred(p scalar.Predicate) ([]vecCmp, bool) {
 	kernels := make([]vecCmp, 0, len(conjuncts))
 	for _, c := range conjuncts {
 		cmp, ok := c.(scalar.Compare)
-		if !ok {
+		if !ok || keepMask(cmp.Op) == 0 {
 			return nil, false
 		}
-		k := vecCmp{op: cmp.Op, rcol: -1}
 		l, lok := cmp.Left.(scalar.Attr)
 		r, rok := cmp.Right.(scalar.Attr)
+		var k vecCmp
 		switch {
 		case lok && rok:
-			k.lcol, k.rcol = l.Index, r.Index
+			k = newVecCmp(cmp.Op, l.Index, r.Index, value.Null)
 		case lok:
 			cv, ok := cmp.Right.(scalar.Const)
 			if !ok {
 				return nil, false
 			}
-			k.lcol, k.rval = l.Index, cv.Value
+			k = newVecCmp(cmp.Op, l.Index, -1, cv.Value)
 		case rok:
 			cv, ok := cmp.Left.(scalar.Const)
 			if !ok {
 				return nil, false
 			}
-			k.lcol, k.rval, k.op = r.Index, cv.Value, cmp.Op.Flip()
+			k = newVecCmp(cmp.Op.Flip(), r.Index, -1, cv.Value)
+			k.flipped = true
 		default:
 			return nil, false
 		}
@@ -70,10 +126,12 @@ type selector struct {
 	pred     scalar.Predicate
 	kernels  []vecCmp
 	compiled bool
-	cc       colCache
 	// selA and selB alternate as kernel input and output; both start
 	// non-nil, so a refined selection is never mistaken for "all rows".
 	selA, selB []int32
+	// all is the identity selection, grown to the largest batch seen: the
+	// rows the first kernel tests when every row of a batch is live.
+	all []int32
 }
 
 // newSelector compiles pred for refine.
@@ -88,8 +146,6 @@ func newSelector(pred scalar.Predicate) *selector {
 // row is live); any other returns a non-nil vector, owned by the selector
 // and valid until the next call.  Only live rows are evaluated.
 func (s *selector) refine(b *Batch) ([]int32, error) {
-	s.cc.batch(b)
-	rows := b.rows()
 	cur := b.Sel
 	if !s.compiled {
 		out := s.selA[:0]
@@ -107,8 +163,14 @@ func (s *selector) refine(b *Batch) ([]int32, error) {
 		s.selA, s.selB = s.selB, out
 		return out, nil
 	}
+	if cur == nil && len(s.kernels) > 0 {
+		for len(s.all) < b.rows() {
+			s.all = append(s.all, int32(len(s.all)))
+		}
+		cur = s.all[:b.rows()]
+	}
 	for i := range s.kernels {
-		out, err := s.kernels[i].apply(&s.cc, cur, rows, s.selA[:0])
+		out, err := s.kernels[i].apply(b, cur, s.selA[:0])
 		if err != nil {
 			return nil, err
 		}
@@ -121,70 +183,88 @@ func (s *selector) refine(b *Batch) ([]int32, error) {
 	return cur, nil
 }
 
-// apply runs the kernel over the rows listed in `in` (nil meaning all `rows`
-// physical rows), appending the surviving row indices to out.  cc must be
-// bound to the kernel's batch.
-func (k *vecCmp) apply(cc *colCache, in []int32, rows int, out []int32) ([]int32, error) {
-	lv := cc.col(k.lcol)
-	var rv value.Vec
+// apply runs the kernel over the rows of b listed in `in`, appending the
+// surviving row indices to out.  It reads each tested value in place
+// (Batch.at), never gathering a column, so it touches only the rows it
+// tests.  The loops append without a branch: every tested row is written,
+// and the count advances by its keep bit.
+func (k *vecCmp) apply(b *Batch, in []int32, out []int32) ([]int32, error) {
+	n := len(out)
+	out = slices.Grow(out, len(in))[:n+len(in)]
 	if k.rcol >= 0 {
-		rv = cc.col(k.rcol)
-	}
-	if in == nil {
-		for r := 0; r < rows; r++ {
-			rhs := k.rval
-			if rv != nil {
-				rhs = rv[r]
+		for _, r := range in {
+			var keep int
+			l, rv := b.at(int(r), k.lcol), b.at(int(r), k.rcol)
+			switch lk, rk := l.Kind(), rv.Kind(); {
+			case lk == value.KindInt && rk == value.KindInt:
+				keep = k.keeps(cmpInt(l.Int(), rv.Int()))
+			case lk.Numeric() && rk.Numeric():
+				keep = k.keeps(l.Compare(rv))
+			default:
+				ok, err := k.op.Apply(l, rv)
+				if err != nil {
+					return out[:n], err
+				}
+				keep = b2i(ok)
 			}
-			ok, err := cmpVals(k.op, lv[r], rhs)
-			if err != nil {
-				return out, err
-			}
-			if ok {
-				out = append(out, int32(r))
-			}
+			out[n] = r
+			n += keep
 		}
-		return out, nil
+		return out[:n], nil
 	}
 	for _, r := range in {
-		rhs := k.rval
-		if rv != nil {
-			rhs = rv[r]
+		var keep int
+		l := b.at(int(r), k.lcol)
+		switch lk := l.Kind(); {
+		case k.numConst && lk == value.KindFloat:
+			keep = k.keeps(cmpFloatConst(l.Float(), k.cf))
+		case k.intConst && lk == value.KindInt:
+			keep = k.keeps(cmpInt(l.Int(), k.ci))
+		case k.numConst && lk == value.KindInt:
+			keep = k.keeps(cmpFloatConst(float64(l.Int()), k.cf))
+		default:
+			ok, err := k.generic(l)
+			if err != nil {
+				return out[:n], err
+			}
+			keep = b2i(ok)
 		}
-		ok, err := cmpVals(k.op, lv[r], rhs)
-		if err != nil {
-			return out, err
-		}
-		if ok {
-			out = append(out, r)
-		}
+		out[n] = r
+		n += keep
 	}
-	return out, nil
+	return out[:n], nil
 }
 
-// cmpVals compares two values under op with an inlined integer fast path —
-// the overwhelmingly common case in filter and join keys — deferring to the
-// generic CompareOp.Apply (null semantics, mixed numeric kinds, type errors)
-// otherwise.
-func cmpVals(op value.CompareOp, a, b value.Value) (bool, error) {
-	if a.Kind() == value.KindInt && b.Kind() == value.KindInt {
-		ai, bi := a.Int(), b.Int()
-		switch op {
-		case value.CmpEq:
-			return ai == bi, nil
-		case value.CmpNe:
-			return ai != bi, nil
-		case value.CmpLt:
-			return ai < bi, nil
-		case value.CmpLe:
-			return ai <= bi, nil
-		case value.CmpGt:
-			return ai > bi, nil
-		case value.CmpGe:
-			return ai >= bi, nil
-		}
+// generic compares value l with the constant through CompareOp.Apply, in
+// the order the comparison was written.
+func (k *vecCmp) generic(l value.Value) (bool, error) {
+	if k.flipped {
+		return k.op.Flip().Apply(k.rval, l)
 	}
-	return op.Apply(a, b)
+	return k.op.Apply(l, k.rval)
+}
+
+// keeps is 1 when the kernel's operator accepts three-way outcome c, else 0.
+func (k *vecCmp) keeps(c int) int { return int(k.keep >> (c + 1) & 1) }
+
+// cmpInt is the three-way comparison of two integers.
+func cmpInt(a, b int64) int {
+	return b2i(a > b) - b2i(a < b)
+}
+
+// cmpFloatConst is Value.Compare's three-way comparison of a number with a
+// constant that is not NaN: a NaN sorts above every number, so it compares
+// greater.
+func cmpFloatConst(a, c float64) int {
+	return b2i(!(a <= c)) - b2i(a < c)
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // evalAt evaluates a scalar expression at physical row r of the bound batch,

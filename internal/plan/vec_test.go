@@ -140,17 +140,14 @@ func TestCompileVecPred(t *testing.T) {
 	}
 }
 
-// TestVecCmpApply pins the kernel loop over selections: a nil input selection
-// scans all physical rows, a refined input only its listed rows, and a kernel
-// that kills every row yields an empty (non-nil semantics handled by the
-// caller) selection.
+// TestVecCmpApply pins the kernel loop over selections: it tests only the
+// rows its input selection lists, and a kernel that kills every row yields
+// an empty (non-nil semantics handled by the caller) selection.
 func TestVecCmpApply(t *testing.T) {
 	b := colBatch([][]int64{{1, 5}, {2, 5}, {3, 5}, {4, 5}}, []uint64{1, 1, 1, 1})
-	var cc colCache
-	cc.batch(b)
 
-	ge2 := vecCmp{op: value.CmpGe, lcol: 0, rcol: -1, rval: value.NewInt(2)}
-	sel, err := ge2.apply(&cc, nil, b.rows(), nil)
+	ge2 := newVecCmp(value.CmpGe, 0, -1, value.NewInt(2))
+	sel, err := ge2.apply(b, []int32{0, 1, 2, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +155,8 @@ func TestVecCmpApply(t *testing.T) {
 		t.Fatalf("ge2 over all rows: sel=%v, want [1 2 3]", sel)
 	}
 
-	lt4 := vecCmp{op: value.CmpLt, lcol: 0, rcol: -1, rval: value.NewInt(4)}
-	sel, err = lt4.apply(&cc, sel, b.rows(), nil)
+	lt4 := newVecCmp(value.CmpLt, 0, -1, value.NewInt(4))
+	sel, err = lt4.apply(b, sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +164,8 @@ func TestVecCmpApply(t *testing.T) {
 		t.Fatalf("lt4 over refined selection: sel=%v, want [1 2]", sel)
 	}
 
-	none := vecCmp{op: value.CmpGt, lcol: 1, rcol: -1, rval: value.NewInt(5)}
-	sel, err = none.apply(&cc, sel, b.rows(), nil)
+	none := newVecCmp(value.CmpGt, 1, -1, value.NewInt(5))
+	sel, err = none.apply(b, sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +173,9 @@ func TestVecCmpApply(t *testing.T) {
 		t.Fatalf("killing kernel left sel=%v, want empty", sel)
 	}
 
-	eq := vecCmp{op: value.CmpEq, lcol: 0, rcol: 1}
+	eq := newVecCmp(value.CmpEq, 0, 1, value.Null)
 	b2 := colBatch([][]int64{{5, 5}, {2, 5}, {5, 5}}, []uint64{1, 1, 1})
-	cc.batch(b2)
-	sel, err = eq.apply(&cc, nil, b2.rows(), nil)
+	sel, err = eq.apply(b2, []int32{0, 1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

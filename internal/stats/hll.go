@@ -27,8 +27,9 @@ const hllRegisters = 1 << hllPrecision
 // Estimate is memoised: the planner reads the NDV of every column of every
 // scanned relation on every plan, while a sketch changes only while its
 // Table is being built, and a committed delta that raises no register keeps
-// the memo of the sketch it was cloned from.  Concurrent readers of a
-// finished sketch may all fill the memo; they store the same value.
+// the sketch itself, memo included (Table.ApplyDelta shares it).
+// Concurrent readers of a finished sketch may all fill the memo; they store
+// the same value.
 type Sketch struct {
 	reg []uint8
 	// est holds math.Float64bits of the last estimate plus one; zero means
@@ -56,14 +57,25 @@ func (s *Sketch) Clone() *Sketch {
 // tuple hashes, which fold their value hashes with one xor-multiply step per
 // attribute: a product's low bits depend only on its operands' low bits.
 // Every hash is therefore scrambled once more on the way in.
-func (s *Sketch) Add(h uint64) {
+func (s *Sketch) Add(h uint64) { s.add(h, true) }
+
+// add observes h and returns the sketch that holds the result: s itself, or,
+// when s is not owned by the caller and h raises one of its registers, a
+// clone of s with the register raised.  A shared sketch that h does not
+// raise is returned as it is, so an unchanged sketch is never copied.
+func (s *Sketch) add(h uint64, owned bool) *Sketch {
 	h = value.Fmix64(h)
 	idx := h >> (64 - hllPrecision)
 	rank := uint8(bits.LeadingZeros64(h<<hllPrecision|1<<(hllPrecision-1))) + 1
-	if rank > s.reg[idx] {
-		s.reg[idx] = rank
-		s.est.Store(0)
+	if rank <= s.reg[idx] {
+		return s
 	}
+	if !owned {
+		s = s.Clone()
+	}
+	s.reg[idx] = rank
+	s.est.Store(0)
+	return s
 }
 
 // Merge folds another sketch into s (register-wise max), so the estimate of s

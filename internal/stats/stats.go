@@ -29,10 +29,11 @@ type Column struct {
 	hist     *Histogram
 }
 
-// clone returns an independent copy of the column summary.
+// clone returns an independent copy of the column summary.  The sketch is
+// shared copy-on-write: observe copies it on the first register it raises.
 func (c *Column) clone() Column {
 	return Column{
-		sketch:   c.sketch.Clone(),
+		sketch:   c.sketch,
 		nulls:    c.nulls,
 		hasRange: c.hasRange,
 		min:      c.min,
@@ -41,13 +42,15 @@ func (c *Column) clone() Column {
 	}
 }
 
-// observe records n occurrences of v in the column summary.
-func (c *Column) observe(v value.Value, n float64) {
+// observe records n occurrences of v in the column summary.  shared is the
+// sketch of the summary c was cloned from: while c still holds it, the first
+// register v raises copies it.
+func (c *Column) observe(v value.Value, n float64, shared *Sketch) {
 	if v.IsNull() {
 		c.nulls += n
 		return
 	}
-	c.sketch.Add(v.Hash())
+	c.sketch = c.sketch.add(v.Hash(), c.sketch != shared)
 	if !c.hasRange {
 		c.hasRange = true
 		c.min, c.max = v, v
@@ -144,11 +147,13 @@ func Analyze(r *multiset.Relation, version uint64) *Table {
 // decrement row, null, and histogram-bucket counts but leave sketches and
 // min/max untouched, so between ANALYZE runs distinct counts and ranges are
 // upper bounds whose error the stats property suite bounds.  Either relation
-// may be nil.
+// may be nil.  The new table shares every sketch the delta raises no
+// register of — an update's unchanged columns, typically — with t, so a
+// commit copies only the sketches it changes.
 func (t *Table) ApplyDelta(add, remove *multiset.Relation) *Table {
 	nt := &Table{
 		rows:    t.rows,
-		tuples:  t.tuples.Clone(),
+		tuples:  t.tuples,
 		cols:    make([]Column, len(t.cols)),
 		version: t.version,
 	}
@@ -158,10 +163,10 @@ func (t *Table) ApplyDelta(add, remove *multiset.Relation) *Table {
 	if add != nil {
 		add.EachHash(func(tp tuple.Tuple, hash uint64, count uint64) bool {
 			nt.rows += float64(count)
-			nt.tuples.Add(hash)
+			nt.tuples = nt.tuples.add(hash, nt.tuples != t.tuples)
 			for i := range nt.cols {
 				if i < tp.Arity() {
-					nt.cols[i].observe(tp.At(i), float64(count))
+					nt.cols[i].observe(tp.At(i), float64(count), t.cols[i].sketch)
 				}
 			}
 			return true

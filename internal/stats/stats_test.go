@@ -249,3 +249,41 @@ func TestSketchEstimateMemo(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyDeltaSharesUnraisedSketches pins the sketches' copy-on-write: an
+// update delta whose key column repeats an observed value shares that
+// column's sketch with the old table instead of copying 4 KiB, a delta that
+// raises a register gets a sketch of its own, and the old table — which a
+// snapshot may still hold — keeps its registers either way.
+func TestApplyDeltaSharesUnraisedSketches(t *testing.T) {
+	rel := multiset.New(testSchema())
+	for i := int64(0); i < 500; i++ {
+		rel.Add(tuple.Ints(i, i*7), 1)
+	}
+	st := Analyze(rel, 1)
+	before := []*Sketch{st.tuples.Clone(), st.cols[0].sketch.Clone(), st.cols[1].sketch.Clone()}
+	next := st
+	for i := int64(0); i < 200; i++ {
+		add, remove := multiset.New(testSchema()), multiset.New(testSchema())
+		remove.Add(tuple.Ints(i, i*7), 1)
+		add.Add(tuple.Ints(i, 10000+i), 1)
+		prev := next
+		next = next.ApplyDelta(add, remove)
+		if next.cols[0].sketch != prev.cols[0].sketch {
+			t.Fatalf("update %d: the key column's sketch was copied though no register rose", i)
+		}
+	}
+	if next.cols[1].sketch == st.cols[1].sketch || next.tuples == st.tuples {
+		t.Fatal("200 new values raised no register of the value and tuple sketches")
+	}
+	for i, sk := range []*Sketch{st.tuples, st.cols[0].sketch, st.cols[1].sketch} {
+		for r := range sk.reg {
+			if sk.reg[r] != before[i].reg[r] {
+				t.Fatalf("sketch %d of the old table changed at register %d", i, r)
+			}
+		}
+	}
+	if e := next.cols[1].sketch.Estimate(); e < 650 {
+		t.Fatalf("value column sketch estimates %.1f after 200 new values over 500, want about 700", e)
+	}
+}
