@@ -16,10 +16,10 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/oracle"
 	"mra/internal/plan"
 	"mra/internal/rewrite"
 	"mra/internal/scalar"
-	"mra/internal/setalg"
 	"mra/internal/stmt"
 	"mra/internal/storage"
 	"mra/internal/txn"
@@ -71,6 +71,20 @@ func mustAgree(b *testing.B, src eval.Source, forms ...algebra.Expr) *multiset.R
 		}
 	}
 	return want
+}
+
+// mustMatchOracle evaluates e with the physical engine and with the oracle,
+// fails the benchmark unless both return the same bag, and returns it.
+func mustMatchOracle(b *testing.B, e algebra.Expr, src eval.Source) oracle.Bag {
+	b.Helper()
+	ref, err := oracle.Eval(e, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ref.Check(mustEval(b, e, src)); err != nil {
+		b.Fatalf("%s: %v", e, err)
+	}
+	return ref
 }
 
 // ---------------------------------------------------------------------------
@@ -259,8 +273,9 @@ func BenchmarkE5_AggregateProjectionPushIn(b *testing.B) {
 	bag := mustAgree(b, src, direct, pushed)
 	// Example 3.2's point: under set semantics the projection collapses beers
 	// of equal strength before averaging, so the pushed form changes meaning.
-	if set, err := (setalg.Engine{}).Eval(pushed, src); err != nil || set.Equal(bag) {
-		b.Fatalf("set-semantics push-in must differ from the bag result (err %v)", err)
+	setPushed := oracle.SetForm(pushed)
+	if set := mustMatchOracle(b, setPushed, src); set.Equal(oracle.Of(bag)) {
+		b.Fatal("set-semantics push-in must differ from the bag result")
 	}
 	b.Run("bag-direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -274,9 +289,7 @@ func BenchmarkE5_AggregateProjectionPushIn(b *testing.B) {
 	})
 	b.Run("set-semantics-pushed-projection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := (setalg.Engine{}).Eval(pushed, src); err != nil {
-				b.Fatal(err)
-			}
+			mustEval(b, setPushed, src)
 		}
 	})
 }
@@ -325,8 +338,9 @@ func BenchmarkE7_DuplicateRemovalCost(b *testing.B) {
 		src := eval.MapSource{"r": r}
 		proj := algebra.NewProject([]int{1}, algebra.NewRel("r"))
 		// The set-semantics baseline must compute δ of the bag projection.
-		if set, err := (setalg.Engine{}).Eval(proj, src); err != nil || !set.Equal(mustEval(b, algebra.NewUnique(proj), src)) {
-			b.Fatalf("set projection differs from δ of the bag projection (err %v)", err)
+		setProj := oracle.SetForm(proj)
+		if err := mustMatchOracle(b, setProj, src).Check(mustEval(b, algebra.NewUnique(proj), src)); err != nil {
+			b.Fatalf("set projection differs from δ of the bag projection: %v", err)
 		}
 		b.Run(fmt.Sprintf("bag-projection/dup=%d", dup), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -335,9 +349,7 @@ func BenchmarkE7_DuplicateRemovalCost(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("set-projection/dup=%d", dup), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (setalg.Engine{}).Eval(proj, src); err != nil {
-					b.Fatal(err)
-				}
+				mustEval(b, setProj, src)
 			}
 		})
 		b.Run(fmt.Sprintf("explicit-delta/dup=%d", dup), func(b *testing.B) {
@@ -400,7 +412,7 @@ func BenchmarkE8_TransactionThroughput(b *testing.B) {
 // E9 — optimizer ablation: the written form vs the law-applied form.  The
 // rewriter's law table applies the paper's equivalences (σ over × becomes a
 // join, single-relation conjuncts move below it); the planner plans both
-// forms, and both must return the Reference evaluator's bag.
+// forms, and both must return the oracle's bag.
 // ---------------------------------------------------------------------------
 
 func BenchmarkE9_OptimizerAblation(b *testing.B) {
@@ -411,16 +423,16 @@ func BenchmarkE9_OptimizerAblation(b *testing.B) {
 			scalar.NewCompare(value.CmpGe, scalar.NewAttr(3), scalar.NewConst(value.NewInt(50)))),
 		algebra.NewProduct(algebra.NewRel("fact"), algebra.NewRel("dim")))
 	applied, _ := rewrite.NewRewriter().Rewrite(written, eval.CatalogOf(src))
-	reference, err := (eval.Reference{}).Eval(written, src)
+	reference, err := oracle.Eval(written, src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !mustAgree(b, src, written, applied).Equal(reference) {
-		b.Fatal("the physical plans disagree with the reference evaluator")
+	if err := reference.Check(mustAgree(b, src, written, applied)); err != nil {
+		b.Fatalf("the physical plans disagree with the oracle: %v", err)
 	}
-	b.Run("reference-evaluator", func(b *testing.B) {
+	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := (eval.Reference{}).Eval(written, src); err != nil {
+			if _, err := oracle.Eval(written, src); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -446,6 +458,7 @@ func BenchmarkE10_TransitiveClosure(b *testing.B) {
 		g := workload.Graph(workload.GraphConfig{Nodes: nodes, OutDegree: 2, Seed: 16})
 		src := eval.MapSource{"edge": g}
 		tc := algebra.NewTClose(algebra.NewRel("edge"))
+		mustMatchOracle(b, tc, src)
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustEval(b, tc, src)

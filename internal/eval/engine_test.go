@@ -6,7 +6,7 @@ import (
 	"mra/internal/plan"
 )
 
-// Engine is the physical evaluator the tests hold against Reference: it
+// Engine is the physical evaluator the tests hold against the oracle: it
 // compiles an expression with plan.Planner over a bare Source and executes
 // the plan, so the property suites need no transaction.  Everything outside
 // the tests evaluates through txn.Tx.EvaluatePlan.

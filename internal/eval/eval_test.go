@@ -6,6 +6,8 @@ import (
 
 	"mra/internal/algebra"
 	"mra/internal/multiset"
+	"mra/internal/oracle"
+	"mra/internal/plan"
 	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/tuple"
@@ -46,21 +48,21 @@ func joinBeerBrewery() algebra.Expr {
 	return algebra.NewJoin(scalar.Eq(1, 3), algebra.NewRel("beer"), algebra.NewRel("brewery"))
 }
 
-// bothEvaluators runs the expression through Reference and Engine and checks
+// bothEvaluators runs the expression through the oracle and Engine and checks
 // they agree; it returns the Engine result.
 func bothEvaluators(t *testing.T, e algebra.Expr, src Source) *multiset.Relation {
 	t.Helper()
-	ref, err := (Reference{}).Eval(e, src)
+	ref, err := oracle.Eval(e, src)
 	if err != nil {
-		t.Fatalf("reference eval: %v", err)
+		t.Fatalf("oracle eval: %v", err)
 	}
 	eng := &Engine{}
 	phys, err := eng.Eval(e, src)
 	if err != nil {
 		t.Fatalf("physical eval: %v", err)
 	}
-	if !ref.Equal(phys) {
-		t.Fatalf("evaluators disagree on %s:\nreference: %s\nphysical:  %s", e, ref, phys)
+	if err := ref.Check(phys); err != nil {
+		t.Fatalf("evaluators disagree on %s: %v", e, err)
 	}
 	return phys
 }
@@ -106,7 +108,7 @@ func TestEvalRelAndLiteral(t *testing.T) {
 		t.Errorf("literal = %v", l)
 	}
 
-	if _, err := (Reference{}).Eval(algebra.NewRel("wine"), src); err == nil {
+	if _, err := oracle.Eval(algebra.NewRel("wine"), src); err == nil {
 		t.Error("unknown relation must fail")
 	}
 	if _, err := (&Engine{}).Eval(algebra.NewRel("wine"), src); err == nil {
@@ -224,8 +226,8 @@ func TestSetOperators(t *testing.T) {
 		schema.Attribute{Name: "x", Type: value.KindInt},
 		schema.Attribute{Name: "y", Type: value.KindInt}), tuple.Ints(1, 2))
 	src2 := MapSource{"a": a, "c": two}
-	if _, err := (Reference{}).Eval(algebra.NewUnion(algebra.NewRel("a"), algebra.NewRel("c")), src2); err == nil {
-		t.Error("incompatible union must fail (reference)")
+	if _, err := oracle.Eval(algebra.NewUnion(algebra.NewRel("a"), algebra.NewRel("c")), src2); err == nil {
+		t.Error("incompatible union must fail (oracle)")
 	}
 	if _, err := (&Engine{}).Eval(algebra.NewUnion(algebra.NewRel("a"), algebra.NewRel("c")), src2); err == nil {
 		t.Error("incompatible union must fail (engine)")
@@ -257,8 +259,8 @@ func TestExtendedProjection(t *testing.T) {
 	bad := algebra.NewExtProject([]scalar.Expr{
 		scalar.NewArith(value.OpMul, scalar.NewAttr(0), scalar.NewConst(value.NewFloat(2))),
 	}, nil, algebra.NewRel("beer"))
-	if _, err := (Reference{}).Eval(bad, src); err == nil {
-		t.Error("type error must propagate (reference)")
+	if _, err := oracle.Eval(bad, src); err == nil {
+		t.Error("type error must propagate (oracle)")
 	}
 	if _, err := (&Engine{}).Eval(bad, src); err == nil {
 		t.Error("type error must propagate (engine)")
@@ -312,10 +314,10 @@ func TestGroupByVariants(t *testing.T) {
 	if !zero.Contains(tuple.Ints(0)) {
 		t.Errorf("CNT over empty = %v", zero)
 	}
-	if _, err := (Reference{}).Eval(algebra.NewGroupBy(nil, algebra.AggAvg, 0, algebra.NewRel("e")), empty); !errors.Is(err, ErrEmptyAggregate) {
+	if _, err := oracle.Eval(algebra.NewGroupBy(nil, algebra.AggAvg, 0, algebra.NewRel("e")), empty); !errors.Is(err, plan.ErrEmptyAggregate) {
 		t.Errorf("AVG over empty must be undefined, got %v", err)
 	}
-	if _, err := (&Engine{}).Eval(algebra.NewGroupBy(nil, algebra.AggMin, 0, algebra.NewRel("e")), empty); !errors.Is(err, ErrEmptyAggregate) {
+	if _, err := (&Engine{}).Eval(algebra.NewGroupBy(nil, algebra.AggMin, 0, algebra.NewRel("e")), empty); !errors.Is(err, plan.ErrEmptyAggregate) {
 		t.Errorf("MIN over empty must be undefined, got %v", err)
 	}
 	// MIN over strings works (alphabetic order).
@@ -332,7 +334,7 @@ func TestGroupByVariants(t *testing.T) {
 		t.Errorf("integer SUM = %v", isum)
 	}
 	// Aggregation over a non-numeric attribute with SUM fails at eval time too.
-	if _, err := (Reference{}).Eval(algebra.NewGroupBy(nil, algebra.AggSum, 0, algebra.NewRel("beer")), src); err == nil {
+	if _, err := oracle.Eval(algebra.NewGroupBy(nil, algebra.AggSum, 0, algebra.NewRel("beer")), src); err == nil {
 		t.Error("SUM over strings must fail")
 	}
 }
@@ -373,10 +375,10 @@ func TestGroupByMultiAggregate(t *testing.T) {
 	multiEmpty := algebra.NewGroupByMulti(nil, []algebra.AggSpec{
 		{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggMin, Col: 0},
 	}, algebra.NewRel("e"))
-	if _, err := (Reference{}).Eval(multiEmpty, empty); !errors.Is(err, ErrEmptyAggregate) {
-		t.Errorf("reference: MIN member over empty input = %v, want ErrEmptyAggregate", err)
+	if _, err := oracle.Eval(multiEmpty, empty); !errors.Is(err, plan.ErrEmptyAggregate) {
+		t.Errorf("oracle: MIN member over empty input = %v, want ErrEmptyAggregate", err)
 	}
-	if _, err := (&Engine{}).Eval(multiEmpty, empty); !errors.Is(err, ErrEmptyAggregate) {
+	if _, err := (&Engine{}).Eval(multiEmpty, empty); !errors.Is(err, plan.ErrEmptyAggregate) {
 		t.Errorf("engine: MIN member over empty input = %v, want ErrEmptyAggregate", err)
 	}
 }
@@ -412,8 +414,8 @@ func TestJoinVariants(t *testing.T) {
 	if _, err := (&Engine{}).Eval(typeErr, src); err == nil {
 		t.Error("string vs float comparison must fail during the join")
 	}
-	if _, err := (Reference{}).Eval(typeErr, src); err == nil {
-		t.Error("string vs float comparison must fail during the join (reference)")
+	if _, err := oracle.Eval(typeErr, src); err == nil {
+		t.Error("string vs float comparison must fail during the join (oracle)")
 	}
 }
 
@@ -494,8 +496,8 @@ func TestErrorPropagationThroughOperators(t *testing.T) {
 		algebra.NewTClose(missing),
 	}
 	for _, e := range exprs {
-		if _, err := (Reference{}).Eval(e, src); err == nil {
-			t.Errorf("reference: expected error for %s", e)
+		if _, err := oracle.Eval(e, src); err == nil {
+			t.Errorf("oracle: expected error for %s", e)
 		}
 		if _, err := (&Engine{}).Eval(e, src); err == nil {
 			t.Errorf("engine: expected error for %s", e)
@@ -503,16 +505,16 @@ func TestErrorPropagationThroughOperators(t *testing.T) {
 	}
 	// Selection with an erroring predicate.
 	sel := algebra.NewSelect(scalar.NewCompare(value.CmpGt, scalar.NewAttr(0), scalar.NewAttr(2)), algebra.NewRel("beer"))
-	if _, err := (Reference{}).Eval(sel, src); err == nil {
-		t.Error("predicate type errors must propagate (reference)")
+	if _, err := oracle.Eval(sel, src); err == nil {
+		t.Error("predicate type errors must propagate (oracle)")
 	}
 	if _, err := (&Engine{}).Eval(sel, src); err == nil {
 		t.Error("predicate type errors must propagate (engine)")
 	}
 	// Projection out of range.
 	proj := algebra.NewProject([]int{9}, algebra.NewRel("beer"))
-	if _, err := (Reference{}).Eval(proj, src); err == nil {
-		t.Error("projection range errors must propagate (reference)")
+	if _, err := oracle.Eval(proj, src); err == nil {
+		t.Error("projection range errors must propagate (oracle)")
 	}
 	if _, err := (&Engine{}).Eval(proj, src); err == nil {
 		t.Error("projection range errors must propagate (engine)")
@@ -522,7 +524,7 @@ func TestErrorPropagationThroughOperators(t *testing.T) {
 		Rel:  schema.Anonymous(schema.Attribute{Name: "x", Type: value.KindInt}),
 		Rows: [][]value.Value{{value.NewString("oops")}},
 	}
-	if _, err := (Reference{}).Eval(badLit, src); err == nil {
+	if _, err := oracle.Eval(badLit, src); err == nil {
 		t.Error("bad literal must fail")
 	}
 	if _, err := (&Engine{}).Eval(badLit, src); err == nil {
@@ -561,8 +563,8 @@ func TestUnsupportedExpression(t *testing.T) {
 	// A nil expression is not a valid input; both evaluators must return an
 	// error rather than panic.  Use a typed nil via an anonymous implementation.
 	bogus = fakeExpr{}
-	if _, err := (Reference{}).Eval(bogus, beerSource()); err == nil {
-		t.Error("unsupported expression must fail (reference)")
+	if _, err := oracle.Eval(bogus, beerSource()); err == nil {
+		t.Error("unsupported expression must fail (oracle)")
 	}
 	if _, err := (&Engine{}).Eval(bogus, beerSource()); err == nil {
 		t.Error("unsupported expression must fail (engine)")

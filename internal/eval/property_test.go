@@ -9,6 +9,7 @@ import (
 
 	"mra/internal/algebra"
 	"mra/internal/multiset"
+	"mra/internal/oracle"
 	"mra/internal/plan"
 	"mra/internal/rewrite"
 	"mra/internal/scalar"
@@ -44,16 +45,25 @@ func randomSource(rng *rand.Rand) MapSource {
 	}
 }
 
-func requireEqual(t *testing.T, round int, label string, a, b *multiset.Relation) {
+// requireEqual fails the test unless two oracle bags are equal.
+func requireEqual(t *testing.T, round int, label string, a, b oracle.Bag) {
 	t.Helper()
-	if !a.Equal(b) {
-		t.Fatalf("round %d: %s:\nleft:  %s\nright: %s", round, label, a, b)
+	if d := a.Diff(b); d != "" {
+		t.Fatalf("round %d: %s: left is want, right is got:\n%s", round, label, d)
 	}
 }
 
-func evalOrFatal(t *testing.T, e algebra.Expr, src Source) *multiset.Relation {
+// requireMatch fails the test unless the engine's result is the oracle's bag.
+func requireMatch(t *testing.T, round int, label string, ref oracle.Bag, phys *multiset.Relation) {
 	t.Helper()
-	r, err := (Reference{}).Eval(e, src)
+	if err := ref.Check(phys); err != nil {
+		t.Fatalf("round %d: %s: %v", round, label, err)
+	}
+}
+
+func evalOrFatal(t *testing.T, e algebra.Expr, src Source) oracle.Bag {
+	t.Helper()
+	r, err := oracle.Eval(e, src)
 	if err != nil {
 		t.Fatalf("eval %s: %v", e, err)
 	}
@@ -81,7 +91,7 @@ func randomRelationN(rng *rand.Rand, name string, arity, maxTuples, maxMult int)
 }
 
 // TestPropertyJoinShapes cross-checks the physical hash join against the
-// reference evaluator on multi-column equi-joins with residual predicates,
+// oracle on multi-column equi-joins with residual predicates,
 // joins with an empty side (which the engine short-circuits), and asymmetric
 // cardinalities in both orders (which flip the build side).
 func TestPropertyJoinShapes(t *testing.T) {
@@ -110,22 +120,22 @@ func TestPropertyJoinShapes(t *testing.T) {
 			"empty": randomRelationN(rng, "empty", 3, 0, 1),
 		}
 		for _, e := range exprs {
-			ref, err := (Reference{}).Eval(e, src)
+			ref, err := oracle.Eval(e, src)
 			if err != nil {
-				t.Fatalf("round %d: reference eval %s: %v", round, e, err)
+				t.Fatalf("round %d: oracle eval %s: %v", round, e, err)
 			}
 			phys, err := (&Engine{}).Eval(e, src)
 			if err != nil {
 				t.Fatalf("round %d: engine eval %s: %v", round, e, err)
 			}
-			requireEqual(t, round, "engine vs reference on "+e.String(), ref, phys)
+			requireMatch(t, round, "engine vs oracle on "+e.String(), ref, phys)
 		}
 	}
 }
 
 // TestPropertyFusedPipelines cross-checks the engine's fused select/project
-// pipelines (σ∘σ, π∘σ, σ∘π, π∘π and deeper cascades) against the reference
-// evaluator, which materialises every intermediate relation.
+// pipelines (σ∘σ, π∘σ, σ∘π, π∘π and deeper cascades) against the oracle,
+// which materialises every intermediate relation.
 func TestPropertyFusedPipelines(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	e1, e2 := algebra.NewRel("e1"), algebra.NewRel("e2")
@@ -154,21 +164,21 @@ func TestPropertyFusedPipelines(t *testing.T) {
 			"e2": randomRelationN(rng, "e2", 2, 12, 6),
 		}
 		for _, e := range exprs {
-			ref, err := (Reference{}).Eval(e, src)
+			ref, err := oracle.Eval(e, src)
 			if err != nil {
-				t.Fatalf("round %d: reference eval %s: %v", round, e, err)
+				t.Fatalf("round %d: oracle eval %s: %v", round, e, err)
 			}
 			phys, err := (&Engine{}).Eval(e, src)
 			if err != nil {
 				t.Fatalf("round %d: engine eval %s: %v", round, e, err)
 			}
-			requireEqual(t, round, "engine vs reference on "+e.String(), ref, phys)
+			requireMatch(t, round, "engine vs oracle on "+e.String(), ref, phys)
 		}
 	}
 }
 
 // TestPropertyEvaluatorsAgree cross-checks the physical engine against the
-// reference evaluator on randomly generated databases and a mix of operator
+// oracle on randomly generated databases and a mix of operator
 // shapes.
 func TestPropertyEvaluatorsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -188,15 +198,15 @@ func TestPropertyEvaluatorsAgree(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		src := randomSource(rng)
 		for _, e := range exprs {
-			ref, err := (Reference{}).Eval(e, src)
+			ref, err := oracle.Eval(e, src)
 			if err != nil {
-				t.Fatalf("round %d: reference eval %s: %v", round, e, err)
+				t.Fatalf("round %d: oracle eval %s: %v", round, e, err)
 			}
 			phys, err := (&Engine{}).Eval(e, src)
 			if err != nil {
 				t.Fatalf("round %d: engine eval %s: %v", round, e, err)
 			}
-			requireEqual(t, round, "engine vs reference on "+e.String(), ref, phys)
+			requireMatch(t, round, "engine vs oracle on "+e.String(), ref, phys)
 		}
 	}
 }
@@ -500,8 +510,7 @@ func (g *exprGen) gen(depth, arity int) algebra.Expr {
 }
 
 // TestPropertyPlannerPreservesBagSemantics generates random expressions and
-// asserts the planner-compiled physical execution agrees with the Reference
-// oracle — same multi-set, multiplicities included — and that it still agrees
+// asserts the planner-compiled physical execution agrees with the oracle — same multi-set, multiplicities included — and that it still agrees
 // after the rewriter has transformed the expression.  The planner's compile
 // step must never change bag semantics.
 func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
@@ -515,10 +524,10 @@ func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			arity := 1 + g.intn(3)
 			e := g.gen(3, arity)
-			ref, refErr := (Reference{}).Eval(e, src)
+			ref, refErr := oracle.Eval(e, src)
 			phys, physErr := (&Engine{}).Eval(e, src)
 			if (refErr == nil) != (physErr == nil) {
-				t.Fatalf("round %d: evaluators disagree on errors for %s:\nreference: %v\nphysical:  %v",
+				t.Fatalf("round %d: evaluators disagree on errors for %s:\noracle:    %v\nphysical:  %v",
 					round, e, refErr, physErr)
 			}
 			if refErr != nil {
@@ -526,9 +535,9 @@ func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
 				continue
 			}
 			checked++
-			if !ref.Equal(phys) {
-				t.Fatalf("round %d: planner changed bag semantics of %s:\nreference: %s\nphysical:  %s",
-					round, e, ref, phys)
+			if err := ref.Check(phys); err != nil {
+				t.Fatalf("round %d: planner changed bag semantics of %s: %v",
+					round, e, err)
 			}
 			// The rewritten expression must agree as well: rewriter and
 			// planner compose without changing the multi-set.
@@ -537,9 +546,9 @@ func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
 			if optErr != nil {
 				t.Fatalf("round %d: rewritten %s failed: %v", round, opt, optErr)
 			}
-			if !ref.Equal(opt2) {
-				t.Fatalf("round %d: rewrite+plan changed bag semantics:\noriginal:  %s\nrewritten: %s\nreference: %s\nphysical:  %s",
-					round, e, opt, ref, opt2)
+			if err := ref.Check(opt2); err != nil {
+				t.Fatalf("round %d: rewrite+plan changed bag semantics:\noriginal:  %s\nrewritten: %s\n%v",
+					round, e, opt, err)
 			}
 		}
 	}
@@ -550,7 +559,7 @@ func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
 
 // TestPropertyParallelMatchesReference is the parallel oracle property: for
 // random expressions over random databases, the partitioned parallel engine
-// must produce exactly the Reference evaluator's multi-set — multiplicities
+// must produce exactly the oracle's multi-set — multiplicities
 // included — at every tested worker count, and must agree with it on whether
 // evaluation errors.  ParallelThreshold 1 forces exchange operators onto the
 // tiny random inputs, so the parallel operators (morsel-partitioned scans,
@@ -573,7 +582,7 @@ func TestPropertyParallelMatchesReference(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			arity := 1 + g.intn(3)
 			e := g.gen(3, arity)
-			ref, refErr := (Reference{}).Eval(e, src)
+			ref, refErr := oracle.Eval(e, src)
 			for _, w := range workerCounts {
 				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1}}
 				if p, err := eng.planner(src).Plan(e, CatalogOf(src)); err == nil && w > 1 {
@@ -588,15 +597,15 @@ func TestPropertyParallelMatchesReference(t *testing.T) {
 				}
 				phys, physErr := eng.Eval(e, src)
 				if (refErr == nil) != (physErr == nil) {
-					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nparallel:  %v",
+					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\noracle:    %v\nparallel:  %v",
 						round, w, e, refErr, physErr)
 				}
 				if refErr != nil {
 					continue
 				}
-				if !ref.Equal(phys) {
-					t.Fatalf("round %d workers=%d: parallel engine changed bag semantics of %s:\nreference: %s\nparallel:  %s",
-						round, w, e, ref, phys)
+				if err := ref.Check(phys); err != nil {
+					t.Fatalf("round %d workers=%d: parallel engine changed bag semantics of %s: %v",
+						round, w, e, err)
 				}
 			}
 			if refErr != nil {
@@ -664,7 +673,7 @@ func keyedRelation(rng *rand.Rand, name string, maxTuples int) *multiset.Relatio
 // analysed (keyed) random relations, selections σ[%c = k] directly over a
 // relation — attribute left or constant left, alone or beside random
 // residual conjuncts, on either column — inside random surrounding
-// expressions must return the Reference evaluator's bag at workers 1, 2, 4
+// expressions must return the oracle's bag at workers 1, 2, 4
 // and 8, and no plan may put an IndexScan below a Partition.  A minimum
 // share of the compiled plans must actually contain an IndexScan, so the
 // suite cannot pass by planning scans only.
@@ -702,7 +711,7 @@ func TestPropertyIndexScanMatchesReference(t *testing.T) {
 			case 4:
 				e = algebra.NewProject(g.cols(1, 2), e)
 			}
-			ref, refErr := (Reference{}).Eval(e, src)
+			ref, refErr := oracle.Eval(e, src)
 			for _, w := range []int{1, 2, 4, 8} {
 				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1}}
 				p, err := eng.planner(src).Plan(e, CatalogOf(src))
@@ -721,12 +730,15 @@ func TestPropertyIndexScanMatchesReference(t *testing.T) {
 				}
 				phys, physErr := eng.Eval(e, src)
 				if (refErr == nil) != (physErr == nil) {
-					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nphysical:  %v",
+					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\noracle:    %v\nphysical:  %v",
 						round, w, e, refErr, physErr)
 				}
-				if refErr == nil && !ref.Equal(phys) {
-					t.Fatalf("round %d workers=%d: key lookup changed bag semantics of %s:\nreference: %s\nphysical:  %s\nplan:\n%s",
-						round, w, e, ref, phys, p)
+				if refErr != nil {
+					continue
+				}
+				if err := ref.Check(phys); err != nil {
+					t.Fatalf("round %d workers=%d: key lookup changed bag semantics of %s: %v\nplan:\n%s",
+						round, w, e, err, p)
 				}
 			}
 		}
@@ -764,8 +776,8 @@ func skewedRelation(rng *rand.Rand, name string, tuples int) *multiset.Relation 
 
 // TestPropertyMorselStealingUnderSkew is the morsel-scheduler oracle: for
 // skewed random databases, the parallel engine with forced exchanges, tiny
-// morsels, and tiny emit batches must produce exactly the Reference
-// evaluator's multi-set at workers 1, 2, 4 and 8 — for the batched-emit
+// morsels, and tiny emit batches must produce exactly the oracle's
+// multi-set at workers 1, 2, 4 and 8 — for the batched-emit
 // pipeline shapes, for the shared-build hash join, and for the serial
 // blocking set operators Difference and Intersect over parallel operands.
 // Tiny morsels force many
@@ -805,20 +817,20 @@ func TestPropertyMorselStealingUnderSkew(t *testing.T) {
 			"e2": skewedRelation(rng, "e2", 40),
 		}
 		for _, e := range exprs {
-			ref, refErr := (Reference{}).Eval(e, src)
+			ref, refErr := oracle.Eval(e, src)
 			for _, w := range []int{1, 2, 4, 8} {
 				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}}
 				phys, physErr := eng.Eval(e, src)
 				if (refErr == nil) != (physErr == nil) {
-					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nparallel:  %v",
+					t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\noracle:    %v\nparallel:  %v",
 						round, w, e, refErr, physErr)
 				}
 				if refErr != nil {
 					continue
 				}
-				if !ref.Equal(phys) {
-					t.Fatalf("round %d workers=%d: morsel execution changed bag semantics of %s:\nreference: %s\nparallel:  %s",
-						round, w, e, ref, phys)
+				if err := ref.Check(phys); err != nil {
+					t.Fatalf("round %d workers=%d: morsel execution changed bag semantics of %s: %v",
+						round, w, e, err)
 				}
 			}
 		}
@@ -849,7 +861,7 @@ func nanRelation(rng *rand.Rand, name string, draws int) *multiset.Relation {
 
 // TestPropertyNaNMatchesReference runs every operator that identifies tuples —
 // δ, ∸, ∩, ⊎, grouping, the equi-join, and equality and order filters — over
-// NaN-bearing relations at workers 1, 2, 4 and 8 against Reference.  All NaNs
+// NaN-bearing relations at workers 1, 2, 4 and 8 against the oracle.  All NaNs
 // are one value (Equal, one hash, above every number), so a plan that hashed
 // or compared a NaN by its bits would split a group or drop a match.
 func TestPropertyNaNMatchesReference(t *testing.T) {
@@ -881,9 +893,9 @@ func TestPropertyNaNMatchesReference(t *testing.T) {
 	for round := 0; round < 15; round++ {
 		src := MapSource{"e1": nanRelation(rng, "e1", 30), "e2": nanRelation(rng, "e2", 30)}
 		for _, e := range exprs {
-			ref, err := (Reference{}).Eval(e, src)
+			ref, err := oracle.Eval(e, src)
 			if err != nil {
-				t.Fatalf("round %d: reference %s: %v", round, e, err)
+				t.Fatalf("round %d: oracle %s: %v", round, e, err)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
 				eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}}
@@ -891,17 +903,17 @@ func TestPropertyNaNMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d workers=%d: %s: %v", round, w, e, err)
 				}
-				if !ref.Equal(phys) {
-					t.Fatalf("round %d workers=%d: plan disagrees with Reference on %s:\nreference: %s\nphysical:  %s",
-						round, w, e, ref, phys)
+				if err := ref.Check(phys); err != nil {
+					t.Fatalf("round %d workers=%d: plan disagrees with the oracle on %s: %v",
+						round, w, e, err)
 				}
 			}
 		}
 		// The definitions themselves: δ keeps one NaN class, and R ∸ R is empty.
-		u, _ := (Reference{}).Eval(algebra.NewUnique(algebra.NewProject([]int{0}, e1)), src)
+		u, _ := oracle.Eval(algebra.NewUnique(algebra.NewProject([]int{0}, e1)), src)
 		nans := 0
-		u.Each(func(tp tuple.Tuple, _ uint64) bool {
-			if tp.At(0).Kind() == value.KindFloat && math.IsNaN(tp.At(0).Float()) {
+		u.Each(func(vals []value.Value, _ uint64) bool {
+			if vals[0].Kind() == value.KindFloat && math.IsNaN(vals[0].Float()) {
 				nans++
 			}
 			return true
@@ -909,7 +921,7 @@ func TestPropertyNaNMatchesReference(t *testing.T) {
 		if nans > 1 {
 			t.Fatalf("round %d: δπ_a(e1) keeps %d NaN tuples: %s", round, nans, u)
 		}
-		if d, _ := (Reference{}).Eval(algebra.NewDifference(e1, e1), src); !d.IsEmpty() {
+		if d, _ := oracle.Eval(algebra.NewDifference(e1, e1), src); !d.IsEmpty() {
 			t.Fatalf("round %d: e1 ∸ e1 = %s, want empty", round, d)
 		}
 	}
@@ -951,8 +963,8 @@ func distinctRelation(rng *rand.Rand, name string, n int) *multiset.Relation {
 // TestPropertyMultiAggregateParallel is the parallel aggregation oracle: for
 // random uniform, skewed and duplicate-free databases, multi-aggregate grouped
 // queries and global (ungrouped) aggregates run through the parallel engine
-// with forced exchanges and tiny morsels must produce exactly the Reference
-// evaluator's multi-set at workers 1, 2, 4 and 8.  Both outcomes of the
+// with forced exchanges and tiny morsels must produce exactly the oracle's
+// multi-set at workers 1, 2, 4 and 8.  Both outcomes of the
 // cost-based chooser are reached through the data alone and asserted on the
 // rendered plan: low-NDV grouping over heavily duplicated input plans
 // two-phase (workers pre-aggregate morsel-wise into partial states the gang
@@ -985,10 +997,10 @@ func TestPropertyMultiAggregateParallel(t *testing.T) {
 		}, algebra.NewSelect(
 			scalar.NewCompare(value.CmpGe, scalar.NewAttr(0), scalar.NewConst(value.NewInt(3))), e1)),
 	}
-	// check pins one query over one source against Reference at every worker
+	// check pins one query over one source against the oracle at every worker
 	// count and, where wantShape is set, the parallel shape planned for it.
 	check := func(round int, e algebra.Expr, src Source, wantShape string) {
-		ref, refErr := (Reference{}).Eval(e, src)
+		ref, refErr := oracle.Eval(e, src)
 		for _, w := range []int{1, 2, 4, 8} {
 			eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}}
 			if wantShape != "" && w > 1 {
@@ -998,15 +1010,15 @@ func TestPropertyMultiAggregateParallel(t *testing.T) {
 			}
 			phys, physErr := eng.Eval(e, src)
 			if (refErr == nil) != (physErr == nil) {
-				t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\nreference: %v\nparallel:  %v",
+				t.Fatalf("round %d workers=%d: evaluators disagree on errors for %s:\noracle:    %v\nparallel:  %v",
 					round, w, e, refErr, physErr)
 			}
 			if refErr != nil {
 				continue
 			}
-			if !ref.Equal(phys) {
-				t.Fatalf("round %d workers=%d: parallel aggregation changed bag semantics of %s:\nreference: %s\nparallel:  %s",
-					round, w, e, ref, phys)
+			if err := ref.Check(phys); err != nil {
+				t.Fatalf("round %d workers=%d: parallel aggregation changed bag semantics of %s: %v",
+					round, w, e, err)
 			}
 		}
 	}
@@ -1032,7 +1044,7 @@ func TestPropertyMultiAggregateParallel(t *testing.T) {
 // batch a single physical row (a filter leaves it fully live or fully dead),
 // BatchSize 2 forces partial selections, and MorselSize 1 makes every morsel a
 // boundary.  The suite pins the columnar loops — the one execution protocol,
-// serial and parallel — against Reference at workers 1, 2, 4 and 8 on skewed
+// serial and parallel — against the oracle at workers 1, 2, 4 and 8 on skewed
 // data: hot tuples recur across many chunks, so the same tuple appears
 // repeatedly within and across batches.  ParallelThreshold 1 also drops the
 // gang-build threshold to 4 rows, so the hash join builds its table
@@ -1068,7 +1080,7 @@ func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 		}, algebra.NewSelect(pred, e1)),
 		// Division above a filter that removes its zero divisors: skewed data
 		// puts %1 = 0 in about half the draws, so evaluating a dead row would
-		// fail with a division by zero that Reference never raises.
+		// fail with a division by zero that the oracle never raises.
 		algebra.NewExtProject(
 			[]scalar.Expr{scalar.NewArith(value.OpDiv, scalar.NewAttr(1), scalar.NewAttr(0))}, nil,
 			algebra.NewSelect(scalar.NewCompare(value.CmpNe, scalar.NewAttr(0), scalar.NewConst(value.NewInt(0))), e1)),
@@ -1085,21 +1097,21 @@ func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 			t.Fatalf("round %d: ParallelThreshold 1 must force a gang build:\n%s", round, p)
 		}
 		for _, e := range exprs {
-			ref, refErr := (Reference{}).Eval(e, src)
+			ref, refErr := oracle.Eval(e, src)
 			for _, bs := range []int{1, 2} {
 				for _, w := range []int{1, 2, 4, 8} {
 					eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: bs}}
 					phys, physErr := eng.Eval(e, src)
 					if (refErr == nil) != (physErr == nil) {
-						t.Fatalf("round %d workers=%d batch=%d: evaluators disagree on errors for %s:\nreference: %v\ncolumnar:  %v",
+						t.Fatalf("round %d workers=%d batch=%d: evaluators disagree on errors for %s:\noracle:    %v\ncolumnar:  %v",
 							round, w, bs, e, refErr, physErr)
 					}
 					if refErr != nil {
 						continue
 					}
-					if !ref.Equal(phys) {
-						t.Fatalf("round %d workers=%d batch=%d: columnar execution changed bag semantics of %s:\nreference: %s\ncolumnar:  %s",
-							round, w, bs, e, ref, phys)
+					if err := ref.Check(phys); err != nil {
+						t.Fatalf("round %d workers=%d batch=%d: columnar execution changed bag semantics of %s: %v",
+							round, w, bs, e, err)
 					}
 				}
 			}
@@ -1120,7 +1132,7 @@ func TestEmptyInputAggregatesParallel(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		eng := &Engine{Planner: plan.Planner{Workers: w, ParallelThreshold: 1, MorselSize: 1, BatchSize: 2}}
 		for _, fn := range []algebra.Aggregate{algebra.AggAvg, algebra.AggMin, algebra.AggMax} {
-			if _, err := eng.Eval(algebra.NewGroupBy(nil, fn, 0, algebra.NewRel("e")), empty); !errors.Is(err, ErrEmptyAggregate) {
+			if _, err := eng.Eval(algebra.NewGroupBy(nil, fn, 0, algebra.NewRel("e")), empty); !errors.Is(err, plan.ErrEmptyAggregate) {
 				t.Errorf("workers=%d: global %s over empty input = %v, want ErrEmptyAggregate", w, fn, err)
 			}
 		}
@@ -1128,7 +1140,7 @@ func TestEmptyInputAggregatesParallel(t *testing.T) {
 		multi := algebra.NewGroupByMulti(nil, []algebra.AggSpec{
 			{Fn: algebra.AggCount, Col: 0}, {Fn: algebra.AggAvg, Col: 1},
 		}, algebra.NewRel("e"))
-		if _, err := eng.Eval(multi, empty); !errors.Is(err, ErrEmptyAggregate) {
+		if _, err := eng.Eval(multi, empty); !errors.Is(err, plan.ErrEmptyAggregate) {
 			t.Errorf("workers=%d: multi-aggregate over empty input = %v, want ErrEmptyAggregate", w, err)
 		}
 		counts, err := eng.Eval(algebra.NewGroupByMulti(nil, []algebra.AggSpec{

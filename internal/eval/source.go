@@ -1,26 +1,17 @@
-// Package eval implements the executable semantics of the multi-set extended
-// relational algebra as Reference: a literal transcription of the paper's
-// definitions, used as the semantic oracle by property-based tests.  Its
-// Source is the planner's: plan.Planner reads every base-relation fact off the
-// instances the source returns, and CatalogOf gives the same source the
-// algebra.Catalog view validation needs, which is how a transaction's
-// evaluate stage (txn.Tx.EvaluatePlan) compiles expressions into streaming
-// physical operators.
-//
-// Agreement of the physical plans with Reference on random databases —
-// including randomly generated expression trees — is itself one of the
-// library's property tests.
+// Package eval holds the relation source that tests and the benchmark hand
+// the planner without a storage database underneath: MapSource, a map of
+// relations, and CatalogOf, the algebra.Catalog view of any source.  It
+// evaluates nothing: the tests' evaluator is internal/oracle, and everything
+// else evaluates through txn.Tx.EvaluatePlan.
 package eval
 
 import (
-	"fmt"
 	"strings"
 
 	"mra/internal/algebra"
 	"mra/internal/multiset"
 	"mra/internal/plan"
 	"mra/internal/schema"
-	"mra/internal/stats"
 )
 
 // Source resolves database relation names to relation instances.  It is
@@ -66,50 +57,3 @@ func CatalogOf(src Source) algebra.Catalog { return sourceCatalog{src: src} }
 // plan.Planner reads base-relation facts from.  Its one caller, the
 // benchmark's staged replay, can pass the source directly.
 func Cardinalities(src Source) Source { return src }
-
-// StatsSource decorates a Source with precomputed per-relation statistics, so
-// callers without a storage database underneath (benchmarks over MapSource,
-// tests) can feed the planner ANALYZE-grade summaries.  Lookup is
-// case-insensitive, matching MapSource.
-type StatsSource struct {
-	Source
-	// Tables maps relation names to their statistics summaries.
-	Tables map[string]*stats.Table
-}
-
-// TableStats reports the named relation's summary; the planner reads it as
-// its source's optional statistics.
-func (s StatsSource) TableStats(name string) (*stats.Table, bool) {
-	if t, ok := s.Tables[name]; ok {
-		return t, true
-	}
-	for k, t := range s.Tables {
-		if strings.EqualFold(k, name) {
-			return t, true
-		}
-	}
-	return nil, false
-}
-
-// AnalyzeSource builds statistics for every relation of a map source and
-// keys a copy of each relation on the column they choose, wrapping the
-// copies as a StatsSource — the in-memory equivalent of running ANALYZE on
-// each relation.  m is left as it was.
-func AnalyzeSource(m MapSource) StatsSource {
-	tables := make(map[string]*stats.Table, len(m))
-	keyed := make(MapSource, len(m))
-	for name, r := range m {
-		tables[name] = stats.Analyze(r, 0)
-		keyed[name] = r.WithKey(tables[name].KeyColumn())
-	}
-	return StatsSource{Source: keyed, Tables: tables}
-}
-
-// lookup fetches a relation from a source, converting a miss into an error.
-func lookup(src Source, name string) (*multiset.Relation, error) {
-	r, ok := src.Relation(name)
-	if !ok {
-		return nil, fmt.Errorf("eval: unknown relation %q", name)
-	}
-	return r, nil
-}

@@ -292,25 +292,6 @@ func TestIntersection(t *testing.T) {
 	}
 }
 
-func TestProduct(t *testing.T) {
-	a := FromTuples(intSchema(1), tuple.Ints(1), tuple.Ints(1))
-	b := FromTuples(intSchema(1), tuple.Ints(5), tuple.Ints(6))
-	p := Product(a, b)
-	if p.Schema().Arity() != 2 {
-		t.Errorf("product schema arity = %d", p.Schema().Arity())
-	}
-	if p.Multiplicity(tuple.Ints(1, 5)) != 2 || p.Multiplicity(tuple.Ints(1, 6)) != 2 {
-		t.Errorf("Product multiplicities wrong: %v", p)
-	}
-	if p.Cardinality() != 4 {
-		t.Errorf("Product cardinality = %d", p.Cardinality())
-	}
-	empty := New(intSchema(1))
-	if !Product(a, empty).IsEmpty() || !Product(empty, b).IsEmpty() {
-		t.Error("product with the empty relation is empty")
-	}
-}
-
 func TestUnique(t *testing.T) {
 	r := FromTuples(intSchema(1), tuple.Ints(1), tuple.Ints(1), tuple.Ints(2))
 	u := Unique(r)
@@ -320,38 +301,6 @@ func TestUnique(t *testing.T) {
 	// Idempotent.
 	if !Unique(u).Equal(u) {
 		t.Error("δ must be idempotent")
-	}
-}
-
-func TestSelect(t *testing.T) {
-	r := FromTuples(intSchema(1), tuple.Ints(1), tuple.Ints(2), tuple.Ints(2))
-	sel, err := Select(r, func(t tuple.Tuple) (bool, error) { return t.At(0).Int() > 1, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Multiplicity(tuple.Ints(2)) != 2 || sel.Contains(tuple.Ints(1)) {
-		t.Errorf("Select = %v", sel)
-	}
-	if _, err := Select(r, func(t tuple.Tuple) (bool, error) { return false, value.ErrType }); err == nil {
-		t.Error("predicate errors must propagate")
-	}
-}
-
-func TestProjectAccumulatesMultiplicities(t *testing.T) {
-	s := schema.Anonymous(
-		schema.Attribute{Name: "a", Type: value.KindInt},
-		schema.Attribute{Name: "b", Type: value.KindInt},
-	)
-	r := FromTuples(s, tuple.Ints(1, 10), tuple.Ints(2, 10), tuple.Ints(3, 20))
-	p, err := Project(r, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Multiplicity(tuple.Ints(10)) != 2 || p.Multiplicity(tuple.Ints(20)) != 1 {
-		t.Errorf("bag projection must accumulate multiplicities: %v", p)
-	}
-	if _, err := Project(r, []int{5}); err == nil {
-		t.Error("out-of-range projection must fail")
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"mra/internal/tuple"
 )
 
-// This file implements the definition-level multi-set operations used as the
-// semantic core by both evaluators: union ⊎, difference −, intersection ∩,
-// Cartesian product ×, and duplicate elimination δ.  They operate directly on
-// materialised relations; the algebra and evaluation packages wrap them in
-// operator trees and physical plans.
+// This file implements the multi-set operations the engine applies to whole
+// materialised relations: union ⊎, difference −, intersection ∩, duplicate
+// elimination δ and the row map of statements.  The physical plans call them
+// for their blocking set operators, and the statement executor for its
+// updates.
 
 // ErrIncompatible is returned when an operation is applied to relations whose
 // schemas are not union-compatible.
@@ -79,24 +79,6 @@ func Intersection(a, b *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// Product returns R1 × R2 with (R1 × R2)(x ⊕ y) = R1(x) · R2(y)
-// (Definition 3.1).  The result schema is 𝓔 ⊕ 𝓔′.
-func Product(a, b *Relation) *Relation {
-	capacity := a.DistinctCount() * b.DistinctCount()
-	if capacity > 1<<20 {
-		capacity = 1 << 20
-	}
-	out := NewWithCapacity(a.Schema().Concat(b.Schema()), capacity)
-	a.Each(func(ta tuple.Tuple, ca uint64) bool {
-		b.Each(func(tb tuple.Tuple, cb uint64) bool {
-			out.Add(ta.Concat(tb), ca*cb)
-			return true
-		})
-		return true
-	})
-	return out
-}
-
 // Unique returns δR: the duplicate-free relation with (δR)(x) = 1 whenever
 // R(x) > 0 (Definition 3.4).  Because δR has exactly R's distinct tuples, the
 // result is a copy-on-write view of R with every multiplicity above one
@@ -115,55 +97,6 @@ func Unique(r *Relation) *Relation {
 	}
 	tab.total = uint64(tab.live)
 	return out
-}
-
-// Select returns σ_p(R): the sub-multi-set of tuples satisfying the predicate,
-// with multiplicities preserved (Definition 3.1).  Predicate errors abort the
-// operation.
-func Select(r *Relation, pred func(tuple.Tuple) (bool, error)) (*Relation, error) {
-	out := NewWithCapacity(r.Schema(), r.DistinctCount())
-	var iterErr error
-	r.Each(func(t tuple.Tuple, count uint64) bool {
-		ok, err := pred(t)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		if ok {
-			out.Add(t, count)
-		}
-		return true
-	})
-	if iterErr != nil {
-		return nil, iterErr
-	}
-	return out, nil
-}
-
-// Project returns π_α(R) for a positional attribute list α: multiplicities of
-// tuples that collapse onto the same projected tuple accumulate
-// (Definition 3.1) — this is the essential difference from the set-based
-// projection, which would deduplicate.
-func Project(r *Relation, indices []int) (*Relation, error) {
-	outSchema, err := r.Schema().Project(indices)
-	if err != nil {
-		return nil, err
-	}
-	out := NewWithCapacity(outSchema, r.DistinctCount())
-	var iterErr error
-	r.Each(func(t tuple.Tuple, count uint64) bool {
-		p, err := t.Project(indices)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		out.Add(p, count)
-		return true
-	})
-	if iterErr != nil {
-		return nil, iterErr
-	}
-	return out, nil
 }
 
 // Map returns the relation obtained by applying fn to every distinct tuple,

@@ -522,10 +522,12 @@ func (g *groupTable) output(ctx *execCtx, emit EmitBatch) error {
 	return w.flush()
 }
 
-// TransitiveClosure computes the smallest transitively closed relation
+// transitiveClosure computes the smallest transitively closed relation
 // containing δE via semi-naive fixpoint iteration.  The result is
 // duplicate-free (closure is a set-level notion; Section 5 of the paper).
-func TransitiveClosure(in *multiset.Relation) *multiset.Relation {
+// It polls the query context once per round and once per batch of candidate
+// pairs, and charges every round's new pairs to the memory gauge.
+func transitiveClosure(ctx *execCtx, in *multiset.Relation) (*multiset.Relation, error) {
 	closure := multiset.Unique(in)
 	// Successor lists indexed by the source value's hash, with Equal collision
 	// chains, for the semi-naive step.
@@ -562,9 +564,19 @@ func TransitiveClosure(in *multiset.Relation) *multiset.Relation {
 	})
 	delta := closure.Clone()
 	for !delta.IsEmpty() {
+		if err := ctx.poll(); err != nil {
+			return nil, err
+		}
 		next := multiset.New(in.Schema())
+		var err error
+		work := 0
 		delta.Each(func(t tuple.Tuple, _ uint64) bool {
 			for _, dst := range successors(t.At(1)) {
+				if work++; work%DefaultBatchSize == 0 {
+					if err = ctx.poll(); err != nil {
+						return false
+					}
+				}
 				candidate := tuple.New(t.At(0), dst)
 				if !closure.Contains(candidate) {
 					next.Add(candidate, 1)
@@ -572,11 +584,17 @@ func TransitiveClosure(in *multiset.Relation) *multiset.Relation {
 			}
 			return true
 		})
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.chargeRelation(next); err != nil {
+			return nil, err
+		}
 		next.Each(func(t tuple.Tuple, _ uint64) bool {
 			closure.Add(t, 1)
 			return true
 		})
 		delta = next
 	}
-	return closure
+	return closure, nil
 }

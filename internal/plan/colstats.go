@@ -9,8 +9,8 @@ import (
 // tableStatser is the optional side of a planner source that carries full
 // per-column statistics (ANALYZE output): distinct-value sketches, null
 // fractions, and equi-depth histograms.  Transactions implement it over the
-// snapshot they read; eval.StatsSource attaches precomputed summaries to any
-// source.
+// snapshot they read, and tests attach precomputed summaries to map
+// sources.
 type tableStatser interface {
 	// TableStats returns the named relation's statistics summary, and whether
 	// one is available (relations are only summarised after ANALYZE).

@@ -15,7 +15,8 @@ import (
 
 // kernelPool is the value domain of the kernel oracles: nulls, NaNs with two
 // payloads and a sign, ±Inf, ±0, integers on both sides of 2^53 (where an
-// int64 and its float64 image part), and the non-numeric kinds whose
+// int64 and its float64 image part) and floats at ±2^63 (int64's edges),
+// and the non-numeric kinds whose
 // comparison with a number is a type error.
 var kernelPool = []value.Value{
 	value.Null,
@@ -31,6 +32,8 @@ var kernelPool = []value.Value{
 	value.NewFloat(1 << 53),
 	value.NewFloat(1<<53 + 2),
 	value.NewFloat(-(1 << 53)),
+	value.NewFloat(0x1p63),
+	value.NewFloat(-0x1p63),
 	value.NewInt(0),
 	value.NewInt(5),
 	value.NewInt(-1),

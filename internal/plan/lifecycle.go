@@ -8,8 +8,9 @@ package plan
 //
 // Plans poll their query context at amortised points — one check per morsel
 // claim, per batch a materialised relation streams out (emitRelation: scan
-// leaves, blocking set-operator results, gang partials), and per batch a sink
-// consumes (execCtx.collect, the ordered root) — never per tuple.  Polling
+// leaves, blocking set-operator results, gang partials), per batch a sink
+// consumes (execCtx.collect, the ordered root), and per round and per batch
+// of candidate pairs of the closure fixpoint — never per tuple.  Polling
 // goes through execCtx.poll, which is disabled entirely (ctx.done == nil) when
 // the query context can never be cancelled, so an uncancellable execution
 // pays one nil check per batch.  A tripped poll returns the context's own
@@ -22,8 +23,8 @@ package plan
 // query execution.  Blocking operators charge the approximate resident size of
 // each piece of state they retain — hash-join build entries, aggregation
 // groups, Sort and nested-loop materialisations, the operand relations of the
-// blocking set operators (difference, intersection, transitive closure),
-// Unique's seen set — and the
+// blocking set operators (difference, intersection, transitive closure) and
+// the pairs each closure round derives, Unique's seen set — and the
 // first charge that pushes usage past the budget fails the query with
 // ErrMemoryBudget.  Accounting is approximate by design (a cheap per-tuple
 // size estimate, not allocator truth): the gauge exists to fail fast before

@@ -14,7 +14,9 @@ import (
 	"mra/internal/exec"
 	"mra/internal/multiset"
 	"mra/internal/scalar"
+	"mra/internal/schema"
 	"mra/internal/testleak"
+	"mra/internal/tuple"
 	"mra/internal/value"
 )
 
@@ -343,5 +345,78 @@ func TestMemoryGaugeAccounting(t *testing.T) {
 	nilGauge.Release(1)
 	if nilGauge.Used() != 0 || nilGauge.Limit() != 0 {
 		t.Errorf("nil gauge reports usage")
+	}
+}
+
+// chainSource holds edge(src, dst) = the chain 0 → 1 → … → n: its closure
+// has n(n+1)/2 pairs and takes n semi-naive rounds.
+func chainSource(n int) mapSource {
+	edge := multiset.New(schema.NewRelation("edge",
+		schema.Attribute{Name: "src", Type: value.KindInt},
+		schema.Attribute{Name: "dst", Type: value.KindInt}))
+	for i := 0; i < n; i++ {
+		edge.Add(tuple.Ints(int64(i), int64(i+1)), 1)
+	}
+	return mapSource{"edge": edge}
+}
+
+// TestClosureHonoursDeadline checks the closure fixpoint polls the query
+// context: on a 1000-edge chain (500,500 pairs, 1000 rounds) a 20 ms
+// deadline ends the query in context.DeadlineExceeded instead of running
+// the fixpoint to the end and succeeding.
+func TestClosureHonoursDeadline(t *testing.T) {
+	defer testleak.Check(t)()
+	src := chainSource(1000)
+	e := algebra.NewTClose(algebra.NewRel("edge"))
+	for _, w := range lifecycleWidths {
+		p, err := lifecyclePlanner(src, w).Plan(e, catalogOf(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		_, err = p.ExecuteContext(ctx, src)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: err = %v, want context.DeadlineExceeded", w, err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("workers=%d: deadline enforcement took %v, want prompt", w, elapsed)
+		}
+	}
+}
+
+// TestClosureHonoursBudget checks the closure fixpoint charges the pairs it
+// derives: the 1000-edge chain's input fits a 1 MiB budget, its 500,500-pair
+// closure does not, so the query fails with ErrMemoryBudget instead of
+// returning every row; a budget the closure fits changes nothing.
+func TestClosureHonoursBudget(t *testing.T) {
+	defer testleak.Check(t)()
+	e := algebra.NewTClose(algebra.NewRel("edge"))
+	for _, w := range lifecycleWidths {
+		src := chainSource(1000)
+		pl := lifecyclePlanner(src, w)
+		pl.MemoryLimit = 1 << 20
+		p, err := pl.Plan(e, catalogOf(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Execute(src); !errors.Is(err, ErrMemoryBudget) {
+			t.Fatalf("workers=%d limit=1MiB: err = %v, want ErrMemoryBudget", w, err)
+		}
+		small := chainSource(50)
+		pl = lifecyclePlanner(small, w)
+		pl.MemoryLimit = 1 << 20
+		p, err = pl.Plan(e, catalogOf(small))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Execute(small)
+		if err != nil {
+			t.Fatalf("workers=%d: a 1275-pair closure within 1 MiB: %v", w, err)
+		}
+		if got.Cardinality() != 50*51/2 {
+			t.Errorf("workers=%d: closure of a 50-edge chain has %d pairs, want %d", w, got.Cardinality(), 50*51/2)
+		}
 	}
 }

@@ -807,7 +807,7 @@ func (t *tcloseNode) result(ctx *execCtx) (*multiset.Relation, error) {
 		return nil, err
 	}
 	ctx.materialised(t, in.Cardinality())
-	return TransitiveClosure(in), nil
+	return transitiveClosure(ctx, in)
 }
 
 // ---------------------------------------------------------------------------

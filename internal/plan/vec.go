@@ -21,24 +21,28 @@ import (
 // newVecCmp specialises it once, when the predicate is compiled.  keep is op
 // as the set of three-way outcomes it accepts (bit c+1 for c ∈ {-1, 0, 1}),
 // so the row loop compares two numbers and tests a bit, with no operator
-// switch.  A constant that is a number other than NaN is also held as its
-// float image cf and, when it is an integer (intConst), its payload ci.  A
-// row the typed loop cannot decide — a null, a string, a boolean, a NaN
-// constant — goes to CompareOp.Apply, the generic comparison, so every
-// result and every error is Apply's, row for row.
+// switch.  An integer constant is held as its payload ci (intConst), and a
+// number is held as its float image cf wherever one float compare is exact
+// (fltConst, mixConst).  A row the typed loop cannot decide — a null, a
+// string, a boolean, a NaN constant, an int and a float too large for their
+// float compare to be exact — goes to CompareOp.Apply, the generic
+// comparison, so every result and every error is Apply's, row for row.
 type vecCmp struct {
 	op   value.CompareOp
 	lcol int
 	rcol int
 	rval value.Value
 	keep uint8
-	// numConst marks a numeric, non-NaN constant; ci and cf are its payload
-	// and float image.  flipped marks a constant written on the left, which
-	// the generic comparison takes back there so its errors name the
-	// operands in written order, as Predicate.Holds does.
-	numConst, intConst, flipped bool
-	ci                          int64
-	cf                          float64
+	// intConst marks an integer constant ci; fltConst a constant a float
+	// compares with on its exact image cf (a float other than NaN, or an
+	// integer within ±2^53); mixConst a float strictly within ±2^53, which
+	// an int compares with on its own image, exact up to ±2^53 and beyond
+	// it on the right side of the constant.  flipped marks a constant
+	// written on the left, which the generic comparison takes back there so
+	// its errors name the operands in written order, as Predicate.Holds does.
+	intConst, fltConst, mixConst, flipped bool
+	ci                                    int64
+	cf                                    float64
 }
 
 // newVecCmp compiles `%lcol op %rcol`, or `%lcol op rval` when rcol is
@@ -48,9 +52,11 @@ func newVecCmp(op value.CompareOp, lcol, rcol int, rval value.Value) vecCmp {
 	if rcol < 0 {
 		switch rval.Kind() {
 		case value.KindInt:
-			k.numConst, k.intConst, k.ci, k.cf = true, true, rval.Int(), float64(rval.Int())
+			k.intConst, k.ci, k.cf = true, rval.Int(), float64(rval.Int())
+			k.fltConst = -1<<53 <= k.ci && k.ci <= 1<<53
 		case value.KindFloat:
-			k.numConst, k.cf = rval.Float() == rval.Float(), rval.Float()
+			f := rval.Float()
+			k.cf, k.fltConst, k.mixConst = f, f == f, -0x1p53 < f && f < 0x1p53
 		}
 	}
 	return k
@@ -216,11 +222,11 @@ func (k *vecCmp) apply(b *Batch, in []int32, out []int32) ([]int32, error) {
 		var keep int
 		l := b.at(int(r), k.lcol)
 		switch lk := l.Kind(); {
-		case k.numConst && lk == value.KindFloat:
+		case k.fltConst && lk == value.KindFloat:
 			keep = k.keeps(cmpFloatConst(l.Float(), k.cf))
 		case k.intConst && lk == value.KindInt:
 			keep = k.keeps(cmpInt(l.Int(), k.ci))
-		case k.numConst && lk == value.KindInt:
+		case k.mixConst && lk == value.KindInt:
 			keep = k.keeps(cmpFloatConst(float64(l.Int()), k.cf))
 		default:
 			ok, err := k.generic(l)

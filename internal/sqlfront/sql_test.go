@@ -7,6 +7,7 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/oracle"
 	"mra/internal/plan"
 	"mra/internal/scalar"
 	"mra/internal/schema"
@@ -40,7 +41,7 @@ func beerSource() eval.MapSource {
 }
 
 // runSQL compiles and evaluates a SELECT statement against the beer source.
-func runSQL(t *testing.T, sql string) *multiset.Relation {
+func runSQL(t *testing.T, sql string) oracle.Bag {
 	t.Helper()
 	src := beerSource()
 	q, err := CompileQuery(sql, eval.CatalogOf(src))
@@ -50,7 +51,7 @@ func runSQL(t *testing.T, sql string) *multiset.Relation {
 	if err := algebra.Validate(q.Expr, eval.CatalogOf(src)); err != nil {
 		t.Fatalf("validate %q (%s): %v", sql, q.Expr, err)
 	}
-	r, err := (eval.Reference{}).Eval(q.Expr, src)
+	r, err := oracle.Eval(q.Expr, src)
 	if err != nil {
 		t.Fatalf("eval %q: %v", sql, err)
 	}
@@ -122,11 +123,11 @@ func TestExample32SQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := (eval.Reference{}).Eval(q.Expr, src)
+	got, err := oracle.Eval(q.Expr, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (eval.Reference{}).Eval(
+	want, err := oracle.Eval(
 		algebra.NewGroupBy([]int{5}, algebra.AggAvg, 2,
 			algebra.NewJoin(scalar.Eq(1, 3), algebra.NewRel("beer"), algebra.NewRel("brewery"))), src)
 	if err != nil {
@@ -418,7 +419,11 @@ func newFakeContext(src eval.MapSource) *fakeContext { return &fakeContext{src: 
 func (f *fakeContext) Catalog() algebra.Catalog { return eval.CatalogOf(f.src) }
 
 func (f *fakeContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
-	return (eval.Reference{}).Eval(e, f.src)
+	out, err := oracle.Eval(e, f.src)
+	if err != nil {
+		return nil, err
+	}
+	return out.Relation(), nil
 }
 
 func (f *fakeContext) Current(name string) (*multiset.Relation, bool) { return f.src.Relation(name) }
@@ -544,7 +549,7 @@ func TestOrderByExpressionKeys(t *testing.T) {
 	if s.Arity() != 2 || s.Attribute(0).Name != "name" || s.Attribute(1).Name != "" {
 		t.Errorf("extended schema = %s", s)
 	}
-	out, err := (eval.Reference{}).Eval(q.Expr, src)
+	out, err := oracle.Eval(q.Expr, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/oracle"
 	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/tuple"
@@ -41,7 +42,11 @@ func newMock() *mockContext {
 func (m *mockContext) Catalog() algebra.Catalog { return eval.CatalogOf(m.src) }
 
 func (m *mockContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
-	return (eval.Reference{}).Eval(e, m.src)
+	out, err := oracle.Eval(e, m.src)
+	if err != nil {
+		return nil, err
+	}
+	return out.Relation(), nil
 }
 
 func (m *mockContext) Current(name string) (*multiset.Relation, bool) { return m.src.Relation(name) }

@@ -198,10 +198,11 @@ func (v Value) Display() string {
 
 // Equal reports whether two values are equal.  Values of different domains are
 // never equal, with the exception that integer and real values compare
-// numerically (3 == 3.0), mirroring SQL's cross-numeric comparison rules.
-// Every NaN equals every other NaN, whatever its payload, as in PostgreSQL:
-// bag identity (δ, ∸, ∩, grouping) needs Equal to be reflexive, exactly as
-// null = null is.
+// numerically and exactly (3 == 3.0, but 2^53+1 ≠ 2^53.0 although both have
+// one float64 image), so Equal is transitive, as every hash table's choice
+// of representative needs.  Every NaN equals every other NaN, whatever its
+// payload, as in PostgreSQL: bag identity (δ, ∸, ∩, grouping) needs Equal to
+// be reflexive, exactly as null = null is.
 func (v Value) Equal(o Value) bool {
 	if v.kind == o.kind {
 		switch v.kind {
@@ -217,47 +218,26 @@ func (v Value) Equal(o Value) bool {
 			return v.b == o.b
 		}
 	}
-	if v.kind.Numeric() && o.kind.Numeric() {
-		a, _ := v.AsFloat()
-		b, _ := o.AsFloat()
-		return a == b
-	}
-	return false
+	return v.kind.Numeric() && o.kind.Numeric() && v.Compare(o) == 0
 }
 
 // Compare orders two values.  It returns a negative number, zero or a positive
 // number when v sorts before, equal to, or after o.  Values of incomparable
 // domains are ordered by domain kind so that Compare induces a total order
-// usable for canonicalisation; Null sorts before every other value.  Two
-// integers compare exactly; an integer and a real compare on their float64
-// images, as Equal and Hash do.  NaN sorts above every other number and
-// equal to any NaN, consistently with Equal.
+// usable for canonicalisation; Null sorts before every other value.  Numbers
+// compare exactly: two integers as integers, an integer and a real by their
+// exact values, never through the integer's float64 image, consistently with
+// Equal.  NaN sorts above every other number and equal to any NaN.
 func (v Value) Compare(o Value) int {
-	if v.kind == KindInt && o.kind == KindInt {
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if v.kind.Numeric() && o.kind.Numeric() {
-		a, _ := v.AsFloat()
-		b, _ := o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		case a == b, a != a && b != b:
-			return 0
-		case a != a:
-			return 1
-		default:
-			return -1
-		}
+	switch {
+	case v.kind == KindInt && o.kind == KindInt:
+		return cmpInt(v.i, o.i)
+	case v.kind == KindInt && o.kind == KindFloat:
+		return cmpIntFloat(v.i, o.f)
+	case v.kind == KindFloat && o.kind == KindInt:
+		return -cmpIntFloat(o.i, v.f)
+	case v.kind == KindFloat && o.kind == KindFloat:
+		return cmpFloat(v.f, o.f)
 	}
 	if v.kind != o.kind {
 		return int(v.kind) - int(o.kind)
@@ -279,6 +259,45 @@ func (v Value) Compare(o Value) int {
 	default:
 		return 0
 	}
+}
+
+// cmpInt is the three-way comparison of two integers.
+func cmpInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// cmpFloat is the three-way comparison of two reals, NaN above every number
+// and equal to every NaN.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b, a == a && b != b:
+		return -1
+	case a > b, a != a && b == b:
+		return 1
+	}
+	return 0
+}
+
+// cmpIntFloat orders integer i against real f exactly.  i is compared with
+// f's integral part — an int64 whenever f lies inside int64's range — and,
+// when they are equal, f's fraction decides; NaN sorts above every number.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f, f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	if c := cmpInt(i, int64(f)); c != 0 {
+		return c
+	}
+	return cmpFloat(float64(int64(f)), f)
 }
 
 // Less reports whether v sorts strictly before o.

@@ -2,6 +2,7 @@ package value
 
 import (
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,11 +256,19 @@ func TestHashImpliedByEqualProperty(t *testing.T) {
 }
 
 func TestHashEqualityProperty(t *testing.T) {
+	// An int and its float64 image always hash alike, and they are Equal
+	// exactly when the image is the same number: always within ±2^53, and
+	// beyond it only when the int needs no rounding.
 	f := func(a int64) bool {
-		return NewInt(a).Hash() == NewFloat(float64(a)).Hash() == NewInt(a).Equal(NewFloat(float64(a)))
+		img := float64(a)
+		same := img < 0x1p63 && int64(img) == a
+		return NewInt(a).Hash() == NewFloat(img).Hash() && NewInt(a).Equal(NewFloat(img)) == same
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	small := func(a int64) bool { return f(a%(1<<53)) && NewInt(a%(1<<53)).Equal(NewFloat(float64(a%(1<<53)))) }
+	for _, g := range []any{f, small} {
+		if err := quick.Check(g, nil); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -319,7 +328,7 @@ func TestNaNContract(t *testing.T) {
 // word hash could get wrong: int/float images, ±0 and NaN payloads.
 func TestHashEqualImpliesSameHash(t *testing.T) {
 	var pairs [][2]Value
-	for _, i := range []int64{0, 1, -1, 2, 3, 1 << 31, -(1 << 31), 1 << 53, -(1 << 53), math.MaxInt64, math.MinInt64} {
+	for _, i := range []int64{0, 1, -1, 2, 3, 1 << 31, -(1 << 31), 1 << 53, -(1 << 53), 1<<63 - 1024, math.MinInt64} {
 		pairs = append(pairs, [2]Value{NewInt(i), NewFloat(float64(i))})
 	}
 	pairs = append(pairs,
@@ -475,6 +484,109 @@ func TestCmpEqImpliesSameHash(t *testing.T) {
 	for _, f := range []any{ints, mixed, floats} {
 		if err := quick.Check(f, nil); err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// exactnessValues is TestCmpEqImpliesSameHash's value set plus the ints
+// around 2^53 and ±2^63 and their float neighbours: the values where an int
+// and a float share a float64 image without being equal.
+func exactnessValues() []Value {
+	const two53 = 1 << 53
+	vals := []Value{Null, NewFloat(0), NewFloat(math.Copysign(0, -1)), NewInt(0),
+		NewInt(1), NewFloat(1), NewInt(-1), NewFloat(-1), NewFloat(0.5), NewFloat(-0.5),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewString(""), NewString("1"), NewBool(true), NewBool(false),
+		NewFloat(two53), NewFloat(-two53), NewFloat(0x1p63), NewFloat(-0x1p63),
+		NewFloat(math.Nextafter(two53, 0)), NewFloat(math.Nextafter(two53, math.Inf(1))),
+		NewFloat(math.Nextafter(0x1p63, 0)), NewFloat(math.Nextafter(-0x1p63, 0)),
+		NewFloat(math.Nextafter(-0x1p63, math.Inf(-1))), NewFloat(two53/2 + 0.5)}
+	for k := int64(-3); k <= 3; k++ {
+		vals = append(vals, NewInt(two53+k), NewInt(-two53+k))
+	}
+	for k := int64(0); k < 3; k++ {
+		vals = append(vals, NewInt(math.MaxInt64-k), NewInt(math.MinInt64+k))
+	}
+	for _, n := range nanPayloads() {
+		vals = append(vals, NewFloat(n))
+	}
+	return vals
+}
+
+// TestEqualIsAnEquivalence checks that Equal is reflexive, symmetric and
+// transitive and that Compare is a total order consistent with it, over the
+// values where equality on float64 images was not transitive (2^53 =
+// 2^53.0 = 2^53+1 but 2^53 ≠ 2^53+1).  Equal still implies one hash.
+func TestEqualIsAnEquivalence(t *testing.T) {
+	vals := exactnessValues()
+	sign := func(c int) int {
+		switch {
+		case c < 0:
+			return -1
+		case c > 0:
+			return 1
+		}
+		return 0
+	}
+	for _, a := range vals {
+		if !a.Equal(a) || a.Compare(a) != 0 {
+			t.Errorf("%v (%s) must equal itself", a, a.Kind())
+		}
+		for _, b := range vals {
+			if a.Equal(b) != b.Equal(a) {
+				t.Errorf("Equal(%v, %v) is not symmetric", a, b)
+			}
+			if (a.Compare(b) == 0) != a.Equal(b) {
+				t.Errorf("%v (%s) vs %v (%s): Compare %d but Equal %v", a, a.Kind(), b, b.Kind(), a.Compare(b), a.Equal(b))
+			}
+			if sign(a.Compare(b)) != -sign(b.Compare(a)) {
+				t.Errorf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", a, b, a.Compare(b), b, a, b.Compare(a))
+			}
+			if a.Equal(b) && a.Hash() != b.Hash() {
+				t.Errorf("%v = %v but they hash apart", a, b)
+			}
+			for _, c := range vals {
+				if a.Equal(b) && b.Equal(c) && !a.Equal(c) {
+					t.Errorf("%v (%s) = %v (%s) = %v (%s) but %v ≠ %v", a, a.Kind(), b, b.Kind(), c, c.Kind(), a, c)
+				}
+				if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+					t.Errorf("%v ≤ %v ≤ %v but Compare(%v, %v) > 0", a, b, c, a, c)
+				}
+			}
+		}
+	}
+}
+
+// TestCompareIsExactAcrossIntAndFloat checks Compare, Equal and the
+// comparison operators of an int against a float against the exact rational
+// order (math/big), on random pairs near each other and at the edges of
+// int64 and of the exactly representable range.
+func TestCompareIsExactAcrossIntAndFloat(t *testing.T) {
+	exact := func(i int64, f float64) int {
+		if math.IsNaN(f) {
+			return -1
+		}
+		return new(big.Float).SetInt64(i).Cmp(new(big.Float).SetFloat64(f))
+	}
+	check := func(i int64, f float64) bool {
+		vi, vf := NewInt(i), NewFloat(f)
+		want := exact(i, f)
+		lt, _ := CmpLt.Apply(vi, vf)
+		eq, _ := CmpEq.Apply(vf, vi)
+		return vi.Compare(vf) == want && vf.Compare(vi) == -want && vi.Equal(vf) == (want == 0) &&
+			lt == (want < 0) && eq == (want == 0)
+	}
+	near := func(i int64, d int8) bool {
+		f := float64(i)
+		return check(i, f) && check(i+int64(d), f) && check(i, math.Nextafter(f, math.Inf(int(d)))) && check(i, f+float64(d)/4)
+	}
+	if err := quick.Check(near, nil); err != nil {
+		t.Error(err)
+	}
+	for _, v := range exactnessValues() {
+		for _, w := range exactnessValues() {
+			if v.Kind() == KindInt && w.Kind() == KindFloat && !check(v.Int(), w.Float()) {
+				t.Errorf("%d vs %v: Compare %d, want %d", v.Int(), w.Float(), v.Compare(w), exact(v.Int(), w.Float()))
+			}
 		}
 	}
 }

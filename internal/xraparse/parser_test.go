@@ -8,6 +8,7 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/eval"
 	"mra/internal/multiset"
+	"mra/internal/oracle"
 	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/stmt"
@@ -37,7 +38,7 @@ func beerSource() eval.MapSource {
 }
 
 // mustEval parses and evaluates an XRA expression against the beer source.
-func mustEval(t *testing.T, src string) *multiset.Relation {
+func mustEval(t *testing.T, src string) oracle.Bag {
 	t.Helper()
 	e, err := ParseExpression(src)
 	if err != nil {
@@ -47,7 +48,7 @@ func mustEval(t *testing.T, src string) *multiset.Relation {
 	if err := algebra.Validate(e, eval.CatalogOf(s)); err != nil {
 		t.Fatalf("validate %q: %v", src, err)
 	}
-	r, err := (eval.Reference{}).Eval(e, s)
+	r, err := oracle.Eval(e, s)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -378,7 +379,11 @@ func newFakeContext(src eval.MapSource) *fakeContext { return &fakeContext{src: 
 func (f *fakeContext) Catalog() algebra.Catalog { return eval.CatalogOf(f.src) }
 
 func (f *fakeContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
-	return (eval.Reference{}).Eval(e, f.src)
+	out, err := oracle.Eval(e, f.src)
+	if err != nil {
+		return nil, err
+	}
+	return out.Relation(), nil
 }
 
 func (f *fakeContext) Current(name string) (*multiset.Relation, bool) { return f.src.Relation(name) }

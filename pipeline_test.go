@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,18 +21,28 @@ import (
 // and do not count.  Calls are resolved with go/types, so a plan's Execute is
 // told apart from a statement's.  The planner is the one optimiser: no
 // non-test file outside benchmark/ imports the rewriter, which stays only as
-// the law table the tests check.
+// the law table the tests check.  The oracle (internal/oracle) is test
+// support that shares no code with the engine: no non-test file imports it,
+// and it uses nothing of plan but the two error values errors.Is must match
+// across both evaluators, no multiset function but New, and no Equal, Hash,
+// Compare or Less method of value, tuple or multiset.
 func TestOneCallSitePerStage(t *testing.T) {
 	m := loadModule(t)
 	for _, files := range m.files {
 		for _, f := range files {
 			for _, imp := range f.Imports {
-				if imp.Path.Value == `"mra/internal/rewrite"` {
-					pos, _ := filepath.Rel(m.root, m.fset.Position(imp.Pos()).String())
+				pos, _ := filepath.Rel(m.root, m.fset.Position(imp.Pos()).String())
+				switch imp.Path.Value {
+				case `"mra/internal/rewrite"`:
 					t.Errorf("%s imports mra/internal/rewrite: the planner is the one optimiser", pos)
+				case `"mra/internal/oracle"`:
+					t.Errorf("%s imports mra/internal/oracle: the oracle is test support", pos)
 				}
 			}
 		}
+	}
+	for _, use := range oracleEngineUses(m) {
+		t.Errorf("internal/oracle uses %s: the oracle shares no code with the engine", use)
 	}
 	sites := stageCallSites(m)
 	for _, stage := range []string{"compile", "validate", "plan", "execute"} {
@@ -50,6 +61,32 @@ func TestOneCallSitePerStage(t *testing.T) {
 				stage, len(got), len(funcs), strings.Join(lines, "\n  "))
 		}
 	}
+}
+
+// oracleEngineUses lists, with their positions, the engine identifiers
+// internal/oracle refers to that its independence rules out.
+func oracleEngineUses(m *moduleImporter) []string {
+	var bad []string
+	for id, obj := range m.uses["mra/internal/oracle"] {
+		if obj.Pkg() == nil {
+			continue
+		}
+		name := obj.Name()
+		recv := ""
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+			recv = types.TypeString(fn.Type().(*types.Signature).Recv().Type(), nil)
+		}
+		switch path := obj.Pkg().Path(); {
+		case path == "mra/internal/plan" && name != "ErrOverflow" && name != "ErrEmptyAggregate",
+			path == "mra/internal/multiset" && recv == "" && name != "New" && name != "Relation",
+			(path == "mra/internal/value" || path == "mra/internal/tuple" || path == "mra/internal/multiset") &&
+				recv != "" && (name == "Equal" || name == "Hash" || name == "HashOn" || name == "Compare" || name == "Less"):
+			pos, _ := filepath.Rel(m.root, m.fset.Position(id.Pos()).String())
+			bad = append(bad, path+"."+name+" at "+pos)
+		}
+	}
+	slices.Sort(bad)
+	return bad
 }
 
 // stageOf names the pipeline stage a function implements, or "" when it is
