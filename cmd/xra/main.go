@@ -9,7 +9,9 @@
 //	xra script.xra ...      # run scripts and exit
 //	xra -sql                # interactive SQL shell
 //
-// Inside the shell, statements end with ';'.  `begin ... end;` groups
+// Inside the shell, statements end with ';': the shell runs its buffer once
+// the last token read is ';' outside any string literal or comment and, in
+// XRA mode, no `begin` block is left open.  `begin ... end;` groups
 // statements into one transaction.  Ctrl-C cancels the running statement
 // (the transaction aborts, the database stays unchanged); pressing it at the
 // prompt exits.  The meta-commands are:
@@ -134,7 +136,7 @@ func repl(db *mra.DB, sqlMode bool, in io.Reader, out io.Writer) {
 		}
 		buf.WriteString(line)
 		buf.WriteByte('\n')
-		if !strings.Contains(line, ";") || !sqlMode && xraparse.OpenBlock(buf.String()) {
+		if ends, open := xraparse.Complete(buf.String()); !ends || open && !sqlMode {
 			fmt.Fprint(out, "... ")
 			continue
 		}

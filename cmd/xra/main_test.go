@@ -8,9 +8,9 @@ import (
 )
 
 // TestReplWaitsOnlyForOpenBlocks feeds the interactive shell line by line and
-// checks it submits a buffer exactly when no begin/end block is left open —
-// counting whole begin/end words, not their letters inside other words,
-// string literals or comments.
+// checks it submits a buffer exactly when its last token is ';' and no
+// begin/end block is left open — counting whole begin/end words and ';'
+// tokens, not their text inside other words, string literals or comments.
 func TestReplWaitsOnlyForOpenBlocks(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -42,6 +42,18 @@ func TestReplWaitsOnlyForOpenBlocks(t *testing.T) {
 			sql:   true,
 			lines: []string{"select name from beer where name = 'begin';"},
 			want:  "(0 rows)",
+		},
+		{
+			name:  "a semicolon inside a comment does not end the statement",
+			sql:   true,
+			lines: []string{"select name -- the; name", "from beer;"},
+			want:  "(0 rows)",
+		},
+		{
+			name:  "a semicolon inside a string literal does not end the statement",
+			sql:   true,
+			lines: []string{"insert into beer values ('a;", "b');", "select name from beer;"},
+			want:  "a;",
 		},
 	}
 	for _, c := range cases {

@@ -20,7 +20,7 @@ func TestExportedDocComments(t *testing.T) {
 	for _, dir := range []string{
 		"internal/exec", "internal/plan", "internal/eval",
 		"internal/multiset", "internal/tuple", "internal/value",
-		"internal/stats", "internal/oracle",
+		"internal/stats", "internal/oracle", "internal/lex",
 	} {
 		var missing []string
 		fset := token.NewFileSet()

@@ -12,7 +12,8 @@ import (
 // compile error, never as a panic, because the -sql shell feeds user input
 // straight into these functions.  The seed corpus is the golden statements of
 // the SQL tests plus broken fragments near known tricky spots (quoting,
-// nesting, dangling clauses).
+// nesting, dangling clauses, out-of-range literals, comments holding ";" or
+// "'", and the dot and percent tokens XRA spells differently).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT name FROM beer",
@@ -38,6 +39,14 @@ func FuzzParse(f *testing.F) {
 		"INSERT INTO beer VALUES (",
 		"GROUP BY",
 		";;;",
+		// Literal range, comments holding ";" and "'", and the tokens the
+		// two languages spell differently.
+		"INSERT INTO beer VALUES (99999999999999999999)",
+		"INSERT INTO beer VALUES ('x', 'y', -9223372036854775808)",
+		"SELECT name FROM beer WHERE alcperc = 99999999999999999999 LIMIT 99999999999999999999",
+		"SELECT name FROM beer; -- a; comment",
+		"DELETE FROM beer -- don't\n; SELECT name FROM beer",
+		"SELECT b . name FROM beer b WHERE alcperc%2 = 1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

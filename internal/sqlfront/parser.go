@@ -1,9 +1,28 @@
+// Package sqlfront implements a front-end for a subset of SQL on top of the
+// multi-set extended relational algebra, demonstrating the paper's claim that
+// the algebra "can be used as a formal background for other multi-set
+// languages like SQL" (Section 1 and Example 3.2 of Grefen & de By,
+// ICDE 1994).
+//
+// Supported statements:
+//
+//	SELECT [DISTINCT] <items> FROM <tables> [JOIN ... ON ...]
+//	       [WHERE <cond>] [GROUP BY <cols> [HAVING <cond>]]
+//	INSERT INTO <table> VALUES (...), (...)
+//	DELETE FROM <table> [WHERE <cond>]
+//	UPDATE <table> SET col = expr, ... [WHERE <cond>]
+//
+// Queries compile to algebra expressions; DML compiles to extended relational
+// algebra statements (package stmt), exactly as the paper pairs its Example
+// 3.2 and 4.1 with their SQL equivalents.  The tokens come from package lex,
+// which the XRA front end shares; errors are *lex.Error values printed as
+// `sql: line:col: message`.
 package sqlfront
 
 import (
-	"strconv"
 	"strings"
 
+	"mra/internal/lex"
 	"mra/internal/value"
 )
 
@@ -18,7 +37,7 @@ type sqlExpr interface{ sqlExpr() }
 type colRef struct {
 	qualifier string
 	name      string
-	pos       int
+	at        lex.Pos
 }
 
 // litExpr is a constant literal.
@@ -36,7 +55,7 @@ type binExpr struct {
 type cmpExpr struct {
 	op          string
 	left, right sqlExpr
-	pos         int
+	at          lex.Pos
 }
 
 // logicExpr is AND / OR of two boolean expressions.
@@ -55,7 +74,7 @@ type aggExpr struct {
 	fn   string
 	arg  sqlExpr // nil for COUNT(*)
 	star bool
-	pos  int
+	at   lex.Pos
 }
 
 func (colRef) sqlExpr()    {}
@@ -78,7 +97,7 @@ type tableRef struct {
 	name  string
 	alias string
 	on    sqlExpr
-	pos   int
+	at    lex.Pos
 }
 
 // orderItem is one ORDER BY entry: a scalar expression (an output column
@@ -88,7 +107,7 @@ type orderItem struct {
 	expr sqlExpr
 	pos  int // 1-based output position when > 0; expr is used otherwise
 	desc bool
-	at   int // source position for error messages
+	at   lex.Pos // source position for error messages
 }
 
 // selectQuery is a parsed SELECT statement.
@@ -110,7 +129,7 @@ type selectQuery struct {
 type insertStmt struct {
 	table string
 	rows  [][]value.Value
-	pos   int
+	at    lex.Pos
 }
 
 // deleteStmt is a parsed DELETE FROM statement.
@@ -139,111 +158,68 @@ type setClause struct {
 }
 
 // parser is a recursive-descent parser over SQL tokens.
-type parser struct {
-	toks []tok
-	idx  int
-}
+type parser struct{ lex.Cursor }
 
 func newParser(src string) (*parser, error) {
-	toks, err := lex(src)
+	c, err := lex.NewCursor("sql", src)
 	if err != nil {
 		return nil, err
 	}
-	return &parser{toks: toks}, nil
+	return &parser{c}, nil
 }
 
-func (p *parser) peek() tok { return p.toks[p.idx] }
-
-func (p *parser) next() tok {
-	t := p.toks[p.idx]
-	if t.kind != tEOF {
-		p.idx++
-	}
-	return t
+// errf builds a SQL error at the given position (the zero Pos for none).
+func errf(at lex.Pos, format string, args ...any) error {
+	return lex.Errorf("sql", at, format, args...)
 }
 
-func (p *parser) expectKeyword(word string) (tok, error) {
-	t := p.next()
-	if !t.isKeyword(word) {
-		return t, errf(t.pos, "expected %s, found %s", strings.ToUpper(word), t)
-	}
-	return t, nil
-}
-
-func (p *parser) expectPunct(s string) (tok, error) {
-	t := p.next()
-	if t.kind != tPunct || t.text != s {
-		return t, errf(t.pos, "expected %q, found %s", s, t)
-	}
-	return t, nil
-}
-
-func (p *parser) acceptKeyword(word string) bool {
-	if p.peek().isKeyword(word) {
-		p.next()
-		return true
-	}
-	return false
-}
-
-func (p *parser) acceptPunct(s string) bool {
-	t := p.peek()
-	if t.kind == tPunct && t.text == s {
-		p.next()
-		return true
-	}
-	return false
-}
-
+// expectEnd checks that one statement, with an optional ";", is the whole
+// input.
 func (p *parser) expectEnd() error {
-	// Allow a single trailing semicolon.
-	p.acceptPunct(";")
-	if t := p.peek(); t.kind != tEOF {
-		return errf(t.pos, "unexpected %s after end of statement", t)
+	p.Accept(";")
+	if t := p.Peek(); t.Kind != lex.EOF {
+		return errf(t.Pos, "unexpected %s after end of statement", t)
 	}
 	return nil
 }
 
 // parseStatement parses any supported SQL statement into its AST.
 func (p *parser) parseStatement() (any, error) {
-	t := p.peek()
+	t := p.Peek()
 	switch {
-	case t.isKeyword("select"):
+	case t.IsWord("select"):
 		return p.parseSelect()
-	case t.isKeyword("insert"):
+	case t.IsWord("insert"):
 		return p.parseInsert()
-	case t.isKeyword("delete"):
+	case t.IsWord("delete"):
 		return p.parseDelete()
-	case t.isKeyword("update"):
+	case t.IsWord("update"):
 		return p.parseUpdate()
-	case t.isKeyword("analyze"):
+	case t.IsWord("analyze"):
 		return p.parseAnalyze()
 	default:
-		return nil, errf(t.pos, "expected SELECT, INSERT, DELETE, UPDATE or ANALYZE, found %s", t)
+		return nil, errf(t.Pos, "expected SELECT, INSERT, DELETE, UPDATE or ANALYZE, found %s", t)
 	}
 }
 
 func (p *parser) parseAnalyze() (*analyzeStmt, error) {
-	p.next() // ANALYZE
+	p.Next() // ANALYZE
 	an := &analyzeStmt{}
-	if t := p.peek(); t.kind == tIdent {
-		an.table = p.next().text
-	}
-	if err := p.expectEnd(); err != nil {
-		return nil, err
+	if t := p.Peek(); t.Kind == lex.Ident {
+		an.table = p.Next().Text
 	}
 	return an, nil
 }
 
 func (p *parser) parseSelect() (*selectQuery, error) {
-	if _, err := p.expectKeyword("select"); err != nil {
+	if _, err := p.ExpectWord("SELECT"); err != nil {
 		return nil, err
 	}
 	q := &selectQuery{}
-	if p.acceptKeyword("distinct") {
+	if p.AcceptWord("distinct") {
 		q.distinct = true
 	}
-	if p.acceptPunct("*") {
+	if p.Accept("*") {
 		q.star = true
 	} else {
 		for {
@@ -252,12 +228,12 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 				return nil, err
 			}
 			q.items = append(q.items, item)
-			if !p.acceptPunct(",") {
+			if !p.Accept(",") {
 				break
 			}
 		}
 	}
-	if _, err := p.expectKeyword("from"); err != nil {
+	if _, err := p.ExpectWord("FROM"); err != nil {
 		return nil, err
 	}
 	for {
@@ -267,9 +243,9 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 		}
 		q.from = append(q.from, ref)
 		// Explicit joins: [INNER] JOIN table ON cond.
-		for p.peek().isKeyword("join") || p.peek().isKeyword("inner") {
-			p.acceptKeyword("inner")
-			if _, err := p.expectKeyword("join"); err != nil {
+		for p.Peek().IsWord("join") || p.Peek().IsWord("inner") {
+			p.AcceptWord("inner")
+			if _, err := p.ExpectWord("JOIN"); err != nil {
 				return nil, err
 			}
 			joined, err := p.parseTableRef(true)
@@ -278,19 +254,19 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 			}
 			q.from = append(q.from, joined)
 		}
-		if !p.acceptPunct(",") {
+		if !p.Accept(",") {
 			break
 		}
 	}
-	if p.acceptKeyword("where") {
+	if p.AcceptWord("where") {
 		cond, err := p.parseBool()
 		if err != nil {
 			return nil, err
 		}
 		q.where = cond
 	}
-	if p.acceptKeyword("group") {
-		if _, err := p.expectKeyword("by"); err != nil {
+	if p.AcceptWord("group") {
+		if _, err := p.ExpectWord("BY"); err != nil {
 			return nil, err
 		}
 		for {
@@ -299,11 +275,11 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 				return nil, err
 			}
 			q.groupBy = append(q.groupBy, c)
-			if !p.acceptPunct(",") {
+			if !p.Accept(",") {
 				break
 			}
 		}
-		if p.acceptKeyword("having") {
+		if p.AcceptWord("having") {
 			cond, err := p.parseBool()
 			if err != nil {
 				return nil, err
@@ -311,8 +287,8 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 			q.having = cond
 		}
 	}
-	if p.acceptKeyword("order") {
-		if _, err := p.expectKeyword("by"); err != nil {
+	if p.AcceptWord("order") {
+		if _, err := p.ExpectWord("BY"); err != nil {
 			return nil, err
 		}
 		for {
@@ -321,7 +297,7 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 				return nil, err
 			}
 			q.orderBy = append(q.orderBy, item)
-			if !p.acceptPunct(",") {
+			if !p.Accept(",") {
 				break
 			}
 		}
@@ -329,14 +305,14 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 	hasOffset := false
 	for {
 		switch {
-		case !q.hasLimit && p.acceptKeyword("limit"):
+		case !q.hasLimit && p.AcceptWord("limit"):
 			n, err := p.parseCount("LIMIT")
 			if err != nil {
 				return nil, err
 			}
 			q.limit, q.hasLimit = n, true
 			continue
-		case !hasOffset && p.acceptKeyword("offset"):
+		case !hasOffset && p.AcceptWord("offset"):
 			m, err := p.parseCount("OFFSET")
 			if err != nil {
 				return nil, err
@@ -346,9 +322,6 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 		}
 		break
 	}
-	if err := p.expectEnd(); err != nil {
-		return nil, err
-	}
 	return q, nil
 }
 
@@ -357,13 +330,16 @@ func (p *parser) parseSelect() (*selectQuery, error) {
 // column name or any scalar expression over the FROM columns; the translator
 // decides which.
 func (p *parser) parseOrderItem() (orderItem, error) {
-	t := p.peek()
-	item := orderItem{at: t.pos}
-	if t.kind == tNumber {
-		p.next()
-		v := parseNumberValue(t.text)
+	t := p.Peek()
+	item := orderItem{at: t.Pos}
+	if t.Kind == lex.Number {
+		p.Next()
+		v, err := p.Number(t, false)
+		if err != nil {
+			return orderItem{}, err
+		}
 		if v.Kind() != value.KindInt || v.Int() < 1 {
-			return orderItem{}, errf(t.pos, "ORDER BY position must be a positive integer, found %q", t.text)
+			return orderItem{}, errf(t.Pos, "ORDER BY position must be a positive integer, found %q", t.Text)
 		}
 		item.pos = int(v.Int())
 	} else {
@@ -373,23 +349,26 @@ func (p *parser) parseOrderItem() (orderItem, error) {
 		}
 		item.expr = e
 	}
-	if p.acceptKeyword("desc") {
+	if p.AcceptWord("desc") {
 		item.desc = true
 	} else {
-		p.acceptKeyword("asc")
+		p.AcceptWord("asc")
 	}
 	return item, nil
 }
 
 // parseCount parses the non-negative integer operand of LIMIT or OFFSET.
 func (p *parser) parseCount(clause string) (uint64, error) {
-	t := p.next()
-	if t.kind != tNumber {
-		return 0, errf(t.pos, "expected a number after %s, found %s", clause, t)
+	t := p.Next()
+	if t.Kind != lex.Number {
+		return 0, errf(t.Pos, "expected a number after %s, found %s", clause, t)
 	}
-	v := parseNumberValue(t.text)
+	v, err := p.Number(t, false)
+	if err != nil {
+		return 0, err
+	}
 	if v.Kind() != value.KindInt || v.Int() < 0 {
-		return 0, errf(t.pos, "%s must be a non-negative integer, found %q", clause, t.text)
+		return 0, errf(t.Pos, "%s must be a non-negative integer, found %q", clause, t.Text)
 	}
 	return uint64(v.Int()), nil
 }
@@ -400,37 +379,37 @@ func (p *parser) parseSelectItem() (selectItem, error) {
 		return selectItem{}, err
 	}
 	item := selectItem{expr: e}
-	if p.acceptKeyword("as") {
-		t := p.next()
-		if t.kind != tIdent {
-			return selectItem{}, errf(t.pos, "expected an alias after AS, found %s", t)
+	if p.AcceptWord("as") {
+		t := p.Next()
+		if t.Kind != lex.Ident {
+			return selectItem{}, errf(t.Pos, "expected an alias after AS, found %s", t)
 		}
-		item.alias = t.text
+		item.alias = t.Text
 	}
 	return item, nil
 }
 
 func (p *parser) parseTableRef(requireOn bool) (tableRef, error) {
-	t := p.next()
-	if t.kind != tIdent {
-		return tableRef{}, errf(t.pos, "expected a table name, found %s", t)
+	t := p.Next()
+	if t.Kind != lex.Ident {
+		return tableRef{}, errf(t.Pos, "expected a table name, found %s", t)
 	}
-	ref := tableRef{name: t.text, alias: t.text, pos: t.pos}
+	ref := tableRef{name: t.Text, alias: t.Text, at: t.Pos}
 	// Optional alias: `beer b` or `beer AS b`.
-	if p.acceptKeyword("as") {
-		a := p.next()
-		if a.kind != tIdent {
-			return tableRef{}, errf(a.pos, "expected an alias after AS, found %s", a)
+	if p.AcceptWord("as") {
+		a := p.Next()
+		if a.Kind != lex.Ident {
+			return tableRef{}, errf(a.Pos, "expected an alias after AS, found %s", a)
 		}
-		ref.alias = a.text
-	} else if nxt := p.peek(); nxt.kind == tIdent &&
-		!nxt.isKeyword("where") && !nxt.isKeyword("group") && !nxt.isKeyword("join") &&
-		!nxt.isKeyword("inner") && !nxt.isKeyword("on") && !nxt.isKeyword("having") &&
-		!nxt.isKeyword("order") && !nxt.isKeyword("limit") && !nxt.isKeyword("offset") {
-		ref.alias = p.next().text
+		ref.alias = a.Text
+	} else if nxt := p.Peek(); nxt.Kind == lex.Ident &&
+		!nxt.IsWord("where") && !nxt.IsWord("group") && !nxt.IsWord("join") &&
+		!nxt.IsWord("inner") && !nxt.IsWord("on") && !nxt.IsWord("having") &&
+		!nxt.IsWord("order") && !nxt.IsWord("limit") && !nxt.IsWord("offset") {
+		ref.alias = p.Next().Text
 	}
 	if requireOn {
-		if _, err := p.expectKeyword("on"); err != nil {
+		if _, err := p.ExpectWord("ON"); err != nil {
 			return tableRef{}, err
 		}
 		cond, err := p.parseBool()
@@ -443,18 +422,18 @@ func (p *parser) parseTableRef(requireOn bool) (tableRef, error) {
 }
 
 func (p *parser) parseColRef() (colRef, error) {
-	t := p.next()
-	if t.kind != tIdent {
-		return colRef{}, errf(t.pos, "expected a column name, found %s", t)
+	t := p.Next()
+	if t.Kind != lex.Ident {
+		return colRef{}, errf(t.Pos, "expected a column name, found %s", t)
 	}
-	ref := colRef{name: t.text, pos: t.pos}
-	if p.acceptPunct(".") {
-		n := p.next()
-		if n.kind != tIdent {
-			return colRef{}, errf(n.pos, "expected a column name after %q., found %s", t.text, n)
+	ref := colRef{name: t.Text, at: t.Pos}
+	if p.Accept(".") {
+		n := p.Next()
+		if n.Kind != lex.Ident {
+			return colRef{}, errf(n.Pos, "expected a column name after %q., found %s", t.Text, n)
 		}
-		ref.qualifier = t.text
-		ref.name = n.text
+		ref.qualifier = t.Text
+		ref.name = n.Text
 	}
 	return ref, nil
 }
@@ -465,7 +444,7 @@ func (p *parser) parseBool() (sqlExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptKeyword("or") {
+	for p.AcceptWord("or") {
 		right, err := p.parseBoolAnd()
 		if err != nil {
 			return nil, err
@@ -480,7 +459,7 @@ func (p *parser) parseBoolAnd() (sqlExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptKeyword("and") {
+	for p.AcceptWord("and") {
 		right, err := p.parseBoolNot()
 		if err != nil {
 			return nil, err
@@ -491,7 +470,7 @@ func (p *parser) parseBoolAnd() (sqlExpr, error) {
 }
 
 func (p *parser) parseBoolNot() (sqlExpr, error) {
-	if p.acceptKeyword("not") {
+	if p.AcceptWord("not") {
 		inner, err := p.parseBoolNot()
 		if err != nil {
 			return nil, err
@@ -503,23 +482,23 @@ func (p *parser) parseBoolNot() (sqlExpr, error) {
 
 func (p *parser) parseComparison() (sqlExpr, error) {
 	// Parenthesised boolean expression.
-	if p.peek().kind == tPunct && p.peek().text == "(" {
-		save := p.idx
-		p.next()
+	if p.Peek().Kind == lex.Punct && p.Peek().Text == "(" {
+		save := p.Idx
+		p.Next()
 		inner, err := p.parseBool()
 		if err == nil {
 			if _, isBool := inner.(logicExpr); !isBool {
 				if _, isCmp := inner.(cmpExpr); !isCmp {
 					if _, isNot := inner.(notExpr); !isNot {
-						err = errf(p.peek().pos, "not a boolean expression")
+						err = errf(p.Peek().Pos, "not a boolean expression")
 					}
 				}
 			}
 		}
-		if err == nil && p.acceptPunct(")") {
+		if err == nil && p.Accept(")") {
 			return inner, nil
 		}
-		p.idx = save
+		p.Idx = save
 	}
 	left, err := p.parseScalar()
 	if err != nil {
@@ -527,23 +506,23 @@ func (p *parser) parseComparison() (sqlExpr, error) {
 	}
 	// A standalone boolean literal (WHERE TRUE / WHERE FALSE) is a condition
 	// by itself.
-	if lit, ok := left.(litExpr); ok && lit.val.Kind() == value.KindBool && p.peek().kind != tOp {
+	if lit, ok := left.(litExpr); ok && lit.val.Kind() == value.KindBool && p.Peek().Kind != lex.Op {
 		return lit, nil
 	}
-	t := p.next()
-	if t.kind != tOp {
-		return nil, errf(t.pos, "expected a comparison operator, found %s", t)
+	t := p.Next()
+	if t.Kind != lex.Op {
+		return nil, errf(t.Pos, "expected a comparison operator, found %s", t)
 	}
-	switch t.text {
+	switch t.Text {
 	case "=", "<>", "!=", "<", "<=", ">", ">=":
 	default:
-		return nil, errf(t.pos, "expected a comparison operator, found %q", t.text)
+		return nil, errf(t.Pos, "expected a comparison operator, found %q", t.Text)
 	}
 	right, err := p.parseScalar()
 	if err != nil {
 		return nil, err
 	}
-	return cmpExpr{op: t.text, left: left, right: right, pos: t.pos}, nil
+	return cmpExpr{op: t.Text, left: left, right: right, at: t.Pos}, nil
 }
 
 // parseScalar parses an additive arithmetic expression.
@@ -553,14 +532,14 @@ func (p *parser) parseScalar() (sqlExpr, error) {
 		return nil, err
 	}
 	for {
-		t := p.peek()
-		if t.kind == tOp && (t.text == "+" || t.text == "-") {
-			p.next()
+		t := p.Peek()
+		if t.Is("+") || t.Is("-") {
+			p.Next()
 			right, err := p.parseTerm()
 			if err != nil {
 				return nil, err
 			}
-			left = binExpr{op: t.text, left: left, right: right}
+			left = binExpr{op: t.Text, left: left, right: right}
 			continue
 		}
 		return left, nil
@@ -573,67 +552,63 @@ func (p *parser) parseTerm() (sqlExpr, error) {
 		return nil, err
 	}
 	for {
-		t := p.peek()
-		isMul := (t.kind == tPunct && t.text == "*") || (t.kind == tOp && (t.text == "/" || t.text == "%"))
-		if isMul {
-			p.next()
+		t := p.Peek()
+		switch {
+		case t.Is("*"), t.Is("/"), t.Is("%"):
+			p.Next()
 			right, err := p.parseFactor()
 			if err != nil {
 				return nil, err
 			}
-			left = binExpr{op: t.text, left: left, right: right}
-			continue
+			left = binExpr{op: t.Text, left: left, right: right}
+		case t.Kind == lex.Attr:
+			// a%2: the lexer reads a percent sign touching a number as one
+			// token, which is modulo by that number here.
+			p.Next()
+			v, err := p.Number(t, false)
+			if err != nil {
+				return nil, err
+			}
+			left = binExpr{op: "%", left: left, right: litExpr{val: v}}
+		default:
+			return left, nil
 		}
-		return left, nil
 	}
 }
 
 func (p *parser) parseFactor() (sqlExpr, error) {
-	t := p.peek()
+	t := p.Peek()
 	switch {
-	case t.kind == tNumber:
-		p.next()
-		return litExpr{val: parseNumberValue(t.text)}, nil
-	case t.kind == tString:
-		p.next()
-		return litExpr{val: value.NewString(t.text)}, nil
-	case t.kind == tOp && t.text == "-":
-		p.next()
+	case t.Kind == lex.Number, t.Kind == lex.String, t.IsWord("true"), t.IsWord("false"), t.IsWord("null"):
+		v, err := p.Literal()
+		if err != nil {
+			return nil, err
+		}
+		return litExpr{val: v}, nil
+	case t.Is("-"):
+		p.Next()
 		inner, err := p.parseFactor()
 		if err != nil {
 			return nil, err
 		}
 		return binExpr{op: "-", left: litExpr{val: value.NewInt(0)}, right: inner}, nil
-	case t.kind == tPunct && t.text == "(":
-		p.next()
+	case t.Is("("):
+		p.Next()
 		inner, err := p.parseScalar()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectPunct(")"); err != nil {
+		if _, err := p.Expect(")"); err != nil {
 			return nil, err
 		}
 		return inner, nil
-	case t.kind == tIdent:
-		// TRUE/FALSE/NULL literals.
-		if t.isKeyword("true") {
-			p.next()
-			return litExpr{val: value.NewBool(true)}, nil
-		}
-		if t.isKeyword("false") {
-			p.next()
-			return litExpr{val: value.NewBool(false)}, nil
-		}
-		if t.isKeyword("null") {
-			p.next()
-			return litExpr{val: value.Null}, nil
-		}
+	case t.Kind == lex.Ident:
 		// Aggregate call?
-		if isAggregateName(t.text) && p.toks[p.idx+1].kind == tPunct && p.toks[p.idx+1].text == "(" {
-			p.next()
-			p.next() // '('
-			agg := aggExpr{fn: strings.ToUpper(t.text), pos: t.pos}
-			if p.acceptPunct("*") {
+		if isAggregateName(t.Text) && p.Toks[p.Idx+1].Is("(") {
+			p.Next()
+			p.Next() // '('
+			agg := aggExpr{fn: strings.ToUpper(t.Text), at: t.Pos}
+			if p.Accept("*") {
 				agg.star = true
 			} else {
 				arg, err := p.parseScalar()
@@ -642,14 +617,14 @@ func (p *parser) parseFactor() (sqlExpr, error) {
 				}
 				agg.arg = arg
 			}
-			if _, err := p.expectPunct(")"); err != nil {
+			if _, err := p.Expect(")"); err != nil {
 				return nil, err
 			}
 			return agg, nil
 		}
 		return p.parseColRef()
 	default:
-		return nil, errf(t.pos, "expected a value, column or expression, found %s", t)
+		return nil, errf(t.Pos, "expected a value, column or expression, found %s", t)
 	}
 }
 
@@ -662,145 +637,99 @@ func isAggregateName(s string) bool {
 	}
 }
 
-func parseNumberValue(text string) value.Value {
-	if strings.Contains(text, ".") {
-		f, _ := strconv.ParseFloat(text, 64)
-		return value.NewFloat(f)
-	}
-	i, _ := strconv.ParseInt(text, 10, 64)
-	return value.NewInt(i)
-}
-
 func (p *parser) parseInsert() (*insertStmt, error) {
-	start := p.next() // INSERT
-	if _, err := p.expectKeyword("into"); err != nil {
+	start := p.Next() // INSERT
+	if _, err := p.ExpectWord("INTO"); err != nil {
 		return nil, err
 	}
-	t := p.next()
-	if t.kind != tIdent {
-		return nil, errf(t.pos, "expected a table name, found %s", t)
+	t := p.Next()
+	if t.Kind != lex.Ident {
+		return nil, errf(t.Pos, "expected a table name, found %s", t)
 	}
-	if _, err := p.expectKeyword("values"); err != nil {
+	if _, err := p.ExpectWord("VALUES"); err != nil {
 		return nil, err
 	}
-	ins := &insertStmt{table: t.text, pos: start.pos}
+	ins := &insertStmt{table: t.Text, at: start.Pos}
 	for {
-		if _, err := p.expectPunct("("); err != nil {
+		if _, err := p.Expect("("); err != nil {
 			return nil, err
 		}
 		var row []value.Value
 		for {
-			v, err := p.parseLiteralValue()
+			v, err := p.Literal()
 			if err != nil {
 				return nil, err
 			}
 			row = append(row, v)
-			if !p.acceptPunct(",") {
+			if !p.Accept(",") {
 				break
 			}
 		}
-		if _, err := p.expectPunct(")"); err != nil {
+		if _, err := p.Expect(")"); err != nil {
 			return nil, err
 		}
 		ins.rows = append(ins.rows, row)
-		if !p.acceptPunct(",") {
+		if !p.Accept(",") {
 			break
 		}
-	}
-	if err := p.expectEnd(); err != nil {
-		return nil, err
 	}
 	return ins, nil
 }
 
-func (p *parser) parseLiteralValue() (value.Value, error) {
-	t := p.next()
-	switch {
-	case t.kind == tNumber:
-		return parseNumberValue(t.text), nil
-	case t.kind == tString:
-		return value.NewString(t.text), nil
-	case t.isKeyword("true"):
-		return value.NewBool(true), nil
-	case t.isKeyword("false"):
-		return value.NewBool(false), nil
-	case t.isKeyword("null"):
-		return value.Null, nil
-	case t.kind == tOp && t.text == "-":
-		n := p.next()
-		if n.kind != tNumber {
-			return value.Null, errf(n.pos, "expected a number after '-', found %s", n)
-		}
-		v := parseNumberValue(n.text)
-		if v.Kind() == value.KindInt {
-			return value.NewInt(-v.Int()), nil
-		}
-		return value.NewFloat(-v.Float()), nil
-	default:
-		return value.Null, errf(t.pos, "expected a literal value, found %s", t)
-	}
-}
-
 func (p *parser) parseDelete() (*deleteStmt, error) {
-	p.next() // DELETE
-	if _, err := p.expectKeyword("from"); err != nil {
+	p.Next() // DELETE
+	if _, err := p.ExpectWord("FROM"); err != nil {
 		return nil, err
 	}
-	t := p.next()
-	if t.kind != tIdent {
-		return nil, errf(t.pos, "expected a table name, found %s", t)
+	t := p.Next()
+	if t.Kind != lex.Ident {
+		return nil, errf(t.Pos, "expected a table name, found %s", t)
 	}
-	del := &deleteStmt{table: t.text}
-	if p.acceptKeyword("where") {
+	del := &deleteStmt{table: t.Text}
+	if p.AcceptWord("where") {
 		cond, err := p.parseBool()
 		if err != nil {
 			return nil, err
 		}
 		del.where = cond
 	}
-	if err := p.expectEnd(); err != nil {
-		return nil, err
-	}
 	return del, nil
 }
 
 func (p *parser) parseUpdate() (*updateStmt, error) {
-	p.next() // UPDATE
-	t := p.next()
-	if t.kind != tIdent {
-		return nil, errf(t.pos, "expected a table name, found %s", t)
+	p.Next() // UPDATE
+	t := p.Next()
+	if t.Kind != lex.Ident {
+		return nil, errf(t.Pos, "expected a table name, found %s", t)
 	}
-	if _, err := p.expectKeyword("set"); err != nil {
+	if _, err := p.ExpectWord("SET"); err != nil {
 		return nil, err
 	}
-	up := &updateStmt{table: t.text}
+	up := &updateStmt{table: t.Text}
 	for {
 		col, err := p.parseColRef()
 		if err != nil {
 			return nil, err
 		}
-		eq := p.next()
-		if eq.kind != tOp || eq.text != "=" {
-			return nil, errf(eq.pos, "expected '=', found %s", eq)
+		eq := p.Next()
+		if eq.Kind != lex.Op || eq.Text != "=" {
+			return nil, errf(eq.Pos, "expected '=', found %s", eq)
 		}
 		expr, err := p.parseScalar()
 		if err != nil {
 			return nil, err
 		}
 		up.sets = append(up.sets, setClause{column: col, expr: expr})
-		if !p.acceptPunct(",") {
+		if !p.Accept(",") {
 			break
 		}
 	}
-	if p.acceptKeyword("where") {
+	if p.AcceptWord("where") {
 		cond, err := p.parseBool()
 		if err != nil {
 			return nil, err
 		}
 		up.where = cond
-	}
-	if err := p.expectEnd(); err != nil {
-		return nil, err
 	}
 	return up, nil
 }

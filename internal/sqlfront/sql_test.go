@@ -1,11 +1,13 @@
 package sqlfront
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"mra/internal/algebra"
 	"mra/internal/eval"
+	"mra/internal/lex"
 	"mra/internal/multiset"
 	"mra/internal/oracle"
 	"mra/internal/plan"
@@ -176,6 +178,11 @@ func TestGroupByVariantsSQL(t *testing.T) {
 	having3 := runSQL(t, "SELECT brewery, COUNT(*) FROM beer GROUP BY brewery HAVING brewery <> 'guineken' AND COUNT(*) >= 1")
 	if having3.Cardinality() != 2 {
 		t.Errorf("HAVING on grouping column = %s", having3)
+	}
+	// A boolean constant is a HAVING condition as it is a WHERE condition.
+	havingTrue := runSQL(t, "SELECT brewery, COUNT(*) FROM beer GROUP BY brewery HAVING true")
+	if havingTrue.Cardinality() != 3 {
+		t.Errorf("HAVING true = %s", havingTrue)
 	}
 	minName := runSQL(t, "SELECT MIN(name) FROM beer")
 	if !minName.Contains(tuple.New(value.NewString("bock"))) {
@@ -395,16 +402,44 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestSplitStatements checks how CompileScript cuts a script into
+// statements: on ";" tokens of the one token stream, so neither a string
+// literal nor a comment holding ";" or "'" moves a boundary, and error
+// positions count from the script's start.
 func TestSplitStatements(t *testing.T) {
-	pieces := splitStatements("SELECT 'a;b' FROM t; DELETE FROM t;;")
-	if len(pieces) != 2 {
-		t.Fatalf("pieces = %d: %q", len(pieces), pieces)
+	cat := eval.CatalogOf(beerSource())
+	count := func(script string) int {
+		t.Helper()
+		prog, _, err := CompileScript(script, cat)
+		if err != nil {
+			t.Errorf("%q: %v", script, err)
+		}
+		return len(prog)
 	}
-	if !strings.Contains(pieces[0], "a;b") {
-		t.Error("semicolons inside string literals must not split")
+	prog, _, err := CompileScript("SELECT 'a;b' FROM beer; DELETE FROM beer;;", cat)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(splitStatements("  ")) != 0 {
-		t.Error("blank scripts have no statements")
+	if len(prog) != 2 {
+		t.Fatalf("statements = %d: %v", len(prog), prog)
+	}
+	if !strings.Contains(prog[0].String(), "a;b") {
+		t.Errorf("semicolons inside string literals must not split: %v", prog[0])
+	}
+	if n := count("  "); n != 0 {
+		t.Errorf("blank scripts have no statements, got %d", n)
+	}
+	if n := count("INSERT INTO beer VALUES ('x', 'y', 1.0); -- a; comment"); n != 1 {
+		t.Errorf("a trailing comment holding ';' is no statement: got %d statements", n)
+	}
+	if n := count("DELETE FROM beer -- don't\n;\nSELECT name FROM beer;"); n != 2 {
+		t.Errorf("a quote inside a comment must not swallow a boundary: got %d statements", n)
+	}
+	_, _, err = CompileScript("SELECT name FROM beer;\nSELECT nosuch\n  FROM beer;", cat)
+	var lerr *lex.Error
+	if err == nil || !strings.Contains(err.Error(), `in "SELECT nosuch\n  FROM beer": sql: 2:8: unknown column "nosuch"`) ||
+		!errors.As(err, &lerr) || lerr.Line != 2 || lerr.Col != 8 {
+		t.Errorf("the second statement's error must carry its script-wide line:col, got %v", err)
 	}
 }
 

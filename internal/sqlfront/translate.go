@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mra/internal/algebra"
+	"mra/internal/lex"
 	"mra/internal/plan"
 	"mra/internal/scalar"
 	"mra/internal/schema"
@@ -54,6 +55,9 @@ func CompileQuery(sql string, cat algebra.Catalog) (Query, error) {
 		return Query{}, err
 	}
 	q, err := p.parseSelect()
+	if err == nil {
+		err = p.expectEnd()
+	}
 	if err != nil {
 		return Query{}, err
 	}
@@ -67,27 +71,30 @@ func CompileQuery(sql string, cat algebra.Catalog) (Query, error) {
 // so the presentation modifiers would be lost — use CompileQuery or
 // CompileScript, whose callers present the results.
 func CompileStatement(sql string, cat algebra.Catalog) (stmt.Statement, error) {
-	s, mods, err := compileStatement(sql, cat)
+	p, err := newParser(sql)
+	if err != nil {
+		return nil, err
+	}
+	node, err := p.parseStatement()
+	if err == nil {
+		err = p.expectEnd()
+	}
+	if err != nil {
+		return nil, err
+	}
+	s, mods, err := translateStatement(node, cat)
 	if err != nil {
 		return nil, err
 	}
 	if mods.Active() {
-		return nil, errf(0, "ORDER BY/LIMIT are only supported on queries whose results are returned to the caller")
+		return nil, errf(lex.Pos{}, "ORDER BY/LIMIT are only supported on queries whose results are returned to the caller")
 	}
 	return s, nil
 }
 
-// compileStatement compiles one statement, carrying any SELECT presentation
-// modifiers alongside.
-func compileStatement(sql string, cat algebra.Catalog) (stmt.Statement, Modifiers, error) {
-	p, err := newParser(sql)
-	if err != nil {
-		return nil, Modifiers{}, err
-	}
-	node, err := p.parseStatement()
-	if err != nil {
-		return nil, Modifiers{}, err
-	}
+// translateStatement translates one parsed statement, carrying any SELECT
+// presentation modifiers alongside.
+func translateStatement(node any, cat algebra.Catalog) (stmt.Statement, Modifiers, error) {
 	switch n := node.(type) {
 	case *selectQuery:
 		q, err := translateQuery(n, cat)
@@ -107,60 +114,67 @@ func compileStatement(sql string, cat algebra.Catalog) (stmt.Statement, Modifier
 	case *analyzeStmt:
 		if n.table != "" {
 			if _, ok := cat.RelationSchema(n.table); !ok {
-				return nil, Modifiers{}, errf(0, "unknown table %q", n.table)
+				return nil, Modifiers{}, errf(lex.Pos{}, "unknown table %q", n.table)
 			}
 		}
 		return stmt.Analyze{Target: n.table}, Modifiers{}, nil
 	default:
-		return nil, Modifiers{}, errf(0, "unsupported statement %T", node)
+		return nil, Modifiers{}, errf(lex.Pos{}, "unsupported statement %T", node)
 	}
 }
 
 // CompileScript compiles a semicolon-separated sequence of SQL statements into
-// one extended relational algebra program.  The second return value holds, for
-// each query statement of the program in execution order, its presentation
-// modifiers (the zero value when none), to be applied to the corresponding
-// output.
+// one extended relational algebra program, parsing them from one token
+// stream of the whole script, so error positions count lines and columns
+// from the script's start.  The second return value holds, for each query
+// statement of the program in execution order, its presentation modifiers
+// (the zero value when none), to be applied to the corresponding output.
 func CompileScript(sql string, cat algebra.Catalog) (stmt.Program, []Modifiers, error) {
+	p, err := newParser(sql)
+	if err != nil {
+		return nil, nil, err
+	}
 	var prog stmt.Program
 	var mods []Modifiers
-	for _, piece := range splitStatements(sql) {
-		s, m, err := compileStatement(piece, cat)
+	for {
+		for p.Accept(";") {
+		}
+		if p.Peek().Kind == lex.EOF {
+			return prog, mods, nil
+		}
+		start := p.Idx
+		s, m, err := p.scriptStatement(cat)
 		if err != nil {
-			return nil, nil, fmt.Errorf("in %q: %w", strings.TrimSpace(piece), err)
+			return nil, nil, fmt.Errorf("in %q: %w", p.statementText(start), err)
 		}
 		prog = append(prog, s)
 		if _, isQuery := s.(stmt.Query); isQuery {
 			mods = append(mods, m)
 		}
 	}
-	return prog, mods, nil
 }
 
-// splitStatements splits a script on semicolons that are outside string
-// literals, dropping empty pieces.
-func splitStatements(sql string) []string {
-	var out []string
-	var b strings.Builder
-	inString := false
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		if c == '\'' {
-			inString = !inString
-		}
-		if c == ';' && !inString {
-			if strings.TrimSpace(b.String()) != "" {
-				out = append(out, b.String())
-			}
-			b.Reset()
-			continue
-		}
-		b.WriteByte(c)
+// scriptStatement compiles the script's next statement, which ";" or the
+// end of input must follow.
+func (p *parser) scriptStatement(cat algebra.Catalog) (stmt.Statement, Modifiers, error) {
+	node, err := p.parseStatement()
+	if err != nil {
+		return nil, Modifiers{}, err
 	}
-	if strings.TrimSpace(b.String()) != "" {
-		out = append(out, b.String())
+	if t := p.Peek(); !p.Accept(";") && t.Kind != lex.EOF {
+		return nil, Modifiers{}, errf(t.Pos, "unexpected %s after end of statement", t)
 	}
-	return out
+	return translateStatement(node, cat)
+}
+
+// statementText is the source of the script statement whose first token is
+// p.Toks[start]: the text up to the next ";" or the end of input.
+func (p *parser) statementText(start int) string {
+	end := start
+	for !p.Toks[end].Is(";") && p.Toks[end].Kind != lex.EOF {
+		end++
+	}
+	return strings.TrimSpace(p.Src[p.Toks[start].Off:p.Toks[end].Off])
 }
 
 // ---------------------------------------------------------------------------
@@ -181,9 +195,9 @@ type env struct {
 	arity    int
 }
 
-// resolve maps a column reference to its 0-based position in the concatenated
-// schema.
-func (e *env) resolve(c colRef) (int, error) {
+// column maps a column reference to its 0-based position in the
+// concatenated schema.
+func (e *env) column(c colRef) (int, error) {
 	matches := 0
 	pos := -1
 	for _, b := range e.bindings {
@@ -197,12 +211,18 @@ func (e *env) resolve(c colRef) (int, error) {
 	}
 	switch matches {
 	case 0:
-		return 0, errf(c.pos, "unknown column %q", c.display())
+		return 0, errf(c.at, "unknown column %q", c.display())
 	case 1:
 		return pos, nil
 	default:
-		return 0, errf(c.pos, "ambiguous column %q", c.display())
+		return 0, errf(c.at, "ambiguous column %q", c.display())
 	}
+}
+
+// aggregate rejects an aggregate call: outside a grouped query's SELECT list
+// and HAVING clause there is no aggregate column to refer to.
+func (e *env) aggregate(n aggExpr) (int, error) {
+	return 0, errf(n.at, "aggregate %s is only allowed in the SELECT list of a grouped query", n.fn)
 }
 
 // schemaOf returns the concatenated schema of all bindings.
@@ -226,14 +246,14 @@ func (c colRef) display() string {
 // condition joins for explicit JOIN ... ON).
 func buildFrom(refs []tableRef, cat algebra.Catalog) (*env, algebra.Expr, error) {
 	if len(refs) == 0 {
-		return nil, nil, errf(0, "FROM clause is empty")
+		return nil, nil, errf(lex.Pos{}, "FROM clause is empty")
 	}
 	e := &env{}
 	var expr algebra.Expr
 	for _, ref := range refs {
 		rel, ok := cat.RelationSchema(ref.name)
 		if !ok {
-			return nil, nil, errf(ref.pos, "unknown table %q", ref.name)
+			return nil, nil, errf(ref.at, "unknown table %q", ref.name)
 		}
 		// Alias resolution uses the alias name in place of the relation name.
 		aliased := rel.Rename(ref.alias)
@@ -243,7 +263,7 @@ func buildFrom(refs []tableRef, cat algebra.Catalog) (*env, algebra.Expr, error)
 		if expr == nil {
 			expr = next
 			if ref.on != nil {
-				return nil, nil, errf(ref.pos, "the first table of a FROM clause cannot carry an ON condition")
+				return nil, nil, errf(ref.at, "the first table of a FROM clause cannot carry an ON condition")
 			}
 			continue
 		}
@@ -264,12 +284,26 @@ func buildFrom(refs []tableRef, cat algebra.Catalog) (*env, algebra.Expr, error)
 // Expression translation
 // ---------------------------------------------------------------------------
 
-// translateScalar converts a SQL scalar expression (no aggregates) into a
-// scalar.Expr over the environment's concatenated schema.
-func translateScalar(e sqlExpr, env *env) (scalar.Expr, error) {
+// resolver maps the column references and aggregate calls of an expression
+// to attribute positions: env over a FROM clause, havingEnv over a
+// group-by's output.
+type resolver interface {
+	column(colRef) (int, error)
+	aggregate(aggExpr) (int, error)
+}
+
+// translateScalar converts a SQL scalar expression into a scalar.Expr over
+// the positions r resolves.
+func translateScalar(e sqlExpr, r resolver) (scalar.Expr, error) {
 	switch n := e.(type) {
 	case colRef:
-		pos, err := env.resolve(n)
+		pos, err := r.column(n)
+		if err != nil {
+			return nil, err
+		}
+		return scalar.NewAttr(pos), nil
+	case aggExpr:
+		pos, err := r.aggregate(n)
 		if err != nil {
 			return nil, err
 		}
@@ -277,11 +311,11 @@ func translateScalar(e sqlExpr, env *env) (scalar.Expr, error) {
 	case litExpr:
 		return scalar.NewConst(n.val), nil
 	case binExpr:
-		l, err := translateScalar(n.left, env)
+		left, err := translateScalar(n.left, r)
 		if err != nil {
 			return nil, err
 		}
-		r, err := translateScalar(n.right, env)
+		right, err := translateScalar(n.right, r)
 		if err != nil {
 			return nil, err
 		}
@@ -289,49 +323,45 @@ func translateScalar(e sqlExpr, env *env) (scalar.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return scalar.NewArith(op, l, r), nil
-	case aggExpr:
-		return nil, errf(n.pos, "aggregate %s is only allowed in the SELECT list of a grouped query", n.fn)
-	case cmpExpr, logicExpr, notExpr:
-		return nil, errf(0, "boolean expression used where a value is required")
-	default:
-		return nil, errf(0, "unsupported scalar expression %T", e)
+		return scalar.NewArith(op, left, right), nil
+	default: // cmpExpr, logicExpr, notExpr
+		return nil, errf(lex.Pos{}, "boolean expression used where a value is required")
 	}
 }
 
 // translateBool converts a SQL boolean expression into a predicate over the
-// environment's concatenated schema.
-func translateBool(e sqlExpr, env *env) (scalar.Predicate, error) {
+// positions r resolves.
+func translateBool(e sqlExpr, r resolver) (scalar.Predicate, error) {
 	switch n := e.(type) {
 	case cmpExpr:
-		l, err := translateScalar(n.left, env)
+		left, err := translateScalar(n.left, r)
 		if err != nil {
 			return nil, err
 		}
-		r, err := translateScalar(n.right, env)
+		right, err := translateScalar(n.right, r)
 		if err != nil {
 			return nil, err
 		}
 		op, err := value.ParseCompareOp(n.op)
 		if err != nil {
-			return nil, errf(n.pos, "%v", err)
+			return nil, errf(n.at, "%v", err)
 		}
-		return scalar.NewCompare(op, l, r), nil
+		return scalar.NewCompare(op, left, right), nil
 	case logicExpr:
-		l, err := translateBool(n.left, env)
+		left, err := translateBool(n.left, r)
 		if err != nil {
 			return nil, err
 		}
-		r, err := translateBool(n.right, env)
+		right, err := translateBool(n.right, r)
 		if err != nil {
 			return nil, err
 		}
 		if n.op == "and" {
-			return scalar.And{Left: l, Right: r}, nil
+			return scalar.And{Left: left, Right: right}, nil
 		}
-		return scalar.Or{Left: l, Right: r}, nil
+		return scalar.Or{Left: left, Right: right}, nil
 	case notExpr:
-		inner, err := translateBool(n.operand, env)
+		inner, err := translateBool(n.operand, r)
 		if err != nil {
 			return nil, err
 		}
@@ -343,10 +373,8 @@ func translateBool(e sqlExpr, env *env) (scalar.Predicate, error) {
 			}
 			return scalar.False{}, nil
 		}
-		return nil, errf(0, "non-boolean literal used as a condition")
-	default:
-		return nil, errf(0, "unsupported condition %T", e)
 	}
+	return nil, errf(lex.Pos{}, "value used where a condition is required")
 }
 
 // ---------------------------------------------------------------------------
@@ -544,7 +572,7 @@ func outputName(item selectItem, env *env) string {
 		return item.alias
 	}
 	if c, ok := item.expr.(colRef); ok {
-		if pos, err := env.resolve(c); err == nil {
+		if pos, err := env.column(c); err == nil {
 			return env.schemaOf().Attribute(pos).Name
 		}
 	}
@@ -562,12 +590,12 @@ func outputName(item selectItem, env *env) string {
 // δ(π_α(E)) — one output row per group, as SQL prescribes.
 func translateGrouped(q *selectQuery, env *env, input algebra.Expr, hidden []sqlExpr) (algebra.Expr, error) {
 	if q.star {
-		return nil, errf(0, "SELECT * cannot be combined with GROUP BY or aggregates")
+		return nil, errf(lex.Pos{}, "SELECT * cannot be combined with GROUP BY or aggregates")
 	}
 	// Resolve grouping columns.
 	groupCols := make([]int, 0, len(q.groupBy))
 	for _, c := range q.groupBy {
-		pos, err := env.resolve(c)
+		pos, err := env.column(c)
 		if err != nil {
 			return nil, err
 		}
@@ -580,20 +608,20 @@ func translateGrouped(q *selectQuery, env *env, input algebra.Expr, hidden []sql
 	resolveAggSpec := func(n aggExpr) (algebra.AggSpec, error) {
 		fn, err := algebra.ParseAggregate(n.fn)
 		if err != nil {
-			return algebra.AggSpec{}, errf(n.pos, "%v", err)
+			return algebra.AggSpec{}, errf(n.at, "%v", err)
 		}
 		col := 0
 		if !n.star {
 			c, ok := n.arg.(colRef)
 			if !ok {
-				return algebra.AggSpec{}, errf(n.pos, "aggregate arguments must be plain columns")
+				return algebra.AggSpec{}, errf(n.at, "aggregate arguments must be plain columns")
 			}
-			col, err = env.resolve(c)
+			col, err = env.column(c)
 			if err != nil {
 				return algebra.AggSpec{}, err
 			}
 		} else if fn != algebra.AggCount {
-			return algebra.AggSpec{}, errf(n.pos, "only COUNT may take * as its argument")
+			return algebra.AggSpec{}, errf(n.at, "only COUNT may take * as its argument")
 		}
 		return algebra.AggSpec{Fn: fn, Col: col}, nil
 	}
@@ -653,17 +681,17 @@ func translateGrouped(q *selectQuery, env *env, input algebra.Expr, hidden []sql
 			aggs = append(aggs, sp)
 			outs = append(outs, outRef{group: -1, agg: len(aggs) - 1})
 		case colRef:
-			pos, err := env.resolve(n)
+			pos, err := env.column(n)
 			if err != nil {
 				return nil, err
 			}
 			gi := groupIndex(pos)
 			if gi == -1 {
-				return nil, errf(n.pos, "column %q must appear in the GROUP BY clause", n.display())
+				return nil, errf(n.at, "column %q must appear in the GROUP BY clause", n.display())
 			}
 			outs = append(outs, outRef{group: gi, agg: -1})
 		default:
-			return nil, errf(0, "grouped queries may select grouping columns and aggregate calls only")
+			return nil, errf(lex.Pos{}, "grouped queries may select grouping columns and aggregate calls only")
 		}
 	}
 
@@ -671,8 +699,8 @@ func translateGrouped(q *selectQuery, env *env, input algebra.Expr, hidden []sql
 	// that are not in the SELECT list append hidden specs.
 	var havingCond scalar.Predicate
 	if q.having != nil {
-		henv := &havingEnv{groupCols: groupCols, src: env, aggs: &aggs, resolve: resolveAggSpec, find: findAgg}
-		cond, err := henv.translateBool(q.having)
+		henv := &havingEnv{groupCols: groupCols, src: env, aggs: &aggs, spec: resolveAggSpec, find: findAgg}
+		cond, err := translateBool(q.having, henv)
 		if err != nil {
 			return nil, err
 		}
@@ -696,17 +724,17 @@ func translateGrouped(q *selectQuery, env *env, input algebra.Expr, hidden []sql
 			}
 			hiddenRefs = append(hiddenRefs, outRef{group: -1, agg: ai})
 		case colRef:
-			pos, err := env.resolve(n)
+			pos, err := env.column(n)
 			if err != nil {
 				return nil, err
 			}
 			gi := groupIndex(pos)
 			if gi == -1 {
-				return nil, errf(n.pos, "ORDER BY on a grouped query must use an output column, a grouping column, or an aggregate")
+				return nil, errf(n.at, "ORDER BY on a grouped query must use an output column, a grouping column, or an aggregate")
 			}
 			hiddenRefs = append(hiddenRefs, outRef{group: gi, agg: -1})
 		default:
-			return nil, errf(0, "ORDER BY on a grouped query must use an output column, a grouping column, or an aggregate")
+			return nil, errf(lex.Pos{}, "ORDER BY on a grouped query must use an output column, a grouping column, or an aggregate")
 		}
 	}
 
@@ -775,11 +803,11 @@ type havingEnv struct {
 	groupCols []int
 	src       *env
 	aggs      *[]algebra.AggSpec
-	resolve   func(aggExpr) (algebra.AggSpec, error)
+	spec      func(aggExpr) (algebra.AggSpec, error)
 	find      func(algebra.AggSpec) int
 }
 
-func (h *havingEnv) resolveCol(c colRef) (int, error) {
+func (h *havingEnv) column(c colRef) (int, error) {
 	if c.qualifier == "" {
 		for i, sp := range *h.aggs {
 			if sp.Name != "" && strings.EqualFold(c.name, sp.Name) {
@@ -787,7 +815,7 @@ func (h *havingEnv) resolveCol(c colRef) (int, error) {
 			}
 		}
 	}
-	pos, err := h.src.resolve(c)
+	pos, err := h.src.column(c)
 	if err != nil {
 		return 0, err
 	}
@@ -796,13 +824,13 @@ func (h *havingEnv) resolveCol(c colRef) (int, error) {
 			return gi, nil
 		}
 	}
-	return 0, errf(c.pos, "HAVING column %q is neither a grouping column nor an aggregate", c.display())
+	return 0, errf(c.at, "HAVING column %q is neither a grouping column nor an aggregate", c.display())
 }
 
-// resolveAgg maps an aggregate call in HAVING to its groupby output column,
+// aggregate maps an aggregate call in HAVING to its groupby output column,
 // appending a hidden trailing aggregate spec when the call is new.
-func (h *havingEnv) resolveAgg(n aggExpr) (int, error) {
-	sp, err := h.resolve(n)
+func (h *havingEnv) aggregate(n aggExpr) (int, error) {
+	sp, err := h.spec(n)
 	if err != nil {
 		return 0, err
 	}
@@ -813,81 +841,6 @@ func (h *havingEnv) resolveAgg(n aggExpr) (int, error) {
 	return len(h.groupCols) + len(*h.aggs) - 1, nil
 }
 
-func (h *havingEnv) translateScalar(e sqlExpr) (scalar.Expr, error) {
-	switch n := e.(type) {
-	case colRef:
-		pos, err := h.resolveCol(n)
-		if err != nil {
-			return nil, err
-		}
-		return scalar.NewAttr(pos), nil
-	case litExpr:
-		return scalar.NewConst(n.val), nil
-	case binExpr:
-		l, err := h.translateScalar(n.left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := h.translateScalar(n.right)
-		if err != nil {
-			return nil, err
-		}
-		op, err := value.ParseBinaryOp(n.op)
-		if err != nil {
-			return nil, err
-		}
-		return scalar.NewArith(op, l, r), nil
-	case aggExpr:
-		pos, err := h.resolveAgg(n)
-		if err != nil {
-			return nil, err
-		}
-		return scalar.NewAttr(pos), nil
-	default:
-		return nil, errf(0, "unsupported HAVING expression %T", e)
-	}
-}
-
-func (h *havingEnv) translateBool(e sqlExpr) (scalar.Predicate, error) {
-	switch n := e.(type) {
-	case cmpExpr:
-		l, err := h.translateScalar(n.left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := h.translateScalar(n.right)
-		if err != nil {
-			return nil, err
-		}
-		op, err := value.ParseCompareOp(n.op)
-		if err != nil {
-			return nil, errf(n.pos, "%v", err)
-		}
-		return scalar.NewCompare(op, l, r), nil
-	case logicExpr:
-		l, err := h.translateBool(n.left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := h.translateBool(n.right)
-		if err != nil {
-			return nil, err
-		}
-		if n.op == "and" {
-			return scalar.And{Left: l, Right: r}, nil
-		}
-		return scalar.Or{Left: l, Right: r}, nil
-	case notExpr:
-		inner, err := h.translateBool(n.operand)
-		if err != nil {
-			return nil, err
-		}
-		return scalar.Not{Operand: inner}, nil
-	default:
-		return nil, errf(0, "unsupported HAVING condition %T", e)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // DML translation
 // ---------------------------------------------------------------------------
@@ -895,11 +848,11 @@ func (h *havingEnv) translateBool(e sqlExpr) (scalar.Predicate, error) {
 func translateInsert(n *insertStmt, cat algebra.Catalog) (stmt.Statement, error) {
 	rel, ok := cat.RelationSchema(n.table)
 	if !ok {
-		return nil, errf(n.pos, "unknown table %q", n.table)
+		return nil, errf(n.at, "unknown table %q", n.table)
 	}
 	for i, row := range n.rows {
 		if len(row) != rel.Arity() {
-			return nil, errf(n.pos, "row %d has %d values, table %q has %d columns",
+			return nil, errf(n.at, "row %d has %d values, table %q has %d columns",
 				i+1, len(row), n.table, rel.Arity())
 		}
 	}
@@ -910,7 +863,7 @@ func translateInsert(n *insertStmt, cat algebra.Catalog) (stmt.Statement, error)
 func translateDelete(n *deleteStmt, cat algebra.Catalog) (stmt.Statement, error) {
 	rel, ok := cat.RelationSchema(n.table)
 	if !ok {
-		return nil, errf(0, "unknown table %q", n.table)
+		return nil, errf(lex.Pos{}, "unknown table %q", n.table)
 	}
 	src := algebra.Expr(algebra.NewRel(n.table))
 	if n.where != nil {
@@ -927,7 +880,7 @@ func translateDelete(n *deleteStmt, cat algebra.Catalog) (stmt.Statement, error)
 func translateUpdate(n *updateStmt, cat algebra.Catalog) (stmt.Statement, error) {
 	rel, ok := cat.RelationSchema(n.table)
 	if !ok {
-		return nil, errf(0, "unknown table %q", n.table)
+		return nil, errf(lex.Pos{}, "unknown table %q", n.table)
 	}
 	e := &env{bindings: []binding{{alias: n.table, rel: rel, offset: 0}}, arity: rel.Arity()}
 
@@ -939,7 +892,7 @@ func translateUpdate(n *updateStmt, cat algebra.Catalog) (stmt.Statement, error)
 		items[i] = scalar.NewAttr(i)
 	}
 	for _, set := range n.sets {
-		pos, err := e.resolve(set.column)
+		pos, err := e.column(set.column)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,8 @@ import "testing"
 // script runner feed user input straight into these functions.  The seed
 // corpus is the golden queries of the parser tests plus a few deliberately
 // broken fragments near known tricky spots (unterminated strings, nested
-// brackets, transaction brackets).
+// brackets, transaction brackets, out-of-range literals, comments holding
+// ";" or "'", and the dot and percent tokens SQL spells differently).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"beer",
@@ -42,6 +43,14 @@ func FuzzParse(f *testing.F) {
 		";;;",
 		"%0",
 		"select[%](beer)",
+		// Literal range, comments holding ";" and "'", and the tokens the
+		// two languages spell differently.
+		"[(99999999999999999999)]",
+		"[(-9223372036854775808)]",
+		"select[%1 = 99999999999999999999](beer); -- a; comment",
+		"beer -- don't\n; beer",
+		"select[%1 % 2 = 0](sales.q1)",
+		"select[%3%2 = 1](sales . q1)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,11 +1,29 @@
+// Package xraparse implements a textual front-end for the multi-set extended
+// relational algebra, in the spirit of XRA, the variant of the algebra used as
+// the primary database language of PRISMA/DB (Grefen, Wilschut & Flokstra,
+// PRISMA/DB 1.0 User Manual; Section 1 of the paper).
+//
+// The surface syntax mirrors the linear notation the algebra package renders:
+//
+//	project[%1](select[%6 = 'netherlands'](join[%2 = %4](beer, brewery)))
+//
+// Statements follow Definition 4.1:
+//
+//	insert(beer, [('pils', 'guineken', 5.0)]);
+//	update(beer, select[%2 = 'guineken'](beer), (%1, %2, %3 * 1.1));
+//	strong = select[%3 >= 6.5](beer);
+//	?project[%1](strong);
+//
+// and `begin ... end` brackets group statements into one transaction.  The
+// tokens come from package lex, which the SQL front end shares.
 package xraparse
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
 	"mra/internal/algebra"
+	"mra/internal/lex"
 	"mra/internal/scalar"
 	"mra/internal/schema"
 	"mra/internal/stmt"
@@ -49,9 +67,7 @@ func ParseStatement(src string) (stmt.Statement, error) {
 		return nil, err
 	}
 	// Allow an optional trailing semicolon.
-	if p.peek().kind == tokPunct && p.peek().text == ";" {
-		p.next()
-	}
+	p.Accept(";")
 	if err := p.expectEOF(); err != nil {
 		return nil, err
 	}
@@ -65,7 +81,7 @@ func ParseProgram(src string) (stmt.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := p.parseProgram(func(t token) bool { return t.kind == tokEOF })
+	prog, err := p.parseProgram(func(t lex.Token) bool { return t.Kind == lex.EOF })
 	if err != nil {
 		return nil, err
 	}
@@ -85,136 +101,106 @@ func ParseScript(src string) ([]Transaction, error) {
 	}
 	var txs []Transaction
 	for {
-		t := p.peek()
-		if t.kind == tokEOF {
+		switch t := p.Peek(); {
+		case t.Kind == lex.EOF:
 			return txs, nil
-		}
-		if t.kind == tokPunct && t.text == ";" {
-			p.next()
-			continue
-		}
-		if t.kind == tokIdent && strings.EqualFold(t.text, "begin") {
-			p.next()
-			prog, err := p.parseProgram(func(t token) bool {
-				return t.kind == tokIdent && strings.EqualFold(t.text, "end")
-			})
+		case p.Accept(";"):
+		case p.AcceptWord("begin"):
+			prog, err := p.parseProgram(func(t lex.Token) bool { return t.IsWord("end") })
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expectIdent("end"); err != nil {
+			if _, err := p.ExpectWord("end"); err != nil {
 				return nil, err
 			}
-			if t := p.peek(); t.kind == tokPunct && t.text == ";" {
-				p.next()
-			}
+			p.Accept(";")
 			txs = append(txs, Transaction{Program: prog, Explicit: true})
-			continue
+		default:
+			s, err := p.parseStatement()
+			if err != nil {
+				return nil, err
+			}
+			p.Accept(";")
+			txs = append(txs, Transaction{Program: stmt.Program{s}})
 		}
-		s, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		if t := p.peek(); t.kind == tokPunct && t.text == ";" {
-			p.next()
-		}
-		txs = append(txs, Transaction{Program: stmt.Program{s}})
 	}
 }
 
-// OpenBlock reports whether src opens more `begin` blocks than it closes
-// with `end`, so a shell reading a script line by line must wait for more
-// input before submitting it.  Only whole begin/end identifier tokens count,
-// never those words inside longer identifiers, string literals or `--`
-// comments.  Input that does not lex reports false: submitting it lets
-// ParseScript report the error.
-func OpenBlock(src string) bool {
-	toks, err := newLexer(src).lex()
+// Complete reports whether a shell reading a script line by line may submit
+// src.  ends is set when src's last token is ";"; input ending inside a
+// string literal does not end, while input with any other lexing error does,
+// so submitting it lets the parser report the error.  open is set when src
+// opens more XRA `begin` blocks than it closes with `end`, counting only
+// whole begin/end identifier tokens.  A SQL shell, which has no blocks,
+// reads ends alone.
+func Complete(src string) (ends, open bool) {
+	c, err := lex.NewCursor("xra", src)
 	if err != nil {
-		return false
+		return !lex.Unterminated(err), false
 	}
 	depth := 0
-	for _, t := range toks {
+	for _, t := range c.Toks {
 		switch {
-		case t.kind != tokIdent:
-		case strings.EqualFold(t.text, "begin"):
+		case t.IsWord("begin"):
 			depth++
-		case strings.EqualFold(t.text, "end"):
+		case t.IsWord("end"):
 			depth--
 		}
 	}
-	return depth > 0
+	return len(c.Toks) > 1 && c.Toks[len(c.Toks)-2].Is(";"), depth > 0
 }
 
 // parser is a recursive-descent parser over the token stream.
-type parser struct {
-	toks []token
-	idx  int
-}
+type parser struct{ lex.Cursor }
 
 func newParser(src string) (*parser, error) {
-	toks, err := newLexer(src).lex()
+	c, err := lex.NewCursor("xra", src)
 	if err != nil {
 		return nil, err
 	}
-	return &parser{toks: toks}, nil
-}
-
-func (p *parser) peek() token { return p.toks[p.idx] }
-
-func (p *parser) next() token {
-	t := p.toks[p.idx]
-	if t.kind != tokEOF {
-		p.idx++
-	}
-	return t
-}
-
-func (p *parser) errorf(t token, format string, args ...any) error {
-	return &SyntaxError{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	return &parser{c}, nil
 }
 
 func (p *parser) expectEOF() error {
-	if t := p.peek(); t.kind != tokEOF {
-		return p.errorf(t, "unexpected %s after end of input", t)
+	if t := p.Peek(); t.Kind != lex.EOF {
+		return p.Errorf(t.Pos, "unexpected %s after end of input", t)
 	}
 	return nil
 }
 
-func (p *parser) expectPunct(s string) (token, error) {
-	t := p.next()
-	if t.kind != tokPunct || t.text != s {
-		return t, p.errorf(t, "expected %q, found %s", s, t)
+// name reads the relation name starting at the identifier first: touching
+// "." and identifier or number tokens extend it, so a relation created as
+// sales.q1 reads back under that name.
+func (p *parser) name(first lex.Token) string {
+	end := int(first.Off) + len(first.Text)
+	for t := p.Peek(); int(t.Off) == end && (t.Kind == lex.Ident || t.Kind == lex.Number || t.Is(".")); t = p.Peek() {
+		p.Next()
+		end += len(t.Text)
 	}
-	return t, nil
+	return p.Src[first.Off:end]
 }
 
-func (p *parser) expectIdent(word string) (token, error) {
-	t := p.next()
-	if t.kind != tokIdent || !strings.EqualFold(t.text, word) {
-		return t, p.errorf(t, "expected %q, found %s", word, t)
+// target reads the name of the relation a statement writes or analyzes.
+func (p *parser) target() (string, error) {
+	t := p.Next()
+	if t.Kind != lex.Ident {
+		return "", p.Errorf(t.Pos, "expected a relation name, found %s", t)
 	}
-	return t, nil
-}
-
-// peekIsPunct reports whether the next token is the given punctuation.
-func (p *parser) peekIsPunct(s string) bool {
-	t := p.peek()
-	return t.kind == tokPunct && t.text == s
+	return p.name(t), nil
 }
 
 // ---------------------------------------------------------------------------
 // Statements and programs
 // ---------------------------------------------------------------------------
 
-func (p *parser) parseProgram(stop func(token) bool) (stmt.Program, error) {
+func (p *parser) parseProgram(stop func(lex.Token) bool) (stmt.Program, error) {
 	var prog stmt.Program
 	for {
-		t := p.peek()
+		t := p.Peek()
 		if stop(t) {
 			return prog, nil
 		}
-		if t.kind == tokPunct && t.text == ";" {
-			p.next()
+		if p.Accept(";") {
 			continue
 		}
 		s, err := p.parseStatement()
@@ -222,49 +208,44 @@ func (p *parser) parseProgram(stop func(token) bool) (stmt.Program, error) {
 			return nil, err
 		}
 		prog = append(prog, s)
-		if t := p.peek(); t.kind == tokPunct && t.text == ";" {
-			p.next()
-		} else if !stop(p.peek()) && p.peek().kind != tokEOF {
-			return nil, p.errorf(p.peek(), "expected \";\" between statements, found %s", p.peek())
+		if t := p.Peek(); !p.Accept(";") && !stop(t) && t.Kind != lex.EOF {
+			return nil, p.Errorf(t.Pos, "expected \";\" between statements, found %s", t)
 		}
 	}
 }
 
 func (p *parser) parseStatement() (stmt.Statement, error) {
-	t := p.peek()
+	t := p.Peek()
 	switch {
-	case t.kind == tokPunct && t.text == "?":
-		p.next()
+	case t.Is("?"):
+		p.Next()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
 		return stmt.Query{Source: e}, nil
 
-	case t.kind == tokIdent && strings.EqualFold(t.text, "insert"):
+	case t.IsWord("insert"):
 		return p.parseInsertDelete(true)
-	case t.kind == tokIdent && strings.EqualFold(t.text, "delete"):
+	case t.IsWord("delete"):
 		return p.parseInsertDelete(false)
-	case t.kind == tokIdent && strings.EqualFold(t.text, "update"):
+	case t.IsWord("update"):
 		return p.parseUpdate()
-	case t.kind == tokIdent && strings.EqualFold(t.text, "analyze"):
+	case t.IsWord("analyze"):
 		return p.parseAnalyze()
 
-	case t.kind == tokIdent:
+	case t.Kind == lex.Ident:
 		// Either an assignment "name = expr" or a bare expression used as a
-		// query.  Disambiguate on the "=" following a bare identifier.
-		if p.idx+1 < len(p.toks) {
-			nxt := p.toks[p.idx+1]
-			if nxt.kind == tokOp && nxt.text == "=" {
-				name := p.next().text
-				p.next() // consume '='
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				return stmt.Assign{Name: name, Source: e}, nil
+		// query.  Disambiguate on the "=" following a bare name.
+		save := p.Idx
+		if name := p.name(p.Next()); p.Accept("=") {
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
 			}
+			return stmt.Assign{Name: name, Source: e}, nil
 		}
+		p.Idx = save
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -272,76 +253,75 @@ func (p *parser) parseStatement() (stmt.Statement, error) {
 		return stmt.Query{Source: e}, nil
 
 	default:
-		return nil, p.errorf(t, "expected a statement, found %s", t)
+		return nil, p.Errorf(t.Pos, "expected a statement, found %s", t)
 	}
 }
 
 func (p *parser) parseInsertDelete(insert bool) (stmt.Statement, error) {
-	p.next() // keyword
-	if _, err := p.expectPunct("("); err != nil {
+	p.Next() // keyword
+	if _, err := p.Expect("("); err != nil {
 		return nil, err
 	}
-	target := p.next()
-	if target.kind != tokIdent {
-		return nil, p.errorf(target, "expected a relation name, found %s", target)
+	target, err := p.target()
+	if err != nil {
+		return nil, err
 	}
-	if _, err := p.expectPunct(","); err != nil {
+	if _, err := p.Expect(","); err != nil {
 		return nil, err
 	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct(")"); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return nil, err
 	}
 	if insert {
-		return stmt.Insert{Target: target.text, Source: e}, nil
+		return stmt.Insert{Target: target, Source: e}, nil
 	}
-	return stmt.Delete{Target: target.text, Source: e}, nil
+	return stmt.Delete{Target: target, Source: e}, nil
 }
 
 // parseAnalyze parses analyze(R), the statistics-rebuild statement, and
 // analyze(), which summarises every visible relation (SQL's bare ANALYZE).
 func (p *parser) parseAnalyze() (stmt.Statement, error) {
-	p.next() // analyze
-	if _, err := p.expectPunct("("); err != nil {
+	p.Next() // analyze
+	if _, err := p.Expect("("); err != nil {
 		return nil, err
 	}
-	if p.peekIsPunct(")") {
-		p.next()
+	if p.Accept(")") {
 		return stmt.Analyze{}, nil
 	}
-	target := p.next()
-	if target.kind != tokIdent {
-		return nil, p.errorf(target, "expected a relation name, found %s", target)
-	}
-	if _, err := p.expectPunct(")"); err != nil {
+	target, err := p.target()
+	if err != nil {
 		return nil, err
 	}
-	return stmt.Analyze{Target: target.text}, nil
+	if _, err := p.Expect(")"); err != nil {
+		return nil, err
+	}
+	return stmt.Analyze{Target: target}, nil
 }
 
 func (p *parser) parseUpdate() (stmt.Statement, error) {
-	p.next() // update
-	if _, err := p.expectPunct("("); err != nil {
+	p.Next() // update
+	if _, err := p.Expect("("); err != nil {
 		return nil, err
 	}
-	target := p.next()
-	if target.kind != tokIdent {
-		return nil, p.errorf(target, "expected a relation name, found %s", target)
+	target, err := p.target()
+	if err != nil {
+		return nil, err
 	}
-	if _, err := p.expectPunct(","); err != nil {
+	if _, err := p.Expect(","); err != nil {
 		return nil, err
 	}
 	sel, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct(","); err != nil {
+	if _, err := p.Expect(","); err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct("("); err != nil {
+	if _, err := p.Expect("("); err != nil {
 		return nil, err
 	}
 	var items []scalar.Expr
@@ -351,19 +331,17 @@ func (p *parser) parseUpdate() (stmt.Statement, error) {
 			return nil, err
 		}
 		items = append(items, item)
-		if p.peekIsPunct(",") {
-			p.next()
-			continue
+		if !p.Accept(",") {
+			break
 		}
-		break
 	}
-	if _, err := p.expectPunct(")"); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct(")"); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return nil, err
 	}
-	return stmt.Update{Target: target.text, Selection: sel, Items: items}, nil
+	return stmt.Update{Target: target, Selection: sel, Items: items}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -371,30 +349,30 @@ func (p *parser) parseUpdate() (stmt.Statement, error) {
 // ---------------------------------------------------------------------------
 
 func (p *parser) parseExpr() (algebra.Expr, error) {
-	t := p.peek()
+	t := p.Peek()
 	switch {
-	case t.kind == tokPunct && t.text == "[":
+	case t.Is("["):
 		return p.parseLiteral()
-	case t.kind == tokPunct && t.text == "(":
-		p.next()
+	case t.Is("("):
+		p.Next()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectPunct(")"); err != nil {
+		if _, err := p.Expect(")"); err != nil {
 			return nil, err
 		}
 		return e, nil
-	case t.kind == tokIdent:
+	case t.Kind == lex.Ident:
 		return p.parseOperatorOrRelation()
 	default:
-		return nil, p.errorf(t, "expected a relational expression, found %s", t)
+		return nil, p.Errorf(t.Pos, "expected a relational expression, found %s", t)
 	}
 }
 
 func (p *parser) parseOperatorOrRelation() (algebra.Expr, error) {
-	name := p.next()
-	keyword := strings.ToLower(name.text)
+	name := p.name(p.Next())
+	keyword := strings.ToLower(name)
 	switch keyword {
 	case "union", "diff", "difference", "intersect", "product":
 		left, right, err := p.parseBinaryArgs()
@@ -435,7 +413,7 @@ func (p *parser) parseOperatorOrRelation() (algebra.Expr, error) {
 		return algebra.NewJoin(cond, left, right), nil
 
 	case "project", "xproject":
-		if _, err := p.expectPunct("["); err != nil {
+		if _, err := p.Expect("["); err != nil {
 			return nil, err
 		}
 		var items []scalar.Expr
@@ -445,13 +423,11 @@ func (p *parser) parseOperatorOrRelation() (algebra.Expr, error) {
 				return nil, err
 			}
 			items = append(items, item)
-			if p.peekIsPunct(",") {
-				p.next()
-				continue
+			if !p.Accept(",") {
+				break
 			}
-			break
 		}
-		if _, err := p.expectPunct("]"); err != nil {
+		if _, err := p.Expect("]"); err != nil {
 			return nil, err
 		}
 		in, err := p.parseUnaryArg()
@@ -494,54 +470,54 @@ func (p *parser) parseOperatorOrRelation() (algebra.Expr, error) {
 
 	default:
 		// A bare identifier is a database (or temporary) relation reference.
-		return algebra.NewRel(name.text), nil
+		return algebra.NewRel(name), nil
 	}
 }
 
 func (p *parser) parseBinaryArgs() (algebra.Expr, algebra.Expr, error) {
-	if _, err := p.expectPunct("("); err != nil {
+	if _, err := p.Expect("("); err != nil {
 		return nil, nil, err
 	}
 	left, err := p.parseExpr()
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := p.expectPunct(","); err != nil {
+	if _, err := p.Expect(","); err != nil {
 		return nil, nil, err
 	}
 	right, err := p.parseExpr()
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := p.expectPunct(")"); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return nil, nil, err
 	}
 	return left, right, nil
 }
 
 func (p *parser) parseUnaryArg() (algebra.Expr, error) {
-	if _, err := p.expectPunct("("); err != nil {
+	if _, err := p.Expect("("); err != nil {
 		return nil, err
 	}
 	in, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct(")"); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
 
 func (p *parser) parseBracketPredicate() (scalar.Predicate, error) {
-	if _, err := p.expectPunct("["); err != nil {
+	if _, err := p.Expect("["); err != nil {
 		return nil, err
 	}
 	cond, err := p.parsePredicate()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct("]"); err != nil {
+	if _, err := p.Expect("]"); err != nil {
 		return nil, err
 	}
 	return cond, nil
@@ -551,58 +527,48 @@ func (p *parser) parseBracketPredicate() (scalar.Predicate, error) {
 // list followed by one or more aggregate applications computed in one pass.
 // The grouping list may be empty: groupby[(), CNT, %1](E).
 func (p *parser) parseGroupBy() (algebra.Expr, error) {
-	if _, err := p.expectPunct("["); err != nil {
+	if _, err := p.Expect("["); err != nil {
 		return nil, err
 	}
-	if _, err := p.expectPunct("("); err != nil {
+	if _, err := p.Expect("("); err != nil {
 		return nil, err
 	}
 	var groupCols []int
-	for !p.peekIsPunct(")") {
-		t := p.next()
-		if t.kind != tokAttr {
-			return nil, p.errorf(t, "expected a grouping attribute %%i, found %s", t)
-		}
-		idx, err := attrIndex(t)
+	for !p.Peek().Is(")") {
+		idx, err := p.attr()
 		if err != nil {
 			return nil, err
 		}
 		groupCols = append(groupCols, idx)
-		if p.peekIsPunct(",") {
-			p.next()
-		}
+		p.Accept(",")
 	}
-	p.next() // ')'
+	p.Next() // ')'
 	var aggs []algebra.AggSpec
 	for {
-		if _, err := p.expectPunct(","); err != nil {
+		if _, err := p.Expect(","); err != nil {
 			return nil, err
 		}
-		aggTok := p.next()
-		if aggTok.kind != tokIdent {
-			return nil, p.errorf(aggTok, "expected an aggregate function, found %s", aggTok)
+		aggTok := p.Next()
+		if aggTok.Kind != lex.Ident {
+			return nil, p.Errorf(aggTok.Pos, "expected an aggregate function, found %s", aggTok)
 		}
-		agg, err := algebra.ParseAggregate(aggTok.text)
+		agg, err := algebra.ParseAggregate(aggTok.Text)
 		if err != nil {
-			return nil, p.errorf(aggTok, "%v", err)
+			return nil, p.Errorf(aggTok.Pos, "%v", err)
 		}
-		if _, err := p.expectPunct(","); err != nil {
+		if _, err := p.Expect(","); err != nil {
 			return nil, err
 		}
-		attrTok := p.next()
-		if attrTok.kind != tokAttr {
-			return nil, p.errorf(attrTok, "expected an aggregate attribute %%i, found %s", attrTok)
-		}
-		aggCol, err := attrIndex(attrTok)
+		aggCol, err := p.attr()
 		if err != nil {
 			return nil, err
 		}
 		aggs = append(aggs, algebra.AggSpec{Fn: agg, Col: aggCol})
-		if !p.peekIsPunct(",") {
+		if !p.Peek().Is(",") {
 			break
 		}
 	}
-	if _, err := p.expectPunct("]"); err != nil {
+	if _, err := p.Expect("]"); err != nil {
 		return nil, err
 	}
 	in, err := p.parseUnaryArg()
@@ -615,36 +581,32 @@ func (p *parser) parseGroupBy() (algebra.Expr, error) {
 // parseLiteral parses a literal relation [(v, ...), (v, ...)], inferring an
 // anonymous schema from the first row's value domains.
 func (p *parser) parseLiteral() (algebra.Expr, error) {
-	open := p.next() // '['
+	open := p.Next() // '['
 	var rows [][]value.Value
-	for !p.peekIsPunct("]") {
-		if _, err := p.expectPunct("("); err != nil {
+	for !p.Peek().Is("]") {
+		if _, err := p.Expect("("); err != nil {
 			return nil, err
 		}
 		var row []value.Value
 		for {
-			v, err := p.parseValue()
+			v, err := p.Literal()
 			if err != nil {
 				return nil, err
 			}
 			row = append(row, v)
-			if p.peekIsPunct(",") {
-				p.next()
-				continue
+			if !p.Accept(",") {
+				break
 			}
-			break
 		}
-		if _, err := p.expectPunct(")"); err != nil {
+		if _, err := p.Expect(")"); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
-		if p.peekIsPunct(",") {
-			p.next()
-		}
+		p.Accept(",")
 	}
-	p.next() // ']'
+	p.Next() // ']'
 	if len(rows) == 0 {
-		return nil, p.errorf(open, "literal relation must contain at least one row")
+		return nil, p.Errorf(open.Pos, "literal relation must contain at least one row")
 	}
 	attrs := make([]schema.Attribute, len(rows[0]))
 	for i, v := range rows[0] {
@@ -653,58 +615,15 @@ func (p *parser) parseLiteral() (algebra.Expr, error) {
 	return algebra.Literal{Rel: schema.Anonymous(attrs...), Rows: rows}, nil
 }
 
-// parseValue parses a constant value: number, string, true/false, null, or a
-// negated number.
-func (p *parser) parseValue() (value.Value, error) {
-	t := p.next()
-	switch {
-	case t.kind == tokNumber:
-		return parseNumber(t)
-	case t.kind == tokString:
-		return value.NewString(t.text), nil
-	case t.kind == tokOp && t.text == "-":
-		n := p.next()
-		if n.kind != tokNumber {
-			return value.Null, p.errorf(n, "expected a number after '-', found %s", n)
-		}
-		v, err := parseNumber(n)
-		if err != nil {
-			return value.Null, err
-		}
-		if v.Kind() == value.KindInt {
-			return value.NewInt(-v.Int()), nil
-		}
-		return value.NewFloat(-v.Float()), nil
-	case t.kind == tokIdent && strings.EqualFold(t.text, "true"):
-		return value.NewBool(true), nil
-	case t.kind == tokIdent && strings.EqualFold(t.text, "false"):
-		return value.NewBool(false), nil
-	case t.kind == tokIdent && strings.EqualFold(t.text, "null"):
-		return value.Null, nil
-	default:
-		return value.Null, p.errorf(t, "expected a constant value, found %s", t)
+// attr reads an attribute reference %i as its 0-based index.
+func (p *parser) attr() (int, error) {
+	t := p.Next()
+	if t.Kind != lex.Attr {
+		return 0, p.Errorf(t.Pos, "expected an attribute %%i, found %s", t)
 	}
-}
-
-func parseNumber(t token) (value.Value, error) {
-	if strings.Contains(t.text, ".") {
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return value.Null, &SyntaxError{Line: t.line, Col: t.col, Msg: "malformed number " + t.text}
-		}
-		return value.NewFloat(f), nil
-	}
-	i, err := strconv.ParseInt(t.text, 10, 64)
-	if err != nil {
-		return value.Null, &SyntaxError{Line: t.line, Col: t.col, Msg: "malformed number " + t.text}
-	}
-	return value.NewInt(i), nil
-}
-
-func attrIndex(t token) (int, error) {
-	n, err := strconv.Atoi(t.text)
+	n, err := strconv.Atoi(t.Text)
 	if err != nil || n < 1 {
-		return 0, &SyntaxError{Line: t.line, Col: t.col, Msg: "attribute numbers are 1-based positive integers"}
+		return 0, p.Errorf(t.Pos, "attribute numbers are 1-based positive integers")
 	}
 	return n - 1, nil
 }
@@ -720,19 +639,14 @@ func (p *parser) parsePredicate() (scalar.Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.peek()
-		if t.kind == tokIdent && strings.EqualFold(t.text, "or") {
-			p.next()
-			right, err := p.parseAnd()
-			if err != nil {
-				return nil, err
-			}
-			left = scalar.Or{Left: left, Right: right}
-			continue
+	for p.AcceptWord("or") {
+		right, err := p.parseAnd()
+		if err != nil {
+			return nil, err
 		}
-		return left, nil
+		left = scalar.Or{Left: left, Right: right}
 	}
+	return left, nil
 }
 
 func (p *parser) parseAnd() (scalar.Predicate, error) {
@@ -740,25 +654,18 @@ func (p *parser) parseAnd() (scalar.Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.peek()
-		if t.kind == tokIdent && strings.EqualFold(t.text, "and") {
-			p.next()
-			right, err := p.parseNot()
-			if err != nil {
-				return nil, err
-			}
-			left = scalar.And{Left: left, Right: right}
-			continue
+	for p.AcceptWord("and") {
+		right, err := p.parseNot()
+		if err != nil {
+			return nil, err
 		}
-		return left, nil
+		left = scalar.And{Left: left, Right: right}
 	}
+	return left, nil
 }
 
 func (p *parser) parseNot() (scalar.Predicate, error) {
-	t := p.peek()
-	if t.kind == tokIdent && strings.EqualFold(t.text, "not") {
-		p.next()
+	if p.AcceptWord("not") {
 		inner, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -769,44 +676,38 @@ func (p *parser) parseNot() (scalar.Predicate, error) {
 }
 
 func (p *parser) parseComparison() (scalar.Predicate, error) {
-	t := p.peek()
+	t := p.Peek()
 	// Parenthesised sub-condition or boolean constants.
-	if t.kind == tokPunct && t.text == "(" {
+	if t.Is("(") {
 		// Could be a parenthesised predicate; try it with backtracking so that
 		// parenthesised scalar expressions like (%1 + %2) > 3 also work.
-		save := p.idx
-		p.next()
+		save := p.Idx
+		p.Next()
 		inner, err := p.parsePredicate()
-		if err == nil && p.peekIsPunct(")") {
-			p.next()
-			// Only accept if the next token is not a comparison/arith operator
-			// (otherwise the parentheses belonged to a scalar expression).
-			nt := p.peek()
-			if nt.kind != tokOp {
-				return inner, nil
-			}
+		// Only accept if the next token is not a comparison/arith operator
+		// (otherwise the parentheses belonged to a scalar expression).
+		if err == nil && p.Accept(")") && p.Peek().Kind != lex.Op {
+			return inner, nil
 		}
-		p.idx = save
+		p.Idx = save
 	}
-	if t.kind == tokIdent && strings.EqualFold(t.text, "true") {
-		p.next()
+	if p.AcceptWord("true") {
 		return scalar.True{}, nil
 	}
-	if t.kind == tokIdent && strings.EqualFold(t.text, "false") {
-		p.next()
+	if p.AcceptWord("false") {
 		return scalar.False{}, nil
 	}
 	left, err := p.parseScalar()
 	if err != nil {
 		return nil, err
 	}
-	opTok := p.next()
-	if opTok.kind != tokOp {
-		return nil, p.errorf(opTok, "expected a comparison operator, found %s", opTok)
+	opTok := p.Next()
+	if opTok.Kind != lex.Op {
+		return nil, p.Errorf(opTok.Pos, "expected a comparison operator, found %s", opTok)
 	}
-	op, err := value.ParseCompareOp(opTok.text)
+	op, err := value.ParseCompareOp(opTok.Text)
 	if err != nil {
-		return nil, p.errorf(opTok, "%v", err)
+		return nil, p.Errorf(opTok.Pos, "%v", err)
 	}
 	right, err := p.parseScalar()
 	if err != nil {
@@ -823,14 +724,14 @@ func (p *parser) parseScalar() (scalar.Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.peek()
-		if t.kind == tokOp && (t.text == "+" || t.text == "-" || t.text == "||") {
-			p.next()
+		t := p.Peek()
+		if t.Kind == lex.Op && (t.Text == "+" || t.Text == "-" || t.Text == "||") {
+			p.Next()
 			right, err := p.parseTerm()
 			if err != nil {
 				return nil, err
 			}
-			op, _ := value.ParseBinaryOp(t.text)
+			op, _ := value.ParseBinaryOp(t.Text)
 			left = scalar.Arith{Op: op, Left: left, Right: right}
 			continue
 		}
@@ -844,14 +745,14 @@ func (p *parser) parseTerm() (scalar.Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.peek()
-		if t.kind == tokOp && (t.text == "*" || t.text == "/" || t.text == "%") {
-			p.next()
+		t := p.Peek()
+		if t.Kind == lex.Op && (t.Text == "*" || t.Text == "/" || t.Text == "%") {
+			p.Next()
 			right, err := p.parseFactor()
 			if err != nil {
 				return nil, err
 			}
-			op, _ := value.ParseBinaryOp(t.text)
+			op, _ := value.ParseBinaryOp(t.Text)
 			left = scalar.Arith{Op: op, Left: left, Right: right}
 			continue
 		}
@@ -860,45 +761,44 @@ func (p *parser) parseTerm() (scalar.Expr, error) {
 }
 
 func (p *parser) parseFactor() (scalar.Expr, error) {
-	t := p.peek()
+	t := p.Peek()
 	switch {
-	case t.kind == tokAttr:
-		p.next()
-		idx, err := attrIndex(t)
+	case t.Kind == lex.Attr:
+		idx, err := p.attr()
 		if err != nil {
 			return nil, err
 		}
 		return scalar.NewAttr(idx), nil
-	case t.kind == tokNumber, t.kind == tokString:
-		v, err := p.parseValue()
+	case t.Kind == lex.Number, t.Kind == lex.String:
+		v, err := p.Literal()
 		if err != nil {
 			return nil, err
 		}
 		return scalar.NewConst(v), nil
-	case t.kind == tokIdent && (strings.EqualFold(t.text, "true") || strings.EqualFold(t.text, "false") || strings.EqualFold(t.text, "null")):
-		v, err := p.parseValue()
+	case t.IsWord("true"), t.IsWord("false"), t.IsWord("null"):
+		v, err := p.Literal()
 		if err != nil {
 			return nil, err
 		}
 		return scalar.NewConst(v), nil
-	case t.kind == tokOp && t.text == "-":
-		p.next()
+	case t.Is("-"):
+		p.Next()
 		inner, err := p.parseFactor()
 		if err != nil {
 			return nil, err
 		}
 		return scalar.Neg{Operand: inner}, nil
-	case t.kind == tokPunct && t.text == "(":
-		p.next()
+	case t.Is("("):
+		p.Next()
 		inner, err := p.parseScalar()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectPunct(")"); err != nil {
+		if _, err := p.Expect(")"); err != nil {
 			return nil, err
 		}
 		return inner, nil
 	default:
-		return nil, p.errorf(t, "expected a scalar expression, found %s", t)
+		return nil, p.Errorf(t.Pos, "expected a scalar expression, found %s", t)
 	}
 }

@@ -1,12 +1,14 @@
 package xraparse
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"mra/internal/algebra"
 	"mra/internal/eval"
+	"mra/internal/lex"
 	"mra/internal/multiset"
 	"mra/internal/oracle"
 	"mra/internal/scalar"
@@ -258,23 +260,10 @@ func TestParseErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "xra:") {
 		t.Errorf("error should carry a position, got %v", err)
 	}
-	var serr *SyntaxError
-	if !asSyntaxError(err, &serr) || serr.Line != 1 || serr.Col == 0 {
-		t.Errorf("expected a positioned SyntaxError, got %#v", err)
+	var serr *lex.Error
+	if !errors.As(err, &serr) || serr.Lang != "xra" || serr.Line != 1 || serr.Col == 0 {
+		t.Errorf("expected a positioned lex.Error, got %#v", err)
 	}
-}
-
-// asSyntaxError is a tiny errors.As replacement to avoid importing errors for
-// one call site with a concrete target type.
-func asSyntaxError(err error, target **SyntaxError) bool {
-	if err == nil {
-		return false
-	}
-	se, ok := err.(*SyntaxError)
-	if ok {
-		*target = se
-	}
-	return ok
 }
 
 func TestParseRoundTripThroughString(t *testing.T) {
