@@ -370,7 +370,8 @@ type exprGen struct {
 
 func (g *exprGen) intn(n int) int { return g.rng.Intn(n) }
 
-// pred builds a random predicate over an input of the given arity.
+// pred builds a random predicate over an input of the given arity.  One
+// comparison in five is fallible (see fallible).
 func (g *exprGen) pred(arity int, depth int) scalar.Predicate {
 	if depth > 0 && g.intn(4) == 0 {
 		switch g.intn(3) {
@@ -382,6 +383,9 @@ func (g *exprGen) pred(arity int, depth int) scalar.Predicate {
 			return scalar.Not{Operand: g.pred(arity, depth-1)}
 		}
 	}
+	if g.intn(5) == 0 {
+		return g.fallible(arity)
+	}
 	ops := []value.CompareOp{value.CmpEq, value.CmpLt, value.CmpGe, value.CmpNe}
 	op := ops[g.intn(len(ops))]
 	left := scalar.NewAttr(g.intn(arity))
@@ -389,6 +393,22 @@ func (g *exprGen) pred(arity int, depth int) scalar.Predicate {
 		return scalar.NewCompare(op, left, scalar.NewAttr(g.intn(arity)))
 	}
 	return scalar.NewCompare(op, left, scalar.NewConst(value.NewInt(int64(g.intn(5)))))
+}
+
+// fallible builds a comparison whose left side can fail: 12 divided by an
+// attribute, which is a division by zero on every row holding 0 (every
+// generated column holds zeros), or an attribute times 2^62, which leaves
+// int64 for any attribute of 2 or more.  A plan that evaluates such a
+// conjunct on a row the written expression never reaches fails where the
+// oracle does not.
+func (g *exprGen) fallible(arity int) scalar.Predicate {
+	attr := scalar.NewAttr(g.intn(arity))
+	if g.intn(2) == 0 {
+		return scalar.NewCompare(value.CmpGe,
+			scalar.NewArith(value.OpDiv, scalar.NewConst(value.NewInt(12)), attr), scalar.NewConst(value.NewInt(4)))
+	}
+	return scalar.NewCompare(value.CmpGt,
+		scalar.NewArith(value.OpMul, attr, scalar.NewConst(value.NewInt(1<<62))), scalar.NewConst(value.NewInt(0)))
 }
 
 // cols picks n attribute positions (repeats allowed) from an input arity.

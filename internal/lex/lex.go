@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"mra/internal/value"
 )
@@ -158,10 +159,11 @@ func tokens(src string) ([]Token, *Error) {
 		var kind Kind
 		text := ""
 		switch {
-		case isLetter(c):
-			i++
-			for i < len(src) && (isLetter(src[i]) || isDigit(src[i])) {
-				i++
+		case letterAt(src, i) > 0:
+			for n := 1; n > 0 && i < len(src); i += n {
+				if n = letterAt(src, i); n == 0 && isDigit(src[i]) {
+					n = 1
+				}
 			}
 			kind = Ident
 		case isDigit(c):
@@ -210,7 +212,8 @@ func tokens(src string) ([]Token, *Error) {
 			}
 			kind = Op
 		default:
-			return nil, &Error{Pos: at, Msg: fmt.Sprintf("unexpected character %q", c)}
+			r, _ := utf8.DecodeRuneInString(src[i:])
+			return nil, &Error{Pos: at, Msg: fmt.Sprintf("unexpected character %q", r)}
 		}
 		if kind != String && kind != Attr {
 			text = src[start:i]
@@ -236,10 +239,17 @@ func number(src string, i int) int {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// isLetter reports whether c may start an identifier: an ASCII letter, `_`,
-// or a byte whose Latin-1 character is a letter.
-func isLetter(c byte) bool {
-	return 'a' <= c|0x20 && c|0x20 <= 'z' || c == '_' || c >= 0x80 && unicode.IsLetter(rune(c))
+// letterAt returns the length in bytes of the identifier letter that starts
+// at src[i] — an ASCII letter, `_`, or the UTF-8 encoding of a Unicode
+// letter — or 0 when none does.
+func letterAt(src string, i int) int {
+	if c := src[i]; c < utf8.RuneSelf && ('a' <= c|0x20 && c|0x20 <= 'z' || c == '_') {
+		return 1
+	}
+	if r, n := utf8.DecodeRuneInString(src[i:]); r >= utf8.RuneSelf && unicode.IsLetter(r) {
+		return n
+	}
+	return 0
 }
 
 // Cursor is a recursive-descent parser's place in one source's token stream.

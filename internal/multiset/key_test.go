@@ -226,7 +226,7 @@ func keySetOp(t *testing.T, which int, a, b *Relation, am, bm model) (*Relation,
 }
 
 // TestKeyChainSurvivesSetOperators pins which results carry the key chain:
-// the ones built from a keyed left operand by cloning it (∸, ⊎, δ) do, and
+// the ones built from a keyed left operand by cloning it (∸, ⊎) do, and
 // the fresh ones (∩, Diff) do not.
 func TestKeyChainSurvivesSetOperators(t *testing.T) {
 	s := intSchema(2)
@@ -240,7 +240,7 @@ func TestKeyChainSurvivesSetOperators(t *testing.T) {
 		name  string
 		r     *Relation
 		keyed bool
-	}{{"union", union, true}, {"difference", diff, true}, {"unique", Unique(a), true}, {"clone", a.Clone(), true},
+	}{{"union", union, true}, {"difference", diff, true}, {"clone", a.Clone(), true},
 		{"intersection", inter, false}, {"diff", add, false}} {
 		if _, keyed := c.r.KeyColumn(); keyed != c.keyed {
 			t.Errorf("%s: keyed = %v, want %v", c.name, keyed, c.keyed)

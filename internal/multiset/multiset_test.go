@@ -292,18 +292,6 @@ func TestIntersection(t *testing.T) {
 	}
 }
 
-func TestUnique(t *testing.T) {
-	r := FromTuples(intSchema(1), tuple.Ints(1), tuple.Ints(1), tuple.Ints(2))
-	u := Unique(r)
-	if u.Multiplicity(tuple.Ints(1)) != 1 || u.Multiplicity(tuple.Ints(2)) != 1 {
-		t.Errorf("Unique = %v", u)
-	}
-	// Idempotent.
-	if !Unique(u).Equal(u) {
-		t.Error("δ must be idempotent")
-	}
-}
-
 func TestMap(t *testing.T) {
 	s := intSchema(1)
 	out := schema.Anonymous(schema.Attribute{Name: "double", Type: value.KindInt})

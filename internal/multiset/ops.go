@@ -79,26 +79,6 @@ func Intersection(a, b *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// Unique returns δR: the duplicate-free relation with (δR)(x) = 1 whenever
-// R(x) > 0 (Definition 3.4).  Because δR has exactly R's distinct tuples, the
-// result is a copy-on-write view of R with every multiplicity above one
-// forced to one — no tuple is rehashed, and pages that hold no duplicate stay
-// shared with R.
-func Unique(r *Relation) *Relation {
-	out := r.Clone()
-	out.materialize()
-	tab := out.tab
-	for pi := range tab.pages {
-		for i := range tab.pages[pi].ents {
-			if tab.pages[pi].ents[i].count > 1 {
-				tab.own(int32(pi<<tab.pageBits + i)).count = 1
-			}
-		}
-	}
-	tab.total = uint64(tab.live)
-	return out
-}
-
 // Map returns the relation obtained by applying fn to every distinct tuple,
 // keeping multiplicities.  It is the building block of the extended
 // (arithmetic) projection; fn must produce tuples of the given schema.

@@ -8,7 +8,6 @@ import (
 	"math/bits"
 
 	"mra/internal/algebra"
-	"mra/internal/multiset"
 	"mra/internal/schema"
 	"mra/internal/tuple"
 	"mra/internal/value"
@@ -251,130 +250,87 @@ func (s *AggState) Final() (value.Value, error) {
 	}
 }
 
-// groupTable is the grouped hash table behind the hash aggregate: groups
-// keyed by tuple.HashOn over the grouping columns with positional-equality
-// collision chains — the same scheme the relation representation and the
-// hash join use.  Every group owns one AggState per aggregate application,
-// stored in a flat arena (group i's states are states[i*k : (i+1)*k] for k
-// aggregates) so multi-aggregate groups stay cache-adjacent.
+// groupTable is the grouped hash table behind the hash aggregate: one
+// hashTable entry per group, keyed on the grouping columns, whose tuple is
+// the group's representative input row.  Every group owns one AggState per
+// aggregate application, stored in a flat arena indexed by entry (group i's
+// states are states[i*k : (i+1)*k] for k aggregates) so multi-aggregate
+// groups stay cache-adjacent.
 type groupTable struct {
 	spec   groupSpec
-	groups []groupEntry
+	keys   *hashTable
 	states []AggState
-	index  map[uint64]int32
 	// mem, when non-nil, is charged for every created group (the
 	// representative tuple plus its aggregate states), so a runaway grouping
 	// trips the query's memory budget instead of exhausting the process.
 	mem *MemoryGauge
-	// keyVecs/aggVecs are addBatch's per-batch column bindings, kept on the
-	// table (which is single-consumer) to avoid per-batch allocation.
-	keyVecs []value.Vec
-	aggVecs []value.Vec
 }
 
-// groupEntry is one group of the table: a representative input tuple (whose
-// grouping attributes identify the group) and the collision-chain link.
-type groupEntry struct {
-	rep  tuple.Tuple
-	next int32
+func newGroupTable(spec groupSpec, mem *MemoryGauge) *groupTable {
+	return &groupTable{spec: spec, keys: newHashTable(spec.groupCols), mem: mem}
 }
 
-func newGroupTable(spec groupSpec, capacity int, mem *MemoryGauge) *groupTable {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &groupTable{spec: spec, index: make(map[uint64]int32, capacity), mem: mem}
-}
+// len returns the number of groups.
+func (g *groupTable) len() int { return g.keys.len() }
 
-// findOrCreate returns the index of t's group, creating it (with fresh
-// aggregate states) on first sight.  Creation fails when charging the new
-// group would exceed the table's memory budget.
-func (g *groupTable) findOrCreate(t tuple.Tuple) (int, error) {
-	h := t.HashOn(g.spec.groupCols)
-	head, ok := g.index[h]
-	if !ok {
-		head = -1
-	}
-	for i := head; i != -1; i = g.groups[i].next {
-		if equalOn(t, g.spec.groupCols, g.groups[i].rep, g.spec.groupCols) {
-			return int(i), nil
-		}
-	}
-	if g.mem != nil {
-		if err := g.mem.Grow(approxTupleBytes(t) + int64(len(g.spec.aggs))*aggStateBytes); err != nil {
-			return 0, err
-		}
-	}
-	gi := len(g.groups)
-	g.index[h] = int32(gi)
-	g.groups = append(g.groups, groupEntry{rep: t, next: head})
+// found gives a group the table just added (entry gi) fresh aggregate
+// states, and charges the group to the gauge: it fails when the charge
+// exceeds the table's memory budget.
+func (g *groupTable) found(gi int32) error {
 	for _, sp := range g.spec.aggs {
 		g.states = append(g.states, NewAggState(sp.Fn))
 	}
-	return gi, nil
-}
-
-// add folds one input chunk into its group's aggregate states, creating the
-// group on first sight.
-func (g *groupTable) add(t tuple.Tuple, count uint64) error {
-	gi, err := g.findOrCreate(t)
-	if err != nil {
-		return err
-	}
-	k := len(g.spec.aggs)
-	states := g.states[gi*k : (gi+1)*k]
-	for i := range states {
-		if err := states[i].Add(t.At(g.spec.aggs[i].Col), count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// addBatch folds a batch's live rows into the table column-at-a-time: group
-// keys hash incrementally off the grouping columns' vectors (tuple.HashRow) and
-// aggregate inputs stream from the aggregated columns' vectors, so the
-// per-row inner loop is a few vector indexings plus the state update — no
-// tuple is materialised except the representative of a newly created group.
-// Row-view batches take the tuple-wise path instead: gathering their columns
-// would cost one extra pass per column with nothing downstream saved, since
-// the per-row hash and state updates read the same values either way.  A
-// keyless Γ has nothing to hash and folds through foldBatch.
-func (g *groupTable) addBatch(b *Batch, cc *colCache) error {
-	if len(g.spec.groupCols) == 0 {
-		return g.foldBatch(b)
-	}
-	if b.Cols == nil {
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			r := b.Row(i)
-			if err := g.add(b.Tuples[r], b.Counts[r]); err != nil {
-				return err
-			}
-		}
+	if g.mem == nil {
 		return nil
 	}
-	cc.batch(b)
-	g.keyVecs = g.keyVecs[:0]
-	for _, c := range g.spec.groupCols {
-		g.keyVecs = append(g.keyVecs, cc.col(c))
+	return g.mem.Grow(approxTupleBytes(g.keys.tups[gi]) + int64(len(g.spec.aggs))*aggStateBytes)
+}
+
+// findOrCreate returns the index of t's group, creating it on first sight.
+func (g *groupTable) findOrCreate(t tuple.Tuple) (int, error) {
+	gi, added := g.keys.tupleEntry(t)
+	if added {
+		if err := g.found(gi); err != nil {
+			return 0, err
+		}
 	}
-	g.aggVecs = g.aggVecs[:0]
-	for _, sp := range g.spec.aggs {
-		g.aggVecs = append(g.aggVecs, cc.col(sp.Col))
+	return int(gi), nil
+}
+
+// addBatch folds a batch's live rows into the table: each row's group key is
+// hashed and compared in place off whichever view the batch carries
+// (hashRow, hashTable.nextRow), and its aggregate inputs are read in place
+// too, so the per-row loop is the probe plus the state updates — no tuple is
+// built except the representative of a newly created group.  A keyless Γ
+// has nothing to hash and folds through foldBatch.
+func (g *groupTable) addBatch(b *Batch) error {
+	if len(g.spec.groupCols) == 0 {
+		return g.foldBatch(b)
 	}
 	k := len(g.spec.aggs)
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		r := b.Row(i)
-		gi, err := g.findOrCreateRow(b, r)
-		if err != nil {
-			return err
+		e, added := g.keys.rowEntry(b, r)
+		if added {
+			if err := g.found(e); err != nil {
+				return err
+			}
 		}
+		gi := int(e)
 		states := g.states[gi*k : (gi+1)*k]
 		count := b.Counts[r]
+		if b.Tuples != nil {
+			t := b.Tuples[r]
+			for j := range states {
+				if err := states[j].Add(t.At(g.spec.aggs[j].Col), count); err != nil {
+					return err
+				}
+			}
+			continue
+		}
 		for j := range states {
-			if err := states[j].Add(g.aggVecs[j][r], count); err != nil {
+			if err := states[j].Add(b.Cols[g.spec.aggs[j].Col][r], count); err != nil {
 				return err
 			}
 		}
@@ -392,7 +348,7 @@ func (g *groupTable) foldBatch(b *Batch) error {
 	if n == 0 {
 		return nil
 	}
-	if len(g.groups) == 0 {
+	if g.len() == 0 {
 		if _, err := g.findOrCreate(b.TupleAt(b.Row(0))); err != nil {
 			return err
 		}
@@ -410,48 +366,14 @@ func (g *groupTable) foldBatch(b *Batch) error {
 	return nil
 }
 
-// findOrCreateRow is findOrCreate for one batch row, hashing and comparing
-// group-key values straight off the column vectors bound by addBatch and
-// materialising the row's tuple only when it founds a new group.
-func (g *groupTable) findOrCreateRow(b *Batch, r int) (int, error) {
-	h := tuple.HashRow(g.keyVecs, r)
-	head, ok := g.index[h]
-	if !ok {
-		head = -1
-	}
-outer:
-	for i := head; i != -1; i = g.groups[i].next {
-		rep := g.groups[i].rep
-		for k, c := range g.spec.groupCols {
-			if !g.keyVecs[k][r].Equal(rep.At(c)) {
-				continue outer
-			}
-		}
-		return int(i), nil
-	}
-	t := b.TupleAt(r)
-	if g.mem != nil {
-		if err := g.mem.Grow(approxTupleBytes(t) + int64(len(g.spec.aggs))*aggStateBytes); err != nil {
-			return 0, err
-		}
-	}
-	gi := len(g.groups)
-	g.index[h] = int32(gi)
-	g.groups = append(g.groups, groupEntry{rep: t, next: head})
-	for _, sp := range g.spec.aggs {
-		g.states = append(g.states, NewAggState(sp.Fn))
-	}
-	return gi, nil
-}
-
 // mergeFrom folds another table's partial groups into g — the global phase of
 // two-phase aggregation: groups match by their grouping attributes, and
 // matching groups' states combine via MergePartial.  Both tables must share
 // the same spec.
 func (g *groupTable) mergeFrom(o *groupTable) error {
 	k := len(g.spec.aggs)
-	for i := range o.groups {
-		gi, err := g.findOrCreate(o.groups[i].rep)
+	for i, rep := range o.keys.tups {
+		gi, err := g.findOrCreate(rep)
 		if err != nil {
 			return err
 		}
@@ -482,7 +404,7 @@ func (g *groupTable) finalTuple(gi int) (tuple.Tuple, error) {
 	if len(g.spec.groupCols) == 0 {
 		return tuple.FromSlice(vals), nil
 	}
-	head, err := g.groups[gi].rep.Project(g.spec.groupCols)
+	head, err := g.keys.tups[gi].Project(g.spec.groupCols)
 	if err != nil {
 		return tuple.Tuple{}, err
 	}
@@ -495,7 +417,7 @@ func (g *groupTable) finalTuple(gi int) (tuple.Tuple, error) {
 // states).
 func (g *groupTable) output(ctx *execCtx, emit EmitBatch) error {
 	w := newBatchWriter(ctx, emit)
-	if len(g.spec.groupCols) == 0 && len(g.groups) == 0 {
+	if len(g.spec.groupCols) == 0 && g.len() == 0 {
 		vals := make([]value.Value, len(g.spec.aggs))
 		for i, sp := range g.spec.aggs {
 			st := NewAggState(sp.Fn)
@@ -510,7 +432,7 @@ func (g *groupTable) output(ctx *execCtx, emit EmitBatch) error {
 		}
 		return w.flush()
 	}
-	for i := range g.groups {
+	for i := 0; i < g.len(); i++ {
 		t, err := g.finalTuple(i)
 		if err != nil {
 			return err
@@ -520,81 +442,4 @@ func (g *groupTable) output(ctx *execCtx, emit EmitBatch) error {
 		}
 	}
 	return w.flush()
-}
-
-// transitiveClosure computes the smallest transitively closed relation
-// containing δE via semi-naive fixpoint iteration.  The result is
-// duplicate-free (closure is a set-level notion; Section 5 of the paper).
-// It polls the query context once per round and once per batch of candidate
-// pairs, and charges every round's new pairs to the memory gauge.
-func transitiveClosure(ctx *execCtx, in *multiset.Relation) (*multiset.Relation, error) {
-	closure := multiset.Unique(in)
-	// Successor lists indexed by the source value's hash, with Equal collision
-	// chains, for the semi-naive step.
-	type succChain struct {
-		src  value.Value
-		dsts []value.Value
-	}
-	succ := make(map[uint64][]succChain)
-	successors := func(v value.Value) []value.Value {
-		chains := succ[v.Hash()]
-		for i := range chains {
-			if chains[i].src.Equal(v) {
-				return chains[i].dsts
-			}
-		}
-		return nil
-	}
-	closure.Each(func(t tuple.Tuple, _ uint64) bool {
-		src := t.At(0)
-		h := src.Hash()
-		chains := succ[h]
-		found := false
-		for i := range chains {
-			if chains[i].src.Equal(src) {
-				chains[i].dsts = append(chains[i].dsts, t.At(1))
-				found = true
-				break
-			}
-		}
-		if !found {
-			succ[h] = append(chains, succChain{src: src, dsts: []value.Value{t.At(1)}})
-		}
-		return true
-	})
-	delta := closure.Clone()
-	for !delta.IsEmpty() {
-		if err := ctx.poll(); err != nil {
-			return nil, err
-		}
-		next := multiset.New(in.Schema())
-		var err error
-		work := 0
-		delta.Each(func(t tuple.Tuple, _ uint64) bool {
-			for _, dst := range successors(t.At(1)) {
-				if work++; work%DefaultBatchSize == 0 {
-					if err = ctx.poll(); err != nil {
-						return false
-					}
-				}
-				candidate := tuple.New(t.At(0), dst)
-				if !closure.Contains(candidate) {
-					next.Add(candidate, 1)
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.chargeRelation(next); err != nil {
-			return nil, err
-		}
-		next.Each(func(t tuple.Tuple, _ uint64) bool {
-			closure.Add(t, 1)
-			return true
-		})
-		delta = next
-	}
-	return closure, nil
 }

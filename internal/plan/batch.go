@@ -19,13 +19,17 @@ import (
 // multi-set it denotes.
 //
 // The materialisation rule: a tuple is built from a columnar row only where
-// a sink keeps a new distinct row — a relation (Relation.AddColumns), Unique's
-// seen-set, a new group — or where a row-wise consumer needs one: a join
-// build, the nested loop, Sort, and a predicate the filter kernels cannot
-// express.  Every hashing sink hashes and compares a row off its column
-// vectors (tuple.HashRow) before deciding, and the hash join writes its
-// matches into column vectors, so a row that is filtered, joined, projected,
-// deduplicated or aggregated away never becomes a tuple.
+// a sink keeps a new distinct row — a relation (Relation.AddColumns), or an
+// entry of the plan's one hash table (hashTable.rowEntry): Unique's seen-set,
+// a new group, a distinct tuple of the build side of ∸ or ∩, a closure
+// pair — or where a row-wise consumer needs one: a join build, the nested
+// loop, Sort, and a predicate the filter kernels cannot express.  Every
+// hashing sink hashes and compares a row in place (hashRow,
+// hashTable.nextRow) before deciding; the probes of the hash join, ∸ and ∩
+// read their rows in place too, the join writing its matches into column
+// vectors and ∸ and ∩ re-emitting the probe batch under their own counts and
+// selection; so a row that is filtered, joined, projected, deduplicated,
+// subtracted or aggregated away never becomes a tuple.
 
 // DefaultBatchSize is the number of chunks per emitted batch when the planner
 // does not size batches itself.  Large enough that per-batch call overhead
@@ -132,8 +136,8 @@ func (b *Batch) at(r, c int) value.Value {
 }
 
 // forEach iterates the live rows as (tuple, count) chunks, in row order: how
-// operators that want tuples — join builds, Unique, the nested loop, the
-// ordered sink — read a batch.
+// the operators that want tuples — the nested loop and the ordered sink —
+// read a batch.
 func (b *Batch) forEach(fn Emit) error {
 	if b.Sel == nil {
 		for r := range b.Counts {
@@ -205,8 +209,8 @@ func (w *batchWriter) flush() error {
 	return err
 }
 
-// emitRelation streams a materialised relation — a scanned base relation, a
-// blocking set operator's result, a gang's partial — into emit as row-view
+// emitRelation streams a materialised relation — a scanned base relation or
+// a gang's partial — into emit as row-view
 // batches filled straight off the entry arena (multiset.EachBatch, one tight
 // pass with no per-tuple callback).  It is a cancellation checkpoint: the
 // query context is polled once per batch.

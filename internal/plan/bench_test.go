@@ -20,8 +20,10 @@ import (
 // de-duplicating loops of the analytic queries.  ProjectCollect,
 // ProjectUnique and StarProbe are the hashing sinks and the join output of
 // q_setops and q_star: columnar rows that collapse into few distinct tuples,
-// and a probe whose matches feed a second probe.  Each benchmark plans once
-// and executes b.N times, so it measures execution only.
+// and a probe whose matches feed a second probe.  SetOps is q_setops itself:
+// δ, ∸ and ∩, each building one operand into a counted table that the other
+// streams past.  Each benchmark plans once and executes b.N times, so it
+// measures execution only.
 
 // benchAccounts returns account(id, owner, balance) with n rows.
 func benchAccounts(n int) *multiset.Relation {
@@ -132,6 +134,19 @@ func BenchmarkUnique(b *testing.B) {
 	fact, _ := benchFacts(60000)
 	src := mapSource{"fact": fact}
 	e := algebra.NewUnique(algebra.NewProject([]int{0}, algebra.NewRel("fact")))
+	benchPlan(b, e, src, 60)
+}
+
+// BenchmarkSetOps is q_setops's expression,
+// intersect(unique(project[%1, %2](fact)), diff(project[%1, %2](fact),
+// project[%2, %3](fact))), over 60 000 fact rows: the 60 distinct (key, grp)
+// pairs, each kept once.
+func BenchmarkSetOps(b *testing.B) {
+	fact, _ := benchFacts(60000)
+	src := mapSource{"fact": fact}
+	pairs := func(cols ...int) algebra.Expr { return algebra.NewProject(cols, algebra.NewRel("fact")) }
+	e := algebra.NewIntersect(algebra.NewUnique(pairs(0, 1)),
+		algebra.NewDifference(pairs(0, 1), pairs(1, 2)))
 	benchPlan(b, e, src, 60)
 }
 

@@ -38,15 +38,19 @@ func clampCols(cols []colStat, rows float64) []colStat {
 	return cols
 }
 
-// concatCols concatenates the column statistics of a join's operands in
-// schema order.
-func concatCols(left, right []colStat) []colStat {
-	if left == nil && right == nil {
+// concatCols returns the column statistics of a join's output, its
+// operands' columns in schema order: nil when neither operand has any, and
+// otherwise one entry per output column, an operand without statistics
+// contributing unknown (zero) entries so the other's stay at their columns.
+func concatCols(left, right Node) []colStat {
+	l, r := left.meta().colStats, right.meta().colStats
+	if l == nil && r == nil {
 		return nil
 	}
-	out := make([]colStat, 0, len(left)+len(right))
-	out = append(out, left...)
-	out = append(out, right...)
+	la := left.Schema().Arity()
+	out := make([]colStat, la+right.Schema().Arity())
+	copy(out, l)
+	copy(out[la:], r)
 	return out
 }
 

@@ -30,8 +30,9 @@ import (
 // free to rebalance: a worker stuck on an expensive range simply stops
 // claiming while the others drain the rest, which is what keeps skewed data
 // from serialising the gang behind one overloaded worker.  Operators that
-// would need a key-consistent split (a one-phase grouped aggregate, ∸ and ∩)
-// stay serial; their streamable operands may still run as parallel pipelines.
+// would need a key-consistent split (a one-phase grouped aggregate) or a
+// build the probe workers write (the remaining counts of ∸ and ∩) stay
+// serial; their streamable operands may still run as parallel pipelines.
 //
 // Every gang runs through one helper, runGang, over the shared state that
 // gangSetup prepares.
@@ -152,7 +153,7 @@ func (m *mergeNode) Describe() string { return fmt.Sprintf("Merge [workers=%d]",
 // built).  Workers access it through their execCtx and never mutate the maps.
 type gangState struct {
 	morsels map[int]*exec.MorselQueue
-	builds  map[int]*joinTable
+	builds  map[int]*joinBuild
 }
 
 // morselQueue returns the gang's shared queue for a morsel partition, or nil
@@ -166,7 +167,7 @@ func (ctx *execCtx) morselQueue(p *partitionNode) *exec.MorselQueue {
 
 // sharedBuild returns the gang's pre-built table for a shared hash join, or
 // nil when the join must build its own.
-func (ctx *execCtx) sharedBuild(j *hashJoinNode) *joinTable {
+func (ctx *execCtx) sharedBuild(j *hashJoinNode) *joinBuild {
 	if ctx.gang == nil {
 		return nil
 	}
@@ -230,7 +231,7 @@ func prepare(ctx *execCtx, n Node, snap snapshotSource, gs *gangState) error {
 		gs.morsels[x.meta().id] = exec.NewMorselQueue(span, x.morselSize)
 	case *hashJoinNode:
 		if x.shared {
-			var tb *joinTable
+			var jb *joinBuild
 			var err error
 			if x.parBuild {
 				// The build side is itself morsel-partitioned: create its
@@ -239,14 +240,14 @@ func prepare(ctx *execCtx, n Node, snap snapshotSource, gs *gangState) error {
 				if err := prepare(ctx, build, snap, gs); err != nil {
 					return err
 				}
-				tb, err = x.parallelBuildTable(ctx, gs)
+				jb, err = x.parallelBuildTable(ctx, gs)
 			} else {
-				tb, err = x.buildTable(ctx)
+				jb, err = x.buildTable(ctx)
 			}
 			if err != nil {
 				return err
 			}
-			gs.builds[x.meta().id] = tb
+			gs.builds[x.meta().id] = jb
 			probe, _ := x.probeSide()
 			return prepare(ctx, probe, snap, gs)
 		}
@@ -262,23 +263,25 @@ func prepare(ctx *execCtx, n Node, snap snapshotSource, gs *gangState) error {
 // parallelBuildTable materialises a shared join's build side with a gang of
 // its own: each worker streams the morsel-partitioned build subtree (claiming
 // entry ranges from the queues prepare just created) into a partition-local
-// joinTable, and the partials are absorbed into one table for the probe gang.
+// joinBuild, and the partials are absorbed into one build for the probe gang.
 // Any disjoint split of the build stream is exact — insertion order within a
 // collision chain does not affect which tuples match, only match order, and
 // relations are unordered.
-func (j *hashJoinNode) parallelBuildTable(ctx *execCtx, gs *gangState) (*joinTable, error) {
-	build, _ := j.buildSide()
-	capEach := capacityFor(build.meta().capHint)/j.buildWorkers + 1
-	tables, err := runGang(ctx, j, j.buildWorkers, gs, func(wctx *execCtx) (*joinTable, error) {
-		tb := newJoinTable(capEach)
-		return tb, j.fill(wctx, tb)
+func (j *hashJoinNode) parallelBuildTable(ctx *execCtx, gs *gangState) (*joinBuild, error) {
+	_, buildCols := j.buildSide()
+	parts, err := runGang(ctx, j, j.buildWorkers, gs, func(wctx *execCtx) (*joinBuild, error) {
+		jb := &joinBuild{keys: newHashTable(buildCols)}
+		return jb, j.fill(wctx, jb)
 	})
 	if err != nil {
 		return nil, err
 	}
-	global := tables[0]
-	for _, tb := range tables[1:] {
-		global.absorb(tb)
+	global := parts[0]
+	for _, jb := range parts[1:] {
+		// Entry i of jb becomes entry len+i of global: its counts follow.
+		global.keys.absorb(jb.keys)
+		global.counts = append(global.counts, jb.counts...)
+		global.built += jb.built
 	}
 	ctx.materialised(j, global.built)
 	return global, nil
@@ -313,7 +316,7 @@ func gangSetup(ctx *execCtx, subtree Node) (*execCtx, *gangState, error) {
 	if err := snapshotScans(ctx, subtree, snap); err != nil {
 		return nil, nil, err
 	}
-	gs := &gangState{morsels: make(map[int]*exec.MorselQueue), builds: make(map[int]*joinTable)}
+	gs := &gangState{morsels: make(map[int]*exec.MorselQueue), builds: make(map[int]*joinBuild)}
 	pctx := *ctx
 	pctx.src = snap
 	if err := prepare(&pctx, subtree, snap, gs); err != nil {
@@ -459,7 +462,7 @@ func (m *groupMergeNode) gangTables(ctx *execCtx) (*groupTable, error) {
 	}
 	// The exchange's own state is the merged global table; the per-worker
 	// partials were already charged to the aggregate node by buildGroups.
-	ctx.materialised(m, uint64(len(global.groups)))
+	ctx.materialised(m, uint64(global.len()))
 	return global, nil
 }
 
@@ -642,8 +645,8 @@ func leafEstimate(n Node) float64 {
 // scanPartition wraps one leaf in a work-stealing morsel partition, sized by
 // the MorselSize override or else the cost model.  The estimate is the full
 // stream (estimates describe the collective stream, not one worker's share);
-// the capacity hint is the per-worker share, which sizes the hash tables
-// built from a single share.
+// the capacity hint is the per-worker share, which sizes the relations
+// collected from a single share.
 func (pl *Planner) scanPartition(leaf Node, workers int) Node {
 	size := pl.MorselSize
 	if size <= 0 {

@@ -131,11 +131,11 @@ func TestMorselSchedulingMatchesSerial(t *testing.T) {
 }
 
 // TestParallelSetOperatorExchanges pins the plan shape around a Difference
-// at several widths: the set operator itself stays serial (a parallel ∸
-// would need a key-consistent split of both operands), while an operand
-// with per-tuple work runs as a morsel-parallel pipeline under its own
-// Merge, and a bare scan operand stays a bare scan.  The executed results
-// match serial.
+// at several widths: the set operator itself stays serial — it builds S into
+// one counted table and streams R past it, and a probe shared by a gang
+// would have to decrement the counts across workers — while an operand with
+// per-tuple work runs as a morsel-parallel pipeline under its own Merge, and
+// a bare scan operand stays a bare scan.  The executed results match serial.
 func TestParallelSetOperatorExchanges(t *testing.T) {
 	src := testSource(1000)
 	pred := scalar.NewCompare(value.CmpGe, scalar.NewAttr(1), scalar.NewConst(value.NewInt(100)))

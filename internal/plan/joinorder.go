@@ -48,8 +48,8 @@ type joinConjunct struct {
 // paper, σ below ⋈, is reached from the written text.  For two leaves the
 // canonical split keeps leaf 0 on the left, so the written column order
 // needs no permuting projection.  It returns ok=false when the join has too
-// many leaves to enumerate, in which case the caller compiles the written
-// order.
+// many leaves to enumerate, or a conjunct that can fail to evaluate, in which
+// case the caller compiles the written order.
 func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr, cat algebra.Catalog) (Node, bool, error) {
 	n := countJoinLeaves(le) + countJoinLeaves(re)
 	if n > maxJoinOrderLeaves {
@@ -68,6 +68,15 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 	if cond != nil {
 		conjs = append(conjs, scalar.Conjuncts(cond)...)
 	}
+	// A conjunct that can fail to evaluate (arithmetic) keeps the written
+	// order: reordering or pushing any conjunct changes the rows it runs on,
+	// and it would fail where the written expression returns rows, or return
+	// rows where the written expression fails.
+	for _, c := range conjs {
+		if !scalar.ErrorFree(c) {
+			return nil, false, nil
+		}
+	}
 
 	// Compile every leaf in isolation.
 	for i := range leaves {
@@ -78,12 +87,9 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 		leaves[i].node = node
 	}
 
-	// Classify conjuncts: error-free single-leaf conjuncts fold into their
-	// leaf as one filter (with attribute references rebased to the leaf
-	// frame); multi-leaf conjuncts become join predicates scored for the DP.
-	// A single-leaf conjunct that can fail to evaluate (arithmetic) stays a
-	// join predicate: below the join it would run on leaf rows the join
-	// drops, and fail where the written σ-over-join returns rows.
+	// Classify conjuncts: single-leaf conjuncts fold into their leaf as one
+	// filter (with attribute references rebased to the leaf frame);
+	// multi-leaf conjuncts become join predicates scored for the DP.
 	leafOf := make([]int, arityOf(leaves))
 	for i, lf := range leaves {
 		for c := 0; c < lf.arity; c++ {
@@ -106,10 +112,6 @@ func (pl *Planner) enumerateJoinOrder(cond scalar.Predicate, le, re algebra.Expr
 		case 0:
 			constPreds = append(constPreds, c)
 		case 1:
-			if !errorFree(c) {
-				joinConjs = append(joinConjs, joinConjunct{pred: c, mask: mask, sel: selectionSelectivity})
-				break
-			}
 			i := bits.TrailingZeros(mask)
 			mapping := make(map[int]int, leaves[i].arity)
 			for k := 0; k < leaves[i].arity; k++ {
@@ -364,8 +366,8 @@ func (pl *Planner) searchJoinOrder(leaves []joinLeaf, conjs []joinConjunct) (joi
 }
 
 // buildJoinOrder reconstructs the physical plan of a DP subset, attaching
-// every conjunct at the lowest join that covers it — for a conjunct on one
-// leaf, the join that reads that leaf.
+// every conjunct — each spans two leaves or more — at the lowest join that
+// covers it.
 func (pl *Planner) buildJoinOrder(s uint, leaves []joinLeaf, conjs []joinConjunct, split []uint) (joinOrderPlan, error) {
 	if bits.OnesCount(s) == 1 {
 		i := bits.TrailingZeros(s)
@@ -391,12 +393,9 @@ func (pl *Planner) buildJoinOrder(s uint, leaves []joinLeaf, conjs []joinConjunc
 			pos++
 		}
 	}
-	// covers reports whether the join planned for side already evaluates
-	// conjunct mask m; a single leaf evaluates none.
-	covers := func(side, m uint) bool { return bits.OnesCount(side) > 1 && m&side == m }
 	var spanning []scalar.Predicate
 	for _, jc := range conjs {
-		if jc.mask&s == jc.mask && !covers(s1, jc.mask) && !covers(s2, jc.mask) {
+		if jc.mask&s == jc.mask && jc.mask&s1 != jc.mask && jc.mask&s2 != jc.mask {
 			rebased, err := jc.pred.Rebase(mapping)
 			if err != nil {
 				return joinOrderPlan{}, err

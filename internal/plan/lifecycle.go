@@ -8,9 +8,9 @@ package plan
 //
 // Plans poll their query context at amortised points — one check per morsel
 // claim, per batch a materialised relation streams out (emitRelation: scan
-// leaves, blocking set-operator results, gang partials), per batch a sink
-// consumes (execCtx.collect, the ordered root), and per round and per batch
-// of candidate pairs of the closure fixpoint — never per tuple.  Polling
+// leaves, gang partials), per batch a sink consumes (execCtx.collect, the
+// ordered root), and per round and per batch of candidate pairs of the
+// closure fixpoint — never per tuple.  Polling
 // goes through execCtx.poll, which is disabled entirely (ctx.done == nil) when
 // the query context can never be cancelled, so an uncancellable execution
 // pays one nil check per batch.  A tripped poll returns the context's own
@@ -22,11 +22,10 @@ package plan
 // A MemoryGauge is shared by every operator (and every gang worker) of one
 // query execution.  Blocking operators charge the approximate resident size of
 // each piece of state they retain — hash-join build entries, aggregation
-// groups, Sort and nested-loop materialisations, the operand relations of the
-// blocking set operators (difference, intersection, transitive closure) and
-// the pairs each closure round derives, Unique's seen set — and the
-// first charge that pushes usage past the budget fails the query with
-// ErrMemoryBudget.  Accounting is approximate by design (a cheap per-tuple
+// groups, Sort and nested-loop materialisations, the distinct tuples of the
+// build side of ∸ and ∩, the closure's input pairs and the pairs each of its
+// rounds derives, Unique's seen set — and the first charge that pushes usage
+// past the budget fails the query with ErrMemoryBudget.  Accounting is approximate by design (a cheap per-tuple
 // size estimate, not allocator truth): the gauge exists to fail fast before
 // the process is in trouble, and to give the future spilling operators
 // (grace-hash join, external sort) the trip-wire they will hook.
@@ -37,7 +36,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"mra/internal/multiset"
 	"mra/internal/tuple"
 	"mra/internal/value"
 )
@@ -134,20 +132,6 @@ func (ctx *execCtx) chargeTuple(t tuple.Tuple) error {
 		return nil
 	}
 	return ctx.mem.Grow(approxTupleBytes(t))
-}
-
-// chargeRelation charges every distinct tuple of a materialised operand to
-// the query's gauge, when one is set.
-func (ctx *execCtx) chargeRelation(r *multiset.Relation) error {
-	if ctx.mem == nil {
-		return nil
-	}
-	var err error
-	r.Each(func(t tuple.Tuple, _ uint64) bool {
-		err = ctx.chargeTuple(t)
-		return err == nil
-	})
-	return err
 }
 
 // queryCtx returns the query's lifecycle context, Background when none was

@@ -12,9 +12,11 @@ import (
 )
 
 // This file implements the physical operators.  Streaming operators (Filter,
-// Project, ExtProject, Union, Unique, the probe phases of the joins) process
-// one batch at a time; blocking operators materialise exactly the state their
-// algorithm needs and account for it via execCtx.materialised.
+// Project, ExtProject, Union, Unique, the probe phases of the joins, ∸ and ∩)
+// process one batch at a time; blocking operators and build sides
+// materialise exactly the state their algorithm needs — the hashing ones in
+// the one hash table of hashtable.go — and account for it via
+// execCtx.materialised.
 
 // ---------------------------------------------------------------------------
 // Leaves
@@ -264,19 +266,20 @@ type uniqueNode struct {
 func (u *uniqueNode) Children() []Node { return []Node{u.input} }
 func (u *uniqueNode) Describe() string { return "Unique" }
 
-// run probes the seen-set with every live row — a columnar row straight off
-// its column vectors (tupleSet.insert), so only a first sighting builds a
-// tuple — and emits first sightings row-wise.
+// run probes the seen-set — a hashTable keyed on every column — with every
+// live row, read in place, so only a first sighting builds a tuple, and emits
+// first sightings row-wise.
 func (u *uniqueNode) run(ctx *execCtx, emit EmitBatch) error {
-	seen := newTupleSet(capacityFor(u.capHint))
+	seen := newHashTable(allCols(u.Schema().Arity()))
 	w := newBatchWriter(ctx, emit)
 	err := ctx.run(u.input, func(b *Batch) error {
 		n := b.Len()
 		for i := 0; i < n; i++ {
-			t, first := seen.insert(b, b.Row(i))
-			if !first {
+			e, added := seen.rowEntry(b, b.Row(i))
+			if !added {
 				continue
 			}
+			t := seen.tups[e]
 			if err := ctx.chargeTuple(t); err != nil {
 				return err
 			}
@@ -314,73 +317,19 @@ func (u *unionNode) run(ctx *execCtx, emit EmitBatch) error {
 // Joins
 // ---------------------------------------------------------------------------
 
-// joinTable is the materialised build side of a hash join: a flat node arena
-// with collision chains headed by a hash index (no per-tuple key allocation).
-// Once built it is read-only, which is what lets a parallel join build it once
-// and share it across the gang's probe workers.
-type joinTable struct {
-	nodes []joinChainNode
-	index map[uint64]int32
-	// built counts the tuple occurrences the table holds.
+// joinBuild is the materialised build side of a hash join: the build
+// tuples in a hashTable keyed on the join's build columns, with each entry's
+// multiplicity.  Once built it is read-only, which is what lets a parallel
+// join build it once and share it across the gang's probe workers.
+type joinBuild struct {
+	keys   *hashTable
+	counts []uint64
+	// built counts the tuple occurrences the build holds.
 	built uint64
 }
 
-// joinChainNode is one arena slot of a joinTable.
-type joinChainNode struct {
-	tup   tuple.Tuple
-	count uint64
-	next  int32
-}
-
-// newJoinTable returns an empty table pre-sized for about capacity entries.
-func newJoinTable(capacity int) *joinTable {
-	return &joinTable{
-		nodes: make([]joinChainNode, 0, capacity),
-		index: make(map[uint64]int32, capacity),
-	}
-}
-
-// absorb appends another table's arena to tb and splices its collision
-// chains into tb's index: node links shift by tb's old length, and where both
-// tables hold a hash bucket the absorbed chain's tail links onto tb's
-// existing head.  It is how the morsel-parallel build merges the gang's
-// partition-local tables into the one shared table the probe workers read.
-func (tb *joinTable) absorb(o *joinTable) {
-	off := int32(len(tb.nodes))
-	tb.nodes = append(tb.nodes, o.nodes...)
-	for i := off; i < int32(len(tb.nodes)); i++ {
-		if tb.nodes[i].next != -1 {
-			tb.nodes[i].next += off
-		}
-	}
-	for h, head := range o.index {
-		nh := head + off
-		if cur, ok := tb.index[h]; ok {
-			tail := nh
-			for tb.nodes[tail].next != -1 {
-				tail = tb.nodes[tail].next
-			}
-			tb.nodes[tail].next = cur
-		}
-		tb.index[h] = nh
-	}
-	tb.built += o.built
-}
-
-// insert adds one build chunk under the hash of its join columns.
-func (tb *joinTable) insert(t tuple.Tuple, n uint64, buildCols []int) {
-	h := t.HashOn(buildCols)
-	head, ok := tb.index[h]
-	if !ok {
-		head = -1
-	}
-	tb.index[h] = int32(len(tb.nodes))
-	tb.nodes = append(tb.nodes, joinChainNode{tup: t, count: n, next: head})
-	tb.built += n
-}
-
 // hashJoinNode executes an equi-join: the build side is materialised into a
-// joinTable, the probe side streams batch-wise.  The planner chooses the
+// joinBuild, the probe side streams batch-wise.  The planner chooses the
 // build side from the cost model's cardinality estimates.  Under parallel
 // execution (shared set) the table is built once by the exchange and probed
 // read-only by every worker.
@@ -451,30 +400,36 @@ func (j *hashJoinNode) probeSide() (Node, []int) {
 	return j.left, j.leftCols
 }
 
-// buildTable materialises the build side into a fresh joinTable, charging the
-// held tuples to the operator's state.
-func (j *hashJoinNode) buildTable(ctx *execCtx) (*joinTable, error) {
-	build, _ := j.buildSide()
-	tb := newJoinTable(capacityFor(build.meta().capHint))
-	if err := j.fill(ctx, tb); err != nil {
+// buildTable materialises the build side into a fresh joinBuild, charging
+// the held tuples to the operator's state.
+func (j *hashJoinNode) buildTable(ctx *execCtx) (*joinBuild, error) {
+	_, buildCols := j.buildSide()
+	jb := &joinBuild{keys: newHashTable(buildCols)}
+	if err := j.fill(ctx, jb); err != nil {
 		return nil, err
 	}
-	ctx.materialised(j, tb.built)
-	return tb, nil
+	ctx.materialised(j, jb.built)
+	return jb, nil
 }
 
-// fill streams the build side into tb chunk by chunk, charging every held
+// fill streams the build side into jb chunk by chunk, charging every held
 // tuple to the query's memory gauge.
-func (j *hashJoinNode) fill(ctx *execCtx, tb *joinTable) error {
-	build, buildCols := j.buildSide()
-	insert := func(t tuple.Tuple, n uint64) error {
-		if err := ctx.chargeTuple(t); err != nil {
-			return err
+func (j *hashJoinNode) fill(ctx *execCtx, jb *joinBuild) error {
+	build, _ := j.buildSide()
+	return ctx.run(build, func(b *Batch) error {
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			r := b.Row(i)
+			t := b.TupleAt(r)
+			if err := ctx.chargeTuple(t); err != nil {
+				return err
+			}
+			jb.keys.insert(t)
+			jb.counts = append(jb.counts, b.Counts[r])
+			jb.built += b.Counts[r]
 		}
-		tb.insert(t, n, buildCols)
 		return nil
-	}
-	return ctx.run(build, func(b *Batch) error { return b.forEach(insert) })
+	})
 }
 
 // run probes the (own or gang-shared) table with every live probe row.  The
@@ -487,16 +442,17 @@ func (j *hashJoinNode) fill(ctx *execCtx, tb *joinTable) error {
 // residual, if any, has narrowed its selection (selector), so a residual
 // join and an equi-join share this one loop.
 func (j *hashJoinNode) run(ctx *execCtx, emit EmitBatch) error {
-	tb := ctx.sharedBuild(j)
-	if tb == nil {
+	jb := ctx.sharedBuild(j)
+	if jb == nil {
 		var err error
-		tb, err = j.buildTable(ctx)
+		jb, err = j.buildTable(ctx)
 		if err != nil {
 			return err
 		}
 	}
 	probe, probeCols := j.probeSide()
-	if len(tb.nodes) == 0 {
+	keys := jb.keys
+	if keys.len() == 0 {
 		// An empty build side makes the join empty: skip hashing and probing.
 		// The probe side still runs (discarding its output) because the
 		// algebra is strict — errors in the probe subtree must surface even
@@ -504,7 +460,7 @@ func (j *hashJoinNode) run(ctx *execCtx, emit EmitBatch) error {
 		return ctx.run(probe, discard)
 	}
 
-	build, buildCols := j.buildSide()
+	build, _ := j.buildSide()
 	probeArity, buildArity := probe.Schema().Arity(), build.Schema().Arity()
 	// po and bo are the output column offsets of the probe and build values.
 	po, bo := 0, probeArity
@@ -537,35 +493,20 @@ func (j *hashJoinNode) run(ctx *execCtx, emit EmitBatch) error {
 		out.Counts = out.Counts[:0]
 		return err
 	}
-	keys := make([]value.Value, len(probeCols))
 	err := ctx.run(probe, func(b *Batch) error {
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
-			h := tuple.HashSeed
-			for k, c := range probeCols {
-				keys[k] = b.at(r, c)
-				h = tuple.HashMix(h, keys[k])
-			}
-			head, ok := tb.index[h]
-			if !ok {
-				continue
-			}
-		chain:
-			for ni := head; ni != -1; ni = tb.nodes[ni].next {
-				nd := &tb.nodes[ni]
-				for k, c := range buildCols {
-					if !keys[k].Equal(nd.tup.At(c)) {
-						continue chain
-					}
-				}
+			h := hashRow(b, r, probeCols)
+			for e := keys.nextRow(keys.chain(h), b, r, probeCols); e >= 0; e = keys.nextRow(keys.next[e], b, r, probeCols) {
+				bt := keys.tups[e]
 				for c := 0; c < probeArity; c++ {
 					cols[po+c] = append(cols[po+c], b.at(r, c))
 				}
 				for c := 0; c < buildArity; c++ {
-					cols[bo+c] = append(cols[bo+c], nd.tup.At(c))
+					cols[bo+c] = append(cols[bo+c], bt.At(c))
 				}
-				out.Counts = append(out.Counts, b.Counts[r]*nd.count)
+				out.Counts = append(out.Counts, b.Counts[r]*jb.counts[e])
 				if len(out.Counts) == size {
 					if err := flush(); err != nil {
 						return err
@@ -700,17 +641,14 @@ func (a *hashAggNode) Describe() string {
 }
 
 // buildGroups consumes the input into a fresh group table, folding batches
-// in column-at-a-time (groupTable.addBatch), and charges the group count to
-// the operator's state.
+// in row by row off whichever view they carry (groupTable.addBatch), and
+// charges the group count to the operator's state.
 func (a *hashAggNode) buildGroups(ctx *execCtx) (*groupTable, error) {
-	groups := newGroupTable(a.gb, capacityFor(a.capHint), ctx.mem)
-	var cc colCache
-	err := ctx.run(a.input, func(b *Batch) error {
-		return groups.addBatch(b, &cc)
-	})
+	groups := newGroupTable(a.gb, ctx.mem)
+	err := ctx.run(a.input, groups.addBatch)
 	// The operator's state is one entry per group (aggregates fold in place),
 	// not the consumed input.
-	ctx.materialised(a, uint64(len(groups.groups)))
+	ctx.materialised(a, uint64(groups.len()))
 	if err != nil {
 		return nil, err
 	}
@@ -726,11 +664,12 @@ func (a *hashAggNode) run(ctx *execCtx, emit EmitBatch) error {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking binary set operators and transitive closure
+// Difference and intersection
 // ---------------------------------------------------------------------------
 
-// differenceNode is the multi-set difference −: monus on multiplicities.
-// Both operands are inherently fully consumed.
+// differenceNode is the multi-set difference ∸, (R ∸ S)(t) = max(0, R(t) −
+// S(t)) (Definition 3.1): S is built into a counted table and R streams past
+// it.
 type differenceNode struct {
 	base
 	left, right Node
@@ -739,49 +678,144 @@ type differenceNode struct {
 func (d *differenceNode) Children() []Node { return []Node{d.left, d.right} }
 func (d *differenceNode) Describe() string { return "Difference" }
 
+// run builds S first.  With nothing to subtract, R passes through unchanged.
 func (d *differenceNode) run(ctx *execCtx, emit EmitBatch) error {
-	out, err := d.result(ctx)
+	cb, err := buildCounted(ctx, d, d.right)
 	if err != nil {
 		return err
 	}
-	return emitRelation(ctx, out, emit)
-}
-
-func (d *differenceNode) result(ctx *execCtx) (*multiset.Relation, error) {
-	l, r, err := materializePair(ctx, d, d.left, d.right)
-	if err != nil {
-		return nil, err
+	if cb.keys.len() == 0 {
+		return ctx.run(d.left, emit)
 	}
-	return multiset.Difference(l, r)
+	return cb.probe(ctx, d.left, true, emit)
 }
 
-// intersectNode is the multi-set intersection ∩: minimum of multiplicities.
+// intersectNode is the multi-set intersection ∩, (R ∩ S)(t) = min(R(t), S(t))
+// (Definition 3.2): the side with the smaller estimate is built into a
+// counted table, as the hash join chooses, and the other streams past it.
 type intersectNode struct {
 	base
 	left, right Node
+	// buildLeft selects the build side; the probe side is the other operand.
+	buildLeft bool
 }
 
 func (i *intersectNode) Children() []Node { return []Node{i.left, i.right} }
-func (i *intersectNode) Describe() string { return "Intersect" }
 
+func (i *intersectNode) Describe() string {
+	if i.buildLeft {
+		return "Intersect build=left"
+	}
+	return "Intersect build=right"
+}
+
+// run builds first.  An empty build side makes the intersection empty, but
+// the probe side still runs, discarding its output, because the algebra is
+// strict: its errors must surface.
 func (i *intersectNode) run(ctx *execCtx, emit EmitBatch) error {
-	out, err := i.result(ctx)
+	build, probe := i.right, i.left
+	if i.buildLeft {
+		build, probe = i.left, i.right
+	}
+	cb, err := buildCounted(ctx, i, build)
 	if err != nil {
 		return err
 	}
-	return emitRelation(ctx, out, emit)
-}
-
-func (i *intersectNode) result(ctx *execCtx) (*multiset.Relation, error) {
-	l, r, err := materializePair(ctx, i, i.left, i.right)
-	if err != nil {
-		return nil, err
+	if cb.keys.len() == 0 {
+		return ctx.run(probe, discard)
 	}
-	return multiset.Intersection(l, r)
+	return cb.probe(ctx, probe, false, emit)
 }
 
-// tcloseNode is the transitive-closure extension of Section 5: a semi-naive
-// fixpoint over the materialised input.
+// countedBuild is the build side of ∸ and ∩: each distinct tuple of the
+// operand once, in a hashTable keyed on every column, with the occurrences
+// it has left to match.
+type countedBuild struct {
+	keys *hashTable
+	left []uint64
+}
+
+// buildCounted streams an operand into a fresh countedBuild, summing the
+// multiplicities of equal rows into one entry.  The gauge is charged once
+// per distinct tuple, and op's materialised state is the occurrences held.
+func buildCounted(ctx *execCtx, op, build Node) (*countedBuild, error) {
+	cb := &countedBuild{keys: newHashTable(allCols(build.Schema().Arity()))}
+	var held uint64
+	err := ctx.run(build, func(b *Batch) error {
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			r := b.Row(i)
+			m := b.Counts[r]
+			held += m
+			e, added := cb.keys.rowEntry(b, r)
+			if !added {
+				cb.left[e] += m
+				continue
+			}
+			cb.left = append(cb.left, m)
+			if err := ctx.chargeTuple(cb.keys.tups[e]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	ctx.materialised(op, held)
+	return cb, err
+}
+
+// probe streams an operand past the build.  A live row of multiplicity m
+// whose entry has r occurrences left — an absent row has r = 0 — matches
+// min(m, r) of them, and r drops by as many; ∸ (monus) emits the m − min(m, r)
+// occurrences left unmatched and ∩ the min(m, r) matched.  Since every
+// occurrence of a tuple draws on one shared count, the total emitted per
+// tuple does not depend on the order in which rows or batches arrive.  Each
+// input batch is emitted with the operator's own counts and a narrowed
+// selection, sharing its tuples or columns; the input's counts are never
+// written, since a scan hands out its arena's slices.
+func (cb *countedBuild) probe(ctx *execCtx, probe Node, monus bool, emit EmitBatch) error {
+	cols := cb.keys.cols
+	var out Batch
+	var counts []uint64
+	var sel []int32
+	return ctx.run(probe, func(b *Batch) error {
+		if cap(counts) < b.rows() {
+			counts = make([]uint64, b.rows())
+		}
+		counts, sel = counts[:b.rows()], sel[:0]
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			r := b.Row(i)
+			m := b.Counts[r]
+			var matched uint64
+			if e := cb.keys.nextRow(cb.keys.chain(hashRow(b, r, cols)), b, r, cols); e >= 0 {
+				matched = min(m, cb.left[e])
+				cb.left[e] -= matched
+			}
+			if monus {
+				m -= matched
+			} else {
+				m = matched
+			}
+			if m > 0 {
+				counts[r] = m
+				sel = append(sel, int32(r))
+			}
+		}
+		if len(sel) == 0 {
+			return nil
+		}
+		out = Batch{Tuples: b.Tuples, Counts: counts, Cols: b.Cols, Sel: sel}
+		return emit(&out)
+	})
+}
+
+// ---------------------------------------------------------------------------
+// Transitive closure
+// ---------------------------------------------------------------------------
+
+// tcloseNode is the transitive-closure extension of Section 5: the smallest
+// transitively closed relation containing δE, by semi-naive fixpoint.  The
+// result is duplicate-free (closure is a set-level notion).
 type tcloseNode struct {
 	base
 	input Node
@@ -790,123 +824,85 @@ type tcloseNode struct {
 func (t *tcloseNode) Children() []Node { return []Node{t.input} }
 func (t *tcloseNode) Describe() string { return "TClose" }
 
+// run streams the input into the closure set — a hashTable keyed on both
+// columns, so duplicates collapse on the way in — and into a successor index
+// keyed on %1 over the same tuples.  The pairs each round adds sit at the end
+// of the set, so round k's Δ is the range of entries it appended: every pair
+// of Δ probes the successor index with its %2, and a candidate pair the set
+// does not hold enters it, and so the next Δ.  The fixpoint polls the query
+// context once per round and once per DefaultBatchSize candidate pairs, and
+// charges each distinct input pair and each derived pair to the gauge once.
 func (t *tcloseNode) run(ctx *execCtx, emit EmitBatch) error {
-	out, err := t.result(ctx)
+	pairCols, srcCol, dstCol := []int{0, 1}, []int{0}, []int{1}
+	set, succ := newHashTable(pairCols), newHashTable(srcCol)
+	var held uint64
+	err := ctx.run(t.input, func(b *Batch) error {
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			r := b.Row(i)
+			held += b.Counts[r]
+			e, added := set.rowEntry(b, r)
+			if !added {
+				continue
+			}
+			succ.insert(set.tups[e])
+			if err := ctx.chargeTuple(set.tups[e]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	ctx.materialised(t, held)
 	if err != nil {
 		return err
 	}
-	return emitRelation(ctx, out, emit)
-}
-
-func (t *tcloseNode) result(ctx *execCtx) (*multiset.Relation, error) {
-	in, err := ctx.materialize(t.input)
-	if err != nil {
-		return nil, err
+	cand := make([]value.Value, 2)
+	work := 0
+	for lo, hi := 0, set.len(); lo < hi; lo, hi = hi, set.len() {
+		if err := ctx.poll(); err != nil {
+			return err
+		}
+		for d := lo; d < hi; d++ {
+			pair := set.tups[d]
+			sh := pair.HashOn(dstCol)
+			for e := succ.nextTuple(succ.chain(sh), pair, dstCol); e >= 0; e = succ.nextTuple(succ.next[e], pair, dstCol) {
+				if work++; work%DefaultBatchSize == 0 {
+					if err := ctx.poll(); err != nil {
+						return err
+					}
+				}
+				cand[0], cand[1] = pair.At(0), succ.tups[e].At(1)
+				probe := tuple.FromSlice(cand)
+				h := probe.Hash()
+				head := set.chain(h)
+				if set.nextTuple(head, probe, pairCols) >= 0 {
+					continue
+				}
+				derived := tuple.New(cand...)
+				if err := ctx.chargeTuple(derived); err != nil {
+					return err
+				}
+				set.add(h, head, derived)
+			}
+		}
 	}
-	if err := ctx.chargeRelation(in); err != nil {
-		return nil, err
+	w := newBatchWriter(ctx, emit)
+	for _, pair := range set.tups {
+		if err := w.push(pair, 1); err != nil {
+			return err
+		}
 	}
-	ctx.materialised(t, in.Cardinality())
-	return transitiveClosure(ctx, in)
+	return w.flush()
 }
 
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-// discard consumes a stream without keeping anything; joins use it to run a
-// side whose output cannot contribute but whose errors must still surface.
+// discard consumes a stream without keeping anything; joins and ∩ use it to
+// run a side whose output cannot contribute but whose errors must still
+// surface.
 func discard(*Batch) error { return nil }
-
-// materializePair materialises both operands of a blocking binary operator,
-// charging their cardinalities to the operator's state — both for statistics
-// and against the query's memory budget: the two materialised relations are
-// exactly the state the operator holds.
-func materializePair(ctx *execCtx, op Node, left, right Node) (*multiset.Relation, *multiset.Relation, error) {
-	l, err := ctx.materialize(left)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := ctx.materialize(right)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.chargeRelation(l); err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.chargeRelation(r); err != nil {
-		return nil, nil, err
-	}
-	ctx.materialised(op, l.Cardinality()+r.Cardinality())
-	return l, r, nil
-}
-
-// equalOn reports pairwise equality of a's attributes at acols with b's
-// attributes at bcols: the collision check separating true hash-join matches
-// from hash collisions.
-func equalOn(a tuple.Tuple, acols []int, b tuple.Tuple, bcols []int) bool {
-	for k := range acols {
-		if !a.At(acols[k]).Equal(b.At(bcols[k])) {
-			return false
-		}
-	}
-	return true
-}
-
-// tupleSet is a hash set of tuples with positional-equality collision chains,
-// used by the streaming duplicate elimination.
-type tupleSet struct {
-	index map[uint64]int32
-	tups  []tuple.Tuple
-	next  []int32
-}
-
-func newTupleSet(capacity int) *tupleSet {
-	return &tupleSet{index: make(map[uint64]int32, capacity)}
-}
-
-func (s *tupleSet) len() int { return len(s.tups) }
-
-// insert adds the tuple of physical row r of b and reports whether it was
-// absent, returning the stored tuple when it was.  A columnar row is hashed
-// (tuple.HashRow) and compared against the set's tuples straight off the
-// column vectors, and becomes a tuple only when it is new.
-func (s *tupleSet) insert(b *Batch, r int) (tuple.Tuple, bool) {
-	var h uint64
-	if b.Tuples != nil {
-		h = b.Tuples[r].Hash()
-	} else {
-		h = tuple.HashRow(b.Cols, r)
-	}
-	head, ok := s.index[h]
-	if !ok {
-		head = -1
-	}
-	for i := head; i != -1; i = s.next[i] {
-		if rowEqual(b, r, s.tups[i]) {
-			return tuple.Tuple{}, false
-		}
-	}
-	t := b.TupleAt(r)
-	s.index[h] = int32(len(s.tups))
-	s.tups = append(s.tups, t)
-	s.next = append(s.next, head)
-	return t, true
-}
-
-// rowEqual reports whether physical row r of b equals tuple t, reading a
-// columnar row value by value.
-func rowEqual(b *Batch, r int, t tuple.Tuple) bool {
-	if b.Tuples != nil {
-		return b.Tuples[r].Equal(t)
-	}
-	for c, col := range b.Cols {
-		if !col[r].Equal(t.At(c)) {
-			return false
-		}
-	}
-	return true
-}
 
 // colList renders 0-based column positions in the 1-based %i surface syntax.
 func colList(cols []int) string {

@@ -36,16 +36,17 @@
 //
 // Batch.TupleAt is the materialisation boundary where a columnar row becomes
 // a tuple, and it is crossed only where a sink keeps a new distinct row —
-// the collecting relation (multiset.Relation.AddColumns), Unique's seen-set,
-// a new aggregate group — or where a row-wise consumer needs one: a join
+// the collecting relation (multiset.Relation.AddColumns) or a new entry of
+// the one hash table (hashtable.go: Unique's seen-set, an aggregate group,
+// the build side of ∸ and ∩, a closure pair) — or where a row-wise consumer
+// needs one: a join
 // build, the nested loop, Sort, and a predicate the filter kernels cannot
 // express.  The hashing sinks hash and compare a row straight off its column
 // vectors and build its tuple only when the row is new, so a bag of many
 // rows and few distinct tuples costs one tuple per distinct tuple.
 // Operators that want tuples read their input chunk by chunk through
 // Batch.forEach and emit through a batchWriter; materialised relations
-// (scans, blocking set-operator results, gang partials) stream out through
-// emitRelation.  A batch is only valid for the duration of the EmitBatch
+// (scans, gang partials) stream out through emitRelation.  A batch is only valid for the duration of the EmitBatch
 // call — producers reuse its backing slices and vectors — while the tuples
 // and values inside it may be retained.
 //
@@ -58,10 +59,11 @@
 // Execute; operators must not swallow them.
 //
 // Pipelining falls out of the model: a chain of streaming operators
-// (Filter, Project, ExtProject, Union, the probe side of a HashJoin, the
-// outer side of a NestedLoopJoin, Unique's output) processes one batch at a
-// time and never materialises an intermediate relation.  Blocking operators
-// (hash-join build side, HashAggregate, Difference, Intersect, TClose,
+// (Filter, Project, ExtProject, Union, the probe side of a HashJoin, of a
+// Difference and of an Intersect, the outer side of a NestedLoopJoin,
+// Unique's output) processes one batch at a time and never materialises an
+// intermediate relation.  Blocking operators and sides (the build side of a
+// HashJoin, a Difference and an Intersect, HashAggregate, TClose,
 // NestedLoopJoin's inner side) hold exactly the state their algorithm
 // requires, which Stats reports as MaterialisedTuples.
 //
@@ -73,8 +75,8 @@
 // subtree split the inputs so each worker sees a disjoint slice.  The only
 // split is the morsel: workers steal fixed-size entry ranges of a scan from a
 // shared queue, so a skewed slice never serialises the gang.  Operators that
-// would need a key-consistent split (a one-phase grouped aggregate, ∸, ∩)
-// stay serial.  Grouped and global aggregates run two-phase under a
+// would need a key-consistent split (a one-phase grouped aggregate) or a
+// build the probe workers write (∸, ∩) stay serial.  Grouped and global aggregates run two-phase under a
 // GroupMerge when pre-aggregation pays.  Parallel hash joins build their
 // table once, before the probe gang starts, and share it read-only across
 // the gang's probe workers; large streamable build sides are themselves
@@ -155,7 +157,8 @@ type base struct {
 	// exactEst marks estimates that are known cardinalities (base table
 	// scans), rendered without the "~" approximation marker.
 	exactEst bool
-	// capHint sizes result hash tables.  It deliberately differs from est
+	// capHint sizes result relations, and bounds the group count the
+	// two-phase aggregate choice weighs.  It deliberately differs from est
 	// where the estimate is a poor allocation guide: a hash join's output is
 	// sized by its probe side, and scans size by distinct tuples rather than
 	// occurrences when the source can tell them apart.
@@ -175,10 +178,9 @@ func (b *base) Estimate() float64       { return b.est }
 func (b *base) meta() *base             { return b }
 
 // materializer is implemented by operators that can produce their entire
-// result as a relation at least as cheaply as streaming it chunk by chunk
-// (scans hand out an O(1) copy-on-write clone; the blocking set operators
-// compute a full relation anyway).  The returned relation is owned by the
-// caller.
+// result as a relation at least as cheaply as streaming it chunk by chunk:
+// a scan hands out an O(1) copy-on-write clone, and a Merge sums its gang's
+// partial relations.  The returned relation is owned by the caller.
 type materializer interface {
 	Node
 	result(ctx *execCtx) (*multiset.Relation, error)
@@ -196,8 +198,8 @@ type Stats struct {
 	Operators int
 	// MaterialisedTuples counts tuples (with multiplicity) stored in
 	// operator-internal state: hash-join build tables, nested-loop inner
-	// relations, aggregation tables, and the inputs of the blocking set
-	// operators.  Fully pipelined plans report zero.
+	// relations, aggregation tables, the build side of ∸ and ∩, and the
+	// closure's input.  Fully pipelined plans report zero.
 	MaterialisedTuples uint64
 	// PerOperator breaks the same numbers down by operator, in plan
 	// (pre-order) position.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -292,5 +293,74 @@ func TestEmptyBuildSkipsProbe(t *testing.T) {
 	}
 	if st.IntermediateTuples != 0 {
 		t.Errorf("no operator may emit against an empty build side, emitted %d", st.IntermediateTuples)
+	}
+}
+
+// TestSetOperatorsAndClosureStayStrict pins the algebra's strictness where
+// an operator could skip an operand: ∩ with an empty build side still runs
+// its probe side, ∸ with an empty S still streams R, and closure still
+// consumes its input, so an operand that fails to evaluate fails the query at
+// every gang width.  ∸ and ∩ now run their build side first, so the failing
+// operand is the one they stream.
+func TestSetOperatorsAndClosureStayStrict(t *testing.T) {
+	src := testSource(100)
+	src["empty"] = multiset.New(src["fact"].Schema())
+	// 12 / key is a division by zero on the rows whose key is 0.
+	failing := algebra.NewSelect(scalar.NewCompare(value.CmpGe,
+		scalar.NewArith(value.OpDiv, scalar.NewConst(value.NewInt(12)), scalar.NewAttr(0)),
+		scalar.NewConst(value.NewInt(4))), algebra.NewRel("fact"))
+	empty := algebra.NewRel("empty")
+	for _, c := range []struct {
+		e    algebra.Expr
+		root string
+	}{
+		{algebra.NewIntersect(failing, empty), "Intersect build=right"},
+		{algebra.NewIntersect(empty, failing), "Intersect build=left"},
+		{algebra.NewDifference(failing, empty), "Difference"},
+		{algebra.NewTClose(failing), "TClose"},
+	} {
+		for _, w := range []int{1, 2, 4, 8} {
+			p, err := (&Planner{Cards: src, Workers: w, ParallelThreshold: 1}).Plan(c.e, catalogOf(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Root.Describe(); got != c.root {
+				t.Fatalf("%s: root %q, want %q:\n%s", c.e, got, c.root, p)
+			}
+			if _, err := p.Execute(src); !errors.Is(err, value.ErrDivideByZero) {
+				t.Errorf("%s at workers=%d: err = %v, want division by zero", c.e, w, err)
+			}
+		}
+	}
+}
+
+// TestFallibleConjunctKeepsWrittenOrder pins the rows a conjunct that can
+// fail is evaluated on: exactly those the written expression evaluates it
+// on.  σ[12 / %1 ≥ 4 ∧ %1 = %3](fact × dim) evaluates the division on every
+// pair, so the zero keys fail the query even though no pair with a zero key
+// would survive the equality; and a join whose condition holds a division
+// keeps the rows a selection above it would drop, so the written expression
+// fails there too, where a reordered plan would filter the zero rows first.
+func TestFallibleConjunctKeepsWrittenOrder(t *testing.T) {
+	src := testSource(100)
+	// dim holds no key 0, so no pair holding a zero key joins.
+	src["dim"] = multiset.New(src["dim"].Schema())
+	for i := int64(1); i < 10; i++ {
+		src["dim"].Add(tuple.Ints(i, i*100), 1)
+	}
+	div := scalar.NewCompare(value.CmpGe,
+		scalar.NewArith(value.OpDiv, scalar.NewConst(value.NewInt(12)), scalar.NewAttr(0)),
+		scalar.NewConst(value.NewInt(4)))
+	positive := scalar.NewCompare(value.CmpGe, scalar.NewAttr(0), scalar.NewConst(value.NewInt(1)))
+	for _, e := range []algebra.Expr{
+		algebra.NewSelect(scalar.NewAnd(div, scalar.Eq(0, 2)),
+			algebra.NewProduct(algebra.NewRel("fact"), algebra.NewRel("dim"))),
+		algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("dim"),
+			algebra.NewSelect(positive, algebra.NewJoin(scalar.NewAnd(scalar.Eq(0, 2), div),
+				algebra.NewRel("fact"), algebra.NewRel("fact")))),
+	} {
+		if _, err := mustPlan(t, e, src).Execute(src); !errors.Is(err, value.ErrDivideByZero) {
+			t.Errorf("%s: err = %v, want division by zero", e, err)
+		}
 	}
 }

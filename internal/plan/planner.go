@@ -51,8 +51,8 @@ type Planner struct {
 	BatchSize int
 	// MemoryLimit bounds, in bytes, the operator-internal state one execution
 	// of a compiled plan may hold — hash-join build tables, group tables,
-	// Sort and nested-loop materialisations, the operand relations of the
-	// blocking set operators, Unique's seen set.  Executions
+	// Sort and nested-loop materialisations, the build side of ∸ and ∩,
+	// the closure's pairs, Unique's seen set.  Executions
 	// that would exceed it fail with an error wrapping ErrMemoryBudget.  Zero
 	// (the default) disables enforcement.
 	MemoryLimit int64
@@ -240,7 +240,9 @@ func (pl *Planner) compile(e algebra.Expr, cat algebra.Catalog) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		node := &intersectNode{left: left, right: right}
+		// ∩ is symmetric: build the side with the smaller estimate, as the
+		// hash join does.
+		node := &intersectNode{left: left, right: right, buildLeft: left.Estimate() < right.Estimate()}
 		node.schema = s
 		node.est = min(left.Estimate(), right.Estimate())
 		node.capHint = node.est
@@ -426,43 +428,11 @@ func indexScan(scan *scanNode, cond scalar.Predicate) Node {
 				return node
 			}
 		}
-		if !errorFree(c) {
+		if !scalar.ErrorFree(c) {
 			return nil
 		}
 	}
 	return nil
-}
-
-// errorFree reports whether a predicate evaluates without error on every
-// tuple of the schema it was validated against: comparisons between
-// attributes and constants, and connectives over them.  Arithmetic can fail
-// (division by zero, overflow), so any other shape counts as fallible.
-func errorFree(p scalar.Predicate) bool {
-	switch x := p.(type) {
-	case scalar.True, scalar.False:
-		return true
-	case scalar.Compare:
-		return plainOperand(x.Left) && plainOperand(x.Right)
-	case scalar.And:
-		return errorFree(x.Left) && errorFree(x.Right)
-	case scalar.Or:
-		return errorFree(x.Left) && errorFree(x.Right)
-	case scalar.Not:
-		return errorFree(x.Operand)
-	default:
-		return false
-	}
-}
-
-// plainOperand reports whether a scalar expression is an attribute or a
-// constant.
-func plainOperand(e scalar.Expr) bool {
-	switch e.(type) {
-	case scalar.Attr, scalar.Const:
-		return true
-	default:
-		return false
-	}
 }
 
 // makeJoin builds the physical join of two compiled operands under the given
@@ -471,7 +441,7 @@ func plainOperand(e scalar.Expr) bool {
 // capacity hints come from the operands' statistics.
 func (pl *Planner) makeJoin(cond scalar.Predicate, left, right Node) (Node, error) {
 	outSchema := left.Schema().Concat(right.Schema())
-	outCols := concatCols(left.meta().colStats, right.meta().colStats)
+	outCols := concatCols(left, right)
 
 	if cond == nil {
 		node := &nestedLoopNode{left: left, right: right, innerRight: right.Estimate() <= left.Estimate()}
@@ -522,13 +492,19 @@ func (pl *Planner) makeJoin(cond scalar.Predicate, left, right Node) (Node, erro
 
 // equiCols extracts from a join condition the pairs of attribute positions
 // (left input position, right input position) connected by top-level equality
-// conjuncts, plus the residual conjuncts that still need per-pair evaluation.
-// leftArity is the arity of the left operand; positions ≥ leftArity address
-// the right operand in the concatenated schema.
+// conjuncts, plus the residual conjuncts that still need per-pair evaluation,
+// in their written order.  leftArity is the arity of the left operand;
+// positions ≥ leftArity address the right operand in the concatenated
+// schema.  Only equalities written before the first conjunct that can fail
+// to evaluate become hash keys: the written condition evaluates that
+// conjunct on every pair the conjuncts before it accept, so every later
+// conjunct stays residual, after it.
 func equiCols(cond scalar.Predicate, leftArity int) (leftCols, rightCols []int, residual []scalar.Predicate) {
+	fallible := false
 	for _, c := range scalar.Conjuncts(cond) {
+		fallible = fallible || !scalar.ErrorFree(c)
 		cmp, ok := c.(scalar.Compare)
-		if !ok || cmp.Op != value.CmpEq {
+		if fallible || !ok || cmp.Op != value.CmpEq {
 			residual = append(residual, c)
 			continue
 		}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -140,5 +141,52 @@ func TestConstLeftCompareUsesHistogram(t *testing.T) {
 		if flat := float64(fact.Cardinality()) * selectionSelectivity; want == flat {
 			t.Errorf("%s: estimate is the flat guess %v, not the histogram's", attrLeft, flat)
 		}
+	}
+}
+
+// TestJoinColumnStatsStayAligned pins the column statistics of a join whose
+// operand carries none (a difference) beside an analysed scan: the join's
+// statistics hold one entry per output column, the unanalysed operand's
+// unknown, so the scan's stay at the scan's columns and a projection above
+// the join reads a column of either side without running off the end.
+func TestJoinColumnStatsStayAligned(t *testing.T) {
+	src := analyze(mapSource{
+		"r": groupedRelation("r", 200, 20),
+		"s": groupedRelation("s", 100, 5),
+	})
+	diff := algebra.NewDifference(algebra.NewProject([]int{0}, algebra.NewRel("r")),
+		algebra.NewProject([]int{0}, algebra.NewRel("s")))
+	// The join is planned in the written order and then permuted back; the
+	// statistics must cover the difference's column as unknown.
+	e := algebra.NewProject([]int{2, 0}, algebra.NewSelect(scalar.Eq(0, 1),
+		algebra.NewProduct(diff, algebra.NewRel("r"))))
+	p, err := (&Planner{Cards: src}).Plan(e, catalogOf(src.mapSource))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join Node
+	var find func(n Node)
+	find = func(n Node) {
+		if _, ok := n.(*hashJoinNode); ok && join == nil {
+			join = n
+		}
+		for _, c := range n.Children() {
+			find(c)
+		}
+	}
+	find(p.Root)
+	if join == nil {
+		t.Fatalf("no hash join in\n%s", p)
+	}
+	cols := join.meta().colStats
+	if len(cols) != join.Schema().Arity() {
+		t.Fatalf("join has %d column statistics for %d columns:\n%s", len(cols), join.Schema().Arity(), p)
+	}
+	// The sketches estimate 20 and 200 distinct values to within a few per cent.
+	if cols[0].ndv != 0 || math.Abs(cols[1].ndv-20) > 2 || math.Abs(cols[2].ndv-200) > 20 {
+		t.Errorf("join column NDVs = %v, %v, %v, want unknown, about 20 and about 200", cols[0].ndv, cols[1].ndv, cols[2].ndv)
+	}
+	if _, err := p.Execute(src); err != nil {
+		t.Fatal(err)
 	}
 }

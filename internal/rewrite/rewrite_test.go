@@ -201,6 +201,14 @@ func TestPushSelectionIntoJoin(t *testing.T) {
 	if err := algebra.Validate(out3, cat); err != nil {
 		t.Errorf("rewritten join must validate: %v", err)
 	}
+	// A conjunct that can fail pins the whole condition: the law holds for
+	// total predicates only, and pushed below the join a division would run
+	// on rows the join drops.
+	fallible := scalar.NewCompare(value.CmpGt,
+		scalar.NewArith(value.OpDiv, scalar.NewConst(value.NewFloat(10)), scalar.NewAttr(2)), scalar.NewConst(value.NewFloat(1)))
+	if _, ok := (PushSelectionIntoJoin{}).Apply(algebra.NewSelect(scalar.NewAnd(leftCond, fallible), join), cat); ok {
+		t.Error("rule must not fire on a condition holding a division")
+	}
 	// Unknown relation: schema failure keeps the node unchanged.
 	broken := algebra.NewJoin(scalar.Eq(0, 1), algebra.NewRel("missing"), algebra.NewRel("brewery"))
 	if _, ok := (PushSelectionIntoJoin{}).Apply(broken, cat); ok {

@@ -177,7 +177,9 @@ func (PushSelectionIntoJoin) Apply(e algebra.Expr, cat algebra.Catalog) (algebra
 
 // pushConjuncts splits the join condition's conjuncts into left-only,
 // right-only and mixed groups and pushes the single-sided groups below the
-// join as selections.
+// join as selections.  A condition with a conjunct that can fail to
+// evaluate (scalar.ErrorFree) stays whole: the law holds for total
+// predicates only.
 func pushConjuncts(j algebra.Join, cat algebra.Catalog) (algebra.Expr, bool) {
 	ls, err := j.Left.Schema(cat)
 	if err != nil {
@@ -190,8 +192,16 @@ func pushConjuncts(j algebra.Join, cat algebra.Catalog) (algebra.Expr, bool) {
 	}
 	rightArity := rs.Arity()
 
+	// A conjunct that can fail pins the condition: pushed below the join, it
+	// or a conjunct written before it would run on other rows.
+	conjs := scalar.Conjuncts(j.Cond)
+	for _, c := range conjs {
+		if !scalar.ErrorFree(c) {
+			return j, false
+		}
+	}
 	var leftOnly, rightOnly, mixed []scalar.Predicate
-	for _, c := range scalar.Conjuncts(j.Cond) {
+	for _, c := range conjs {
 		refs := c.Refs(nil)
 		if len(refs) == 0 {
 			mixed = append(mixed, c)

@@ -270,6 +270,37 @@ func (n Not) Rebase(mapping map[int]int) (Predicate, error) {
 // String implements Predicate.
 func (n Not) String() string { return "not (" + n.Operand.String() + ")" }
 
+// ErrorFree reports whether a predicate evaluates without error on every
+// tuple of the schema it was validated against: comparisons between
+// attributes and constants, and connectives over them.  Arithmetic can fail
+// (division by zero), so any other shape counts as fallible.  A planner or
+// rewrite law may move only error-free conjuncts: a moved fallible one runs
+// on other rows than the written expression evaluates it on.
+func ErrorFree(p Predicate) bool {
+	switch x := p.(type) {
+	case True, False:
+		return true
+	case Compare:
+		return plainOperand(x.Left) && plainOperand(x.Right)
+	case And:
+		return ErrorFree(x.Left) && ErrorFree(x.Right)
+	case Or:
+		return ErrorFree(x.Left) && ErrorFree(x.Right)
+	case Not:
+		return ErrorFree(x.Operand)
+	}
+	return false
+}
+
+// plainOperand reports whether e is an attribute or a constant.
+func plainOperand(e Expr) bool {
+	switch e.(type) {
+	case Attr, Const:
+		return true
+	}
+	return false
+}
+
 // Conjuncts flattens a condition into its top-level conjuncts.  The rewrite
 // engine uses it to push individual conjuncts of a selection condition to the
 // operator sides that can evaluate them.

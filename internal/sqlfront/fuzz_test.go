@@ -13,7 +13,8 @@ import (
 // straight into these functions.  The seed corpus is the golden statements of
 // the SQL tests plus broken fragments near known tricky spots (quoting,
 // nesting, dangling clauses, out-of-range literals, comments holding ";" or
-// "'", and the dot and percent tokens XRA spells differently).
+// "'", the dot and percent tokens XRA spells differently, and a UTF-8
+// identifier).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT name FROM beer",
@@ -47,6 +48,8 @@ func FuzzParse(f *testing.F) {
 		"SELECT name FROM beer; -- a; comment",
 		"DELETE FROM beer -- don't\n; SELECT name FROM beer",
 		"SELECT b . name FROM beer b WHERE alcperc%2 = 1",
+		// A UTF-8 identifier and the least int64 inside a predicate.
+		"SELECT a FROM bière WHERE a = -9223372036854775808",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -579,7 +579,10 @@ func (p *parser) parseTerm() (sqlExpr, error) {
 func (p *parser) parseFactor() (sqlExpr, error) {
 	t := p.Peek()
 	switch {
-	case t.Kind == lex.Number, t.Kind == lex.String, t.IsWord("true"), t.IsWord("false"), t.IsWord("null"):
+	case t.Kind == lex.Number, t.Kind == lex.String, t.IsWord("true"), t.IsWord("false"), t.IsWord("null"),
+		t.Is("-") && p.Toks[p.Idx+1].Kind == lex.Number:
+		// A negated number literal converts its signed text, so the least
+		// int64 is a constant here as in a VALUES list.
 		v, err := p.Literal()
 		if err != nil {
 			return nil, err

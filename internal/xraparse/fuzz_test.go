@@ -8,7 +8,8 @@ import "testing"
 // corpus is the golden queries of the parser tests plus a few deliberately
 // broken fragments near known tricky spots (unterminated strings, nested
 // brackets, transaction brackets, out-of-range literals, comments holding
-// ";" or "'", and the dot and percent tokens SQL spells differently).
+// ";" or "'", the dot and percent tokens SQL spells differently, and a
+// UTF-8 identifier).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"beer",
@@ -51,6 +52,8 @@ func FuzzParse(f *testing.F) {
 		"beer -- don't\n; beer",
 		"select[%1 % 2 = 0](sales.q1)",
 		"select[%3%2 = 1](sales . q1)",
+		// A UTF-8 identifier and the least int64 inside a predicate.
+		"select[%1 = -9223372036854775808](bière)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

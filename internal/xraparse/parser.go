@@ -769,13 +769,10 @@ func (p *parser) parseFactor() (scalar.Expr, error) {
 			return nil, err
 		}
 		return scalar.NewAttr(idx), nil
-	case t.Kind == lex.Number, t.Kind == lex.String:
-		v, err := p.Literal()
-		if err != nil {
-			return nil, err
-		}
-		return scalar.NewConst(v), nil
-	case t.IsWord("true"), t.IsWord("false"), t.IsWord("null"):
+	case t.Kind == lex.Number, t.Kind == lex.String, t.IsWord("true"), t.IsWord("false"), t.IsWord("null"),
+		t.Is("-") && p.Toks[p.Idx+1].Kind == lex.Number:
+		// A negated number literal converts its signed text, so the least
+		// int64 is a constant here as in a literal relation.
 		v, err := p.Literal()
 		if err != nil {
 			return nil, err
