@@ -21,6 +21,7 @@ func TestExportedDocComments(t *testing.T) {
 		"internal/exec", "internal/plan", "internal/eval",
 		"internal/multiset", "internal/tuple", "internal/value",
 		"internal/stats", "internal/oracle", "internal/lex",
+		"internal/stmt", "internal/txn", "internal/storage",
 	} {
 		var missing []string
 		fset := token.NewFileSet()

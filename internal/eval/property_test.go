@@ -397,10 +397,10 @@ func (g *exprGen) pred(arity int, depth int) scalar.Predicate {
 
 // fallible builds a comparison whose left side can fail: 12 divided by an
 // attribute, which is a division by zero on every row holding 0 (every
-// generated column holds zeros), or an attribute times 2^62, which leaves
-// int64 for any attribute of 2 or more.  A plan that evaluates such a
-// conjunct on a row the written expression never reaches fails where the
-// oracle does not.
+// generated column holds zeros), or an attribute times 2^62, which fails
+// with value.ErrOverflow for any attribute of 2 or more.  A plan that
+// evaluates such a conjunct on a row the written expression never reaches
+// fails where the oracle does not.
 func (g *exprGen) fallible(arity int) scalar.Predicate {
 	attr := scalar.NewAttr(g.intn(arity))
 	if g.intn(2) == 0 {

@@ -110,7 +110,7 @@ func TestExchangeSumsPartials(t *testing.T) {
 		}
 		merged := multiset.NewWithCapacity(s, 64)
 		for _, p := range parts {
-			merged.MergeFrom(p)
+			merged.ApplyDelta(p, nil)
 		}
 		if !merged.Equal(serial) {
 			t.Fatalf("workers=%d: merged %s != serial %s", w, merged, serial)

@@ -40,12 +40,17 @@ func Diff(base, next *Relation) (add, remove *Relation) {
 
 // ApplyDelta applies a Diff-shaped delta in place: every occurrence of remove
 // is removed first (monus — multiplicities clamp at zero), then every
-// occurrence of add is added.  Applied to the relation the delta was diffed
-// from, it reproduces the diffed target exactly; applied to a relation other
-// writers advanced on disjoint keys, it merges — which is what makes delta
-// write sets over disjoint keys commute under the storage engine's
-// key-granular commit validation.  Either argument may be nil.  The cost is
-// the pages the delta's tuples land on, however large r is.
+// occurrence of add is added, so r becomes (r ∸ remove) ⊎ add.  It is the
+// one bulk change of a relation instance: statements apply Definition 4.1's
+// (add, remove) pair with it, the parallel runtime's Merge sums partial
+// results with it (remove nil), and commit installs deltas with it.  Applied
+// to the relation the delta was diffed from, it reproduces the diffed target
+// exactly; applied to a relation other writers advanced on disjoint keys, it
+// merges — which is what makes delta write sets over disjoint keys commute
+// under the storage engine's key-granular commit validation.  Either
+// argument may be nil.  Cached entry hashes are reused, so no tuple is
+// re-hashed, and the cost is the pages the delta's tuples land on, however
+// large r is.
 func (r *Relation) ApplyDelta(add, remove *Relation) {
 	if (add == nil || add.tab.total == 0) && (remove == nil || remove.tab.total == 0) {
 		return

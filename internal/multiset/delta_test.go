@@ -100,6 +100,47 @@ func TestApplyDeltaClampsAtZero(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaRevivesTombstones checks the add-only delta — the Merge's
+// sum of partial results and an insert statement's pair: it sums
+// multiplicities, revives tombstones, and leaves the source untouched.
+func TestApplyDeltaRevivesTombstones(t *testing.T) {
+	s := intSchema(1)
+	a, b := New(s), New(s)
+	a.Add(tuple.Ints(1), 2)
+	a.Add(tuple.Ints(2), 1)
+	a.Add(tuple.Ints(3), 1)
+	a.Remove(tuple.Ints(3), 1) // tombstone in the destination
+	b.Add(tuple.Ints(1), 3)
+	b.Add(tuple.Ints(3), 4)
+	b.Add(tuple.Ints(5), 1)
+
+	a.ApplyDelta(b, nil)
+	if got := a.Multiplicity(tuple.Ints(1)); got != 5 {
+		t.Errorf("a(1) = %d, want 5", got)
+	}
+	if got := a.Multiplicity(tuple.Ints(3)); got != 4 {
+		t.Errorf("a(3) = %d, want 4 (tombstone revived)", got)
+	}
+	if a.Cardinality() != 11 || a.DistinctCount() != 4 {
+		t.Errorf("cardinality/distinct = %d/%d, want 11/4", a.Cardinality(), a.DistinctCount())
+	}
+	if b.Cardinality() != 8 {
+		t.Errorf("source changed: %s", b)
+	}
+
+	// Merging into a copy-on-write view must not corrupt the other view.
+	base := New(s)
+	base.Add(tuple.Ints(7), 1)
+	view := base.Clone()
+	view.ApplyDelta(b, nil)
+	if base.Cardinality() != 1 {
+		t.Errorf("COW base changed by ApplyDelta: %s", base)
+	}
+	if view.Multiplicity(tuple.Ints(1)) != 3 || view.Multiplicity(tuple.Ints(7)) != 1 {
+		t.Errorf("view after merge = %s", view)
+	}
+}
+
 func TestEachHashMatchesEach(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := randomRelation(rng, 32)

@@ -1,63 +1,52 @@
 package multiset
 
 import (
+	"maps"
 	"testing"
 
 	"mra/internal/tuple"
+	"mra/internal/value"
 )
 
-// setOpModel applies Union (which 0), Difference (1) or Intersection (2) to a
-// and b, checks the result against the operators' pointwise definitions over
-// the operands' models, and returns the result with its model.  Difference
-// must leave its result compacted: the cached-hash walk removes first and
-// compacts once.
-func setOpModel(t *testing.T, which int, a, b *Relation, am, bm model) (*Relation, model) {
+// deltaMove applies one of the statements' Clone+ApplyDelta moves to a
+// clone of a, with b as the delta, and returns the result with its model
+// built from the operands' models: ⊎ (which 0) applies (b, nil), ∸ (1)
+// applies (nil, b), and the update-shaped move (2) applies (π(h), h) for
+// h = a ∩ b, h(t) = min(a(t), b(t)), and π = (%1, 0), which collapses
+// tuples onto ones that may have just become tombstones.  Neither operand
+// may change, and ApplyDelta must leave its result compacted.
+func deltaMove(t *testing.T, which int, a, b *Relation, am, bm model) (*Relation, model) {
 	t.Helper()
-	var (
-		res *Relation
-		err error
-	)
-	want := model{}
+	res, want := a.Clone(), maps.Clone(am)
 	switch which {
 	case 0:
-		res, err = Union(a, b)
-		for k, n := range am {
-			want.add(k, n)
-		}
+		res.ApplyDelta(b, nil)
 		for k, n := range bm {
 			want.add(k, n)
 		}
 	case 1:
-		res, err = Difference(a, b)
-		for k, n := range am {
-			if n > bm[k] {
-				want.add(k, n-bm[k])
-			}
-		}
-		if dead := res.tab.n - res.tab.live; dead > res.tab.live && dead >= compactMinDead {
-			t.Fatalf("Difference left %d tombstones beside %d live entries", dead, res.tab.live)
+		res.ApplyDelta(nil, b)
+		for k, n := range bm {
+			want.remove(k, n)
 		}
 	default:
-		res, err = Intersection(a, b)
-		for k, n := range am {
-			want.add(k, min(n, bm[k]))
+		hit, img := New(a.Schema()), New(a.Schema())
+		b.Each(func(tp tuple.Tuple, n uint64) bool {
+			m := min(n, a.Multiplicity(tp))
+			hit.Add(tp, m)
+			img.Add(tuple.New(tp.At(0), value.NewInt(0)), m)
+			return true
+		})
+		res.ApplyDelta(img, hit)
+		for k, n := range bm {
+			want.remove(k, min(n, am[k]))
+		}
+		for k, n := range bm {
+			want.add([2]int64{k[0], 0}, min(n, am[k]))
 		}
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := model{}
-	res.Each(func(tp tuple.Tuple, n uint64) bool {
-		got.add(keyOf(tp), n)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("set operator %d = %v, want %v", which, got, want)
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("set operator %d = %v, want %v", which, got, want)
-		}
+	if dead := res.tab.n - res.tab.live; dead > res.tab.live && dead >= compactMinDead {
+		t.Fatalf("move %d left %d tombstones beside %d live entries", which, dead, res.tab.live)
 	}
 	return res, want
 }

@@ -145,7 +145,7 @@ func TestKeyChainModel(t *testing.T) {
 					v.m.add(mk, n)
 				case op < 11:
 					o, om := randBag(10)
-					v.rel.MergeFrom(o)
+					v.rel.ApplyDelta(o, nil)
 					for k, n := range om {
 						v.m.add(k, n)
 					}
@@ -176,7 +176,7 @@ func TestKeyChainModel(t *testing.T) {
 					views = append(views, view{v.rel.WithKey(rng.Intn(3) - 1), maps.Clone(v.m)})
 				default:
 					w := views[rng.Intn(len(views))]
-					res, m := keySetOp(t, op%3, v.rel, w.rel, v.m, w.m)
+					res, m := deltaMove(t, op%3, v.rel, w.rel, v.m, w.m)
 					views = append(views, view{res, m})
 				}
 				if len(views) > 6 {
@@ -191,70 +191,49 @@ func TestKeyChainModel(t *testing.T) {
 	}
 }
 
-// keySetOp applies ⊎, ∸ or ∩ (which = 0, 1, 2) to two views and their models.
-func keySetOp(t *testing.T, which int, a, b *Relation, am, bm model) (*Relation, model) {
-	t.Helper()
-	var res *Relation
-	var err error
-	want := model{}
-	switch which {
-	case 0:
-		res, err = Union(a, b)
-		for k, n := range am {
-			want.add(k, n)
-		}
-		for k, n := range bm {
-			want.add(k, n)
-		}
-	case 1:
-		res, err = Difference(a, b)
-		for k, n := range am {
-			if n > bm[k] {
-				want.add(k, n-bm[k])
-			}
-		}
-	default:
-		res, err = Intersection(a, b)
-		for k, n := range am {
-			want.add(k, min(n, bm[k]))
-		}
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, want
-}
-
 // TestKeyChainSurvivesSetOperators pins which results carry the key chain:
-// the ones built from a keyed left operand by cloning it (∸, ⊎) do, and
-// the fresh ones (∩, Diff) do not.
+// a statement's result — a clone of the keyed target with its (add, remove)
+// pair applied, for ⊎, ∸ and update alike — does, and the fresh relations
+// Diff returns do not.
 func TestKeyChainSurvivesSetOperators(t *testing.T) {
 	s := intSchema(2)
 	a := FromTuples(s, tuple.Ints(1, 1), tuple.Ints(2, 2), tuple.Ints(2, 2)).WithKey(0)
 	b := FromTuples(s, tuple.Ints(2, 2), tuple.Ints(3, 3))
-	union, _ := Union(a, b)
-	diff, _ := Difference(a, b)
-	inter, _ := Intersection(a, b)
+	applied := func(add, remove *Relation) *Relation {
+		r := a.Clone()
+		r.ApplyDelta(add, remove)
+		return r
+	}
+	union := applied(b, nil)
+	diff := applied(nil, b)
+	// update(a, b, (%1, 0)): a ∩ b = {(2, 2)} leaves, (2, 0) arrives.
+	update := applied(FromTuples(s, tuple.Ints(2, 0)), FromTuples(s, tuple.Ints(2, 2)))
 	add, _ := Diff(b, a)
 	for _, c := range []struct {
 		name  string
 		r     *Relation
 		keyed bool
-	}{{"union", union, true}, {"difference", diff, true}, {"clone", a.Clone(), true},
-		{"intersection", inter, false}, {"diff", add, false}} {
+	}{{"union", union, true}, {"difference", diff, true}, {"update", update, true},
+		{"clone", a.Clone(), true}, {"diff", add, false}} {
 		if _, keyed := c.r.KeyColumn(); keyed != c.keyed {
 			t.Errorf("%s: keyed = %v, want %v", c.name, keyed, c.keyed)
 		}
 	}
-	var got []tuple.Tuple
-	union.EachKey(0, value.NewInt(2), func(tp tuple.Tuple, n uint64) bool {
-		for ; n > 0; n-- {
-			got = append(got, tp)
-		}
-		return true
-	})
-	if len(got) != 3 {
+	lookup := func(r *Relation) []tuple.Tuple {
+		var got []tuple.Tuple
+		r.EachKey(0, value.NewInt(2), func(tp tuple.Tuple, n uint64) bool {
+			for ; n > 0; n-- {
+				got = append(got, tp)
+			}
+			return true
+		})
+		return got
+	}
+	if got := lookup(union); len(got) != 3 {
 		t.Errorf("union lookup of 2 = %v, want (2, 2) three times", got)
+	}
+	if got := lookup(update); len(got) != 2 || got[0].Equal(got[1]) {
+		t.Errorf("update lookup of 2 = %v, want (2, 2) and (2, 0) once each", got)
 	}
 }
 

@@ -28,22 +28,24 @@
 // it lands on: the entry's page for a multiplicity change; the tail page and
 // one bucket page for a new tuple.  A transaction that changes four rows of
 // a large relation therefore copies a handful of pages, not the relation,
-// and the multi-set operators stay written as the paper defines them
-// (update is literally R ← (R − E) ⊎ π_a(R ∩ E)): the saving lives here.
+// although each statement writes a clone of R: the statement applies
+// Definition 4.1's (add, remove) pair to it with ApplyDelta — update's pair
+// is (π_a(R ∩ E), R ∩ E) — and the saving lives here.
 //
 // Because shared pages are pointer-identical, Diff, Equal and SubsetOf skip
 // them and probe only the entries on pages the two tables do not share —
 // exact for any two tables, O(touched pages) when one descends from the
 // other.
 //
-// Remove leaves a tombstone (multiplicity zero, revived in place if the tuple
-// returns).  When the tombstones of a privately owned table outnumber its
-// live entries the table is rebuilt dense, a cost amortised against the
-// removals that made them; the same rebuild doubles the bucket directory when
-// the arena outgrows it.  A rebuild allocates new pages and touches only the
-// directories of the table being mutated, which no other view can reach, so
-// it can never move entries under a concurrent scan: a scanner holds a view
-// whose directories and pages nobody writes.
+// Remove leaves a tombstone (multiplicity zero, revived in place, holding
+// the returning tuple, if an equal one is added).  When the tombstones of a
+// privately owned table outnumber its live entries the table is rebuilt
+// dense, a cost amortised against the removals that made them; the same
+// rebuild doubles the bucket directory when the arena outgrows it.  A
+// rebuild allocates new pages and touches only the directories of the table
+// being mutated, which no other view can reach, so it can never move
+// entries under a concurrent scan: a scanner holds a view whose directories
+// and pages nobody writes.
 //
 // A relation may also have a key column: ANALYZE chooses one (package
 // stats), and WithKey installs it.  A keyed table keeps a second bucket
@@ -103,9 +105,9 @@ var ownerSeq atomic.Uint64
 // table, the link to the next entry of its key bucket.  A link is an arena
 // position plus one, zero ending the chain, so a freshly allocated bucket
 // page is already empty.  An entry whose count is zero is a tombstone left
-// behind by Remove; it is skipped by iteration and revived in place if the
-// tuple is re-added.  The key link fills what was padding: an entry is 48
-// bytes with or without it.
+// behind by Remove; it is skipped by iteration and revived in place, taking
+// the added tuple, if an equal tuple is added.  The key link fills what was
+// padding: an entry is 48 bytes with or without it.
 type entry struct {
 	tup   tuple.Tuple
 	hash  uint64
@@ -374,6 +376,9 @@ func (t *table) add(h uint64, p probe, n uint64) {
 	if i := t.find(h, &p); i >= 0 {
 		e := t.own(i)
 		if e.count == 0 {
+			// A tombstone holds no tuple: the revived entry takes the
+			// probe's, which may spell a number in the other kind.
+			e.tup = p.tuple()
 			t.live++
 		}
 		e.count += n
@@ -472,6 +477,19 @@ func (r *Relation) materialize() {
 
 // Multiplicity returns R(t), the number of occurrences of t in R.
 func (r *Relation) Multiplicity(t tuple.Tuple) uint64 { return r.tab.count(t.Hash(), t) }
+
+// Lookup returns R(t) together with the tuple R holds for t, which equals t
+// but may spell a number in the other kind (2^53 where t has 2^53.0).  When
+// R(t) = 0 it returns t itself.
+func (r *Relation) Lookup(t tuple.Tuple) (tuple.Tuple, uint64) {
+	tab := r.tab
+	if i := tab.find(t.Hash(), &probe{tup: t}); i >= 0 {
+		if e := tab.at(i); e.count > 0 {
+			return e.tup, e.count
+		}
+	}
+	return t, 0
+}
 
 // Contains reports t ∈ R, i.e. R(t) > 0.
 func (r *Relation) Contains(t tuple.Tuple) bool { return r.Multiplicity(t) > 0 }
@@ -658,21 +676,6 @@ func (r *Relation) AddColumns(cols []value.Vec, counts []uint64, sel []int32) {
 		if n := counts[i]; n != 0 {
 			tab.add(tuple.HashRow(cols, int(i)), probe{cols: cols, row: int(i)}, n)
 		}
-	}
-}
-
-// MergeFrom adds every tuple of o to r with its multiplicity (multi-set union
-// in place): the merge step of the parallel runtime's exchange operators.  It
-// reuses o's cached entry hashes, so merging partial results never re-hashes
-// attribute values.  o is not modified.
-func (r *Relation) MergeFrom(o *Relation) {
-	src := o.tab
-	if src.total == 0 {
-		return
-	}
-	r.materialize()
-	for e := range src.entries(nil) {
-		r.tab.add(e.hash, probe{tup: e.tup}, e.count)
 	}
 }
 

@@ -179,6 +179,23 @@ func TestRemoveLeavesReAddableTombstone(t *testing.T) {
 	if r.Multiplicity(tuple.Ints(1)) != 4 || r.DistinctCount() != 2 || r.Cardinality() != 5 {
 		t.Error("re-adding a fully removed tuple must revive it")
 	}
+	// The revived entry holds the tuple added, not the one removed: 2^53.0
+	// equals 2^53 but adds 1 differently.  A live entry keeps its tuple, and
+	// Lookup returns the one held.
+	big, bigf := tuple.Ints(1<<53), tuple.New(value.NewFloat(1<<53))
+	r.Add(big, 1)
+	r.Remove(big, 1)
+	r.Add(bigf, 2)
+	if held, n := r.Lookup(big); n != 2 || held.At(0).Kind() != value.KindFloat {
+		t.Errorf("Lookup after revival = %v ×%d, want 2^53.0 ×2", held, n)
+	}
+	r.Add(big, 1)
+	if held, n := r.Lookup(big); n != 3 || held.At(0).Kind() != value.KindFloat {
+		t.Errorf("Lookup after adding to a live entry = %v ×%d, want 2^53.0 ×3", held, n)
+	}
+	if held, n := r.Lookup(tuple.Ints(7)); n != 0 || !held.Equal(tuple.Ints(7)) {
+		t.Errorf("Lookup of an absent tuple = %v ×%d, want it back ×0", held, n)
+	}
 }
 
 func TestWithSchema(t *testing.T) {
@@ -232,128 +249,6 @@ func TestStringRendering(t *testing.T) {
 	}
 	if New(intSchema(1)).String() != "{}" {
 		t.Error("empty relation renders as {}")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	s := intSchema(1)
-	a := FromTuples(s, tuple.Ints(1), tuple.Ints(1))
-	b := FromTuples(s, tuple.Ints(1), tuple.Ints(2))
-	u, err := Union(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Multiplicity(tuple.Ints(1)) != 3 || u.Multiplicity(tuple.Ints(2)) != 1 {
-		t.Errorf("Union = %v", u)
-	}
-	// Inputs untouched.
-	if a.Cardinality() != 2 || b.Cardinality() != 2 {
-		t.Error("Union must not mutate its operands")
-	}
-	if _, err := Union(a, FromTuples(intSchema(2), tuple.Ints(1, 2))); err == nil {
-		t.Error("incompatible union must fail")
-	}
-}
-
-func TestDifference(t *testing.T) {
-	s := intSchema(1)
-	a := FromTuples(s, tuple.Ints(1), tuple.Ints(1), tuple.Ints(2))
-	b := FromTuples(s, tuple.Ints(1), tuple.Ints(3))
-	d, err := Difference(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Multiplicity(tuple.Ints(1)) != 1 || d.Multiplicity(tuple.Ints(2)) != 1 || d.Contains(tuple.Ints(3)) {
-		t.Errorf("Difference = %v", d)
-	}
-	if _, err := Difference(a, FromTuples(intSchema(2), tuple.Ints(1, 2))); err == nil {
-		t.Error("incompatible difference must fail")
-	}
-}
-
-func TestIntersection(t *testing.T) {
-	s := intSchema(1)
-	a := FromTuples(s, tuple.Ints(1), tuple.Ints(1), tuple.Ints(1), tuple.Ints(2))
-	b := FromTuples(s, tuple.Ints(1), tuple.Ints(1), tuple.Ints(3))
-	i, err := Intersection(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i.Multiplicity(tuple.Ints(1)) != 2 || i.Contains(tuple.Ints(2)) || i.Contains(tuple.Ints(3)) {
-		t.Errorf("Intersection = %v", i)
-	}
-	// Symmetric.
-	j, _ := Intersection(b, a)
-	if !i.Equal(j) {
-		t.Error("intersection must be symmetric")
-	}
-	if _, err := Intersection(a, FromTuples(intSchema(2), tuple.Ints(1, 2))); err == nil {
-		t.Error("incompatible intersection must fail")
-	}
-}
-
-func TestMap(t *testing.T) {
-	s := intSchema(1)
-	out := schema.Anonymous(schema.Attribute{Name: "double", Type: value.KindInt})
-	r := FromTuples(s, tuple.Ints(1), tuple.Ints(1), tuple.Ints(2))
-	m, err := Map(r, out, func(t tuple.Tuple) (tuple.Tuple, error) {
-		return tuple.Ints(t.At(0).Int() * 2), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Multiplicity(tuple.Ints(2)) != 2 || m.Multiplicity(tuple.Ints(4)) != 1 {
-		t.Errorf("Map = %v", m)
-	}
-	if _, err := Map(r, out, func(t tuple.Tuple) (tuple.Tuple, error) { return tuple.Tuple{}, value.ErrType }); err == nil {
-		t.Error("map errors must propagate")
-	}
-}
-
-func TestIncompatibleError(t *testing.T) {
-	e := &ErrIncompatible{Op: "union", Left: intSchema(1), Right: intSchema(2)}
-	if !strings.Contains(e.Error(), "union") {
-		t.Errorf("Error = %q", e.Error())
-	}
-}
-
-// TestMergeFrom checks the cached-hash merge sums multiplicities, revives
-// tombstones, and leaves the source untouched.
-func TestMergeFrom(t *testing.T) {
-	s := schema.NewRelation("r", schema.Attribute{Name: "a", Type: value.KindInt})
-	a, b := New(s), New(s)
-	a.Add(tuple.Ints(1), 2)
-	a.Add(tuple.Ints(2), 1)
-	a.Add(tuple.Ints(3), 1)
-	a.Remove(tuple.Ints(3), 1) // tombstone in the destination
-	b.Add(tuple.Ints(1), 3)
-	b.Add(tuple.Ints(3), 4)
-	b.Add(tuple.Ints(5), 1)
-
-	a.MergeFrom(b)
-	if got := a.Multiplicity(tuple.Ints(1)); got != 5 {
-		t.Errorf("a(1) = %d, want 5", got)
-	}
-	if got := a.Multiplicity(tuple.Ints(3)); got != 4 {
-		t.Errorf("a(3) = %d, want 4 (tombstone revived)", got)
-	}
-	if a.Cardinality() != 11 || a.DistinctCount() != 4 {
-		t.Errorf("cardinality/distinct = %d/%d, want 11/4", a.Cardinality(), a.DistinctCount())
-	}
-	if b.Cardinality() != 8 {
-		t.Errorf("source changed: %s", b)
-	}
-
-	// Merging into a copy-on-write view must not corrupt the other view.
-	base := New(s)
-	base.Add(tuple.Ints(7), 1)
-	view := base.Clone()
-	view.MergeFrom(b)
-	if base.Cardinality() != 1 {
-		t.Errorf("COW base changed by MergeFrom: %s", base)
-	}
-	if view.Multiplicity(tuple.Ints(1)) != 3 || view.Multiplicity(tuple.Ints(7)) != 1 {
-		t.Errorf("view after merge = %s", view)
 	}
 }
 

@@ -221,7 +221,7 @@ func TestModelRandomOps(t *testing.T) {
 					}
 				case op < 12:
 					o, om := randBag(10)
-					v.rel.MergeFrom(o)
+					v.rel.ApplyDelta(o, nil)
 					for k, n := range om {
 						v.m.add(k, n)
 					}
@@ -250,11 +250,11 @@ func TestModelRandomOps(t *testing.T) {
 						}
 					}
 				default:
-					// A set operator over two views (possibly the same one, or
-					// a clone sharing its pages) is a new view; both operands
+					// A statement's move over two views (possibly the same one,
+					// or a clone sharing its pages) is a new view; both operands
 					// must be left as they were, which the loop below checks.
 					w := views[rng.Intn(len(views))]
-					res, m := setOpModel(t, op%3, v.rel, w.rel, v.m, w.m)
+					res, m := deltaMove(t, op%3, v.rel, w.rel, v.m, w.m)
 					views = append(views, view{res, m})
 				}
 				if len(views) > 6 {

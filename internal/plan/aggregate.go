@@ -20,8 +20,9 @@ var ErrEmptyAggregate = errors.New("plan: aggregate undefined on an empty multi-
 
 // ErrOverflow is returned when an integer SUM does not fit the int64 result
 // it must be returned as.  An integer sum is never wrapped or saturated: a
-// wrong value is impossible.
-var ErrOverflow = errors.New("plan: integer SUM overflows int64")
+// wrong value is impossible.  It is value.ErrOverflow, the error of integer
+// arithmetic, so one errors.Is covers both.
+var ErrOverflow = value.ErrOverflow
 
 // groupSpec is the compiled form of a groupby operator Γ_{α,(f,p)…}: the
 // grouping columns, the aggregate applications in output order, and the

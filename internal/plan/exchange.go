@@ -417,7 +417,7 @@ func (m *mergeNode) result(ctx *execCtx) (*multiset.Relation, error) {
 	}
 	out := multiset.NewWithCapacity(m.Schema(), capacityFor(m.capHint))
 	for _, r := range parts {
-		out.MergeFrom(r)
+		out.ApplyDelta(r, nil)
 	}
 	return out, nil
 }

@@ -97,6 +97,16 @@ func targetRelation(ctx Context, name string, e algebra.Expr) (*multiset.Relatio
 	return cur, cur.Schema(), nil
 }
 
+// replaceApplying performs R ← (R − remove) ⊎ add, the form every
+// update-class statement of Definition 4.1 takes: the pair is applied to a
+// clone of the current instance cur, which costs the pages it lands on.
+// Either side may be nil.
+func replaceApplying(ctx Context, name string, cur, add, remove *multiset.Relation) error {
+	out := cur.Clone()
+	out.ApplyDelta(add, remove)
+	return ctx.Replace(name, out)
+}
+
 // Insert is the statement insert(R, E): R ← R ⊎ E (Definition 4.1).
 type Insert struct {
 	// Target is the database relation R.
@@ -115,11 +125,7 @@ func (s Insert) Execute(ctx Context) error {
 	if err != nil {
 		return err
 	}
-	out, err := multiset.Union(cur, add.WithSchema(cur.Schema()))
-	if err != nil {
-		return err
-	}
-	return ctx.Replace(s.Target, out)
+	return replaceApplying(ctx, s.Target, cur, add, nil)
 }
 
 // String implements Statement.
@@ -127,7 +133,10 @@ func (s Insert) String() string { return fmt.Sprintf("insert(%s, %s)", s.Target,
 
 // Delete is the statement delete(R, E): R ← R − E (Definition 4.1).
 type Delete struct {
+	// Target is the database relation R.
 	Target string
+	// Source is the expression E of the same schema as R; each of its
+	// occurrences removes one occurrence of R, clamping at zero.
 	Source algebra.Expr
 }
 
@@ -141,11 +150,7 @@ func (s Delete) Execute(ctx Context) error {
 	if err != nil {
 		return err
 	}
-	out, err := multiset.Difference(cur, rem.WithSchema(cur.Schema()))
-	if err != nil {
-		return err
-	}
-	return ctx.Replace(s.Target, out)
+	return replaceApplying(ctx, s.Target, cur, nil, rem)
 }
 
 // String implements Statement.
@@ -158,7 +163,8 @@ func (s Delete) String() string { return fmt.Sprintf("delete(%s, %s)", s.Target,
 // where a is a structure-preserving extended projection list with the same
 // schema as E (Definition 4.1).  The paper's Example 4.1 — raising Guineken's
 // alcohol percentages by 10% — is an Update whose Items list is
-// (%1, %2, %3 * 1.1).
+// (%1, %2, %3 * 1.1).  Execute applies it as the pair
+// (π_a(R ∩ E), R ∩ E): R ∩ E leaves R and its image under a arrives.
 type Update struct {
 	// Target is the database relation R.
 	Target string
@@ -199,36 +205,33 @@ func (s Update) Execute(ctx Context) error {
 	if err != nil {
 		return err
 	}
-	sel = sel.WithSchema(curSchema)
-	remain, err := multiset.Difference(cur, sel)
-	if err != nil {
-		return err
-	}
-	hit, err := multiset.Intersection(cur, sel)
-	if err != nil {
-		return err
-	}
-	// π_a(R ∩ E): the structure-preserving extended projection applied to the
-	// tuples selected for modification.
-	modified, err := multiset.Map(hit, curSchema, func(t tuple.Tuple) (tuple.Tuple, error) {
+	// One pass over E's distinct tuples builds the pair: R's tuple t equal to
+	// E's leaves R min(E(t), R(t)) times, and π_a(t) arrives as often.  The
+	// items read R's tuple, not E's spelling of it (2^53 + 1 is not
+	// 2^53.0 + 1).  Removing R ∩ E rather than E is exact, since
+	// R − E = R − (R ∩ E) pointwise.
+	hit, add := multiset.New(curSchema), multiset.New(curSchema)
+	var itemErr error
+	sel.Each(func(e tuple.Tuple, n uint64) bool {
+		t, held := cur.Lookup(e)
+		m := min(n, held)
+		if m == 0 {
+			return true
+		}
 		vals := make([]value.Value, len(s.Items))
 		for i, item := range s.Items {
-			v, err := item.Eval(t)
-			if err != nil {
-				return tuple.Tuple{}, err
+			if vals[i], itemErr = item.Eval(t); itemErr != nil {
+				return false
 			}
-			vals[i] = v
 		}
-		return tuple.FromSlice(vals), nil
+		hit.Add(t, m)
+		add.Add(tuple.FromSlice(vals), m)
+		return true
 	})
-	if err != nil {
-		return err
+	if itemErr != nil {
+		return itemErr
 	}
-	out, err := multiset.Union(remain, modified)
-	if err != nil {
-		return err
-	}
-	return ctx.Replace(s.Target, out)
+	return replaceApplying(ctx, s.Target, cur, add, hit)
 }
 
 // String implements Statement.

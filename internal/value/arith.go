@@ -3,6 +3,7 @@ package value
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Arithmetic and logical evaluation errors.
@@ -12,6 +13,9 @@ var (
 	ErrType = errors.New("value: type error")
 	// ErrDivideByZero is returned on integer or real division by zero.
 	ErrDivideByZero = errors.New("value: division by zero")
+	// ErrOverflow is returned when an integer result does not fit an int64:
+	// integer +, - and * (and so unary minus) and integer SUM never wrap.
+	ErrOverflow = errors.New("value: integer result overflows int64")
 )
 
 // BinaryOp identifies a scalar binary operator supported on atomic values.
@@ -104,14 +108,24 @@ func (op BinaryOp) Apply(a, b Value) (Value, error) {
 	// which always produces a real (the paper's AVG definition divides SUM by
 	// CNT and must not truncate).
 	if a.kind == KindInt && b.kind == KindInt && op != OpDiv {
+		x, y := a.i, b.i
+		var r int64
+		var overflow bool
 		switch op {
 		case OpAdd:
-			return NewInt(a.i + b.i), nil
+			r = x + y
+			overflow = (r^x)&(r^y) < 0
 		case OpSub:
-			return NewInt(a.i - b.i), nil
+			r = x - y
+			overflow = (x^y)&(r^x) < 0
 		case OpMul:
-			return NewInt(a.i * b.i), nil
+			r = x * y
+			overflow = x != 0 && (r/x != y || x == -1 && y == math.MinInt64)
 		}
+		if overflow {
+			return Null, fmt.Errorf("%w: %d %s %d", ErrOverflow, x, op, y)
+		}
+		return NewInt(r), nil
 	}
 	x, _ := a.AsFloat()
 	y, _ := b.AsFloat()

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"strings"
@@ -588,5 +589,48 @@ func TestCompareIsExactAcrossIntAndFloat(t *testing.T) {
 				t.Errorf("%d vs %v: Compare %d, want %d", v.Int(), w.Float(), v.Compare(w), exact(v.Int(), w.Float()))
 			}
 		}
+	}
+}
+
+// TestIntegerArithmeticNeverWraps checks integer +, - and * against exact
+// (math/big) arithmetic: the int64 result when the exact one fits, and
+// ErrOverflow when it does not, on operands at and around both ends of the
+// range and on random pairs whose products straddle it.
+func TestIntegerArithmeticNeverWraps(t *testing.T) {
+	exact := map[BinaryOp]func(z, x, y *big.Int) *big.Int{
+		OpAdd: (*big.Int).Add, OpSub: (*big.Int).Sub, OpMul: (*big.Int).Mul,
+	}
+	check := func(op BinaryOp, x, y int64) bool {
+		want := exact[op](new(big.Int), big.NewInt(x), big.NewInt(y))
+		got, err := op.Apply(NewInt(x), NewInt(y))
+		if !want.IsInt64() {
+			if !errors.Is(err, ErrOverflow) {
+				t.Errorf("%d %s %d = %v, %v; want ErrOverflow", x, op, y, got, err)
+				return false
+			}
+			return true
+		}
+		if err != nil || got.Kind() != KindInt || got.Int() != want.Int64() {
+			t.Errorf("%d %s %d = %v, %v; want %s", x, op, y, got, err, want)
+			return false
+		}
+		return true
+	}
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 32, -1 << 31, -3, -2, -1, 0, 1, 2, 3,
+		1 << 31, 1 << 32, 1 << 62, math.MaxInt64 - 1, math.MaxInt64}
+	for op := range exact {
+		for _, x := range edges {
+			for _, y := range edges {
+				check(op, x, y)
+			}
+		}
+		random := func(x int64, shift uint8) bool { return check(op, x>>(shift%64), x>>(shift/4%64)) }
+		if err := quick.Check(random, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	// Unary minus is 0 - x, so negating the least int64 overflows too.
+	if got, err := OpSub.Apply(NewInt(0), NewInt(math.MinInt64)); !errors.Is(err, ErrOverflow) {
+		t.Errorf("-(%d) = %v, %v; want ErrOverflow", int64(math.MinInt64), got, err)
 	}
 }

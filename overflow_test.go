@@ -2,10 +2,12 @@ package mra
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"mra/internal/plan"
+	"mra/internal/value"
 )
 
 // TestIntegerSumOverflowFails pins the overflow contract of integer SUM: the
@@ -70,6 +72,49 @@ func TestIntegerSumOverflowFails(t *testing.T) {
 		}
 		if rows := res.Rows(); len(rows) != 1 || rows[0][0] != big {
 			t.Errorf("workers=%d: SUM(%%3) = %v, want %d", w, rows, big)
+		}
+	}
+}
+
+// TestIntegerArithmeticOverflowFails pins integer +, - and * and unary minus
+// at both ends of the int64 range in both languages: a result outside it
+// fails with value.ErrOverflow, the very error integer SUM fails with,
+// instead of wrapping to the other end.
+func TestIntegerArithmeticOverflowFails(t *testing.T) {
+	db := Open()
+	db.MustCreateRelation("t", Col("a", Int))
+	if err := db.InsertValues("t", []any{1}); err != nil {
+		t.Fatal(err)
+	}
+	if plan.ErrOverflow != value.ErrOverflow {
+		t.Fatal("plan.ErrOverflow is not value.ErrOverflow")
+	}
+	for _, expr := range []string{
+		"9223372036854775807 + 1",
+		"-9223372036854775808 - 1",
+		"4611686018427387904 * 2",
+		"-(-9223372036854775808)",
+	} {
+		if res, err := db.QuerySQL("select " + expr + " from t"); !errors.Is(err, value.ErrOverflow) {
+			t.Errorf("sql %s = %v, %v; want ErrOverflow", expr, res, err)
+		}
+		if res, err := db.QueryXRA("project[" + expr + "](t)"); !errors.Is(err, value.ErrOverflow) {
+			t.Errorf("xra %s = %v, %v; want ErrOverflow", expr, res, err)
+		}
+	}
+	// One step inside the range on each side still computes.
+	for expr, want := range map[string]int64{
+		"9223372036854775806 + 1":  math.MaxInt64,
+		"-9223372036854775807 - 1": math.MinInt64,
+		"-4611686018427387904 * 2": math.MinInt64,
+	} {
+		res, err := db.QueryXRA("project[" + expr + "](t)")
+		if err != nil {
+			t.Errorf("xra %s: %v", expr, err)
+			continue
+		}
+		if rows := res.Rows(); len(rows) != 1 || rows[0][0] != want {
+			t.Errorf("xra %s = %v, want %d", expr, rows, want)
 		}
 	}
 }
