@@ -585,8 +585,8 @@ func TestPropertyPlannerPreservesBagSemantics(t *testing.T) {
 // tiny random inputs, so the parallel operators (morsel-partitioned scans,
 // shared-build joins, two-phase aggregation, merge) are exercised rather than
 // planned away.  Every compiled parallel plan must also keep the morsel
-// invariant: each Partition sits directly above a scan or values leaf, and
-// no IndexScan sits anywhere below one.  Every other round runs over
+// invariant: each Partition sits directly above a Scan, and no IndexScan
+// sits anywhere below one.  Every other round runs over
 // analysed, hence keyed, relations.  Run with -race to check the runtime's
 // concurrency.
 func TestPropertyParallelMatchesReference(t *testing.T) {
@@ -641,12 +641,12 @@ func TestPropertyParallelMatchesReference(t *testing.T) {
 }
 
 // partitionAboveNonLeaf returns the operator below the first Partition of a
-// plan that is not a scan or values leaf, or "" when there is none.  The
-// morsel is the only split, and only leaves have entry ranges to claim.
+// plan that is not a Scan, or "" when there is none.  The morsel is the only
+// split, and only a scanned relation has entry ranges to claim.
 func partitionAboveNonLeaf(n plan.Node) string {
 	if strings.HasPrefix(n.Describe(), "Partition [") {
 		in := n.Children()[0].Describe()
-		if !strings.HasPrefix(in, "Scan ") && !strings.HasPrefix(in, "Values (") {
+		if !strings.HasPrefix(in, "Scan ") {
 			return in
 		}
 	}
@@ -1066,11 +1066,10 @@ func TestPropertyMultiAggregateParallel(t *testing.T) {
 // boundary.  The suite pins the columnar loops — the one execution protocol,
 // serial and parallel — against the oracle at workers 1, 2, 4 and 8 on skewed
 // data: hot tuples recur across many chunks, so the same tuple appears
-// repeatedly within and across batches.  ParallelThreshold 1 also drops the
-// gang-build threshold to 4 rows, so the hash join builds its table
-// morsel-parallel (asserted on the rendered plan).
+// repeatedly within and across batches.  At ParallelThreshold 1 the hash
+// join is a shared build probed by the gang (asserted on the rendered plan).
 //
-// Run with -race to check the shared build table and the gang build merge.
+// Run with -race to check the shared build table.
 func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7117))
 	pred := scalar.NewCompare(value.CmpGe, scalar.NewAttr(1), scalar.NewConst(value.NewInt(1)))
@@ -1091,7 +1090,7 @@ func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 		// Extended projection evaluating expressions per live row.
 		algebra.NewExtProject(
 			[]scalar.Expr{scalar.NewArith(value.OpMul, scalar.NewAttr(0), scalar.NewAttr(1))}, nil, e1),
-		// Columnar join probe over a selection, with the gang build eligible.
+		// Columnar join probe over a selection, probing a shared build.
 		join,
 		// Columnar aggregate update above a filter.
 		algebra.NewGroupByMulti([]int{0}, []algebra.AggSpec{
@@ -1113,8 +1112,8 @@ func TestPropertyColumnarAdversarialSizes(t *testing.T) {
 		gang := &Engine{Planner: plan.Planner{Workers: 2, ParallelThreshold: 1}}
 		if p, err := gang.planner(src).Plan(join, CatalogOf(src)); err != nil {
 			t.Fatal(err)
-		} else if !strings.Contains(p.String(), "parbuild=2") {
-			t.Fatalf("round %d: ParallelThreshold 1 must force a gang build:\n%s", round, p)
+		} else if !strings.Contains(p.String(), " shared") {
+			t.Fatalf("round %d: ParallelThreshold 1 must plan a shared-build join:\n%s", round, p)
 		}
 		for _, e := range exprs {
 			ref, refErr := oracle.Eval(e, src)

@@ -17,17 +17,39 @@ import (
 
 // setOpPool is the value set of the ∸/∩ property: nulls, NaN payloads, ±0,
 // 1 vs 1.0, 2^53 ± 1 beside 2^53.0, and strings — values equal across kinds
-// or equal under one bit pattern but not another.
+// or equal under one bit pattern but not another, and distinct strings of
+// one byte length.
 func setOpPool() []value.Value {
-	return []value.Value{
+	pool := []value.Value{
 		value.Null,
 		value.NewFloat(math.NaN()),
 		value.NewFloat(math.Float64frombits(0xfff0_dead_beef_0000)),
 		value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewInt(0),
 		value.NewInt(1), value.NewFloat(1),
 		value.NewInt(1<<53 - 1), value.NewInt(1 << 53), value.NewInt(1<<53 + 1), value.NewFloat(1 << 53),
-		value.NewString(""), value.NewString("a"),
 	}
+	return append(pool, setOpStrings()...)
+}
+
+// setOpStrings are the pool's strings: "ab"/"ba" and "é"/"è" are distinct
+// strings of equal byte length, so a table that compared strings by length
+// (or by anything short of every byte) would merge them.
+func setOpStrings() []value.Value {
+	return []value.Value{
+		value.NewString(""), value.NewString("a"),
+		value.NewString("ab"), value.NewString("ba"), value.NewString("é"), value.NewString("è"),
+	}
+}
+
+// stringRelation draws rows (a, k): a string from vals and a small int k, at
+// multiplicities up to four.
+func stringRelation(rng *rand.Rand, name string, vals []value.Value) *multiset.Relation {
+	r := multiset.New(schema.NewRelation(name,
+		schema.Attribute{Name: "a", Type: value.KindString}, schema.Attribute{Name: "k", Type: value.KindInt}))
+	for n := rng.Intn(40); n > 0; n-- {
+		r.Add(tuple.New(vals[rng.Intn(len(vals))], value.NewInt(int64(rng.Intn(3)))), uint64(1+rng.Intn(4)))
+	}
+	return r
 }
 
 // setOpNumbers are the values of the second column: numbers only, so a
@@ -86,10 +108,12 @@ func setOpOperand(rng *rand.Rand, depth int) algebra.Expr {
 // R ∩ S and S ∩ R, and set operators nested in each other, must be the
 // oracle's bag — max(0, R(t) − S(t)) and min(R(t), S(t)) per tuple — at
 // workers 1, 2, 4 and 8 with batches of one to three rows, whatever order the
-// rows reach the probe in.
+// rows reach the probe in.  In a third of the rounds δ, Γ grouped by %1 with
+// CNT, and ⋈ on %1 also run over a string-only column drawn from the pool's
+// strings, equal-length distinct ones included, against the same oracle.
 func TestPropertyCountedSetOpsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4343))
-	pool := setOpPool()
+	pool, strs := setOpPool(), setOpStrings()
 	matched := 0
 	for round := 0; round < 60; round++ {
 		// A few pool values per round, so duplicates are heavy.
@@ -108,6 +132,19 @@ func TestPropertyCountedSetOpsMatchOracle(t *testing.T) {
 			algebra.NewIntersect(a, b), algebra.NewIntersect(b, a),
 			algebra.NewIntersect(algebra.NewDifference(a, b), algebra.NewUnion(a, b)),
 			algebra.NewDifference(algebra.NewUnion(a, a), algebra.NewIntersect(b, a)),
+		}
+		if round%3 == 2 {
+			svals := make([]value.Value, 2+rng.Intn(3))
+			for i := range svals {
+				svals[i] = strs[rng.Intn(len(strs))]
+			}
+			src["q"], src["q2"] = stringRelation(rng, "q", svals), stringRelation(rng, "q2", svals)
+			q := algebra.NewRel("q")
+			forms = append(forms,
+				algebra.NewUnique(algebra.NewProject([]int{0}, q)),
+				algebra.NewGroupByMulti([]int{0}, []algebra.AggSpec{{Fn: algebra.AggCount, Col: 0}}, q),
+				algebra.NewJoin(scalar.Eq(0, 2), q, algebra.NewRel("q2")),
+			)
 		}
 		for _, e := range forms {
 			ref, err := oracle.Eval(e, src)

@@ -1,8 +1,8 @@
 // Package exec implements the morsel-driven parallel execution runtime behind
-// the physical layer's exchange operators: a gang-scheduling worker pool, a
-// work-stealing morsel queue that hands idle workers fixed-size slices of a
-// scan, and Gather, which runs one producer per worker and returns their
-// private partial results for the caller to combine.
+// the physical layer's exchange operators: a work-stealing morsel queue that
+// hands idle workers fixed-size slices of a scan, and Gather, the one gang
+// entry, which runs one producer per worker and returns their private partial
+// results for the caller to combine.
 //
 // The runtime exploits a property the multi-set algebra guarantees by
 // construction: relations are functions from tuples to multiplicities
@@ -21,7 +21,7 @@
 // or per-worker counters folded by the caller.  The only cross-worker state
 // is MorselQueue, whose claims are a single atomic fetch-add.
 //
-// Lifecycle contract: every gang run is scoped by a context.  Pool.Run derives
+// Lifecycle contract: every gang run is scoped by a context.  Gather derives
 // a per-gang context that is cancelled the moment any worker fails — by
 // returning an error or by panicking — so the sibling workers, which poll that
 // context at morsel/batch granularity (package plan's checkpoints), stop
@@ -73,19 +73,6 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// Pool is a gang-scheduling worker pool of fixed width.  Run schedules one
-// task instance per worker and joins them; goroutines are cheap enough in Go
-// that the pool gangs per exchange rather than keeping idle workers parked.
-type Pool struct {
-	workers int
-}
-
-// NewPool returns a pool of the given width, normalised through Resolve.
-func NewPool(workers int) *Pool { return &Pool{workers: Resolve(workers)} }
-
-// Workers returns the pool's width.
-func (p *Pool) Workers() int { return p.workers }
-
 // PanicError is a worker panic converted into an error: the gang runtime
 // recovers panics inside worker goroutines so a crashing operator aborts the
 // query, not the process.  It records which worker crashed and the stack at
@@ -104,38 +91,6 @@ type PanicError struct {
 // one-line message and available on the field.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("exec: worker %d panicked: %v", e.Worker, e.Value)
-}
-
-// Run executes task(ctx, w) for every worker w in [0, Workers) concurrently
-// and waits for all of them.  The context passed to the tasks is derived from
-// ctx and cancelled as soon as any worker fails — returns an error or panics —
-// so sibling workers polling it stop promptly; it is also cancelled when Run
-// returns.  A panicking worker is recovered into a *PanicError instead of
-// crashing the process.  The returned error is chosen by gangError:
-// deterministically the lowest-numbered worker's failure, with root-cause
-// errors (panics, operator failures) preferred over the context cancellations
-// they induced in their siblings.
-func (p *Pool) Run(ctx context.Context, task func(ctx context.Context, worker int) error) error {
-	if p.workers == 1 {
-		return runWorker(ctx, 0, task)
-	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, p.workers)
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := runWorker(gctx, w, task); err != nil {
-				errs[w] = err
-				// Wake the siblings: one failed worker aborts the gang.
-				cancel()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return gangError(errs)
 }
 
 // runWorker runs one worker's task with panic recovery and the fault-injection
@@ -233,20 +188,47 @@ func (q *MorselQueue) Next() (lo, hi int, ok bool) {
 	return int(start), int(end), true
 }
 
-// Gather runs producer once per worker of the pool and collects the
-// per-worker results in worker order: every exchange's partials — private
-// relations, partial group states, partial join tables — come back through
-// it.  Each result is produced and owned by its worker until Gather returns;
-// on error the results collected so far are still returned (failed workers
-// leave their zero value) so the caller can account for them.  The gang
-// context and failure semantics are Pool.Run's: producers receive a per-gang
-// context that is cancelled when any worker fails.
-func Gather[T any](ctx context.Context, pool *Pool, producer func(ctx context.Context, worker int) (T, error)) ([]T, error) {
-	out := make([]T, pool.Workers())
-	err := pool.Run(ctx, func(wctx context.Context, w int) error {
-		v, err := producer(wctx, w)
+// Gather runs producer once per worker of a gang of the given width (at
+// least one) and returns the per-worker results in worker order: every
+// exchange's partials — private relations, partial group states — come back
+// through it.  Each result is produced and owned by its worker until Gather
+// returns; on error the results collected so far are still returned (failed
+// workers leave their zero value) so the caller can account for them.
+//
+// The producers receive a per-gang context derived from ctx and cancelled as
+// soon as any worker fails — returns an error or panics — so sibling workers
+// polling it stop promptly; it is also cancelled when Gather returns.  A
+// panicking worker is recovered into a *PanicError instead of crashing the
+// process.  The returned error is chosen by gangError: deterministically the
+// lowest-numbered worker's failure, with root-cause errors (panics, operator
+// failures) preferred over the context cancellations they induced in their
+// siblings.  A gang of one runs on the caller's goroutine.
+func Gather[T any](ctx context.Context, workers int, producer func(ctx context.Context, worker int) (T, error)) ([]T, error) {
+	workers = max(workers, 1)
+	out := make([]T, workers)
+	task := func(ctx context.Context, w int) error {
+		v, err := producer(ctx, w)
 		out[w] = v
 		return err
-	})
-	return out, err
+	}
+	if workers == 1 {
+		return out, runWorker(ctx, 0, task)
+	}
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := runWorker(gctx, w, task); err != nil {
+				errs[w] = err
+				// Wake the siblings: one failed worker aborts the gang.
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	return out, gangError(errs)
 }

@@ -36,20 +36,36 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-// TestPoolRunsEveryWorker checks that every worker index runs exactly once.
+// gang runs task once per worker of a gang of the given width through
+// Gather, the one gang entry, and returns the gang's error.
+func gang(ctx context.Context, workers int, task func(ctx context.Context, worker int) error) error {
+	_, err := Gather(ctx, workers, func(ctx context.Context, w int) (struct{}, error) {
+		return struct{}{}, task(ctx, w)
+	})
+	return err
+}
+
+// TestPoolRunsEveryWorker checks that every worker index of a gang runs
+// exactly once and that each worker's result lands in its own slot.
 func TestPoolRunsEveryWorker(t *testing.T) {
 	for _, w := range []int{1, 2, 7} {
-		pool := NewPool(w)
 		var ran [64]atomic.Int32
-		if err := pool.Run(context.Background(), func(_ context.Context, worker int) error {
+		out, err := Gather(context.Background(), w, func(_ context.Context, worker int) (int, error) {
 			ran[worker].Add(1)
-			return nil
-		}); err != nil {
+			return worker, nil
+		})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(out) != w {
+			t.Fatalf("workers=%d: %d results", w, len(out))
 		}
 		for i := 0; i < w; i++ {
 			if got := ran[i].Load(); got != 1 {
 				t.Errorf("workers=%d: worker %d ran %d times", w, i, got)
+			}
+			if out[i] != i {
+				t.Errorf("workers=%d: slot %d holds worker %d's result", w, i, out[i])
 			}
 		}
 	}
@@ -58,9 +74,8 @@ func TestPoolRunsEveryWorker(t *testing.T) {
 // TestPoolErrorDeterminism checks the error of the lowest-numbered failing
 // worker is returned, regardless of goroutine scheduling.
 func TestPoolErrorDeterminism(t *testing.T) {
-	pool := NewPool(8)
 	for round := 0; round < 20; round++ {
-		err := pool.Run(context.Background(), func(_ context.Context, worker int) error {
+		err := gang(context.Background(), 8, func(_ context.Context, worker int) error {
 			if worker >= 3 {
 				return fmt.Errorf("worker %d failed", worker)
 			}
@@ -92,15 +107,15 @@ func TestExchangeSumsPartials(t *testing.T) {
 
 	for _, w := range []int{1, 2, 4, 8} {
 		q := NewMorselQueue(in.EntrySpan(), 7)
-		parts, err := Gather(context.Background(), NewPool(w), func(_ context.Context, _ int) (*multiset.Relation, error) {
+		parts, err := Gather(context.Background(), w, func(_ context.Context, _ int) (*multiset.Relation, error) {
 			into := multiset.NewWithCapacity(s, 16)
 			for {
 				lo, hi, ok := q.Next()
 				if !ok {
 					return into, nil
 				}
-				in.EachEntryRange(lo, hi, func(tp tuple.Tuple, n uint64) bool {
-					into.Add(tp, n)
+				in.EachBatch(lo, hi, 16, func(tuples []tuple.Tuple, counts []uint64) bool {
+					into.AddBatch(tuples, counts)
 					return true
 				})
 			}
@@ -134,7 +149,7 @@ func TestExchangeSumsPartials(t *testing.T) {
 func TestExchangePropagatesErrors(t *testing.T) {
 	s := testSchema()
 	boom := errors.New("boom")
-	parts, err := Gather(context.Background(), NewPool(4), func(_ context.Context, worker int) (*multiset.Relation, error) {
+	parts, err := Gather(context.Background(), 4, func(_ context.Context, worker int) (*multiset.Relation, error) {
 		if worker == 2 {
 			return nil, boom
 		}
@@ -192,9 +207,8 @@ func TestMorselQueueConcurrentStealing(t *testing.T) {
 	const total, size, workers = 100000, 64, 8
 	q := NewMorselQueue(total, size)
 	var claimed atomic.Uint64
-	pool := NewPool(workers)
 	var owned [workers]int
-	if err := pool.Run(context.Background(), func(_ context.Context, w int) error {
+	if err := gang(context.Background(), workers, func(_ context.Context, w int) error {
 		for {
 			lo, hi, ok := q.Next()
 			if !ok {

@@ -21,7 +21,7 @@ func TestPoolRecoversPanics(t *testing.T) {
 	defer testleak.Check(t)()
 	for _, w := range []int{1, 2, 4, 8} {
 		victim := w - 1
-		err := NewPool(w).Run(context.Background(), func(_ context.Context, worker int) error {
+		err := gang(context.Background(), w, func(_ context.Context, worker int) error {
 			if worker == victim {
 				panic(fmt.Sprintf("kaboom-%d", worker))
 			}
@@ -50,7 +50,7 @@ func TestPoolFailureCancelsSiblings(t *testing.T) {
 	defer testleak.Check(t)()
 	boom := errors.New("boom")
 	var unwound atomic.Int32
-	err := NewPool(4).Run(context.Background(), func(ctx context.Context, worker int) error {
+	err := gang(context.Background(), 4, func(ctx context.Context, worker int) error {
 		if worker == 0 {
 			return boom
 		}
@@ -80,7 +80,7 @@ func TestGangErrorPrefersRootCause(t *testing.T) {
 	defer testleak.Check(t)()
 	boom := errors.New("boom")
 	for round := 0; round < 50; round++ {
-		err := NewPool(8).Run(context.Background(), func(ctx context.Context, worker int) error {
+		err := gang(context.Background(), 8, func(ctx context.Context, worker int) error {
 			if worker == 7 {
 				return boom
 			}
@@ -102,7 +102,7 @@ func TestGangErrorContextOnly(t *testing.T) {
 	defer testleak.Check(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := NewPool(4).Run(ctx, func(ctx context.Context, worker int) error {
+	err := gang(ctx, 4, func(ctx context.Context, worker int) error {
 		<-ctx.Done()
 		return ctx.Err()
 	})
@@ -121,7 +121,7 @@ func TestFaultWorkerStartPanic(t *testing.T) {
 		}
 	}})
 	defer restore()
-	err := NewPool(4).Run(context.Background(), func(_ context.Context, worker int) error { return nil })
+	err := gang(context.Background(), 4, func(_ context.Context, worker int) error { return nil })
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Worker != 2 {
 		t.Fatalf("err = %v, want PanicError from worker 2", err)
@@ -158,7 +158,7 @@ func TestExchangeReturnsContextError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := testSchema()
-	_, err := Gather(ctx, NewPool(4), func(ctx context.Context, worker int) (*multiset.Relation, error) {
+	_, err := Gather(ctx, 4, func(ctx context.Context, worker int) (*multiset.Relation, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()

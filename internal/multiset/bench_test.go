@@ -123,7 +123,7 @@ func BenchmarkScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.EachBatch(1024, func(tuples []tuple.Tuple, counts []uint64) bool {
+		r.EachBatch(0, r.EntrySpan(), 1024, func(tuples []tuple.Tuple, counts []uint64) bool {
 			benchSink += len(tuples)
 			return true
 		})

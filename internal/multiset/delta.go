@@ -2,22 +2,27 @@ package multiset
 
 import "mra/internal/tuple"
 
-// Diff computes the delta that turns base into next as a pair of multisets:
-// add holds every occurrence present in next beyond its multiplicity in base,
-// remove every occurrence of base missing from next, so that
-// next = (base ∸ remove) ⊎ add.  The two multisets are disjoint by
-// construction (a tuple's multiplicity moves in one direction only), and both
-// are empty when the relations are equal.
+// Diff computes the delta that turns base into next as a pair of multisets,
+// so that next = (base ∸ remove) ⊎ add, spelling included: add holds every
+// occurrence present in next beyond its multiplicity in base, remove every
+// occurrence of base missing from next.  A tuple both sides hold under
+// different spellings (tuple.Identical fails: an int against an equal float,
+// +0 against −0, two NaN payloads) is removed with all of base's occurrences
+// and added with all of next's, so the result reads as next does; every
+// other tuple moves in one direction only, and both multisets are empty when
+// the relations are identical.
 //
 // Diff is sharing-aware: arena pages the two tables share are skipped and
 // only the entries on unshared pages are probed in the other table.  That is
-// exact for any two relations (a tuple whose multiplicity differs sits on an
-// unshared page of each table that holds it) and costs O(pages) pointer
-// comparisons plus O(entries on unshared pages) probes: O(touched pages) when
-// next descends from base by a few writes — the commit of a small
-// transaction — O(1) when they share one table, and the former O(|base| +
-// |next|) only for relations with no common ancestry or across a compaction.
-// Cached entry hashes are reused throughout; no tuple is ever re-hashed.
+// exact for any two relations (a tuple whose multiplicity or spelling
+// differs sits on an unshared page of each table that holds it) and costs
+// O(pages) pointer comparisons plus O(entries on unshared pages) probes:
+// O(touched pages) when next descends from base by a few writes — the commit
+// of a small transaction — O(1) when they share one table, and the former
+// O(|base| + |next|) only for relations with no common ancestry or across a
+// compaction.  Cached entry hashes are reused throughout; no tuple is ever
+// re-hashed, and a tuple both sides share by pointer is never compared value
+// by value.
 func Diff(base, next *Relation) (add, remove *Relation) {
 	add = New(next.schema)
 	remove = New(base.schema)
@@ -26,24 +31,35 @@ func Diff(base, next *Relation) (add, remove *Relation) {
 		return add, remove
 	}
 	for e := range nt.entries(bt) {
-		if old := bt.count(e.hash, e.tup); e.count > old {
+		if old := bt.held(e); e.count > old {
 			add.tab.add(e.hash, probe{tup: e.tup}, e.count-old)
 		}
 	}
 	for e := range bt.entries(nt) {
-		if cur := nt.count(e.hash, e.tup); e.count > cur {
+		if cur := nt.held(e); e.count > cur {
 			remove.tab.add(e.hash, probe{tup: e.tup}, e.count-cur)
 		}
 	}
 	return add, remove
 }
 
+// held returns the multiplicity t holds for e's tuple spelled as e spells
+// it: zero when t holds it under another spelling, which Diff then moves
+// whole.
+func (t *table) held(e *entry) uint64 {
+	if i := t.find(e.hash, &probe{tup: e.tup}); i >= 0 {
+		if o := t.at(i); o.tup.Identical(e.tup) {
+			return o.count
+		}
+	}
+	return 0
+}
+
 // ApplyDelta applies a Diff-shaped delta in place: every occurrence of remove
 // is removed first (monus — multiplicities clamp at zero), then every
 // occurrence of add is added, so r becomes (r ∸ remove) ⊎ add.  It is the
 // one bulk change of a relation instance: statements apply Definition 4.1's
-// (add, remove) pair with it, the parallel runtime's Merge sums partial
-// results with it (remove nil), and commit installs deltas with it.  Applied
+// (add, remove) pair with it, and commit installs deltas with it.  Applied
 // to the relation the delta was diffed from, it reproduces the diffed target
 // exactly; applied to a relation other writers advanced on disjoint keys, it
 // merges — which is what makes delta write sets over disjoint keys commute

@@ -1,10 +1,12 @@
 package multiset
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"mra/internal/tuple"
+	"mra/internal/value"
 )
 
 // randomRelation builds a relation of up to span distinct single-int tuples
@@ -36,7 +38,8 @@ func TestDiffApplyDeltaRoundTrip(t *testing.T) {
 		next := randomRelation(rng, 12)
 		add, remove := Diff(base, next)
 
-		// Add and remove are disjoint by construction.
+		// Add and remove are disjoint: every tuple here is an int, so no
+		// tuple is respelled.
 		add.Each(func(tp tuple.Tuple, _ uint64) bool {
 			if remove.Contains(tp) {
 				t.Fatalf("trial %d: tuple %v in both add and remove", trial, tp)
@@ -55,6 +58,56 @@ func TestDiffApplyDeltaRoundTrip(t *testing.T) {
 		if !add2.Equal(add) || !remove2.Equal(remove) {
 			t.Fatalf("trial %d: Diff is not stable over ApplyDelta on a clone", trial)
 		}
+	}
+}
+
+// TestDiffMovesRespelledTuplesWhole pins Diff on tuples both sides hold
+// under different spellings: all of base's occurrences are removed and all
+// of next's added, so applying the delta to base reproduces next's counts and
+// spellings; a tuple both sides hold alike (here by pointer) is left out.
+func TestDiffMovesRespelledTuplesWhole(t *testing.T) {
+	two53 := int64(1) << 53
+	f := func(x float64) tuple.Tuple { return tuple.New(value.NewFloat(x)) }
+	base := New(intSchema(1))
+	kept := tuple.Ints(1)
+	base.Add(tuple.Ints(two53), 3)
+	base.Add(kept, 2)
+	base.Add(f(0), 1)
+	base.Add(tuple.Ints(7), 1)
+	next := base.Clone()
+	next.Remove(tuple.Ints(two53), 3)
+	next.Add(f(float64(two53)), 2) // down, and int → float
+	next.Remove(f(0), 1)
+	next.Add(f(math.Copysign(0, -1)), 4) // up, and +0 → −0
+	next.Remove(tuple.Ints(7), 1)
+	next.Add(tuple.Ints(8), 1)
+
+	add, remove := Diff(base, next)
+	for _, c := range []struct {
+		rel  *Relation
+		tup  tuple.Tuple
+		want uint64
+	}{
+		{add, f(float64(two53)), 2}, {add, f(math.Copysign(0, -1)), 4}, {add, tuple.Ints(8), 1},
+		{remove, tuple.Ints(two53), 3}, {remove, f(0), 1}, {remove, tuple.Ints(7), 1},
+	} {
+		if got, n := c.rel.Lookup(c.tup); n != c.want || !got.Identical(c.tup) {
+			t.Errorf("delta holds %v ×%d, want %v ×%d", got, n, c.tup, c.want)
+		}
+	}
+	if add.DistinctCount() != 3 || remove.DistinctCount() != 3 {
+		t.Errorf("delta add=%v remove=%v moves more than the changed tuples", add, remove)
+	}
+	got := base.Clone()
+	got.ApplyDelta(add, remove)
+	next.Each(func(want tuple.Tuple, n uint64) bool {
+		if have, m := got.Lookup(want); m != n || !have.Identical(want) {
+			t.Errorf("(base ∸ remove) ⊎ add holds %v ×%d, next %v ×%d", have, m, want, n)
+		}
+		return true
+	})
+	if got.Cardinality() != next.Cardinality() {
+		t.Errorf("(base ∸ remove) ⊎ add = %v, next %v", got, next)
 	}
 }
 

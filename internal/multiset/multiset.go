@@ -35,7 +35,13 @@
 // Because shared pages are pointer-identical, Diff, Equal and SubsetOf skip
 // them and probe only the entries on pages the two tables do not share —
 // exact for any two tables, O(touched pages) when one descends from the
-// other.
+// other.  Diff also sees spelling: an equal tuple stored as 2^53 on one side
+// and 2^53.0 on the other moves whole, so a committed delta installs the
+// tuples the transaction read.
+//
+// EachBatch is the one scan iterator: it fills batches straight off the
+// arena pages of an entry range, [0, EntrySpan()) for the whole relation or
+// one morsel of it for a gang worker.
 //
 // Remove leaves a tombstone (multiplicity zero, revived in place, holding
 // the returning tuple, if an equal one is added).  When the tombstones of a
@@ -412,8 +418,8 @@ func samePage(a, b []entry) bool {
 
 // entries iterates the live entries of t in arena order, leaving out every
 // page t shares with skip (nil leaves out nothing).  It serves the write and
-// comparison paths; the scan iterators (Each, EachBatch, ...) spell the same
-// two loops out, which the compiler turns into tighter code.  A tuple has one arena
+// comparison paths; the scan iterators (Each, EachBatch) spell the same
+// loops out, which the compiler turns into tighter code.  A tuple has one arena
 // position per table, so a tuple whose multiplicity differs between two
 // tables is on an unshared page of each table that holds it: comparing t and
 // skip entry by entry needs these entries only.
@@ -552,27 +558,44 @@ func (r *Relation) Each(fn func(t tuple.Tuple, count uint64) bool) {
 	}
 }
 
+// EntrySpan returns the size of the relation's entry arena — the index
+// domain EachBatch ranges over.  The span counts tombstoned entries too, so
+// it is stable across reads and changes only under mutation; morsel-driven
+// scans cut [0, EntrySpan()) into work-stealing ranges.
+func (r *Relation) EntrySpan() int { return r.tab.n }
+
 // EachBatch calls fn with consecutive vectors of up to size live chunks
-// (tuples[i] occurs counts[i] times), filled from the entry arena page by
-// page in one tight pass: the vectorised form of Each, with no per-tuple
-// callback.  The slices passed to fn are reused between calls and must not
-// be retained; the tuples inside them may be.  If fn returns false, iteration
-// stops.
-func (r *Relation) EachBatch(size int, fn func(tuples []tuple.Tuple, counts []uint64) bool) {
+// (tuples[i] occurs counts[i] times) stored in arena positions [lo, hi),
+// clamped to the entry span, filled page by page in one tight pass with no
+// per-tuple callback.  [0, EntrySpan()) is the whole relation, and the
+// ranges of a partition of it are disjoint and cover the relation, which is
+// what makes any morsel-wise split of a scan exact under bag semantics:
+// every occurrence is delivered by exactly one range.  The slices passed to
+// fn are reused between calls and must not be retained; the tuples inside
+// them may be.  If fn returns false, iteration stops.  fn must not mutate r.
+func (r *Relation) EachBatch(lo, hi, size int, fn func(tuples []tuple.Tuple, counts []uint64) bool) {
+	tab := r.tab
+	lo, hi = max(lo, 0), min(hi, tab.n)
+	if lo >= hi {
+		return
+	}
 	if size <= 0 {
 		size = 256
 	}
-	tuples := make([]tuple.Tuple, 0, size)
-	counts := make([]uint64, 0, size)
-	for _, pg := range r.tab.pages {
-		for i := range pg.ents {
-			e := &pg.ents[i]
+	tuples := make([]tuple.Tuple, 0, min(size, hi-lo))
+	counts := make([]uint64, 0, cap(tuples))
+	first := lo >> tab.pageBits << tab.pageBits // arena position of pg's first entry
+	for _, pg := range tab.pages[lo>>tab.pageBits : (hi-1)>>tab.pageBits+1] {
+		ents := pg.ents[max(lo-first, 0):min(hi-first, len(pg.ents))]
+		first += 1 << tab.pageBits
+		for i := range ents {
+			e := &ents[i]
 			if e.count == 0 {
 				continue
 			}
 			tuples = append(tuples, e.tup)
 			counts = append(counts, e.count)
-			if len(tuples) == size {
+			if len(tuples) == cap(tuples) {
 				if !fn(tuples, counts) {
 					return
 				}
@@ -582,34 +605,6 @@ func (r *Relation) EachBatch(size int, fn func(tuples []tuple.Tuple, counts []ui
 	}
 	if len(tuples) > 0 {
 		fn(tuples, counts)
-	}
-}
-
-// EntrySpan returns the size of the relation's entry arena — the index domain
-// EachEntryRange iterates over.  The span counts tombstoned entries too, so it
-// is stable across reads and changes only under mutation; morsel-driven scans
-// cut [0, EntrySpan()) into work-stealing ranges.
-func (r *Relation) EntrySpan() int { return r.tab.n }
-
-// EachEntryRange calls fn once per live tuple stored in arena positions
-// [lo, hi), clamped to the entry span.  The ranges of a partition of
-// [0, EntrySpan()) are disjoint and cover the relation, which is what makes
-// any morsel-wise split of a scan exact under bag semantics: every occurrence
-// is delivered by exactly one range.  If fn returns false, iteration stops.
-// fn must not mutate r.
-func (r *Relation) EachEntryRange(lo, hi int, fn func(t tuple.Tuple, count uint64) bool) {
-	tab := r.tab
-	lo, hi = max(lo, 0), min(hi, tab.n)
-	if lo >= hi {
-		return
-	}
-	for pi := lo >> tab.pageBits; pi <= (hi-1)>>tab.pageBits; pi++ {
-		ents, first := tab.pages[pi].ents, pi<<tab.pageBits
-		for i := max(lo-first, 0); i < min(hi-first, len(ents)); i++ {
-			if e := &ents[i]; e.count > 0 && !fn(e.tup, e.count) {
-				return
-			}
-		}
 	}
 }
 

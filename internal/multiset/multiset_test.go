@@ -252,10 +252,10 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-// TestEachEntryRangeDisjointCover checks that any partition of
-// [0, EntrySpan()) into ranges delivers every live tuple exactly once with
-// its full multiplicity, skipping tombstones, and that out-of-range bounds
-// are clamped.
+// TestEachEntryRangeDisjointCover checks that EachBatch over any partition
+// of [0, EntrySpan()) into entry ranges delivers every live tuple exactly
+// once with its full multiplicity, skipping tombstones, in batches of at most
+// the asked size, and that out-of-range bounds are clamped.
 func TestEachEntryRangeDisjointCover(t *testing.T) {
 	s := schema.NewRelation("r",
 		schema.Attribute{Name: "a", Type: value.KindInt},
@@ -267,23 +267,28 @@ func TestEachEntryRangeDisjointCover(t *testing.T) {
 	r.Remove(tuple.Ints(3, 3), 1<<40) // tombstone mid-arena
 
 	for _, step := range []int{1, 7, 17, 1000} {
-		sum := New(s)
-		span := r.EntrySpan()
-		for lo := 0; lo < span; lo += step {
-			r.EachEntryRange(lo, lo+step, func(tp tuple.Tuple, n uint64) bool {
-				sum.Add(tp, n)
-				return true
-			})
-		}
-		if !sum.Equal(r) {
-			t.Fatalf("step %d: range union %s != relation %s", step, sum, r)
+		for _, size := range []int{1, 3, 64} {
+			sum := New(s)
+			span := r.EntrySpan()
+			for lo := 0; lo < span; lo += step {
+				r.EachBatch(lo, lo+step, size, func(tuples []tuple.Tuple, counts []uint64) bool {
+					if len(tuples) == 0 || len(tuples) > size || len(counts) != len(tuples) {
+						t.Fatalf("step %d size %d: batch of %d tuples, %d counts", step, size, len(tuples), len(counts))
+					}
+					sum.AddBatch(tuples, counts)
+					return true
+				})
+			}
+			if !sum.Equal(r) {
+				t.Fatalf("step %d size %d: range union %s != relation %s", step, size, sum, r)
+			}
 		}
 	}
 
 	// Clamping: negative lo and hi past the span are tolerated.
 	whole := New(s)
-	r.EachEntryRange(-5, r.EntrySpan()+100, func(tp tuple.Tuple, n uint64) bool {
-		whole.Add(tp, n)
+	r.EachBatch(-5, r.EntrySpan()+100, 8, func(tuples []tuple.Tuple, counts []uint64) bool {
+		whole.AddBatch(tuples, counts)
 		return true
 	})
 	if !whole.Equal(r) {
@@ -292,7 +297,7 @@ func TestEachEntryRangeDisjointCover(t *testing.T) {
 
 	// Early termination.
 	calls := 0
-	r.EachEntryRange(0, r.EntrySpan(), func(tuple.Tuple, uint64) bool {
+	r.EachBatch(0, r.EntrySpan(), 1, func([]tuple.Tuple, []uint64) bool {
 		calls++
 		return calls < 3
 	})

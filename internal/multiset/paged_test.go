@@ -132,17 +132,19 @@ func checkAgainstModel(t *testing.T, rng *rand.Rand, r *Relation, m model, domai
 	ranged := make(model, len(m))
 	for lo := 0; lo < span; {
 		hi := lo + 1 + rng.Intn(7)
-		r.EachEntryRange(lo, hi, func(tp tuple.Tuple, n uint64) bool {
-			ranged[keyOf(tp)] += n
+		r.EachBatch(lo, hi, 1+rng.Intn(3), func(tuples []tuple.Tuple, counts []uint64) bool {
+			for i := range tuples {
+				ranged[keyOf(tuples[i])] += counts[i]
+			}
 			return true
 		})
 		lo = hi
 	}
 	if !maps.Equal(ranged, m) {
-		t.Fatalf("EachEntryRange partition = %v, model %v", ranged, m)
+		t.Fatalf("EachBatch partition = %v, model %v", ranged, m)
 	}
 	batched := make(model, len(m))
-	r.EachBatch(5, func(tuples []tuple.Tuple, counts []uint64) bool {
+	r.EachBatch(0, span, 5, func(tuples []tuple.Tuple, counts []uint64) bool {
 		for i := range tuples {
 			batched[keyOf(tuples[i])] += counts[i]
 		}
@@ -477,10 +479,15 @@ func TestCloneScanWhileOwnerWrites(t *testing.T) {
 					snap.Each(count)
 				case 1:
 					for lo, span := 0, snap.EntrySpan(); lo < span; lo += 50 {
-						snap.EachEntryRange(lo, lo+50, count)
+						snap.EachBatch(lo, lo+50, 7, func(tuples []tuple.Tuple, counts []uint64) bool {
+							for j := range tuples {
+								count(tuples[j], counts[j])
+							}
+							return true
+						})
 					}
 				default:
-					snap.EachBatch(64, func(tuples []tuple.Tuple, counts []uint64) bool {
+					snap.EachBatch(0, snap.EntrySpan(), 64, func(tuples []tuple.Tuple, counts []uint64) bool {
 						for j := range tuples {
 							count(tuples[j], counts[j])
 						}

@@ -209,15 +209,16 @@ func (w *batchWriter) flush() error {
 	return err
 }
 
-// emitRelation streams a materialised relation — a scanned base relation or
-// a gang's partial — into emit as row-view
-// batches filled straight off the entry arena (multiset.EachBatch, one tight
-// pass with no per-tuple callback).  It is a cancellation checkpoint: the
-// query context is polled once per batch.
-func emitRelation(ctx *execCtx, r *multiset.Relation, emit EmitBatch) error {
+// emitRelation streams the entries in arena positions [lo, hi) of a
+// materialised relation — all of a scanned base relation or a gang's
+// partial, or one morsel of a scan — into emit as row-view batches filled
+// straight off the entry arena (multiset.EachBatch, one tight pass with no
+// per-tuple callback).  It is a cancellation checkpoint: the query context
+// is polled once per batch.
+func emitRelation(ctx *execCtx, r *multiset.Relation, lo, hi int, emit EmitBatch) error {
 	var b Batch
 	var err error
-	r.EachBatch(ctx.batchCap(), func(tuples []tuple.Tuple, counts []uint64) bool {
+	r.EachBatch(lo, hi, ctx.batchCap(), func(tuples []tuple.Tuple, counts []uint64) bool {
 		if err = ctx.poll(); err != nil {
 			return false
 		}

@@ -17,14 +17,6 @@ const (
 	transitiveBlowup     = 4.0
 )
 
-// buildParallelFactor scales the exchange threshold to the estimated
-// build-side cardinality at which a shared hash join's table is built
-// morsel-parallel by the gang instead of serially in the parent.  The build
-// threshold sits well above the exchange threshold because a parallel build
-// adds a second gang dispatch plus a table merge, which only amortises over
-// substantially larger builds than the probe-side parallelism needs.
-const buildParallelFactor = 4
-
 // Morsel sizing bounds.  The cost model aims at several morsels per worker so
 // the queue can rebalance around skew, clamped below so the atomic claim
 // amortises and above so a morsel's batch output stays cache-resident.

@@ -7,35 +7,35 @@ import (
 
 	"mra/internal/exec"
 	"mra/internal/multiset"
-	"mra/internal/tuple"
 )
 
 // This file implements the exchange operators of the morsel-driven parallel
 // runtime and the planner pass that inserts them.
 //
-// A Merge node runs its subtree once per worker on an exec.Pool; every worker
-// executes the same operator tree but sees only a disjoint slice of the
-// inputs, cut by the Partition nodes above the scan leaves.  Each worker's
-// output stream is collected into a private partial relation and the Merge
-// sums the partials — exact under bag semantics, because multiplicities add
-// across disjoint partitions (the paper's relations are functions dom(𝓡) → ℕ,
-// and the operators parallelised here distribute over partition union).
+// A Merge node runs its subtree once per worker of a gang (exec.Gather);
+// every worker executes the same operator tree but sees only a disjoint slice
+// of the inputs, cut by the Partition nodes directly above the scans.  Each
+// worker's output stream is collected into a private partial relation, and
+// the Merge streams the partials to its consumer, which sums them — exact
+// under bag semantics, because multiplicities add across disjoint partitions
+// (the paper's relations are functions dom(𝓡) → ℕ, and the operators
+// parallelised here distribute over partition union).
 //
 // The morsel is the only split.  A Partition takes no fixed slice at all: the
-// gang shares one exec.MorselQueue per leaf, and every worker claims the next
+// gang shares one exec.MorselQueue per scan, and every worker claims the next
 // fixed-size entry range when it runs out of work.  Any disjoint split of a
-// leaf is exact for the three parallel shapes — streaming pipelines under
-// Merge, the probe (and large build) side of a shared-build hash join, and
-// the local phase of a two-phase aggregate under GroupMerge — so the queue is
-// free to rebalance: a worker stuck on an expensive range simply stops
-// claiming while the others drain the rest, which is what keeps skewed data
-// from serialising the gang behind one overloaded worker.  Operators that
+// scan is exact for the three parallel shapes — streaming pipelines under
+// Merge, the probe side of a shared-build hash join, and the local phase of
+// a two-phase aggregate under GroupMerge — so the queue is free to
+// rebalance: a worker stuck on an expensive range simply stops claiming
+// while the others drain the rest, which is what keeps skewed data from
+// serialising the gang behind one overloaded worker.  Operators that
 // would need a key-consistent split (a one-phase grouped aggregate) or a
 // build the probe workers write (the remaining counts of ∸ and ∩) stay
 // serial; their streamable operands may still run as parallel pipelines.
 //
-// Every gang runs through one helper, runGang, over the shared state that
-// gangSetup prepares.
+// Every gang runs through one helper, runGang, the one caller of exec.Gather,
+// over the shared state that gangSetup prepares.
 //
 // Parallel hash joins do not partition by join key at all: the exchange
 // builds the join table once, in the parent, before the gang starts, and the
@@ -58,80 +58,54 @@ const DefaultParallelThreshold = 1024.0
 // Exchange operators
 // ---------------------------------------------------------------------------
 
-// partitionNode streams the executing worker's share of a leaf: the entry
-// ranges it claims from the gang's shared morsel queue.  Outside a parallel
-// region it is the identity.
+// partitionNode streams the executing worker's share of a scan: the entry
+// ranges it claims from the gang's shared morsel queue.  It sits only
+// directly above a Scan.  Outside a parallel region it is the identity.
 type partitionNode struct {
 	base
-	input Node
+	scan *scanNode
 	// morselSize is the entry range size of a claim, chosen by the cost model
 	// (or the planner's MorselSize override) at plan time.
 	morselSize int
 }
 
-func (p *partitionNode) Children() []Node { return []Node{p.input} }
+func (p *partitionNode) Children() []Node { return []Node{p.scan} }
 
 func (p *partitionNode) Describe() string {
 	return fmt.Sprintf("Partition [morsel size=%d]", p.morselSize)
 }
 
-// run drains the shared queue: the worker claims entry ranges of the leaf
-// until none remain, emitting each range's live chunks batch-wise.  The gang
-// collectively delivers every chunk exactly once.
+// run drains the shared queue: the worker claims entry ranges of the scanned
+// relation until none remain and streams each through emitRelation, the
+// serial Scan's own loop.  The gang collectively delivers every entry
+// exactly once.
 func (p *partitionNode) run(ctx *execCtx, emit EmitBatch) error {
 	if ctx.workers <= 1 {
-		return ctx.run(p.input, emit)
+		return ctx.run(p.scan, emit)
 	}
 	q := ctx.morselQueue(p)
 	if q == nil {
-		return fmt.Errorf("plan: morsel partition above %s has no queue", p.input.Describe())
+		return fmt.Errorf("plan: morsel partition of %s has no queue", p.scan.name)
 	}
-	w := newBatchWriter(ctx, emit)
-	switch leaf := p.input.(type) {
-	case *scanNode:
-		r, err := leaf.lookup(ctx)
-		if err != nil {
+	r, err := p.scan.lookup(ctx)
+	if err != nil {
+		return err
+	}
+	for {
+		// One cancellation checkpoint per claimed morsel: the amortised point
+		// where a gang worker notices its query was cancelled (by the user, a
+		// deadline, or a failed sibling).
+		if err := ctx.poll(); err != nil {
 			return err
 		}
-		for {
-			// One cancellation checkpoint per claimed morsel: the amortised
-			// point where a gang worker notices its query was cancelled (by the
-			// user, a deadline, or a failed sibling).
-			if err := ctx.poll(); err != nil {
-				return err
-			}
-			lo, hi, ok := q.Next()
-			if !ok {
-				break
-			}
-			var iterErr error
-			r.EachEntryRange(lo, hi, func(t tuple.Tuple, n uint64) bool {
-				iterErr = w.push(t, n)
-				return iterErr == nil
-			})
-			if iterErr != nil {
-				return iterErr
-			}
+		lo, hi, ok := q.Next()
+		if !ok {
+			return nil
 		}
-	case *valuesNode:
-		for {
-			if err := ctx.poll(); err != nil {
-				return err
-			}
-			lo, hi, ok := q.Next()
-			if !ok {
-				break
-			}
-			for _, row := range leaf.rows[lo:hi] {
-				if err := w.push(tuple.New(row...), 1); err != nil {
-					return err
-				}
-			}
+		if err := emitRelation(ctx, r, lo, hi, emit); err != nil {
+			return err
 		}
-	default:
-		return fmt.Errorf("plan: morsel partition above non-leaf %T", p.input)
 	}
-	return w.flush()
 }
 
 // mergeNode is the gang boundary: it executes its subtree once per worker on
@@ -149,8 +123,9 @@ func (m *mergeNode) Describe() string { return fmt.Sprintf("Merge [workers=%d]",
 
 // gangState is the shared state of one gang execution, created by the parent
 // before the workers start: the morsel queues (one per morsel partition,
-// internally synchronised) and the pre-built join tables (read-only once
-// built).  Workers access it through their execCtx and never mutate the maps.
+// internally synchronised) and the join tables the parent built (read-only
+// once built).  Workers access it through their execCtx and never mutate the
+// maps.
 type gangState struct {
 	morsels map[int]*exec.MorselQueue
 	builds  map[int]*joinBuild
@@ -215,93 +190,39 @@ func snapshotScans(ctx *execCtx, n Node, into snapshotSource) error {
 }
 
 // prepare builds the gang's shared state for the subtree: one morsel queue
-// per morsel partition (sized over the leaf's entry arena) and one join table
-// per shared hash join, built here in the parent — once, single-threaded —
-// so the workers only probe.  The build subtree of a shared join executes
-// during prepare and is therefore not walked for worker-side state.  The
-// caller's ctx resolves scans through the gang snapshot, so the build sees
-// exactly the relations the workers will.
-func prepare(ctx *execCtx, n Node, snap snapshotSource, gs *gangState) error {
+// per morsel partition (sized over the scanned relation's entry arena) and
+// one join table per shared hash join, built here in the parent — once,
+// single-threaded — so the workers only probe.  The build subtree of a
+// shared join executes during prepare and is therefore not walked for
+// worker-side state.  The caller's ctx resolves scans through the gang
+// snapshot, so the build and the queues see exactly the relations the
+// workers will.
+func prepare(ctx *execCtx, n Node, gs *gangState) error {
 	switch x := n.(type) {
 	case *partitionNode:
-		span, err := leafSpan(x.input, snap)
+		r, err := x.scan.lookup(ctx)
 		if err != nil {
 			return err
 		}
-		gs.morsels[x.meta().id] = exec.NewMorselQueue(span, x.morselSize)
+		gs.morsels[x.meta().id] = exec.NewMorselQueue(r.EntrySpan(), x.morselSize)
+		return nil
 	case *hashJoinNode:
 		if x.shared {
-			var jb *joinBuild
-			var err error
-			if x.parBuild {
-				// The build side is itself morsel-partitioned: create its
-				// queues first, then run the build gang over them.
-				build, _ := x.buildSide()
-				if err := prepare(ctx, build, snap, gs); err != nil {
-					return err
-				}
-				jb, err = x.parallelBuildTable(ctx, gs)
-			} else {
-				jb, err = x.buildTable(ctx)
-			}
+			jb, err := x.buildTable(ctx)
 			if err != nil {
 				return err
 			}
 			gs.builds[x.meta().id] = jb
 			probe, _ := x.probeSide()
-			return prepare(ctx, probe, snap, gs)
+			return prepare(ctx, probe, gs)
 		}
 	}
 	for _, c := range n.Children() {
-		if err := prepare(ctx, c, snap, gs); err != nil {
+		if err := prepare(ctx, c, gs); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// parallelBuildTable materialises a shared join's build side with a gang of
-// its own: each worker streams the morsel-partitioned build subtree (claiming
-// entry ranges from the queues prepare just created) into a partition-local
-// joinBuild, and the partials are absorbed into one build for the probe gang.
-// Any disjoint split of the build stream is exact — insertion order within a
-// collision chain does not affect which tuples match, only match order, and
-// relations are unordered.
-func (j *hashJoinNode) parallelBuildTable(ctx *execCtx, gs *gangState) (*joinBuild, error) {
-	_, buildCols := j.buildSide()
-	parts, err := runGang(ctx, j, j.buildWorkers, gs, func(wctx *execCtx) (*joinBuild, error) {
-		jb := &joinBuild{keys: newHashTable(buildCols)}
-		return jb, j.fill(wctx, jb)
-	})
-	if err != nil {
-		return nil, err
-	}
-	global := parts[0]
-	for _, jb := range parts[1:] {
-		// Entry i of jb becomes entry len+i of global: its counts follow.
-		global.keys.absorb(jb.keys)
-		global.counts = append(global.counts, jb.counts...)
-		global.built += jb.built
-	}
-	ctx.materialised(j, global.built)
-	return global, nil
-}
-
-// leafSpan returns the morsel index domain of a leaf: the entry-arena span of
-// a snapshotted scan, or the row count of a literal.
-func leafSpan(n Node, snap snapshotSource) (int, error) {
-	switch leaf := n.(type) {
-	case *scanNode:
-		r, ok := snap[leaf.name]
-		if !ok {
-			return 0, fmt.Errorf("plan: morsel scan %q missing from snapshot", leaf.name)
-		}
-		return r.EntrySpan(), nil
-	case *valuesNode:
-		return len(leaf.rows), nil
-	default:
-		return 0, fmt.Errorf("plan: morsel partition above non-leaf %T", n)
-	}
 }
 
 // gangSetup builds the shared state of one gang execution over a subtree,
@@ -319,7 +240,7 @@ func gangSetup(ctx *execCtx, subtree Node) (*execCtx, *gangState, error) {
 	gs := &gangState{morsels: make(map[int]*exec.MorselQueue), builds: make(map[int]*joinBuild)}
 	pctx := *ctx
 	pctx.src = snap
-	if err := prepare(&pctx, subtree, snap, gs); err != nil {
+	if err := prepare(&pctx, subtree, gs); err != nil {
 		return nil, nil, err
 	}
 	return &pctx, gs, nil
@@ -332,10 +253,9 @@ func gangSetup(ctx *execCtx, subtree Node) (*execCtx, *gangState, error) {
 // gang finishes, and a worker panic surfaces named after the boundary
 // operator n.
 func runGang[T any](ctx *execCtx, n Node, workers int, gs *gangState, produce func(wctx *execCtx) (T, error)) ([]T, error) {
-	pool := exec.NewPool(workers)
-	wctxs := make([]*execCtx, pool.Workers())
-	out, err := exec.Gather(ctx.queryCtx(), pool, func(gctx context.Context, w int) (T, error) {
-		wctx := ctx.workerCtx(pool.Workers(), gs)
+	wctxs := make([]*execCtx, workers)
+	out, err := exec.Gather(ctx.queryCtx(), workers, func(gctx context.Context, w int) (T, error) {
+		wctx := ctx.workerCtx(workers, gs)
 		wctx.setContext(gctx)
 		wctxs[w] = wctx
 		return produce(wctx)
@@ -397,29 +317,11 @@ func (m *mergeNode) run(ctx *execCtx, emit EmitBatch) error {
 		return err
 	}
 	for _, r := range parts {
-		if err := emitRelation(ctx, r, emit); err != nil {
+		if err := emitRelation(ctx, r, 0, r.EntrySpan(), emit); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// result implements materializer: when a consumer wants the whole relation
-// (or the Merge is the plan root), the partials are summed directly with
-// their cached hashes instead of being re-hashed through an emit stream.
-func (m *mergeNode) result(ctx *execCtx) (*multiset.Relation, error) {
-	if ctx.workers > 1 {
-		return ctx.materialize(m.input)
-	}
-	parts, err := m.partials(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := multiset.NewWithCapacity(m.Schema(), capacityFor(m.capHint))
-	for _, r := range parts {
-		out.ApplyDelta(r, nil)
-	}
-	return out, nil
 }
 
 // groupMergeNode is the gang boundary of a two-phase parallel aggregate.  Its
@@ -514,19 +416,10 @@ func (pl *Planner) parallelizeNode(n Node, workers int, threshold float64) Node 
 		if x.left.Estimate()+x.right.Estimate() >= threshold && streamable(probe) {
 			x.shared = true
 			wrapped := pl.partitionLeaves(probe, workers)
-			// A large streamable build side is built morsel-parallel by a
-			// build gang of its own (parallelBuildTable); below the threshold
-			// — or when the build side is not a splittable pipeline — the
-			// parent builds serially, possibly over its own nested exchange.
+			// The parent builds the table serially, possibly over a nested
+			// exchange of the build side's own.
 			build, _ := x.buildSide()
-			var wrappedBuild Node
-			if streamable(build) && build.Estimate() >= buildParallelFactor*threshold {
-				x.parBuild = true
-				x.buildWorkers = workers
-				wrappedBuild = pl.partitionLeaves(build, workers)
-			} else {
-				wrappedBuild = pl.parallelizeNode(build, workers, threshold)
-			}
+			wrappedBuild := pl.parallelizeNode(build, workers, threshold)
 			if x.buildLeft {
 				x.right = wrapped
 				x.left = wrappedBuild
@@ -591,15 +484,16 @@ func twoPhaseProfitable(x *hashAggNode, workers int) bool {
 }
 
 // streamable reports whether the subtree is a pure streaming pipeline over
-// leaves — the shapes cheap and safe to replicate per worker.  Blocking or
+// scans — the shapes cheap and safe to replicate per worker.  Blocking or
 // stateful operators (joins, aggregates, δ, set difference/intersection,
 // closure) are excluded: re-running them once per worker would repeat their
 // full cost, and δ above a projection is not partition-exact under any
 // disjoint split of the inputs.  An IndexScan is excluded too: it has no
-// entry ranges to split, and a key lookup is too small to divide.
+// entry ranges to split, and a key lookup is too small to divide.  So is a
+// literal, which has no entry arena to claim ranges of.
 func streamable(n Node) bool {
 	switch x := n.(type) {
-	case *scanNode, *valuesNode:
+	case *scanNode:
 		return true
 	case *filterNode:
 		return streamable(x.input)
@@ -642,36 +536,37 @@ func leafEstimate(n Node) float64 {
 	return total
 }
 
-// scanPartition wraps one leaf in a work-stealing morsel partition, sized by
+// scanPartition wraps one scan in a work-stealing morsel partition, sized by
 // the MorselSize override or else the cost model.  The estimate is the full
 // stream (estimates describe the collective stream, not one worker's share);
 // the capacity hint is the per-worker share, which sizes the relations
 // collected from a single share.
-func (pl *Planner) scanPartition(leaf Node, workers int) Node {
+func (pl *Planner) scanPartition(scan *scanNode, workers int) Node {
 	size := pl.MorselSize
 	if size <= 0 {
-		size = morselSizeFor(leaf.meta().capHint, workers)
+		size = morselSizeFor(scan.capHint, workers)
 	}
-	p := &partitionNode{input: leaf, morselSize: size}
-	p.schema = leaf.Schema()
-	p.est = leaf.Estimate()
-	p.exactEst = leaf.meta().exactEst
-	p.capHint = leaf.meta().capHint / float64(workers)
+	p := &partitionNode{scan: scan, morselSize: size}
+	p.schema = scan.Schema()
+	p.est = scan.Estimate()
+	p.exactEst = scan.exactEst
+	p.capHint = scan.capHint / float64(workers)
 	return p
 }
 
-// partitionLeaves wraps every leaf of a streamable subtree in a scan
+// partitionLeaves wraps every scan of a streamable subtree in a morsel
 // partition and returns the wrapped tree (which is the partition itself when
-// the subtree is a bare leaf).
+// the subtree is a bare scan).
 func (pl *Planner) partitionLeaves(n Node, workers int) Node {
-	if len(n.Children()) == 0 {
-		return pl.scanPartition(n, workers)
+	if scan, ok := n.(*scanNode); ok {
+		return pl.scanPartition(scan, workers)
 	}
 	pl.partitionInnerLeaves(n, workers)
 	return n
 }
 
-// partitionInnerLeaves wraps every leaf strictly below n in a scan partition.
+// partitionInnerLeaves wraps every scan strictly below n in a morsel
+// partition.
 func (pl *Planner) partitionInnerLeaves(n Node, workers int) {
 	replaceChildren(n, func(c Node) Node { return pl.partitionLeaves(c, workers) })
 }
@@ -703,14 +598,6 @@ func replaceChildren(n Node, f func(Node) Node) {
 		x.input = f(x.input)
 	case *sortNode:
 		x.input = f(x.input)
-	case *partitionNode:
-		x.input = f(x.input)
-	case *mergeNode:
-		x.input = f(x.input)
-	case *groupMergeNode:
-		if agg, ok := f(Node(x.agg)).(*hashAggNode); ok {
-			x.agg = agg
-		}
 	}
 }
 

@@ -221,6 +221,22 @@ func TestParallelThreshold(t *testing.T) {
 	if m, pt := countNodes(p3); m+pt != 0 {
 		t.Errorf("110 tuples are below the threshold, exchanges inserted:\n%s", p3)
 	}
+
+	// A Partition sits only above a Scan: a pipeline over a literal stays
+	// serial whatever the threshold.
+	rows := make([][]value.Value, 2000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i))}
+	}
+	lit := algebra.Literal{Rel: schema.Anonymous(schema.Attribute{Type: value.KindInt}), Rows: rows}
+	pred := scalar.NewCompare(value.CmpGe, scalar.NewAttr(0), scalar.NewConst(value.NewInt(7)))
+	p4, err := parallelPlanner(src, 4).Plan(algebra.NewSelect(pred, lit), catalogOf(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, pt := countNodes(p4); m+pt != 0 {
+		t.Errorf("a pipeline over a literal was partitioned:\n%s", p4)
+	}
 }
 
 // TestParallelPlanRendering pins the explain rendering of a parallel join:
@@ -315,8 +331,8 @@ func TestParallelErrorPropagation(t *testing.T) {
 }
 
 // TestParallelBlockingConsumers checks a Merge under a blocking operator
-// (difference, closure input, sort) materialises correctly through the
-// materializer fast path.
+// (here the difference's build side) streams its summed partials correctly
+// into the consumer's state.
 func TestParallelBlockingConsumers(t *testing.T) {
 	src := testSource(1000)
 	pred := scalar.NewCompare(value.CmpGe, scalar.NewAttr(1), scalar.NewConst(value.NewInt(100)))

@@ -3,12 +3,11 @@ package plan
 import "mra/internal/tuple"
 
 // hashTable is the one chained hash table of the physical layer, behind the
-// hash join's build (serial, shared and morsel-parallel), Γ's groups, δ's
+// hash join's build (serial or shared by a probe gang), Γ's groups, δ's
 // seen-set, the counted build of ∸ and ∩, and the closure's pair set and
 // successor index.  It makes the one decision they share — how a key is
-// hashed off a row or a tuple, how chain candidates compare, how partial
-// tables splice — and callers keep their payload in their own slices,
-// indexed by entry.
+// hashed off a row or a tuple and how chain candidates compare — and callers
+// keep their payload in their own slices, indexed by entry.
 //
 // An entry is a tuple whose key is its values at cols, fixed when the table
 // is made; a probe names its own key columns, as a join probes on other
@@ -141,31 +140,4 @@ func (t *hashTable) tupleEntry(x tuple.Tuple) (e int32, added bool) {
 		return e, false
 	}
 	return t.add(h, head, x), true
-}
-
-// absorb appends o's entries to t and splices their chains into t's heads:
-// links shift by t's old length, and where both tables hold a hash the
-// absorbed chain's tail links onto t's head.  Entry i of o becomes entry
-// len+i of t, so the caller appends o's payload in order.  The
-// morsel-parallel join build merges its partition tables with it.
-func (t *hashTable) absorb(o *hashTable) {
-	off := int32(len(t.tups))
-	t.tups = append(t.tups, o.tups...)
-	for _, n := range o.next {
-		if n != -1 {
-			n += off
-		}
-		t.next = append(t.next, n)
-	}
-	for h, head := range o.heads {
-		nh := head + off
-		if cur, ok := t.heads[h]; ok {
-			tail := nh
-			for t.next[tail] != -1 {
-				tail = t.next[tail]
-			}
-			t.next[tail] = cur
-		}
-		t.heads[h] = nh
-	}
 }

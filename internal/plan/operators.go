@@ -53,16 +53,7 @@ func (s *scanNode) run(ctx *execCtx, emit EmitBatch) error {
 	if err != nil {
 		return err
 	}
-	return emitRelation(ctx, r, emit)
-}
-
-// result implements materializer: the clone is an O(1) copy-on-write view.
-func (s *scanNode) result(ctx *execCtx) (*multiset.Relation, error) {
-	r, err := s.lookup(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return r.Clone(), nil
+	return emitRelation(ctx, r, 0, r.EntrySpan(), emit)
 }
 
 // indexScanNode reads the entries of a named database relation whose key
@@ -111,7 +102,7 @@ func (s *indexScanNode) run(ctx *execCtx, emit EmitBatch) error {
 		return err == nil
 	})
 	if !keyed {
-		return emitRelation(ctx, r, emit)
+		return emitRelation(ctx, r, 0, r.EntrySpan(), emit)
 	}
 	if err != nil || len(b.Tuples) == 0 {
 		return err
@@ -348,15 +339,6 @@ type hashJoinNode struct {
 	// table in the parent and workers only probe (their probe-side scans are
 	// morsel-partitioned, so the gang collectively probes each tuple once).
 	shared bool
-	// parBuild marks a shared join whose table is itself built
-	// morsel-parallel: the build side's scans are morsel-partitioned, a
-	// build gang of buildWorkers workers fills partition-local tables over
-	// the morsels it claims, and the exchange absorbs them into one table
-	// before the probe gang starts.  The planner enables it when the
-	// estimated build cardinality clears buildParallelFactor times the
-	// exchange threshold.
-	parBuild     bool
-	buildWorkers int
 }
 
 func (j *hashJoinNode) Children() []Node { return []Node{j.left, j.right} }
@@ -374,9 +356,6 @@ func (j *hashJoinNode) Describe() string {
 	s := fmt.Sprintf("HashJoin [%s] build=%s", strings.Join(pairs, ", "), side)
 	if j.shared {
 		s += " shared"
-	}
-	if j.parBuild {
-		s += fmt.Sprintf(" parbuild=%d", j.buildWorkers)
 	}
 	if j.residual != nil {
 		s += fmt.Sprintf(" residual=[%s]", j.residual)
@@ -400,23 +379,13 @@ func (j *hashJoinNode) probeSide() (Node, []int) {
 	return j.left, j.leftCols
 }
 
-// buildTable materialises the build side into a fresh joinBuild, charging
-// the held tuples to the operator's state.
+// buildTable streams the build side into a fresh joinBuild chunk by chunk,
+// charging every held tuple to the query's memory gauge and the held tuples
+// to the operator's state.
 func (j *hashJoinNode) buildTable(ctx *execCtx) (*joinBuild, error) {
-	_, buildCols := j.buildSide()
+	build, buildCols := j.buildSide()
 	jb := &joinBuild{keys: newHashTable(buildCols)}
-	if err := j.fill(ctx, jb); err != nil {
-		return nil, err
-	}
-	ctx.materialised(j, jb.built)
-	return jb, nil
-}
-
-// fill streams the build side into jb chunk by chunk, charging every held
-// tuple to the query's memory gauge.
-func (j *hashJoinNode) fill(ctx *execCtx, jb *joinBuild) error {
-	build, _ := j.buildSide()
-	return ctx.run(build, func(b *Batch) error {
+	err := ctx.run(build, func(b *Batch) error {
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
@@ -430,6 +399,11 @@ func (j *hashJoinNode) fill(ctx *execCtx, jb *joinBuild) error {
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	ctx.materialised(j, jb.built)
+	return jb, nil
 }
 
 // run probes the (own or gang-shared) table with every live probe row.  The

@@ -46,9 +46,10 @@
 // rows and few distinct tuples costs one tuple per distinct tuple.
 // Operators that want tuples read their input chunk by chunk through
 // Batch.forEach and emit through a batchWriter; materialised relations
-// (scans, gang partials) stream out through emitRelation.  A batch is only valid for the duration of the EmitBatch
-// call — producers reuse its backing slices and vectors — while the tuples
-// and values inside it may be retained.
+// (scans, their morsels, gang partials) stream out through emitRelation.  A
+// batch is only valid for the duration of the EmitBatch call — producers
+// reuse its backing slices and vectors — while the tuples and values inside
+// it may be retained.
 //
 // Ownership: emitted tuples are immutable and may be retained by the
 // consumer; they are often shared with the source relations.  Schema
@@ -74,21 +75,21 @@
 // per worker on the runtime of package exec, and Partition nodes inside that
 // subtree split the inputs so each worker sees a disjoint slice.  The only
 // split is the morsel: workers steal fixed-size entry ranges of a scan from a
-// shared queue, so a skewed slice never serialises the gang.  Operators that
+// shared queue, so a skewed slice never serialises the gang.  A Partition
+// sits only directly above a Scan.  Operators that
 // would need a key-consistent split (a one-phase grouped aggregate) or a
-// build the probe workers write (∸, ∩) stay serial.  Grouped and global aggregates run two-phase under a
-// GroupMerge when pre-aggregation pays.  Parallel hash joins build their
-// table once, before the probe gang starts, and share it read-only across
-// the gang's probe workers; large streamable build sides are themselves
-// built morsel-parallel, each worker filling a private partial table the
-// parent splices together.
+// build the probe workers write (∸, ∩) stay serial.  Grouped and global
+// aggregates run two-phase under a GroupMerge when pre-aggregation pays.
+// Parallel hash joins build their table once, in the parent, before the
+// probe gang starts, and share it read-only across the gang's probe workers.
 // Bag semantics make every split exact: multiplicities sum across disjoint
 // partitions, so the merged partials equal the serial result.
 //
 // The stream contract is per worker under parallel execution: within one
 // worker the rules above hold unchanged, and an emit function is never called
 // concurrently — each worker's batches flow into a private partial relation
-// that the Merge sums afterwards.  Operators therefore need no locks, and
+// that the Merge then streams to its consumer, which sums multiplicities as
+// every consumer does.  Operators therefore need no locks, and
 // must not share mutable state across workers; anything per-execution lives
 // in the worker's own execCtx.  Scan leaves resolve their relations through
 // a snapshot the Merge takes before the gang starts, so a Source that is not
@@ -177,15 +178,6 @@ func (b *base) Schema() schema.Relation { return b.schema }
 func (b *base) Estimate() float64       { return b.est }
 func (b *base) meta() *base             { return b }
 
-// materializer is implemented by operators that can produce their entire
-// result as a relation at least as cheaply as streaming it chunk by chunk:
-// a scan hands out an O(1) copy-on-write clone, and a Merge sums its gang's
-// partial relations.  The returned relation is owned by the caller.
-type materializer interface {
-	Node
-	result(ctx *execCtx) (*multiset.Relation, error)
-}
-
 // Stats aggregates execution statistics, recorded per physical operator.
 type Stats struct {
 	// IntermediateTuples is the total number of tuples (counting
@@ -231,8 +223,8 @@ type Plan struct {
 	memLimit int64
 }
 
-// Execute runs the plan against a source and materialises the root stream
-// into a relation.
+// Execute runs the plan against a source and collects the root stream into a
+// fresh relation: the one result sink of every execution.
 func (p *Plan) Execute(src Source) (*multiset.Relation, error) {
 	return p.exec(context.Background(), src, nil)
 }
@@ -262,14 +254,8 @@ func (p *Plan) exec(qctx context.Context, src Source, st *Stats) (*multiset.Rela
 	if err := ctx.poll(); err != nil {
 		return nil, err
 	}
-	var out *multiset.Relation
-	var err error
-	if m, ok := p.Root.(materializer); ok {
-		out, err = ctx.result(m)
-	} else {
-		out = multiset.NewWithCapacity(p.Root.Schema(), capacityFor(p.Root.meta().capHint))
-		err = ctx.collect(p.Root, out)
-	}
+	out := multiset.NewWithCapacity(p.Root.Schema(), capacityFor(p.Root.meta().capHint))
+	err := ctx.collect(p.Root, out)
 	if st != nil {
 		st.PerOperator = append(st.PerOperator, ctx.perOp...)
 	}
@@ -443,32 +429,6 @@ func (ctx *execCtx) record(n Node, emitted uint64) {
 		st.PeakRelationTuples = emitted
 	}
 	ctx.perOp[n.meta().id].Emitted += emitted
-}
-
-// result produces a materializer node's full relation, recording the same
-// emission statistics run would.
-func (ctx *execCtx) result(m materializer) (*multiset.Relation, error) {
-	rel, err := m.result(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.stats != nil && len(m.Children()) > 0 {
-		ctx.record(m, rel.Cardinality())
-	}
-	return rel, nil
-}
-
-// materialize runs a subtree into a relation, taking the cheap path when the
-// node can produce one directly.
-func (ctx *execCtx) materialize(n Node) (*multiset.Relation, error) {
-	if m, ok := n.(materializer); ok {
-		return ctx.result(m)
-	}
-	out := multiset.NewWithCapacity(n.Schema(), capacityFor(n.meta().capHint))
-	if err := ctx.collect(n, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // collect streams a node's output into a relation, polling the query context

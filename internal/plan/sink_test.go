@@ -79,10 +79,7 @@ func (t *hashTable) matches(b *Batch, r int, cols []int) []int32 {
 //     live row;
 //   - probed on columns that differ from its key columns, as a join probes,
 //     a chain walk must find exactly the entries whose keys a brute-force
-//     scan finds equal, in both batch shapes;
-//   - partition tables absorbed into one, as the morsel-parallel join build
-//     splices them, must hold the same numbered entries and chains as serial
-//     inserts of the same tuples.
+//     scan finds equal, in both batch shapes.
 func TestPropertyUniqueSeenSetProbesColumns(t *testing.T) {
 	pool := sinkPool()
 	rng := rand.New(rand.NewSource(31))
@@ -132,26 +129,6 @@ func TestPropertyUniqueSeenSetProbesColumns(t *testing.T) {
 		for _, tup := range tups {
 			serial.insert(tup)
 		}
-		// Contiguous partitions absorbed in order keep every entry's number.
-		parts := []*hashTable{newHashTable(key)}
-		for _, tup := range tups {
-			if rng.Intn(4) == 0 {
-				parts = append(parts, newHashTable(key))
-			}
-			parts[len(parts)-1].insert(tup)
-		}
-		absorbed := parts[0]
-		for _, p := range parts[1:] {
-			absorbed.absorb(p)
-		}
-		if absorbed.len() != serial.len() {
-			t.Fatalf("round %d: absorbed %d entries, serial %d", round, absorbed.len(), serial.len())
-		}
-		for e := range tups {
-			if !absorbed.tups[e].Equal(serial.tups[e]) {
-				t.Fatalf("round %d: entry %d is %v absorbed, %v serial", round, e, absorbed.tups[e], serial.tups[e])
-			}
-		}
 		for bi := 1 + rng.Intn(3); bi > 0; bi-- {
 			cb, rb := randomSinkBatch(rng, pool, arity+1, rng.Intn(20))
 			// Reuse build tuples' keys so probes hit.
@@ -178,7 +155,6 @@ func TestPropertyUniqueSeenSetProbesColumns(t *testing.T) {
 				}
 				for _, got := range [][]int32{
 					serial.matches(cb, r, probeCols), serial.matches(rb, r, probeCols),
-					absorbed.matches(cb, r, probeCols), absorbed.matches(rb, r, probeCols),
 				} {
 					if !slices.Equal(got, want) {
 						t.Fatalf("round %d key %v row %v: chain walk found entries %v, brute force %v",

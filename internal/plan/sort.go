@@ -63,8 +63,8 @@ func (s *sortNode) Describe() string {
 }
 
 func (s *sortNode) run(ctx *execCtx, emit EmitBatch) error {
-	in, err := ctx.materialize(s.input)
-	if err != nil {
+	in := multiset.NewWithCapacity(s.input.Schema(), capacityFor(s.input.meta().capHint))
+	if err := ctx.collect(s.input, in); err != nil {
 		return err
 	}
 	ctx.materialised(s, in.Cardinality())

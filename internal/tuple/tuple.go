@@ -80,6 +80,24 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
+// Identical reports whether two tuples spell the same values: same arity and
+// pairwise Identical values.  Tuples sharing one value array are identical
+// without a look at their values.
+func (t Tuple) Identical(o Tuple) bool {
+	if len(t.vals) != len(o.vals) {
+		return false
+	}
+	if len(t.vals) == 0 || &t.vals[0] == &o.vals[0] {
+		return true
+	}
+	for i := range t.vals {
+		if !t.vals[i].Identical(o.vals[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Compare orders two tuples lexicographically attribute by attribute; shorter
 // tuples sort before longer ones when they share a prefix.  The order is used
 // only for canonical (deterministic) result rendering, never by the algebra

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -437,4 +438,72 @@ func run(m *Manager, p stmt.Program) ([]*multiset.Relation, error) {
 		return nil, err
 	}
 	return tx.Outputs(), nil
+}
+
+// TestCommitKeepsTheSpelling pins that commit installs the tuples the
+// transaction's own state holds, spelling included: a tuple deleted and
+// re-inserted as an equal value of another kind or bit pattern (2^53 as an
+// int and as a float, +0 and −0, two NaN payloads) reads after commit as it
+// read inside the transaction, with any count, and the commit advances the
+// logical time.
+func TestCommitKeepsTheSpelling(t *testing.T) {
+	two53 := int64(1) << 53
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	for _, c := range []struct {
+		name     string
+		from, to value.Value
+		n, m     int // multiplicities before and after
+	}{
+		{"int to float", value.NewInt(two53), value.NewFloat(float64(two53)), 1, 1},
+		{"float to int", value.NewFloat(float64(two53)), value.NewInt(two53), 1, 1},
+		{"count down", value.NewInt(two53), value.NewFloat(float64(two53)), 3, 2},
+		{"count up", value.NewFloat(float64(two53)), value.NewInt(two53), 2, 4},
+		{"+0 to -0", value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), 2, 2},
+		{"nan payloads", value.NewFloat(nan1), value.NewFloat(nan2), 1, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rs := schema.NewRelation("r", schema.Attribute{Name: "x", Type: value.KindFloat})
+			db := storage.NewDatabase()
+			if err := db.CreateRelation(rs); err != nil {
+				t.Fatal(err)
+			}
+			init := multiset.New(rs)
+			init.Add(tuple.New(c.from), uint64(c.n))
+			if _, err := db.Apply(map[string]*multiset.Relation{"r": init}); err != nil {
+				t.Fatal(err)
+			}
+			m := NewManager(db)
+			rows := make([][]value.Value, c.m)
+			for i := range rows {
+				rows[i] = []value.Value{c.to}
+			}
+			lit := algebra.Literal{Rel: schema.Anonymous(schema.Attribute{Name: "x", Type: value.KindFloat}), Rows: rows}
+			before := db.LogicalTime()
+			tx := m.Begin()
+			if err := tx.Run(stmt.Program{
+				stmt.Delete{Target: "r", Source: algebra.NewRel("r")},
+				stmt.Insert{Target: "r", Source: lit},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			inside, _ := tx.Relation("r")
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			after, _ := db.Relation("r")
+			for name, r := range map[string]*multiset.Relation{"inside": inside, "committed": after} {
+				got, n := r.Lookup(tuple.New(c.to))
+				v := got.At(0)
+				same := v.Kind() == c.to.Kind() &&
+					(v.Kind() != value.KindFloat || math.Float64bits(v.Float()) == math.Float64bits(c.to.Float()))
+				if !same || n != uint64(c.m) || r.Cardinality() != uint64(c.m) {
+					t.Errorf("%s: r holds %v (%s) ×%d of %d, want %v (%s) ×%d",
+						name, v, v.Kind(), n, r.Cardinality(), c.to, c.to.Kind(), c.m)
+				}
+			}
+			if db.LogicalTime() == before {
+				t.Error("a respelling commit must advance the logical time")
+			}
+		})
+	}
 }

@@ -221,6 +221,16 @@ func (v Value) Equal(o Value) bool {
 	return v.kind.Numeric() && o.kind.Numeric() && v.Compare(o) == 0
 }
 
+// Identical reports whether v and o spell the same value: one kind and the
+// same payload bits.  Equal values may differ in spelling — 2^53 and 2^53.0,
+// +0 and −0, two NaN payloads — and a change of spelling is a change of the
+// data even where bag identity does not see one.
+func (v Value) Identical(o Value) bool {
+	// Each constructor sets only its kind's payload field.
+	return v.kind == o.kind && v.i == o.i && v.s == o.s && v.b == o.b &&
+		math.Float64bits(v.f) == math.Float64bits(o.f)
+}
+
 // Compare orders two values.  It returns a negative number, zero or a positive
 // number when v sorts before, equal to, or after o.  Values of incomparable
 // domains are ordered by domain kind so that Compare induces a total order

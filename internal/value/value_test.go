@@ -517,6 +517,8 @@ func exactnessValues() []Value {
 // transitive and that Compare is a total order consistent with it, over the
 // values where equality on float64 images was not transitive (2^53 =
 // 2^53.0 = 2^53+1 but 2^53 ≠ 2^53+1).  Equal still implies one hash.
+// Identical holds only for a value and itself: every value of the list is
+// spelled differently, equal ones included (±0, 2^53 and 2^53.0, NaNs).
 func TestEqualIsAnEquivalence(t *testing.T) {
 	vals := exactnessValues()
 	sign := func(c int) int {
@@ -528,11 +530,14 @@ func TestEqualIsAnEquivalence(t *testing.T) {
 		}
 		return 0
 	}
-	for _, a := range vals {
+	for i, a := range vals {
 		if !a.Equal(a) || a.Compare(a) != 0 {
 			t.Errorf("%v (%s) must equal itself", a, a.Kind())
 		}
-		for _, b := range vals {
+		for j, b := range vals {
+			if a.Identical(b) != (i == j) {
+				t.Errorf("Identical(%v (%s), %v (%s)) = %v", a, a.Kind(), b, b.Kind(), a.Identical(b))
+			}
 			if a.Equal(b) != b.Equal(a) {
 				t.Errorf("Equal(%v, %v) is not symmetric", a, b)
 			}
