@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"mra/internal/algebra"
+	"mra/internal/plan"
 	"mra/internal/scalar"
+	"mra/internal/tuple"
 	"mra/internal/value"
 )
 
@@ -171,7 +173,7 @@ func TestKeyLookupInsideTransaction(t *testing.T) {
 	if err := tx.ExecSQL("update account set balance = balance + 1 where id = 42"); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := tx.inner.EvaluatePlan(pointExpr, nil, nil)
+	ev, err := tx.inner.EvaluatePlan(pointExpr, plan.Clause{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +188,19 @@ func TestKeyLookupInsideTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev, err = before.inner.EvaluatePlan(pointExpr, nil, nil)
+	ev, err = before.inner.EvaluatePlan(pointExpr, plan.Clause{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(ev.Plan.String(), "IndexScan account [%1 = 42]") {
 		t.Errorf("point read on an older snapshot:\n%s", ev.Plan)
 	}
-	if rows := ev.Result.Distinct(); len(rows) != 1 || rows[0].At(2).Float() != 420 {
+	var rows []tuple.Tuple
+	ev.Result.EachSorted(func(tp tuple.Tuple, _ uint64) bool {
+		rows = append(rows, tp)
+		return true
+	})
+	if len(rows) != 1 || rows[0].At(2).Float() != 420 {
 		t.Errorf("older snapshot reads %v, want the row with balance 420", rows)
 	}
 	res, err = db.QuerySQL("select balance from account where id = 42")

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"mra/internal/algebra"
 	"mra/internal/multiset"
 	"mra/internal/plan"
@@ -38,7 +39,7 @@ func (e *Engine) Eval(expr algebra.Expr, src Source) (*multiset.Relation, error)
 		return nil, err
 	}
 	if e.CollectStats {
-		return p.ExecuteStats(src, &e.Stats)
+		return p.ExecuteStatsContext(context.Background(), src, &e.Stats)
 	}
 	return p.Execute(src)
 }

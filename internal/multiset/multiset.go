@@ -674,19 +674,6 @@ func (r *Relation) AddColumns(cols []value.Vec, counts []uint64, sel []int32) {
 	}
 }
 
-// EachOccurrence calls fn once per occurrence, i.e. a tuple with multiplicity
-// k is visited k times.  If fn returns false, iteration stops.
-func (r *Relation) EachOccurrence(fn func(t tuple.Tuple) bool) {
-	r.Each(func(t tuple.Tuple, count uint64) bool {
-		for k := uint64(0); k < count; k++ {
-			if !fn(t) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 // Tuples returns all occurrences as a flat slice (duplicates expanded), in
 // canonical (sorted) order for deterministic output.
 func (r *Relation) Tuples() []tuple.Tuple {
@@ -695,16 +682,6 @@ func (r *Relation) Tuples() []tuple.Tuple {
 		for i := uint64(0); i < count; i++ {
 			out = append(out, t)
 		}
-		return true
-	})
-	return out
-}
-
-// Distinct returns the distinct tuples in canonical (sorted) order.
-func (r *Relation) Distinct() []tuple.Tuple {
-	out := make([]tuple.Tuple, 0, r.tab.live)
-	r.EachSorted(func(t tuple.Tuple, _ uint64) bool {
-		out = append(out, t)
 		return true
 	})
 	return out

@@ -81,11 +81,13 @@ func TestFromTuplesAccumulates(t *testing.T) {
 	}
 }
 
-func TestEachAndEachOccurrence(t *testing.T) {
+// TestEachVisitsChunks checks Each visits every distinct tuple once with its
+// multiplicity, and stops when fn returns false.
+func TestEachVisitsChunks(t *testing.T) {
 	r := FromTuples(intSchema(1), tuple.Ints(1), tuple.Ints(1), tuple.Ints(2))
-	var distinct, occurrences int
-	r.Each(func(_ tuple.Tuple, _ uint64) bool { distinct++; return true })
-	r.EachOccurrence(func(_ tuple.Tuple) bool { occurrences++; return true })
+	var distinct int
+	var occurrences uint64
+	r.Each(func(_ tuple.Tuple, n uint64) bool { distinct++; occurrences += n; return true })
 	if distinct != 2 || occurrences != 3 {
 		t.Errorf("distinct=%d occurrences=%d", distinct, occurrences)
 	}
@@ -95,11 +97,6 @@ func TestEachAndEachOccurrence(t *testing.T) {
 	if count != 1 {
 		t.Error("Each must stop when fn returns false")
 	}
-	count = 0
-	r.EachOccurrence(func(_ tuple.Tuple) bool { count++; return false })
-	if count != 1 {
-		t.Error("EachOccurrence must stop when fn returns false")
-	}
 }
 
 func TestTuplesAndDistinctSorted(t *testing.T) {
@@ -108,9 +105,10 @@ func TestTuplesAndDistinctSorted(t *testing.T) {
 	if len(all) != 3 || !all[0].Equal(tuple.Ints(1)) || !all[2].Equal(tuple.Ints(3)) {
 		t.Errorf("Tuples = %v", all)
 	}
-	d := r.Distinct()
+	var d []tuple.Tuple
+	r.EachSorted(func(tp tuple.Tuple, _ uint64) bool { d = append(d, tp); return true })
 	if len(d) != 2 || !d[0].Equal(tuple.Ints(1)) || !d[1].Equal(tuple.Ints(3)) {
-		t.Errorf("Distinct = %v", d)
+		t.Errorf("EachSorted = %v", d)
 	}
 	// EachSorted early stop.
 	n := 0

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -271,7 +272,7 @@ func TestParallelStatsFolding(t *testing.T) {
 	e := algebra.NewSelect(pred, algebra.NewRel("fact"))
 
 	var serial Stats
-	sout, err := mustPlan(t, e, src).ExecuteStats(src, &serial)
+	sout, err := mustPlan(t, e, src).ExecuteStatsContext(context.Background(), src, &serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestParallelStatsFolding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var par Stats
-	pout, err := p.ExecuteStats(src, &par)
+	pout, err := p.ExecuteStatsContext(context.Background(), src, &par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +433,7 @@ func TestGroupMergeStats(t *testing.T) {
 		t.Fatalf("expected a two-phase plan:\n%s", p)
 	}
 	var st Stats
-	out, err := p.ExecuteStats(src, &st)
+	out, err := p.ExecuteStatsContext(context.Background(), src, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

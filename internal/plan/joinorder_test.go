@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestEnumeratorReplacesWrittenOrder(t *testing.T) {
 		want.Add(tuple.Ints(k, k, k, k, k, k, k, i), 1)
 	}
 	var st Stats
-	got, err := p.ExecuteStats(src, &st)
+	got, err := p.ExecuteStatsContext(context.Background(), src, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

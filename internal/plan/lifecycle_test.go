@@ -68,7 +68,7 @@ func TestCancelledBeforeExecution(t *testing.T) {
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := p.ExecuteContext(ctx, src); !errors.Is(err, context.Canceled) {
+			if _, err := p.ExecuteStatsContext(ctx, src, nil); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s workers=%d: err = %v, want context.Canceled", name, w, err)
 			}
 		}
@@ -86,7 +86,7 @@ func TestCancelMidStreamSerial(t *testing.T) {
 	p := mustPlan(t, e, src)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if _, err := p.ExecuteContext(ctx, cancellingSource{src, cancel}); !errors.Is(err, context.Canceled) {
+	if _, err := p.ExecuteStatsContext(ctx, cancellingSource{src, cancel}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -128,7 +128,7 @@ func TestCancelAtRandomClaims(t *testing.T) {
 				}
 			}})
 			start := time.Now()
-			_, err = p.ExecuteContext(ctx, src)
+			_, err = p.ExecuteStatsContext(ctx, src, nil)
 			elapsed := time.Since(start)
 			restore()
 			cancel()
@@ -165,7 +165,7 @@ func TestDeadlineTripsMidExchange(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = p.ExecuteContext(ctx, src)
+	_, err = p.ExecuteStatsContext(ctx, src, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -202,7 +202,7 @@ func TestInjectedWorkerPanicNamesOperator(t *testing.T) {
 					panic("injected worker crash")
 				}
 			}})
-			_, err = p.ExecuteContext(context.Background(), src)
+			_, err = p.Execute(src)
 			restore()
 			var pe *exec.PanicError
 			if !errors.As(err, &pe) {
@@ -244,7 +244,7 @@ func TestMemoryBudgetTrips(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
-			if _, err := p.ExecuteContext(context.Background(), src); !errors.Is(err, ErrMemoryBudget) {
+			if _, err := p.Execute(src); !errors.Is(err, ErrMemoryBudget) {
 				t.Errorf("%s workers=%d limit=1KiB: err = %v, want ErrMemoryBudget", name, w, err)
 			}
 			// A generous budget must not change the result.
@@ -275,26 +275,26 @@ func TestMemoryBudgetTripsSort(t *testing.T) {
 	defer testleak.Check(t)()
 	src := testSource(1000)
 	e := algebra.NewRel("fact")
-	keys := []SortKey{{Col: 1, Desc: true}}
+	clause := Clause{Order: []SortKey{{Col: 1, Desc: true}}}
 	pl := &Planner{Cards: src, MemoryLimit: 1024}
-	p, err := pl.PlanOrdered(e, catalogOf(src), keys)
+	p, err := pl.PlanOrdered(e, catalogOf(src), clause)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.ExecuteOrdered(src, nil); !errors.Is(err, ErrMemoryBudget) {
+	if _, err := p.Execute(src); !errors.Is(err, ErrMemoryBudget) {
 		t.Fatalf("limit=1KiB: err = %v, want ErrMemoryBudget", err)
 	}
 	pl.MemoryLimit = 1 << 30
-	p, err = pl.PlanOrdered(e, catalogOf(src), keys)
+	p, err = pl.PlanOrdered(e, catalogOf(src), clause)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := p.ExecuteOrdered(src, nil)
+	_, runs, err := p.ExecuteRuns(context.Background(), src, nil)
 	if err != nil {
 		t.Fatalf("limit=1GiB: %v", err)
 	}
-	if len(rows) != 1000 {
-		t.Fatalf("ordered rows = %d, want 1000", len(rows))
+	if rows := len(expandRuns(runs)); rows != 1000 {
+		t.Fatalf("ordered rows = %d, want 1000", rows)
 	}
 }
 
@@ -305,13 +305,13 @@ func TestCancelledOrderedExecution(t *testing.T) {
 	src := testSource(1000)
 	for _, w := range lifecycleWidths {
 		pl := lifecyclePlanner(src, w)
-		p, err := pl.PlanOrdered(algebra.NewRel("fact"), catalogOf(src), []SortKey{{Col: 0}})
+		p, err := pl.PlanOrdered(algebra.NewRel("fact"), catalogOf(src), Clause{Order: []SortKey{{Col: 0}}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, _, err := p.ExecuteOrderedContext(ctx, src, nil); !errors.Is(err, context.Canceled) {
+		if _, _, err := p.ExecuteRuns(ctx, src, nil); !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", w, err)
 		}
 	}
@@ -375,7 +375,7 @@ func TestClosureHonoursDeadline(t *testing.T) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		start := time.Now()
-		_, err = p.ExecuteContext(ctx, src)
+		_, err = p.ExecuteStatsContext(ctx, src, nil)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("workers=%d: err = %v, want context.DeadlineExceeded", w, err)

@@ -224,35 +224,36 @@ type Plan struct {
 }
 
 // Execute runs the plan against a source and collects the root stream into a
-// fresh relation: the one result sink of every execution.
+// fresh relation.
 func (p *Plan) Execute(src Source) (*multiset.Relation, error) {
-	return p.exec(context.Background(), src, nil)
+	rel, _, err := p.exec(context.Background(), src, nil)
+	return rel, err
 }
 
-// ExecuteContext is Execute under a lifecycle context: the plan polls ctx at
-// amortised checkpoints (per morsel claim, per batch) and aborts with ctx.Err()
-// once it is cancelled or past its deadline.  A Background context makes every
-// checkpoint a no-op, so ExecuteContext(context.Background(), src) costs
-// exactly what Execute(src) does.
-func (p *Plan) ExecuteContext(ctx context.Context, src Source) (*multiset.Relation, error) {
-	return p.exec(ctx, src, nil)
-}
-
-// ExecuteStats is Execute with per-operator statistics accumulated into st.
-func (p *Plan) ExecuteStats(src Source, st *Stats) (*multiset.Relation, error) {
-	return p.exec(context.Background(), src, st)
-}
-
-// ExecuteStatsContext is ExecuteContext with per-operator statistics
-// accumulated into st.
+// ExecuteStatsContext is Execute under a lifecycle context, with
+// per-operator statistics accumulated into st when it is non-nil.  The plan
+// polls ctx at amortised checkpoints (per morsel claim, per batch) and aborts
+// with ctx.Err() once it is cancelled or past its deadline; a Background
+// context makes every checkpoint a no-op.
 func (p *Plan) ExecuteStatsContext(ctx context.Context, src Source, st *Stats) (*multiset.Relation, error) {
+	rel, _, err := p.exec(ctx, src, st)
+	return rel, err
+}
+
+// ExecuteRuns is ExecuteStatsContext that also returns the result's
+// presentation order: the counted runs a Sort root emitted, nil for a plan
+// without one.  The runs hold exactly the result's occurrences.
+func (p *Plan) ExecuteRuns(ctx context.Context, src Source, st *Stats) (*multiset.Relation, []Run, error) {
 	return p.exec(ctx, src, st)
 }
 
-func (p *Plan) exec(qctx context.Context, src Source, st *Stats) (*multiset.Relation, error) {
+// exec is the one result sink of every execution: it collects the root
+// stream into a fresh relation and returns it beside the runs a Sort root
+// recorded.
+func (p *Plan) exec(qctx context.Context, src Source, st *Stats) (*multiset.Relation, []Run, error) {
 	ctx := p.newExecCtx(qctx, src, st)
 	if err := ctx.poll(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := multiset.NewWithCapacity(p.Root.Schema(), capacityFor(p.Root.meta().capHint))
 	err := ctx.collect(p.Root, out)
@@ -260,9 +261,9 @@ func (p *Plan) exec(qctx context.Context, src Source, st *Stats) (*multiset.Rela
 		st.PerOperator = append(st.PerOperator, ctx.perOp...)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, ctx.runs, nil
 }
 
 // newExecCtx builds the root execution context of one plan execution: the
@@ -355,6 +356,8 @@ type execCtx struct {
 	done <-chan struct{}
 	// mem is the query's shared memory gauge; nil disables accounting.
 	mem *MemoryGauge
+	// runs are the counted runs a Sort root emitted, in emission order.
+	runs []Run
 }
 
 // batchCap returns the effective emit batch size.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -167,7 +168,7 @@ func TestPipelineDoesNotMaterialise(t *testing.T) {
 				algebra.NewRel("fact"))))
 	p := mustPlan(t, cascade, src)
 	var st Stats
-	if _, err := p.ExecuteStats(src, &st); err != nil {
+	if _, err := p.ExecuteStatsContext(context.Background(), src, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.MaterialisedTuples != 0 {
@@ -184,7 +185,7 @@ func TestPipelineDoesNotMaterialise(t *testing.T) {
 	_ = join
 	p2 := mustPlan(t, above, src)
 	var st2 Stats
-	if _, err := p2.ExecuteStats(src, &st2); err != nil {
+	if _, err := p2.ExecuteStatsContext(context.Background(), src, &st2); err != nil {
 		t.Fatal(err)
 	}
 	dimCard := src["dim"].Cardinality()
@@ -284,7 +285,7 @@ func TestEmptyBuildSkipsProbe(t *testing.T) {
 	join := algebra.NewJoin(scalar.Eq(0, 2), algebra.NewRel("fact"), algebra.NewRel("empty"))
 	p := mustPlan(t, join, src)
 	var st Stats
-	out, err := p.ExecuteStats(src, &st)
+	out, err := p.ExecuteStatsContext(context.Background(), src, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

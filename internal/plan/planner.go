@@ -66,7 +66,7 @@ func NewPlanner(src Source) *Planner { return &Planner{Cards: src} }
 // inference, condition and arithmetic validation) happens here; execution
 // assumes a well-typed plan.
 func (pl *Planner) Plan(e algebra.Expr, cat algebra.Catalog) (*Plan, error) {
-	return pl.PlanOrdered(e, cat, nil)
+	return pl.PlanOrdered(e, cat, Clause{})
 }
 
 // number assigns pre-order ids used by the per-operator statistics.

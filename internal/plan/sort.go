@@ -1,8 +1,8 @@
 package plan
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +19,41 @@ type SortKey struct {
 	Col int
 	// Desc orders descending when set.
 	Desc bool
+}
+
+// Clause is a SQL query's presentation clause: ORDER BY, OFFSET and LIMIT.
+// The multi-set algebra is unordered, so the clause has no expression
+// counterpart; a plan executes it as one Sort operator at its root.
+type Clause struct {
+	// Order lists the sort keys, outermost first: 0-based positions in the
+	// query's output schema with a direction each.
+	Order []SortKey
+	// Offset skips the first Offset occurrences of the ordered result.
+	Offset uint64
+	// Limit caps the number of occurrences presented.
+	Limit uint64
+	// HasLimit reports whether the clause has a LIMIT.
+	HasLimit bool
+	// Hidden is the number of trailing hidden sort columns the SQL
+	// translator appended to the query's projection so ORDER BY could
+	// reference expressions that are not output columns.  The Sort orders
+	// on them and emits only the columns before them.
+	Hidden int
+}
+
+// Active reports whether the clause changes the result presentation.
+func (c Clause) Active() bool {
+	return len(c.Order) > 0 || c.HasLimit || c.Offset > 0 || c.Hidden > 0
+}
+
+// Run is one counted run of an ordered result: Count consecutive occurrences
+// of Tuple.  A Sort root's runs, in emission order, are the presentation
+// order of its plan's result.
+type Run struct {
+	// Tuple is the run's tuple.
+	Tuple tuple.Tuple
+	// Count is the number of occurrences in the run.
+	Count uint64
 }
 
 // compareKeys orders two tuples by the key list, breaking ties with the full
@@ -38,22 +73,25 @@ func compareKeys(keys []SortKey, a, b tuple.Tuple) int {
 	return a.Compare(b)
 }
 
-// sortNode is the Sort physical operator: a blocking operator that
-// materialises its input and emits the chunks in key order.  Relations are
-// unordered, so Sort exists purely for presentation — the ORDER BY path of
-// the SQL front-end plans it as the root operator and consumes the root
-// stream in emission order.
+// sortNode is the Sort physical operator, which executes a whole presentation
+// clause: a blocking operator that materialises its input, orders the
+// distinct chunks by the keys (canonical order when there are none), cuts
+// the OFFSET/LIMIT window by subtracting counts, and emits the surviving runs
+// without the hidden columns.  Relations are unordered, so Sort exists purely
+// for presentation: it roots the plan, and it records the runs it emits in
+// the execution context, which the result sink returns as the order.  No
+// step loops over occurrences, so a run of 2^32 copies costs one chunk.
 type sortNode struct {
 	base
-	keys  []SortKey
-	input Node
+	clause Clause
+	input  Node
 }
 
 func (s *sortNode) Children() []Node { return []Node{s.input} }
 
 func (s *sortNode) Describe() string {
-	parts := make([]string, len(s.keys))
-	for i, k := range s.keys {
+	parts := make([]string, len(s.clause.Order))
+	for i, k := range s.clause.Order {
 		parts[i] = "%" + strconv.Itoa(k.Col+1)
 		if k.Desc {
 			parts[i] += " desc"
@@ -68,17 +106,13 @@ func (s *sortNode) run(ctx *execCtx, emit EmitBatch) error {
 		return err
 	}
 	ctx.materialised(s, in.Cardinality())
-	type chunk struct {
-		tup   tuple.Tuple
-		count uint64
-	}
-	chunks := make([]chunk, 0, in.DistinctCount())
+	chunks := make([]Run, 0, in.DistinctCount())
 	var memErr error
 	in.Each(func(t tuple.Tuple, n uint64) bool {
 		if memErr = ctx.chargeTuple(t); memErr != nil {
 			return false
 		}
-		chunks = append(chunks, chunk{tup: t, count: n})
+		chunks = append(chunks, Run{Tuple: t, Count: n})
 		return true
 	})
 	if memErr != nil {
@@ -87,84 +121,72 @@ func (s *sortNode) run(ctx *execCtx, emit EmitBatch) error {
 	if err := ctx.poll(); err != nil {
 		return err
 	}
-	sort.Slice(chunks, func(i, j int) bool { return compareKeys(s.keys, chunks[i].tup, chunks[j].tup) < 0 })
+	sort.Slice(chunks, func(i, j int) bool { return compareKeys(s.clause.Order, chunks[i].Tuple, chunks[j].Tuple) < 0 })
+	skip, left := s.clause.Offset, uint64(math.MaxUint64)
+	if s.clause.HasLimit {
+		left = s.clause.Limit
+	}
+	visible := s.schema.Arity()
 	w := newBatchWriter(ctx, emit)
 	for _, c := range chunks {
-		if err := w.push(c.tup, c.count); err != nil {
+		if left == 0 {
+			break
+		}
+		if c.Count <= skip {
+			skip -= c.Count
+			continue
+		}
+		n := min(c.Count-skip, left)
+		skip, left = 0, left-n
+		t := c.Tuple
+		if s.clause.Hidden > 0 {
+			t = tuple.FromSlice(t.Values()[:visible])
+		}
+		ctx.runs = append(ctx.runs, Run{Tuple: t, Count: n})
+		if err := w.push(t, n); err != nil {
 			return err
 		}
 	}
 	return w.flush()
 }
 
-// PlanOrdered is Plan with sort keys: when there are any, it roots the plan
-// with a Sort operator over them, which must address the expression's output
-// schema.  The plan's root stream then emits in key order; ExecuteOrdered
-// captures that order.
-func (pl *Planner) PlanOrdered(e algebra.Expr, cat algebra.Catalog, keys []SortKey) (*Plan, error) {
+// PlanOrdered is Plan with a presentation clause: when the clause is active,
+// it roots the plan with a Sort operator that executes it.  The keys must
+// address the expression's output schema, whose trailing clause.Hidden
+// columns the Sort drops.  Executing the plan through ExecuteRuns returns the
+// Sort's runs as the result's order.
+func (pl *Planner) PlanOrdered(e algebra.Expr, cat algebra.Catalog, clause Clause) (*Plan, error) {
 	root, err := pl.compile(e, cat)
 	if err != nil {
 		return nil, err
 	}
 	root = pl.parallelize(root)
-	for _, k := range keys {
-		if k.Col < 0 || k.Col >= root.Schema().Arity() {
-			return nil, fmt.Errorf("plan: sort key %%%d out of range for arity %d", k.Col+1, root.Schema().Arity())
+	in := root.Schema()
+	if clause.Hidden < 0 || clause.Hidden > in.Arity() {
+		return nil, fmt.Errorf("plan: %d hidden columns out of range for arity %d", clause.Hidden, in.Arity())
+	}
+	for _, k := range clause.Order {
+		if k.Col < 0 || k.Col >= in.Arity() {
+			return nil, fmt.Errorf("plan: sort key %%%d out of range for arity %d", k.Col+1, in.Arity())
 		}
 	}
-	if len(keys) > 0 {
-		s := &sortNode{keys: keys, input: root}
-		s.schema = root.Schema()
+	if clause.Active() {
+		s := &sortNode{clause: clause, input: root}
+		visible := make([]int, in.Arity()-clause.Hidden)
+		for i := range visible {
+			visible[i] = i
+		}
+		s.schema, _ = in.Project(visible)
 		s.est = root.Estimate()
-		s.exactEst = root.meta().exactEst
+		s.exactEst = root.meta().exactEst && clause.Offset == 0 && !clause.HasLimit
 		s.capHint = root.meta().capHint
+		if clause.HasLimit {
+			s.est = min(s.est, float64(clause.Limit))
+			s.capHint = min(s.capHint, float64(clause.Limit))
+		}
 		root = s
 	}
 	p := &Plan{Root: root, nodes: make([]Node, 0, 8), batchSize: pl.BatchSize, memLimit: pl.MemoryLimit}
 	number(root, &p.nodes)
 	return p, nil
-}
-
-// ExecuteOrdered runs the plan and returns its occurrences in key order — a
-// tuple with multiplicity k appears k times consecutively — together with the
-// result relation.  A plan without a Sort root (PlanOrdered without keys, or
-// Plan) has no order: it runs exactly like ExecuteStats and the order is nil.
-// st, when non-nil, accumulates per-operator statistics as in ExecuteStats.
-func (p *Plan) ExecuteOrdered(src Source, st *Stats) ([]tuple.Tuple, *multiset.Relation, error) {
-	return p.ExecuteOrderedContext(context.Background(), src, st)
-}
-
-// ExecuteOrderedContext is ExecuteOrdered under a lifecycle context, polled at
-// the same amortised checkpoints as ExecuteContext.
-func (p *Plan) ExecuteOrderedContext(qctx context.Context, src Source, st *Stats) ([]tuple.Tuple, *multiset.Relation, error) {
-	if _, sorted := p.Root.(*sortNode); !sorted {
-		rel, err := p.exec(qctx, src, st)
-		return nil, rel, err
-	}
-	ctx := p.newExecCtx(qctx, src, st)
-	if err := ctx.poll(); err != nil {
-		return nil, nil, err
-	}
-	out := multiset.NewWithCapacity(p.Root.Schema(), capacityFor(p.Root.meta().capHint))
-	var ordered []tuple.Tuple
-	occur := func(t tuple.Tuple, n uint64) error {
-		out.Add(t, n)
-		for i := uint64(0); i < n; i++ {
-			ordered = append(ordered, t)
-		}
-		return nil
-	}
-	err := ctx.run(p.Root, func(b *Batch) error {
-		if err := ctx.poll(); err != nil {
-			return err
-		}
-		return b.forEach(occur)
-	})
-	if st != nil {
-		st.PerOperator = append(st.PerOperator, ctx.perOp...)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return ordered, out, nil
 }

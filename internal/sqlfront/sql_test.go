@@ -476,7 +476,7 @@ func (f *fakeContext) Assign(name string, r *multiset.Relation) error {
 func (f *fakeContext) Output(r *multiset.Relation) { f.outputs = append(f.outputs, r) }
 
 // TestOrderByLimitCompile checks the resolution of ORDER BY / LIMIT / OFFSET
-// into presentation modifiers against the output schema.
+// into the presentation clause against the output schema.
 func TestOrderByLimitCompile(t *testing.T) {
 	cat := eval.CatalogOf(beerSource())
 
@@ -484,7 +484,7 @@ func TestOrderByLimitCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Modifiers{Order: []plan.SortKey{{Col: 1, Desc: true}, {Col: 0}}, Limit: 3, HasLimit: true, Offset: 1}
+	want := plan.Clause{Order: []plan.SortKey{{Col: 1, Desc: true}, {Col: 0}}, Limit: 3, HasLimit: true, Offset: 1}
 	if len(q.Mods.Order) != 2 || q.Mods.Order[0] != want.Order[0] || q.Mods.Order[1] != want.Order[1] ||
 		q.Mods.Limit != want.Limit || !q.Mods.HasLimit || q.Mods.Offset != want.Offset {
 		t.Errorf("modifiers = %+v, want %+v", q.Mods, want)
@@ -539,12 +539,17 @@ func TestOrderByLimitCompile(t *testing.T) {
 		}
 	}
 
-	// Statement-level compilation rejects the presentation modifiers: a bare
-	// statement output is an unordered multi-set.
-	if _, err := CompileStatement("SELECT name FROM beer ORDER BY name", cat); err == nil {
-		t.Error("CompileStatement must reject ORDER BY")
+	// Statement-level compilation carries the clause on the query statement,
+	// which the plan's Sort root executes...
+	s, err := CompileStatement("SELECT name FROM beer ORDER BY name DESC LIMIT 1 OFFSET 2", cat)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// ...but CompileScript carries them through per query statement.
+	if q, ok := s.(stmt.Query); !ok || len(q.Mods.Order) != 1 || q.Mods.Order[0] != (plan.SortKey{Col: 0, Desc: true}) ||
+		!q.Mods.HasLimit || q.Mods.Limit != 1 || q.Mods.Offset != 2 {
+		t.Errorf("CompileStatement clause = %+v", s)
+	}
+	// ...and CompileScript carries it through per query statement.
 	prog, mods, err := CompileScript(
 		"INSERT INTO beer VALUES ('x', 'y', 1.0); SELECT name FROM beer LIMIT 2; SELECT name FROM beer", cat)
 	if err != nil {

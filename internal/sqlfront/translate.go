@@ -13,42 +13,18 @@ import (
 	"mra/internal/value"
 )
 
-// Modifiers are the presentation-level ORDER BY / LIMIT / OFFSET clauses of a
-// SELECT.  The multi-set algebra is unordered, so they have no expression
-// counterpart: the ORDER BY keys ride on the query statement to the physical
-// Sort operator, and the facade cuts the window from the sorted result.
-type Modifiers struct {
-	// Order lists the sort keys, outermost first: 0-based positions in the
-	// query's output schema with a direction each.
-	Order []plan.SortKey
-	// Offset skips the first Offset rows of the (ordered) result.
-	Offset uint64
-	// Limit caps the number of returned rows when HasLimit is set.
-	Limit    uint64
-	HasLimit bool
-	// Hidden is the number of trailing hidden sort columns the translator
-	// appended to the query's projection so ORDER BY could reference
-	// expressions that are not output columns.  The Sort operator orders on
-	// them and the facade strips them before the result is presented.
-	Hidden int
-}
-
-// Active reports whether the modifiers change the result presentation.
-func (m Modifiers) Active() bool {
-	return len(m.Order) > 0 || m.HasLimit || m.Offset > 0
-}
-
 // Query is a compiled SELECT: the algebra expression plus its presentation
-// modifiers.
+// clause.
 type Query struct {
 	// Expr is the translated multi-set algebra expression.
 	Expr algebra.Expr
-	// Mods are the ORDER BY / LIMIT / OFFSET clauses.
-	Mods Modifiers
+	// Mods is the ORDER BY / OFFSET / LIMIT clause, executed by the plan's
+	// Sort root.
+	Mods plan.Clause
 }
 
 // CompileQuery parses a SELECT statement and translates it into a multi-set
-// algebra expression (plus presentation modifiers) over the given catalog.
+// algebra expression (plus its presentation clause) over the given catalog.
 func CompileQuery(sql string, cat algebra.Catalog) (Query, error) {
 	p, err := newParser(sql)
 	if err != nil {
@@ -65,11 +41,9 @@ func CompileQuery(sql string, cat algebra.Catalog) (Query, error) {
 }
 
 // CompileStatement parses any supported SQL statement.  Queries are wrapped in
-// a query statement (?E); INSERT, DELETE and UPDATE become the corresponding
-// extended relational algebra statements of Definition 4.1.  A SELECT with
-// ORDER BY or LIMIT is rejected here: statement outputs are bare multi-sets,
-// so the presentation modifiers would be lost — use CompileQuery or
-// CompileScript, whose callers present the results.
+// a query statement (?E) that carries their ORDER BY / OFFSET / LIMIT clause;
+// INSERT, DELETE and UPDATE become the corresponding extended relational
+// algebra statements of Definition 4.1.
 func CompileStatement(sql string, cat algebra.Catalog) (stmt.Statement, error) {
 	p, err := newParser(sql)
 	if err != nil {
@@ -82,87 +56,76 @@ func CompileStatement(sql string, cat algebra.Catalog) (stmt.Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, mods, err := translateStatement(node, cat)
-	if err != nil {
-		return nil, err
-	}
-	if mods.Active() {
-		return nil, errf(lex.Pos{}, "ORDER BY/LIMIT are only supported on queries whose results are returned to the caller")
-	}
-	return s, nil
+	return translateStatement(node, cat)
 }
 
-// translateStatement translates one parsed statement, carrying any SELECT
-// presentation modifiers alongside.
-func translateStatement(node any, cat algebra.Catalog) (stmt.Statement, Modifiers, error) {
+// translateStatement translates one parsed statement.
+func translateStatement(node any, cat algebra.Catalog) (stmt.Statement, error) {
 	switch n := node.(type) {
 	case *selectQuery:
 		q, err := translateQuery(n, cat)
 		if err != nil {
-			return nil, Modifiers{}, err
+			return nil, err
 		}
-		return stmt.Query{Source: q.Expr, Order: q.Mods.Order}, q.Mods, nil
+		return stmt.Query{Source: q.Expr, Mods: q.Mods}, nil
 	case *insertStmt:
-		s, err := translateInsert(n, cat)
-		return s, Modifiers{}, err
+		return translateInsert(n, cat)
 	case *deleteStmt:
-		s, err := translateDelete(n, cat)
-		return s, Modifiers{}, err
+		return translateDelete(n, cat)
 	case *updateStmt:
-		s, err := translateUpdate(n, cat)
-		return s, Modifiers{}, err
+		return translateUpdate(n, cat)
 	case *analyzeStmt:
 		if n.table != "" {
 			if _, ok := cat.RelationSchema(n.table); !ok {
-				return nil, Modifiers{}, errf(lex.Pos{}, "unknown table %q", n.table)
+				return nil, errf(lex.Pos{}, "unknown table %q", n.table)
 			}
 		}
-		return stmt.Analyze{Target: n.table}, Modifiers{}, nil
+		return stmt.Analyze{Target: n.table}, nil
 	default:
-		return nil, Modifiers{}, errf(lex.Pos{}, "unsupported statement %T", node)
+		return nil, errf(lex.Pos{}, "unsupported statement %T", node)
 	}
 }
 
 // CompileScript compiles a semicolon-separated sequence of SQL statements into
 // one extended relational algebra program, parsing them from one token
 // stream of the whole script, so error positions count lines and columns
-// from the script's start.  The second return value holds, for each query
-// statement of the program in execution order, its presentation modifiers
-// (the zero value when none), to be applied to the corresponding output.
-func CompileScript(sql string, cat algebra.Catalog) (stmt.Program, []Modifiers, error) {
+// from the script's start.  Each query statement carries its own clause; the
+// second return value repeats those clauses, one per query statement in
+// execution order.
+func CompileScript(sql string, cat algebra.Catalog) (stmt.Program, []plan.Clause, error) {
 	p, err := newParser(sql)
 	if err != nil {
 		return nil, nil, err
 	}
 	var prog stmt.Program
-	var mods []Modifiers
+	var clauses []plan.Clause
 	for {
 		for p.Accept(";") {
 		}
 		if p.Peek().Kind == lex.EOF {
-			return prog, mods, nil
+			return prog, clauses, nil
 		}
 		start := p.Idx
-		s, m, err := p.scriptStatement(cat)
+		s, err := p.scriptStatement(cat)
 		if err != nil {
 			return nil, nil, fmt.Errorf("in %q: %w", p.statementText(start), err)
 		}
 		prog = append(prog, s)
-		if _, isQuery := s.(stmt.Query); isQuery {
-			mods = append(mods, m)
+		if q, isQuery := s.(stmt.Query); isQuery {
+			clauses = append(clauses, q.Mods)
 		}
 	}
 }
 
 // scriptStatement compiles the script's next statement, which ";" or the
 // end of input must follow.
-func (p *parser) scriptStatement(cat algebra.Catalog) (stmt.Statement, Modifiers, error) {
+func (p *parser) scriptStatement(cat algebra.Catalog) (stmt.Statement, error) {
 	node, err := p.parseStatement()
 	if err != nil {
-		return nil, Modifiers{}, err
+		return nil, err
 	}
 	if t := p.Peek(); !p.Accept(";") && t.Kind != lex.EOF {
-		return nil, Modifiers{}, errf(t.Pos, "unexpected %s after end of statement", t)
+		return nil, errf(t.Pos, "unexpected %s after end of statement", t)
 	}
 	return translateStatement(node, cat)
 }
@@ -384,8 +347,8 @@ func translateBool(e sqlExpr, r resolver) (scalar.Predicate, error) {
 // translateQuery translates the SELECT body and resolves its ORDER BY /
 // LIMIT / OFFSET clauses.  Keys that name an output column (or a 1-based
 // position) sort the result as-is; any other key expression is computed as a
-// hidden trailing projection column — the facade sorts on it through the
-// physical Sort operator and strips it before presentation.  On a plain
+// hidden trailing projection column — the plan's Sort root orders on it and
+// drops it from the result.  On a plain
 // SELECT a hidden key may be any scalar expression over the FROM schema; on a
 // grouped query it must be an aggregate call or a grouping column, carried as
 // a hidden trailing aggregate (or grouping) column of the Γ translation.
@@ -398,7 +361,7 @@ func translateQuery(q *selectQuery, cat algebra.Catalog) (Query, error) {
 	if err != nil {
 		return Query{}, err
 	}
-	out := Query{Expr: expr, Mods: Modifiers{Offset: q.offset, Limit: q.limit, HasLimit: q.hasLimit}}
+	out := Query{Expr: expr, Mods: plan.Clause{Offset: q.offset, Limit: q.limit, HasLimit: q.hasLimit}}
 	if len(q.orderBy) == 0 {
 		return out, nil
 	}

@@ -270,24 +270,26 @@ func (s Assign) String() string { return fmt.Sprintf("%s = %s", s.Name, s.Source
 type Query struct {
 	// Source is the expression E.
 	Source algebra.Expr
-	// Order lists the resolved sort keys of a SQL ORDER BY, outermost first.
-	// Relations are unordered, so the keys only fix the order in which the
-	// output is presented; an empty list presents it unordered.
-	Order []plan.SortKey
+	// Mods is a SQL query's ORDER BY / OFFSET / LIMIT clause.  Relations
+	// are unordered, so the clause only fixes which occurrences are
+	// presented and in what order; an inactive clause presents the whole
+	// result unordered.
+	Mods plan.Clause
 }
 
-// Execute implements Statement.  An ordered query needs a context that also
-// implements Query (transactions do): it evaluates the expression under a
-// Sort operator and delivers the result together with its order.
+// Execute implements Statement.  A query with an active clause needs a
+// context that also implements Query (transactions do): it evaluates the
+// expression under a Sort root that executes the clause and delivers the
+// result together with its order.
 func (s Query) Execute(ctx Context) error {
-	if len(s.Order) > 0 {
+	if s.Mods.Active() {
 		q, ok := ctx.(interface {
-			Query(e algebra.Expr, keys []plan.SortKey) error
+			Query(e algebra.Expr, clause plan.Clause) error
 		})
 		if !ok {
 			return fmt.Errorf("%w: context does not support ordered queries", ErrStatement)
 		}
-		return q.Query(s.Source, s.Order)
+		return q.Query(s.Source, s.Mods)
 	}
 	r, err := ctx.Evaluate(s.Source)
 	if err != nil {

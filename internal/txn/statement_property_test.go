@@ -190,7 +190,10 @@ func (g *stmtGen) items() []scalar.Expr {
 // statement draws one statement over the current state cur and returns it
 // with the expression the oracle evaluates for the new state of r.
 func (g *stmtGen) statement(cur *multiset.Relation) (stmt.Statement, algebra.Expr) {
-	g.seen = append(g.seen, cur.Distinct()...)
+	cur.EachSorted(func(t tuple.Tuple, _ uint64) bool {
+		g.seen = append(g.seen, t)
+		return true
+	})
 	r, e := algebra.NewRel("r"), g.source()
 	switch g.rng.Intn(3) {
 	case 0:

@@ -43,7 +43,6 @@ import (
 	"mra/internal/stats"
 	"mra/internal/stmt"
 	"mra/internal/storage"
-	"mra/internal/tuple"
 )
 
 // Transaction lifecycle errors.
@@ -215,9 +214,10 @@ type Tx struct {
 	localStats map[string]*stats.Table
 	// outputs collects query statement results in execution order.
 	outputs []*multiset.Relation
-	// orders holds, by output index, the key order of the outputs of ordered
-	// queries; nil until the first one.
-	orders map[int][]tuple.Tuple
+	// orders holds, by output index, the presentation order of the outputs
+	// of queries with an active clause, as the runs their Sort root emitted;
+	// nil until the first one.
+	orders map[int][]plan.Run
 }
 
 // WithContext sets the transaction's lifecycle context and returns the same
@@ -252,10 +252,10 @@ func (t *Tx) Outputs() []*multiset.Relation {
 	return out
 }
 
-// OutputOrder returns the presentation order of the i-th output: its
-// occurrences in sort-key order when it came from an ordered query, nil
-// otherwise.
-func (t *Tx) OutputOrder(i int) []tuple.Tuple { return t.orders[i] }
+// OutputOrder returns the presentation order of the i-th output: the counted
+// runs its Sort root emitted when it came from a query with an active
+// clause, nil otherwise.
+func (t *Tx) OutputOrder(i int) []plan.Run { return t.orders[i] }
 
 // Relation implements eval.Source over the transaction's intermediate state:
 // temporaries shadow workspace copies, which shadow the snapshot captured at
@@ -345,10 +345,10 @@ func (t *Tx) AnalyzeRelation(name string) error {
 // transaction's intermediate state, as Relation does.
 func (t *Tx) Catalog() algebra.Catalog { return eval.CatalogOf(t) }
 
-// Evaluate implements stmt.Context: it is EvaluatePlan without sort keys or
+// Evaluate implements stmt.Context: it is EvaluatePlan without a clause or
 // statistics.
 func (t *Tx) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
-	ev, err := t.EvaluatePlan(e, nil, nil)
+	ev, err := t.EvaluatePlan(e, plan.Clause{}, nil)
 	return ev.Result, err
 }
 
@@ -357,9 +357,9 @@ type Evaluation struct {
 	// Plan is the physical plan; it is set once planning succeeded, even when
 	// execution then failed.
 	Plan *plan.Plan
-	// Ordered lists the result's occurrences in sort-key order; nil when the
-	// expression was evaluated without keys.
-	Ordered []tuple.Tuple
+	// Runs is the result's presentation order, the counted runs the plan's
+	// Sort root emitted; nil when the clause was inactive.
+	Runs []plan.Run
 	// Result is the result relation.
 	Result *multiset.Relation
 }
@@ -367,10 +367,11 @@ type Evaluation struct {
 // EvaluatePlan is the evaluate stage of every statement and query, and the
 // only place an expression is planned and executed: it validates e against
 // the transaction's intermediate state, plans it — rooted at a Sort operator
-// over keys when there are any — with the transaction's cardinalities and
-// statistics, and executes the plan under the transaction's context.  st,
-// when non-nil, accumulates per-operator statistics.
-func (t *Tx) EvaluatePlan(e algebra.Expr, keys []plan.SortKey, st *plan.Stats) (Evaluation, error) {
+// that executes the clause when it is active — with the transaction's
+// cardinalities and statistics, and executes the plan under the
+// transaction's context.  st, when non-nil, accumulates per-operator
+// statistics.
+func (t *Tx) EvaluatePlan(e algebra.Expr, clause plan.Clause, st *plan.Stats) (Evaluation, error) {
 	if t.state != StateActive {
 		return Evaluation{}, ErrDone
 	}
@@ -380,28 +381,28 @@ func (t *Tx) EvaluatePlan(e algebra.Expr, keys []plan.SortKey, st *plan.Stats) (
 	}
 	pl := t.planner
 	pl.Cards = t
-	p, err := pl.PlanOrdered(e, cat, keys)
+	p, err := pl.PlanOrdered(e, cat, clause)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	ordered, rel, err := p.ExecuteOrderedContext(t.Context(), t, st)
-	return Evaluation{Plan: p, Ordered: ordered, Result: rel}, err
+	rel, runs, err := p.ExecuteRuns(t.Context(), t, st)
+	return Evaluation{Plan: p, Runs: runs, Result: rel}, err
 }
 
-// Query executes the query statement ?E: e is evaluated — under a Sort
-// operator over keys when there are any — and its result becomes the next
-// output, together with its key order (see OutputOrder).  stmt.Query calls it
-// for SQL ORDER BY; the facade's query entries call it for every query.
-func (t *Tx) Query(e algebra.Expr, keys []plan.SortKey) error {
-	ev, err := t.EvaluatePlan(e, keys, nil)
+// Query executes the query statement ?E under a presentation clause: e is
+// evaluated under a Sort root that executes the clause, and the windowed
+// result becomes the next output, together with its runs (see
+// OutputOrder).  stmt.Query calls it for a query with an active clause.
+func (t *Tx) Query(e algebra.Expr, clause plan.Clause) error {
+	ev, err := t.EvaluatePlan(e, clause, nil)
 	if err != nil {
 		return err
 	}
-	if ev.Ordered != nil {
+	if ev.Runs != nil {
 		if t.orders == nil {
-			t.orders = make(map[int][]tuple.Tuple)
+			t.orders = make(map[int][]plan.Run)
 		}
-		t.orders[len(t.outputs)] = ev.Ordered
+		t.orders[len(t.outputs)] = ev.Runs
 	}
 	t.Output(ev.Result)
 	return nil

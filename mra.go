@@ -217,7 +217,7 @@ func (db *DB) QueryExpr(e algebra.Expr) (*Result, error) {
 // at amortised checkpoints and fails with ctx.Err() once it is cancelled or
 // past its deadline.  A Background context adds no cost over QueryExpr.
 func (db *DB) QueryExprContext(ctx context.Context, e algebra.Expr) (*Result, error) {
-	return db.query(ctx, compiled{expr: e})
+	return db.query(ctx, compiled{query: stmt.Query{Source: e}})
 }
 
 // QueryXRA parses an XRA expression and evaluates it.
@@ -232,11 +232,12 @@ func (db *DB) QueryXRAContext(ctx context.Context, expr string) (*Result, error)
 }
 
 // QuerySQL compiles a SQL SELECT statement onto the algebra and evaluates it.
-// ORDER BY, LIMIT and OFFSET — which have no counterpart in the unordered bag
-// algebra — are presentation modifiers: an ORDER BY query executes through a
-// physical Sort operator rooting the plan (so keys may be arbitrary
+// ORDER BY, OFFSET and LIMIT — which have no counterpart in the unordered bag
+// algebra — form one presentation clause, executed by a physical Sort
+// operator rooting the plan: it orders the result (keys may be arbitrary
 // expressions, carried as hidden sort columns when they are not output
-// columns), and LIMIT/OFFSET window the ordered occurrences.
+// columns), cuts the OFFSET/LIMIT window by counts, and records the counted
+// runs the Result presents in order.
 func (db *DB) QuerySQL(sql string) (*Result, error) {
 	return db.QuerySQLContext(context.Background(), sql)
 }
@@ -278,7 +279,7 @@ func (db *DB) Explain(expr string) (*Explain, error) {
 	tx := db.manager.Begin()
 	defer tx.Abort()
 	var st plan.Stats
-	ev, err := tx.EvaluatePlan(c.expr, nil, &st)
+	ev, err := tx.EvaluatePlan(c.query.Source, plan.Clause{}, &st)
 	if ev.Plan == nil {
 		return nil, err
 	}
@@ -288,7 +289,7 @@ func (db *DB) Explain(expr string) (*Explain, error) {
 		rendered = ev.Plan.Render(&st)
 	}
 	return &Explain{
-		Logical:  c.expr.String(),
+		Logical:  c.query.Source.String(),
 		Physical: rendered,
 		Workers:  db.workers,
 	}, nil
@@ -487,7 +488,8 @@ type Tx struct {
 func (t *Tx) ExecXRA(statement string) error { return t.exec(xraLang, statement) }
 
 // ExecSQL compiles a single SQL statement and executes it inside the
-// transaction.
+// transaction.  A SELECT's result, windowed and ordered by its ORDER BY /
+// OFFSET / LIMIT clause, becomes the next of Outputs.
 func (t *Tx) ExecSQL(sql string) error { return t.exec(sqlLang, sql) }
 
 // exec compiles one statement against the transaction's intermediate state
@@ -505,8 +507,8 @@ func (t *Tx) Exec(s stmt.Statement) error { return t.inner.Exec(s) }
 
 // ExecSQLScript compiles a SQL script (semicolon-separated statements) against
 // the transaction's intermediate state and executes it inside the
-// transaction, returning the results of the script's query statements with
-// their ORDER BY / LIMIT modifiers applied.  On a statement error the results
+// transaction, returning the results of the script's query statements, each
+// the window and order its ORDER BY / OFFSET / LIMIT clause asks for.  On a statement error the results
 // produced so far are returned alongside the error; the transaction is left
 // active so the caller decides between rollback and recovery.
 func (t *Tx) ExecSQLScript(script string) ([]*Result, error) { return t.script(sqlLang, script) }
@@ -528,7 +530,7 @@ func (t *Tx) script(lang language, src string) ([]*Result, error) {
 	if c.bracketed {
 		return nil, errors.New("mra: begin/end blocks are not allowed inside an open transaction")
 	}
-	return run(t.inner, c.programs, c.mods)
+	return run(t.inner, c.programs)
 }
 
 // Query evaluates an XRA expression against the transaction's intermediate
@@ -538,7 +540,7 @@ func (t *Tx) Query(expr string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel, err := t.inner.Evaluate(c.expr)
+	rel, err := t.inner.Evaluate(c.query.Source)
 	if err != nil {
 		return nil, err
 	}
@@ -546,7 +548,7 @@ func (t *Tx) Query(expr string) (*Result, error) {
 }
 
 // Outputs returns the results of the query statements executed so far.
-func (t *Tx) Outputs() []*Result { return wrap(t.inner, 0, nil) }
+func (t *Tx) Outputs() []*Result { return wrap(t.inner, 0) }
 
 // Active reports whether the transaction still accepts statements (it has
 // neither committed nor aborted).

@@ -104,7 +104,7 @@ func TestQuerySQLOrderByLimit(t *testing.T) {
 		t.Errorf("offset past end = %s", res)
 	}
 
-	// ExecSQL (the script path the shell uses) honours modifiers per query.
+	// ExecSQL (the script path the shell uses) honours each query's clause.
 	results, err := db.ExecSQL("SELECT name, alcperc FROM beer ORDER BY alcperc DESC LIMIT 1; SELECT name FROM beer")
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +116,100 @@ func TestQuerySQLOrderByLimit(t *testing.T) {
 		t.Errorf("unmodified script query = %d rows", results[1].Len())
 	}
 
-	// Explicit transactions reject the modifiers: their outputs are bare
-	// multi-sets with no presentation channel.
+	// An explicit transaction's single statement carries its clause too:
+	// the output is the window, in order.
 	tx := db.Begin()
 	defer tx.Abort()
-	if err := tx.ExecSQL("SELECT name FROM beer ORDER BY name"); err == nil {
-		t.Error("Tx.ExecSQL must reject ORDER BY")
+	if err := tx.ExecSQL("SELECT name FROM beer ORDER BY name DESC LIMIT 2"); err != nil {
+		t.Fatalf("Tx.ExecSQL with ORDER BY: %v", err)
+	}
+	out := tx.Outputs()[0]
+	if got := fmt.Sprint(out.Rows()); got != "[[tripel] [stout]]" || out.Len() != 2 {
+		t.Errorf("Tx.ExecSQL ordered output = %s, len %d", got, out.Len())
+	}
+}
+
+// TestTxOutputsPresentTheClause checks a transaction's outputs present what
+// its statements returned: the clause's window, in order, without the hidden
+// sort column — after ExecSQLScript and after ExecSQL alike.
+func TestTxOutputsPresentTheClause(t *testing.T) {
+	const q = "select a from t order by b limit 1"
+	db := Open()
+	db.MustCreateRelation("t", Col("a", Int), Col("b", Int))
+	if err := db.InsertValues("t", []any{1, 30}, []any{2, 20}, []any{3, 10}); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	defer tx.Abort()
+	script, err := tx.ExecSQLScript(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.ExecSQL(q); err != nil {
+		t.Fatal(err)
+	}
+	want := "[a] [[3]] 1"
+	if got := fmt.Sprint(script[0].Columns(), script[0].Rows(), script[0].Len()); got != want {
+		t.Fatalf("ExecSQLScript = %s, want %s", got, want)
+	}
+	outs := tx.Outputs()
+	if len(outs) != 2 {
+		t.Fatalf("%d outputs, want 2", len(outs))
+	}
+	for i, out := range outs {
+		if got := fmt.Sprint(out.Columns(), out.Rows(), out.Len()); got != want {
+			t.Errorf("Outputs()[%d] = %s, want %s", i, got, want)
+		}
+	}
+}
+
+// hugeBagDB holds m with 256 copies of (1), so a four-way product of m is one
+// distinct row with multiplicity 2^32, under a 64 MiB memory budget.
+func hugeBagDB(t *testing.T) *DB {
+	t.Helper()
+	db := Open()
+	db.MustCreateRelation("m", Col("a", Int))
+	rows := make([][]any, 256)
+	for i := range rows {
+		rows[i] = []any{1}
+	}
+	if err := db.InsertValues("m", rows...); err != nil {
+		t.Fatal(err)
+	}
+	db.SetMemoryLimit(64 << 20)
+	return db
+}
+
+// TestLimitOverHugeBag checks LIMIT cuts a window of 2^32 occurrences by
+// counts: with and without ORDER BY the result is one row, and nothing
+// expands the occurrences it skips.
+func TestLimitOverHugeBag(t *testing.T) {
+	db := hugeBagDB(t)
+	for _, q := range []string{
+		"select m1.a from m m1, m m2, m m3, m m4 limit 1",
+		"select m1.a from m m1, m m2, m m3, m m4 order by 1 limit 1",
+	} {
+		res, err := db.QuerySQL(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := fmt.Sprint(res.Rows()); res.Len() != 1 || got != "[[1]]" {
+			t.Errorf("%s = %s, len %d; want one row", q, got, res.Len())
+		}
+	}
+}
+
+// TestOrderByHugeBagStaysCounted checks an ORDER BY result of 2^32
+// occurrences of one row stays one counted run: Len and DistinctLen answer
+// without expanding it.
+func TestOrderByHugeBagStaysCounted(t *testing.T) {
+	db := hugeBagDB(t)
+	res, err := db.QuerySQL("select m1.a from m m1, m m2, m m3, m m4 order by 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1<<32 || res.DistinctLen() != 1 {
+		t.Errorf("Len = %d, DistinctLen = %d; want 2^32 and 1", res.Len(), res.DistinctLen())
 	}
 }
 

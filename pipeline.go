@@ -7,14 +7,15 @@ package mra
 // Nothing rewrites an expression between compile and evaluate: the planner
 // is the one optimiser, so a query and the same expression inside a
 // statement plan identically.
-// ORDER BY keys ride on the query into the evaluate stage, whose physical
-// Sort operator charges the query's memory budget, and wrap keeps the order.
+// A SQL query's ORDER BY / OFFSET / LIMIT clause rides on its query
+// statement into the evaluate stage, where one Sort operator at the plan's
+// root executes it under the query's memory budget and emits counted runs;
+// wrap keeps those runs as the result's order.
 
 import (
 	"context"
 
 	"mra/internal/algebra"
-	"mra/internal/plan"
 	"mra/internal/sqlfront"
 	"mra/internal/stmt"
 	"mra/internal/txn"
@@ -42,18 +43,15 @@ const (
 	scriptForm
 )
 
-// compiled is the compile stage's output; the form decides which of expr,
+// compiled is the compile stage's output; the form decides which of query,
 // statement and programs is set.
 type compiled struct {
-	expr      algebra.Expr
+	query     stmt.Query
 	statement stmt.Statement
 	// programs holds one program per transaction bracket.
 	programs []stmt.Program
 	// bracketed reports an explicit begin … end block in the script.
 	bracketed bool
-	// mods are the presentation modifiers of the query outputs, in order;
-	// only SQL has them.
-	mods []sqlfront.Modifiers
 }
 
 // compile is the compile stage: the one place source text meets a front end.
@@ -65,15 +63,15 @@ func compile(lang language, f form, src string, cat algebra.Catalog) (compiled, 
 	case lang == sqlLang && f == queryForm:
 		var q sqlfront.Query
 		q, err = sqlfront.CompileQuery(src, cat)
-		c.expr, c.mods = q.Expr, []sqlfront.Modifiers{q.Mods}
+		c.query = stmt.Query{Source: q.Expr, Mods: q.Mods}
 	case lang == sqlLang && f == statementForm:
 		c.statement, err = sqlfront.CompileStatement(src, cat)
 	case lang == sqlLang:
 		var p stmt.Program
-		p, c.mods, err = sqlfront.CompileScript(src, cat)
+		p, _, err = sqlfront.CompileScript(src, cat)
 		c.programs = []stmt.Program{p}
 	case f == queryForm:
-		c.expr, err = xraparse.ParseExpression(src)
+		c.query.Source, err = xraparse.ParseExpression(src)
 	case f == statementForm:
 		c.statement, err = xraparse.ParseStatement(src)
 	default:
@@ -96,19 +94,15 @@ func (db *DB) queryText(ctx context.Context, lang language, src string) (*Result
 	return db.query(ctx, c)
 }
 
-// query runs a compiled query inside a read-only transaction: evaluate —
-// under a Sort when the query has ORDER BY keys — and wrap the one result.
+// query runs a compiled query statement inside a read-only transaction and
+// wraps its one result.
 func (db *DB) query(ctx context.Context, c compiled) (*Result, error) {
 	tx := db.manager.Begin().WithContext(ctx)
 	defer tx.Abort()
-	var keys []plan.SortKey
-	if len(c.mods) > 0 {
-		keys = c.mods[0].Order
-	}
-	if err := tx.Query(c.expr, keys); err != nil {
+	if err := tx.Exec(c.query); err != nil {
 		return nil, err
 	}
-	return wrap(tx, 0, c.mods)[0], nil
+	return wrap(tx, 0)[0], nil
 }
 
 // execText compiles a script and runs it through exec.
@@ -127,7 +121,7 @@ func (db *DB) exec(ctx context.Context, c compiled) ([]*Result, error) {
 	var results []*Result
 	for i := range c.programs {
 		tx := db.manager.Begin().WithContext(ctx)
-		outs, err := run(tx, c.programs[i:i+1], c.mods)
+		outs, err := run(tx, c.programs[i:i+1])
 		if err == nil {
 			err = tx.Commit()
 		} else {
@@ -142,9 +136,9 @@ func (db *DB) exec(ctx context.Context, c compiled) ([]*Result, error) {
 }
 
 // run is the run stage: it executes the programs in order inside tx, stopping
-// at the first error, and wraps the query outputs they produced with mods.
-// On an error the results produced so far accompany it.
-func run(tx *txn.Tx, programs []stmt.Program, mods []sqlfront.Modifiers) ([]*Result, error) {
+// at the first error, and wraps the query outputs they produced.  On an error
+// the results produced so far accompany it.
+func run(tx *txn.Tx, programs []stmt.Program) ([]*Result, error) {
 	before := len(tx.Outputs())
 	var err error
 	for _, p := range programs {
@@ -152,21 +146,16 @@ func run(tx *txn.Tx, programs []stmt.Program, mods []sqlfront.Modifiers) ([]*Res
 			break
 		}
 	}
-	return wrap(tx, before, mods), err
+	return wrap(tx, before), err
 }
 
 // wrap is the wrap stage: it turns tx's outputs from index from on into
-// Results.  Each keeps the key order its query was evaluated in, and the i-th
-// is cut by mods[i] when there is one.
-func wrap(tx *txn.Tx, from int, mods []sqlfront.Modifiers) []*Result {
+// Results, each keeping the runs its query's Sort root emitted as its order.
+func wrap(tx *txn.Tx, from int) []*Result {
 	outs := tx.Outputs()[from:]
 	results := make([]*Result, len(outs))
 	for i, rel := range outs {
-		r := &Result{rel: rel, ordered: tx.OutputOrder(from + i)}
-		if i < len(mods) {
-			r = r.withModifiers(mods[i])
-		}
-		results[i] = r
+		results[i] = &Result{rel: rel, runs: tx.OutputOrder(from + i)}
 	}
 	return results
 }

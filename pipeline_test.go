@@ -17,9 +17,9 @@ import (
 // (pipeline.go): outside tests and benchmark/, each stage is called from
 // exactly one place, and the compile family — one call per front end and
 // form — from exactly one function.  Calls inside a stage's own package
-// (ExecuteOrdered delegating to ExecuteOrderedContext) implement the stage
-// and do not count.  Calls are resolved with go/types, so a plan's Execute is
-// told apart from a statement's.  The planner is the one optimiser: no
+// (Planner.Plan delegating to PlanOrdered) implement the stage and do not
+// count.  Calls are resolved with go/types, so a plan's Execute is told apart
+// from a statement's.  The planner is the one optimiser: no
 // non-test file outside benchmark/ imports the rewriter, which stays only as
 // the law table the tests check.  The oracle (internal/oracle) is test
 // support that shares no code with the engine: no non-test file imports it,

@@ -6,20 +6,20 @@ import (
 	"strings"
 
 	"mra/internal/multiset"
-	"mra/internal/sqlfront"
+	"mra/internal/plan"
 	"mra/internal/tuple"
 	"mra/internal/value"
 )
 
 // Result is a materialised query result: a multi-set of tuples together with
-// its schema.  Relations are unordered; when a SQL query carries ORDER BY /
-// LIMIT clauses the result additionally records an explicit presentation
-// order, honoured by Rows and Table.
+// its schema.  Relations are unordered; when a SQL query carries an ORDER BY /
+// OFFSET / LIMIT clause the result is the clause's window and additionally
+// records its presentation order, honoured by Rows and Table.
 type Result struct {
 	rel *multiset.Relation
-	// ordered, when non-nil, lists every occurrence in presentation order
-	// (after ORDER BY / OFFSET / LIMIT).
-	ordered []tuple.Tuple
+	// runs, when non-nil, is the presentation order: the counted runs the
+	// plan's Sort root emitted, which hold exactly rel's occurrences.
+	runs []plan.Run
 }
 
 // Columns returns the result's column names; unnamed computed columns are
@@ -55,61 +55,28 @@ func (r *Result) DistinctLen() int { return r.rel.DistinctCount() }
 // query's ORDER BY order when one was given, canonical order otherwise.
 // Values are native Go values: int64, float64, string, bool or nil.
 func (r *Result) Rows() [][]any {
-	tuples := r.ordered
-	if tuples == nil {
-		tuples = r.rel.Tuples()
-	}
-	out := make([][]any, 0, len(tuples))
-	for _, t := range tuples {
-		out = append(out, rowOf(t))
-	}
+	out := make([][]any, 0, r.Len())
+	r.eachRun(func(t tuple.Tuple, count uint64) bool {
+		for k := uint64(0); k < count; k++ {
+			out = append(out, rowOf(t))
+		}
+		return true
+	})
 	return out
 }
 
-// withModifiers applies a SQL query's OFFSET / LIMIT clauses and strips the
-// hidden sort columns the translator appended.  The window is cut from the
-// presentation order — the Sort operator's key order under ORDER BY,
-// canonical order otherwise — and the relation is rebuilt from the surviving
-// rows so Len, Multiplicity and DistinctRows stay consistent with what the
-// caller sees.  Sorting is not done here: an ORDER BY result already carries
-// the order its plan's Sort produced.
-func (r *Result) withModifiers(m sqlfront.Modifiers) *Result {
-	if m.Offset == 0 && !m.HasLimit && m.Hidden == 0 {
-		return r
+// eachRun calls fn with the result's counted runs in presentation order: the
+// Sort root's runs under a clause, canonical order otherwise.
+func (r *Result) eachRun(fn func(t tuple.Tuple, count uint64) bool) {
+	if r.runs == nil {
+		r.rel.EachSorted(fn)
+		return
 	}
-	rows := r.ordered
-	if rows == nil {
-		rows = r.rel.Tuples() // canonical order
-	}
-	if m.Offset > 0 {
-		if m.Offset >= uint64(len(rows)) {
-			rows = rows[:0]
-		} else {
-			rows = rows[m.Offset:]
+	for _, run := range r.runs {
+		if !fn(run.Tuple, run.Count) {
+			return
 		}
 	}
-	if m.HasLimit && uint64(len(rows)) > m.Limit {
-		rows = rows[:m.Limit]
-	}
-	s := r.rel.Schema()
-	if m.Hidden > 0 {
-		// Strip the trailing hidden sort columns from the presentation.
-		visible := make([]int, s.Arity()-m.Hidden)
-		for i := range visible {
-			visible[i] = i
-		}
-		s, _ = s.Project(visible)
-		stripped := make([]tuple.Tuple, len(rows))
-		for i, t := range rows {
-			stripped[i], _ = t.Project(visible)
-		}
-		rows = stripped
-	}
-	rel := multiset.NewWithCapacity(s, len(rows))
-	for _, t := range rows {
-		rel.Add(t, 1)
-	}
-	return &Result{rel: rel, ordered: rows}
 }
 
 // DistinctRows returns one row per distinct tuple together with its
@@ -176,7 +143,7 @@ func (r *Result) Table() string {
 		widths[i] = len(c)
 	}
 	var rows [][]string
-	addRow := func(t tuple.Tuple, count uint64) {
+	r.eachRun(func(t tuple.Tuple, count uint64) bool {
 		cells := make([]string, t.Arity())
 		for i := 0; i < t.Arity(); i++ {
 			cells[i] = t.At(i).Display()
@@ -187,17 +154,8 @@ func (r *Result) Table() string {
 		for k := uint64(0); k < count; k++ {
 			rows = append(rows, cells)
 		}
-	}
-	if r.ordered != nil {
-		for _, t := range r.ordered {
-			addRow(t, 1)
-		}
-	} else {
-		r.rel.EachSorted(func(t tuple.Tuple, count uint64) bool {
-			addRow(t, count)
-			return true
-		})
-	}
+		return true
+	})
 
 	var b strings.Builder
 	writeRow := func(cells []string) {
